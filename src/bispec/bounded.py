@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -668,13 +668,4 @@ def centralizer_search(
         if not commutator(L, M).is_zero():
             raise NotCommuting("search produced a non-commuting element")
     orders = tuple(M.order for M in gens)
-    rank = 0
-    for o in orders:
-        rank = _gcd(rank, o)
-    return CentralizerResult(generators=tuple(gens), orders=orders, rank=rank)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return CentralizerResult(generators=tuple(gens), orders=orders, rank=gcd(*orders))

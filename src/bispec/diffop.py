@@ -31,6 +31,7 @@ from .rational import (
     PowerSeries,
     RatFunc,
     ScalarLike,
+    binary_power,
     rat_antiderivative,
     taylor_expand_at_zero,
 )
@@ -101,7 +102,8 @@ class DiffOp:
         return max(self.coeffs) if self.coeffs else -1
 
     def coeff(self, j: int) -> RatFunc:
-        return self.coeffs.get(j, RatFunc.zero())
+        c = self.coeffs.get(j)
+        return RatFunc.zero() if c is None else c
 
     def leading(self) -> RatFunc:
         if self.is_zero():
@@ -137,7 +139,7 @@ class DiffOp:
         self._check_var(other)
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
-            out[j] = out.get(j, RatFunc.zero()) + c
+            out[j] = out[j] + c if j in out else c
         return DiffOp(self.var, out)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
@@ -157,14 +159,7 @@ class DiffOp:
     def __pow__(self, n: int) -> "DiffOp":
         if n < 0:
             raise ValueError("negative operator power")
-        result = DiffOp.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, DiffOp.one(self.var))
 
     def substitute_d(self, replacement: "DiffOp") -> "DiffOp":
         """Evaluate sum V_j(x) * R^j for an order-preserving replacement R
@@ -198,6 +193,8 @@ class DiffOp:
 def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
     """Normal-ordered product L o M via the Leibniz rule."""
     L._check_var(M)
+    if L.order <= 0:
+        return M.mul_function(L.coeff(0))
     out: dict[int, RatFunc] = {}
     for i, a in L.coeffs.items():
         for j, b in M.coeffs.items():
@@ -207,7 +204,7 @@ def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
                 if not deriv.is_zero():
                     k = i - t + j
                     term = a * deriv.scale(comb(i, t))
-                    out[k] = out.get(k, RatFunc.zero()) + term
+                    out[k] = out[k] + term if k in out else term
                 if t < i:
                     deriv = deriv.derivative()
     return DiffOp(L.var, out)
@@ -351,14 +348,6 @@ def apply_to_series(L: DiffOp, s: PowerSeries, M: Optional[int] = None) -> Power
 def euler_operator(var: str = "x") -> DiffOp:
     """The Euler operator x d."""
     return DiffOp(var, {1: RatFunc.x()})
-
-
-def poly_of_operator(p: Poly, L: DiffOp) -> DiffOp:
-    """p(L) for a scalar polynomial p."""
-    acc = DiffOp.zero(L.var)
-    for c in reversed(p.coeffs):
-        acc = dop_mul(acc, L) + DiffOp.const(c, L.var)
-    return acc
 
 
 def transpose_weyl(P: DiffOp, out_var: str) -> DiffOp:

@@ -5,7 +5,12 @@ Conventions used throughout the package:
 * Scalars are ``fractions.Fraction`` (exact, arbitrary precision).
 * ``Poly`` is a dense univariate polynomial, coefficients ascending by
   degree.  The zero polynomial has degree -1 (the distinguished sentinel).
-* ``RatFunc`` is a reduced fraction of two Polys with a monic denominator.
+* ``RatFunc`` is a reduced fraction of two Polys with a monic denominator,
+  so equal functions have equal (num, den).  A denominator c*x^k, which is
+  what every coefficient in Q[x, x^-1] has, is reduced without Euclid by
+  shifting out x^min(val(num), k); only other denominators go through
+  ``Poly.gcd``.  Negation and scaling keep a reduced pair reduced and skip
+  the reduction.
 * ``LaurentTail`` is a truncated expansion at infinity written in the
   variable x^-1: the term at index ``s`` is ``c_s * x^(-s)``.  Indices may
   be negative (polynomial part).  ``trunc`` is the last index known exactly;
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
@@ -37,6 +43,19 @@ def _frac(value: ScalarLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def binary_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring; ``one`` is returned for
+    n = 0.  No square is taken after the last bit of n."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -48,7 +67,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -90,7 +109,7 @@ class Poly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return len(self.coeffs) == 1 and self.coeffs[0] == 1
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -112,7 +131,7 @@ class Poly:
         """Multiplicity of the root x = 0 (degree+1 convention not used;
         returns 0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
-            if c != 0:
+            if c:
                 return i
         return 0
 
@@ -142,12 +161,16 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly()
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        bs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in bs:
+                    out[i + j] += a * b
         return Poly(out)
 
     def scale(self, c: ScalarLike) -> "Poly":
@@ -159,31 +182,25 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, Poly.one())
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            c = rem[-1] / lead
+        q = [Fraction(0)] * max(0, len(rem) - d)
+        lead = other.coeffs[-1]
+        lower = [(i, b) for i, b in enumerate(other.coeffs[:-1]) if b]
+        # each step cancels the top coefficient exactly, so it is popped
+        while len(rem) > d:
+            top = rem.pop()
+            if not top:
+                continue
+            shift = len(rem) - d
+            c = top / lead
             q[shift] = c
-            for i, b in enumerate(other.coeffs):
+            for i, b in lower:
                 rem[shift + i] -= c * b
         return Poly(q), Poly(rem)
 
@@ -268,9 +285,7 @@ class Poly:
             roots[Fraction(0)] = v
             p = Poly(p.coeffs[v:])
         # clear denominators -> integer polynomial
-        den_lcm = 1
-        for c in p.coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+        den_lcm = lcm(*(c.denominator for c in p.coeffs))
         ints = [int(c * den_lcm) for c in p.coeffs]
         while len(ints) > 1:
             a0, an = ints[0], ints[-1]
@@ -321,12 +336,6 @@ def _fmt_term(c: Fraction, var: str, k: int, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _divisors(n: int) -> list[int]:
     if n == 0:
         return [1]
@@ -355,10 +364,8 @@ def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
     q[n - 1] = Fraction(coeffs[n])
     for k in range(n - 1, 0, -1):
         q[k - 1] = Fraction(coeffs[k]) + root * q[k]
-    lcm = 1
-    for c in q:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    return [int(c * lcm) for c in q]
+    den_lcm = lcm(*(c.denominator for c in q))
+    return [int(c * den_lcm) for c in q]
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -372,7 +379,15 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Reduced rational function num/den with monic denominator."""
+    """Reduced rational function num/den with monic denominator.
+
+    The representative is canonical: gcd(num, den) = 1, den is monic, and
+    zero is 0/1.  A denominator c*x^k (a monomial, as for every
+    coefficient in Q[x, x^-1]) is reduced without Euclid: its only monic
+    divisors are x^j, so the gcd is x^min(val(num), k), and removing it is
+    a shift of the coefficient tuples.  Any other denominator is reduced
+    by ``Poly.gcd``.
+    """
 
     __slots__ = ("num", "den")
 
@@ -384,17 +399,31 @@ class RatFunc:
         elif den.is_one():
             pass  # polynomial fast path: nothing to reduce
         else:
-            if den.degree > 0 and num.degree > 0:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
             lead = den.leading()
+            if not any(den.coeffs[:-1]):
+                # den = lead * x^k: the gcd is x^min(val(num), k)
+                v = min(num.valuation(), den.degree)
+                num = Poly(num.coeffs[v:])
+                den = Poly.monomial(den.degree - v)
+            else:
+                if num.degree > 0:
+                    g = num.gcd(den)  # monic, so den keeps its lead
+                    if g.degree > 0:
+                        num = num.exact_div(g)
+                        den = den.exact_div(g)
+                den = den.monic()
             if lead != 1:
                 num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap a pair that is already canonical, skipping the reduction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
@@ -403,11 +432,11 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(Poly.zero())
+        return RatFunc._reduced(Poly.zero(), Poly.one())
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(Poly.one())
+        return RatFunc._reduced(Poly.one(), Poly.one())
 
     @staticmethod
     def const(c: ScalarLike) -> "RatFunc":
@@ -470,8 +499,7 @@ class RatFunc:
 
     def is_laurent_polynomial(self) -> bool:
         """True when the denominator is a power of x."""
-        d = self.den
-        return all(c == 0 for c in d.coeffs[:-1])
+        return not any(self.den.coeffs[:-1])
 
     def laurent_terms(self) -> list[tuple[int, Fraction]]:
         """Exponent/coefficient pairs for Laurent-polynomial values,
@@ -497,9 +525,13 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -511,7 +543,10 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def scale(self, c: ScalarLike) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den)
+        num = self.num.scale(c)
+        if num.is_zero():
+            return RatFunc.zero()
+        return RatFunc._reduced(num, self.den)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
@@ -524,14 +559,7 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, RatFunc.one())
 
     def derivative(self) -> "RatFunc":
         return RatFunc(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import bispec.diffop
 from bispec import (
     DiffOp,
     DivisionByZeroOperator,
@@ -98,6 +99,33 @@ class TestProducts:
             lhs = fn_apply_mono(mono_mul(a, b), h)
             rhs = fn_apply_mono(a, fn_apply_mono(b, h))
             assert lhs == rhs
+
+
+class TestPower:
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+
+        def counting(L, M):
+            calls.append((L.order, M.order))
+            return dop_mul(L, M)
+
+        monkeypatch.setattr(bispec.diffop, "dop_mul", counting)
+        return calls
+
+    @pytest.mark.parametrize("base,n,count", [
+        (d, 5, 3),                          # d^2, d^4, d * d^4
+        (x * d + DiffOp.one(), 4, 2),       # B^2, B^4
+        (x * d + DiffOp.one(), 1, 0),
+        (d, 0, 0),
+    ])
+    def test_no_wasted_squaring(self, products, base, n, count):
+        value = base ** n
+        assert len(products) == count
+        expect = DiffOp.one()
+        for _ in range(n):
+            expect = diffop_of_mono(mono_mul(mono_of_diffop(expect), mono_of_diffop(base)))
+        assert value == expect
 
 
 class TestCommutator:

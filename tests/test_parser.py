@@ -11,10 +11,12 @@ from bispec import (
     OperatorSyntaxError,
     Poly,
     RatFunc,
+    dop_mul,
     parse_operator,
     print_operator,
 )
-from oracles import random_diffop
+from bispec.parser import MAX_EXPONENT
+from oracles import diffop_of_mono, mono_mul, mono_of_diffop, random_diffop
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -54,6 +56,57 @@ class TestParse:
             parse_operator("d^-1")
         with pytest.raises(NegativeDerivativeExponent):
             parse_operator("(x*d)^-2")
+
+
+def _fn(f):
+    return DiffOp.from_function(f)
+
+
+def _xd():
+    return dop_mul(x, d)
+
+
+class TestFastPaths:
+    """Function prefixes, d^e and powers of functions skip the Leibniz
+    product; the values must equal the explicit products."""
+
+    @pytest.mark.parametrize("text,build", [
+        ("d*x^-1*d", lambda: dop_mul(dop_mul(d, _fn(RatFunc.x_power(-1))), d)),
+        ("(x*d)^3", lambda: dop_mul(dop_mul(_xd(), _xd()), _xd())),
+        ("x^-2*d^2*x", lambda: dop_mul(dop_mul(_fn(RatFunc.x_power(-2)), dop_mul(d, d)), x)),
+        ("(x+1)^-1*(d - x)",
+         lambda: dop_mul(_fn(RatFunc(Poly([1]), Poly([1, 1]))), d - x)),
+        ("(x^2+1)^0", DiffOp.one),
+        ("x^0*d", lambda: d),
+        ("d^0", DiffOp.one),
+    ])
+    def test_against_explicit_products(self, text, build):
+        assert parse_operator(text) == build()
+
+    @pytest.mark.parametrize("text,factors", [
+        ("d*x^-1*d", [(0, 1), (-1, 0), (0, 1)]),
+        ("(x*d)^3", [(1, 1), (1, 1), (1, 1)]),
+        ("x^-2*d^2*x", [(-2, 0), (0, 2), (1, 0)]),
+        ("x^-3*x^5*d^3", [(-3, 0), (5, 0), (0, 3)]),
+    ])
+    def test_against_monomial_oracle(self, text, factors):
+        product = {(0, 0): Fraction(1)}
+        for a, b in factors:
+            product = mono_mul(product, {(a, b): Fraction(1)})
+        assert parse_operator(text) == diffop_of_mono(product)
+
+    def test_largest_derivative_power(self):
+        value = d
+        for _ in range(12):
+            value = dop_mul(value, value)
+        assert parse_operator(f"d^{MAX_EXPONENT}") == value
+        assert value == DiffOp.monomial(1, 4096)
+
+    def test_exponent_bound_holds(self):
+        with pytest.raises(OperatorSyntaxError):
+            parse_operator(f"d^{MAX_EXPONENT + 1}")
+        with pytest.raises(OperatorSyntaxError):
+            parse_operator("x^4097")
 
 
 class TestErrors:
