@@ -102,8 +102,7 @@ class DiffOp:
         return max(self.coeffs) if self.coeffs else -1
 
     def coeff(self, j: int) -> RatFunc:
-        c = self.coeffs.get(j)
-        return RatFunc.zero() if c is None else c
+        return self.coeffs.get(j, RatFunc.zero())
 
     def leading(self) -> RatFunc:
         if self.is_zero():
@@ -139,7 +138,7 @@ class DiffOp:
         self._check_var(other)
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
-            out[j] = out[j] + c if j in out else c
+            out[j] = out.get(j, RatFunc.zero()) + c
         return DiffOp(self.var, out)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
@@ -204,7 +203,7 @@ def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
                 if not deriv.is_zero():
                     k = i - t + j
                     term = a * deriv.scale(comb(i, t))
-                    out[k] = out[k] + term if k in out else term
+                    out[k] = out.get(k, RatFunc.zero()) + term
                 if t < i:
                     deriv = deriv.derivative()
     return DiffOp(L.var, out)

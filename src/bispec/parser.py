@@ -147,12 +147,7 @@ class _Parser:
         value = self.unary()
         while self.peek().kind == "STAR":
             self.advance()
-            rhs = self.unary()
-            if value.is_function():
-                # f o M is f times each coefficient: no Leibniz terms
-                value = rhs.mul_function(value.coeff(0))
-            else:
-                value = dop_mul(value, rhs)
+            value = dop_mul(value, self.unary())
         return value
 
     def unary(self) -> DiffOp:
@@ -162,7 +157,6 @@ class _Parser:
         return self.power()
 
     def power(self) -> DiffOp:
-        is_d = self.peek().kind == "D"
         base = self.atom()
         if self.peek().kind != "CARET":
             return base
@@ -179,8 +173,6 @@ class _Parser:
                 f"exponent exceeds the supported bound {MAX_EXPONENT}", tok.pos
             )
         e = sign * tok.value.numerator
-        if is_d and e >= 0:
-            return DiffOp.monomial(1, e, self.var)
         if base.is_function():
             return DiffOp.from_function(base.coeff(0) ** e, base.var)
         if e < 0:
