@@ -67,8 +67,9 @@ def _xd():
 
 
 class TestFastPaths:
-    """Function prefixes, d^e and powers of functions skip the Leibniz
-    product; the values must equal the explicit products."""
+    """Function prefixes and powers of functions skip the Leibniz product,
+    and d^e takes the binary power; the values must equal the explicit
+    products."""
 
     @pytest.mark.parametrize("text,build", [
         ("d*x^-1*d", lambda: dop_mul(dop_mul(d, _fn(RatFunc.x_power(-1))), d)),
