@@ -13,7 +13,6 @@ below its argument while the U-part of V(.) enters at least two below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Union
@@ -26,8 +25,9 @@ from .errors import (
     ZeroOperand,
 )
 from .rational import LaurentTail, Poly, PowerSeries, RatFunc, laurent_expand
-from .diffop import DiffOp, dop_mul, right_divide, transpose_weyl
+from .diffop import DiffOp, dop_mul, nonzero_terms, right_divide, transpose_weyl
 from .weights import principal_part
+from .record import Record
 
 DEFAULT_TAIL_DEPTH = 24
 
@@ -36,14 +36,14 @@ DEFAULT_TAIL_DEPTH = 24
 # Airy shape inspection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AiryShape:
+class AiryShape(Record):
     """A = d^N + sum_{1<=j<=N-2} a_j d^j + a_0 - lam*x.
 
     The canonical family has lam = 1 and a_0 = 0; a nonzero a_0 is a
     translation of x and lam != 1 a dilation, both recorded rather than
     normalized away."""
 
+    __slots__ = ("N", "a", "a0", "lam")
     N: int
     a: tuple[tuple[int, Fraction], ...]
     a0: Fraction
@@ -84,21 +84,29 @@ def airy_shape(A: DiffOp) -> AiryShape:
 # operators with Laurent-tail coefficients (internal working ring)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TOp:
-    """Normal-ordered operator sum_k alpha_k(x) d^k with tail coefficients."""
+class TOp(Record):
+    """Normal-ordered operator sum_k alpha_k(x) d^k with tail coefficients.
 
-    coeffs: Mapping[int, LaurentTail] = field(default_factory=dict)
+    ``TOp._trusted`` wraps a dict with int keys >= 0 and nonzero tails,
+    unchecked."""
 
-    def __post_init__(self):
-        clean = {int(k): t for k, t in self.coeffs.items() if not t.is_zero()}
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Optional[Mapping[int, LaurentTail]] = None):
+        clean = nonzero_terms({int(k): t for k, t in (coeffs or {}).items()})
         if any(k < 0 for k in clean):
             raise ValueError("negative derivative power")
-        object.__setattr__(self, "coeffs", clean)
+        _set_top_coeffs(self, clean)
+
+    @classmethod
+    def _trusted(cls, coeffs: dict) -> "TOp":
+        self = _new(cls)
+        _set_top_coeffs(self, coeffs)
+        return self
 
     @staticmethod
     def zero() -> "TOp":
-        return TOp({})
+        return TOp._trusted({})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -113,17 +121,19 @@ class TOp:
     def __add__(self, other: "TOp") -> "TOp":
         out = dict(self.coeffs)
         for k, t in other.coeffs.items():
-            out[k] = out.get(k, LaurentTail.zero(None)) + t
-        return TOp(out)
+            out[k] = out.get(k, _EXACT_ZERO) + t
+        return TOp._trusted(nonzero_terms(out))
 
     def __neg__(self) -> "TOp":
-        return TOp({k: -t for k, t in self.coeffs.items()})
+        return TOp._trusted({k: -t for k, t in self.coeffs.items()})
 
     def __sub__(self, other: "TOp") -> "TOp":
         return self + (-other)
 
     def scale(self, c) -> "TOp":
-        return TOp({k: t.scale(c) for k, t in self.coeffs.items()})
+        if not c:
+            return TOp._trusted({})
+        return TOp._trusted({k: t.scale(c) for k, t in self.coeffs.items()})
 
     def __mul__(self, other: "TOp") -> "TOp":
         out: dict[int, LaurentTail] = {}
@@ -134,14 +144,19 @@ class TOp:
                     if not deriv.is_zero():
                         k = i - t + j
                         term = (a * deriv).scale(comb(i, t))
-                        out[k] = out.get(k, LaurentTail.zero(None)) + term
+                        out[k] = out.get(k, _EXACT_ZERO) + term
                     if t < i:
                         deriv = deriv.derivative()
-        return TOp(out)
+        return TOp._trusted(nonzero_terms(out))
 
     def height(self) -> Optional[int]:
         hs = [t.height() for t in self.coeffs.values() if t.height() is not None]
         return max(hs) if hs else None
+
+
+_new = object.__new__
+_set_top_coeffs = TOp.coeffs.__set__
+_EXACT_ZERO = LaurentTail.zero(None)
 
 
 def tail_of_ratfunc(c: RatFunc, depth: int) -> LaurentTail:
@@ -158,22 +173,31 @@ def top_of_diffop(L: DiffOp, depth: int = DEFAULT_TAIL_DEPTH) -> TOp:
 # MJOp and AiryPDO
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MJOp:
-    """Operator coefficient of an Airy-adic series: sum_{k<N} alpha_k(x) d^k."""
+class MJOp(Record):
+    """Operator coefficient of an Airy-adic series: sum_{k<N} alpha_k(x) d^k.
 
-    coeffs: Mapping[int, LaurentTail]
-    N: int
+    ``MJOp._trusted`` wraps a dict with int keys in [0, N) and nonzero
+    tails, unchecked."""
 
-    def __post_init__(self):
-        clean = {int(k): t for k, t in self.coeffs.items() if not t.is_zero()}
-        if any(not 0 <= k < self.N for k in clean):
-            raise ValueError(f"derivative power outside [0, {self.N})")
-        object.__setattr__(self, "coeffs", clean)
+    __slots__ = ("coeffs", "N")
+
+    def __init__(self, coeffs: Mapping[int, LaurentTail], N: int):
+        clean = nonzero_terms({int(k): t for k, t in coeffs.items()})
+        if any(not 0 <= k < N for k in clean):
+            raise ValueError(f"derivative power outside [0, {N})")
+        _set_mj_coeffs(self, clean)
+        _set_mj_n(self, N)
+
+    @classmethod
+    def _trusted(cls, coeffs: dict, N: int) -> "MJOp":
+        self = _new(cls)
+        _set_mj_coeffs(self, coeffs)
+        _set_mj_n(self, N)
+        return self
 
     @staticmethod
     def zero(N: int) -> "MJOp":
-        return MJOp({}, N)
+        return MJOp._trusted({}, N)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -182,29 +206,34 @@ class MJOp:
         return self.coeffs.get(k, LaurentTail.zero(None))
 
     def as_top(self) -> TOp:
-        return TOp(dict(self.coeffs))
+        return TOp._trusted(self.coeffs)
 
     @staticmethod
     def from_top(t: TOp, N: int) -> "MJOp":
         if t.order >= N:
             raise ValueError("degree too high for an MJOp")
-        return MJOp(dict(t.coeffs), N)
+        return MJOp._trusted(t.coeffs, N)
 
     def height(self) -> Optional[int]:
         return self.as_top().height()
 
 
-@dataclass(frozen=True)
-class AiryPDO:
+_set_mj_coeffs = MJOp.coeffs.__set__
+_set_mj_n = MJOp.N.__set__
+
+
+class AiryPDO(Record):
     """Truncated Airy-adic wave operator K = 1 + sum_{j=1}^J m_j A^-j.
 
     ``h_min`` is the deepest height tracked while solving; identities
     involving K are exact above it."""
 
+    __slots__ = ("A", "mjs", "trunc", "h_min")
+    _defaults = {"h_min": None}
     A: DiffOp
     mjs: Mapping[int, MJOp]
     trunc: int
-    h_min: Optional[int] = None
+    h_min: Optional[int]
 
     def __post_init__(self):
         airy_shape(self.A)
@@ -224,16 +253,15 @@ class AiryPDO:
         return not self.mjs
 
 
-@dataclass(frozen=True)
-class ObstructionStep:
+class ObstructionStep(Record):
+    __slots__ = ("j", "s", "k", "alpha")
     j: int
     s: int
     k: int
     alpha: Fraction
 
 
-@dataclass(frozen=True)
-class ObstructionTrace:
+class ObstructionTrace(Record):
     """Leading-height record of the wave recursion.
 
     Verdict "obstructed" certifies that the recursion forces a leading term
@@ -241,6 +269,7 @@ class ObstructionTrace:
     rational function; "clean" means the perturbation was zero;
     "inconclusive" means the step budget ran out first."""
 
+    __slots__ = ("steps", "verdict", "N", "lam")
     steps: tuple[ObstructionStep, ...]
     verdict: str  # "obstructed" | "clean" | "inconclusive"
     N: int
@@ -284,7 +313,7 @@ def _reduce_top(T: TOp, At: TOp, N: int) -> tuple[TOp, TOp]:
     r = T
     while r.order >= N:
         k = r.order
-        piece = TOp({k - N: r.coeff(k)})
+        piece = TOp._trusted({k - N: r.coeff(k)})
         q = q + piece
         r = r - piece * At
     return q, r
@@ -318,13 +347,6 @@ def v_decompose(V: DiffOp, m: MJOp, A: DiffOp,
     prod = Vt * m.as_top()
     q, r = _reduce_top(prod, At, N)
     return MJOp.from_top(q, N), MJOp.from_top(r, N)
-
-
-def decay_order(V: DiffOp) -> Optional[int]:
-    """Largest leading exponent among the coefficients (None for zero)."""
-    if V.is_zero():
-        return None
-    return max(c.infinity_order() for c in V.coeffs.values())
 
 
 def height(m: Union[MJOp, TOp, DiffOp]):
@@ -586,8 +608,8 @@ class _BiSeries:
                    if i + j <= degree)
 
 
-@dataclass(frozen=True)
-class AiryBispectralReport:
+class AiryBispectralReport(Record):
+    __slots__ = ("eigen_x", "eigen_z", "shift", "verified_degree")
     eigen_x: bool        # A(x, d_x) Psi = lam z Psi
     eigen_z: bool        # A(z, d_z) Psi = lam x Psi
     shift: bool          # d_x Psi = d_z Psi

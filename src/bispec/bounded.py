@@ -13,7 +13,6 @@ truncation is computed exactly via
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from typing import Mapping, Optional, Union
@@ -31,9 +30,11 @@ from .errors import (
     VariableMismatch,
 )
 from .rational import (
+    FAR_INDEX,
     LaurentTail,
     Poly,
     RatFunc,
+    min_trunc,
     rat_antiderivative,
     rational_reconstruct,
 )
@@ -42,9 +43,11 @@ from .diffop import (
     ad_condition_min_m,
     ad_pow,
     commutator,
+    nonzero_terms,
     transpose_weyl,
 )
 from .linalg import nullspace
+from .record import Record
 
 
 def _binom_general(n: int, t: int) -> Fraction:
@@ -62,40 +65,40 @@ def _binom_general(n: int, t: int) -> Fraction:
 PDOCoeff = Union[RatFunc, LaurentTail]
 
 
-@dataclass(frozen=True)
-class PDO:
+class PDO(Record):
     """sum_{j >= j0} a_j(x) d^-j, exact for j <= trunc (None = finite sum).
 
     Coefficients are RatFunc throughout the computational pipeline; the
     image of the anti-isomorphism b may carry LaurentTail coefficients,
-    on which no further arithmetic is offered."""
+    on which no further arithmetic is offered.  ``PDO._trusted`` wraps a
+    dict with int keys at most ``trunc`` and nonzero coefficients,
+    unchecked."""
 
-    var: str
-    terms: Mapping[int, PDOCoeff]
-    trunc: Optional[int] = None
+    __slots__ = ("var", "terms", "trunc")
 
-    def __post_init__(self):
-        clean = {}
-        for j, c in self.terms.items():
-            if isinstance(c, LaurentTail):
-                if not c.is_zero():
-                    clean[int(j)] = c
-            else:
-                if not c.is_zero():
-                    clean[int(j)] = c
-        if self.trunc is not None:
-            clean = {j: c for j, c in clean.items() if j <= self.trunc}
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, var: str, terms: Mapping[int, PDOCoeff],
+                 trunc: Optional[int] = None):
+        _set_var(self, var)
+        _set_terms(self, nonzero_terms({int(j): c for j, c in terms.items()}, trunc))
+        _set_trunc(self, trunc)
+
+    @classmethod
+    def _trusted(cls, var: str, terms: dict, trunc: Optional[int]) -> "PDO":
+        self = _new(cls)
+        _set_var(self, var)
+        _set_terms(self, terms)
+        _set_trunc(self, trunc)
+        return self
 
     # -- constructors
 
     @staticmethod
     def identity(var: str = "x") -> "PDO":
-        return PDO(var, {0: RatFunc.one()}, None)
+        return PDO._trusted(var, {0: RatFunc.one()}, None)
 
     @staticmethod
     def from_diffop(L: DiffOp) -> "PDO":
-        return PDO(L.var, {-j: c for j, c in L.coeffs.items()}, None)
+        return PDO._trusted(L.var, {-j: c for j, c in L.coeffs.items()}, None)
 
     @staticmethod
     def from_function(f: RatFunc, var: str = "x") -> "PDO":
@@ -115,7 +118,7 @@ class PDO:
             return min(self.terms)
         if self.trunc is not None:
             return self.trunc + 1
-        return 10 ** 9
+        return FAR_INDEX
 
     def coeff(self, j: int) -> RatFunc:
         c = self.terms.get(j, RatFunc.zero())
@@ -143,21 +146,23 @@ class PDO:
 
     def __add__(self, other: "PDO") -> "PDO":
         self._check(other)
-        trunc = _min_opt(self.trunc, other.trunc)
+        trunc = min_trunc(self.trunc, other.trunc)
         out = dict(self.terms)
         for j, c in other.terms.items():
-            out[j] = out.get(j, RatFunc.zero()) + c
-        return PDO(self.var, out, trunc)
+            out[j] = out.get(j, _RAT_ZERO) + c
+        return PDO._trusted(self.var, nonzero_terms(out, trunc), trunc)
 
     def __neg__(self) -> "PDO":
-        return PDO(self.var, {j: -c for j, c in self.terms.items()}, self.trunc)
+        return PDO._trusted(self.var, {j: -c for j, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other: "PDO") -> "PDO":
         return self + (-other)
 
     def scale(self, c) -> "PDO":
-        return PDO(self.var, {j: v.scale(c) for j, v in self.terms.items()},
-                   self.trunc)
+        if not c:
+            return PDO._trusted(self.var, {}, self.trunc)
+        return PDO._trusted(self.var, {j: v.scale(c) for j, v in self.terms.items()},
+                            self.trunc)
 
     def __mul__(self, other: "PDO") -> "PDO":
         """Product, exact through the combined truncation."""
@@ -190,18 +195,18 @@ class PDO:
                     cb = _binom_general(-i, t)
                     if cb != 0:
                         coeff = a * deriv.scale(cb)
-                        out[k] = out.get(k, RatFunc.zero()) + coeff
+                        out[k] = out.get(k, _RAT_ZERO) + coeff
                     deriv = deriv.derivative()
                     t += 1
-        return PDO(self.var, out, trunc)
+        return PDO._trusted(self.var, nonzero_terms(out), trunc)
 
     def inverse(self, J: int) -> "PDO":
         """(1 + T)^-1 through index J for series with start index 0 and
         leading coefficient 1."""
         if self.coeff(0) != RatFunc.one() or (self.start or 0) < 0:
             raise NotInDomain("inverse requires 1 + (strictly decaying part)")
-        t = PDO(self.var, {j: c for j, c in self.terms.items() if j > 0},
-                self.trunc).restrict(J)
+        t = PDO._trusted(self.var, {j: c for j, c in self.terms.items() if j > 0},
+                         self.trunc).restrict(J)
         acc = PDO.identity(self.var).restrict(J)
         power = PDO.identity(self.var).restrict(J)
         for _ in range(J):
@@ -212,7 +217,10 @@ class PDO:
         return acc
 
     def restrict(self, trunc: Optional[int]) -> "PDO":
-        return PDO(self.var, self.terms, _min_opt(self.trunc, trunc))
+        new = min_trunc(self.trunc, trunc)
+        terms = self.terms if new is None else {
+            j: c for j, c in self.terms.items() if j <= new}
+        return PDO._trusted(self.var, terms, new)
 
     def __str__(self):
         if not self.terms:
@@ -230,12 +238,11 @@ class PDO:
         return body
 
 
-def _min_opt(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+_new = object.__new__
+_set_var = PDO.var.__set__
+_set_terms = PDO.terms.__set__
+_set_trunc = PDO.trunc.__set__
+_RAT_ZERO = RatFunc.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +273,10 @@ def split_constant_part(L: DiffOp) -> tuple[Poly, DiffOp]:
 # the wave operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaveData:
+class WaveData(Record):
     """K = 1 + sum a_j d^-j with L K = K f(d) through the truncation."""
 
+    __slots__ = ("L", "f", "K", "J")
     L: DiffOp
     f: Poly
     K: PDO
@@ -286,7 +293,7 @@ class WaveData:
 
 def wave_defect(L: DiffOp, f: Poly, K: PDO) -> PDO:
     """L K - K f(d), treating K as the exact finite sum of its terms."""
-    Kx = PDO(L.var, K.terms, None)
+    Kx = PDO._trusted(L.var, K.terms, None)
     F = PDO.from_diffop(DiffOp(L.var, {j: RatFunc.const(c)
                                        for j, c in enumerate(f.coeffs)}))
     return PDO.from_diffop(L) * Kx - Kx * F
@@ -323,10 +330,10 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> WaveData:
 # conjugating theta through K
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThetaConjugate:
+class ThetaConjugate(Record):
     """Theta = K^-1 theta K with per-index polynomial degree report."""
 
+    __slots__ = ("theta", "series", "max_degree", "non_polynomial")
     theta: Poly
     series: PDO
     max_degree: int
@@ -350,7 +357,7 @@ def conjugate_theta(w: WaveData, theta: Poly) -> ThetaConjugate:
     K = w.K
     Kinv = K.inverse(w.J)
     theta_pdo = PDO.from_function(RatFunc(theta), w.L.var)
-    series = Kinv * (theta_pdo * PDO(w.L.var, K.terms, None))
+    series = Kinv * (theta_pdo * PDO._trusted(w.L.var, K.terms, None))
     series = series.restrict(w.J)
     max_deg = 0
     bad = []
@@ -397,8 +404,8 @@ def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, PDO]:
 # the dual operator Lambda
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualOperator:
+class DualOperator(Record):
+    __slots__ = ("lam", "theta", "m")
     lam: DiffOp  # operator in z
     theta: Poly
     m: int
@@ -504,8 +511,7 @@ def q_polynomial_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
 # the bounded obstruction chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundedTestReport:
+class BoundedTestReport(Record):
     """Every link of the polynomial-identity chain, reported separately.
 
     The chain: m minimal with ad^|m+1|(theta) = 0; Q = ad^m(theta) commutes
@@ -513,6 +519,8 @@ class BoundedTestReport:
     must hold, with m = s N, r = s (N-1) and q_r = m! N^m; and when the
     rank equals the order, every lower constant of f must vanish."""
 
+    __slots__ = ("theta", "m", "N", "f", "q", "identity_holds", "s", "r_expected",
+                 "r_actual", "q_r", "q_r_expected", "q_r_ok", "nonzero_cj")
     theta: Poly
     m: int
     N: int
@@ -594,8 +602,8 @@ def bounded_test(L: DiffOp, theta: Poly, m_max: int) -> BoundedTestReport:
 # centralizer search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralizerResult:
+class CentralizerResult(Record):
+    __slots__ = ("generators", "orders", "rank")
     generators: tuple[DiffOp, ...]
     orders: tuple[int, ...]
     rank: int

@@ -16,14 +16,13 @@ traces) that the other modules can re-verify independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from . import errors as err
 from .rational import Poly, RatFunc
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
-from .parser import print_operator
+from .parser import parse_operator, print_operator
 from .families import (
     bessel_integrality,
     bessel_recover,
@@ -44,6 +43,7 @@ from .bounded import (
     split_constant_part,
 )
 from .diffop import ad_condition_min_m
+from .record import Record
 
 VERDICT_AIRY = "Airy(1)"
 VERDICT_BESSEL = "Bessel(2)"
@@ -62,27 +62,52 @@ FAMILY_VERDICTS = (
 )
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(Record):
     """Search budgets; the ad budget has no theoretical bound in general,
     so it is an explicit knob everywhere."""
 
-    ad_budget: int = 8
-    trunc: int = 8
-    theta_lmax: int = 4
-    obstruction_steps: int = 24
-    centralizer_max_ord: Optional[int] = None  # default 2N - 1
+    __slots__ = ("ad_budget", "trunc", "theta_lmax", "obstruction_steps",
+                 "centralizer_max_ord")
+    _defaults = {"ad_budget": 8, "trunc": 8, "theta_lmax": 4,
+                 "obstruction_steps": 24,
+                 "centralizer_max_ord": None}  # None: 2N - 1
+    ad_budget: int
+    trunc: int
+    theta_lmax: int
+    obstruction_steps: int
+    centralizer_max_ord: Optional[int]
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(Record):
+    """The outcome of ``classify``; the pipeline fills it in as it runs,
+    so unlike the other records it is mutable (and unhashable)."""
+
+    __slots__ = ("input_text", "branch", "verdict", "operator", "certificates",
+                 "errors", "trace_sizes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     input_text: str
-    branch: str = ""
-    verdict: str = VERDICT_INCONCLUSIVE
-    operator: Optional[DiffOp] = None
-    certificates: dict[str, Any] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-    trace_sizes: dict[str, int] = field(default_factory=dict)
+    branch: str
+    verdict: str
+    operator: Optional[DiffOp]
+    certificates: dict[str, Any]
+    errors: list[str]
+    trace_sizes: dict[str, int]
+
+    def __init__(self, input_text: str, branch: str = "",
+                 verdict: str = VERDICT_INCONCLUSIVE,
+                 operator: Optional[DiffOp] = None,
+                 certificates: Optional[dict[str, Any]] = None,
+                 errors: Optional[list[str]] = None,
+                 trace_sizes: Optional[dict[str, int]] = None):
+        self.input_text = input_text
+        self.branch = branch
+        self.verdict = verdict
+        self.operator = operator
+        self.certificates = {} if certificates is None else certificates
+        self.errors = [] if errors is None else errors
+        self.trace_sizes = {} if trace_sizes is None else trace_sizes
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -140,7 +165,7 @@ def _size_stats(*ops: Optional[DiffOp]) -> dict[str, int]:
 
 
 def classify(
-    L: DiffOp,
+    L: Union[DiffOp, str],
     *,
     input_text: str = "",
     theta: Optional[Poly] = None,
@@ -148,7 +173,13 @@ def classify(
     budgets: Budgets = Budgets(),
 ) -> ClassificationReport:
     """Classify against the prime-order families; errors from sub-modules
-    are embedded in the report rather than raised."""
+    are embedded in the report rather than raised.
+
+    ``L`` may be operator text, which is parsed (OperatorSyntaxError is
+    raised for malformed text) and is then the default ``input_text``."""
+    if isinstance(L, str):
+        input_text = input_text or L
+        L = parse_operator(L)
     report = ClassificationReport(input_text=input_text or print_operator(L))
     if L.is_zero() or L.order < 2:
         report.errors.append("order must be at least 2")

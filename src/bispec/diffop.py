@@ -10,11 +10,23 @@ Products are computed with the Leibniz rule
     d^i o W(x) = sum_t C(i, t) W^(t)(x) d^(i-t),
 so every constructor returns a normal-ordered value and equality is plain
 coefficient comparison.
+
+``DiffOp(var, coeffs)`` coerces every coefficient to a ``RatFunc`` and
+drops the zero ones.  Ring operations build their result with the trusted
+constructor ``DiffOp._trusted(var, coeffs)`` instead, which checks
+nothing; its caller must pass a dict with int keys >= 0 and nonzero
+``RatFunc`` values (negation, nonzero scaling and multiplication by a
+nonzero function keep nonzero values nonzero; sums and products drop
+their cancelled terms first).  A ``DiffOp`` is immutable but unhashable;
+its coefficient dict must never be changed.
+
+``DiffOp.zero(var)`` and ``DiffOp.one(var)`` build a new operator for
+their variable tag, but the coefficients they and ``d``/``x`` hold are
+the shared ``RatFunc.one()`` and ``RatFunc.x()`` instances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Union
@@ -35,6 +47,7 @@ from .rational import (
     rat_antiderivative,
     taylor_expand_at_zero,
 )
+from .record import Record
 
 CoeffLike = Union[RatFunc, Poly, Fraction, int]
 
@@ -47,29 +60,43 @@ def _coerce(c: CoeffLike) -> RatFunc:
     return RatFunc.const(c)
 
 
-@dataclass(frozen=True, eq=False)
-class DiffOp:
+def nonzero_terms(terms: dict, trunc: Optional[int] = None) -> dict:
+    """The entries of ``terms`` whose coefficient is not zero and, when a
+    truncation is given, whose index is at most ``trunc``."""
+    if trunc is None:
+        return {j: c for j, c in terms.items() if not c.is_zero()}
+    return {j: c for j, c in terms.items() if j <= trunc and not c.is_zero()}
+
+
+class DiffOp(Record):
     """Normal-ordered differential operator sum_j V_j(x) d^j."""
 
-    var: str
-    coeffs: Mapping[int, RatFunc]
+    __slots__ = ("var", "coeffs")
 
-    def __post_init__(self):
-        clean = {int(j): _coerce(c) for j, c in self.coeffs.items()}
-        clean = {j: c for j, c in clean.items() if not c.is_zero()}
+    def __init__(self, var: str, coeffs: Mapping[int, CoeffLike]):
+        clean = nonzero_terms({int(j): _coerce(c) for j, c in coeffs.items()})
         if any(j < 0 for j in clean):
             raise ValueError("negative derivative power in DiffOp")
-        object.__setattr__(self, "coeffs", clean)
+        _set_var(self, var)
+        _set_coeffs(self, clean)
+
+    @classmethod
+    def _trusted(cls, var: str, coeffs: dict) -> "DiffOp":
+        """Wrap a clean coefficient dict (see the module docstring), unchecked."""
+        self = _new(cls)
+        _set_var(self, var)
+        _set_coeffs(self, coeffs)
+        return self
 
     # -- constructors
 
     @staticmethod
     def zero(var: str = "x") -> "DiffOp":
-        return DiffOp(var, {})
+        return DiffOp._trusted(var, {})
 
     @staticmethod
     def one(var: str = "x") -> "DiffOp":
-        return DiffOp(var, {0: RatFunc.one()})
+        return DiffOp._trusted(var, {0: RatFunc.one()})
 
     @staticmethod
     def const(c: ScalarLike, var: str = "x") -> "DiffOp":
@@ -77,11 +104,11 @@ class DiffOp:
 
     @staticmethod
     def d(var: str = "x") -> "DiffOp":
-        return DiffOp(var, {1: RatFunc.one()})
+        return DiffOp._trusted(var, {1: RatFunc.one()})
 
     @staticmethod
     def x(var: str = "x") -> "DiffOp":
-        return DiffOp(var, {0: RatFunc.x()})
+        return DiffOp._trusted(var, {0: RatFunc.x()})
 
     @staticmethod
     def from_function(f: CoeffLike, var: str = "x") -> "DiffOp":
@@ -132,25 +159,29 @@ class DiffOp:
         )
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(self.var, {j: -c for j, c in self.coeffs.items()})
+        return DiffOp._trusted(self.var, {j: -c for j, c in self.coeffs.items()})
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         self._check_var(other)
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
-            out[j] = out.get(j, RatFunc.zero()) + c
-        return DiffOp(self.var, out)
+            out[j] = out.get(j, _RAT_ZERO) + c
+        return DiffOp._trusted(self.var, nonzero_terms(out))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
 
     def scale(self, c: ScalarLike) -> "DiffOp":
-        return DiffOp(self.var, {j: v.scale(c) for j, v in self.coeffs.items()})
+        if not c:
+            return DiffOp._trusted(self.var, {})
+        return DiffOp._trusted(self.var, {j: v.scale(c) for j, v in self.coeffs.items()})
 
     def mul_function(self, f: CoeffLike) -> "DiffOp":
         """Left multiplication by a function of x."""
         f = _coerce(f)
-        return DiffOp(self.var, {j: f * v for j, v in self.coeffs.items()})
+        if f.is_zero():
+            return DiffOp._trusted(self.var, {})
+        return DiffOp._trusted(self.var, {j: f * v for j, v in self.coeffs.items()})
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         return dop_mul(self, other)
@@ -173,9 +204,6 @@ class DiffOp:
             out = out + powers[j].mul_function(c)
         return out
 
-    def retag(self, var: str) -> "DiffOp":
-        return DiffOp(var, dict(self.coeffs))
-
     def __str__(self):
         from .parser import print_operator
 
@@ -183,6 +211,12 @@ class DiffOp:
 
     def __repr__(self):
         return f"DiffOp({self.var!r}, {self!s})"
+
+
+_new = object.__new__
+_set_var = DiffOp.var.__set__
+_set_coeffs = DiffOp.coeffs.__set__
+_RAT_ZERO = RatFunc.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +237,10 @@ def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
                 if not deriv.is_zero():
                     k = i - t + j
                     term = a * deriv.scale(comb(i, t))
-                    out[k] = out.get(k, RatFunc.zero()) + term
+                    out[k] = out.get(k, _RAT_ZERO) + term
                 if t < i:
                     deriv = deriv.derivative()
-    return DiffOp(L.var, out)
+    return DiffOp._trusted(L.var, nonzero_terms(out))
 
 
 def commutator(L: DiffOp, M: DiffOp) -> DiffOp:

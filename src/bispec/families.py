@@ -16,21 +16,22 @@ power of the base the transformation is called monomial.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import BadIndex, FormViolation, FormViolationWarning, NotAFactor
 from .rational import Poly, RatFunc, ScalarLike, laurent_expand
 from .diffop import DiffOp, dop_mul, euler_operator, right_divide
+from .record import Record
 
 
-@dataclass(frozen=True)
-class BesselSpec:
+class BesselSpec(Record):
     """Order p and the p roots (beta_1 .. beta_p) of the Bessel symbol."""
 
+    __slots__ = ("betas", "check_weight_sum")
+    _defaults = {"check_weight_sum": False}
     betas: tuple[Fraction, ...]
-    check_weight_sum: bool = False
+    check_weight_sum: bool
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(Fraction(b) for b in self.betas))
@@ -46,8 +47,7 @@ class BesselSpec:
         return len(self.betas)
 
 
-@dataclass(frozen=True)
-class DarbouxResult:
+class DarbouxResult(Record):
     """Certificate of a Darboux transformation.
 
     Q * P = base and P * Q = transformed hold exactly (re-verified on
@@ -55,13 +55,15 @@ class DarbouxResult:
     base is a pure power of a Bessel operator; ``base_power`` is that power
     when declared."""
 
+    __slots__ = ("P", "Q", "base", "transformed", "monomial", "base_power", "form_ok")
+    _defaults = {"monomial": False, "base_power": None, "form_ok": None}
     P: DiffOp
     Q: DiffOp
     base: DiffOp
     transformed: DiffOp
-    monomial: bool = False
-    base_power: Optional[int] = None
-    form_ok: Optional[bool] = None
+    monomial: bool
+    base_power: Optional[int]
+    form_ok: Optional[bool]
 
     def __post_init__(self):
         if dop_mul(self.Q, self.P) != self.base:

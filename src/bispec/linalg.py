@@ -49,14 +49,3 @@ def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         basis.append(vec)
     return basis
 
-
-def solve(rows: list[list[Fraction]], rhs: list[Fraction], ncols: int) -> list[Fraction] | None:
-    """One solution of rows * v = rhs, or None when inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    vec = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        vec[p] = mat[r][ncols]
-    return vec

@@ -26,13 +26,13 @@ coefficient whose denominator is not a power of x is printed as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
 from .rational import Poly
 from .diffop import DiffOp, dop_mul
+from .record import Record
 
 MAX_EXPONENT = 4096
 
@@ -41,11 +41,20 @@ MAX_EXPONENT = 4096
 # lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM X D PLUS MINUS STAR CARET LPAREN RPAREN EOF
-    value: Optional[Fraction]
-    pos: int
+class _Token(Record):
+    """kind is one of NUM X D PLUS MINUS STAR CARET LPAREN RPAREN EOF."""
+
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: Optional[Fraction], pos: int):
+        _set_kind(self, kind)
+        _set_value(self, value)
+        _set_pos(self, pos)
+
+
+_set_kind = _Token.kind.__set__
+_set_value = _Token.value.__set__
+_set_pos = _Token.pos.__set__
 
 
 def _tokenize(text: str) -> list[_Token]:

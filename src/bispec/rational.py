@@ -9,8 +9,7 @@ Conventions used throughout the package:
   so equal functions have equal (num, den).  A denominator c*x^k, which is
   what every coefficient in Q[x, x^-1] has, is reduced without Euclid by
   shifting out x^min(val(num), k); only other denominators go through
-  ``Poly.gcd``.  Negation and scaling keep a reduced pair reduced and skip
-  the reduction.
+  ``Poly.gcd``.  A unit denominator is always the shared ``Poly.one()``.
 * ``LaurentTail`` is a truncated expansion at infinity written in the
   variable x^-1: the term at index ``s`` is ``c_s * x^(-s)``.  Indices may
   be negative (polynomial part).  ``trunc`` is the last index known exactly;
@@ -18,12 +17,32 @@ Conventions used throughout the package:
 * ``PowerSeries`` is the mirror object at the origin (term at index ``e``
   is ``c_e * x^e``, exact through ``e <= trunc``).
 
-All values are immutable after construction.
+All values are immutable after construction, so ``Poly.zero()``,
+``Poly.one()``, ``Poly.x()``, ``RatFunc.zero()``, ``RatFunc.one()`` and
+``RatFunc.x()`` return shared instances.
+
+Trusted constructors.  The public constructors coerce and normalize their
+input.  Arithmetic that already knows its result is canonical wraps it
+with a trusted constructor instead, which checks nothing; each caller must
+meet the invariant itself:
+
+* ``Poly._trusted(coeffs)``: a tuple of ``Fraction`` with no trailing zero
+  (products, negation, nonzero scaling and derivatives keep a trimmed
+  tuple trimmed; sums and remainders are trimmed first by ``_trimmed``).
+* ``RatFunc._reduced(num, den)``: gcd(num, den) = 1, den monic, a unit den
+  is the shared ``Poly.one()``, and zero is 0/1.  Negation and nonzero
+  scaling keep a pair reduced; so do products, sums and derivatives of
+  polynomials.
+* ``LaurentTail._trusted(terms, trunc)`` and ``PowerSeries._trusted``: a
+  dict with int keys and nonzero ``Fraction`` values, every key at most
+  ``trunc``.
+
+A dict handed to a value is never changed afterwards, so values may share
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Union
@@ -33,14 +52,31 @@ from .errors import (
     LogObstruction,
     ZeroDenominator,
 )
+from .record import Record
 
 Scalar = Fraction
 
 ScalarLike = Union[Fraction, int]
 
 
+# An index or exponent beyond any real one: the start index of an empty
+# finite tail, and (negated) the order at infinity of the zero function.
+FAR_INDEX = 10 ** 9
+
+_new = object.__new__
+
+
 def _frac(value: ScalarLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The smaller of two truncations, where None means exact."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 def binary_power(base, n: int, one):
@@ -69,7 +105,14 @@ class Poly:
         cs = [_frac(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "Poly":
+        """Wrap a tuple of Fractions with no trailing zero, unchecked."""
+        self = _new(cls)
+        _set_coeffs(self, coeffs)
+        return self
 
     def __setattr__(self, *args):  # immutable
         raise AttributeError("Poly is immutable")
@@ -78,25 +121,29 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _POLY_ZERO
 
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return _POLY_ONE
 
     @staticmethod
     def x() -> "Poly":
-        return Poly([0, 1])
+        return _POLY_X
 
     @staticmethod
     def const(c: ScalarLike) -> "Poly":
-        return Poly([c])
+        c = _frac(c)
+        return Poly._trusted((c,)) if c else _POLY_ZERO
 
     @staticmethod
     def monomial(degree: int, coeff: ScalarLike = 1) -> "Poly":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        return Poly([0] * degree + [coeff])
+        c = _frac(coeff)
+        if not c:
+            return _POLY_ZERO
+        return Poly._trusted((_ZERO,) * degree + (c,))
 
     # -- basic queries
 
@@ -144,7 +191,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._trusted(tuple([-c for c in self.coeffs]))
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -153,14 +200,14 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return _trimmed(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
-            return Poly()
+            return _POLY_ZERO
         if other.is_one():
             return self
         if self.is_one():
@@ -171,18 +218,19 @@ class Poly:
             if a:
                 for j, b in bs:
                     out[i + j] += a * b
-        return Poly(out)
+        # over a field the product of the leading coefficients is nonzero
+        return Poly._trusted(tuple(out))
 
     def scale(self, c: ScalarLike) -> "Poly":
         c = _frac(c)
-        if c == 0:
-            return Poly()
-        return Poly([a * c for a in self.coeffs])
+        if not c:
+            return _POLY_ZERO
+        return Poly._trusted(tuple([a * c for a in self.coeffs]))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        return binary_power(self, n, Poly.one())
+        return binary_power(self, n, _POLY_ONE)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -202,7 +250,7 @@ class Poly:
             q[shift] = c
             for i, b in lower:
                 rem[shift + i] -= c * b
-        return Poly(q), Poly(rem)
+        return _trimmed(q), _trimmed(rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -217,7 +265,7 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return Poly([c * i for i, c in enumerate(self.coeffs)][1:])
+        return Poly._trusted(tuple([c * i for i, c in enumerate(self.coeffs)][1:]))
 
     def integral(self) -> "Poly":
         """Antiderivative with zero constant term."""
@@ -323,6 +371,20 @@ class Poly:
         return "".join(parts)
 
 
+_set_coeffs = Poly.coeffs.__set__
+_ZERO = Fraction(0)
+_POLY_ZERO = Poly._trusted(())
+_POLY_ONE = Poly._trusted((Fraction(1),))
+_POLY_X = Poly._trusted((_ZERO, Fraction(1)))
+
+
+def _trimmed(cs: list) -> Poly:
+    """A Poly from a list of Fractions that may end in zeros."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return Poly._trusted(tuple(cs))
+
+
 def _fmt_term(c: Fraction, var: str, k: int, first: bool) -> str:
     sign = "-" if c < 0 else "+"
     mag = abs(c)
@@ -386,25 +448,25 @@ class RatFunc:
     coefficient in Q[x, x^-1]) is reduced without Euclid: its only monic
     divisors are x^j, so the gcd is x^min(val(num), k), and removing it is
     a shift of the coefficient tuples.  Any other denominator is reduced
-    by ``Poly.gcd``.
+    by ``Poly.gcd``.  A unit denominator is the shared ``Poly.one()``.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = Poly([1])):
+    def __init__(self, num: Poly, den: Poly = _POLY_ONE):
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly.zero(), Poly.one()
+            num, den = _POLY_ZERO, _POLY_ONE
         elif den.is_one():
-            pass  # polynomial fast path: nothing to reduce
+            den = _POLY_ONE  # polynomial fast path: nothing to reduce
         else:
             lead = den.leading()
             if not any(den.coeffs[:-1]):
                 # den = lead * x^k: the gcd is x^min(val(num), k)
                 v = min(num.valuation(), den.degree)
-                num = Poly(num.coeffs[v:])
-                den = Poly.monomial(den.degree - v)
+                num = Poly._trusted(num.coeffs[v:])
+                den = Poly.monomial(den.degree - v) if v < den.degree else _POLY_ONE
             else:
                 if num.degree > 0:
                     g = num.gcd(den)  # monic, so den keeps its lead
@@ -412,17 +474,19 @@ class RatFunc:
                         num = num.exact_div(g)
                         den = den.exact_div(g)
                 den = den.monic()
+                if not den.degree:
+                    den = _POLY_ONE
             if lead != 1:
                 num = num.scale(1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
         """Wrap a pair that is already canonical, skipping the reduction."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self = _new(cls)
+        _set_num(self, num)
+        _set_den(self, den)
         return self
 
     def __setattr__(self, *args):
@@ -432,19 +496,19 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc._reduced(Poly.zero(), Poly.one())
+        return _RAT_ZERO
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc._reduced(Poly.one(), Poly.one())
+        return _RAT_ONE
 
     @staticmethod
     def const(c: ScalarLike) -> "RatFunc":
-        return RatFunc(Poly.const(c))
+        return RatFunc._reduced(Poly.const(c), _POLY_ONE)
 
     @staticmethod
     def x() -> "RatFunc":
-        return RatFunc(Poly.x())
+        return _RAT_X
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFunc":
@@ -480,7 +544,7 @@ class RatFunc:
         """Leading exponent at infinity: deg num - deg den.  The zero
         function returns a very negative sentinel."""
         if self.is_zero():
-            return -(10 ** 9)
+            return -FAR_INDEX
         return self.num.degree - self.den.degree
 
     def infinity_leading(self) -> Fraction:
@@ -532,6 +596,8 @@ class RatFunc:
             return self
         if self.is_zero():
             return other
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return RatFunc._reduced(self.num + other.num, _POLY_ONE)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -540,12 +606,14 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return RatFunc._reduced(self.num * other.num, _POLY_ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def scale(self, c: ScalarLike) -> "RatFunc":
         num = self.num.scale(c)
         if num.is_zero():
-            return RatFunc.zero()
+            return _RAT_ZERO
         return RatFunc._reduced(num, self.den)
 
     def inverse(self) -> "RatFunc":
@@ -559,9 +627,11 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        return binary_power(self, n, RatFunc.one())
+        return binary_power(self, n, _RAT_ONE)
 
     def derivative(self) -> "RatFunc":
+        if self.den is _POLY_ONE:
+            return RatFunc._reduced(self.num.derivative(), _POLY_ONE)
         return RatFunc(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
@@ -576,6 +646,13 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
+_set_num = RatFunc.num.__set__
+_set_den = RatFunc.den.__set__
+_RAT_ZERO = RatFunc._reduced(_POLY_ZERO, _POLY_ONE)
+_RAT_ONE = RatFunc._reduced(_POLY_ONE, _POLY_ONE)
+_RAT_X = RatFunc._reduced(_POLY_X, _POLY_ONE)
+
+
 def ratfunc_canonicalize(num: Poly, den: Poly) -> RatFunc:
     """gcd-reduced, monic-denominator representative of num/den."""
     return RatFunc(num, den)
@@ -585,11 +662,15 @@ def ratfunc_canonicalize(num: Poly, den: Poly) -> RatFunc:
 # Laurent tails at infinity
 # ---------------------------------------------------------------------------
 
-_SURROGATE = 10 ** 9  # stand-in start index for empty finite tails
+def _nonzero_terms(terms: dict, trunc: Optional[int]) -> dict:
+    """The entries of ``terms`` (Fraction values) that are not zero and,
+    when a truncation is given, whose key is at most ``trunc``."""
+    if trunc is None:
+        return {s: c for s, c in terms.items() if c}
+    return {s: c for s, c in terms.items() if c and s <= trunc}
 
 
-@dataclass(frozen=True)
-class LaurentTail:
+class LaurentTail(Record):
     """Truncated Laurent expansion at infinity: sum_s c_s * x^(-s).
 
     ``terms`` maps the index s (negated exponent) to a nonzero coefficient.
@@ -597,14 +678,21 @@ class LaurentTail:
     exact Laurent polynomial (all absent coefficients are zero).
     """
 
-    terms: Mapping[int, Fraction] = field(default_factory=dict)
-    trunc: Optional[int] = None
+    __slots__ = ("terms", "trunc")
 
-    def __post_init__(self):
-        clean = {int(s): _frac(c) for s, c in self.terms.items() if c != 0}
-        if self.trunc is not None:
-            clean = {s: c for s, c in clean.items() if s <= self.trunc}
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
+                 trunc: Optional[int] = None):
+        clean = {int(s): _frac(c) for s, c in (terms or {}).items()}
+        _set_tail_terms(self, _nonzero_terms(clean, trunc))
+        _set_tail_trunc(self, trunc)
+
+    @classmethod
+    def _trusted(cls, terms: dict, trunc: Optional[int]) -> "LaurentTail":
+        """Wrap a clean ``terms`` dict (see the module docstring), unchecked."""
+        self = _new(cls)
+        _set_tail_terms(self, terms)
+        _set_tail_trunc(self, trunc)
+        return self
 
     # -- constructors
 
@@ -643,7 +731,7 @@ class LaurentTail:
             return min(self.terms)
         if self.trunc is not None:
             return self.trunc + 1
-        return _SURROGATE
+        return FAR_INDEX
 
     def coeff(self, s: int) -> Fraction:
         return self.terms.get(s, Fraction(0))
@@ -663,30 +751,26 @@ class LaurentTail:
             return None
         return -min(self.terms)
 
-    def is_laurent_polynomial_part_only(self) -> bool:
-        """True if no strictly-negative powers of x appear (all s <= 0)."""
-        return all(s <= 0 for s in self.terms)
-
     # -- arithmetic
 
     def __neg__(self) -> "LaurentTail":
-        return LaurentTail({s: -c for s, c in self.terms.items()}, self.trunc)
+        return LaurentTail._trusted({s: -c for s, c in self.terms.items()}, self.trunc)
 
     def __add__(self, other: "LaurentTail") -> "LaurentTail":
-        trunc = _min_trunc(self.trunc, other.trunc)
+        trunc = min_trunc(self.trunc, other.trunc)
         out = dict(self.terms)
         for s, c in other.terms.items():
-            out[s] = out.get(s, Fraction(0)) + c
-        return LaurentTail(out, trunc)
+            out[s] = out.get(s, _ZERO) + c
+        return LaurentTail._trusted(_nonzero_terms(out, trunc), trunc)
 
     def __sub__(self, other: "LaurentTail") -> "LaurentTail":
         return self + (-other)
 
     def scale(self, c: ScalarLike) -> "LaurentTail":
         c = _frac(c)
-        if c == 0:
-            return LaurentTail({}, self.trunc)
-        return LaurentTail({s: v * c for s, v in self.terms.items()}, self.trunc)
+        if not c:
+            return LaurentTail._trusted({}, self.trunc)
+        return LaurentTail._trusted({s: v * c for s, v in self.terms.items()}, self.trunc)
 
     def __mul__(self, other: "LaurentTail") -> "LaurentTail":
         # Exact zero absorbs; otherwise contamination from either factor's
@@ -694,7 +778,7 @@ class LaurentTail:
         if (self.is_zero() and self.trunc is None) or (
             other.is_zero() and other.trunc is None
         ):
-            return LaurentTail({}, None)
+            return LaurentTail._trusted({}, None)
         cands = []
         if self.trunc is not None:
             cands.append(self.trunc + other._known_floor())
@@ -707,19 +791,14 @@ class LaurentTail:
                 s = s1 + s2
                 if trunc is not None and s > trunc:
                     continue
-                out[s] = out.get(s, Fraction(0)) + c1 * c2
-        return LaurentTail(out, trunc)
-
-    def mul_x_power(self, k: int) -> "LaurentTail":
-        """Multiply by x^k (shift indices by -k)."""
-        trunc = None if self.trunc is None else self.trunc - k
-        return LaurentTail({s - k: c for s, c in self.terms.items()}, trunc)
+                out[s] = out.get(s, _ZERO) + c1 * c2
+        return LaurentTail._trusted(_nonzero_terms(out, None), trunc)
 
     def derivative(self) -> "LaurentTail":
         # d/dx x^-s = -s x^-(s+1); the constant term drops out.
         out = {s + 1: -s * c for s, c in self.terms.items() if s != 0}
         trunc = None if self.trunc is None else self.trunc + 1
-        return LaurentTail(out, trunc)
+        return LaurentTail._trusted(out, trunc)
 
     def antiderivative(self) -> "LaurentTail":
         """Term-by-term antiderivative, zero constant of integration.
@@ -731,11 +810,11 @@ class LaurentTail:
             raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
         out = {s - 1: c / (1 - s) for s, c in self.terms.items()}
         trunc = None if self.trunc is None else self.trunc - 1
-        return LaurentTail(out, trunc)
+        return LaurentTail._trusted(out, trunc)
 
     def restrict(self, trunc: Optional[int]) -> "LaurentTail":
-        new = _min_trunc(self.trunc, trunc)
-        return LaurentTail(self.terms, new)
+        new = min_trunc(self.trunc, trunc)
+        return LaurentTail._trusted(_nonzero_terms(self.terms, new), new)
 
     def known_count(self) -> Optional[int]:
         """Number of known coefficients from the leading index down to the
@@ -766,6 +845,10 @@ class LaurentTail:
         return body + tail
 
 
+_set_tail_terms = LaurentTail.terms.__set__
+_set_tail_trunc = LaurentTail.trunc.__set__
+
+
 def _fmt_exp_term(c: Fraction, exponent: int, first: bool) -> str:
     sign = "-" if c < 0 else "+"
     mag = abs(c)
@@ -779,25 +862,17 @@ def _fmt_exp_term(c: Fraction, exponent: int, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def _min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
     """Laurent expansion of ``f`` at infinity, exact through index M
     (i.e. through the term in x^-M)."""
     if f.is_zero():
-        return LaurentTail({}, M)
+        return LaurentTail._trusted({}, M)
     num, den = f.num, f.den
     n, d = num.degree, den.degree
     start = d - n  # index of the leading term
     count = M - start + 1
     if count <= 0:
-        return LaurentTail({}, M)
+        return LaurentTail._trusted({}, M)
     # reverse coefficients: num(x) = x^n * num_rev(1/x), den likewise
     num_rev = list(reversed(num.coeffs))
     den_rev = list(reversed(den.coeffs))
@@ -812,7 +887,7 @@ def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
         series[i] = acc / lead
         if series[i] != 0:
             out[start + i] = series[i]
-    return LaurentTail(out, M)
+    return LaurentTail._trusted(out, M)
 
 
 def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
@@ -915,8 +990,7 @@ def rat_antiderivative(g: RatFunc, max_rounds: int = 4) -> RatFunc:
 # truncated power series at the origin
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Record):
     """Truncated (Laurent) series at the origin: sum_e c_e * x^e.
 
     Exponents below zero are allowed internally (they arise while applying
@@ -924,25 +998,25 @@ class PowerSeries:
     exactly; None means the series is an exact Laurent polynomial.
     """
 
-    terms: Mapping[int, Fraction] = field(default_factory=dict)
-    trunc: Optional[int] = None
+    __slots__ = ("terms", "trunc")
 
-    def __post_init__(self):
-        clean = {int(e): _frac(c) for e, c in self.terms.items() if c != 0}
-        if self.trunc is not None:
-            clean = {e: c for e, c in clean.items() if e <= self.trunc}
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
+                 trunc: Optional[int] = None):
+        clean = {int(e): _frac(c) for e, c in (terms or {}).items()}
+        _set_series_terms(self, _nonzero_terms(clean, trunc))
+        _set_series_trunc(self, trunc)
+
+    @classmethod
+    def _trusted(cls, terms: dict, trunc: Optional[int]) -> "PowerSeries":
+        """Wrap a clean ``terms`` dict (see the module docstring), unchecked."""
+        self = _new(cls)
+        _set_series_terms(self, terms)
+        _set_series_trunc(self, trunc)
+        return self
 
     @staticmethod
     def zero(trunc: Optional[int] = None) -> "PowerSeries":
-        return PowerSeries({}, trunc)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[ScalarLike], trunc: Optional[int] = None) -> "PowerSeries":
-        cs = list(coeffs)
-        t = trunc if trunc is not None else None
-        return PowerSeries({e: _frac(c) for e, c in enumerate(cs)},
-                           t if t is not None else None)
+        return PowerSeries._trusted({}, trunc)
 
     @staticmethod
     def from_poly(p: Poly) -> "PowerSeries":
@@ -959,29 +1033,32 @@ class PowerSeries:
             return min(self.terms)
         if self.trunc is not None:
             return self.trunc + 1
-        return _SURROGATE
+        return FAR_INDEX
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries({e: -c for e, c in self.terms.items()}, self.trunc)
+        return PowerSeries._trusted({e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        trunc = _min_trunc(self.trunc, other.trunc)
+        trunc = min_trunc(self.trunc, other.trunc)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PowerSeries(out, trunc)
+            out[e] = out.get(e, _ZERO) + c
+        return PowerSeries._trusted(_nonzero_terms(out, trunc), trunc)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self + (-other)
 
     def scale(self, c: ScalarLike) -> "PowerSeries":
-        return PowerSeries({e: v * _frac(c) for e, v in self.terms.items()}, self.trunc)
+        c = _frac(c)
+        if not c:
+            return PowerSeries._trusted({}, self.trunc)
+        return PowerSeries._trusted({e: v * c for e, v in self.terms.items()}, self.trunc)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         if (self.is_zero() and self.trunc is None) or (
             other.is_zero() and other.trunc is None
         ):
-            return PowerSeries({}, None)
+            return PowerSeries._trusted({}, None)
         cands = []
         if self.trunc is not None:
             cands.append(self.trunc + other._known_floor())
@@ -994,17 +1071,13 @@ class PowerSeries:
                 e = e1 + e2
                 if trunc is not None and e > trunc:
                     continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return PowerSeries(out, trunc)
-
-    def mul_x_power(self, k: int) -> "PowerSeries":
-        trunc = None if self.trunc is None else self.trunc + k
-        return PowerSeries({e + k: c for e, c in self.terms.items()}, trunc)
+                out[e] = out.get(e, _ZERO) + c1 * c2
+        return PowerSeries._trusted(_nonzero_terms(out, None), trunc)
 
     def derivative(self) -> "PowerSeries":
         out = {e - 1: e * c for e, c in self.terms.items() if e != 0}
         trunc = None if self.trunc is None else self.trunc - 1
-        return PowerSeries(out, trunc)
+        return PowerSeries._trusted(out, trunc)
 
     def min_exponent(self) -> Optional[int]:
         if not self.terms:
@@ -1012,7 +1085,8 @@ class PowerSeries:
         return min(self.terms)
 
     def restrict(self, trunc: Optional[int]) -> "PowerSeries":
-        return PowerSeries(self.terms, _min_trunc(self.trunc, trunc))
+        new = min_trunc(self.trunc, trunc)
+        return PowerSeries._trusted(_nonzero_terms(self.terms, new), new)
 
     def __str__(self):
         if not self.terms:
@@ -1026,11 +1100,15 @@ class PowerSeries:
         return body + tail
 
 
+_set_series_terms = PowerSeries.terms.__set__
+_set_series_trunc = PowerSeries.trunc.__set__
+
+
 def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:
     """Laurent expansion of ``f`` at the origin, exact through x^M.  The
     principal part (negative exponents) is finite and exact."""
     if f.is_zero():
-        return PowerSeries({}, M)
+        return PowerSeries._trusted({}, M)
     num, den = f.num, f.den
     v = den.valuation()
     unit = Poly(den.coeffs[v:])  # den = x^v * unit, unit(0) != 0
@@ -1040,7 +1118,7 @@ def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:
     start = nv - v
     count = M - start + 1
     if count <= 0:
-        return PowerSeries({}, M)
+        return PowerSeries._trusted({}, M)
     series = [Fraction(0)] * count
     out: dict[int, Fraction] = {}
     for i in range(count):
@@ -1050,4 +1128,4 @@ def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:
         series[i] = acc / lead
         if series[i] != 0:
             out[start + i] = series[i]
-    return PowerSeries(out, M)
+    return PowerSeries._trusted(out, M)

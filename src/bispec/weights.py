@@ -12,7 +12,6 @@ about the root structure of p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
@@ -20,17 +19,18 @@ from typing import Mapping, Optional
 from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, ZeroOperand
 from .rational import Poly, RatFunc
 from .diffop import DiffOp
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # exponent set / Newton polygon
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Exponent pairs (m, j): m the leading Laurent exponent at infinity of
     the coefficient of d^j; plus the convex hull vertices."""
 
+    __slots__ = ("points", "hull")
     points: frozenset[tuple[int, int]]
     hull: tuple[tuple[int, int], ...]
 
@@ -65,10 +65,10 @@ def exponent_set(L: DiffOp) -> NewtonPolygon:
     return NewtonPolygon(frozenset(pts), tuple(_convex_hull(pts)))
 
 
-@dataclass(frozen=True)
-class WeightPair:
+class WeightPair(Record):
     """Coprime positive weights (rho, sigma) with the supporting point."""
 
+    __slots__ = ("rho", "sigma", "support")
     rho: int
     sigma: int
     support: tuple[int, int]  # the point (k, j) on the line besides (0, N)
@@ -108,11 +108,12 @@ def weighted_order(L: DiffOp, w: WeightPair) -> int:
 # associated polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BiHomPoly:
+class BiHomPoly(Record):
     """Sparse element of Q[x, x^-1, y]: (x exponent, y exponent) -> scalar."""
 
-    terms: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    __slots__ = ("terms",)
+    _defaults = {"terms": {}}  # never mutated: __post_init__ builds a new dict
+    terms: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self):
         clean = {
@@ -196,8 +197,7 @@ def homogeneous_part(L: DiffOp, w: WeightPair) -> DiffOp:
 # normal-form classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(Record):
     """Outcome of matching f against the admissible leading-term shapes.
 
     ``case`` is one of "b", "c", "d" or None; (n, k, m, mu) describe a match
@@ -210,18 +210,25 @@ class NormalFormReport:
     y^n (y^r - lam x)^k with n >= 1, k >= 1: such leading terms cannot come
     from an operator acting nilpotently."""
 
+    __slots__ = ("case", "n", "k", "m", "mu", "lam", "yrx", "perfect_power",
+                 "nilpotency_excluded", "unresolved_over_Q", "weight",
+                 "precondition_weight_ok")
+    _defaults = {"n": 0, "k": 0, "m": 0, "mu": None, "lam": None, "yrx": None,
+                 "perfect_power": None, "nilpotency_excluded": False,
+                 "unresolved_over_Q": False, "weight": 0,
+                 "precondition_weight_ok": False}
     case: Optional[str]
-    n: int = 0
-    k: int = 0
-    m: int = 0
-    mu: Optional[Fraction] = None
-    lam: Optional[Fraction] = None
-    yrx: Optional[tuple[int, int, Fraction]] = None  # (r, k, lam)
-    perfect_power: Optional[int] = None
-    nilpotency_excluded: bool = False
-    unresolved_over_Q: bool = False
-    weight: int = 0
-    precondition_weight_ok: bool = False
+    n: int
+    k: int
+    m: int
+    mu: Optional[Fraction]
+    lam: Optional[Fraction]
+    yrx: Optional[tuple[int, int, Fraction]]  # (r, k, lam)
+    perfect_power: Optional[int]
+    nilpotency_excluded: bool
+    unresolved_over_Q: bool
+    weight: int
+    precondition_weight_ok: bool
 
     @property
     def is_airy_normal_form(self) -> bool:

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from bispec import (
     BesselSpec,
     DiffOp,
+    OperatorSyntaxError,
     Poly,
     RatFunc,
     associated_polynomial,
@@ -113,6 +116,20 @@ class TestVerdicts:
         r = classify(L)
         assert r.verdict == "Bessel(2)"
         assert r.certificates["bessel_weight_sum_normalized"] is False
+
+    def test_operator_text_is_parsed(self):
+        # regression: text used to reach print_operator and raise
+        # AttributeError: 'str' object has no attribute 'is_zero'
+        r = classify("d^2 + x^-1")
+        assert r.input_text == "d^2 + x^-1"
+        assert r.verdict == "Obstructed"
+        want = classify(parse_operator("d^2 + x^-1")).to_json_dict()
+        assert r.to_json_dict() == want
+        assert classify("d^3-x", input_text="Airy").input_text == "Airy"
+
+    def test_operator_text_syntax_error(self):
+        with pytest.raises(OperatorSyntaxError):
+            classify("d^2 + ")
 
     def test_bessel_irrational_roots_unresolved(self):
         # symbol u^2 - 2 has rational coefficients but irrational roots
