@@ -35,6 +35,7 @@ from .rational import (
     Poly,
     RatFunc,
     min_trunc,
+    poly_lcm,
     rat_antiderivative,
     rational_reconstruct,
 )
@@ -46,7 +47,7 @@ from .diffop import (
     nonzero_terms,
     transpose_weyl,
 )
-from .linalg import nullspace
+from .linalg import nullspace, rref
 from .record import Record
 
 
@@ -131,10 +132,6 @@ class PDO(Record):
 
     def all_ratfunc(self) -> bool:
         return all(isinstance(c, RatFunc) for c in self.terms.values())
-
-    def differential_part(self) -> DiffOp:
-        return DiffOp(self.var, {-j: c for j, c in self.terms.items()
-                                 if j <= 0 and isinstance(c, RatFunc)})
 
     def _check(self, other: "PDO"):
         if self.var != other.var:
@@ -640,8 +637,6 @@ def centralizer_search(
         for B in brackets:
             c = B.coeffs.get(k)
             if c is not None:
-                from .rational import poly_lcm
-
                 den = poly_lcm(den, c.den)
         for col, B in enumerate(brackets):
             c = B.coeffs.get(k)
@@ -658,8 +653,6 @@ def centralizer_search(
     coord_order = sorted(range(ncols),
                          key=lambda c: (-basis_ops[c][0], -basis_ops[c][1]))
     perm = [[vec[c] for c in coord_order] for vec in sols]
-    from .linalg import rref
-
     red, _ = rref(perm, ncols)
     gens: list[DiffOp] = []
     inv = {pos: c for pos, c in enumerate(coord_order)}

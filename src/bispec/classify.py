@@ -41,6 +41,7 @@ from .bounded import (
     build_lambda,
     centralizer_search,
     split_constant_part,
+    wave_operator,
 )
 from .diffop import ad_condition_min_m
 from .record import Record
@@ -432,8 +433,6 @@ def _polynomial_branch(L: DiffOp, report: ClassificationReport, budgets: Budgets
 def _wave_probe(L: DiffOp, f: Poly, report: ClassificationReport, budgets: Budgets):
     """Diagnostic when no admissible theta was found: attempt the wave
     recursion, whose failures certify non-bispectrality."""
-    from .bounded import wave_operator
-
     try:
         wave_operator(L, f, min(budgets.trunc, 4))
     except err.LogObstruction as e:

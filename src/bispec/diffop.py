@@ -205,6 +205,7 @@ class DiffOp(Record):
         return out
 
     def __str__(self):
+        # parser imports diffop, so a module-level import would be a cycle
         from .parser import print_operator
 
         return print_operator(self)

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from .errors import BadIndex, FormViolation, FormViolationWarning, NotAFactor
 from .rational import Poly, RatFunc, ScalarLike, laurent_expand
-from .diffop import DiffOp, dop_mul, euler_operator, right_divide
+from .diffop import DiffOp, commutator, dop_mul, euler_operator, right_divide
 from .record import Record
 
 
@@ -138,8 +138,6 @@ def is_euler_homogeneous(L: DiffOp) -> bool:
     """True iff [xd, L] = -N L with N = order(L)."""
     if L.is_zero():
         return False
-    from .diffop import commutator
-
     D = euler_operator(L.var)
     return commutator(D, L) == L.scale(-L.order)
 

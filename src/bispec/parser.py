@@ -11,12 +11,26 @@ left-associative; ^ binds tighter than *):
     atom    := INT | INT "/" INT | "x" | "d" | "(" expr ")"
     exponent:= ["-"] INT
 
-Expressions evaluate directly to normal-ordered operators.  Negative
-exponents are only allowed on derivative-free (order-0) subexpressions,
-where they mean multiplication by the reciprocal function; on anything
-containing d they raise NegativeDerivativeExponent.  Exponent magnitudes
-are capped (dense coefficient storage makes astronomically large powers a
-denial-of-service, not a computation).
+Expressions are evaluated in the Laurent Weyl algebra Q[x, x^-1]<d>,
+where every element has one normal form sum c * x^e * d^k.  A value there
+is a sparse map {(k, e): c}; products reorder with the closed form
+
+    d^i o x^b = sum_t C(i, t) b(b-1)...(b-t+1) x^(b-t) d^(i-t),
+
+and the ``DiffOp`` is built once, at the end, with every coefficient
+already canonical (its lowest term is nonzero, so no x divides the
+numerator of an x^m denominator).  Only one construction leaves the
+algebra: a derivative-free subexpression with two or more terms raised
+to a negative power, such as (x+1)^-1 (a zero one raises
+ZeroDenominator on the same route).  From that node on the value is a
+``DiffOp`` built with ``dop_mul``, ``DiffOp`` sums and ``RatFunc`` powers,
+and each Laurent operand that meets it is converted once.
+
+Negative exponents are only allowed on derivative-free (order-0)
+subexpressions, where they mean multiplication by the reciprocal
+function; on anything containing d they raise NegativeDerivativeExponent.
+Exponent magnitudes are capped (dense coefficient storage makes
+astronomically large powers a denial-of-service, not a computation).
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
@@ -27,10 +41,10 @@ coefficient whose denominator is not a power of x is printed as
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
-from .rational import Poly
+from .rational import Poly, RatFunc, binary_power
 from .diffop import DiffOp, dop_mul
 from .record import Record
 
@@ -114,8 +128,104 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
+# evaluation algebra
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class _Weyl:
+    """An element sum c * x^e * d^k of Q[x, x^-1]<d>, as a map
+    {(k, e): c} with nonzero Fraction values that is never changed after
+    construction."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def is_function(self) -> bool:
+        return not any(k for k, _ in self.terms)
+
+    def __neg__(self) -> "_Weyl":
+        return _Weyl({key: -c for key, c in self.terms.items()})
+
+    def __add__(self, other: "_Weyl") -> "_Weyl":
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            if key in out:
+                c += out[key]
+                if not c:
+                    del out[key]
+                    continue
+            out[key] = c
+        return _Weyl(out)
+
+    def __sub__(self, other: "_Weyl") -> "_Weyl":
+        return self + (-other)
+
+    def __mul__(self, other: "_Weyl") -> "_Weyl":
+        out: dict = {}
+        for (i, a), c1 in self.terms.items():
+            for (j, b), c2 in other.terms.items():
+                # x^a d^i o x^b d^j = sum_t w_t x^(a+b-t) d^(i+j-t) with
+                # w_t = C(i, t) * b(b-1)...(b-t+1), zero once t > b >= 0;
+                # the atoms x and d carry the shared _ONE, which needs no product
+                c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
+                k, e = i + j, a + b
+                w = 1
+                for t in range(i + 1):
+                    key = (k - t, e - t)
+                    term = c * w if t else c
+                    out[key] = out[key] + term if key in out else term
+                    w = w * (i - t) // (t + 1) * (b - t)
+                    if not w:
+                        break
+        return _Weyl({key: c for key, c in out.items() if c})
+
+    def __pow__(self, n: int) -> "_Weyl":
+        """self**n; n < 0 only for a single term c * x^e."""
+        if len(self.terms) == 1:
+            ((k, e), c), = self.terms.items()
+            if not k:
+                return _Weyl({(0, e * n): c ** n})
+        return binary_power(self, n, _WEYL_ONE)
+
+    def diffop(self, var: str) -> DiffOp:
+        """The same operator as a DiffOp.  Each coefficient sum c * x^e
+        is numerator / x^m with m = max(0, -min e), which is already
+        reduced: the numerator's constant term is the nonzero lowest one."""
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (k, e), c in self.terms.items():
+            if k in rows:
+                rows[k][e] = c
+            else:
+                rows[k] = {e: c}
+        coeffs = {}
+        for k, row in rows.items():
+            shift = min(min(row), 0)
+            num = [_ZERO] * (max(row) - shift + 1)
+            for e, c in row.items():
+                num[e - shift] = c
+            den = Poly.monomial(-shift) if shift else Poly.one()
+            coeffs[k] = RatFunc._reduced(Poly._trusted(tuple(num)), den)
+        return DiffOp._trusted(var, coeffs)
+
+
+_WEYL_ONE = _Weyl({(0, 0): _ONE})
+_WEYL_X = _Weyl({(0, 1): _ONE})
+_WEYL_D = _Weyl({(1, 0): _ONE})
+
+
+# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+# A parsed value: an element of the Laurent Weyl algebra, or a DiffOp once
+# a non-monomial denominator has been met.
+_Value = Union[_Weyl, DiffOp]
+
 
 class _Parser:
     def __init__(self, text: str, var: str):
@@ -137,35 +247,45 @@ class _Parser:
             raise OperatorSyntaxError(f"expected {kind}, found {tok.kind}", tok.pos)
         return self.advance()
 
+    def as_diffop(self, value: _Value) -> DiffOp:
+        return value.diffop(self.var) if type(value) is _Weyl else value
+
+    def pair(self, a: _Value, b: _Value) -> tuple[_Value, _Value]:
+        """Two operands in one algebra: DiffOp when either is one."""
+        if type(a) is type(b):
+            return a, b
+        return self.as_diffop(a), self.as_diffop(b)
+
     def parse(self) -> DiffOp:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "EOF":
             raise OperatorSyntaxError(f"unexpected {tok.kind}", tok.pos)
-        return value
+        return self.as_diffop(value)
 
-    def expr(self) -> DiffOp:
+    def expr(self) -> _Value:
         value = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance()
-            rhs = self.term()
+            value, rhs = self.pair(value, self.term())
             value = value + rhs if op.kind == "PLUS" else value - rhs
         return value
 
-    def term(self) -> DiffOp:
+    def term(self) -> _Value:
         value = self.unary()
         while self.peek().kind == "STAR":
             self.advance()
-            value = dop_mul(value, self.unary())
+            value, rhs = self.pair(value, self.unary())
+            value = value * rhs if type(value) is _Weyl else dop_mul(value, rhs)
         return value
 
-    def unary(self) -> DiffOp:
+    def unary(self) -> _Value:
         if self.peek().kind == "MINUS":
             self.advance()
             return -self.unary()
         return self.power()
 
-    def power(self) -> DiffOp:
+    def power(self) -> _Value:
         base = self.atom()
         if self.peek().kind != "CARET":
             return base
@@ -182,22 +302,26 @@ class _Parser:
                 f"exponent exceeds the supported bound {MAX_EXPONENT}", tok.pos
             )
         e = sign * tok.value.numerator
-        if base.is_function():
-            return DiffOp.from_function(base.coeff(0) ** e, base.var)
-        if e < 0:
+        if e < 0 and not base.is_function():
             raise NegativeDerivativeExponent(
                 "negative exponent on a subexpression containing d", caret.pos
             )
+        if type(base) is _Weyl and (e >= 0 or len(base.terms) == 1):
+            return base ** e
+        # a reciprocal of a non-monomial function (or of zero) leaves Q[x, x^-1]
+        base = self.as_diffop(base)
+        if base.is_function():
+            return DiffOp.from_function(base.coeff(0) ** e, base.var)
         return base ** e
 
-    def atom(self) -> DiffOp:
+    def atom(self) -> _Value:
         tok = self.advance()
         if tok.kind == "NUM":
-            return DiffOp.const(tok.value, self.var)
+            return _Weyl({(0, 0): tok.value} if tok.value else {})
         if tok.kind == "X":
-            return DiffOp.x(self.var)
+            return _WEYL_X
         if tok.kind == "D":
-            return DiffOp.d(self.var)
+            return _WEYL_D
         if tok.kind == "LPAREN":
             value = self.expr()
             self.expect("RPAREN")

@@ -44,14 +44,16 @@ one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import (
     InsufficientPrecision,
     LogObstruction,
+    ReconstructionFailed,
     ZeroDenominator,
 )
+from .linalg import nullspace
 from .record import Record
 
 Scalar = Fraction
@@ -293,12 +295,6 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
-
     def squarefree_decomposition(self) -> list[tuple["Poly", int]]:
         """Yun's algorithm: returns [(g_i, i)] with self = lead * prod g_i^i,
         each g_i monic squarefree, pairwise coprime, deg g_i possibly 0."""
@@ -322,37 +318,16 @@ class Poly:
         return out
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """All rational roots with multiplicities, by candidate testing and
-        deflation.  Exact; may leave an irrational factor behind."""
+        """All rational roots with multiplicities, ascending.  Exact and
+        free of integer factorization: each square-free factor of Yun's
+        decomposition has its real roots isolated by Sturm bisection, and
+        one candidate per root is tested exactly."""
         if self.degree < 1:
             return []
-        p = self
-        roots: dict[Fraction, int] = {}
-        v = p.valuation()
-        if v and not p.is_zero():
-            roots[Fraction(0)] = v
-            p = Poly(p.coeffs[v:])
-        # clear denominators -> integer polynomial
-        den_lcm = lcm(*(c.denominator for c in p.coeffs))
-        ints = [int(c * den_lcm) for c in p.coeffs]
-        while len(ints) > 1:
-            a0, an = ints[0], ints[-1]
-            found = None
-            for num in _divisors(abs(a0)):
-                for den in _divisors(abs(an)):
-                    for cand in (Fraction(num, den), Fraction(-num, den)):
-                        if _eval_int_poly(ints, cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-            if found is None:
-                break
-            ints = _deflate(ints, found)
-            roots[found] = roots.get(found, 0) + 1
-        return sorted(roots.items())
+        roots = []
+        for g, mult in self.squarefree_decomposition():
+            roots.extend((r, mult) for r in _squarefree_rational_roots(g))
+        return sorted(roots)
 
     # -- display
 
@@ -398,36 +373,89 @@ def _fmt_term(c: Fraction, var: str, k: int, first: bool) -> str:
     return f" {sign} {body}"
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _int_coeffs(p: Poly) -> list[int]:
+    """The coefficients of a positive multiple of p, all integers."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
-def _eval_int_poly(coeffs: list[int], point: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
+def _sign_at(coeffs: list[int], point: Fraction) -> int:
+    """The sign of the integer polynomial at point = a/b, b > 0, from
+    b^deg * p(a/b) in integer arithmetic."""
+    a, b = point.numerator, point.denominator
+    acc, bpow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return (acc > 0) - (acc < 0)
 
 
-def _deflate(coeffs: list[int], root: Fraction) -> list[int]:
-    """Divide the integer polynomial by (x - root); returns the quotient
-    with denominators cleared (roots are preserved)."""
-    n = len(coeffs) - 1
-    q = [Fraction(0)] * n
-    q[n - 1] = Fraction(coeffs[n])
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = Fraction(coeffs[k]) + root * q[k]
-    den_lcm = lcm(*(c.denominator for c in q))
-    return [int(c * den_lcm) for c in q]
+def _squarefree_rational_roots(g: Poly) -> list[Fraction]:
+    """The rational roots of a square-free polynomial of degree >= 1.
+
+    The Sturm sequence counts the roots in (lo, hi] as V(lo) - V(hi),
+    where V counts sign changes, zeros dropped.  Bisection from a bound on
+    every root isolates each real root, and then narrows it by the sign of
+    g alone to a width below 1/(2 a^2), with a the leading coefficient of
+    g's primitive integer multiple.  A rational root s/t in lowest terms
+    has t | a.  Two fractions with denominators at most a are at least
+    1/a^2 apart, and the midpoint is within 1/(4 a^2) of the root, so a
+    rational root is the fraction closest to the midpoint with denominator
+    at most a; that one candidate is tested exactly.
+    """
+    ints = _int_coeffs(g)
+    a = abs(ints[-1]) // gcd(*ints)
+    seq = [g, g.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq = [_int_coeffs(s) for s in seq]
+
+    def changes(point: Fraction) -> int:
+        signs = [s for s in (_sign_at(c, point) for c in seq) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    # every root has |r| <= 2 max_i |c_i / c_n|^(1/(n-i)) (Fujiwara), and
+    # |c_i / c_n| < 2^(bits(c_i) - bits(c_n) + 1)
+    n, top = len(ints) - 1, abs(ints[-1]).bit_length()
+    k = max([-(-(abs(c).bit_length() - top + 1) // (n - i))
+             for i, c in enumerate(ints[:-1]) if c] + [0])
+    bound = Fraction(2 ** (k + 1))
+    roots = []
+    stack = [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = changes(mid)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        elif vlo - vhi == 1:
+            root = _narrow(ints, a, lo, hi)
+            if root is not None:
+                roots.append(root)
+    return roots
+
+
+def _narrow(ints: list[int], a: int, lo: Fraction,
+            hi: Fraction) -> Optional[Fraction]:
+    """The rational root in (lo, hi], which holds exactly one simple real
+    root of the integer polynomial, or None when that root is irrational;
+    a rational root's denominator divides a."""
+    width = Fraction(1, 2 * a * a)
+    s_hi = _sign_at(ints, hi)
+    if not s_hi:
+        return hi
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        s = _sign_at(ints, mid)
+        if not s:
+            return mid
+        if s == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    # the candidate may be a root next to an irrational one in (lo, hi]
+    cand = ((lo + hi) / 2).limit_denominator(a)
+    return cand if lo < cand <= hi and not _sign_at(ints, cand) else None
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -701,10 +729,6 @@ class LaurentTail(Record):
         return LaurentTail({}, trunc)
 
     @staticmethod
-    def from_terms(pairs: Mapping[int, ScalarLike], trunc: Optional[int] = None) -> "LaurentTail":
-        return LaurentTail({s: _frac(c) for s, c in pairs.items()}, trunc)
-
-    @staticmethod
     def x_power(exponent: int, coeff: ScalarLike = 1) -> "LaurentTail":
         """Exact tail for coeff * x^exponent."""
         return LaurentTail({-exponent: _frac(coeff)}, None)
@@ -897,8 +921,6 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     Returns None when no such function exists.  Raises InsufficientPrecision
     when the tail carries fewer than degN + degD + 2 known coefficients.
     """
-    from .linalg import nullspace  # local import avoids a cycle at module load
-
     count = t.known_count()
     if count is not None and count < degN + degD + 2:
         raise InsufficientPrecision(
@@ -981,8 +1003,6 @@ def rat_antiderivative(g: RatFunc, max_rounds: int = 4) -> RatFunc:
             cand = None
         if cand is not None and cand.derivative() == g:
             return cand
-    from .errors import ReconstructionFailed
-
     raise ReconstructionFailed("no rational antiderivative within degree bounds")
 
 

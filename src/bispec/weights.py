@@ -144,13 +144,6 @@ class BiHomPoly(Record):
             raise NotHomogeneous(f"mixed weights {sorted(weights)}")
         return weights.pop()
 
-    def is_homogeneous(self, w: WeightPair) -> bool:
-        try:
-            self.weight(w)
-            return True
-        except NotHomogeneous:
-            return False
-
     def __str__(self):
         if not self.terms:
             return "0"

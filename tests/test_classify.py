@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,14 @@ class TestVerdicts:
     def test_operator_text_syntax_error(self):
         with pytest.raises(OperatorSyntaxError):
             classify("d^2 + ")
+
+    def test_large_constant_bessel_shape_decides_quickly(self):
+        # the symbol w(w - 1) - 10^20 has no rational root; finding that
+        # must not take time growing with sqrt(10^20)
+        start = time.perf_counter()
+        r = classify("d^2 - 100000000000000000000*x^-2")
+        assert time.perf_counter() - start < 1.0
+        assert r.verdict == "Inconclusive"
 
     def test_bessel_irrational_roots_unresolved(self):
         # symbol u^2 - 2 has rational coefficients but irrational roots

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispec import (
     DiffOp,
@@ -11,12 +13,16 @@ from bispec import (
     OperatorSyntaxError,
     Poly,
     RatFunc,
+    ZeroDenominator,
+    diffop as diffop_module,
     dop_mul,
     parse_operator,
+    parser as parser_module,
     print_operator,
 )
 from bispec.parser import MAX_EXPONENT
 from oracles import diffop_of_mono, mono_mul, mono_of_diffop, random_diffop
+from test_trusted_ring import assert_canonical_op
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -67,9 +73,9 @@ def _xd():
 
 
 class TestFastPaths:
-    """Function prefixes and powers of functions skip the Leibniz product,
-    and d^e takes the binary power; the values must equal the explicit
-    products."""
+    """Texts in Q[x, x^-1]<d> are evaluated by closed-form reordering of
+    monomials; a reciprocal of a non-monomial function switches to DiffOp
+    arithmetic.  Either way the value must equal the explicit products."""
 
     @pytest.mark.parametrize("text,build", [
         ("d*x^-1*d", lambda: dop_mul(dop_mul(d, _fn(RatFunc.x_power(-1))), d)),
@@ -80,9 +86,35 @@ class TestFastPaths:
         ("(x^2+1)^0", DiffOp.one),
         ("x^0*d", lambda: d),
         ("d^0", DiffOp.one),
+        ("x^-1*(x+1)^-1*d",
+         lambda: dop_mul(dop_mul(_fn(RatFunc.x_power(-1)),
+                                 _fn(RatFunc(Poly([1]), Poly([1, 1])))), d)),
+        ("(x+1)^-2*x^-2*d^2",
+         lambda: dop_mul(dop_mul(_fn(RatFunc(Poly([1]), Poly([1, 1]) ** 2)),
+                                 _fn(RatFunc.x_power(-2))), dop_mul(d, d))),
     ])
     def test_against_explicit_products(self, text, build):
         assert parse_operator(text) == build()
+
+    def test_reciprocal_of_zero_function(self):
+        with pytest.raises(ZeroDenominator):
+            parse_operator("(x - x)^-1")
+
+    def test_laurent_text_takes_no_leibniz_product(self, monkeypatch):
+        calls = []
+
+        def counting(L, M):
+            calls.append((L, M))
+            return dop_mul(L, M)
+
+        monkeypatch.setattr(diffop_module, "dop_mul", counting)
+        monkeypatch.setattr(parser_module, "dop_mul", counting)
+        L = parse_operator("d^5 + 3*d^3 - 7/3*x^-3*d^3")
+        assert not calls
+        assert L == DiffOp("x", {5: 1, 3: RatFunc(Poly([-Fraction(7, 3), 0, 0, 3]),
+                                                  Poly.monomial(3))})
+        parse_operator("(x+1)^-1*(d - x)")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("text,factors", [
         ("d*x^-1*d", [(0, 1), (-1, 0), (0, 1)]),
@@ -108,6 +140,65 @@ class TestFastPaths:
             parse_operator(f"d^{MAX_EXPONENT + 1}")
         with pytest.raises(OperatorSyntaxError):
             parse_operator("x^4097")
+
+
+# texts drawn from the grammar, each with its value built by DiffOp arithmetic
+
+def _fn_text(text, f):
+    return text, DiffOp.from_function(f)
+
+
+_leaves = st.one_of(
+    st.integers(0, 9).map(lambda n: (str(n), DiffOp.const(n))),
+    st.tuples(st.integers(0, 9), st.integers(1, 6)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", DiffOp.const(Fraction(*pq)))),
+    st.sampled_from([("x", x), ("d", d)]),
+    # c * x^e to a power of either sign
+    st.tuples(st.integers(1, 5), st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda cen: _fn_text(f"({cen[0]}*x^{cen[1]})^{cen[2]}",
+                             RatFunc.x_power(cen[1], cen[0]) ** cen[2])),
+    # (x + c)^k: a negative k with c != 0 leaves Q[x, x^-1]
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda ck: _fn_text(
+            f"(x {'-' if ck[0] < 0 else '+'} {abs(ck[0])})^{ck[1]}",
+            RatFunc(Poly([ck[0], 1])) ** ck[1])),
+)
+
+
+def _reciprocal(node):
+    text, value = node
+    if value.is_function() and not value.is_zero():
+        return f"({text})^-1", DiffOp.from_function(value.coeff(0).inverse())
+    return node
+
+
+def _branches(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: (f"({p[0][0]})*({p[1][0]})", dop_mul(p[0][1], p[1][1]))),
+        pairs.map(lambda p: (f"{p[0][0]} + ({p[1][0]})", p[0][1] + p[1][1])),
+        pairs.map(lambda p: (f"{p[0][0]} - ({p[1][0]})", p[0][1] - p[1][1])),
+        children.map(lambda a: (f"-({a[0]})", -a[1])),
+        st.tuples(children, st.integers(0, 3)).map(
+            lambda an: (f"({an[0][0]})^{an[1]}", an[0][1] ** an[1])),
+        children.map(_reciprocal),
+    )
+
+
+_expressions = st.recursive(_leaves, _branches, max_leaves=6)
+
+
+class TestGrammarProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_expressions)
+    def test_parse_equals_diffop_arithmetic(self, node):
+        text, value = node
+        L = parse_operator(text)
+        assert L == value
+        assert_canonical_op(L)
+        Z = parse_operator(text, "z")
+        assert Z == DiffOp("z", value.coeffs)
+        assert_canonical_op(Z)
 
 
 class TestErrors:

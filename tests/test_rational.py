@@ -51,6 +51,61 @@ class TestPoly:
         p = (Poly([Fraction(-1, 2), 1]) ** 2) * Poly([3, 1])
         assert p.rational_roots() == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
 
+    def test_rational_roots_of_60_bit_products(self):
+        r1 = Fraction(2 ** 61 + 15, 3 ** 40)
+        r2 = Fraction(-(2 ** 64) - 1, 7)
+        r3 = Fraction(2 ** 100 + 1)
+        irrational = Poly([-(2 ** 62 + 3), 0, 5])  # 5x^2 - (2^62 + 3)
+        p = (Poly([-r1, 1]) ** 3 * Poly([-r2, 1]) * Poly([-r3, 1]) ** 2
+             * irrational).scale(Fraction(2 ** 70 + 1, 2 ** 61 - 1))
+        assert p.rational_roots() == [(r2, 1), (r1, 3), (r3, 2)]
+
+    def test_rational_roots_large_constant_irrational(self):
+        # w(w - 1) - 10^20: 1 + 4*10^20 is not a square
+        assert Poly([-10 ** 20, -1, 1]).rational_roots() == []
+        assert Poly([-10 ** 20, 0, 1]).rational_roots() == [
+            (Fraction(-10 ** 10), 1), (Fraction(10 ** 10), 1)]
+
+    def test_rational_root_next_to_irrational_one(self):
+        # -sqrt(23) is within 1/2 of the root -5
+        p = Poly([5, 1]) * Poly([-1, 1]) * Poly([-23, 0, 1]) * Poly([0, 1]) ** 2
+        assert p.rational_roots() == [(Fraction(-5), 1), (Fraction(0), 2), (Fraction(1), 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.fractions(min_value=-2 ** 64, max_value=2 ** 64,
+                                           max_denominator=2 ** 62),
+                              st.integers(1, 3)), max_size=4),
+           st.lists(st.integers(2, 10 ** 6).filter(lambda c: int(c ** 0.5) ** 2 != c),
+                    max_size=2),
+           fractions_st.filter(bool))
+    def test_rational_roots_of_constructed_products(self, factors, irrational, lead):
+        p = Poly.const(lead)
+        want: dict = {}
+        for r, m in factors:
+            p = p * Poly([-r, 1]) ** m
+            want[r] = want.get(r, 0) + m
+        for c in irrational:
+            p = p * Poly([-c, 0, 1])
+        assert p.rational_roots() == sorted(want.items())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=2, max_size=7),
+           st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9),
+                    max_size=3))
+    def test_rational_roots_sympy_oracle(self, coeffs, roots):
+        sympy = pytest.importorskip("sympy")
+        p = Poly(coeffs)
+        for r in roots:
+            p = p * Poly([-r, 1])
+        if p.degree < 1:
+            return
+        x = sympy.Symbol("x")
+        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                         for c in reversed(p.coeffs)], x)
+        want = sorted((Fraction(int(r.p), int(r.q)), m)
+                      for r, m in sympy.roots(sp, filter="Q").items())
+        assert p.rational_roots() == want
+
     def test_squarefree_decomposition(self):
         p = Poly([-1, 1]) ** 3 * Poly([1, 1])
         dec = p.squarefree_decomposition()
