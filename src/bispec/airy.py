@@ -24,8 +24,16 @@ from .errors import (
     NotInDomain,
     ZeroOperand,
 )
-from .rational import LaurentTail, Poly, PowerSeries, RatFunc, laurent_expand
-from .diffop import DiffOp, dop_mul, nonzero_terms, right_divide, transpose_weyl
+from .rational import (
+    LaurentTail,
+    Poly,
+    PowerSeries,
+    RatFunc,
+    add_terms,
+    laurent_expand,
+    nonzero_terms,
+)
+from .diffop import DiffOp, dop_mul, leibniz_product, right_divide, transpose_weyl
 from .weights import principal_part
 from .record import Record
 
@@ -119,10 +127,7 @@ class TOp(Record):
         return self.coeffs.get(k, LaurentTail.zero(None))
 
     def __add__(self, other: "TOp") -> "TOp":
-        out = dict(self.coeffs)
-        for k, t in other.coeffs.items():
-            out[k] = out.get(k, _EXACT_ZERO) + t
-        return TOp._trusted(nonzero_terms(out))
+        return TOp._trusted(add_terms(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "TOp":
         return TOp._trusted({k: -t for k, t in self.coeffs.items()})
@@ -136,18 +141,7 @@ class TOp(Record):
         return TOp._trusted({k: t.scale(c) for k, t in self.coeffs.items()})
 
     def __mul__(self, other: "TOp") -> "TOp":
-        out: dict[int, LaurentTail] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                deriv = b
-                for t in range(i + 1):
-                    if not deriv.is_zero():
-                        k = i - t + j
-                        term = (a * deriv).scale(comb(i, t))
-                        out[k] = out.get(k, _EXACT_ZERO) + term
-                    if t < i:
-                        deriv = deriv.derivative()
-        return TOp._trusted(nonzero_terms(out))
+        return TOp._trusted(leibniz_product(self.coeffs, other.coeffs))
 
     def height(self) -> Optional[int]:
         hs = [t.height() for t in self.coeffs.values() if t.height() is not None]
@@ -156,7 +150,6 @@ class TOp(Record):
 
 _new = object.__new__
 _set_top_coeffs = TOp.coeffs.__set__
-_EXACT_ZERO = LaurentTail.zero(None)
 
 
 def tail_of_ratfunc(c: RatFunc, depth: int) -> LaurentTail:
@@ -173,25 +166,27 @@ def top_of_diffop(L: DiffOp, depth: int = DEFAULT_TAIL_DEPTH) -> TOp:
 # MJOp and AiryPDO
 # ---------------------------------------------------------------------------
 
-class MJOp(Record):
-    """Operator coefficient of an Airy-adic series: sum_{k<N} alpha_k(x) d^k.
+class MJOp(TOp):
+    """Operator coefficient of an Airy-adic series: a ``TOp``
+    sum_{k<N} alpha_k(x) d^k of order below N.  Arithmetic on it returns
+    plain ``TOp`` values.
 
     ``MJOp._trusted`` wraps a dict with int keys in [0, N) and nonzero
     tails, unchecked."""
 
-    __slots__ = ("coeffs", "N")
+    __slots__ = ("N",)
 
     def __init__(self, coeffs: Mapping[int, LaurentTail], N: int):
         clean = nonzero_terms({int(k): t for k, t in coeffs.items()})
         if any(not 0 <= k < N for k in clean):
             raise ValueError(f"derivative power outside [0, {N})")
-        _set_mj_coeffs(self, clean)
+        _set_top_coeffs(self, clean)
         _set_mj_n(self, N)
 
     @classmethod
     def _trusted(cls, coeffs: dict, N: int) -> "MJOp":
         self = _new(cls)
-        _set_mj_coeffs(self, coeffs)
+        _set_top_coeffs(self, coeffs)
         _set_mj_n(self, N)
         return self
 
@@ -199,14 +194,8 @@ class MJOp(Record):
     def zero(N: int) -> "MJOp":
         return MJOp._trusted({}, N)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> LaurentTail:
-        return self.coeffs.get(k, LaurentTail.zero(None))
-
     def as_top(self) -> TOp:
-        return TOp._trusted(self.coeffs)
+        return self
 
     @staticmethod
     def from_top(t: TOp, N: int) -> "MJOp":
@@ -214,11 +203,7 @@ class MJOp(Record):
             raise ValueError("degree too high for an MJOp")
         return MJOp._trusted(t.coeffs, N)
 
-    def height(self) -> Optional[int]:
-        return self.as_top().height()
 
-
-_set_mj_coeffs = MJOp.coeffs.__set__
 _set_mj_n = MJOp.N.__set__
 
 
@@ -328,9 +313,7 @@ def bracket_decompose(A: DiffOp, m: MJOp, At: Optional[TOp] = None) -> tuple[MJO
     N = airy_shape(A).N if At is None else m.N
     if At is None:
         At = top_of_diffop(A)
-    mt = m.as_top()
-    bracket = At * mt - mt * At
-    q, r = _reduce_top(bracket, At, N)
+    q, r = _reduce_top(At * m - m * At, At, N)
     return MJOp.from_top(q, N), MJOp.from_top(r, N)
 
 
@@ -344,8 +327,7 @@ def v_decompose(V: DiffOp, m: MJOp, A: DiffOp,
         Vt = top_of_diffop(V)
     if Vt.order >= N:
         raise ValueError("V must have d-degree below the Airy order")
-    prod = Vt * m.as_top()
-    q, r = _reduce_top(prod, At, N)
+    q, r = _reduce_top(Vt * m, At, N)
     return MJOp.from_top(q, N), MJOp.from_top(r, N)
 
 
@@ -362,11 +344,10 @@ def height(m: Union[MJOp, TOp, DiffOp]):
             if best is None or (h, k) > best[:2]:
                 best = (h, k, c.infinity_leading())
         return best
-    top = m.as_top() if isinstance(m, MJOp) else m
-    if top.is_zero():
+    if m.is_zero():
         raise ZeroOperand("height of zero")
     best = None
-    for k, t in top.coeffs.items():
+    for k, t in m.coeffs.items():
         if t.is_zero():
             continue
         s, c = t.leading()
@@ -417,6 +398,20 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
 # the Airy-adic wave recursion
 # ---------------------------------------------------------------------------
 
+def _wave_tops(A: DiffOp, V: DiffOp, depth: int) -> tuple[TOp, TOp]:
+    """A and V as tail-coefficient operators, V's tails cut at ``depth``."""
+    return top_of_diffop(A), TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
+                                  for j, c in V.coeffs.items()})
+
+
+def _contributions(delta: TOp, At: TOp, Vt: TOp, N: int) -> tuple[TOp, TOp]:
+    """The (b + U, c + W) parts of [A, delta] = b A + c and
+    V delta = U A + W for a piece delta of some m_j."""
+    qb, rc = _reduce_top(At * delta - delta * At, At, N)
+    qu, rw = _reduce_top(Vt * delta, At, N)
+    return qb + qu, rc + rw
+
+
 def airy_wave_solve(
     L: DiffOp,
     J: int,
@@ -443,19 +438,9 @@ def airy_wave_solve(
     if V.is_zero():
         return AiryPDO(A, {}, J, h_min)
 
-    At = top_of_diffop(A)
-    Vt = TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
-              for j, c in V.coeffs.items()})
-
+    At, Vt = _wave_tops(A, V, depth)
     inv_n = Fraction(-1, N)
     m: dict[int, dict[int, LaurentTail]] = {j: {} for j in range(1, J + 2)}
-
-    def contributions(delta: TOp) -> tuple[TOp, TOp]:
-        """(b+U, c+W) parts produced by a new piece of some m."""
-        bracket = At * delta - delta * At
-        qb, rc = _reduce_top(bracket, At, N)
-        qu, rw = _reduce_top(Vt * delta, At, N)
-        return qb + qu, rc + rw
 
     try:
         rhs = Vt  # equation 0: b_1 + U_1 + V = 0
@@ -467,7 +452,7 @@ def airy_wave_solve(
                 beta = g.antiderivative().scale(inv_n)
                 if not beta.is_zero():
                     m[eq][0] = beta
-                    same, nxt = contributions(TOp({0: beta}))
+                    same, nxt = _contributions(TOp({0: beta}), At, Vt, N)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
@@ -479,7 +464,7 @@ def airy_wave_solve(
                 if alpha.is_zero():
                     continue
                 m[eq + 1][k] = alpha
-                same, nxt = contributions(TOp({k: alpha}))
+                same, nxt = _contributions(TOp({k: alpha}), At, Vt, N)
                 R = R + same
                 next_rhs = next_rhs + nxt
             for k, t in R.coeffs.items():
@@ -511,25 +496,11 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     N = shape.N
     h_min = K.h_min
     depth = -h_min
-    At = top_of_diffop(A)
-    Vt = TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
-              for j, c in V.coeffs.items()})
-
-    def bU(mj: MJOp) -> TOp:
-        bracket = At * mj.as_top() - mj.as_top() * At
-        qb, _ = _reduce_top(bracket, At, N)
-        qu, _ = _reduce_top(Vt * mj.as_top(), At, N)
-        return qb + qu
-
-    def cW(mj: MJOp) -> TOp:
-        bracket = At * mj.as_top() - mj.as_top() * At
-        _, rc = _reduce_top(bracket, At, N)
-        _, rw = _reduce_top(Vt * mj.as_top(), At, N)
-        return rc + rw
-
+    At, Vt = _wave_tops(A, V, depth)
+    # parts[j] holds the (b+U, c+W) parts of m_(j+1), each reduced once
+    parts = [_contributions(K.coeff(j), At, Vt, N) for j in range(1, K.trunc + 1)]
     for j in range(0, K.trunc):
-        lhs = bU(K.coeff(j + 1))
-        lhs = lhs + (Vt if j == 0 else cW(K.coeff(j)))
+        lhs = parts[j][0] + (Vt if j == 0 else parts[j - 1][1])
         for k, t in lhs.coeffs.items():
             if any(-s >= h_min and c != 0 for s, c in t.terms.items()):
                 return False

@@ -30,11 +30,11 @@ from .errors import (
     VariableMismatch,
 )
 from .rational import (
-    FAR_INDEX,
     LaurentTail,
     Poly,
     RatFunc,
-    min_trunc,
+    TruncatedSeries,
+    nonzero_terms,
     poly_lcm,
     rat_antiderivative,
     rational_reconstruct,
@@ -44,7 +44,6 @@ from .diffop import (
     ad_condition_min_m,
     ad_pow,
     commutator,
-    nonzero_terms,
     transpose_weyl,
 )
 from .linalg import nullspace, rref
@@ -66,16 +65,19 @@ def _binom_general(n: int, t: int) -> Fraction:
 PDOCoeff = Union[RatFunc, LaurentTail]
 
 
-class PDO(Record):
+class PDO(TruncatedSeries):
     """sum_{j >= j0} a_j(x) d^-j, exact for j <= trunc (None = finite sum).
 
     Coefficients are RatFunc throughout the computational pipeline; the
     image of the anti-isomorphism b may carry LaurentTail coefficients,
     on which no further arithmetic is offered.  ``PDO._trusted`` wraps a
     dict with int keys at most ``trunc`` and nonzero coefficients,
-    unchecked."""
+    unchecked.  Negation, sums, ``restrict`` and printing are those of
+    ``TruncatedSeries``."""
 
     __slots__ = ("var", "terms", "trunc")
+    _VAR = "d"
+    _SIGN = -1
 
     def __init__(self, var: str, terms: Mapping[int, PDOCoeff],
                  trunc: Optional[int] = None):
@@ -90,6 +92,9 @@ class PDO(Record):
         _set_terms(self, terms)
         _set_trunc(self, trunc)
         return self
+
+    def _with(self, terms: dict, trunc: Optional[int]) -> "PDO":
+        return PDO._trusted(self.var, terms, trunc)
 
     # -- constructors
 
@@ -107,28 +112,11 @@ class PDO(Record):
 
     # -- queries
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def start(self) -> Optional[int]:
-        return min(self.terms) if self.terms else None
-
-    def _known_floor(self) -> int:
-        if self.terms:
-            return min(self.terms)
-        if self.trunc is not None:
-            return self.trunc + 1
-        return FAR_INDEX
-
     def coeff(self, j: int) -> RatFunc:
         c = self.terms.get(j, RatFunc.zero())
         if isinstance(c, LaurentTail):
             raise NotInDomain("tail-valued coefficient")
         return c
-
-    def known(self, j: int) -> bool:
-        return self.trunc is None or j <= self.trunc
 
     def all_ratfunc(self) -> bool:
         return all(isinstance(c, RatFunc) for c in self.terms.values())
@@ -143,17 +131,7 @@ class PDO(Record):
 
     def __add__(self, other: "PDO") -> "PDO":
         self._check(other)
-        trunc = min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for j, c in other.terms.items():
-            out[j] = out.get(j, _RAT_ZERO) + c
-        return PDO._trusted(self.var, nonzero_terms(out, trunc), trunc)
-
-    def __neg__(self) -> "PDO":
-        return PDO._trusted(self.var, {j: -c for j, c in self.terms.items()}, self.trunc)
-
-    def __sub__(self, other: "PDO") -> "PDO":
-        return self + (-other)
+        return TruncatedSeries.__add__(self, other)
 
     def scale(self, c) -> "PDO":
         if not c:
@@ -162,14 +140,12 @@ class PDO(Record):
                             self.trunc)
 
     def __mul__(self, other: "PDO") -> "PDO":
-        """Product, exact through the combined truncation."""
+        """Product, exact through the combined truncation.  It keeps its
+        own loop: the generalized binomial C(-i, t) and the cut at the
+        truncation end each chain, where ``leibniz_product`` runs every
+        chain to t = i."""
         self._check(other)
-        cands = []
-        if self.trunc is not None:
-            cands.append(self.trunc + other._known_floor())
-        if other.trunc is not None:
-            cands.append(other.trunc + self._known_floor())
-        trunc = min(cands) if cands else None
+        trunc = self._product_trunc(other)
         out: dict[int, RatFunc] = {}
         for i, a in self.terms.items():
             for j, b in other.terms.items():
@@ -213,26 +189,8 @@ class PDO(Record):
             acc = acc + power
         return acc
 
-    def restrict(self, trunc: Optional[int]) -> "PDO":
-        new = min_trunc(self.trunc, trunc)
-        terms = self.terms if new is None else {
-            j: c for j, c in self.terms.items() if j <= new}
-        return PDO._trusted(self.var, terms, new)
-
-    def __str__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for j in sorted(self.terms):
-                c = self.terms[j]
-                dpow = f"d^{-j}" if j != 0 else ""
-                piece = f"({c})" + (f"*{dpow}" if dpow else "")
-                parts.append(piece)
-            body = " + ".join(parts)
-        if self.trunc is not None:
-            body += f" + O(d^{-(self.trunc + 1)})"
-        return body
+    def _term(self, j: int, c) -> tuple:
+        return 1, f"({c})" + (f"*d^{-j}" if j else "")
 
 
 _new = object.__new__

@@ -2,7 +2,8 @@
 pipeline.
 
 Exit codes: 0 for any completed report (domain errors are embedded in the
-report), 2 for operator syntax errors, 3 for internal invariant violations.
+report), 2 for operator syntax errors and other invalid input (such as a
+truncation below 1), 3 for internal invariant violations.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     add("centralizer", "expr", budget=True)
 
     args = ap.parse_args(argv)
+    if getattr(args, "trunc", 1) < 1:
+        print(f"input error: --trunc must be at least 1, got {args.trunc}",
+              file=sys.stderr)
+        return 2
     try:
         return _dispatch(args)
     except err.OperatorSyntaxError as e:

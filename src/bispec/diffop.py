@@ -43,7 +43,9 @@ from .rational import (
     PowerSeries,
     RatFunc,
     ScalarLike,
+    add_terms,
     binary_power,
+    nonzero_terms,
     rat_antiderivative,
     taylor_expand_at_zero,
 )
@@ -58,14 +60,6 @@ def _coerce(c: CoeffLike) -> RatFunc:
     if isinstance(c, Poly):
         return RatFunc(c)
     return RatFunc.const(c)
-
-
-def nonzero_terms(terms: dict, trunc: Optional[int] = None) -> dict:
-    """The entries of ``terms`` whose coefficient is not zero and, when a
-    truncation is given, whose index is at most ``trunc``."""
-    if trunc is None:
-        return {j: c for j, c in terms.items() if not c.is_zero()}
-    return {j: c for j, c in terms.items() if j <= trunc and not c.is_zero()}
 
 
 class DiffOp(Record):
@@ -163,10 +157,7 @@ class DiffOp(Record):
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         self._check_var(other)
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, _RAT_ZERO) + c
-        return DiffOp._trusted(self.var, nonzero_terms(out))
+        return DiffOp._trusted(self.var, add_terms(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
@@ -217,31 +208,37 @@ class DiffOp(Record):
 _new = object.__new__
 _set_var = DiffOp.var.__set__
 _set_coeffs = DiffOp.coeffs.__set__
-_RAT_ZERO = RatFunc.zero()
 
 
 # ---------------------------------------------------------------------------
 # products, brackets, ad powers
 # ---------------------------------------------------------------------------
 
+def leibniz_product(left: dict, right: dict) -> dict:
+    """The coefficients of (sum_i a_i d^i) o (sum_j b_j d^j) in normal
+    order, by d^i o b = sum_t C(i, t) b^(t) d^(i-t), cleaned by
+    ``nonzero_terms``.  Coefficients need ``*``, ``+``, ``scale``,
+    ``derivative`` and truth; ``RatFunc`` and ``LaurentTail`` have them."""
+    out = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            deriv = b
+            for t in range(i + 1):
+                if deriv:
+                    k = i - t + j
+                    term = a * deriv.scale(comb(i, t))
+                    out[k] = out[k] + term if k in out else term
+                if t < i:
+                    deriv = deriv.derivative()
+    return nonzero_terms(out)
+
+
 def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
     """Normal-ordered product L o M via the Leibniz rule."""
     L._check_var(M)
     if L.order <= 0:
         return M.mul_function(L.coeff(0))
-    out: dict[int, RatFunc] = {}
-    for i, a in L.coeffs.items():
-        for j, b in M.coeffs.items():
-            # d^i o b = sum_t C(i,t) b^(t) d^(i-t)
-            deriv = b
-            for t in range(0, i + 1):
-                if not deriv.is_zero():
-                    k = i - t + j
-                    term = a * deriv.scale(comb(i, t))
-                    out[k] = out.get(k, _RAT_ZERO) + term
-                if t < i:
-                    deriv = deriv.derivative()
-    return DiffOp._trusted(L.var, nonzero_terms(out))
+    return DiffOp._trusted(L.var, leibniz_product(L.coeffs, M.coeffs))
 
 
 def commutator(L: DiffOp, M: DiffOp) -> DiffOp:
@@ -275,42 +272,34 @@ def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
 # division
 # ---------------------------------------------------------------------------
 
+def _divide(L: DiffOp, P: DiffOp, side: str) -> tuple[DiffOp, DiffOp]:
+    """Quotient Q and remainder R, order(R) < order(P), of L = Q o P + R
+    (side "right") or L = P o Q + R (side "left").  Each step cancels the
+    leading term of the remainder with one monomial of the quotient."""
+    L._check_var(P)
+    if P.is_zero():
+        raise DivisionByZeroOperator(f"{side} division by the zero operator")
+    q = DiffOp.zero(L.var)
+    r = L
+    n = P.order
+    lead = P.leading()
+    while r.order >= n:
+        term = DiffOp.monomial(r.leading() / lead, r.order - n, L.var)
+        q = q + term
+        r = r - (dop_mul(P, term) if side == "left" else dop_mul(term, P))
+    return q, r
+
+
 def right_divide(L: DiffOp, P: DiffOp) -> tuple[DiffOp, DiffOp]:
     """Quotient/remainder with the divisor on the right: L = Q o P + R,
     order(R) < order(P).  Division by an order-0 operator is multiplication
     by its inverse (R = 0)."""
-    L._check_var(P)
-    if P.is_zero():
-        raise DivisionByZeroOperator("right division by the zero operator")
-    q = DiffOp.zero(L.var)
-    r = L
-    n = P.order
-    lead = P.leading()
-    while not r.is_zero() and r.order >= n:
-        j = r.order - n
-        c = r.leading() / lead
-        term = DiffOp.monomial(c, j, L.var)
-        q = q + term
-        r = r - dop_mul(term, P)
-    return q, r
+    return _divide(L, P, "right")
 
 
 def left_divide(L: DiffOp, P: DiffOp) -> tuple[DiffOp, DiffOp]:
     """Quotient/remainder with the divisor on the left: L = P o Q + R."""
-    L._check_var(P)
-    if P.is_zero():
-        raise DivisionByZeroOperator("left division by the zero operator")
-    q = DiffOp.zero(L.var)
-    r = L
-    n = P.order
-    lead = P.leading()
-    while not r.is_zero() and r.order >= n:
-        j = r.order - n
-        c = r.leading() / lead
-        term = DiffOp.monomial(c, j, L.var)
-        q = q + term
-        r = r - dop_mul(P, term)
-    return q, r
+    return _divide(L, P, "left")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,15 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
-from .rational import Poly, RatFunc, binary_power
+from .rational import (
+    Poly,
+    RatFunc,
+    add_terms,
+    binary_power,
+    monomial_text,
+    poly_text,
+    signed_sum,
+)
 from .diffop import DiffOp, dop_mul
 from .record import Record
 
@@ -152,15 +160,7 @@ class _Weyl:
         return _Weyl({key: -c for key, c in self.terms.items()})
 
     def __add__(self, other: "_Weyl") -> "_Weyl":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in out:
-                c += out[key]
-                if not c:
-                    del out[key]
-                    continue
-            out[key] = c
-        return _Weyl(out)
+        return _Weyl(add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "_Weyl") -> "_Weyl":
         return self + (-other)
@@ -338,60 +338,21 @@ def parse_operator(text: str, var: str = "x") -> DiffOp:
 # printer
 # ---------------------------------------------------------------------------
 
-def _monomial_text(c: Fraction, xexp: int, dexp: int, var: str) -> str:
-    """One monomial |c| * x^xexp * d^dexp (sign handled by the caller)."""
-    atoms: list[str] = []
-    mag = abs(c)
-    if mag != 1 or (xexp == 0 and dexp == 0):
-        atoms.append(str(mag))
-    if xexp != 0:
-        atoms.append(var if xexp == 1 else f"{var}^{xexp}")
-    if dexp != 0:
-        atoms.append("d" if dexp == 1 else f"d^{dexp}")
-    return "*".join(atoms)
-
-
-def _poly_text(p: Poly, var: str) -> str:
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        body = _monomial_text(c, k, 0, var)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" {'+' if c > 0 else '-'} {body}")
-    return "".join(parts)
-
-
 def print_operator(L: DiffOp) -> str:
     """Canonical text: derivative powers descending, then x-exponents
     descending; Laurent-monomial denominators folded into negative powers
     of x, general denominators rendered as (den)^-1 factors."""
-    if L.is_zero():
-        return "0"
     var = L.var if L.var in ("x", "z") else "x"
-    pieces: list[tuple[int, str]] = []  # (sign, body) in canonical order
+    pieces: list[tuple] = []  # (sign, text) in canonical order
     for j in sorted(L.coeffs, reverse=True):
         c = L.coeffs[j]
         if c.is_laurent_polynomial():
-            for e, v in c.laurent_terms():
-                pieces.append((1 if v > 0 else -1,
-                               _monomial_text(v, e, j, var)))
+            pieces += [(v, monomial_text(v, e, j, var)) for e, v in c.laurent_terms()]
         else:
-            num, den = c.num, c.den
-            lead = num.leading()
-            sign = 1 if lead > 0 else -1
-            body = f"({_poly_text(num if sign > 0 else -num, var)})"
-            body += f"*({_poly_text(den, var)})^-1"
-            if j != 0:
-                body += "*" + ("d" if j == 1 else f"d^{j}")
-            pieces.append((sign, body))
-    out = []
-    for sign, body in pieces:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f" {'+' if sign > 0 else '-'} {body}")
-    return "".join(out)
+            sign = c.num.leading()
+            text = (f"({poly_text(c.num if sign > 0 else -c.num, var)})"
+                    f"*({poly_text(c.den, var)})^-1")
+            if j:
+                text += "*" + monomial_text(1, 0, j)
+            pieces.append((sign, text))
+    return signed_sum(pieces)

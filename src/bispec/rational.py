@@ -15,7 +15,9 @@ Conventions used throughout the package:
   be negative (polynomial part).  ``trunc`` is the last index known exactly;
   ``trunc=None`` means every absent coefficient is exactly zero.
 * ``PowerSeries`` is the mirror object at the origin (term at index ``e``
-  is ``c_e * x^e``, exact through ``e <= trunc``).
+  is ``c_e * x^e``, exact through ``e <= trunc``).  Both share one body,
+  ``TruncatedSeries``, with ``bounded.PDO``; only the sign of the exponent
+  tells the two apart.
 
 All values are immutable after construction, so ``Poly.zero()``,
 ``Poly.one()``, ``Poly.x()``, ``RatFunc.zero()``, ``RatFunc.one()`` and
@@ -36,6 +38,10 @@ meet the invariant itself:
 * ``LaurentTail._trusted(terms, trunc)`` and ``PowerSeries._trusted``: a
   dict with int keys and nonzero ``Fraction`` values, every key at most
   ``trunc``.
+
+Every coefficient map is cleaned by ``nonzero_terms``, which reads a
+coefficient's truth: ``Fraction``, ``RatFunc`` and the series are false
+exactly when zero.
 
 A dict handed to a value is never changed afterwards, so values may share
 one.
@@ -322,12 +328,7 @@ class Poly:
         free of integer factorization: each square-free factor of Yun's
         decomposition has its real roots isolated by Sturm bisection, and
         one candidate per root is tested exactly."""
-        if self.degree < 1:
-            return []
-        roots = []
-        for g, mult in self.squarefree_decomposition():
-            roots.extend((r, mult) for r in _squarefree_rational_roots(g))
-        return sorted(roots)
+        return decomposition_roots(self.squarefree_decomposition())
 
     # -- display
 
@@ -335,15 +336,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if c == 0:
-                continue
-            parts.append(_fmt_term(c, "x", k, first=not parts))
-        return "".join(parts)
+        return poly_text(self)
 
 
 _set_coeffs = Poly.coeffs.__set__
@@ -360,17 +353,38 @@ def _trimmed(cs: list) -> Poly:
     return Poly._trusted(tuple(cs))
 
 
-def _fmt_term(c: Fraction, var: str, k: int, first: bool) -> str:
-    sign = "-" if c < 0 else "+"
+def signed_sum(terms) -> str:
+    """Join (sign, text) pairs as "a + b - c", a negative first term as
+    "-a"; "0" when there are none.  Every printed sum of the package,
+    from polynomials and series to operators, is joined here."""
+    out = ""
+    for sign, text in terms:
+        if out:
+            out += (" - " if sign < 0 else " + ") + text
+        else:
+            out = "-" + text if sign < 0 else text
+    return out or "0"
+
+
+def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x") -> str:
+    """The monomial |c| * var^xexp * d^dexp; its sign is left to
+    ``signed_sum``."""
+    atoms: list[str] = []
     mag = abs(c)
-    if k == 0:
-        body = str(mag)
-    else:
-        v = var if k == 1 else f"{var}^{k}"
-        body = v if mag == 1 else f"{mag}*{v}"
-    if first:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
+    if mag != 1 or (xexp == 0 and dexp == 0):
+        atoms.append(str(mag))
+    if xexp != 0:
+        atoms.append(var if xexp == 1 else f"{var}^{xexp}")
+    if dexp != 0:
+        atoms.append("d" if dexp == 1 else f"d^{dexp}")
+    return "*".join(atoms)
+
+
+def poly_text(p: Poly, var: str = "x") -> str:
+    """p with its terms in descending degree."""
+    cs = p.coeffs
+    return signed_sum([(cs[k], monomial_text(cs[k], k, 0, var))
+                       for k in range(len(cs) - 1, -1, -1) if cs[k]])
 
 
 def _int_coeffs(p: Poly) -> list[int]:
@@ -456,6 +470,14 @@ def _narrow(ints: list[int], a: int, lo: Fraction,
     # the candidate may be a root next to an irrational one in (lo, hi]
     cand = ((lo + hi) / 2).limit_denominator(a)
     return cand if lo < cand <= hi and not _sign_at(ints, cand) else None
+
+
+def decomposition_roots(factors: list[tuple[Poly, int]]) -> list[tuple[Fraction, int]]:
+    """The rational roots with multiplicities, ascending, of a polynomial
+    given by its square-free decomposition ``factors`` (as returned by
+    ``Poly.squarefree_decomposition``)."""
+    return sorted((r, mult) for g, mult in factors
+                  for r in _squarefree_rational_roots(g))
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -553,6 +575,9 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
@@ -687,67 +712,61 @@ def ratfunc_canonicalize(num: Poly, den: Poly) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Laurent tails at infinity
+# truncated series
 # ---------------------------------------------------------------------------
 
-def _nonzero_terms(terms: dict, trunc: Optional[int]) -> dict:
-    """The entries of ``terms`` (Fraction values) that are not zero and,
-    when a truncation is given, whose key is at most ``trunc``."""
+def nonzero_terms(terms: dict, trunc: Optional[int] = None) -> dict:
+    """The entries of ``terms`` whose coefficient is nonzero (true) and,
+    when a truncation is given, whose index is at most ``trunc``.  Every
+    coefficient map of the package (series, operators) is cleaned here."""
     if trunc is None:
-        return {s: c for s, c in terms.items() if c}
-    return {s: c for s, c in terms.items() if c and s <= trunc}
+        return {i: c for i, c in terms.items() if c}
+    return {i: c for i, c in terms.items() if c and i <= trunc}
 
 
-class LaurentTail(Record):
-    """Truncated Laurent expansion at infinity: sum_s c_s * x^(-s).
+def add_terms(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
+    """The termwise sum of two coefficient maps, cleaned by
+    ``nonzero_terms``."""
+    out = dict(a)
+    for i, c in b.items():
+        out[i] = out[i] + c if i in out else c
+    return nonzero_terms(out, trunc)
 
-    ``terms`` maps the index s (negated exponent) to a nonzero coefficient.
-    Indices at most ``trunc`` are exact; ``trunc=None`` means the tail is an
-    exact Laurent polynomial (all absent coefficients are zero).
+
+_setattr = object.__setattr__
+
+
+class TruncatedSeries(Record):
+    """A truncated series sum_i c_i t^i in one formal variable t.
+
+    ``terms`` maps the index i to a nonzero coefficient; indices at most
+    ``trunc`` are exact, and ``trunc=None`` means every absent coefficient
+    is exactly zero.  This is the coefficient-ring-independent body of
+    ``LaurentTail`` (t = 1/x), ``PowerSeries`` (t = x) and ``bounded.PDO``
+    (t = 1/d).  A subclass lists ``terms`` and ``trunc`` in its own
+    ``__slots__``, builds its values with ``_with``, prints one term with
+    ``_term`` and the order term as O(_VAR^(_SIGN * (trunc + 1))).
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
-                 trunc: Optional[int] = None):
-        clean = {int(s): _frac(c) for s, c in (terms or {}).items()}
-        _set_tail_terms(self, _nonzero_terms(clean, trunc))
-        _set_tail_trunc(self, trunc)
-
-    @classmethod
-    def _trusted(cls, terms: dict, trunc: Optional[int]) -> "LaurentTail":
-        """Wrap a clean ``terms`` dict (see the module docstring), unchecked."""
-        self = _new(cls)
-        _set_tail_terms(self, terms)
-        _set_tail_trunc(self, trunc)
-        return self
-
-    # -- constructors
-
-    @staticmethod
-    def zero(trunc: Optional[int] = None) -> "LaurentTail":
-        return LaurentTail({}, trunc)
-
-    @staticmethod
-    def x_power(exponent: int, coeff: ScalarLike = 1) -> "LaurentTail":
-        """Exact tail for coeff * x^exponent."""
-        return LaurentTail({-exponent: _frac(coeff)}, None)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LaurentTail":
-        return LaurentTail({-k: c for k, c in enumerate(p.coeffs)}, None)
-
-    # -- queries
+    def _with(self, terms: dict, trunc: Optional[int]):
+        """A value of this kind with a clean ``terms`` dict, unchecked."""
+        return self._trusted(terms, trunc)
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     @property
     def start(self) -> Optional[int]:
-        """Leading index r (term c_r x^-r); None for the zero tail."""
-        if not self.terms:
-            return None
-        return min(self.terms)
+        """Leading index; None for the zero series."""
+        return min(self.terms) if self.terms else None
+
+    def known(self, i: int) -> bool:
+        return self.trunc is None or i <= self.trunc
 
     def _known_floor(self) -> int:
         """Start index used in precision bookkeeping (surrogate for zero)."""
@@ -757,11 +776,120 @@ class LaurentTail(Record):
             return self.trunc + 1
         return FAR_INDEX
 
-    def coeff(self, s: int) -> Fraction:
-        return self.terms.get(s, Fraction(0))
+    def _product_trunc(self, other: "TruncatedSeries") -> Optional[int]:
+        """The last exact index of a product: the unknown range of either
+        factor, shifted by the other factor's leading index."""
+        cands = []
+        if self.trunc is not None:
+            cands.append(self.trunc + other._known_floor())
+        if other.trunc is not None:
+            cands.append(other.trunc + self._known_floor())
+        return min(cands) if cands else None
 
-    def known(self, s: int) -> bool:
-        return self.trunc is None or s <= self.trunc
+    def __neg__(self):
+        return self._with({i: -c for i, c in self.terms.items()}, self.trunc)
+
+    def __add__(self, other):
+        trunc = min_trunc(self.trunc, other.trunc)
+        return self._with(add_terms(self.terms, other.terms, trunc), trunc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def restrict(self, trunc: Optional[int]):
+        new = min_trunc(self.trunc, trunc)
+        terms = self.terms if new is None else {
+            i: c for i, c in self.terms.items() if i <= new}
+        return self._with(terms, new)
+
+    def __str__(self):
+        body = signed_sum([self._term(i, c) for i, c in sorted(self.terms.items())])
+        if self.trunc is None:
+            return body
+        return f"{body} + O({self._VAR}^{self._SIGN * (self.trunc + 1)})"
+
+
+class _ScalarSeries(TruncatedSeries):
+    """A truncated series with Fraction coefficients whose term at index i
+    is c_i * x^(_SIGN * i).  The sign of the exponent is all that tells
+    ``LaurentTail`` (_SIGN = -1) from ``PowerSeries`` (_SIGN = 1)."""
+
+    __slots__ = ()
+    _VAR = "x"
+
+    def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
+                 trunc: Optional[int] = None):
+        clean = {int(i): _frac(c) for i, c in (terms or {}).items()}
+        _setattr(self, "terms", nonzero_terms(clean, trunc))
+        _setattr(self, "trunc", trunc)
+
+    @classmethod
+    def _trusted(cls, terms: dict, trunc: Optional[int]):
+        """Wrap a clean ``terms`` dict (see the module docstring), unchecked."""
+        self = _new(cls)
+        _setattr(self, "terms", terms)
+        _setattr(self, "trunc", trunc)
+        return self
+
+    @classmethod
+    def zero(cls, trunc: Optional[int] = None):
+        return cls._trusted({}, trunc)
+
+    @classmethod
+    def from_poly(cls, p: Poly):
+        return cls({cls._SIGN * k: c for k, c in enumerate(p.coeffs)}, None)
+
+    def coeff(self, i: int) -> Fraction:
+        return self.terms.get(i, _ZERO)
+
+    def scale(self, c: ScalarLike):
+        c = _frac(c)
+        if not c:
+            return self._trusted({}, self.trunc)
+        return self._trusted({i: v * c for i, v in self.terms.items()}, self.trunc)
+
+    def __mul__(self, other):
+        # an exact zero absorbs
+        if (not self.terms and self.trunc is None) or (
+            not other.terms and other.trunc is None
+        ):
+            return self._trusted({}, None)
+        trunc = self._product_trunc(other)
+        out: dict[int, Fraction] = {}
+        for i1, c1 in self.terms.items():
+            for i2, c2 in other.terms.items():
+                i = i1 + i2
+                if trunc is not None and i > trunc:
+                    continue
+                out[i] = out.get(i, _ZERO) + c1 * c2
+        return self._trusted(nonzero_terms(out), trunc)
+
+    def derivative(self):
+        # d/dx x^(sign*i) = sign*i * x^(sign*i - 1), the term at index
+        # i - sign; the constant term drops out
+        sign = self._SIGN
+        out = {i - sign: sign * i * c for i, c in self.terms.items() if i}
+        return self._trusted(out, None if self.trunc is None else self.trunc - sign)
+
+    def _term(self, i: int, c: Fraction) -> tuple:
+        return c, monomial_text(c, self._SIGN * i)
+
+
+class LaurentTail(_ScalarSeries):
+    """Truncated Laurent expansion at infinity: sum_s c_s * x^(-s).
+
+    ``terms`` maps the index s (negated exponent) to a nonzero coefficient.
+    Indices at most ``trunc`` are exact; ``trunc=None`` means the tail is an
+    exact Laurent polynomial (all absent coefficients are zero).
+    """
+
+    __slots__ = ("terms", "trunc")
+    _SIGN = -1
+
+    @staticmethod
+    def x_power(exponent: int, coeff: ScalarLike = 1) -> "LaurentTail":
+        """Exact tail for coeff * x^exponent."""
+        return LaurentTail({-exponent: _frac(coeff)}, None)
 
     def leading(self) -> tuple[int, Fraction]:
         if not self.terms:
@@ -775,55 +903,6 @@ class LaurentTail(Record):
             return None
         return -min(self.terms)
 
-    # -- arithmetic
-
-    def __neg__(self) -> "LaurentTail":
-        return LaurentTail._trusted({s: -c for s, c in self.terms.items()}, self.trunc)
-
-    def __add__(self, other: "LaurentTail") -> "LaurentTail":
-        trunc = min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, _ZERO) + c
-        return LaurentTail._trusted(_nonzero_terms(out, trunc), trunc)
-
-    def __sub__(self, other: "LaurentTail") -> "LaurentTail":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "LaurentTail":
-        c = _frac(c)
-        if not c:
-            return LaurentTail._trusted({}, self.trunc)
-        return LaurentTail._trusted({s: v * c for s, v in self.terms.items()}, self.trunc)
-
-    def __mul__(self, other: "LaurentTail") -> "LaurentTail":
-        # Exact zero absorbs; otherwise contamination from either factor's
-        # unknown range is shifted by the other factor's leading index.
-        if (self.is_zero() and self.trunc is None) or (
-            other.is_zero() and other.trunc is None
-        ):
-            return LaurentTail._trusted({}, None)
-        cands = []
-        if self.trunc is not None:
-            cands.append(self.trunc + other._known_floor())
-        if other.trunc is not None:
-            cands.append(other.trunc + self._known_floor())
-        trunc = min(cands) if cands else None
-        out: dict[int, Fraction] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                s = s1 + s2
-                if trunc is not None and s > trunc:
-                    continue
-                out[s] = out.get(s, _ZERO) + c1 * c2
-        return LaurentTail._trusted(_nonzero_terms(out, None), trunc)
-
-    def derivative(self) -> "LaurentTail":
-        # d/dx x^-s = -s x^-(s+1); the constant term drops out.
-        out = {s + 1: -s * c for s, c in self.terms.items() if s != 0}
-        trunc = None if self.trunc is None else self.trunc + 1
-        return LaurentTail._trusted(out, trunc)
-
     def antiderivative(self) -> "LaurentTail":
         """Term-by-term antiderivative, zero constant of integration.
 
@@ -835,10 +914,6 @@ class LaurentTail(Record):
         out = {s - 1: c / (1 - s) for s, c in self.terms.items()}
         trunc = None if self.trunc is None else self.trunc - 1
         return LaurentTail._trusted(out, trunc)
-
-    def restrict(self, trunc: Optional[int]) -> "LaurentTail":
-        new = min_trunc(self.trunc, trunc)
-        return LaurentTail._trusted(_nonzero_terms(self.terms, new), new)
 
     def known_count(self) -> Optional[int]:
         """Number of known coefficients from the leading index down to the
@@ -857,33 +932,23 @@ class LaurentTail(Record):
             out = out + RatFunc.x_power(-s, c)
         return out
 
-    def __str__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for s in sorted(self.terms):
-                parts.append(_fmt_exp_term(self.terms[s], -s, first=not parts))
-            body = "".join(parts)
-        tail = "" if self.trunc is None else f" + O(x^{-(self.trunc + 1)})"
-        return body + tail
 
-
-_set_tail_terms = LaurentTail.terms.__set__
-_set_tail_trunc = LaurentTail.trunc.__set__
-
-
-def _fmt_exp_term(c: Fraction, exponent: int, first: bool) -> str:
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    if exponent == 0:
-        body = str(mag)
-    else:
-        v = "x" if exponent == 1 else f"x^{exponent}"
-        body = v if mag == 1 else f"{mag}*{v}"
-    if first:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
+def _quotient_terms(num: tuple, den: tuple, start: int, count: int) -> dict:
+    """The first ``count`` coefficients of the power series num/den in one
+    variable (den[0] != 0), keyed by ``start`` + their degree, zeros
+    dropped."""
+    lead = den[0]
+    series: list[Fraction] = []
+    out: dict[int, Fraction] = {}
+    for i in range(count):
+        acc = num[i] if i < len(num) else _ZERO
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * series[i - j]
+        c = acc / lead
+        series.append(c)
+        if c:
+            out[start + i] = c
+    return out
 
 
 def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
@@ -892,26 +957,10 @@ def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
     if f.is_zero():
         return LaurentTail._trusted({}, M)
     num, den = f.num, f.den
-    n, d = num.degree, den.degree
-    start = d - n  # index of the leading term
-    count = M - start + 1
-    if count <= 0:
-        return LaurentTail._trusted({}, M)
-    # reverse coefficients: num(x) = x^n * num_rev(1/x), den likewise
-    num_rev = list(reversed(num.coeffs))
-    den_rev = list(reversed(den.coeffs))
-    # power-series division num_rev / den_rev in t = 1/x
-    lead = den_rev[0]
-    out: dict[int, Fraction] = {}
-    series = [Fraction(0)] * count
-    for i in range(count):
-        acc = num_rev[i] if i < len(num_rev) else Fraction(0)
-        for j in range(1, min(i, len(den_rev) - 1) + 1):
-            acc -= den_rev[j] * series[i - j]
-        series[i] = acc / lead
-        if series[i] != 0:
-            out[start + i] = series[i]
-    return LaurentTail._trusted(out, M)
+    # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise
+    start = den.degree - num.degree  # index of the leading term
+    terms = _quotient_terms(num.coeffs[::-1], den.coeffs[::-1], start, M - start + 1)
+    return LaurentTail._trusted(terms, M)
 
 
 def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
@@ -1010,7 +1059,7 @@ def rat_antiderivative(g: RatFunc, max_rounds: int = 4) -> RatFunc:
 # truncated power series at the origin
 # ---------------------------------------------------------------------------
 
-class PowerSeries(Record):
+class PowerSeries(_ScalarSeries):
     """Truncated (Laurent) series at the origin: sum_e c_e * x^e.
 
     Exponents below zero are allowed internally (they arise while applying
@@ -1019,109 +1068,10 @@ class PowerSeries(Record):
     """
 
     __slots__ = ("terms", "trunc")
-
-    def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
-                 trunc: Optional[int] = None):
-        clean = {int(e): _frac(c) for e, c in (terms or {}).items()}
-        _set_series_terms(self, _nonzero_terms(clean, trunc))
-        _set_series_trunc(self, trunc)
-
-    @classmethod
-    def _trusted(cls, terms: dict, trunc: Optional[int]) -> "PowerSeries":
-        """Wrap a clean ``terms`` dict (see the module docstring), unchecked."""
-        self = _new(cls)
-        _set_series_terms(self, terms)
-        _set_series_trunc(self, trunc)
-        return self
-
-    @staticmethod
-    def zero(trunc: Optional[int] = None) -> "PowerSeries":
-        return PowerSeries._trusted({}, trunc)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "PowerSeries":
-        return PowerSeries({e: c for e, c in enumerate(p.coeffs)}, None)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
-
-    def _known_floor(self) -> int:
-        if self.terms:
-            return min(self.terms)
-        if self.trunc is not None:
-            return self.trunc + 1
-        return FAR_INDEX
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries._trusted({e: -c for e, c in self.terms.items()}, self.trunc)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        trunc = min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return PowerSeries._trusted(_nonzero_terms(out, trunc), trunc)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
-
-    def scale(self, c: ScalarLike) -> "PowerSeries":
-        c = _frac(c)
-        if not c:
-            return PowerSeries._trusted({}, self.trunc)
-        return PowerSeries._trusted({e: v * c for e, v in self.terms.items()}, self.trunc)
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if (self.is_zero() and self.trunc is None) or (
-            other.is_zero() and other.trunc is None
-        ):
-            return PowerSeries._trusted({}, None)
-        cands = []
-        if self.trunc is not None:
-            cands.append(self.trunc + other._known_floor())
-        if other.trunc is not None:
-            cands.append(other.trunc + self._known_floor())
-        trunc = min(cands) if cands else None
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if trunc is not None and e > trunc:
-                    continue
-                out[e] = out.get(e, _ZERO) + c1 * c2
-        return PowerSeries._trusted(_nonzero_terms(out, None), trunc)
-
-    def derivative(self) -> "PowerSeries":
-        out = {e - 1: e * c for e, c in self.terms.items() if e != 0}
-        trunc = None if self.trunc is None else self.trunc - 1
-        return PowerSeries._trusted(out, trunc)
+    _SIGN = 1
 
     def min_exponent(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(self.terms)
-
-    def restrict(self, trunc: Optional[int]) -> "PowerSeries":
-        new = min_trunc(self.trunc, trunc)
-        return PowerSeries._trusted(_nonzero_terms(self.terms, new), new)
-
-    def __str__(self):
-        if not self.terms:
-            body = "0"
-        else:
-            parts = []
-            for e in sorted(self.terms):
-                parts.append(_fmt_exp_term(self.terms[e], e, first=not parts))
-            body = "".join(parts)
-        tail = "" if self.trunc is None else f" + O(x^{self.trunc + 1})"
-        return body + tail
-
-
-_set_series_terms = PowerSeries.terms.__set__
-_set_series_trunc = PowerSeries.trunc.__set__
+        return self.start
 
 
 def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:
@@ -1130,22 +1080,8 @@ def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:
     if f.is_zero():
         return PowerSeries._trusted({}, M)
     num, den = f.num, f.den
-    v = den.valuation()
-    unit = Poly(den.coeffs[v:])  # den = x^v * unit, unit(0) != 0
-    lead = unit.coeff(0)
-    nv = num.valuation()
-    ncs = num.coeffs[nv:]
+    # num = x^nv * (its unit part), den = x^v * unit with unit(0) != 0
+    nv, v = num.valuation(), den.valuation()
     start = nv - v
-    count = M - start + 1
-    if count <= 0:
-        return PowerSeries._trusted({}, M)
-    series = [Fraction(0)] * count
-    out: dict[int, Fraction] = {}
-    for i in range(count):
-        acc = ncs[i] if i < len(ncs) else Fraction(0)
-        for j in range(1, min(i, unit.degree) + 1):
-            acc -= unit.coeff(j) * series[i - j]
-        series[i] = acc / lead
-        if series[i] != 0:
-            out[start + i] = series[i]
-    return PowerSeries._trusted(out, M)
+    terms = _quotient_terms(num.coeffs[nv:], den.coeffs[v:], start, M - start + 1)
+    return PowerSeries._trusted(terms, M)

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, ZeroOperand
-from .rational import Poly, RatFunc
+from .rational import Poly, RatFunc, decomposition_roots
 from .diffop import DiffOp
 from .record import Record
 
@@ -262,13 +262,12 @@ def _match_binomial_power(p: Poly) -> Optional[tuple[int, Fraction]]:
     return None
 
 
-def _perfect_power(a0: int, b0: int, p: Poly) -> Optional[int]:
+def _perfect_power(a0: int, b0: int, factors: list[tuple[Poly, int]]) -> Optional[int]:
     """Largest d >= 2 with f = h^d structurally (gcd of the squarefree
-    multiplicities of p and the monomial prefactor exponents)."""
-    if p.degree < 0:
-        return None
+    multiplicities of p, given by its decomposition ``factors``, and the
+    monomial prefactor exponents)."""
     g = 0
-    for _, mult in p.monic().squarefree_decomposition():
+    for _, mult in factors:
         g = gcd(g, mult)
     g = gcd(gcd(g, abs(a0)), abs(b0))
     return g if g >= 2 else None
@@ -291,8 +290,10 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     pre_ok = v > w.rho + w.sigma
     report_kwargs = dict(weight=v, precondition_weight_ok=pre_ok)
 
-    a0, b0, p = _line_data(f, w)
-    perfect = _perfect_power(a0, b0, p)
+    a0, b0, p = _line_data(f, w)  # p != 0, as f != 0
+    # Yun's decomposition of p, run once for all three uses below
+    sqf = p.squarefree_decomposition()
+    perfect = _perfect_power(a0, b0, sqf)
 
     # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
     if w.sigma == 1 and w.rho > 1 and a0 == 0:
@@ -334,7 +335,7 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     # (y + 0 x)-factor of multiplicity b0 - deg p
     if w.rho == 1 and w.sigma == 1 and a0 == 0:
         T = p.degree
-        roots = p.rational_roots()
+        roots = decomposition_roots(sqf)
         total = sum(mult for _, mult in roots)
         if T >= 0 and total == T:
             factors: list[tuple[Fraction, int]] = []
@@ -359,9 +360,7 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
                     **report_kwargs,
                 )
         elif T >= 2:
-            distinct = (1 if b0 - T > 0 else 0) + sum(
-                g.degree for g, _ in p.monic().squarefree_decomposition()
-            )
+            distinct = (1 if b0 - T > 0 else 0) + sum(g.degree for g, _ in sqf)
             if distinct <= 2:
                 return NormalFormReport(
                     case="d", perfect_power=perfect,

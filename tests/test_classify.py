@@ -275,6 +275,15 @@ class TestCli:
         assert doc["kind"] == "obstruction"
         assert doc["verdict"] == "obstructed"
 
+    @pytest.mark.parametrize("command, trunc", [("airy-wave", "0"), ("airy-wave", "-2"),
+                                                ("wave", "0"), ("classify", "0")])
+    def test_trunc_below_one_is_an_input_error(self, command, trunc):
+        # airy-wave used to exit 1 with a ValueError traceback
+        out = run_cli(command, "d^3 - x", "--trunc", trunc)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"input error: --trunc must be at least 1, got {trunc}\n"
+
     def test_weights(self):
         out = run_cli("weights", "d^3 - x")
         assert "(rho, sigma) = (3, 1)" in out.stdout

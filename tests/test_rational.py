@@ -10,7 +10,9 @@ from bispec import (
     InsufficientPrecision,
     LaurentTail,
     LogObstruction,
+    PDO,
     Poly,
+    PowerSeries,
     RatFunc,
     ZeroDenominator,
     antiderivative,
@@ -18,6 +20,7 @@ from bispec import (
     rat_antiderivative,
     ratfunc_canonicalize,
     rational_reconstruct,
+    taylor_expand_at_zero,
 )
 from bispec.errors import ReconstructionFailed
 
@@ -191,6 +194,37 @@ class TestLaurentExpand:
         num_tail = laurent_expand(RatFunc(f.num), 9)
         resid = t * den_tail - num_tail
         assert all(c == 0 for s, c in resid.terms.items() if resid.known(s))
+
+
+class TestSeriesText:
+    """LaurentTail, PowerSeries and PDO share one series body and one
+    printer; these pin the printed forms and the mirrored derivatives."""
+
+    def test_laurent_tail(self):
+        t = LaurentTail({-1: -1, 0: 2, 2: Fraction(-3, 4)}, 3)
+        assert str(t) == "-x + 2 - 3/4*x^-2 + O(x^-4)"
+        assert str(t.derivative()) == "-1 + 3/2*x^-3 + O(x^-5)"
+        assert str(-t) == "x - 2 + 3/4*x^-2 + O(x^-4)"
+        assert str(LaurentTail.zero(2)) == "0 + O(x^-3)"
+
+    def test_power_series(self):
+        s = PowerSeries({-1: -2, 0: 1, 1: 1}, 2)
+        assert str(s) == "-2*x^-1 + 1 + x + O(x^3)"
+        assert str(s.derivative()) == "2*x^-2 + 1 + O(x^2)"
+        assert str(s * s) == "4*x^-2 - 4*x^-1 - 3 + 2*x + O(x^2)"
+        assert str(PowerSeries.from_poly(Poly([0, 1]))) == "x"
+
+    def test_expansions_at_both_ends(self):
+        f = RatFunc(Poly([1, 2]), Poly([0, 0, 1, 1]))
+        assert str(taylor_expand_at_zero(f, 3)) == (
+            "x^-2 + x^-1 - 1 + x - x^2 + x^3 + O(x^4)")
+        assert str(laurent_expand(f, 5)) == "2*x^-2 - x^-3 + x^-4 - x^-5 + O(x^-6)"
+
+    def test_poly_and_pdo(self):
+        assert str(Poly([Fraction(-1, 2), 0, -1, 3])) == "3*x^3 - x^2 - 1/2"
+        P = PDO("x", {-1: RatFunc.one(), 2: RatFunc.x_power(-1).scale(-1)}, 3)
+        assert str(P) == "(1)*d^1 + ((-1)/(x))*d^-2 + O(d^-4)"
+        assert str(PDO("x", {})) == "0"
 
 
 class TestRationalReconstruct:

@@ -184,6 +184,18 @@ class TestNormalForm:
         nf = normal_form_test(BiHomPoly({(0, 2): 1, (2, 0): -2}), w)
         assert nf.unresolved_over_Q
 
+    def test_case_d_decomposes_once(self, monkeypatch):
+        # the perfect-power exponent, the rational roots and the count of
+        # distinct factors all come from one square-free decomposition of p
+        calls = []
+        original = Poly.squarefree_decomposition
+        monkeypatch.setattr(Poly, "squarefree_decomposition",
+                            lambda p: calls.append(p) or original(p))
+        w = WeightPair(1, 1, (1, 1))
+        nf = normal_form_test(BiHomPoly({(0, 2): 1, (2, 0): -2}), w)
+        assert nf.unresolved_over_Q
+        assert len(calls) == 1
+
     def test_perfect_power(self):
         w = WeightPair(2, 1, (1, 0))
         f = BiHomPoly({(0, 4): 1, (1, 2): -2, (2, 0): 1})  # (y^2 - x)^2
