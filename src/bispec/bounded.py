@@ -44,18 +44,11 @@ from .diffop import (
     ad_condition_min_m,
     ad_pow,
     commutator,
+    leibniz_product,
     transpose_weyl,
 )
 from .linalg import nullspace, rref
 from .record import Record
-
-
-def _binom_general(n: int, t: int) -> Fraction:
-    """Generalized binomial C(n, t) for integer n (negative allowed)."""
-    out = Fraction(1)
-    for s in range(t):
-        out *= Fraction(n - s, s + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +133,18 @@ class PDO(TruncatedSeries):
                             self.trunc)
 
     def __mul__(self, other: "PDO") -> "PDO":
-        """Product, exact through the combined truncation.  It keeps its
-        own loop: the generalized binomial C(-i, t) and the cut at the
-        truncation end each chain, where ``leibniz_product`` runs every
-        chain to t = i."""
+        """Product, exact through the combined truncation: the shared
+        Leibniz kernel on the powers d^(-j), whose chains for d^-i, i > 0,
+        end at the truncation or when the derivatives of b die out."""
         self._check(other)
         trunc = self._product_trunc(other)
-        out: dict[int, RatFunc] = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                # d^-i o b = sum_t C(-i, t) b^(t) d^(-i-t); for i <= 0 the
-                # binomial kills t > -i, for i > 0 the sum ends only when
-                # the derivative chain of b dies (b polynomial) or at the
-                # truncation.
-                if trunc is None and i > 0 and not b.is_polynomial():
-                    raise NotInDomain(
-                        "untruncated product with infinite expansion"
-                    )
-                deriv = b
-                t = 0
-                while not deriv.is_zero():
-                    if i <= 0 and t > -i:
-                        break
-                    k = i + j + t
-                    if trunc is not None and k > trunc:
-                        break
-                    cb = _binom_general(-i, t)
-                    if cb != 0:
-                        coeff = a * deriv.scale(cb)
-                        out[k] = out.get(k, _RAT_ZERO) + coeff
-                    deriv = deriv.derivative()
-                    t += 1
-        return PDO._trusted(self.var, nonzero_terms(out), trunc)
+        if (trunc is None and any(i > 0 for i in self.terms)
+                and not all(b.is_polynomial() for b in other.terms.values())):
+            raise NotInDomain("untruncated product with infinite expansion")
+        out = leibniz_product({-i: a for i, a in self.terms.items()},
+                              {-j: b for j, b in other.terms.items()},
+                              None if trunc is None else -trunc)
+        return PDO._trusted(self.var, {-k: c for k, c in out.items()}, trunc)
 
     def inverse(self, J: int) -> "PDO":
         """(1 + T)^-1 through index J for series with start index 0 and
@@ -197,7 +170,6 @@ _new = object.__new__
 _set_var = PDO.var.__set__
 _set_terms = PDO.terms.__set__
 _set_trunc = PDO.trunc.__set__
-_RAT_ZERO = RatFunc.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +342,13 @@ class DualOperator(Record):
             raise NormalizationFailed("order of Lambda disagrees with m")
 
 
-def build_lambda(
-    L: DiffOp,
-    theta: Poly,
-    J: int,
-    bounds: Optional[int] = None,
-) -> DualOperator:
+def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
     """Assemble Lambda = sum_j z^-j Theta_j(d_z), regroup by powers of d_z
     and lift each z^-1 series coefficient to a rational function.
 
-    Degree bounds for the lift grow from small up to ``bounds`` (default
-    2m), capped by the available truncation; the reconstruction is verified
-    by exact re-expansion.  The normalization Lambda_m = 1, Lambda_{m-1} = 0
+    Degree bounds for the lift grow from 0 up to max(2m, 2), capped by
+    the available truncation; the reconstruction is verified by exact
+    re-expansion.  The normalization Lambda_m = 1, Lambda_{m-1} = 0
     is asserted."""
     f, _ = split_constant_part(L)  # raises UnboundedCoefficient
     w = wave_operator(L, f, J)
@@ -392,7 +359,6 @@ def build_lambda(
             f"{conj.non_polynomial}"
         )
     m = conj.max_degree
-    cap = bounds if bounds is not None else max(2 * m, 2)
     lam_coeffs: dict[int, RatFunc] = {}
     for i in range(m + 1):
         tail_terms = {}
@@ -403,7 +369,7 @@ def build_lambda(
                 tail_terms[j] = v
         tail = LaurentTail(tail_terms, J)
         got: Optional[RatFunc] = None
-        for d in range(0, cap + 1):
+        for d in range(max(2 * m, 2) + 1):
             if 2 * d + 2 > J + 1:
                 break
             try:

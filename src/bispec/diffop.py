@@ -28,7 +28,6 @@ the shared ``RatFunc.one()`` and ``RatFunc.x()`` instances.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -214,36 +213,47 @@ _set_coeffs = DiffOp.coeffs.__set__
 # products, brackets, ad powers
 # ---------------------------------------------------------------------------
 
-def leibniz_product(left: dict, right: dict) -> dict:
+def leibniz_product(left: dict, right: dict, floor: Optional[int] = None,
+                    first: int = 0) -> dict:
     """The coefficients of (sum_i a_i d^i) o (sum_j b_j d^j) in normal
     order, by d^i o b = sum_t C(i, t) b^(t) d^(i-t), cleaned by
-    ``nonzero_terms``.  Coefficients need ``*``, ``+``, ``scale``,
-    ``derivative`` and truth; ``RatFunc`` and ``LaurentTail`` have them."""
+    ``nonzero_terms``.  Exponents may be negative (pseudo-differential
+    series); the binomial C(i, t) is then the generalized one.  A chain
+    ends when the binomial reaches 0 (t > i >= 0), when b^(t) vanishes, or
+    below the power ``floor`` when one is given.  Terms with t < ``first``
+    are left out: with ``first=1`` the product drops the a_i b_j d^(i+j)
+    that cancel in a commutator.  Coefficients need ``*``, ``+``,
+    ``scale``, ``derivative`` and truth; ``RatFunc`` and ``LaurentTail``
+    have them."""
     out = {}
     for i, a in left.items():
         for j, b in right.items():
-            deriv = b
-            for t in range(i + 1):
-                if deriv:
-                    k = i - t + j
-                    term = a * deriv.scale(comb(i, t))
+            k, c, t, deriv = i + j, 1, 0, b
+            while floor is None or k >= floor:
+                if t >= first:
+                    term = a * deriv if c == 1 else a * deriv.scale(c)
                     out[k] = out[k] + term if k in out else term
-                if t < i:
-                    deriv = deriv.derivative()
+                c = c * (i - t) // (t + 1)
+                if not c or k == floor:
+                    break
+                t += 1
+                k -= 1
+                deriv = deriv.derivative()
+                if not deriv:
+                    break
     return nonzero_terms(out)
 
 
 def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
     """Normal-ordered product L o M via the Leibniz rule."""
     L._check_var(M)
-    if L.order <= 0:
-        return M.mul_function(L.coeff(0))
     return DiffOp._trusted(L.var, leibniz_product(L.coeffs, M.coeffs))
 
 
 def commutator(L: DiffOp, M: DiffOp) -> DiffOp:
-    """[L, M] = LM - ML."""
-    return dop_mul(L, M) - dop_mul(M, L)
+    """[L, M] = LM - ML, without the t = 0 Leibniz terms, which cancel."""
+    LM = DiffOp._trusted(L.var, leibniz_product(L.coeffs, M.coeffs, first=1))
+    return LM - DiffOp._trusted(M.var, leibniz_product(M.coeffs, L.coeffs, first=1))
 
 
 def ad_pow(L: DiffOp, G: DiffOp, m: int) -> DiffOp:

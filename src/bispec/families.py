@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import BadIndex, FormViolation, FormViolationWarning, NotAFactor
-from .rational import Poly, RatFunc, ScalarLike, laurent_expand
+from .rational import Poly, RatFunc, ScalarLike
 from .diffop import DiffOp, commutator, dop_mul, euler_operator, right_divide
 from .record import Record
 
@@ -182,14 +182,11 @@ def bessel_recover(L: DiffOp) -> Optional[BesselSpec]:
 # ---------------------------------------------------------------------------
 
 def _is_function_of_xN(q: RatFunc, N: int) -> bool:
-    """Exact test for q(x) in Q(x^N), via the expansion at infinity: all
-    exponents must be congruent to 0 mod N through a depth that separates
-    distinct rational functions of the occurring degrees."""
-    if q.is_zero():
-        return True
-    depth = 2 * (max(q.num.degree, 0) + max(q.den.degree, 0)) + 2 * N + 4
-    tail = laurent_expand(q, depth)
-    return all(s % N == 0 for s in tail.terms)
+    """Exact test for q(x) in Q(x^N): every exponent of the canonical
+    numerator and denominator must be divisible by N.  The canonical form
+    is gcd-reduced with a monic denominator, and A(x^N), B(x^N) stay
+    coprime when A and B are, so a function of x^N keeps that shape."""
+    return all(e % N == 0 for p in (q.num, q.den) for e, c in enumerate(p.coeffs) if c)
 
 
 def p_form_check(P: DiffOp, N: int) -> bool:

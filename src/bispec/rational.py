@@ -1027,7 +1027,7 @@ def antiderivative(t: LaurentTail) -> LaurentTail:
 # rational antiderivative (tail propose, exact derivative verify)
 # ---------------------------------------------------------------------------
 
-def rat_antiderivative(g: RatFunc, max_rounds: int = 4) -> RatFunc:
+def rat_antiderivative(g: RatFunc) -> RatFunc:
     """Antiderivative of a rational function, certified rational.
 
     Proposes a candidate by integrating the Laurent tail at infinity and
@@ -1040,7 +1040,7 @@ def rat_antiderivative(g: RatFunc, max_rounds: int = 4) -> RatFunc:
         return RatFunc.zero()
     dn = max(g.num.degree - g.den.degree + 1, 0) + g.den.degree
     dd = g.den.degree
-    for round_ in range(max_rounds):
+    for round_ in range(4):  # four rounds of growing degree bounds
         degN = dn + round_ * (dn + 2)
         degD = dd + round_ * (dd + 2)
         depth = degN + degD + 4 + max(0, -g.infinity_order())
