@@ -554,7 +554,7 @@ def centralizer_search(
                 for (j, i) in basis_ops]
     # common denominator per derivative power, then polynomial coordinates
     all_degrees = sorted({k for B in brackets for k in B.coeffs})
-    rows_by_key: dict[tuple[int, int], list[Fraction]] = {}
+    rows_by_key: dict[tuple[int, int], dict[int, Fraction]] = {}
     ncols = len(basis_ops)
     for k in all_degrees:
         den = Poly.one()
@@ -570,22 +570,19 @@ def centralizer_search(
             numer = c.num * mult
             for e, v in enumerate(numer.coeffs):
                 if v != 0:
-                    row = rows_by_key.setdefault((k, e), [Fraction(0)] * ncols)
-                    row[col] += v
+                    rows_by_key.setdefault((k, e), {})[col] = v
     sols = nullspace(list(rows_by_key.values()), ncols)
     # echelonize by descending derivative power so orders are exposed
     coord_order = sorted(range(ncols),
                          key=lambda c: (-basis_ops[c][0], -basis_ops[c][1]))
-    perm = [[vec[c] for c in coord_order] for vec in sols]
-    red, _ = rref(perm, ncols)
+    pos_of = {c: pos for pos, c in enumerate(coord_order)}
+    red, _ = rref([{pos_of[c]: v for c, v in vec.items()} for vec in sols])
     gens: list[DiffOp] = []
-    inv = {pos: c for pos, c in enumerate(coord_order)}
     for vec in red:
         coeffs: dict[int, RatFunc] = {}
-        for pos, v in enumerate(vec):
-            if v != 0:
-                j, i = basis_ops[inv[pos]]
-                coeffs[j] = coeffs.get(j, RatFunc.zero()) + RatFunc.x_power(i - d, v)
+        for pos, v in sorted(vec.items()):
+            j, i = basis_ops[coord_order[pos]]
+            coeffs[j] = coeffs.get(j, RatFunc.zero()) + RatFunc.x_power(i - d, v)
         M = DiffOp(L.var, coeffs)
         if not M.is_zero():
             gens.append(M)

@@ -3,12 +3,14 @@ pipeline.
 
 Exit codes: 0 for any completed report (domain errors are embedded in the
 report), 2 for operator syntax errors and other invalid input (such as a
-truncation below 1), 3 for internal invariant violations.
+truncation below 1 or a negative order budget), 3 for internal invariant
+violations.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional
@@ -53,7 +55,11 @@ def _op(text: str) -> DiffOp:
     return parse_operator(text)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _argument_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: argparse objects
+    hold reference cycles, so a parser per call would leave its objects
+    to the cyclic garbage collector on every in-process call."""
     ap = argparse.ArgumentParser(
         prog="bispec",
         description="Exact computations with differential operators and the "
@@ -91,10 +97,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     add("weights", "expr")
     add("classify", "expr", theta=True, p=True, budget=True, trunc=True)
     add("centralizer", "expr", budget=True)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _argument_parser().parse_args(argv)
     if getattr(args, "trunc", 1) < 1:
         print(f"input error: --trunc must be at least 1, got {args.trunc}",
+              file=sys.stderr)
+        return 2
+    if getattr(args, "order_budget", 0) < 0:
+        print(f"input error: --order-budget must be at least 0, got {args.order_budget}",
               file=sys.stderr)
         return 2
     try:

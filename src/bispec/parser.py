@@ -88,9 +88,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             num = int(text[i:j])
             # rational literal p/q
@@ -99,7 +99,7 @@ def _tokenize(text: str) -> list[_Token]:
                 while k < n and text[k].isspace():
                     k += 1
                 m = k
-                while m < n and text[m].isdigit():
+                while m < n and text[m].isdecimal():
                     m += 1
                 if m == k:
                     raise OperatorSyntaxError("expected denominator digits", k)

@@ -993,21 +993,18 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     ncols = (degN + 1) + (degD + 1)
     rows = []
     for e in range(e_max, e_min - 1, -1):
-        row = [Fraction(0)] * ncols
-        if 0 <= e <= degN:
-            row[e] = Fraction(-1)
+        row = {e: Fraction(-1)} if 0 <= e <= degN else {}
         for i in range(degD + 1):
             c = t.coeff(i - e)
             if c != 0:
-                row[degN + 1 + i] += c
-        if any(v != 0 for v in row):
+                row[degN + 1 + i] = c
+        if row:
             rows.append(row)
     basis = nullspace(rows, ncols)
     for vec in basis:
-        qc = vec[degN + 1:]
-        if any(c != 0 for c in qc):
-            p = Poly(vec[: degN + 1])
-            q = Poly(qc)
+        if max(vec) > degN:  # q != 0
+            p = Poly([vec.get(k, _ZERO) for k in range(degN + 1)])
+            q = Poly([vec.get(degN + 1 + i, _ZERO) for i in range(degD + 1)])
             f = RatFunc(p, q)
             # belt and braces: the reduced representative must re-expand to t
             check = laurent_expand(f, M)

@@ -8,7 +8,9 @@ These deliberately avoid the library's code paths:
   in contrast to the library's coefficient-differentiation Leibniz rule;
 * operator application to explicit Laurent polynomials, so products can be
   checked through their action on functions;
-* commutator chains built on the monomial algebra for ad-condition values.
+* commutator chains built on the monomial algebra for ad-condition values;
+* dense Gauss-Jordan elimination over lists of Fractions, the reference
+  for the library's sparse ``linalg``.
 """
 
 from __future__ import annotations
@@ -147,3 +149,48 @@ def random_diffop(
     if not coeffs:
         coeffs[0] = RatFunc.one()
     return DiffOp("x", coeffs)
+
+
+# dense Gauss-Jordan: matrices are lists of rows, rows lists of Fractions
+
+
+def dense_rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    mat = [list(r) for r in rows if any(c != 0 for c in r)]
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, len(mat)):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = 1 / mat[row][col]
+        mat[row] = [c * inv for c in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return mat[:row], pivots
+
+
+def dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the solution space of rows * v = 0, one vector per free
+    column in ascending order."""
+    mat, pivots = dense_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -mat[r][f]
+        basis.append(vec)
+    return basis

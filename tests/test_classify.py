@@ -1,5 +1,6 @@
 """The classification pipeline, certificate re-verification, and the CLI."""
 
+import gc
 import json
 import random
 import subprocess
@@ -26,6 +27,7 @@ from bispec import (
     perturbation_obstruction,
     print_operator,
 )
+from bispec.cli import main
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -221,6 +223,16 @@ class TestJson:
         assert doc["certificates"]["bessel_betas"] == ["1/2", "1/2"]
 
 
+def test_in_process_calls_leave_no_parser_garbage(capsys):
+    # a parser built per call left about 440 argparse objects in
+    # reference cycles for the garbage collector on every call
+    main(["parse", "d*x"])
+    gc.collect()
+    main(["parse", "d*x"])
+    assert gc.collect() < 50
+    assert capsys.readouterr().out == "x*d + 1\nx*d + 1\n"
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "bispec.cli", *args],
@@ -237,6 +249,12 @@ class TestCli:
     def test_syntax_error_exit_code(self):
         out = run_cli("parse", "d^^2")
         assert out.returncode == 2
+
+    def test_superscript_digit_is_a_syntax_error(self):
+        # used to exit 1 with a ValueError traceback
+        out = run_cli("parse", "x^\u00b2")
+        assert out.returncode == 2
+        assert out.stderr == "syntax error: unexpected character '\u00b2' (at position 2)\n"
 
     def test_classify_json(self):
         out = run_cli("--json", "classify", "d^3 - x")
@@ -283,6 +301,15 @@ class TestCli:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"input error: --trunc must be at least 1, got {trunc}\n"
+
+    @pytest.mark.parametrize("command", ["centralizer", "ad-test", "classify"])
+    def test_negative_order_budget_is_an_input_error(self, command):
+        # centralizer used to print rank 0 with no generators, though the
+        # constants always commute with L
+        out = run_cli(command, "d^2", "--order-budget", "-1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "input error: --order-budget must be at least 0, got -1\n"
 
     def test_weights(self):
         out = run_cli("weights", "d^3 - x")

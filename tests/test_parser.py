@@ -213,11 +213,17 @@ class TestErrors:
         ("*x", 0),
         ("3x", 1),
         ("d^1/2", 2),
+        ("x^\u00b2", 2),  # a superscript two is a digit to str.isdigit, not to int()
+        ("1/\u00b2", 2),
     ])
     def test_positions(self, text, pos):
         with pytest.raises(OperatorSyntaxError) as exc:
             parse_operator(text)
         assert exc.value.position == pos
+
+    def test_other_decimal_digits_are_numbers(self):
+        # int() reads every Unicode decimal digit, e.g. the Arabic-Indic three
+        assert parse_operator("x^\u0663") == parse_operator("x^3")
 
 
 class TestPrint:

@@ -242,6 +242,11 @@ class TestRationalReconstruct:
         t = LaurentTail({s: Fraction(1, factorial(s)) for s in range(8)}, 7)
         assert rational_reconstruct(t, 2, 2) is None
 
+    def test_unmatched_numerator_coefficient_is_no_solution(self):
+        # the window x^11..x^1 leaves p_0 free: its nullspace vector has q = 0
+        t = laurent_expand(RatFunc(Poly([0] * 9 + [1])) + RatFunc(Poly([1]), Poly([1, 1])), 1)
+        assert rational_reconstruct(t, 0, 2) is None
+
     def test_insufficient_precision(self):
         t = LaurentTail({1: Fraction(1)}, 2)
         with pytest.raises(InsufficientPrecision):
