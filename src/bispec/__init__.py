@@ -100,6 +100,7 @@ from .bounded import (
     build_lambda,
     centralizer_search,
     conjugate_theta,
+    fuchs_violation,
     involution_b,
     q_polynomial_in_L,
     split_constant_part,

@@ -1,7 +1,7 @@
 """Bounded-coefficient machinery: wave operators for L K = K f(d),
 conjugation of theta through K, the anti-isomorphism b, reconstruction of
-the dual operator Lambda, the polynomial-identity obstruction chain, and
-bounded centralizer search.
+the dual operator Lambda, the polynomial-identity obstruction chain,
+bounded centralizer search, and Fuchs' criterion at the finite poles.
 
 Pseudo-differential series are stored as maps from the index j of d^-j to
 exact rational-function coefficients; negative indices are differential
@@ -23,6 +23,7 @@ from .errors import (
     NormalizationFailed,
     NotCommuting,
     NotInDomain,
+    NotMonic,
     NotRankOrderCase,
     ReconstructionFailed,
     TruncationTooShort,
@@ -194,6 +195,34 @@ def split_constant_part(L: DiffOp) -> tuple[Poly, DiffOp]:
     top = max(fcoeffs) if fcoeffs else 0
     f = Poly([fcoeffs.get(k, Fraction(0)) for k in range(top + 1)])
     return f, DiffOp(L.var, vcoeffs)
+
+
+# ---------------------------------------------------------------------------
+# Fuchs' criterion at the finite poles
+# ---------------------------------------------------------------------------
+
+def fuchs_violation(L: DiffOp) -> Optional[dict]:
+    """The first finite pole at which the monic L is not regular singular,
+    or None when every finite pole is.
+
+    Fuchs' criterion: the coefficient of d^(N-j) has a pole of order at
+    most j at every point.  The pole orders are the multiplicities of the
+    square-free decomposition of each reduced denominator, so poles at
+    irrational or complex points need no algebraic numbers.  Coefficients
+    are scanned from d^(N-1) down, and within one coefficient the factor
+    of highest multiplicity is named."""
+    if L.is_zero() or not L.is_monic():
+        raise NotMonic("Fuchs' criterion needs a monic operator")
+    N = L.order
+    for k in sorted(L.coeffs, reverse=True)[1:]:
+        bound = N - k
+        excess = [(mult, g) for g, mult in L.coeffs[k].den.squarefree_decomposition()
+                  if mult > bound]
+        if excess:
+            mult, g = excess[-1]
+            return {"factor": str(g), "coefficient": f"d^{k}",
+                    "pole_order": mult, "fuchs_bound": bound}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +556,7 @@ class CentralizerResult(Record):
     __slots__ = ("generators", "orders", "rank")
     generators: tuple[DiffOp, ...]
     orders: tuple[int, ...]
-    rank: int
+    rank: Optional[int]  # None when only the constants were found
 
 
 def centralizer_search(
@@ -540,7 +569,8 @@ def centralizer_search(
     deg p_j <= num_degree, d = pole_order.
 
     Returns a basis of the solution space (echelonized so leading terms are
-    distinct), the orders, and the gcd of the orders as the rank estimate.
+    distinct), the orders, and the gcd of the nonzero orders as the rank
+    estimate (None when the search finds only the constants).
     """
     if pole_order is None:
         pole_order = max_ord
@@ -590,4 +620,6 @@ def centralizer_search(
         if not commutator(L, M).is_zero():
             raise NotCommuting("search produced a non-commuting element")
     orders = tuple(M.order for M in gens)
-    return CentralizerResult(generators=tuple(gens), orders=orders, rank=gcd(*orders))
+    nonconstant = [n for n in orders if n]
+    return CentralizerResult(generators=tuple(gens), orders=orders,
+                             rank=gcd(*nonconstant) if nonconstant else None)

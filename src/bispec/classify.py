@@ -4,7 +4,9 @@ Branching follows coefficient growth at infinity.  Increasing branch:
 weight selection, normal-form test, principal part, perturbation
 obstruction; the only bispectral survivors are the generalized Airy
 operators.  Bounded branch: exact shape matches for constant-coefficient
-and Bessel operators, then the ad-condition chain; a passing chain with all
+and Bessel operators, then two cheap exact obstructions (Fuchs' pole-order
+criterion and a logarithm in the first wave coefficients), then the
+ad-condition chain; a passing chain with all
 constants zero marks a monomial-Darboux-of-Bessel candidate (rank = order),
 while a failing constants check or a non-polynomial ad power routes to the
 constant-coefficient Darboux branch (rank 1).
@@ -24,6 +26,7 @@ from .rational import Poly, RatFunc
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
 from .parser import parse_operator, print_operator
 from .families import (
+    BesselSpec,
     bessel_integrality,
     bessel_recover,
     is_euler_homogeneous,
@@ -40,6 +43,7 @@ from .bounded import (
     bounded_test,
     build_lambda,
     centralizer_search,
+    fuchs_violation,
     split_constant_part,
     wave_operator,
 )
@@ -198,47 +202,28 @@ def classify(
     # Pure powers d^N are also constant-coefficient: that verdict wins.
     if (P is None and is_euler_homogeneous(L)
             and not all(c.is_constant() for c in L.coeffs.values())):
-        spec = bessel_recover(L)
         report.operator = L
         report.branch = "bounded"
-        if spec is not None:
-            report.verdict = VERDICT_BESSEL
-            report.certificates["bessel_betas"] = list(spec.betas)
-            report.certificates["bessel_integrality"] = bessel_integrality(spec)
-            want = Fraction(N * (N - 1), 2)
-            report.certificates["bessel_weight_sum_normalized"] = (
-                sum(spec.betas, Fraction(0)) == want
-            )
-        else:
-            report.verdict = VERDICT_INCONCLUSIVE
+        if not _bessel_verdict(L, report):
             report.certificates["note"] = (
                 "Euler-homogeneous of Bessel shape but the symbol roots are "
                 "not all rational: unresolved over Q"
             )
-        if not prime and report.verdict in FAMILY_VERDICTS:
-            report.certificates["composite_note"] = (
-                f"order {N} is not prime: family verdicts do not apply; "
-                f"certificates indicate {report.verdict}"
-            )
-            report.verdict = VERDICT_INCONCLUSIVE
-        report.trace_sizes = _size_stats(report.operator)
-        return report
-
-    if not L.coeff(N - 1).is_zero():
-        try:
-            L, gprime = gauge_normalize(L)
-            report.certificates["gauge"] = gprime
-        except err.BispecError as e:
-            report.errors.append(f"{type(e).__name__}: {e}")
-            return report
-    report.operator = L
-
-    increasing = any(c.infinity_order() > 0 for c in L.coeffs.values())
-    report.branch = "increasing" if increasing else "bounded"
-    if increasing:
-        _classify_increasing(L, report, budgets)
     else:
-        _classify_bounded(L, report, budgets, theta, P)
+        if not L.coeff(N - 1).is_zero():
+            try:
+                L, gprime = gauge_normalize(L)
+                report.certificates["gauge"] = gprime
+            except err.BispecError as e:
+                report.errors.append(f"{type(e).__name__}: {e}")
+                return report
+        report.operator = L
+        increasing = any(c.infinity_order() > 0 for c in L.coeffs.values())
+        report.branch = "increasing" if increasing else "bounded"
+        if increasing:
+            _classify_increasing(L, report, budgets)
+        else:
+            _classify_bounded(L, report, budgets, theta, P)
 
     if not prime and report.verdict in FAMILY_VERDICTS:
         report.certificates["composite_note"] = (
@@ -248,6 +233,30 @@ def classify(
         report.verdict = VERDICT_INCONCLUSIVE
     report.trace_sizes = _size_stats(report.operator)
     return report
+
+
+def _record_bessel(L: DiffOp, report: ClassificationReport) -> Optional[BesselSpec]:
+    """Record the betas of an Euler-homogeneous L; None when the symbol
+    roots are not all rational."""
+    spec = bessel_recover(L)
+    if spec is not None:
+        report.certificates["bessel_betas"] = list(spec.betas)
+        report.certificates["bessel_integrality"] = bessel_integrality(spec)
+    return spec
+
+
+def _bessel_verdict(L: DiffOp, report: ClassificationReport) -> bool:
+    """Bessel(2) with its certificates for an Euler-homogeneous L whose
+    betas are rational; False (and nothing recorded) otherwise."""
+    spec = _record_bessel(L, report)
+    if spec is None:
+        return False
+    report.verdict = VERDICT_BESSEL
+    N = L.order
+    report.certificates["bessel_weight_sum_normalized"] = (
+        sum(spec.betas, Fraction(0)) == Fraction(N * (N - 1), 2)
+    )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +356,37 @@ def _classify_bounded(
         return
 
     if is_euler_homogeneous(L):
-        # reachable only with a supplied factor (classify() short-circuits
-        # the Bessel shape otherwise): record the facts, run the Darboux
-        # analysis the caller asked for
-        spec = bessel_recover(L)
-        if spec is not None:
-            report.certificates["bessel_betas"] = list(spec.betas)
-            report.certificates["bessel_integrality"] = bessel_integrality(spec)
+        # the front test saw the operator before the gauge, which can
+        # leave a Bessel operator; with a supplied factor, record the
+        # facts and run the Darboux analysis the caller asked for
+        if P is not None:
+            _record_bessel(L, report)
+        elif _bessel_verdict(L, report):
+            return
 
     if P is not None:
         _darboux_certificate(L, P, N, report)
+
+    # the exact certificates cost about a millisecond, the theta search
+    # up to seconds: every family of the bounded branch is Fuchsian at
+    # its finite poles and has a rational wave operator
+    irregular = fuchs_violation(L)
+    if irregular is not None:
+        report.verdict = VERDICT_OBSTRUCTED
+        report.certificates["irregular_singularity"] = irregular
+        return
+    probe = None  # the first wave coefficients: only a logarithm decides
+    try:
+        wave_operator(L, f, min(budgets.trunc, 4))
+    except err.LogObstruction as e:
+        report.verdict = VERDICT_OBSTRUCTED
+        report.certificates["obstruction"] = (
+            f"wave recursion needs a logarithmic antiderivative: {e}"
+        )
+        return
+    except err.BispecError as e:
+        # kept as text: the exception's traceback holds the probe's frames
+        probe = f"{type(e).__name__}: {e}"
 
     thetas: list[Poly] = []
     if theta is not None:
@@ -370,7 +400,15 @@ def _classify_bounded(
     report.certificates["admissible_thetas"] = [str(t) for t in thetas]
 
     if not thetas:
-        _wave_probe(L, f, report, budgets)
+        report.verdict = VERDICT_INCONCLUSIVE
+        if probe is None:
+            report.certificates["note"] = (
+                f"no admissible theta among monomials up to degree "
+                f"{budgets.theta_lmax} within ad budget {budgets.ad_budget}"
+            )
+        else:
+            report.errors.append(probe)
+            report.certificates["note"] = "wave coefficients not recognized rational"
         return
 
     use = thetas[0]
@@ -428,29 +466,6 @@ def _polynomial_branch(L: DiffOp, report: ClassificationReport, budgets: Budgets
     except err.BispecError as e:
         report.errors.append(f"{type(e).__name__}: {e}")
     report.verdict = VERDICT_POLYNOMIAL
-
-
-def _wave_probe(L: DiffOp, f: Poly, report: ClassificationReport, budgets: Budgets):
-    """Diagnostic when no admissible theta was found: attempt the wave
-    recursion, whose failures certify non-bispectrality."""
-    try:
-        wave_operator(L, f, min(budgets.trunc, 4))
-    except err.LogObstruction as e:
-        report.verdict = VERDICT_OBSTRUCTED
-        report.certificates["obstruction"] = (
-            f"wave recursion needs a logarithmic antiderivative: {e}"
-        )
-        return
-    except err.BispecError as e:
-        report.errors.append(f"{type(e).__name__}: {e}")
-        report.verdict = VERDICT_INCONCLUSIVE
-        report.certificates["note"] = "wave coefficients not recognized rational"
-        return
-    report.verdict = VERDICT_INCONCLUSIVE
-    report.certificates["note"] = (
-        f"no admissible theta among monomials up to degree "
-        f"{budgets.theta_lmax} within ad budget {budgets.ad_budget}"
-    )
 
 
 def _darboux_certificate(L: DiffOp, P: DiffOp, N: int, report: ClassificationReport):

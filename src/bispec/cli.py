@@ -226,7 +226,8 @@ def _dispatch(args) -> int:
         _emit({"orders": sorted(set(res.orders)), "rank": res.rank,
                "generators": gens},
               args.json,
-              [f"orders: {sorted(set(res.orders))}", f"rank estimate: {res.rank}"]
+              [f"orders: {sorted(set(res.orders))}",
+               f"rank estimate: {'undetermined' if res.rank is None else res.rank}"]
               + [f"  {g}" for g in gens])
     return 0
 

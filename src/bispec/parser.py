@@ -41,7 +41,7 @@ coefficient whose denominator is not a power of x is printed as
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
 from .rational import (
@@ -54,7 +54,6 @@ from .rational import (
     signed_sum,
 )
 from .diffop import DiffOp, dop_mul
-from .record import Record
 
 MAX_EXPONENT = 4096
 
@@ -63,75 +62,52 @@ MAX_EXPONENT = 4096
 # lexer
 # ---------------------------------------------------------------------------
 
-class _Token(Record):
-    """kind is one of NUM X D PLUS MINUS STAR CARET LPAREN RPAREN EOF."""
-
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: Optional[Fraction], pos: int):
-        _set_kind(self, kind)
-        _set_value(self, value)
-        _set_pos(self, pos)
+# the tokens of one character; a token is a (kind, value, pos) triple whose
+# kind is one of NUM X D PLUS MINUS STAR CARET LPAREN RPAREN EOF
+_SINGLE = {"x": "X", "d": "D", "+": "PLUS", "-": "MINUS", "*": "STAR",
+           "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
 
 
-_set_kind = _Token.kind.__set__
-_set_value = _Token.value.__set__
-_set_pos = _Token.pos.__set__
+def _digits_end(text: str, i: int, n: int) -> int:
+    while i < n and text[i].isdecimal():
+        i += 1
+    return i
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    append = tokens.append
     i = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        kind = _SINGLE.get(ch)
+        if kind is not None:
+            append((kind, None, i))
             i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
+        elif ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = _digits_end(text, i + 1, n)
             num = int(text[i:j])
-            # rational literal p/q
-            if j < n and text[j] == "/":
+            if j < n and text[j] == "/":  # rational literal p/q
                 k = j + 1
                 while k < n and text[k].isspace():
                     k += 1
-                m = k
-                while m < n and text[m].isdecimal():
-                    m += 1
+                m = _digits_end(text, k, n)
                 if m == k:
                     raise OperatorSyntaxError("expected denominator digits", k)
                 den = int(text[k:m])
                 if den == 0:
                     raise OperatorSyntaxError("zero denominator", k)
-                tokens.append(_Token("NUM", Fraction(num, den), i))
+                append(("NUM", Fraction(num, den), i))
                 i = m
-                continue
-            tokens.append(_Token("NUM", Fraction(num), i))
-            i = j
-            continue
-        if ch == "x":
-            tokens.append(_Token("X", None, i))
-        elif ch == "d":
-            tokens.append(_Token("D", None, i))
-        elif ch == "+":
-            tokens.append(_Token("PLUS", None, i))
-        elif ch == "-":
-            tokens.append(_Token("MINUS", None, i))
-        elif ch == "*":
-            tokens.append(_Token("STAR", None, i))
-        elif ch == "^":
-            tokens.append(_Token("CARET", None, i))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", None, i))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", None, i))
+            else:
+                append(("NUM", Fraction(num), i))
+                i = j
         else:
             raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(_Token("EOF", None, n))
+    append(("EOF", None, n))
     return tokens
 
 
@@ -233,19 +209,19 @@ class _Parser:
         self.pos = 0
         self.var = var
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise OperatorSyntaxError(f"expected {kind}, found {tok.kind}", tok.pos)
-        return self.advance()
+    def expect(self, kind: str) -> tuple:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise OperatorSyntaxError(f"expected {kind}, found {tok[0]}", tok[2])
+        return tok
 
     def as_diffop(self, value: _Value) -> DiffOp:
         return value.diffop(self.var) if type(value) is _Weyl else value
@@ -258,53 +234,53 @@ class _Parser:
 
     def parse(self) -> DiffOp:
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise OperatorSyntaxError(f"unexpected {tok.kind}", tok.pos)
+        kind, _, pos = self.tokens[self.pos]
+        if kind != "EOF":
+            raise OperatorSyntaxError(f"unexpected {kind}", pos)
         return self.as_diffop(value)
 
     def expr(self) -> _Value:
         value = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
+        while (kind := self.kind()) in ("PLUS", "MINUS"):
+            self.pos += 1
             value, rhs = self.pair(value, self.term())
-            value = value + rhs if op.kind == "PLUS" else value - rhs
+            value = value + rhs if kind == "PLUS" else value - rhs
         return value
 
     def term(self) -> _Value:
         value = self.unary()
-        while self.peek().kind == "STAR":
-            self.advance()
+        while self.kind() == "STAR":
+            self.pos += 1
             value, rhs = self.pair(value, self.unary())
             value = value * rhs if type(value) is _Weyl else dop_mul(value, rhs)
         return value
 
     def unary(self) -> _Value:
-        if self.peek().kind == "MINUS":
-            self.advance()
+        if self.kind() == "MINUS":
+            self.pos += 1
             return -self.unary()
         return self.power()
 
     def power(self) -> _Value:
         base = self.atom()
-        if self.peek().kind != "CARET":
+        if self.kind() != "CARET":
             return base
-        caret = self.advance()
+        caret = self.advance()[2]
         sign = 1
-        if self.peek().kind == "MINUS":
-            self.advance()
+        if self.kind() == "MINUS":
+            self.pos += 1
             sign = -1
-        tok = self.expect("NUM")
-        if tok.value is None or tok.value.denominator != 1:
-            raise OperatorSyntaxError("exponent must be an integer", tok.pos)
-        if tok.value.numerator > MAX_EXPONENT:
+        _, value, pos = self.expect("NUM")
+        if value.denominator != 1:
+            raise OperatorSyntaxError("exponent must be an integer", pos)
+        if value.numerator > MAX_EXPONENT:
             raise OperatorSyntaxError(
-                f"exponent exceeds the supported bound {MAX_EXPONENT}", tok.pos
+                f"exponent exceeds the supported bound {MAX_EXPONENT}", pos
             )
-        e = sign * tok.value.numerator
+        e = sign * value.numerator
         if e < 0 and not base.is_function():
             raise NegativeDerivativeExponent(
-                "negative exponent on a subexpression containing d", caret.pos
+                "negative exponent on a subexpression containing d", caret
             )
         if type(base) is _Weyl and (e >= 0 or len(base.terms) == 1):
             return base ** e
@@ -315,18 +291,18 @@ class _Parser:
         return base ** e
 
     def atom(self) -> _Value:
-        tok = self.advance()
-        if tok.kind == "NUM":
-            return _Weyl({(0, 0): tok.value} if tok.value else {})
-        if tok.kind == "X":
+        kind, value, pos = self.advance()
+        if kind == "NUM":
+            return _Weyl({(0, 0): value} if value else {})
+        if kind == "X":
             return _WEYL_X
-        if tok.kind == "D":
+        if kind == "D":
             return _WEYL_D
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             value = self.expr()
             self.expect("RPAREN")
             return value
-        raise OperatorSyntaxError(f"unexpected {tok.kind}", tok.pos)
+        raise OperatorSyntaxError(f"unexpected {kind}", pos)
 
 
 def parse_operator(text: str, var: str = "x") -> DiffOp:

@@ -306,6 +306,8 @@ class Poly:
         each g_i monic squarefree, pairwise coprime, deg g_i possibly 0."""
         if self.degree <= 0:
             return []
+        if not any(self.coeffs[:-1]):  # lead * x^k
+            return [(Poly.x(), self.degree)]
         p = self.monic()
         dp = p.derivative()
         a = p.gcd(dp)

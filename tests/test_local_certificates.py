@@ -1,0 +1,195 @@
+"""The exact certificates that decide the bounded branch before the theta
+search: Fuchs' pole-order criterion and the wave probe; the Bessel shape
+on the gauged operator; their soundness on known bispectral operators."""
+
+import importlib
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bispec import (
+    Budgets,
+    DiffOp,
+    NotMonic,
+    Poly,
+    RatFunc,
+    centralizer_search,
+    classify,
+    dop_mul,
+    fuchs_violation,
+    parse_operator,
+    print_operator,
+)
+from bispec.cli import main
+from bispec.families import compose_darboux, darboux
+
+# the package exports a function named classify, which hides the module
+MODULES = [importlib.import_module(f"bispec.{m}") for m in ("classify", "bounded")]
+
+F = Fraction
+
+# Only Fuchs' test and the wave probe can say Obstructed in the bounded
+# branch, and both run before the theta search; small search budgets keep
+# the soundness draws fast without skipping either.
+SMALL = Budgets(theta_lmax=1, ad_budget=2)
+
+
+def pole(k, a):
+    """k/(x - a) as an order-0 operator."""
+    return RatFunc(Poly([F(k)]), Poly([-F(a), F(1)]))
+
+
+def factor(k, a):
+    """d - k/(x - a)."""
+    return DiffOp("x", {1: RatFunc.one(), 0: -pole(k, a)})
+
+
+def bessel(nu, a):
+    """d^2 + nu(1 - nu)(x - a)^-2 = (d + nu/(x - a))(d - nu/(x - a))."""
+    c = nu * (1 - nu)
+    coeffs = {2: RatFunc.one()}
+    if c:
+        coeffs[0] = RatFunc(Poly([c]), Poly([-F(a), F(1)]) ** 2)
+    return DiffOp("x", coeffs)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+class TestFuchsViolation:
+    def test_triple_pole_certificate(self):
+        r = classify("d^2 + 3*(x+1)^-3")
+        assert r.verdict == "Obstructed"
+        assert r.to_json_dict()["certificates"]["irregular_singularity"] == {
+            "factor": "x + 1", "coefficient": "d^0", "pole_order": 3, "fuchs_bound": 2}
+        assert "admissible_thetas" not in r.certificates
+
+    def test_certificate_reverifies_from_the_printed_operator(self):
+        doc = classify("d^2 + 3*(x+1)^-3").to_json_dict()
+        L = parse_operator(doc["operator"])
+        assert fuchs_violation(L) == doc["certificates"]["irregular_singularity"]
+
+    def test_poles_off_the_rationals(self):
+        # the poles sit at +-i: no algebraic number is needed
+        assert fuchs_violation(parse_operator("d^2 + (x^2+1)^-3")) == {
+            "factor": "x^2 + 1", "coefficient": "d^0", "pole_order": 3, "fuchs_bound": 2}
+
+    def test_subleading_coefficients(self):
+        assert fuchs_violation(parse_operator("d^3 + (x-2)^-3*d")) == {
+            "factor": "x - 2", "coefficient": "d^1", "pole_order": 3, "fuchs_bound": 2}
+        # a pole of order 2 on d^1 of an order-3 operator is within the bound
+        assert fuchs_violation(parse_operator("d^3 + (x-2)^-2*d + x^-3")) is None
+
+    def test_which_violation_is_named(self):
+        # the highest derivative first, then the factor of highest order
+        assert fuchs_violation(parse_operator("d^3 + x^-3*d + x^-5")) == {
+            "factor": "x", "coefficient": "d^1", "pole_order": 3, "fuchs_bound": 2}
+        assert fuchs_violation(parse_operator("d^2 + (x-1)^-3*(x+2)^-4")) == {
+            "factor": "x + 2", "coefficient": "d^0", "pole_order": 4, "fuchs_bound": 2}
+
+    @pytest.mark.parametrize("text", ["d^2", "d^2 - 2*x^-2", "d^2 + x^-1",
+                                      "d^2 - 2*(x^2+1)^-1", "d^3 - x"])
+    def test_regular_singular(self, text):
+        assert fuchs_violation(parse_operator(text)) is None
+
+    def test_needs_a_monic_operator(self):
+        with pytest.raises(NotMonic):
+            fuchs_violation(parse_operator("2*d^2 + x^-3"))
+
+    def test_composite_order_stays_obstructed(self):
+        r = classify("d^4 + (x+1)^-5")
+        assert r.verdict == "Obstructed"
+        assert r.certificates["composite_order"] == 4
+        assert r.certificates["irregular_singularity"]["pole_order"] == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), rationals), min_size=1, max_size=4))
+    def test_products_of_first_order_factors_are_fuchsian(self, parts):
+        L = DiffOp.one()
+        for k, a in parts:
+            L = dop_mul(L, factor(k, a))
+        assert fuchs_violation(L) is None
+
+
+class TestStageOrder:
+    @pytest.mark.parametrize("text", ["d^2 + x^-1", "d^3 + x^-1"])
+    def test_probe_decides_without_a_theta_search(self, text, monkeypatch):
+        calls = []
+        real = MODULES[0].ad_condition_min_m
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in MODULES:
+            monkeypatch.setattr(module, "ad_condition_min_m", counted)
+        r = classify(text)
+        assert r.verdict == "Obstructed"
+        assert r.certificates["obstruction"].startswith(
+            "wave recursion needs a logarithmic antiderivative")
+        assert "admissible_thetas" not in r.certificates
+        assert calls == []
+
+    def test_unrecognized_wave_coefficients_keep_their_report(self):
+        # the arctan anchor: the probe raises ReconstructionFailed, which
+        # decides nothing, and the search finds no theta
+        r = classify("d^2 - 2*(x^2+1)^-1")
+        assert r.verdict == "Inconclusive"
+        assert r.errors == ["ReconstructionFailed: no rational antiderivative "
+                            "within degree bounds"]
+        assert r.certificates["note"] == "wave coefficients not recognized rational"
+        assert r.certificates["admissible_thetas"] == []
+
+
+class TestGaugedBessel:
+    @pytest.mark.parametrize("text, betas", [
+        ("d^2 - 2/3*x^-2*d - 10/9*x^-2 + 2/3*x^-3 + 1/9*x^-4", [F(-2, 3), F(5, 3)]),
+        ("d^2 + 2*x^-2*d - 3/4*x^-2 - 2*x^-3 + x^-4", [F(-1, 2), F(3, 2)]),
+    ])
+    def test_bessel_behind_a_gauge(self, text, betas):
+        r = classify(text)
+        assert r.verdict == "Bessel(2)"
+        assert "gauge" in r.certificates
+        assert sorted(r.certificates["bessel_betas"]) == betas
+        assert r.certificates["bessel_weight_sum_normalized"] is True
+        assert "admissible_thetas" not in r.certificates
+
+
+class TestSoundness:
+    """Known bispectral operators never come out Obstructed."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([F(1), F(1, 3), F(-2, 3), F(3, 2), F(2)]), rationals)
+    def test_darboux_chains(self, nu, a):
+        # B_nu = Q P with P = d - nu/(x - a), and P Q = B_(nu+1): two steps
+        # composed give the pair (P2 P1, Q1 Q2) over B_nu^2
+        first = darboux(bessel(nu, a), factor(nu, a))
+        assert first.transformed == bessel(nu + 1, a)
+        second = darboux(first.transformed, factor(nu + 1, a))
+        chain = compose_darboux(first, second)
+        for L in (first.transformed, second.transformed, chain.base, chain.transformed):
+            assert fuchs_violation(L) is None
+            assert classify(L, budgets=SMALL).verdict != "Obstructed", print_operator(L)
+
+    @settings(max_examples=15, deadline=None)
+    @given(rationals.filter(lambda nu: nu not in (0, 1)), rationals)
+    def test_translated_bessel(self, nu, a):
+        L = bessel(nu, a)
+        assert classify(L, budgets=SMALL).verdict != "Obstructed", print_operator(L)
+
+
+class TestCentralizerRank:
+    def test_only_constants_leave_the_rank_undetermined(self):
+        res = centralizer_search(parse_operator("d^2"), 0)
+        assert res.orders == (0,)
+        assert res.rank is None
+
+    def test_cli(self, capsys):
+        assert main(["centralizer", "d^2", "--order-budget", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "orders: [0]", "rank estimate: undetermined"]
+        assert main(["centralizer", "d^2", "--order-budget", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] is None

@@ -37,7 +37,6 @@ from bispec import (
 )
 from bispec.airy import AiryBispectralReport, AiryShape, TOp
 from bispec.bounded import BoundedTestReport, ThetaConjugate, WaveData
-from bispec.parser import _Token
 
 F = Fraction
 TAIL = LaurentTail({0: 1, 2: F(1, 2)}, 3)
@@ -48,7 +47,6 @@ def _instances():
     """One instance of every record class (ClassificationReport aside)."""
     return [
         DiffOp.d(),
-        _Token("NUM", F(3), 0),
         TAIL,
         PowerSeries({0: 1, -1: 2}, None),
         PDO("x", {0: RatFunc.one(), 1: RatFunc.x_power(-1)}, 4),
@@ -64,7 +62,7 @@ def _instances():
         DualOperator(lam=DiffOp.d("z"), theta=Poly.x(), m=1),
         BoundedTestReport(Poly.x(), 1, 2, Poly([0, 0, 1]), (F(1),), True, None,
                           None, 0, F(1), F(2), False, ()),
-        CentralizerResult((), (), 0),
+        CentralizerResult((), (), None),
         Budgets(),
         BesselSpec((0, 1)),
         DarbouxResult(P=DiffOp.one(), Q=L2, base=L2, transformed=L2),
@@ -102,7 +100,6 @@ def test_repr_matches_the_dataclass_format():
     assert repr(MJOp({1: TAIL}, 3)) == f"MJOp(coeffs={{1: {TAIL!r}}}, N=3)"
     assert repr(PDO("x", {1: RatFunc.x_power(-1)}, 4)) == (
         "PDO(var='x', terms={1: RatFunc((1)/(x))}, trunc=4)")
-    assert repr(_Token("X", None, 7)) == "_Token(kind='X', value=None, pos=7)"
     assert repr(ClassificationReport("a")) == (
         "ClassificationReport(input_text='a', branch='', verdict='Inconclusive', "
         "operator=None, certificates={}, errors=[], trace_sizes={})")
