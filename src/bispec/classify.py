@@ -4,7 +4,8 @@ Branching follows coefficient growth at infinity.  Increasing branch:
 weight selection, normal-form test, principal part, perturbation
 obstruction; the only bispectral survivors are the generalized Airy
 operators.  Bounded branch: exact shape matches for constant-coefficient
-and Bessel operators, then two cheap exact obstructions (Fuchs' pole-order
+and Bessel operators (also after translating a single finite pole to the
+origin), then two cheap exact obstructions (Fuchs' pole-order
 criterion and a logarithm in the first wave coefficients), then the
 ad-condition chain; a passing chain with all
 constants zero marks a monomial-Darboux-of-Bessel candidate (rank = order),
@@ -65,6 +66,9 @@ FAMILY_VERDICTS = (
     VERDICT_MONOMIAL,
     VERDICT_POLYNOMIAL,
 )
+
+_IRRATIONAL_BESSEL = ("Euler-homogeneous of Bessel shape but the symbol roots "
+                      "are not all rational: unresolved over Q")
 
 
 class Budgets(Record):
@@ -204,11 +208,8 @@ def classify(
             and not all(c.is_constant() for c in L.coeffs.values())):
         report.operator = L
         report.branch = "bounded"
-        if not _bessel_verdict(L, report):
-            report.certificates["note"] = (
-                "Euler-homogeneous of Bessel shape but the symbol roots are "
-                "not all rational: unresolved over Q"
-            )
+        if not _bessel_verdict(L, report, report.certificates):
+            report.certificates["note"] = _IRRATIONAL_BESSEL
     else:
         if not L.coeff(N - 1).is_zero():
             try:
@@ -235,28 +236,47 @@ def classify(
     return report
 
 
-def _record_bessel(L: DiffOp, report: ClassificationReport) -> Optional[BesselSpec]:
-    """Record the betas of an Euler-homogeneous L; None when the symbol
-    roots are not all rational."""
+def _record_bessel(L: DiffOp, certs: dict[str, Any]) -> Optional[BesselSpec]:
+    """Record the betas of an Euler-homogeneous L in ``certs``; None when
+    the symbol roots are not all rational."""
     spec = bessel_recover(L)
     if spec is not None:
-        report.certificates["bessel_betas"] = list(spec.betas)
-        report.certificates["bessel_integrality"] = bessel_integrality(spec)
+        certs["bessel_betas"] = list(spec.betas)
+        certs["bessel_integrality"] = bessel_integrality(spec)
     return spec
 
 
-def _bessel_verdict(L: DiffOp, report: ClassificationReport) -> bool:
-    """Bessel(2) with its certificates for an Euler-homogeneous L whose
-    betas are rational; False (and nothing recorded) otherwise."""
-    spec = _record_bessel(L, report)
+def _bessel_verdict(L: DiffOp, report: ClassificationReport,
+                    certs: dict[str, Any]) -> bool:
+    """Bessel(2), with its certificates in ``certs``, for an
+    Euler-homogeneous L whose betas are rational; False (and nothing
+    recorded) otherwise."""
+    spec = _record_bessel(L, certs)
     if spec is None:
         return False
     report.verdict = VERDICT_BESSEL
     N = L.order
-    report.certificates["bessel_weight_sum_normalized"] = (
+    certs["bessel_weight_sum_normalized"] = (
         sum(spec.betas, Fraction(0)) == Fraction(N * (N - 1), 2)
     )
     return True
+
+
+def _translate_to_pole(L: DiffOp) -> Optional[dict[str, Any]]:
+    """{"x0": x0, "operator": T} with T = L(x + x0) Euler-homogeneous, when
+    every finite pole of L sits at one point x0 != 0; None otherwise.  A
+    monic (x - x0)^k has -k*x0 as its coefficient of x^(k-1), so each
+    denominator proposes x0 without a gcd, and the translate confirms it:
+    every translated denominator must be a bare power of x."""
+    centres = {-c.den.coeffs[-2] / c.den.degree
+               for c in L.coeffs.values() if c.den.degree > 0}
+    if len(centres) == 1 and 0 not in centres:
+        x0, = centres
+        T = L.translate(x0)
+        if (all(c.is_laurent_polynomial() for c in T.coeffs.values())
+                and is_euler_homogeneous(T)):
+            return {"x0": x0, "operator": T}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +380,18 @@ def _classify_bounded(
         # leave a Bessel operator; with a supplied factor, record the
         # facts and run the Darboux analysis the caller asked for
         if P is not None:
-            _record_bessel(L, report)
-        elif _bessel_verdict(L, report):
+            _record_bessel(L, report.certificates)
+        elif _bessel_verdict(L, report, report.certificates):
+            return
+    elif P is None:
+        # Bessel operators stay bispectral under x -> x + x0: one pole
+        # off the origin is the only candidate centre, and the shift
+        # costs far less than the probe
+        moved = _translate_to_pole(L)
+        if moved is not None:
+            report.certificates["translation"] = moved
+            if not _bessel_verdict(moved["operator"], report, moved):
+                report.certificates["note"] = _IRRATIONAL_BESSEL
             return
 
     if P is not None:
@@ -486,10 +516,9 @@ def _darboux_certificate(L: DiffOp, P: DiffOp, N: int, report: ClassificationRep
         "base": base,
         "p_form_ok": p_form_check(P, N),
     }
-    if is_euler_homogeneous(base):
-        spec = bessel_recover(base)
-        if spec is not None:
-            cert["base_bessel_betas"] = list(spec.betas)
-            cert["base_integrality"] = bessel_integrality(spec)
-            cert["monomial"] = True
+    spec = bessel_recover(base)
+    if spec is not None:
+        cert["base_bessel_betas"] = list(spec.betas)
+        cert["base_integrality"] = bessel_integrality(spec)
+        cert["monomial"] = True
     report.certificates["darboux"] = cert

@@ -15,10 +15,10 @@ coefficient comparison.
 drops the zero ones.  Ring operations build their result with the trusted
 constructor ``DiffOp._trusted(var, coeffs)`` instead, which checks
 nothing; its caller must pass a dict with int keys >= 0 and nonzero
-``RatFunc`` values (negation, nonzero scaling and multiplication by a
-nonzero function keep nonzero values nonzero; sums and products drop
-their cancelled terms first).  A ``DiffOp`` is immutable but unhashable;
-its coefficient dict must never be changed.
+``RatFunc`` values (negation, nonzero scaling, translation and
+multiplication by a nonzero function keep nonzero values nonzero; sums
+and products drop their cancelled terms first).  A ``DiffOp`` is
+immutable but unhashable; its coefficient dict must never be changed.
 
 ``DiffOp.zero(var)`` and ``DiffOp.one(var)`` build a new operator for
 their variable tag, but the coefficients they and ``d``/``x`` hold are
@@ -193,6 +193,10 @@ class DiffOp(Record):
         for j, c in self.coeffs.items():
             out = out + powers[j].mul_function(c)
         return out
+
+    def translate(self, a: ScalarLike) -> "DiffOp":
+        """L with x replaced by x + a; d is unchanged."""
+        return DiffOp._trusted(self.var, {j: c.translate(a) for j, c in self.coeffs.items()})
 
     def __str__(self):
         # parser imports diffop, so a module-level import would be a cycle

@@ -29,12 +29,13 @@ with a trusted constructor instead, which checks nothing; each caller must
 meet the invariant itself:
 
 * ``Poly._trusted(coeffs)``: a tuple of ``Fraction`` with no trailing zero
-  (products, negation, nonzero scaling and derivatives keep a trimmed
-  tuple trimmed; sums and remainders are trimmed first by ``_trimmed``).
+  (products, negation, nonzero scaling, derivatives and Taylor shifts keep
+  a trimmed tuple trimmed; sums and remainders are trimmed first by
+  ``_trimmed``).
 * ``RatFunc._reduced(num, den)``: gcd(num, den) = 1, den monic, a unit den
-  is the shared ``Poly.one()``, and zero is 0/1.  Negation and nonzero
-  scaling keep a pair reduced; so do products, sums and derivatives of
-  polynomials.
+  is the shared ``Poly.one()``, and zero is 0/1.  Negation, nonzero
+  scaling and translation keep a pair reduced; so do products, sums and
+  derivatives of polynomials.
 * ``LaurentTail._trusted(terms, trunc)`` and ``PowerSeries._trusted``: a
   dict with int keys and nonzero ``Fraction`` values, every key at most
   ``trunc``.
@@ -275,10 +276,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly._trusted(tuple([c * i for i, c in enumerate(self.coeffs)][1:]))
 
-    def integral(self) -> "Poly":
-        """Antiderivative with zero constant term."""
-        return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -300,6 +297,18 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
+
+    def translate(self, a: ScalarLike) -> "Poly":
+        """The Taylor shift p(x + a), by repeated Horner steps; the
+        leading coefficient is unchanged, so the tuple stays trimmed."""
+        n = len(self.coeffs) - 1
+        if n < 1 or not a:
+            return self
+        cs = list(self.coeffs)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return Poly._trusted(tuple(cs))
 
     def squarefree_decomposition(self) -> list[tuple["Poly", int]]:
         """Yun's algorithm: returns [(g_i, i)] with self = lead * prod g_i^i,
@@ -563,10 +572,6 @@ class RatFunc:
         return _RAT_X
 
     @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
-    @staticmethod
     def x_power(k: int, coeff: ScalarLike = 1) -> "RatFunc":
         """coeff * x^k for any integer k (negative allowed)."""
         if k >= 0:
@@ -691,6 +696,11 @@ class RatFunc:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
+
+    def translate(self, a: ScalarLike) -> "RatFunc":
+        """f(x + a).  The shift is a ring automorphism that keeps degrees
+        and leading coefficients, so the pair stays reduced."""
+        return RatFunc._reduced(self.num.translate(a), self.den.translate(a))
 
     def __repr__(self):
         return f"RatFunc({self})"
@@ -1068,9 +1078,6 @@ class PowerSeries(_ScalarSeries):
 
     __slots__ = ("terms", "trunc")
     _SIGN = 1
-
-    def min_exponent(self) -> Optional[int]:
-        return self.start
 
 
 def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:

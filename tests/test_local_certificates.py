@@ -1,13 +1,15 @@
 """The exact certificates that decide the bounded branch before the theta
 search: Fuchs' pole-order criterion and the wave probe; the Bessel shape
-on the gauged operator; their soundness on known bispectral operators."""
+on the gauged operator and on its translate to a single finite pole;
+their soundness on known bispectral operators."""
 
 import importlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bispec import (
@@ -24,7 +26,7 @@ from bispec import (
     print_operator,
 )
 from bispec.cli import main
-from bispec.families import compose_darboux, darboux
+from bispec.families import BesselSpec, compose_darboux, darboux, make_bessel
 
 # the package exports a function named classify, which hides the module
 MODULES = [importlib.import_module(f"bispec.{m}") for m in ("classify", "bounded")]
@@ -57,6 +59,21 @@ def bessel(nu, a):
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def counted(monkeypatch, name, modules=MODULES):
+    """Record the arguments of every call of ``name`` made through the
+    given modules (by default classify and bounded)."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 class TestFuchsViolation:
@@ -117,15 +134,7 @@ class TestFuchsViolation:
 class TestStageOrder:
     @pytest.mark.parametrize("text", ["d^2 + x^-1", "d^3 + x^-1"])
     def test_probe_decides_without_a_theta_search(self, text, monkeypatch):
-        calls = []
-        real = MODULES[0].ad_condition_min_m
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        for module in MODULES:
-            monkeypatch.setattr(module, "ad_condition_min_m", counted)
+        calls = counted(monkeypatch, "ad_condition_min_m")
         r = classify(text)
         assert r.verdict == "Obstructed"
         assert r.certificates["obstruction"].startswith(
@@ -179,6 +188,97 @@ class TestSoundness:
     def test_translated_bessel(self, nu, a):
         L = bessel(nu, a)
         assert classify(L, budgets=SMALL).verdict != "Obstructed", print_operator(L)
+
+
+class TestTranslation:
+    """A single finite pole x0 != 0 is moved to the origin before the
+    probe and the theta search; a Bessel translate is decided there."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([2, 3, 5]),
+           st.lists(rationals, min_size=4, max_size=4),
+           rationals.filter(bool))
+    def test_translated_generalized_bessel(self, N, free, x0):
+        # N - 1 free betas and the last one fixing the weight sum
+        # N(N - 1)/2, so that the operator has no d^(N-1) term to gauge
+        betas = free[:N - 1] + [Fraction(N * (N - 1), 2) - sum(free[:N - 1])]
+        B = make_bessel(BesselSpec(betas))
+        assume(not all(c.is_constant() for c in B.coeffs.values()))
+        text = print_operator(B.translate(-x0))  # the pole sits at x0
+        doc = classify(text).to_json_dict()
+        assert doc["verdict"] == "Bessel(2)", text
+        assert "bessel_betas" not in doc["certificates"]
+        cert = doc["certificates"]["translation"]
+        assert Fraction(cert["x0"]) == x0
+        T = parse_operator(cert["operator"])
+        assert parse_operator(doc["input"]).translate(Fraction(cert["x0"])) == T
+        got = [Fraction(b) for b in cert["bessel_betas"]]
+        assert got == sorted(betas)
+        assert make_bessel(BesselSpec(got)) == T
+        assert cert["bessel_weight_sum_normalized"] is True
+        assert parse_operator(doc["operator"]) == parse_operator(text)
+
+    @pytest.mark.parametrize("text", [
+        "d^2 - 2*(x-1)^-2 - 2*(x+1)^-2",   # two distinct poles
+        "d^2 - 2*(x^2+1)^-1",              # poles at +-i
+        "d^2 + (x^2 - 4*x + 3)^-1",        # the guess x0 = 2 is no pole
+        "d^3 + (x-1)^-2*d + (x-2)^-3",     # two coefficients, two centres
+        "d^2 - 2*x^-2",                    # poles only at 0
+        "d^2 + x^-1",
+        "d^2 + 7*(x+1)^-1",                # one pole, but no Bessel shape
+    ])
+    def test_no_translation(self, text):
+        r = classify(text, budgets=SMALL)
+        assert "translation" not in r.certificates
+
+    @pytest.mark.parametrize("text", [
+        # (x - 1)(x - 3) proposes x0 = 2, but x^2 - 1 is no power of x
+        "d^2 + (x^2 - 4*x + 3)^-1",
+        "d^3 + (x-1)^-2*d + (x-2)^-3",
+        "d^2 + x^-1",
+    ])
+    def test_no_translate_is_shape_tested(self, text, monkeypatch):
+        # the cheap checks drop these before the commutator of the shape
+        # test: only L itself is tested
+        calls = counted(monkeypatch, "is_euler_homogeneous", MODULES[:1])
+        L = parse_operator(text)
+        classify(L, budgets=SMALL)
+        assert calls and all(args[0] is L for args in calls)
+
+    @pytest.mark.parametrize("text, betas", [
+        ("d^2 - 6*(x+1)^-2", ["-2", "3"]),
+        ("d^2 - 28/9*(x+1)^-2", ["-4/3", "7/3"]),
+    ])
+    def test_no_probe_and_no_theta_search(self, text, betas, monkeypatch):
+        ad_calls = counted(monkeypatch, "ad_condition_min_m")
+        wave_calls = counted(monkeypatch, "wave_operator")
+        doc = classify(text).to_json_dict()
+        assert doc["verdict"] == "Bessel(2)"
+        assert doc["certificates"]["translation"]["bessel_betas"] == betas
+        assert ad_calls == [] and wave_calls == []
+
+    def test_irrational_symbol_roots(self):
+        # nu (1 - nu) = -1 has irrational roots, as d^2 - x^-2 at the origin
+        r = classify("d^2 - (x+1)^-2")
+        assert r.verdict == "Inconclusive"
+        assert r.to_json_dict()["certificates"]["translation"] == {
+            "x0": "-1", "operator": "d^2 - x^-2"}
+        assert r.certificates["note"] == classify("d^2 - x^-2").certificates["note"]
+
+    def test_translated_darboux_square(self):
+        # the composite transformed operator of d^2 - 2*(x - 1/2)^-2 took
+        # 30-42 s in the theta search; its translate by 1/2 is Bessel
+        text = ("d^4 - 12*(x^2 - x + 1/4)^-1*d^2 "
+                "+ 24*(x^3 - 3/2*x^2 + 3/4*x - 1/8)^-1*d")
+        t0 = time.perf_counter()
+        r = classify(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert r.verdict == "Inconclusive"
+        assert r.certificates["composite_note"].endswith(
+            "certificates indicate Bessel(2)")
+        assert r.certificates["translation"]["x0"] == Fraction(1, 2)
+        assert print_operator(r.certificates["translation"]["operator"]) == (
+            "d^4 - 12*x^-2*d^2 + 24*x^-3*d")
 
 
 class TestCentralizerRank:
