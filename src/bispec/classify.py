@@ -3,11 +3,12 @@
 Branching follows coefficient growth at infinity.  Increasing branch:
 weight selection, normal-form test, principal part, perturbation
 obstruction; the only bispectral survivors are the generalized Airy
-operators.  Bounded branch: exact shape matches for constant-coefficient
-and Bessel operators (also after translating a single finite pole to the
-origin), then two cheap exact obstructions (Fuchs' pole-order
-criterion and a logarithm in the first wave coefficients), then the
-ad-condition chain; a passing chain with all
+operators.  The Bessel shape is read from the coefficients before the
+gauge, and again after it when the gauge changed the operator: first at
+the origin, then after translating a single finite pole there.  Bounded
+branch: the constant-coefficient shape, then two cheap exact
+obstructions (Fuchs' pole-order criterion and a logarithm in the first
+wave coefficients), then the ad-condition chain; a passing chain with all
 constants zero marks a monomial-Darboux-of-Bessel candidate (rank = order),
 while a failing constants check or a non-polynomial ad power routes to the
 constant-coefficient Darboux branch (rank 1).
@@ -66,9 +67,6 @@ FAMILY_VERDICTS = (
     VERDICT_MONOMIAL,
     VERDICT_POLYNOMIAL,
 )
-
-_IRRATIONAL_BESSEL = ("Euler-homogeneous of Bessel shape but the symbol roots "
-                      "are not all rational: unresolved over Q")
 
 
 class Budgets(Record):
@@ -201,30 +199,25 @@ def classify(
     if not prime:
         report.certificates["composite_order"] = N
 
-    # the Bessel shape is Euler homogeneity, which needs no normalization;
-    # test it first (a weight-sum off N(N-1)/2 makes the gauge logarithmic).
-    # Pure powers d^N are also constant-coefficient: that verdict wins.
-    if (P is None and is_euler_homogeneous(L)
-            and not all(c.is_constant() for c in L.coeffs.values())):
-        report.operator = L
-        report.branch = "bounded"
-        if not _bessel_verdict(L, report, report.certificates):
-            report.certificates["note"] = _IRRATIONAL_BESSEL
-    else:
-        if not L.coeff(N - 1).is_zero():
-            try:
-                L, gprime = gauge_normalize(L)
-                report.certificates["gauge"] = gprime
-            except err.BispecError as e:
-                report.errors.append(f"{type(e).__name__}: {e}")
-                return report
-        report.operator = L
-        increasing = any(c.infinity_order() > 0 for c in L.coeffs.values())
-        report.branch = "increasing" if increasing else "bounded"
-        if increasing:
-            _classify_increasing(L, report, budgets)
-        else:
-            _classify_bounded(L, report, budgets, theta, P)
+    # the Bessel shape needs no normalization, and a weight sum off
+    # N(N-1)/2 makes the gauge logarithmic: test it first, and again only
+    # on an operator the gauge changed
+    decided = P is None and _bessel_stage(L, report)
+    if not decided and not L.coeff(N - 1).is_zero():
+        try:
+            L, gprime = gauge_normalize(L)
+            report.certificates["gauge"] = gprime
+        except err.BispecError as e:
+            report.errors.append(f"{type(e).__name__}: {e}")
+            return report
+        decided = P is None and _bessel_stage(L, report)
+    report.operator = L
+    increasing = any(c.infinity_order() > 0 for c in L.coeffs.values())
+    report.branch = "increasing" if increasing else "bounded"
+    if increasing:
+        _classify_increasing(L, report, budgets)
+    elif not decided:
+        _classify_bounded(L, report, budgets, theta, P)
 
     if not prime and report.verdict in FAMILY_VERDICTS:
         report.certificates["composite_note"] = (
@@ -237,8 +230,8 @@ def classify(
 
 
 def _record_bessel(L: DiffOp, certs: dict[str, Any]) -> Optional[BesselSpec]:
-    """Record the betas of an Euler-homogeneous L in ``certs``; None when
-    the symbol roots are not all rational."""
+    """Record the betas of a Bessel operator L in ``certs``; None when L
+    is off that shape or its symbol roots are not all rational."""
     spec = bessel_recover(L)
     if spec is not None:
         certs["bessel_betas"] = list(spec.betas)
@@ -246,37 +239,39 @@ def _record_bessel(L: DiffOp, certs: dict[str, Any]) -> Optional[BesselSpec]:
     return spec
 
 
-def _bessel_verdict(L: DiffOp, report: ClassificationReport,
-                    certs: dict[str, Any]) -> bool:
-    """Bessel(2), with its certificates in ``certs``, for an
-    Euler-homogeneous L whose betas are rational; False (and nothing
-    recorded) otherwise."""
-    spec = _record_bessel(L, certs)
-    if spec is None:
-        return False
-    report.verdict = VERDICT_BESSEL
-    N = L.order
-    certs["bessel_weight_sum_normalized"] = (
-        sum(spec.betas, Fraction(0)) == Fraction(N * (N - 1), 2)
-    )
-    return True
-
-
-def _translate_to_pole(L: DiffOp) -> Optional[dict[str, Any]]:
-    """{"x0": x0, "operator": T} with T = L(x + x0) Euler-homogeneous, when
-    every finite pole of L sits at one point x0 != 0; None otherwise.  A
-    monic (x - x0)^k has -k*x0 as its coefficient of x^(k-1), so each
-    denominator proposes x0 without a gcd, and the translate confirms it:
-    every translated denominator must be a bare power of x."""
-    centres = {-c.den.coeffs[-2] / c.den.degree
-               for c in L.coeffs.values() if c.den.degree > 0}
-    if len(centres) == 1 and 0 not in centres:
+def _bessel_stage(L: DiffOp, report: ClassificationReport) -> bool:
+    """Record the Bessel shape of L, or of its translate T = L(x + x0)
+    when every finite pole of L sits at one point x0 != 0, and say
+    whether it was found.  Bessel operators stay bispectral under
+    x -> x + x0, so that pole is the only candidate centre.  A monic
+    (x - x0)^k has -k*x0 as its coefficient of x^(k-1), so each
+    denominator proposes x0 without a gcd.  The verdict is Bessel(2) when
+    the symbol roots are rational; the betas of a translate go into its
+    ``translation`` certificate only."""
+    certs = report.certificates
+    shape = L
+    if not is_euler_homogeneous(L):
+        centres = {-c.den.coeffs[-2] / c.den.degree
+                   for c in L.coeffs.values() if c.den.degree > 0}
+        if len(centres) != 1 or 0 in centres:
+            return False
         x0, = centres
-        T = L.translate(x0)
-        if (all(c.is_laurent_polynomial() for c in T.coeffs.values())
-                and is_euler_homogeneous(T)):
-            return {"x0": x0, "operator": T}
-    return None
+        shape = L.translate(x0)
+        if not is_euler_homogeneous(shape):
+            return False
+        certs["translation"] = certs = {"x0": x0, "operator": shape}
+    elif len(L.coeffs) == 1:
+        return False  # d^N: the constant-coefficient verdict wins
+    spec = _record_bessel(shape, certs)
+    if spec is None:
+        report.certificates["note"] = (
+            "Euler-homogeneous of Bessel shape but the symbol roots are "
+            "not all rational: unresolved over Q")
+    else:
+        report.verdict = VERDICT_BESSEL
+        N = L.order
+        certs["bessel_weight_sum_normalized"] = 2 * sum(spec.betas) == N * (N - 1)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +370,8 @@ def _classify_bounded(
         report.verdict = VERDICT_CONSTCOEFF
         return
 
-    if is_euler_homogeneous(L):
-        # the front test saw the operator before the gauge, which can
-        # leave a Bessel operator; with a supplied factor, record the
-        # facts and run the Darboux analysis the caller asked for
-        if P is not None:
-            _record_bessel(L, report.certificates)
-        elif _bessel_verdict(L, report, report.certificates):
-            return
-    elif P is None:
-        # Bessel operators stay bispectral under x -> x + x0: one pole
-        # off the origin is the only candidate centre, and the shift
-        # costs far less than the probe
-        moved = _translate_to_pole(L)
-        if moved is not None:
-            report.certificates["translation"] = moved
-            if not _bessel_verdict(moved["operator"], report, moved):
-                report.certificates["note"] = _IRRATIONAL_BESSEL
-            return
-
     if P is not None:
+        _record_bessel(L, report.certificates)
         _darboux_certificate(L, P, N, report)
 
     # the exact certificates cost about a millisecond, the theta search

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 from .errors import BadIndex, FormViolation, FormViolationWarning, NotAFactor
 from .rational import Poly, RatFunc, ScalarLike
-from .diffop import DiffOp, commutator, dop_mul, euler_operator, right_divide
+from .diffop import DiffOp, dop_mul, euler_operator, right_divide
 from .record import Record
 
 
@@ -135,29 +135,25 @@ def falling_factorial(j: int) -> Poly:
 
 
 def is_euler_homogeneous(L: DiffOp) -> bool:
-    """True iff [xd, L] = -N L with N = order(L)."""
-    if L.is_zero():
-        return False
-    D = euler_operator(L.var)
-    return commutator(D, L) == L.scale(-L.order)
+    """True iff [xd, L] = -N L with N = order(L).  Coefficientwise this is
+    x c_j' = (j - N) c_j, whose rational solutions are the monomials
+    c_j = w_j x^(j - N): a scan of the coefficients, no bracket."""
+    N = L.order
+    return not L.is_zero() and all(
+        c.is_laurent_polynomial() and [e for e, _ in c.laurent_terms()] == [j - N]
+        for j, c in L.coeffs.items())
 
 
 def bessel_symbol(L: DiffOp) -> Optional[Poly]:
     """For an Euler-homogeneous monic operator, the polynomial b with
-    x^N L = b(xd); None when L is not of Bessel shape."""
-    if L.is_zero() or not L.is_monic() or not is_euler_homogeneous(L):
+    x^N L = b(xd); None when L is not of Bessel shape.  Each term
+    w_j x^(j - N) d^j contributes w_j x^j d^j = w_j ff_j(xd)."""
+    if not L.is_monic() or not is_euler_homogeneous(L):
         return None
-    N = L.order
-    T = DiffOp.from_function(Poly.monomial(N), L.var) * L
     sym = Poly.zero()
-    for j, c in T.coeffs.items():
-        # homogeneity forces c = w_j x^j
-        if not c.is_polynomial():
-            return None
-        mono = c.num
-        if any(k != j and v != 0 for k, v in enumerate(mono.coeffs)):
-            return None
-        sym = sym + falling_factorial(j).scale(mono.coeff(j))
+    for j, c in L.coeffs.items():
+        (_, w), = c.laurent_terms()
+        sym = sym + falling_factorial(j).scale(w)
     return sym
 
 

@@ -9,6 +9,9 @@ These deliberately avoid the library's code paths:
 * operator application to explicit Laurent polynomials, so products can be
   checked through their action on functions;
 * commutator chains built on the monomial algebra for ad-condition values;
+* the Bessel shape by its defining bracket [xd, L] = -N L, and the Bessel
+  symbol read off the product x^N L, the references for the library's
+  coefficient scan;
 * dense Gauss-Jordan elimination over lists of Fractions, the reference
   for the library's sparse ``linalg``.
 """
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
-from bispec import DiffOp, Poly, RatFunc
+from bispec import DiffOp, Poly, RatFunc, commutator, euler_operator
+from bispec.families import falling_factorial
 
 # monomial algebra: {(a, b): coeff} represents sum coeff * x^a d^b, a in Z
 
@@ -149,6 +154,31 @@ def random_diffop(
     if not coeffs:
         coeffs[0] = RatFunc.one()
     return DiffOp("x", coeffs)
+
+
+# the Bessel shape through brackets and products
+
+
+def euler_homogeneous_by_bracket(L: DiffOp) -> bool:
+    """[xd, L] == -N L with N = order(L); False for the zero operator."""
+    return not L.is_zero() and commutator(euler_operator(L.var), L) == L.scale(-L.order)
+
+
+def bessel_symbol_by_product(L: DiffOp) -> Optional[Poly]:
+    """b with x^N L = b(xd), read off the product x^N * L: its coefficient
+    of d^j must be w_j x^j, which contributes w_j u(u-1)...(u-j+1)."""
+    if not L.is_monic() or not euler_homogeneous_by_bracket(L):
+        return None
+    T = DiffOp.from_function(Poly.monomial(L.order), L.var) * L
+    sym = Poly.zero()
+    for j, c in T.coeffs.items():
+        if not c.is_polynomial():
+            return None
+        mono = c.num
+        if any(k != j and v != 0 for k, v in enumerate(mono.coeffs)):
+            return None
+        sym = sym + falling_factorial(j).scale(mono.coeff(j))
+    return sym
 
 
 # dense Gauss-Jordan: matrices are lists of rows, rows lists of Fractions

@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispec import (
     BadIndex,
@@ -29,6 +31,7 @@ from bispec import (
     make_constcoeff,
     p_form_check,
 )
+from oracles import bessel_symbol_by_product, euler_homogeneous_by_bracket
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -123,6 +126,70 @@ class TestBesselRecovery:
     def test_non_bessel(self):
         assert bessel_recover(d * d - x) is None
         assert bessel_recover(d * d + DiffOp.one()) is None
+
+
+weights = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def coefficients(draw, k):
+    """A coefficient near the Bessel shape w x^k: that monomial, a
+    monomial at another exponent, a two-term Laurent polynomial, or the
+    monomial with its pole moved off the origin."""
+    w = draw(weights.filter(bool))
+    mono = RatFunc.x_power(k, w)
+    kind = draw(st.integers(0, 5))
+    if kind == 3:
+        return RatFunc.x_power(draw(st.integers(-4, 3)), w)
+    if kind == 4:
+        return mono + RatFunc.x_power(draw(st.integers(-4, 3)), draw(weights))
+    if kind == 5:
+        return mono.translate(draw(weights.filter(bool)))
+    return mono
+
+
+@st.composite
+def near_bessel_operators(draw):
+    """Operators of order -1 (zero) to 4, monic or not, whose
+    coefficient of d^j is drawn around w_j x^(j - N); some are translated
+    as a whole."""
+    N = draw(st.integers(-1, 4))
+    coeffs = {}
+    for j in range(N + 1):
+        if j == N and draw(st.booleans()):
+            coeffs[j] = RatFunc.one()
+        elif j == N or draw(st.booleans()):
+            coeffs[j] = draw(coefficients(j - N))
+    L = DiffOp("x", {j: c for j, c in coeffs.items() if c})
+    if draw(st.integers(0, 4)) == 0:
+        L = L.translate(draw(weights.filter(bool)))
+    return L
+
+
+class TestShapeScan:
+    """The coefficient scan agrees with the bracket [xd, L] = -N L and
+    with the symbol read off x^N * L."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_bessel_operators())
+    def test_agrees_with_the_bracket_and_the_product(self, L):
+        assert is_euler_homogeneous(L) == euler_homogeneous_by_bracket(L)
+        assert bessel_symbol(L) == bessel_symbol_by_product(L)
+
+    @pytest.mark.parametrize("L, homogeneous", [
+        (DiffOp("x", {}), False),
+        (DiffOp.const(3), True),
+        (d, True),
+        (d + xpow(-1), True),
+        (d + xpow(-1, 2) + xpow(-2), False),
+        (d * d + DiffOp.const(2) * xpow(-1) * d, True),
+        (DiffOp.const(2) * d * d + xpow(-2), True),
+        (d * d - DiffOp.from_function(RatFunc.x_power(-2, 2).translate(1)), False),
+    ])
+    def test_edge_cases(self, L, homogeneous):
+        assert is_euler_homogeneous(L) is homogeneous
+        assert euler_homogeneous_by_bracket(L) is homogeneous
+        assert bessel_symbol(L) == bessel_symbol_by_product(L)
 
 
 class TestIntegrality:

@@ -1,12 +1,16 @@
 """The exact certificates that decide the bounded branch before the theta
-search: Fuchs' pole-order criterion and the wave probe; the Bessel shape
-on the gauged operator and on its translate to a single finite pole;
-their soundness on known bispectral operators."""
+search: the Bessel shape of the operator and of its translate to a single
+finite pole, before the gauge and again after it; Fuchs' pole-order
+criterion and the wave probe; their soundness on known bispectral
+operators."""
 
 import importlib
 import json
+import pkgutil
 import time
 from fractions import Fraction
+
+import bispec
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +34,8 @@ from bispec.families import BesselSpec, compose_darboux, darboux, make_bessel
 
 # the package exports a function named classify, which hides the module
 MODULES = [importlib.import_module(f"bispec.{m}") for m in ("classify", "bounded")]
+EVERY_MODULE = [importlib.import_module(f"bispec.{m.name}")
+                for m in pkgutil.iter_modules(bispec.__path__)]
 
 F = Fraction
 
@@ -194,29 +200,47 @@ class TestTranslation:
     """A single finite pole x0 != 0 is moved to the origin before the
     probe and the theta search; a Bessel translate is decided there."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3, 5]),
-           st.lists(rationals, min_size=4, max_size=4),
+           st.lists(rationals, min_size=5, max_size=5),
+           st.booleans(),
            rationals.filter(bool))
-    def test_translated_generalized_bessel(self, N, free, x0):
-        # N - 1 free betas and the last one fixing the weight sum
-        # N(N - 1)/2, so that the operator has no d^(N-1) term to gauge
-        betas = free[:N - 1] + [Fraction(N * (N - 1), 2) - sum(free[:N - 1])]
+    def test_translated_generalized_bessel(self, N, free, normalized, x0):
+        # the last beta may fix the weight sum N(N - 1)/2, so that the
+        # operator has no d^(N-1) term to gauge; off that sum the gauge
+        # needs a logarithm, and the shape is read before the gauge
+        betas = free[:N]
+        if normalized:
+            betas[-1] = Fraction(N * (N - 1), 2) - sum(betas[:-1])
         B = make_bessel(BesselSpec(betas))
         assume(not all(c.is_constant() for c in B.coeffs.values()))
         text = print_operator(B.translate(-x0))  # the pole sits at x0
         doc = classify(text).to_json_dict()
         assert doc["verdict"] == "Bessel(2)", text
         assert "bessel_betas" not in doc["certificates"]
+        assert "gauge" not in doc["certificates"]
         cert = doc["certificates"]["translation"]
         assert Fraction(cert["x0"]) == x0
-        T = parse_operator(cert["operator"])
-        assert parse_operator(doc["input"]).translate(Fraction(cert["x0"])) == T
-        got = [Fraction(b) for b in cert["bessel_betas"]]
-        assert got == sorted(betas)
-        assert make_bessel(BesselSpec(got)) == T
-        assert cert["bessel_weight_sum_normalized"] is True
+        assert parse_operator(doc["input"]).translate(x0) == B
+        assert parse_operator(cert["operator"]) == B
+        assert [Fraction(b) for b in cert["bessel_betas"]] == sorted(betas)
+        assert cert["bessel_weight_sum_normalized"] is (
+            sum(betas) == Fraction(N * (N - 1), 2))
         assert parse_operator(doc["operator"]) == parse_operator(text)
+
+    def test_translated_twin_of_an_unnormalized_bessel(self):
+        # the gauge of this operator needs log(x + 1); its twin at the
+        # origin was always decided before the gauge, and now it is too
+        doc = classify("d^2 - 1/2*(x+1)^-1*d + 1/2*(x+1)^-2").to_json_dict()
+        assert doc["verdict"] == "Bessel(2)"
+        assert doc["errors"] == []
+        cert = doc["certificates"]["translation"]
+        assert cert["x0"] == "-1"
+        assert cert["bessel_betas"] == ["1/2", "1"]
+        assert cert["bessel_weight_sum_normalized"] is False
+        twin = classify("d^2 - 1/2*x^-1*d + 1/2*x^-2").to_json_dict()
+        assert twin["certificates"]["bessel_betas"] == cert["bessel_betas"]
+        assert cert["operator"] == twin["operator"]
 
     @pytest.mark.parametrize("text", [
         "d^2 - 2*(x-1)^-2 - 2*(x+1)^-2",   # two distinct poles
@@ -232,18 +256,40 @@ class TestTranslation:
         assert "translation" not in r.certificates
 
     @pytest.mark.parametrize("text", [
+        "d^2 - 2*x^-2",                    # at the origin
+        "d^2 - 6*(x+1)^-2",                # translated
+        "d^2 - 1/2*(x+1)^-1*d + 1/2*(x+1)^-2",
+        "d^2 - 2/3*x^-2*d - 10/9*x^-2 + 2/3*x^-3 + 1/9*x^-4",  # gauged
+    ])
+    def test_bessel_shape_needs_no_bracket(self, text, monkeypatch):
+        calls = counted(monkeypatch, "commutator",
+                        [m for m in EVERY_MODULE if hasattr(m, "commutator")])
+        assert classify(text).verdict == "Bessel(2)"
+        assert calls == []
+
+    @pytest.mark.parametrize("text", [
         # (x - 1)(x - 3) proposes x0 = 2, but x^2 - 1 is no power of x
         "d^2 + (x^2 - 4*x + 3)^-1",
         "d^3 + (x-1)^-2*d + (x-2)^-3",
         "d^2 + x^-1",
+        "d^2 + 7*(x+1)^-1",
+        "d^2 - 2*x^-2",
+        "d^2 - 6*(x+1)^-2",
+        "d^3 - x",
     ])
-    def test_no_translate_is_shape_tested(self, text, monkeypatch):
-        # the cheap checks drop these before the commutator of the shape
-        # test: only L itself is tested
+    def test_shape_read_at_most_twice_without_a_gauge(self, text, monkeypatch):
+        # once on L, once on its translate when a single pole proposes one
         calls = counted(monkeypatch, "is_euler_homogeneous", MODULES[:1])
         L = parse_operator(text)
         classify(L, budgets=SMALL)
-        assert calls and all(args[0] is L for args in calls)
+        assert 1 <= len(calls) <= 2 and calls[0][0] is L
+
+    def test_no_shape_stage_with_a_factor(self, monkeypatch):
+        calls = counted(monkeypatch, "is_euler_homogeneous", MODULES[:1])
+        r = classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1"), budgets=SMALL)
+        assert calls == []
+        assert r.certificates["bessel_betas"] == [-1, 2]
+        assert "darboux" in r.certificates
 
     @pytest.mark.parametrize("text, betas", [
         ("d^2 - 6*(x+1)^-2", ["-2", "3"]),
