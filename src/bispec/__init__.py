@@ -12,8 +12,6 @@ from .errors import (
     BadIndex,
     BispecError,
     DivisionByZeroOperator,
-    FormViolation,
-    FormViolationWarning,
     InsufficientPrecision,
     InvariantViolation,
     LogObstruction,
@@ -109,7 +107,6 @@ from .bounded import (
 )
 from .airy import (
     AiryPDO,
-    MJOp,
     ObstructionStep,
     ObstructionTrace,
     airy_bispectral_check,

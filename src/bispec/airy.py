@@ -94,6 +94,8 @@ def airy_shape(A: DiffOp) -> AiryShape:
 
 class TOp(Record):
     """Normal-ordered operator sum_k alpha_k(x) d^k with tail coefficients.
+    The operator coefficients m_j of an Airy-adic series are ``TOp``
+    values of d-degree below the Airy order N.
 
     ``TOp._trusted`` wraps a dict with int keys >= 0 and nonzero tails,
     unchecked."""
@@ -158,57 +160,17 @@ def tail_of_ratfunc(c: RatFunc, depth: int) -> LaurentTail:
     return laurent_expand(c, depth)
 
 
-def top_of_diffop(L: DiffOp, depth: int = DEFAULT_TAIL_DEPTH) -> TOp:
-    return TOp({j: tail_of_ratfunc(c, depth) for j, c in L.coeffs.items()})
+def top_of_diffop(L: DiffOp) -> TOp:
+    return TOp({j: tail_of_ratfunc(c, DEFAULT_TAIL_DEPTH) for j, c in L.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
-# MJOp and AiryPDO
+# AiryPDO
 # ---------------------------------------------------------------------------
-
-class MJOp(TOp):
-    """Operator coefficient of an Airy-adic series: a ``TOp``
-    sum_{k<N} alpha_k(x) d^k of order below N.  Arithmetic on it returns
-    plain ``TOp`` values.
-
-    ``MJOp._trusted`` wraps a dict with int keys in [0, N) and nonzero
-    tails, unchecked."""
-
-    __slots__ = ("N",)
-
-    def __init__(self, coeffs: Mapping[int, LaurentTail], N: int):
-        clean = nonzero_terms({int(k): t for k, t in coeffs.items()})
-        if any(not 0 <= k < N for k in clean):
-            raise ValueError(f"derivative power outside [0, {N})")
-        _set_top_coeffs(self, clean)
-        _set_mj_n(self, N)
-
-    @classmethod
-    def _trusted(cls, coeffs: dict, N: int) -> "MJOp":
-        self = _new(cls)
-        _set_top_coeffs(self, coeffs)
-        _set_mj_n(self, N)
-        return self
-
-    @staticmethod
-    def zero(N: int) -> "MJOp":
-        return MJOp._trusted({}, N)
-
-    def as_top(self) -> TOp:
-        return self
-
-    @staticmethod
-    def from_top(t: TOp, N: int) -> "MJOp":
-        if t.order >= N:
-            raise ValueError("degree too high for an MJOp")
-        return MJOp._trusted(t.coeffs, N)
-
-
-_set_mj_n = MJOp.N.__set__
-
 
 class AiryPDO(Record):
-    """Truncated Airy-adic wave operator K = 1 + sum_{j=1}^J m_j A^-j.
+    """Truncated Airy-adic wave operator K = 1 + sum_{j=1}^J m_j A^-j,
+    each m_j a ``TOp`` of d-degree below N = order(A).
 
     ``h_min`` is the deepest height tracked while solving; identities
     involving K are exact above it."""
@@ -216,7 +178,7 @@ class AiryPDO(Record):
     __slots__ = ("A", "mjs", "trunc", "h_min")
     _defaults = {"h_min": None}
     A: DiffOp
-    mjs: Mapping[int, MJOp]
+    mjs: Mapping[int, TOp]
     trunc: int
     h_min: Optional[int]
 
@@ -225,14 +187,15 @@ class AiryPDO(Record):
         clean = {int(j): m for j, m in self.mjs.items() if not m.is_zero()}
         if any(j < 1 or j > self.trunc for j in clean):
             raise ValueError("coefficient index outside [1, trunc]")
+        if any(m.order >= self.A.order for m in clean.values()):
+            raise ValueError("coefficient of d-degree at or above the Airy order")
         object.__setattr__(self, "mjs", clean)
         if self.h_min is None:
             object.__setattr__(self, "h_min",
                                -(self.trunc + self.A.order + 4))
 
-    def coeff(self, j: int) -> MJOp:
-        N = self.A.order
-        return self.mjs.get(j, MJOp.zero(N))
+    def coeff(self, j: int) -> TOp:
+        return self.mjs.get(j, TOp.zero())
 
     def is_identity(self) -> bool:
         return not self.mjs
@@ -283,12 +246,11 @@ class ObstructionTrace(Record):
 # reduction and decompositions
 # ---------------------------------------------------------------------------
 
-def reduce_mod_A(T: DiffOp, A: DiffOp, depth: int = DEFAULT_TAIL_DEPTH) -> tuple[DiffOp, MJOp]:
+def reduce_mod_A(T: DiffOp, A: DiffOp) -> tuple[DiffOp, TOp]:
     """T = q A + r with d-degree(r) < N, both exact and unique."""
-    shape = airy_shape(A)
+    airy_shape(A)  # raises NotAiryShape
     q, r = right_divide(T, A)
-    coeffs = {k: tail_of_ratfunc(c, depth) for k, c in r.coeffs.items()}
-    return q, MJOp(coeffs, shape.N)
+    return q, top_of_diffop(r)
 
 
 def _reduce_top(T: TOp, At: TOp, N: int) -> tuple[TOp, TOp]:
@@ -304,34 +266,30 @@ def _reduce_top(T: TOp, At: TOp, N: int) -> tuple[TOp, TOp]:
     return q, r
 
 
-def bracket_decompose(A: DiffOp, m: MJOp, At: Optional[TOp] = None) -> tuple[MJOp, MJOp]:
-    """[A, m] = b A + c with d-degree(b), d-degree(c) < N, exact.
+def bracket_decompose(A: DiffOp, m: TOp) -> tuple[TOp, TOp]:
+    """[A, m] = b A + c with d-degree(b), d-degree(c) < N, exact; m must
+    have d-degree < N.
 
     The height relation ht(c) = ht(b) + 1 holds when m arises from the wave
     recursion (where the d^0 coefficient never dominates); it is checked by
     the callers that rely on it rather than asserted here."""
-    N = airy_shape(A).N if At is None else m.N
-    if At is None:
-        At = top_of_diffop(A)
-    q, r = _reduce_top(At * m - m * At, At, N)
-    return MJOp.from_top(q, N), MJOp.from_top(r, N)
+    N = airy_shape(A).N
+    if m.order >= N:
+        raise ValueError("m must have d-degree below the Airy order")
+    At = top_of_diffop(A)
+    return _reduce_top(At * m - m * At, At, N)
 
 
-def v_decompose(V: DiffOp, m: MJOp, A: DiffOp,
-                Vt: Optional[TOp] = None, At: Optional[TOp] = None) -> tuple[MJOp, MJOp]:
-    """V m = U A + W, exact; V must have d-degree < N."""
-    N = m.N
-    if At is None:
-        At = top_of_diffop(A)
-    if Vt is None:
-        Vt = top_of_diffop(V)
-    if Vt.order >= N:
-        raise ValueError("V must have d-degree below the Airy order")
-    q, r = _reduce_top(Vt * m, At, N)
-    return MJOp.from_top(q, N), MJOp.from_top(r, N)
+def v_decompose(V: DiffOp, m: TOp, A: DiffOp) -> tuple[TOp, TOp]:
+    """V m = U A + W, exact; V and m must have d-degree < N."""
+    N = airy_shape(A).N
+    Vt = top_of_diffop(V)
+    if Vt.order >= N or m.order >= N:
+        raise ValueError("V and m must have d-degree below the Airy order")
+    return _reduce_top(Vt * m, top_of_diffop(A), N)
 
 
-def height(m: Union[MJOp, TOp, DiffOp]):
+def height(m: Union[TOp, DiffOp]):
     """Height and leading monomial under the (x power, then d power) order.
 
     Returns (height, d-degree, coefficient) of the leading monomial."""
@@ -480,7 +438,7 @@ def airy_wave_solve(
             return trace
         raise
 
-    mjs = {j: MJOp(parts, N) for j, parts in m.items() if parts and j <= J}
+    mjs = {j: TOp(parts) for j, parts in m.items() if parts and j <= J}
     return AiryPDO(A, mjs, J, h_min)
 
 

@@ -42,8 +42,7 @@ from .rational import (
 )
 from .diffop import (
     DiffOp,
-    ad_condition_min_m,
-    ad_pow,
+    _ad_chain_end,
     commutator,
     leibniz_product,
     transpose_weyl,
@@ -388,15 +387,10 @@ def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
             f"{conj.non_polynomial}"
         )
     m = conj.max_degree
+    tails = involution_b(conj.series).terms
     lam_coeffs: dict[int, RatFunc] = {}
     for i in range(m + 1):
-        tail_terms = {}
-        for j in range(0, J + 1):
-            c = conj.series.terms.get(j)
-            v = c.num.coeff(i) if isinstance(c, RatFunc) else Fraction(0)
-            if v != 0:
-                tail_terms[j] = v
-        tail = LaurentTail(tail_terms, J)
+        tail = tails.get(-i, LaurentTail.zero(J))
         got: Optional[RatFunc] = None
         for d in range(max(2 * m, 2) + 1):
             if 2 * d + 2 > J + 1:
@@ -430,6 +424,11 @@ def q_polynomial_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
     [L, Q] = 0 (NotCommuting otherwise)."""
     if not commutator(L, Q).is_zero():
         raise NotCommuting("[L, Q] != 0")
+    return _expand_in_L(Q, L)
+
+
+def _expand_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
+    """``q_polynomial_in_L`` for a Q already known to commute with L."""
     N = L.order
     if N < 1:
         return None
@@ -520,11 +519,11 @@ def bounded_test(L: DiffOp, theta: Poly, m_max: int) -> BoundedTestReport:
     """
     f, _ = split_constant_part(L)
     N = L.order
-    m = ad_condition_min_m(L, theta, m_max)
-    if m is None:
+    end = _ad_chain_end(L, theta, m_max)
+    if end is None:
         raise AdBudgetExceeded(f"no ad exponent within budget {m_max}")
-    Q = ad_pow(L, DiffOp.from_function(theta, L.var), m)
-    q = q_polynomial_in_L(Q, L)
+    m, Q = end  # [L, Q] = 0 is the end of the chain
+    q = _expand_in_L(Q, L)
     if q is None:
         raise NotRankOrderCase("ad power is not a polynomial in L")
     # sum q_j f(z)^j == m! (f'(z))^m
@@ -559,24 +558,16 @@ class CentralizerResult(Record):
     rank: Optional[int]  # None when only the constants were found
 
 
-def centralizer_search(
-    L: DiffOp,
-    max_ord: int,
-    pole_order: Optional[int] = None,
-    num_degree: Optional[int] = None,
-) -> CentralizerResult:
+def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     """Solve [L, M] = 0 over candidates M = sum_j p_j(x) x^-d d^j with
-    deg p_j <= num_degree, d = pole_order.
+    j <= max_ord, d = max_ord and deg p_j <= 2 max(max_ord, N) + d.
 
     Returns a basis of the solution space (echelonized so leading terms are
     distinct), the orders, and the gcd of the nonzero orders as the rank
     estimate (None when the search finds only the constants).
     """
-    if pole_order is None:
-        pole_order = max_ord
-    if num_degree is None:
-        num_degree = 2 * max(max_ord, L.order) + pole_order
-    d = pole_order
+    d = max_ord
+    num_degree = 2 * max(max_ord, L.order) + d
     basis_ops: list[tuple[int, int]] = [
         (j, i) for j in range(max_ord + 1) for i in range(num_degree + 1)
     ]

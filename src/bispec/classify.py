@@ -70,19 +70,17 @@ FAMILY_VERDICTS = (
 
 
 class Budgets(Record):
-    """Search budgets; the ad budget has no theoretical bound in general,
-    so it is an explicit knob everywhere."""
+    """Search budgets.  The ad budget and the theta degree have no
+    theoretical bound in general, so the caller may set them; the
+    centralizer search always runs through order 2N - 1."""
 
-    __slots__ = ("ad_budget", "trunc", "theta_lmax", "obstruction_steps",
-                 "centralizer_max_ord")
+    __slots__ = ("ad_budget", "trunc", "theta_lmax", "obstruction_steps")
     _defaults = {"ad_budget": 8, "trunc": 8, "theta_lmax": 4,
-                 "obstruction_steps": 24,
-                 "centralizer_max_ord": None}  # None: 2N - 1
+                 "obstruction_steps": 24}
     ad_budget: int
     trunc: int
     theta_lmax: int
     obstruction_steps: int
-    centralizer_max_ord: Optional[int]
 
 
 class ClassificationReport(Record):
@@ -424,7 +422,7 @@ def _classify_bounded(
     except err.NotRankOrderCase:
         report.certificates["ad_theta"] = str(use)
         report.certificates["rank_order_case"] = False
-        _polynomial_branch(L, report, budgets)
+        _polynomial_branch(L, report)
         return
     except err.BispecError as e:
         report.errors.append(f"{type(e).__name__}: {e}")
@@ -454,18 +452,16 @@ def _classify_bounded(
     if chain.identity_holds and chain.divisibility_ok and chain.q_r_ok:
         # chain consistent except nonzero constants: rank < order forced
         report.certificates["rank_order_case"] = False
-        _polynomial_branch(L, report, budgets)
+        _polynomial_branch(L, report)
         return
     report.verdict = VERDICT_INCONCLUSIVE
 
 
-def _polynomial_branch(L: DiffOp, report: ClassificationReport, budgets: Budgets):
+def _polynomial_branch(L: DiffOp, report: ClassificationReport):
     """Rank < order: candidate for a Darboux transformation of a
     constant-coefficient operator."""
-    N = L.order
-    max_ord = budgets.centralizer_max_ord or (2 * N - 1)
     try:
-        cen = centralizer_search(L, max_ord)
+        cen = centralizer_search(L, 2 * L.order - 1)
         report.certificates["centralizer"] = {
             "orders": sorted(set(cen.orders)),
             "rank_estimate": cen.rank,

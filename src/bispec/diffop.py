@@ -270,16 +270,24 @@ def ad_pow(L: DiffOp, G: DiffOp, m: int) -> DiffOp:
     return out
 
 
-def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
-    """Minimal m <= m_max with ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0,
-    or None when no such m exists within the budget."""
+def _ad_chain_end(L: DiffOp, theta: Poly, m_max: int) -> Optional[tuple[int, DiffOp]]:
+    """(m, ad_L^m(theta)) for the minimal m <= m_max with
+    ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0, or None when no such m
+    exists within the budget.  It takes m + 1 brackets."""
     current = DiffOp.from_function(theta, L.var)
     for m in range(m_max + 1):
         nxt = commutator(L, current)
         if nxt.is_zero():
-            return m if not current.is_zero() else None
+            return (m, current) if not current.is_zero() else None
         current = nxt
     return None
+
+
+def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
+    """Minimal m <= m_max with ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0,
+    or None when no such m exists within the budget."""
+    end = _ad_chain_end(L, theta, m_max)
+    return None if end is None else end[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +356,7 @@ def gauge_normalize(L: DiffOp) -> tuple[DiffOp, RatFunc]:
 # application to truncated series at the origin
 # ---------------------------------------------------------------------------
 
-def apply_to_series(L: DiffOp, s: PowerSeries, M: Optional[int] = None) -> PowerSeries:
+def apply_to_series(L: DiffOp, s: PowerSeries) -> PowerSeries:
     """Apply L to a truncated series at the origin.
 
     The result's ``trunc`` field reports the guaranteed-exact range (one
@@ -373,8 +381,6 @@ def apply_to_series(L: DiffOp, s: PowerSeries, M: Optional[int] = None) -> Power
     neg = [e for e in out.terms if e < 0]
     if neg:
         raise PoleAtOrigin(f"result has pole terms at exponents {sorted(neg)}")
-    if M is not None:
-        out = out.restrict(M)
     return out
 
 

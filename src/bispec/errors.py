@@ -65,14 +65,6 @@ class NotAFactor(BispecError):
     """Darboux division left a nonzero remainder."""
 
 
-class FormViolation(BispecError):
-    """Darboux P factor fails the x^-n sum p_k(x^N) D^k shape."""
-
-
-class FormViolationWarning(UserWarning):
-    """Warning-level report of a Darboux form violation."""
-
-
 # -- adcond-bispectral ------------------------------------------------------
 
 class UnboundedCoefficient(BispecError):

@@ -15,32 +15,25 @@ power of the base the transformation is called monomial.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import BadIndex, FormViolation, FormViolationWarning, NotAFactor
+from .errors import BadIndex, NotAFactor
 from .rational import Poly, RatFunc, ScalarLike
 from .diffop import DiffOp, dop_mul, euler_operator, right_divide
 from .record import Record
 
 
 class BesselSpec(Record):
-    """Order p and the p roots (beta_1 .. beta_p) of the Bessel symbol."""
+    """Order p and the p roots (beta_1 .. beta_p) of the Bessel symbol.
+    Any weight sum is accepted; ``classify`` records whether it is
+    p(p-1)/2 as ``bessel_weight_sum_normalized``."""
 
-    __slots__ = ("betas", "check_weight_sum")
-    _defaults = {"check_weight_sum": False}
+    __slots__ = ("betas",)
     betas: tuple[Fraction, ...]
-    check_weight_sum: bool
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(Fraction(b) for b in self.betas))
-        if self.check_weight_sum:
-            p = self.p
-            want = Fraction(p * (p - 1), 2)
-            got = sum(self.betas, Fraction(0))
-            if got != want:
-                raise ValueError(f"sum of betas is {got}, expected {want}")
 
     @property
     def p(self) -> int:
@@ -55,15 +48,14 @@ class DarbouxResult(Record):
     base is a pure power of a Bessel operator; ``base_power`` is that power
     when declared."""
 
-    __slots__ = ("P", "Q", "base", "transformed", "monomial", "base_power", "form_ok")
-    _defaults = {"monomial": False, "base_power": None, "form_ok": None}
+    __slots__ = ("P", "Q", "base", "transformed", "monomial", "base_power")
+    _defaults = {"monomial": False, "base_power": None}
     P: DiffOp
     Q: DiffOp
     base: DiffOp
     transformed: DiffOp
     monomial: bool
     base_power: Optional[int]
-    form_ok: Optional[bool]
 
     def __post_init__(self):
         if dop_mul(self.Q, self.P) != self.base:
@@ -219,33 +211,21 @@ def darboux(
     *,
     monomial: bool = False,
     base_power: Optional[int] = None,
-    form_check_order: Optional[int] = None,
-    strict_form: bool = False,
 ) -> DarbouxResult:
     """Factor base = Q P by right division and exchange to P Q.
 
-    Raises NotAFactor when the division leaves a remainder.  When
-    ``form_check_order`` is given, P is tested against the
-    x^-n sum p_k(x^N) D^k shape; a failure warns (FormViolationWarning) or
-    raises FormViolation when ``strict_form`` is set.
+    Raises NotAFactor when the division leaves a remainder.  The shape of
+    P is not tested here; ``p_form_check`` tests it.
     """
     if base.is_zero() or P.is_zero():
         raise NotAFactor("base and P must be nonzero")
     Q, R = right_divide(base, P)
     if not R.is_zero():
         raise NotAFactor("P does not divide the base operator on the right")
-    form_ok: Optional[bool] = None
-    if form_check_order is not None:
-        form_ok = p_form_check(P, form_check_order)
-        if not form_ok:
-            if strict_form:
-                raise FormViolation("P fails the x^-n sum p_k(x^N) D^k shape")
-            warnings.warn("Darboux P factor fails the expected shape",
-                          FormViolationWarning, stacklevel=2)
     transformed = dop_mul(P, Q)
     return DarbouxResult(
         P=P, Q=Q, base=base, transformed=transformed,
-        monomial=monomial, base_power=base_power, form_ok=form_ok,
+        monomial=monomial, base_power=base_power,
     )
 
 

@@ -14,9 +14,7 @@ class Record:
     """Immutable record whose fields are the names in ``__slots__``.
 
     A subclass lists its fields in ``__slots__`` (constructor order) and
-    may give default values in ``_defaults``.  A subclass of a record
-    inherits its fields: ``_fields`` is every ``__slots__`` entry along the
-    class hierarchy, base classes first.  The generic constructor
+    may give default values in ``_defaults``.  The generic constructor
     binds positional and keyword arguments to the fields and then calls
     ``__post_init__``, where a subclass checks or normalizes its fields
     (writing them with ``object.__setattr__``).  Hot classes write their
@@ -31,12 +29,8 @@ class Record:
     __slots__ = ()
     _defaults: dict = {}
 
-    def __init_subclass__(cls):
-        cls._fields = tuple(name for klass in reversed(cls.__mro__)
-                            for name in klass.__dict__.get("__slots__", ()))
-
     def __init__(self, *args, **kwargs):
-        names = self._fields
+        names = self.__slots__
         if len(args) > len(names):
             raise TypeError(f"{type(self).__name__}() takes {len(names)} "
                             f"arguments, {len(args)} given")
@@ -59,7 +53,7 @@ class Record:
         pass
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -70,7 +64,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):

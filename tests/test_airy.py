@@ -10,7 +10,6 @@ from bispec import (
     AiryPDO,
     DiffOp,
     LaurentTail,
-    MJOp,
     NotAiryShape,
     ObstructionTrace,
     Poly,
@@ -30,7 +29,7 @@ from bispec import (
     reduce_mod_A,
     v_decompose,
 )
-from bispec.airy import top_of_diffop
+from bispec.airy import TOp, top_of_diffop
 from oracles import random_diffop
 
 d = DiffOp.d()
@@ -95,21 +94,27 @@ class TestReduceModA:
 
 class TestBracketDecompose:
     def test_pure_function(self):
-        m = MJOp({0: tail(2) + tail(0, 3)}, 2)  # x^2 + 3
+        m = TOp({0: tail(2) + tail(0, 3)})  # x^2 + 3
         b, c = bracket_decompose(A2, m)
         assert b.is_zero()
         # [d^2 - x, x^2 + 3] = 4x d + 2
         assert dict(c.coeffs) == {1: tail(1, 4), 0: tail(0, 2)}
 
     def test_alpha_d(self):
-        m = MJOp({1: tail(0)}, 2)  # d
+        m = TOp({1: tail(0)})  # d
         b, c = bracket_decompose(A2, m)
         assert b.is_zero()
         assert dict(c.coeffs) == {0: tail(0)}
 
     def test_constant(self):
-        b, c = bracket_decompose(A2, MJOp({0: tail(0, 5)}, 2))
+        b, c = bracket_decompose(A2, TOp({0: tail(0, 5)}))
         assert b.is_zero() and c.is_zero()
+
+    def test_m_of_airy_order_rejected(self):
+        with pytest.raises(ValueError):
+            bracket_decompose(A2, TOp({2: tail(0)}))
+        with pytest.raises(ValueError):
+            v_decompose(xpow(-2), TOp({2: tail(0)}), A2)
 
     def test_consistency_and_height_relation(self):
         rng = random.Random(97)
@@ -117,11 +122,10 @@ class TestBracketDecompose:
         for _ in range(25):
             # recursion-shaped m: the d^0 part never dominates
             h1 = rng.randint(-4, 3)
-            m = MJOp({1: tail(h1), 0: tail(rng.randint(-4, h1 + 1))}, 2)
+            m = TOp({1: tail(h1), 0: tail(rng.randint(-4, h1 + 1))})
             b, c = bracket_decompose(A2, m)
-            bc = b.as_top() * At + c.as_top()
-            mt = m.as_top()
-            lhs = At * mt - mt * At
+            bc = b * At + c
+            lhs = At * m - m * At
             diff = lhs - bc
             assert all(t.is_zero() for t in diff.coeffs.values())
             if not b.is_zero():
@@ -130,26 +134,31 @@ class TestBracketDecompose:
 
 class TestVDecompose:
     def test_below_order(self):
-        U, W = v_decompose(xpow(-2), MJOp({0: tail(0)}, 2), A2)
+        U, W = v_decompose(xpow(-2), TOp({0: tail(0)}), A2)
         assert U.is_zero()
         assert dict(W.coeffs) == {0: tail(-2)}
 
     def test_quotient_appears(self):
         # x^-1 d applied to d with N = 2: x^-1 d^2 = x^-1 A + 1
-        U, W = v_decompose(dop_mul(xpow(-1), d), MJOp({1: tail(0)}, 2), A2)
+        U, W = v_decompose(dop_mul(xpow(-1), d), TOp({1: tail(0)}), A2)
         assert dict(U.coeffs) == {0: tail(-1)}
         assert dict(W.coeffs) == {0: tail(0)}
 
     def test_function_argument(self):
-        U, W = v_decompose(xpow(-2), MJOp({1: tail(0)}, 2), A2)
+        U, W = v_decompose(xpow(-2), TOp({1: tail(0)}), A2)
         assert U.is_zero()
         assert dict(W.coeffs) == {1: tail(-2)}
+
+    def test_non_airy_operator_rejected(self):
+        # the division by A assumes a monic A: 2*d^2 used to loop forever
+        with pytest.raises(NotAiryShape):
+            v_decompose(dop_mul(xpow(-1), d), TOp({1: tail(0)}), (d ** 2).scale(2))
 
     def test_height_bounds(self):
         rng = random.Random(103)
         for _ in range(20):
             hm = rng.randint(-3, 3)
-            m = MJOp({rng.randint(0, 1): tail(hm)}, 2)
+            m = TOp({rng.randint(0, 1): tail(hm)})
             V = xpow(rng.randint(-5, -2))
             U, W = v_decompose(V, m, A2)
             if not U.is_zero():
@@ -161,12 +170,12 @@ class TestVDecompose:
         rng = random.Random(107)
         At = top_of_diffop(A2)
         for _ in range(20):
-            m = MJOp({k: tail(rng.randint(-4, 3), rng.randint(-3, 3) or 1)
-                      for k in range(2) if rng.random() < 0.8} or {0: tail(0)}, 2)
+            m = TOp({k: tail(rng.randint(-4, 3), rng.randint(-3, 3) or 1)
+                     for k in range(2) if rng.random() < 0.8} or {0: tail(0)})
             V = dop_mul(xpow(rng.randint(-5, -2)), d ** rng.randint(0, 1))
             U, W = v_decompose(V, m, A2)
-            lhs = U.as_top() * At + W.as_top()
-            rhs = top_of_diffop(V) * m.as_top()
+            lhs = U * At + W
+            rhs = top_of_diffop(V) * m
             diff = lhs - rhs
             assert all(t.is_zero() for t in diff.coeffs.values())
 

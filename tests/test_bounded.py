@@ -251,6 +251,27 @@ class TestBoundedChain:
         assert not rep.passes
         assert rep.failures() == ("nonzero-constants",)
 
+    @pytest.mark.parametrize("L, theta, m", [
+        (L_KDV, THETA2, 2),
+        (make_constcoeff(3), Poly.monomial(3), 3),
+    ])
+    def test_chain_is_built_once(self, monkeypatch, L, theta, m):
+        # the chain that finds m ends at ad^m(theta), which commutes with
+        # L: m + 1 brackets in all
+        import bispec.bounded
+        import bispec.diffop
+
+        calls = []
+
+        def counting(A, B):
+            calls.append(A)
+            return commutator(A, B)
+
+        for module in (bispec.diffop, bispec.bounded):
+            monkeypatch.setattr(module, "commutator", counting)
+        assert bounded_test(L, theta, 2 * m).m == m
+        assert len(calls) == m + 1
+
     def test_rank_order_case_error(self):
         with pytest.raises(NotRankOrderCase):
             bounded_test(d * d, Poly([0, 1]), 4)

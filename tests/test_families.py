@@ -1,7 +1,6 @@
 """Family constructors, the Bessel symbol, and the Darboux engine."""
 
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,6 @@ from bispec import (
     BadIndex,
     BesselSpec,
     DiffOp,
-    FormViolation,
-    FormViolationWarning,
     NotAFactor,
     Poly,
     RatFunc,
@@ -91,11 +88,6 @@ class TestMakeBessel:
         p = len(betas)
         assert commutator(euler_operator(), B) == B.scale(-p)
         assert is_euler_homogeneous(B)
-
-    def test_weight_sum_flag(self):
-        BesselSpec((0, 1), check_weight_sum=True)
-        with pytest.raises(ValueError):
-            BesselSpec((0, 2), check_weight_sum=True)
 
     def test_coefficient_shape(self):
         # coefficient of d^j is a constant times x^(j-p)
@@ -245,23 +237,6 @@ class TestDarboux:
         base = d * d - xpow(-2, 2)
         res = darboux(base, base)
         assert res.transformed == base
-
-    def test_form_check_warning(self):
-        base = dop_mul(d + DiffOp.one(), d - DiffOp.one())
-        with pytest.warns(FormViolationWarning):
-            res = darboux(base, d - DiffOp.one(), form_check_order=2)
-        assert res.form_ok is False
-
-    def test_form_check_strict(self):
-        base = dop_mul(d + DiffOp.one(), d - DiffOp.one())
-        with pytest.raises(FormViolation):
-            darboux(base, d - DiffOp.one(), form_check_order=2, strict_form=True)
-
-    def test_form_check_passes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = darboux(d * d, d - xpow(-1), form_check_order=2)
-        assert res.form_ok is True
 
     def test_monomial_declaration(self):
         res = darboux(d * d, d - xpow(-1), monomial=True, base_power=1)

@@ -140,7 +140,7 @@ class TestFuchsViolation:
 class TestStageOrder:
     @pytest.mark.parametrize("text", ["d^2 + x^-1", "d^3 + x^-1"])
     def test_probe_decides_without_a_theta_search(self, text, monkeypatch):
-        calls = counted(monkeypatch, "ad_condition_min_m")
+        calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
         r = classify(text)
         assert r.verdict == "Obstructed"
         assert r.certificates["obstruction"].startswith(
@@ -296,7 +296,7 @@ class TestTranslation:
         ("d^2 - 28/9*(x+1)^-2", ["-4/3", "7/3"]),
     ])
     def test_no_probe_and_no_theta_search(self, text, betas, monkeypatch):
-        ad_calls = counted(monkeypatch, "ad_condition_min_m")
+        ad_calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
         wave_calls = counted(monkeypatch, "wave_operator")
         doc = classify(text).to_json_dict()
         assert doc["verdict"] == "Bessel(2)"
