@@ -33,7 +33,14 @@ from .rational import (
     laurent_expand,
     nonzero_terms,
 )
-from .diffop import DiffOp, dop_mul, leibniz_product, right_divide, transpose_weyl
+from .diffop import (
+    DiffOp,
+    dop_mul,
+    leibniz_divide,
+    leibniz_product,
+    right_divide,
+    transpose_weyl,
+)
 from .weights import principal_part
 from .record import Record
 
@@ -253,17 +260,11 @@ def reduce_mod_A(T: DiffOp, A: DiffOp) -> tuple[DiffOp, TOp]:
     return q, top_of_diffop(r)
 
 
-def _reduce_top(T: TOp, At: TOp, N: int) -> tuple[TOp, TOp]:
-    """Division T = q * At + r in the tail-coefficient ring (At monic of
-    order N with constant leading coefficient)."""
-    q = TOp.zero()
-    r = T
-    while r.order >= N:
-        k = r.order
-        piece = TOp._trusted({k - N: r.coeff(k)})
-        q = q + piece
-        r = r - piece * At
-    return q, r
+def _reduce_top(T: TOp, At: TOp) -> tuple[TOp, TOp]:
+    """Division T = q * At + r in the tail-coefficient ring, d-degree(r)
+    below order(At)."""
+    q, r = leibniz_divide(T.coeffs, At.coeffs)
+    return TOp._trusted(q), TOp._trusted(r)
 
 
 def bracket_decompose(A: DiffOp, m: TOp) -> tuple[TOp, TOp]:
@@ -277,7 +278,7 @@ def bracket_decompose(A: DiffOp, m: TOp) -> tuple[TOp, TOp]:
     if m.order >= N:
         raise ValueError("m must have d-degree below the Airy order")
     At = top_of_diffop(A)
-    return _reduce_top(At * m - m * At, At, N)
+    return _reduce_top(At * m - m * At, At)
 
 
 def v_decompose(V: DiffOp, m: TOp, A: DiffOp) -> tuple[TOp, TOp]:
@@ -286,7 +287,7 @@ def v_decompose(V: DiffOp, m: TOp, A: DiffOp) -> tuple[TOp, TOp]:
     Vt = top_of_diffop(V)
     if Vt.order >= N or m.order >= N:
         raise ValueError("V and m must have d-degree below the Airy order")
-    return _reduce_top(Vt * m, top_of_diffop(A), N)
+    return _reduce_top(Vt * m, top_of_diffop(A))
 
 
 def height(m: Union[TOp, DiffOp]):
@@ -362,11 +363,11 @@ def _wave_tops(A: DiffOp, V: DiffOp, depth: int) -> tuple[TOp, TOp]:
                                   for j, c in V.coeffs.items()})
 
 
-def _contributions(delta: TOp, At: TOp, Vt: TOp, N: int) -> tuple[TOp, TOp]:
+def _contributions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of [A, delta] = b A + c and
     V delta = U A + W for a piece delta of some m_j."""
-    qb, rc = _reduce_top(At * delta - delta * At, At, N)
-    qu, rw = _reduce_top(Vt * delta, At, N)
+    qb, rc = _reduce_top(At * delta - delta * At, At)
+    qu, rw = _reduce_top(Vt * delta, At)
     return qb + qu, rc + rw
 
 
@@ -410,7 +411,7 @@ def airy_wave_solve(
                 beta = g.antiderivative().scale(inv_n)
                 if not beta.is_zero():
                     m[eq][0] = beta
-                    same, nxt = _contributions(TOp({0: beta}), At, Vt, N)
+                    same, nxt = _contributions(TOp({0: beta}), At, Vt)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
@@ -422,7 +423,7 @@ def airy_wave_solve(
                 if alpha.is_zero():
                     continue
                 m[eq + 1][k] = alpha
-                same, nxt = _contributions(TOp({k: alpha}), At, Vt, N)
+                same, nxt = _contributions(TOp({k: alpha}), At, Vt)
                 R = R + same
                 next_rhs = next_rhs + nxt
             for k, t in R.coeffs.items():
@@ -450,13 +451,12 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     range are ignored.  This is the L K - K A = 0 statement written in
     A-adic slices."""
     A, V = principal_part(L)
-    shape = airy_shape(A)
-    N = shape.N
+    airy_shape(A)  # raises NotAiryShape
     h_min = K.h_min
     depth = -h_min
     At, Vt = _wave_tops(A, V, depth)
     # parts[j] holds the (b+U, c+W) parts of m_(j+1), each reduced once
-    parts = [_contributions(K.coeff(j), At, Vt, N) for j in range(1, K.trunc + 1)]
+    parts = [_contributions(K.coeff(j), At, Vt) for j in range(1, K.trunc + 1)]
     for j in range(0, K.trunc):
         lhs = parts[j][0] + (Vt if j == 0 else parts[j - 1][1])
         for k, t in lhs.coeffs.items():

@@ -9,6 +9,10 @@ part.  The truncation J means indices <= J are known exactly (None for
 finite exact sums).  With exact coefficients every product below the
 truncation is computed exactly via
     d^-i o a(x) = sum_t C(-i, t) a^(t)(x) d^(-i-t).
+The inverse K^-1 is the quotient of 1 by K in the same long division that
+divides operators (``diffop.leibniz_divide``), cut at the truncation; the
+rank-equals-order test writes ad^m(theta) as a polynomial in L by repeated
+right division by L, each remainder a constant.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .rational import (
     Poly,
     RatFunc,
     TruncatedSeries,
+    min_trunc,
     nonzero_terms,
     poly_lcm,
     rat_antiderivative,
@@ -44,6 +49,7 @@ from .diffop import (
     DiffOp,
     _ad_chain_end,
     commutator,
+    leibniz_divide,
     leibniz_product,
     transpose_weyl,
 )
@@ -148,19 +154,15 @@ class PDO(TruncatedSeries):
 
     def inverse(self, J: int) -> "PDO":
         """(1 + T)^-1 through index J for series with start index 0 and
-        leading coefficient 1."""
-        if self.coeff(0) != RatFunc.one() or (self.start or 0) < 0:
+        leading coefficient 1: the quotient of 1 by the series, by long
+        division cut at d^-J."""
+        if (not self.all_ratfunc() or self.coeff(0) != RatFunc.one()
+                or (self.start or 0) < 0):
             raise NotInDomain("inverse requires 1 + (strictly decaying part)")
-        t = PDO._trusted(self.var, {j: c for j, c in self.terms.items() if j > 0},
-                         self.trunc).restrict(J)
-        acc = PDO.identity(self.var).restrict(J)
-        power = PDO.identity(self.var).restrict(J)
-        for _ in range(J):
-            power = (power * (-t)).restrict(J)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc
+        trunc = min_trunc(self.trunc, J)
+        quo, _ = leibniz_divide({0: RatFunc.one()},
+                                {-j: a for j, a in self.terms.items()}, -trunc)
+        return PDO._trusted(self.var, {-k: c for k, c in quo.items()}, trunc)
 
     def _term(self, j: int, c) -> tuple:
         return 1, f"({c})" + (f"*d^{-j}" if j else "")
@@ -262,10 +264,13 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> WaveData:
     one antiderivative determines it.  Raises LogObstruction when the
     antiderivative has an x^-1 residue (rationality fails, so the input
     cannot satisfy the polynomial-conjugation lemma), ReconstructionFailed
-    when the integral is not rational for a deeper reason."""
+    when the integral is not rational for a deeper reason, NotMonic when
+    the leading coefficient of L is not 1."""
     N = L.order
     if N < 1:
         raise UnboundedCoefficient("wave operator needs order >= 1")
+    if not L.is_monic():
+        raise NotMonic("wave operator needs a monic operator")
     if f.degree != N or f.leading() != 1:
         raise ValueError("f must be monic of the operator's order")
     K = PDO.identity(L.var)
@@ -419,41 +424,30 @@ def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
 # ---------------------------------------------------------------------------
 
 def q_polynomial_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
-    """Constants q_0..q_r with Q = sum q_j L^j, by leading-term elimination;
-    None when the elimination leaves an incompatible remainder.  Requires
-    [L, Q] = 0 (NotCommuting otherwise)."""
+    """Constants q_0..q_r with Q = sum q_j L^j, q_r != 0 (just [0] for
+    Q = 0); None when Q is not a polynomial in L.  Requires [L, Q] = 0
+    (NotCommuting otherwise)."""
     if not commutator(L, Q).is_zero():
         raise NotCommuting("[L, Q] != 0")
     return _expand_in_L(Q, L)
 
 
 def _expand_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
-    """``q_polynomial_in_L`` for a Q already known to commute with L."""
-    N = L.order
-    if N < 1:
+    """``q_polynomial_in_L`` for a Q already known to commute with L:
+    Q = q_0 + (q_1 + (q_2 + ...) L) L by repeated right division by L,
+    where every remainder must be a constant."""
+    if L.order < 1:
         return None
-    rem = Q
-    coeffs: dict[int, Fraction] = {}
-    while not rem.is_zero():
-        o = rem.order
-        if o == 0:
-            c = rem.coeff(0)
-            if not c.is_constant():
-                return None
-            coeffs[0] = c.constant_value()
-            break
-        if o % N != 0:
+    q = []
+    rest = Q.coeffs
+    while True:
+        rest, r = leibniz_divide(rest, L.coeffs)
+        c = r.get(0, RatFunc.zero())
+        if r.keys() - {0} or not c.is_constant():
             return None
-        lead = rem.leading()
-        if not lead.is_constant():
-            return None
-        r = o // N
-        coeffs[r] = lead.constant_value()
-        rem = rem - (L ** r).scale(coeffs[r])
-        if not rem.is_zero() and rem.order >= o:
-            return None
-    top = max(coeffs) if coeffs else 0
-    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+        q.append(c.constant_value())
+        if not rest:
+            return q
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,15 @@ Products are computed with the Leibniz rule
 so every constructor returns a normal-ordered value and equality is plain
 coefficient comparison.
 
+Division with remainder is long division on the same coefficient maps
+(``leibniz_divide``): each step cancels the leading term of the remainder
+with one quotient monomial, divided by the divisor's leading coefficient
+when that is not 1.  It serves ``right_divide`` (L = Q o P + R) and
+``left_divide`` (L = P o Q + R) with order(R) < order(P), reduction modulo
+an Airy operator with tail coefficients, the inverse of a
+pseudo-differential series (a series division cut at a floor), and the
+expansion of an operator in powers of L.
+
 ``DiffOp(var, coeffs)`` coerces every coefficient to a ``RatFunc`` and
 drops the zero ones.  Ring operations build their result with the trusted
 constructor ``DiffOp._trusted(var, coeffs)`` instead, which checks
@@ -248,6 +257,31 @@ def leibniz_product(left: dict, right: dict, floor: Optional[int] = None,
     return nonzero_terms(out)
 
 
+def leibniz_divide(rem: dict, div: dict, floor: Optional[int] = None,
+                   left: bool = False) -> tuple[dict, dict]:
+    """Long division of coefficient maps: (quotient, remainder) with
+    rem = quotient o div + remainder, or div o quotient + remainder when
+    ``left``.  Each step cancels the remainder's leading term with one
+    quotient monomial and subtracts that monomial times ``div``, by
+    ``leibniz_product``.  With n the top power of ``div``, quotient powers
+    stay >= 0, so the remainder ends below power n.  A ``floor`` makes the
+    maps series: products are cut below power ``floor``, and the quotient
+    runs down to power floor - n."""
+    n = max(div)
+    lead = div[n]
+    unit = lead.is_one()
+    low = n if floor is None else floor
+    quo = {}
+    while rem and max(rem) >= low:
+        k = max(rem)
+        c = rem[k] if unit else rem[k] / lead
+        quo[k - n] = c
+        step = {k - n: -c}
+        rem = add_terms(rem, leibniz_product(div, step, floor) if left
+                        else leibniz_product(step, div, floor))
+    return quo, rem
+
+
 def dop_mul(L: DiffOp, M: DiffOp) -> DiffOp:
     """Normal-ordered product L o M via the Leibniz rule."""
     L._check_var(M)
@@ -295,21 +329,13 @@ def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 def _divide(L: DiffOp, P: DiffOp, side: str) -> tuple[DiffOp, DiffOp]:
-    """Quotient Q and remainder R, order(R) < order(P), of L = Q o P + R
-    (side "right") or L = P o Q + R (side "left").  Each step cancels the
-    leading term of the remainder with one monomial of the quotient."""
+    """``leibniz_divide`` on the coefficients of L and P (see
+    ``right_divide`` and ``left_divide``)."""
     L._check_var(P)
     if P.is_zero():
         raise DivisionByZeroOperator(f"{side} division by the zero operator")
-    q = DiffOp.zero(L.var)
-    r = L
-    n = P.order
-    lead = P.leading()
-    while r.order >= n:
-        term = DiffOp.monomial(r.leading() / lead, r.order - n, L.var)
-        q = q + term
-        r = r - (dop_mul(P, term) if side == "left" else dop_mul(term, P))
-    return q, r
+    q, r = leibniz_divide(L.coeffs, P.coeffs, left=side == "left")
+    return DiffOp._trusted(L.var, q), DiffOp._trusted(L.var, r)
 
 
 def right_divide(L: DiffOp, P: DiffOp) -> tuple[DiffOp, DiffOp]:

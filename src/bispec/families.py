@@ -9,8 +9,8 @@ The families:
 A Darboux transformation factors a polynomial in a base operator as
 h(L) = Q P and exchanges the factors: the transformed operator is P Q.
 The caller supplies P; the engine completes Q by right division, verifies
-the factorization exactly and re-multiplies.  When the declared h is a pure
-power of the base the transformation is called monomial.
+the factorization exactly and re-multiplies.  When h is a pure power of
+the base the transformation is called monomial.
 """
 
 from __future__ import annotations
@@ -44,18 +44,13 @@ class DarbouxResult(Record):
     """Certificate of a Darboux transformation.
 
     Q * P = base and P * Q = transformed hold exactly (re-verified on
-    construction).  ``monomial`` records the caller's declaration that the
-    base is a pure power of a Bessel operator; ``base_power`` is that power
-    when declared."""
+    construction)."""
 
-    __slots__ = ("P", "Q", "base", "transformed", "monomial", "base_power")
-    _defaults = {"monomial": False, "base_power": None}
+    __slots__ = ("P", "Q", "base", "transformed")
     P: DiffOp
     Q: DiffOp
     base: DiffOp
     transformed: DiffOp
-    monomial: bool
-    base_power: Optional[int]
 
     def __post_init__(self):
         if dop_mul(self.Q, self.P) != self.base:
@@ -205,13 +200,7 @@ def p_form_check(P: DiffOp, N: int) -> bool:
 # the Darboux engine
 # ---------------------------------------------------------------------------
 
-def darboux(
-    base: DiffOp,
-    P: DiffOp,
-    *,
-    monomial: bool = False,
-    base_power: Optional[int] = None,
-) -> DarbouxResult:
+def darboux(base: DiffOp, P: DiffOp) -> DarbouxResult:
     """Factor base = Q P by right division and exchange to P Q.
 
     Raises NotAFactor when the division leaves a remainder.  The shape of
@@ -223,24 +212,12 @@ def darboux(
     if not R.is_zero():
         raise NotAFactor("P does not divide the base operator on the right")
     transformed = dop_mul(P, Q)
-    return DarbouxResult(
-        P=P, Q=Q, base=base, transformed=transformed,
-        monomial=monomial, base_power=base_power,
-    )
+    return DarbouxResult(P=P, Q=Q, base=base, transformed=transformed)
 
 
 def compose_darboux(first: DarbouxResult, second: DarbouxResult) -> DarbouxResult:
     """Chain two transformations: requires second.base to be built over
-    first.transformed.  The composite pair is (P2 P1, Q1 Q2); the monomial
-    flag survives composition and base powers multiply as d1 * (1 + d2)."""
+    first.transformed.  The composite pair is (P2 P1, Q1 Q2)."""
     P = dop_mul(second.P, first.P)
     Q = dop_mul(first.Q, second.Q)
-    base = dop_mul(Q, P)
-    transformed = dop_mul(P, Q)
-    power = None
-    if first.base_power is not None and second.base_power is not None:
-        power = first.base_power * (1 + second.base_power)
-    return DarbouxResult(
-        P=P, Q=Q, base=base, transformed=transformed,
-        monomial=first.monomial and second.monomial, base_power=power,
-    )
+    return DarbouxResult(P=P, Q=Q, base=dop_mul(Q, P), transformed=dop_mul(P, Q))

@@ -903,6 +903,9 @@ class LaurentTail(_ScalarSeries):
         """Exact tail for coeff * x^exponent."""
         return LaurentTail({-exponent: _frac(coeff)}, None)
 
+    def is_one(self) -> bool:
+        return self.trunc is None and self.terms == {0: 1}
+
     def leading(self) -> tuple[int, Fraction]:
         if not self.terms:
             raise ValueError("zero tail has no leading term")

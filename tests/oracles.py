@@ -13,7 +13,12 @@ These deliberately avoid the library's code paths:
   symbol read off the product x^N L, the references for the library's
   coefficient scan;
 * dense Gauss-Jordan elimination over lists of Fractions, the reference
-  for the library's sparse ``linalg``.
+  for the library's sparse ``linalg``;
+* four division loops on whole operators and series, the references for
+  the library's one long-division kernel ``diffop.leibniz_divide``:
+  operator division, reduction modulo a tail-coefficient Airy operator,
+  the Neumann series of a pseudo-differential inverse, and the expansion
+  of an operator in powers of L by subtracting scaled powers L^r.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from bispec import DiffOp, Poly, RatFunc, commutator, euler_operator
+from bispec import PDO, DiffOp, Poly, RatFunc, commutator, dop_mul, euler_operator
+from bispec.airy import TOp
 from bispec.families import falling_factorial
 
 # monomial algebra: {(a, b): coeff} represents sum coeff * x^a d^b, a in Z
@@ -224,3 +230,66 @@ def dense_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fractio
             vec[p] = -mat[r][f]
         basis.append(vec)
     return basis
+
+
+# division by leading terms, one whole-operator product per step
+
+
+def divide_by_leading_terms(L: DiffOp, P: DiffOp, side: str) -> tuple[DiffOp, DiffOp]:
+    """Q, R with L = Q o P + R (side "right") or L = P o Q + R (side
+    "left") and order(R) < order(P); P must be nonzero."""
+    q = DiffOp.zero(L.var)
+    r = L
+    n = P.order
+    lead = P.leading()
+    while r.order >= n:
+        term = DiffOp.monomial(r.leading() / lead, r.order - n, L.var)
+        q = q + term
+        r = r - (dop_mul(P, term) if side == "left" else dop_mul(term, P))
+    return q, r
+
+
+def reduce_top_by_leading_terms(T: TOp, At: TOp) -> tuple[TOp, TOp]:
+    """q, r with T = q * At + r and d-degree(r) < order(At), for At monic
+    with the exact tail 1 as its leading coefficient."""
+    N = At.order
+    q = TOp.zero()
+    r = T
+    while r.order >= N:
+        k = r.order
+        piece = TOp({k - N: r.coeff(k)})
+        q = q + piece
+        r = r - piece * At
+    return q, r
+
+
+def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
+    """(1 + T)^-1 = sum_n (-T)^n through index J, for K = 1 + T with T
+    strictly decaying."""
+    t = PDO(K.var, {j: c for j, c in K.terms.items() if j > 0}, K.trunc).restrict(J)
+    acc = PDO.identity(K.var).restrict(J)
+    power = PDO.identity(K.var).restrict(J)
+    for _ in range(J):
+        power = (power * (-t)).restrict(J)
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc
+
+
+def expand_in_powers(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
+    """Constants q_0..q_r with Q = sum q_j L^j for a monic L of order >= 1,
+    by subtracting q_r L^r for the leading term; None when Q is not a
+    polynomial in L."""
+    N = L.order
+    rem = Q
+    coeffs: dict[int, Fraction] = {}
+    while not rem.is_zero():
+        o = rem.order
+        lead = rem.leading()
+        if o % N != 0 or not lead.is_constant():
+            return None
+        coeffs[o // N] = lead.constant_value()
+        rem = rem - (L ** (o // N)).scale(coeffs[o // N])
+    top = max(coeffs) if coeffs else 0
+    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]

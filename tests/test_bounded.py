@@ -11,6 +11,7 @@ from bispec import (
     DiffOp,
     LogObstruction,
     NotCommuting,
+    NotMonic,
     NotRankOrderCase,
     PDO,
     Poly,
@@ -81,6 +82,17 @@ class TestWaveOperator:
         assert w.K.coeff(1) == RatFunc.x_power(-1, -1)
         assert all(w.K.coeff(j).is_zero() for j in range(2, 6))
         assert w.residual_zero()
+
+    @pytest.mark.parametrize("L", [
+        (d * d).scale(2),
+        DiffOp("x", {2: RatFunc(Poly([1, 1]), Poly([0, 1]))}),  # (1 + x^-1) d^2
+    ])
+    def test_non_monic_rejected(self, L):
+        # 2 d^2 has f = 2 z^2 and used to raise ValueError; (1 + x^-1) d^2
+        # has f = z^2 and used to return a K with L K != K f(d)
+        f, _ = split_constant_part(L)
+        with pytest.raises(NotMonic):
+            wave_operator(L, f, 3)
 
     def test_log_obstruction(self):
         with pytest.raises(LogObstruction):
@@ -226,6 +238,11 @@ class TestQPolynomialInL:
 
     def test_odd_order_rejected(self):
         assert q_polynomial_in_L(d, d * d) is None
+
+    def test_non_monic_L(self):
+        # subtracting q_r L^r assumed L monic: 2 d^2 used to give None
+        L = (d * d).scale(2)
+        assert q_polynomial_in_L(dop_mul(L, L) + L.scale(3), L) == [0, 3, 1]
 
 
 class TestBoundedChain:

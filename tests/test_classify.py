@@ -268,6 +268,15 @@ class TestCli:
         assert doc["verdict"] == "MonomialDarbouxCandidate(4)"
         assert doc["certificates"]["darboux"]["Q"] == "d + x^-1"
 
+    @pytest.mark.parametrize("expr", ["2*d^2", "(1+x^-1)*d^2"])
+    def test_wave_of_non_monic_operator_is_an_error(self, expr):
+        # the first used to exit 1 with a ValueError traceback, the second
+        # printed the coefficients of a wrong K (residual_zero: false)
+        out = run_cli("--json", "wave", expr)
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {
+            "errors": ["NotMonic: wave operator needs a monic operator"]}
+
     def test_divide(self):
         out = run_cli("divide", "d^2", "d - x^-1")
         assert "Q = d + x^-1" in out.stdout

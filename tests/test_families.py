@@ -238,15 +238,9 @@ class TestDarboux:
         res = darboux(base, base)
         assert res.transformed == base
 
-    def test_monomial_declaration(self):
-        res = darboux(d * d, d - xpow(-1), monomial=True, base_power=1)
-        assert res.monomial and res.base_power == 1
-
     def test_compose(self):
-        first = darboux(d * d, d, monomial=True, base_power=1)
-        second = darboux(first.transformed, d, monomial=True, base_power=1)
+        first = darboux(d * d, d)
+        second = darboux(first.transformed, d)
         combined = compose_darboux(first, second)
-        assert combined.monomial
-        assert combined.base_power == 2
         assert dop_mul(combined.Q, combined.P) == combined.base
         assert dop_mul(combined.P, combined.Q) == combined.transformed
