@@ -14,7 +14,6 @@ below its argument while the U-part of V(.) enters at least two below.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
 )
 from .rational import (
     LaurentTail,
-    Poly,
     PowerSeries,
     RatFunc,
     add_terms,
@@ -35,11 +33,11 @@ from .rational import (
 )
 from .diffop import (
     DiffOp,
+    apply_to_series,
     dop_mul,
     leibniz_divide,
     leibniz_product,
     right_divide,
-    transpose_weyl,
 )
 from .weights import principal_part
 from .record import Record
@@ -152,10 +150,6 @@ class TOp(Record):
     def __mul__(self, other: "TOp") -> "TOp":
         return TOp._trusted(leibniz_product(self.coeffs, other.coeffs))
 
-    def height(self) -> Optional[int]:
-        hs = [t.height() for t in self.coeffs.values() if t.height() is not None]
-        return max(hs) if hs else None
-
 
 _new = object.__new__
 _set_top_coeffs = TOp.coeffs.__set__
@@ -177,17 +171,12 @@ def top_of_diffop(L: DiffOp) -> TOp:
 
 class AiryPDO(Record):
     """Truncated Airy-adic wave operator K = 1 + sum_{j=1}^J m_j A^-j,
-    each m_j a ``TOp`` of d-degree below N = order(A).
+    each m_j a ``TOp`` of d-degree below N = order(A)."""
 
-    ``h_min`` is the deepest height tracked while solving; identities
-    involving K are exact above it."""
-
-    __slots__ = ("A", "mjs", "trunc", "h_min")
-    _defaults = {"h_min": None}
+    __slots__ = ("A", "mjs", "trunc")
     A: DiffOp
     mjs: Mapping[int, TOp]
     trunc: int
-    h_min: Optional[int]
 
     def __post_init__(self):
         airy_shape(self.A)
@@ -197,9 +186,12 @@ class AiryPDO(Record):
         if any(m.order >= self.A.order for m in clean.values()):
             raise ValueError("coefficient of d-degree at or above the Airy order")
         object.__setattr__(self, "mjs", clean)
-        if self.h_min is None:
-            object.__setattr__(self, "h_min",
-                               -(self.trunc + self.A.order + 4))
+
+    @property
+    def h_min(self) -> int:
+        """The deepest height tracked while solving, -(trunc + N + 4);
+        identities involving K are exact above it."""
+        return -(self.trunc + self.A.order + 4)
 
     def coeff(self, j: int) -> TOp:
         return self.mjs.get(j, TOp.zero())
@@ -294,28 +286,14 @@ def height(m: Union[TOp, DiffOp]):
     """Height and leading monomial under the (x power, then d power) order.
 
     Returns (height, d-degree, coefficient) of the leading monomial."""
-    if isinstance(m, DiffOp):
-        if m.is_zero():
-            raise ZeroOperand("height of zero")
-        best = None
-        for k, c in m.coeffs.items():
-            h = c.infinity_order()
-            if best is None or (h, k) > best[:2]:
-                best = (h, k, c.infinity_leading())
-        return best
     if m.is_zero():
         raise ZeroOperand("height of zero")
-    best = None
-    for k, t in m.coeffs.items():
-        if t.is_zero():
-            continue
-        s, c = t.leading()
-        h = -s
-        if best is None or (h, k) > best[:2]:
-            best = (h, k, c)
-    if best is None:
-        raise ZeroOperand("height of zero within truncation")
-    return best
+    if isinstance(m, DiffOp):
+        leads = [(c.infinity_order(), k, c.infinity_leading())
+                 for k, c in m.coeffs.items()]
+    else:  # the tails of a TOp are nonzero
+        leads = [(-s, k, c) for k, t in m.coeffs.items() for s, c in [t.leading()]]
+    return max(leads, key=lambda hkc: hkc[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +305,11 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
 
     b_1 matches -V at the top; thereafter the leading of b_{j+1} is forced
     by the leading of c_j, advancing the height by +1 each step with
-    alpha_{j+1} = -lam * alpha_j (N(s_j+1)+k) / (N(s_j+1)) != 0.  The walk
-    ends in one of: s_j = -1 (obstructed: that leading term would have to be
-    the derivative of a rational function), V = 0 (clean), or budget
-    exhaustion (inconclusive)."""
+    alpha_{j+1} = -lam * alpha_j (N(s_j+1)+k) / (N(s_j+1)) != 0.  From the
+    top height h < 0 the walk takes min(-1 - h, max_steps) steps.  It ends
+    at s_j = -1 (obstructed: that leading term would have to be the
+    derivative of a rational function) or when the budget runs out
+    (inconclusive); V = 0 is clean."""
     A, V = principal_part(L)
     shape = airy_shape(A)
     N, lam = shape.N, shape.lam
@@ -340,17 +319,12 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
     if h >= 0:
         raise NotAiryShape("perturbation does not decay at infinity")
     steps = [ObstructionStep(j=1, s=h, k=k, alpha=-lead)]
-    s, alpha = h, -lead
-    for _ in range(max_steps):
-        if s == -1:
-            return ObstructionTrace(tuple(steps), "obstructed", N, lam)
-        nxt_alpha = -lam * alpha * Fraction(N * (s + 1) + k, N * (s + 1))
-        s += 1
-        steps.append(ObstructionStep(j=steps[-1].j + 1, s=s, k=k, alpha=nxt_alpha))
-        alpha = nxt_alpha
-    if s == -1:
-        return ObstructionTrace(tuple(steps), "obstructed", N, lam)
-    return ObstructionTrace(tuple(steps), "inconclusive", N, lam)
+    alpha = -lead
+    for s in range(h, h + min(-1 - h, max_steps)):
+        alpha = -lam * alpha * Fraction(N * (s + 1) + k, N * (s + 1))
+        steps.append(ObstructionStep(j=steps[-1].j + 1, s=s + 1, k=k, alpha=alpha))
+    verdict = "obstructed" if steps[-1].s == -1 else "inconclusive"
+    return ObstructionTrace(tuple(steps), verdict, N, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +345,10 @@ def _contributions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
     return qb + qu, rc + rw
 
 
-def airy_wave_solve(
-    L: DiffOp,
-    J: int,
-    h_min: Optional[int] = None,
-) -> Union[AiryPDO, ObstructionTrace]:
+def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     """Solve L K = K A for K = 1 + sum m_j A^-j through truncation J.
 
-    Heights below ``h_min`` (default -(J + N + 4)) are not tracked.  When a
+    Heights below h_min = -(J + N + 4) are not tracked.  When a
     required antiderivative needs a logarithm the recursion is impossible
     for rational data; the leading-height trace certifying the failure is
     returned instead of K.
@@ -391,11 +361,10 @@ def airy_wave_solve(
     if V.order > N - 2:
         raise NotAiryShape("perturbation touches the subleading slot; "
                            "normalize the operator first")
-    if h_min is None:
-        h_min = -(J + N + 4)
+    h_min = -(J + N + 4)
     depth = -h_min
     if V.is_zero():
-        return AiryPDO(A, {}, J, h_min)
+        return AiryPDO(A, {}, J)
 
     At, Vt = _wave_tops(A, V, depth)
     inv_n = Fraction(-1, N)
@@ -440,7 +409,7 @@ def airy_wave_solve(
         raise
 
     mjs = {j: TOp(parts) for j, parts in m.items() if parts and j <= J}
-    return AiryPDO(A, mjs, J, h_min)
+    return AiryPDO(A, mjs, J)
 
 
 def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
@@ -494,49 +463,6 @@ def airy_kernel_series(A: DiffOp, init, M: int) -> PowerSeries:
     return PowerSeries({e: v for e, v in enumerate(c)}, M)
 
 
-class _BiSeries:
-    """Bivariate truncated series sum c_{i,j} x^i z^j (total degree)."""
-
-    __slots__ = ("terms", "trunc")
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction], trunc: int):
-        self.terms = {k: v for k, v in terms.items()
-                      if v != 0 and k[0] + k[1] <= trunc}
-        self.trunc = trunc
-
-    def diff_x(self) -> "_BiSeries":
-        return _BiSeries({(i - 1, j): i * c for (i, j), c in self.terms.items()
-                          if i > 0}, self.trunc - 1)
-
-    def diff_z(self) -> "_BiSeries":
-        return _BiSeries({(i, j - 1): j * c for (i, j), c in self.terms.items()
-                          if j > 0}, self.trunc - 1)
-
-    def mul_x(self) -> "_BiSeries":
-        return _BiSeries({(i + 1, j): c for (i, j), c in self.terms.items()},
-                         self.trunc)
-
-    def mul_z(self) -> "_BiSeries":
-        return _BiSeries({(i, j + 1): c for (i, j), c in self.terms.items()},
-                         self.trunc)
-
-    def scale(self, s: Fraction) -> "_BiSeries":
-        return _BiSeries({k: s * c for k, c in self.terms.items()}, self.trunc)
-
-    def __add__(self, other: "_BiSeries") -> "_BiSeries":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return _BiSeries(out, min(self.trunc, other.trunc))
-
-    def __sub__(self, other: "_BiSeries") -> "_BiSeries":
-        return self + other.scale(Fraction(-1))
-
-    def zero_through(self, degree: int) -> bool:
-        return all(c == 0 for (i, j), c in self.terms.items()
-                   if i + j <= degree)
-
-
 class AiryBispectralReport(Record):
     __slots__ = ("eigen_x", "eigen_z", "shift", "verified_degree")
     eigen_x: bool        # A(x, d_x) Psi = lam z Psi
@@ -550,50 +476,23 @@ class AiryBispectralReport(Record):
 
 
 def airy_bispectral_check(A: DiffOp, M: int) -> AiryBispectralReport:
-    """Build Psi(x,z) = Phi(x+z) from the kernel series and verify the two
-    eigenvalue identities and the shift identity exactly.
+    """Verify that Psi(x,z) = Phi(x+z), Phi the kernel series with
+    Phi(0) = 1, satisfies the two eigenvalue identities and the shift
+    identity exactly.
 
-    Phi is expanded through degree M + N; the identities are compared
-    through total degree M - 2 (a uniform margin covering the derivative
-    and multiplication bookkeeping on both sides)."""
-    shape = airy_shape(A)
-    N = shape.N
-    pad = M + N
-    init = [0] * N
-    init[0] = 1
-    phi = airy_kernel_series(A, init, pad)
-    # Psi = Phi(x+z) = sum_n c_n sum_i C(n,i) x^i z^(n-i)
-    terms: dict[tuple[int, int], Fraction] = {}
-    for n, c in phi.terms.items():
-        for i in range(n + 1):
-            key = (i, n - i)
-            terms[key] = terms.get(key, Fraction(0)) + c * comb(n, i)
-    psi = _BiSeries(terms, pad)
+    Both eigenvalue identities are A Phi = 0 in u = x + z:
+    A(x, d_x) Psi - lam z Psi = A(z, d_z) Psi - lam x Psi = (A Phi)(x + z),
+    and d_x Psi = d_z Psi holds by construction.  The terms of total
+    degree e of (A Phi)(x + z) are c_e (x + z)^e, c_e the coefficient of
+    u^e in A Phi; so with Phi expanded through degree M + N, comparing
+    A Phi with 0 through degree M - 2 verifies the identities through
+    total degree M - 2."""
+    N = airy_shape(A).N
     check_deg = M - 2
-
-    def apply_A(s: _BiSeries, side: str) -> _BiSeries:
-        mulx = s.mul_x if side == "x" else s.mul_z
-        out = s
-        for _ in range(N):
-            out = out.diff_x() if side == "x" else out.diff_z()
-        for j, aj in shape.a:
-            term = s
-            for _ in range(j):
-                term = term.diff_x() if side == "x" else term.diff_z()
-            out = out + term.scale(aj)
-        out = out + s.scale(shape.a0) - mulx().scale(shape.lam)
-        return out
-
-    lhs_x = apply_A(psi, "x")
-    rhs_x = psi.mul_z().scale(shape.lam)
-    lhs_z = apply_A(psi, "z")
-    rhs_z = psi.mul_x().scale(shape.lam)
-    return AiryBispectralReport(
-        eigen_x=(lhs_x - rhs_x).zero_through(check_deg),
-        eigen_z=(lhs_z - rhs_z).zero_through(check_deg),
-        shift=(psi.diff_x() - psi.diff_z()).zero_through(check_deg),
-        verified_degree=check_deg,
-    )
+    APhi = apply_to_series(A, airy_kernel_series(A, [1] + [0] * (N - 1), M + N))
+    kernel = all(c == 0 for e, c in APhi.terms.items() if e <= check_deg)
+    return AiryBispectralReport(eigen_x=kernel, eigen_z=kernel, shift=True,
+                                verified_degree=check_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -604,35 +503,19 @@ def airy_involution(P: DiffOp, A: DiffOp) -> DiffOp:
     """Anti-homomorphic image of a Weyl-algebra element under
     b(A) = z, b(d) = d_z, hence b(x) = A(z, d_z).
 
-    Rewrites P over the generator pair (d, A) -- itself a Weyl pair since
-    [A, d] = 1 -- by substituting x = d^N + sum a_j d^j + a_0 - A, then
-    transposes.  Requires the strict shape (lam = 1)."""
-    shape = airy_shape(A)
-    if shape.lam != 1:
+    Each x^a d^j goes to d_z^j A(z, d_z)^a.  Requires lam = 1 and
+    polynomial coefficients."""
+    if airy_shape(A).lam != 1:
         raise NotInDomain("Airy involution requires the -x normalization")
     if not P.has_polynomial_coeffs():
         raise NotInDomain("involution defined on polynomial coefficients")
-    N = shape.N
-    # relabeled Weyl pair: X plays the function generator (image of d),
-    # D plays the derivative generator (image of A)
-    var = "_airy_gen"
-    X = DiffOp.x(var)
-    Dgen = DiffOp.d(var)
-    phi_x = DiffOp(var, {0: RatFunc(Poly.monomial(N)
-                                    + sum((Poly.monomial(j).scale(aj) for j, aj in shape.a),
-                                          Poly.zero())
-                                    + Poly.const(shape.a0))}) - Dgen
-    image = DiffOp.zero(var)
-    # precompute powers of phi(x)
-    max_deg = max((c.num.degree for c in P.coeffs.values()), default=0)
-    powers = [DiffOp.one(var)]
-    for _ in range(max_deg):
-        powers.append(dop_mul(powers[-1], phi_x))
+    Az = DiffOp("z", A.coeffs)
+    powers = [DiffOp.one("z")]
+    for _ in range(max((c.num.degree for c in P.coeffs.values()), default=0)):
+        powers.append(dop_mul(powers[-1], Az))
+    image = DiffOp.zero("z")
     for j, c in P.coeffs.items():
-        xj = DiffOp.zero(var)
-        for a, coeff in enumerate(c.num.coeffs):
-            if coeff != 0:
-                xj = xj + powers[a].scale(coeff)
-        # phi(d^j) is the relabeled function generator to the j-th power
-        image = image + dop_mul(xj, DiffOp.from_function(Poly.monomial(j), var))
-    return transpose_weyl(image, "z")
+        xj = sum((powers[a].scale(coeff) for a, coeff in enumerate(c.num.coeffs)),
+                 DiffOp.zero("z"))
+        image = image + dop_mul(DiffOp.monomial(1, j, "z"), xj)
+    return image

@@ -507,10 +507,14 @@ class BoundedTestReport(Record):
 def bounded_test(L: DiffOp, theta: Poly, m_max: int) -> BoundedTestReport:
     """Run the full chain for a bounded-coefficient normalized operator.
 
-    Raises AdBudgetExceeded when no m is found, NotRankOrderCase when
-    ad^m(theta) is not a polynomial in L (the rank is then smaller than the
-    order and the input belongs to the constant-coefficient Darboux branch).
+    Raises NotMonic when the leading coefficient of L is not 1 (the
+    expected q_r = m! N^m holds only for a monic L), AdBudgetExceeded when
+    no m is found, NotRankOrderCase when ad^m(theta) is not a polynomial in
+    L (the rank is then smaller than the order and the input belongs to
+    the constant-coefficient Darboux branch).
     """
+    if not L.is_monic():
+        raise NotMonic("bounded test needs a monic operator")
     f, _ = split_constant_part(L)
     N = L.order
     end = _ad_chain_end(L, theta, m_max)

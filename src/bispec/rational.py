@@ -912,12 +912,6 @@ class LaurentTail(_ScalarSeries):
         s = min(self.terms)
         return s, self.terms[s]
 
-    def height(self) -> Optional[int]:
-        """x-exponent of the leading term (negated start index)."""
-        if not self.terms:
-            return None
-        return -min(self.terms)
-
     def antiderivative(self) -> "LaurentTail":
         """Term-by-term antiderivative, zero constant of integration.
 

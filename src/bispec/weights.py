@@ -16,9 +16,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
 
-from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, ZeroOperand
+from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, NotMonic, ZeroOperand
 from .rational import Poly, RatFunc, decomposition_roots
 from .diffop import DiffOp
+from .bounded import split_constant_part
 from .record import Record
 
 
@@ -83,9 +84,10 @@ def choose_weights(L: DiffOp) -> WeightPair:
     Picks the point (k, j), k > 0, maximizing the slope (j - N)/k; all of
     E(L) then lies on or below the line, and N sigma = k rho + j sigma has
     the coprime positive solution rho = (N - j)/g, sigma = k/g.  Raises
-    NotIncreasing when no coefficient grows at infinity."""
+    NotMonic for an operator that is not monic, NotIncreasing when no
+    coefficient grows at infinity."""
     if L.is_zero() or not L.is_monic():
-        raise NotIncreasing("weight selection requires a monic operator")
+        raise NotMonic("weight selection requires a monic operator")
     N = L.order
     pts = [(c.infinity_order(), j) for j, c in L.coeffs.items() if j < N]
     grow = [(k, j) for (k, j) in pts if k > 0]
@@ -379,27 +381,17 @@ def principal_part(L: DiffOp) -> tuple[DiffOp, DiffOp]:
     part and the decaying remainder.
 
     Requires the pipeline choose_weights -> associated_polynomial ->
-    normal_form_test to land on (y^N - lam x)^1; the Airy part then collects
-    the leading -lam x together with the constants-at-infinity of the lower
-    coefficients, and the remainder has every coefficient O(x^-1)."""
-    w = choose_weights(L)  # NotIncreasing propagates
+    normal_form_test to land on (y^N - lam x)^1.  Then L + lam x has
+    bounded coefficients, and ``split_constant_part`` writes it as
+    f(d) + V with every coefficient of V of order O(x^-1); the Airy part
+    is A = f(d) - lam x."""
+    w = choose_weights(L)  # NotMonic and NotIncreasing propagate
     f = associated_polynomial(L, w)
     nf = normal_form_test(f, w)
     N = L.order
     if not nf.is_airy_normal_form or nf.yrx is None or nf.yrx[0] != N:
         raise NotAiryShape(f"leading form {f} is not (y^{N} - lam*x)^1")
     lam = nf.yrx[2]
-    coeffs: dict[int, RatFunc] = {N: RatFunc.one()}
-    coeffs[0] = RatFunc.x().scale(-lam)
-    for j, c in L.coeffs.items():
-        if j >= N:
-            continue
-        rest = c - RatFunc.x().scale(-lam) if j == 0 else c
-        if rest.infinity_order() > 0:
-            raise NotAiryShape(f"coefficient of d^{j} still grows: {rest}")
-        const = rest.constant_at_infinity()
-        if const != 0:
-            coeffs[j] = coeffs.get(j, RatFunc.zero()) + RatFunc.const(const)
-    A = DiffOp(L.var, coeffs)
-    V = L - A
-    return A, V
+    lam_x = DiffOp.x(L.var).scale(lam)
+    const, V = split_constant_part(L + lam_x)
+    return DiffOp(L.var, dict(enumerate(const.coeffs))) - lam_x, V

@@ -18,17 +18,37 @@ These deliberately avoid the library's code paths:
   the library's one long-division kernel ``diffop.leibniz_divide``:
   operator division, reduction modulo a tail-coefficient Airy operator,
   the Neumann series of a pseudo-differential inverse, and the expansion
-  of an operator in powers of L by subtracting scaled powers L^r.
+  of an operator in powers of L by subtracting scaled powers L^r;
+* three Airy references: the bispectral check on a two-variable series
+  Psi(x, z) = Phi(x + z), the Airy involution by relabelling the Weyl
+  pair (d, A) and transposing, and the perturbation obstruction walk that
+  tests s = -1 at every step and once more after its loop.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
-from bispec import PDO, DiffOp, Poly, RatFunc, commutator, dop_mul, euler_operator
-from bispec.airy import TOp
+from bispec import (
+    PDO,
+    DiffOp,
+    ObstructionStep,
+    ObstructionTrace,
+    Poly,
+    RatFunc,
+    airy_kernel_series,
+    airy_shape,
+    commutator,
+    dop_mul,
+    euler_operator,
+    height,
+    principal_part,
+)
+from bispec.airy import AiryBispectralReport, TOp
+from bispec.diffop import transpose_weyl
 from bispec.families import falling_factorial
 
 # monomial algebra: {(a, b): coeff} represents sum coeff * x^a d^b, a in Z
@@ -293,3 +313,107 @@ def expand_in_powers(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
         rem = rem - (L ** (o // N)).scale(coeffs[o // N])
     top = max(coeffs) if coeffs else 0
     return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+
+
+# the Airy side in two variables
+
+
+def _bi_add(u: dict, v: dict, s=1) -> dict:
+    out = dict(u)
+    for key, c in v.items():
+        out[key] = out.get(key, Fraction(0)) + s * c
+    return out
+
+
+def _bi_diff(u: dict, axis: int) -> dict:
+    """d/dx (axis 0) or d/dz (axis 1) of {(i, j): c} = sum c x^i z^j."""
+    out = {}
+    for key, c in u.items():
+        if key[axis]:
+            low = list(key)
+            low[axis] -= 1
+            out[tuple(low)] = key[axis] * c
+    return out
+
+
+def _bi_mul(u: dict, axis: int) -> dict:
+    return {(i + (axis == 0), j + (axis == 1)): c for (i, j), c in u.items()}
+
+
+def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> AiryBispectralReport:
+    """Expand Psi(x, z) = Phi(x + z) binomially through total degree
+    M + N and compare A(x, d_x) Psi with lam z Psi, A(z, d_z) Psi with
+    lam x Psi and d_x Psi with d_z Psi through total degree M - 2."""
+    shape = airy_shape(A)
+    N = shape.N
+    init = [0] * N
+    init[0] = 1
+    phi = airy_kernel_series(A, init, M + N)
+    psi: dict = {}
+    for n, c in phi.terms.items():
+        for i in range(n + 1):
+            psi[(i, n - i)] = psi.get((i, n - i), Fraction(0)) + c * comb(n, i)
+
+    def apply_A(axis: int) -> dict:
+        out = {k: shape.a0 * c for k, c in psi.items()}
+        out = _bi_add(out, _bi_mul(psi, axis), -shape.lam)
+        for j, aj in shape.a + ((N, Fraction(1)),):
+            term = psi
+            for _ in range(j):
+                term = _bi_diff(term, axis)
+            out = _bi_add(out, term, aj)
+        return out
+
+    def zero_through(u: dict) -> bool:
+        return all(c == 0 for (i, j), c in u.items() if i + j <= M - 2)
+
+    eigen = [zero_through(_bi_add(apply_A(axis), _bi_mul(psi, 1 - axis), -shape.lam))
+             for axis in (0, 1)]
+    return AiryBispectralReport(
+        eigen_x=eigen[0], eigen_z=eigen[1],
+        shift=zero_through(_bi_add(_bi_diff(psi, 0), _bi_diff(psi, 1), -1)),
+        verified_degree=M - 2)
+
+
+def airy_involution_by_transpose(P: DiffOp, A: DiffOp) -> DiffOp:
+    """b(P) for b(d) = d_z, b(A) = z (lam = 1, polynomial P): write P
+    over the Weyl pair (d, A) by x = d^N + sum a_j d^j + a_0 - A, with d
+    relabelled as the function generator and A as the derivative, then
+    transpose that generator to d_z and that derivative to z."""
+    shape = airy_shape(A)
+    assert shape.lam == 1 and P.has_polynomial_coeffs()
+    var = "_w"
+    N = shape.N
+    x_image = DiffOp(var, {0: RatFunc(Poly.monomial(N) + Poly.const(shape.a0) + sum(
+        (Poly.monomial(j).scale(aj) for j, aj in shape.a), Poly.zero()))}) - DiffOp.d(var)
+    image = DiffOp.zero(var)
+    for j, c in P.coeffs.items():
+        xj = DiffOp.zero(var)
+        for a, coeff in enumerate(c.num.coeffs):
+            if coeff != 0:
+                xj = xj + (x_image ** a).scale(coeff)
+        image = image + dop_mul(xj, DiffOp.from_function(Poly.monomial(j), var))
+    return transpose_weyl(image, "z")
+
+
+def perturbation_obstruction_loop(L: DiffOp, max_steps: int) -> ObstructionTrace:
+    """The leading-height walk from the top term c x^h d^k of the
+    perturbation, testing for s = -1 before each of at most ``max_steps``
+    steps and once more after them."""
+    A, V = principal_part(L)
+    shape = airy_shape(A)
+    N, lam = shape.N, shape.lam
+    if V.is_zero():
+        return ObstructionTrace((), "clean", N, lam)
+    h, k, lead = height(V)
+    steps = [ObstructionStep(j=1, s=h, k=k, alpha=-lead)]
+    s, alpha = h, -lead
+    for _ in range(max_steps):
+        if s == -1:
+            return ObstructionTrace(tuple(steps), "obstructed", N, lam)
+        alpha = -lam * alpha * Fraction(N * (s + 1) + k, N * (s + 1))
+        s += 1
+        steps.append(ObstructionStep(j=steps[-1].j + 1, s=s, k=k, alpha=alpha))
+    if s == -1:
+        return ObstructionTrace(tuple(steps), "obstructed", N, lam)
+    return ObstructionTrace(tuple(steps), "inconclusive", N, lam)

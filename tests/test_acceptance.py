@@ -180,7 +180,7 @@ def test_criterion_09_perturbation_obstruction():
 
     solved = 0
     for L in (make_airy(2), make_airy(3, {1: 5}), d * d - x + xpow(-9)):
-        out = airy_wave_solve(L, 3, h_min=-6)
+        out = airy_wave_solve(L, 3)
         if isinstance(out, AiryPDO):
             assert airy_wave_residual(L, out)
             solved += 1

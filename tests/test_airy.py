@@ -207,7 +207,7 @@ class TestWaveSolve:
         # an obstruction deeper than the solve depth: a partial solve
         # comes back and its residual must vanish through truncation
         L = A2 + xpow(-9)
-        out = airy_wave_solve(L, 2, h_min=-6)
+        out = airy_wave_solve(L, 2)
         if isinstance(out, AiryPDO):
             assert airy_wave_residual(L, out)
         else:

@@ -308,6 +308,16 @@ class TestBoundedChain:
             assert rep.q_r == factorial(N) * N ** N
             assert rep.q_r_ok and rep.identity_holds
 
+    @pytest.mark.parametrize("L", [
+        (d * d).scale(2),
+        (d * d).mul_function(RatFunc(Poly([1, 1]), Poly([0, 1]))),  # (1 + x^-1) d^2
+    ])
+    def test_non_monic_rejected(self, L):
+        # q_r = m! N^m holds only for a monic L: 2*d^2 used to report
+        # q = [0, 16] and a false leading-coefficient failure against 8
+        with pytest.raises(NotMonic):
+            bounded_test(L, THETA2, 4)
+
     def test_generic_constant_coefficient_routed(self):
         # a lower-order term of the wrong parity forces rank < order
         with pytest.raises(NotRankOrderCase):

@@ -277,6 +277,21 @@ class TestCli:
         assert json.loads(out.stdout) == {
             "errors": ["NotMonic: wave operator needs a monic operator"]}
 
+    def test_ad_test_of_non_monic_operator_is_a_chain_error(self):
+        # used to report q = [0, 16] and a leading-coefficient failure
+        out = run_cli("--json", "ad-test", "2*d^2", "--theta", "x^2")
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {
+            "theta": "x^2", "m": 2, "ad_power": "32*d^2",
+            "chain_error": "NotMonic: bounded test needs a monic operator"}
+
+    def test_airy_wave_of_non_monic_operator_is_an_error(self):
+        # used to name NotIncreasing, the bounded-branch error
+        out = run_cli("--json", "airy-wave", "2*d^3-x")
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {
+            "errors": ["NotMonic: weight selection requires a monic operator"]}
+
     def test_divide(self):
         out = run_cli("divide", "d^2", "d - x^-1")
         assert "Q = d + x^-1" in out.stdout

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -287,6 +288,26 @@ class TestApplyToSeries:
         s = PowerSeries.from_poly(Poly([1]))
         with pytest.raises(PoleAtOrigin):
             apply_to_series(xpow(-1), s)
+
+    def test_rational_coefficient(self):
+        # (x + 1)^-1 d on x^2 is exactly 2x/(1 + x) = 2x - 2x^2 + 2x^3 - ...
+        s = PowerSeries.from_poly(Poly([0, 0, 1]))
+        L = dop_mul(DiffOp.from_function(RatFunc(Poly.one(), Poly([1, 1]))), d)
+        out = apply_to_series(L, s)
+        assert out.trunc is not None and out.trunc >= 5
+        assert out.terms == {e: Fraction(2 * (-1) ** (e + 1)) for e in range(1, out.trunc + 1)}
+
+    def test_rational_coefficient_on_truncated_series(self):
+        # (x^2 + 1)^-1 d^2 on e^x through x^8: e^x/(1 + x^2), exact through
+        # x^6, has coefficients sum_i (-1)^i / (e - 2i)!
+        M = 8
+        s = PowerSeries({e: Fraction(1, factorial(e)) for e in range(M + 1)}, M)
+        L = dop_mul(DiffOp.from_function(RatFunc(Poly.one(), Poly([1, 0, 1]))), d * d)
+        out = apply_to_series(L, s)
+        assert out.trunc == M - 2
+        assert out.terms == {e: sum(Fraction((-1) ** i, factorial(e - 2 * i))
+                                    for i in range(e // 2 + 1))
+                             for e in range(M - 1)}
 
     def test_truncation_loss_reported(self):
         s = PowerSeries({0: Fraction(1), 1: Fraction(1)}, 5)

@@ -12,6 +12,7 @@ from bispec import (
     NotAiryShape,
     NotHomogeneous,
     NotIncreasing,
+    NotMonic,
     Poly,
     RatFunc,
     WeightPair,
@@ -65,6 +66,13 @@ class TestChooseWeights:
     def test_bounded_rejected(self):
         with pytest.raises(NotIncreasing):
             choose_weights(d * d - xpow(-2, 2))
+
+    @pytest.mark.parametrize("L", [DiffOp.zero(), (d ** 3).scale(2) - x,
+                                   (d * d).mul_function(RatFunc(Poly([1, 1]))) - x])
+    def test_non_monic_rejected(self, L):
+        # used to raise NotIncreasing, which says "bounded at infinity"
+        with pytest.raises(NotMonic):
+            choose_weights(L)
 
     def test_supporting_line(self):
         rng = random.Random(61)
