@@ -46,8 +46,10 @@ from .rational import (
     rational_reconstruct,
 )
 from .diffop import (
+    CoeffLike,
     DiffOp,
     _ad_chain_end,
+    _coerce,
     commutator,
     leibniz_divide,
     leibniz_product,
@@ -61,27 +63,25 @@ from .record import Record
 # PDO: truncated pseudo-differential series with exact coefficients
 # ---------------------------------------------------------------------------
 
-PDOCoeff = Union[RatFunc, LaurentTail]
-
-
 class PDO(TruncatedSeries):
     """sum_{j >= j0} a_j(x) d^-j, exact for j <= trunc (None = finite sum).
 
-    Coefficients are RatFunc throughout the computational pipeline; the
-    image of the anti-isomorphism b may carry LaurentTail coefficients,
-    on which no further arithmetic is offered.  ``PDO._trusted`` wraps a
-    dict with int keys at most ``trunc`` and nonzero coefficients,
-    unchecked.  Negation, sums, ``restrict`` and printing are those of
-    ``TruncatedSeries``."""
+    ``PDO(var, terms, trunc)`` coerces every coefficient to a ``RatFunc``
+    as ``DiffOp`` does (NotInDomain for a value that is not a rational
+    function, such as a ``LaurentTail``) and drops the zero ones.
+    ``PDO._trusted`` wraps a dict with int keys at most ``trunc`` and
+    nonzero ``RatFunc`` coefficients, unchecked.  Negation, sums,
+    ``restrict`` and printing are those of ``TruncatedSeries``."""
 
     __slots__ = ("var", "terms", "trunc")
     _VAR = "d"
     _SIGN = -1
 
-    def __init__(self, var: str, terms: Mapping[int, PDOCoeff],
+    def __init__(self, var: str, terms: Mapping[int, CoeffLike],
                  trunc: Optional[int] = None):
         _set_var(self, var)
-        _set_terms(self, nonzero_terms({int(j): c for j, c in terms.items()}, trunc))
+        _set_terms(self, nonzero_terms({int(j): _coerce(c) for j, c in terms.items()},
+                                       trunc))
         _set_trunc(self, trunc)
 
     @classmethod
@@ -112,21 +112,13 @@ class PDO(TruncatedSeries):
     # -- queries
 
     def coeff(self, j: int) -> RatFunc:
-        c = self.terms.get(j, RatFunc.zero())
-        if isinstance(c, LaurentTail):
-            raise NotInDomain("tail-valued coefficient")
-        return c
-
-    def all_ratfunc(self) -> bool:
-        return all(isinstance(c, RatFunc) for c in self.terms.values())
+        return self.terms.get(j, RatFunc.zero())
 
     def _check(self, other: "PDO"):
         if self.var != other.var:
             raise VariableMismatch(f"series in {self.var!r} and {other.var!r}")
-        if not (self.all_ratfunc() and other.all_ratfunc()):
-            raise NotInDomain("arithmetic requires rational coefficients")
 
-    # -- arithmetic (rational coefficients only)
+    # -- arithmetic
 
     def __add__(self, other: "PDO") -> "PDO":
         self._check(other)
@@ -156,8 +148,7 @@ class PDO(TruncatedSeries):
         """(1 + T)^-1 through index J for series with start index 0 and
         leading coefficient 1: the quotient of 1 by the series, by long
         division cut at d^-J."""
-        if (not self.all_ratfunc() or self.coeff(0) != RatFunc.one()
-                or (self.start or 0) < 0):
+        if self.coeff(0) != RatFunc.one() or (self.start or 0) < 0:
             raise NotInDomain("inverse requires 1 + (strictly decaying part)")
         trunc = min_trunc(self.trunc, J)
         quo, _ = leibniz_divide({0: RatFunc.one()},
@@ -322,7 +313,7 @@ def conjugate_theta(w: WaveData, theta: Poly) -> ThetaConjugate:
     max_deg = 0
     bad = []
     for j, c in sorted(series.terms.items()):
-        if isinstance(c, RatFunc) and c.is_polynomial():
+        if c.is_polynomial():
             max_deg = max(max_deg, c.num.degree)
         else:
             bad.append(j)
@@ -334,30 +325,26 @@ def conjugate_theta(w: WaveData, theta: Poly) -> ThetaConjugate:
 # the anti-isomorphism b
 # ---------------------------------------------------------------------------
 
-def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, PDO]:
+def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, dict[int, LaurentTail]]:
     """b(x) = d_z, b(d) = z extended as an anti-homomorphism
     (b(PQ) = b(Q) b(P)); defined on polynomial coefficients.
 
     On differential operators this is the coordinate transpose
     x^a d^j -> z^j d_z^a.  On series sum a_j(x) d^-j the image is
-    sum z^-j a_j(d_z), regrouped by powers of d_z, whose coefficients are
-    then truncated expansions in z^-1 (returned as tails)."""
-    out_var = "z" if getattr(P, "var", "x") == "x" else "x"
+    sum z^-j a_j(d_z), regrouped by powers of d_z: a map from the power k
+    of d_z to its coefficient, a truncated expansion in z^-1 (a tail)."""
     if isinstance(P, DiffOp):
         if not P.has_polynomial_coeffs():
             raise NotInDomain("b requires polynomial coefficients")
-        return transpose_weyl(P, out_var)
-    if not P.all_ratfunc():
-        raise NotInDomain("b requires polynomial coefficients")
+        return transpose_weyl(P, "z" if P.var == "x" else "x")
     tails: dict[int, dict[int, Fraction]] = {}
     for j, c in P.terms.items():
         if not c.is_polynomial():
             raise NotInDomain(f"coefficient at d^-{j} is not polynomial")
         for k, v in enumerate(c.num.coeffs):
             if v != 0:
-                tails.setdefault(-k, {})[j] = v
-    terms = {idx: LaurentTail(pairs, P.trunc) for idx, pairs in tails.items()}
-    return PDO(out_var, terms, None)
+                tails.setdefault(k, {})[j] = v
+    return {k: LaurentTail(pairs, P.trunc) for k, pairs in tails.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +379,10 @@ def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
             f"{conj.non_polynomial}"
         )
     m = conj.max_degree
-    tails = involution_b(conj.series).terms
+    tails = involution_b(conj.series)
     lam_coeffs: dict[int, RatFunc] = {}
     for i in range(m + 1):
-        tail = tails.get(-i, LaurentTail.zero(J))
+        tail = tails.get(i, LaurentTail.zero(J))
         got: Optional[RatFunc] = None
         for d in range(max(2 * m, 2) + 1):
             if 2 * d + 2 > J + 1:

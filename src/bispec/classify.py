@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from . import errors as err
-from .rational import Poly, RatFunc
+from .rational import Poly, RatFunc, poly_text
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
 from .parser import parse_operator, print_operator
 from .families import (
@@ -72,15 +72,15 @@ FAMILY_VERDICTS = (
 class Budgets(Record):
     """Search budgets.  The ad budget and the theta degree have no
     theoretical bound in general, so the caller may set them; the
-    centralizer search always runs through order 2N - 1."""
+    centralizer search always runs through order 2N - 1, and the Airy
+    perturbation walk through ``obstruction_steps`` steps."""
 
-    __slots__ = ("ad_budget", "trunc", "theta_lmax", "obstruction_steps")
-    _defaults = {"ad_budget": 8, "trunc": 8, "theta_lmax": 4,
-                 "obstruction_steps": 24}
+    __slots__ = ("ad_budget", "trunc", "theta_lmax")
+    _defaults = {"ad_budget": 8, "trunc": 8, "theta_lmax": 4}
+    obstruction_steps = 24
     ad_budget: int
     trunc: int
     theta_lmax: int
-    obstruction_steps: int
 
 
 class ClassificationReport(Record):
@@ -362,7 +362,7 @@ def _classify_bounded(
     except err.BispecError as e:
         report.errors.append(f"{type(e).__name__}: {e}")
         return
-    report.certificates["constant_part"] = str(f)
+    report.certificates["constant_part"] = poly_text(f, "z")
 
     if V.is_zero():
         report.verdict = VERDICT_CONSTCOEFF

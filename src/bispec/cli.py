@@ -16,7 +16,7 @@ import sys
 from typing import Any, Optional
 
 from . import errors as err
-from .rational import Poly
+from .rational import Poly, poly_text
 from .diffop import DiffOp, ad_condition_min_m, ad_pow, commutator, dop_mul, right_divide
 from .parser import parse_operator, print_operator
 from .families import darboux
@@ -180,10 +180,10 @@ def _dispatch(args) -> int:
         f, _ = split_constant_part(L)
         w = wave_operator(L, f, args.trunc)
         coeffs = {j: str(c) for j, c in sorted(w.K.terms.items()) if j > 0}
-        _emit({"f": str(f), "coefficients": coeffs,
-               "residual_zero": w.residual_zero()},
+        fz = poly_text(f, "z")
+        _emit({"f": fz, "coefficients": coeffs, "residual_zero": w.residual_zero()},
               args.json,
-              [f"f(z) = {f}"] + [f"a_{j} = {c}" for j, c in coeffs.items()])
+              [f"f(z) = {fz}"] + [f"a_{j} = {c}" for j, c in coeffs.items()])
     elif cmd == "airy-wave":
         L = _op(args.expr)
         out = airy_wave_solve(L, args.trunc)

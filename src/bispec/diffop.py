@@ -42,6 +42,7 @@ from typing import Mapping, Optional, Union
 from .errors import (
     DivisionByZeroOperator,
     NonRationalGauge,
+    NotInDomain,
     NotMonic,
     PoleAtOrigin,
     VariableMismatch,
@@ -63,11 +64,15 @@ CoeffLike = Union[RatFunc, Poly, Fraction, int]
 
 
 def _coerce(c: CoeffLike) -> RatFunc:
+    """c as a ``RatFunc``; NotInDomain for a value that is none of
+    ``CoeffLike`` (a truncated series, say)."""
     if isinstance(c, RatFunc):
         return c
     if isinstance(c, Poly):
         return RatFunc(c)
-    return RatFunc.const(c)
+    if isinstance(c, (Fraction, int)):
+        return RatFunc.const(c)
+    raise NotInDomain(f"{type(c).__name__} coefficient is not a rational function")
 
 
 class DiffOp(Record):

@@ -63,14 +63,7 @@ def make_airy(p: int, a: Mapping[int, ScalarLike] | None = None, var: str = "x")
     """d^p + sum_{j=1}^{p-2} a_j d^j - x."""
     if p < 2:
         raise BadIndex("Airy order must be >= 2")
-    a = a or {}
-    coeffs: dict[int, RatFunc] = {p: RatFunc.one(), 0: -RatFunc.x()}
-    for j, c in a.items():
-        if not 1 <= j <= p - 2:
-            raise BadIndex(f"Airy parameter index {j} outside [1, {p - 2}]")
-        if Fraction(c) != 0:
-            coeffs[j] = RatFunc.const(c)
-    return DiffOp(var, coeffs)
+    return make_constcoeff(p, a, var) - DiffOp.x(var)
 
 
 def make_constcoeff(p: int, a: Mapping[int, ScalarLike] | None = None, var: str = "x") -> DiffOp:

@@ -377,8 +377,9 @@ def signed_sum(terms) -> str:
     return out or "0"
 
 
-def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x") -> str:
-    """The monomial |c| * var^xexp * d^dexp; its sign is left to
+def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x",
+                  dvar: str = "d") -> str:
+    """The monomial |c| * var^xexp * dvar^dexp; its sign is left to
     ``signed_sum``."""
     atoms: list[str] = []
     mag = abs(c)
@@ -387,7 +388,7 @@ def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x") -> str:
     if xexp != 0:
         atoms.append(var if xexp == 1 else f"{var}^{xexp}")
     if dexp != 0:
-        atoms.append("d" if dexp == 1 else f"d^{dexp}")
+        atoms.append(dvar if dexp == 1 else f"{dvar}^{dexp}")
     return "*".join(atoms)
 
 

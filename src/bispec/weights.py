@@ -17,7 +17,7 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, NotMonic, ZeroOperand
-from .rational import Poly, RatFunc, decomposition_roots
+from .rational import Poly, RatFunc, decomposition_roots, monomial_text, signed_sum
 from .diffop import DiffOp
 from .bounded import split_constant_part
 from .record import Record
@@ -147,24 +147,8 @@ class BiHomPoly(Record):
         return weights.pop()
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b) in sorted(self.terms, key=lambda ab: (-ab[1], -ab[0])):
-            c = self.terms[(a, b)]
-            atoms = []
-            if abs(c) != 1 or (a == 0 and b == 0):
-                atoms.append(str(abs(c)))
-            if a != 0:
-                atoms.append("x" if a == 1 else f"x^{a}")
-            if b != 0:
-                atoms.append("y" if b == 1 else f"y^{b}")
-            body = "*".join(atoms)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {'+' if c > 0 else '-'} {body}")
-        return "".join(parts)
+        return signed_sum([(c, monomial_text(c, a, b, "x", "y")) for (a, b), c in
+                           sorted(self.terms.items(), key=lambda t: (-t[0][1], -t[0][0]))])
 
 
 def associated_polynomial(L: DiffOp, w: WeightPair) -> BiHomPoly:

@@ -35,6 +35,8 @@ from typing import Optional
 from bispec import (
     PDO,
     DiffOp,
+    LaurentTail,
+    NotInDomain,
     ObstructionStep,
     ObstructionTrace,
     Poly,
@@ -297,6 +299,21 @@ def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
     return acc
 
 
+def involution_b_as_pdo(P: PDO) -> PDO:
+    """b(sum a_j(x) d^-j) = sum z^-j a_j(d_z) as a series in d_z whose
+    coefficient at index -k (the power d_z^k) is a z^-1 tail.  PDO no
+    longer accepts tail coefficients, so the image is wrapped unchecked."""
+    tails: dict[int, dict[int, Fraction]] = {}
+    for j, c in P.terms.items():
+        if not c.is_polynomial():
+            raise NotInDomain(f"coefficient at d^-{j} is not polynomial")
+        for k, v in enumerate(c.num.coeffs):
+            if v != 0:
+                tails.setdefault(-k, {})[j] = v
+    terms = {idx: LaurentTail(pairs, P.trunc) for idx, pairs in tails.items()}
+    return PDO._trusted("z" if P.var == "x" else "x", terms, None)
+
+
 def expand_in_powers(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
     """Constants q_0..q_r with Q = sum q_j L^j for a monic L of order >= 1,
     by subtracting q_r L^r for the leading term; None when Q is not a
@@ -369,10 +386,9 @@ def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> AiryBispectralReport:
 
     eigen = [zero_through(_bi_add(apply_A(axis), _bi_mul(psi, 1 - axis), -shape.lam))
              for axis in (0, 1)]
-    return AiryBispectralReport(
-        eigen_x=eigen[0], eigen_z=eigen[1],
-        shift=zero_through(_bi_add(_bi_diff(psi, 0), _bi_diff(psi, 1), -1)),
-        verified_degree=M - 2)
+    shift = zero_through(_bi_add(_bi_diff(psi, 0), _bi_diff(psi, 1), -1))
+    return AiryBispectralReport(ok=eigen[0] and eigen[1] and shift,
+                                verified_degree=M - 2)
 
 
 def airy_involution_by_transpose(P: DiffOp, A: DiffOp) -> DiffOp:

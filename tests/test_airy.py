@@ -29,7 +29,7 @@ from bispec import (
     reduce_mod_A,
     v_decompose,
 )
-from bispec.airy import TOp, top_of_diffop
+from bispec.airy import AiryBispectralReport, TOp, top_of_diffop
 from oracles import random_diffop
 
 d = DiffOp.d()
@@ -298,9 +298,8 @@ class TestBispectralCheck:
         assert rep.ok
         assert rep.verified_degree == 10
 
-    def test_shift_identity_alone(self):
-        rep = airy_bispectral_check(make_airy(2), 8)
-        assert rep.shift
+    def test_report_is_one_bit_and_its_degree(self):
+        assert airy_bispectral_check(make_airy(2), 8) == AiryBispectralReport(True, 6)
 
 
 class TestAiryInvolution:

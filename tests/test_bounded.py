@@ -9,7 +9,9 @@ import pytest
 
 from bispec import (
     DiffOp,
+    LaurentTail,
     LogObstruction,
+    NotInDomain,
     NotCommuting,
     NotMonic,
     NotRankOrderCase,
@@ -30,7 +32,7 @@ from bispec import (
     wave_defect,
     wave_operator,
 )
-from oracles import random_diffop
+from oracles import involution_b_as_pdo, random_diffop, random_poly
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -171,12 +173,40 @@ class TestInvolutionB:
         K = PDO("x", {0: RatFunc.one(), 1: RatFunc(Poly([0, 1])),
                       2: RatFunc(Poly([1, 0, 3]))}, 4)
         S = involution_b(K)
-        assert S.var == "z"
-        # z^-j a_j(d_z): x at index 1 becomes d_z * z^-1 tail at index -1
-        tail = S.terms[-1]
-        assert tail.terms == {1: 1}
-        t0 = S.terms[0]
-        assert t0.terms == {0: 1, 2: 1}
+        # z^-j a_j(d_z), keyed by the power of d_z: x at index 1 becomes
+        # d_z times the tail z^-1
+        assert S.keys() == {0, 1, 2}
+        assert S[1] == LaurentTail({1: 1}, 4)
+        assert S[0] == LaurentTail({0: 1, 2: 1}, 4)
+        assert S[2] == LaurentTail({2: 3}, 4)
+
+    def test_series_image_matches_the_tail_valued_pdo(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            trunc = rng.choice([None, 1, 3, 5])
+            terms = {j: RatFunc(random_poly(rng, 3))
+                     for j in rng.sample(range(-2, 6), rng.randint(0, 4))}
+            P = PDO("x", terms, trunc)
+            old = involution_b_as_pdo(P)
+            assert {-i: t for i, t in old.terms.items()} == involution_b(P)
+
+    def test_series_image_needs_polynomial_coefficients(self):
+        with pytest.raises(NotInDomain):
+            involution_b(PDO("x", {1: RatFunc.x_power(-1)}, 3))
+
+
+class TestPDOCoefficients:
+    def test_coerced_as_in_diffop(self):
+        P = PDO("x", {-1: 1, 0: Fraction(1, 2), 1: Poly([0, 1]), 2: 0}, 4)
+        assert P == PDO._trusted("x", {-1: RatFunc.one(), 0: RatFunc.const(Fraction(1, 2)),
+                                       1: RatFunc.x()}, 4)
+
+    def test_tail_refused(self):
+        tail = LaurentTail({1: 1}, 3)
+        with pytest.raises(NotInDomain):
+            PDO("x", {0: RatFunc.one(), 1: tail}, 3)
+        with pytest.raises(NotInDomain):
+            DiffOp("x", {0: tail})
 
 
 class TestDeeperPotential:

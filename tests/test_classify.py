@@ -311,6 +311,18 @@ class TestCli:
         assert doc["coefficients"]["1"] == "(-1)/(x)"
         assert doc["residual_zero"] is True
 
+    def test_wave_prints_f_in_z(self):
+        # f used to print in x: "f(z) = x^2"
+        out = run_cli("wave", "d^2 - 2*x^-2")
+        assert out.stdout.splitlines()[0] == "f(z) = z^2"
+        out = run_cli("--json", "wave", "d^2 + 1 - 2*x^-2")
+        assert json.loads(out.stdout)["f"] == "z^2 + 1"
+
+    def test_constant_part_prints_in_z(self):
+        # used to be "x^2 + 1"
+        out = run_cli("--json", "classify", "d^2 + 1 - 2*x^-2")
+        assert json.loads(out.stdout)["certificates"]["constant_part"] == "z^2 + 1"
+
     def test_airy_wave(self):
         out = run_cli("--json", "airy-wave", "d^2 - x + x^-2")
         doc = json.loads(out.stdout)

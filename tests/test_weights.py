@@ -120,6 +120,14 @@ class TestAssociatedPolynomial:
         f = associated_polynomial(x * d + DiffOp.one(), w)
         assert f.terms == {(1, 1): 1}
 
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({(1, 0): -1, (0, 2): 1}, "y^2 - x"),
+        ({(0, 0): -3, (-2, 1): Fraction(1, 2), (5, 1): -1}, "-x^5*y + 1/2*x^-2*y - 3"),
+    ])
+    def test_printed_by_degree_in_y_then_x(self, terms, text):
+        assert str(BiHomPoly(terms)) == text
+
     def test_multiplicative_without_cancellation(self):
         rng = random.Random(67)
         w = WeightPair(2, 1, (1, 0))
