@@ -35,12 +35,11 @@ from .errors import (
     ZeroDenominator,
     ZeroOperand,
 )
+from .poly import Poly, Scalar
 from .rational import (
     LaurentTail,
-    Poly,
     PowerSeries,
     RatFunc,
-    Scalar,
     antiderivative,
     laurent_expand,
     rat_antiderivative,

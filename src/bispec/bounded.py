@@ -34,14 +34,12 @@ from .errors import (
     UnboundedCoefficient,
     VariableMismatch,
 )
+from .poly import Poly, min_trunc, poly_lcm
 from .rational import (
     LaurentTail,
-    Poly,
     RatFunc,
     TruncatedSeries,
-    min_trunc,
     nonzero_terms,
-    poly_lcm,
     rat_antiderivative,
     rational_reconstruct,
 )
@@ -546,6 +544,11 @@ class CentralizerResult(Record):
 def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     """Solve [L, M] = 0 over candidates M = sum_j p_j(x) x^-d d^j with
     j <= max_ord, d = max_ord and deg p_j <= 2 max(max_ord, N) + d.
+
+    The ansatz has poles at x = 0 only, so it misses every commuting M
+    with a pole elsewhere: for d^2 - (6x^4 - 12x)/(x^3 + 1)^2, whose
+    poles are the roots of x^3 + 1, it finds only the constants, although
+    an operator of order 5 commutes with it.
 
     Returns a basis of the solution space (echelonized so leading terms are
     distinct), the orders, and the gcd of the nonzero orders as the rank

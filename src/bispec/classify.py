@@ -9,9 +9,12 @@ the origin, then after translating a single finite pole there.  Bounded
 branch: the constant-coefficient shape, then two cheap exact
 obstructions (Fuchs' pole-order criterion and a logarithm in the first
 wave coefficients), then the ad-condition chain; a passing chain with all
-constants zero marks a monomial-Darboux-of-Bessel candidate (rank = order),
-while a failing constants check or a non-polynomial ad power routes to the
-constant-coefficient Darboux branch (rank 1).
+constants zero marks a monomial-Darboux-of-Bessel candidate, while a
+failing constants check or a non-polynomial ad power routes to the
+constant-coefficient Darboux branch.  Neither route bounds the rank: the
+Adler-Moser operator d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes the chain with
+theta = (x^3 + 1)^2, yet it commutes with an operator of order 5, so its
+rank is 1.
 
 Every verdict carries machine-checkable certificates (weights, associated
 polynomial, principal part, ad data, Lambda, Darboux pairs, obstruction
@@ -24,7 +27,8 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from . import errors as err
-from .rational import Poly, RatFunc, poly_text
+from .poly import Poly, poly_text
+from .rational import RatFunc
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
 from .parser import parse_operator, print_operator
 from .families import (
@@ -197,9 +201,9 @@ def classify(
     if not prime:
         report.certificates["composite_order"] = N
 
-    # the Bessel shape needs no normalization, and a weight sum off
-    # N(N-1)/2 makes the gauge logarithmic: test it first, and again only
-    # on an operator the gauge changed
+    # the Bessel shape needs no normalization, and its betas should be the
+    # input's: test it first, and again only on an operator the gauge
+    # changed
     decided = P is None and _bessel_stage(L, report)
     if not decided and not L.coeff(N - 1).is_zero():
         try:
@@ -300,10 +304,6 @@ def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budge
             "leading form y^n (y^r - lam x)^k with n >= 1: "
             "no operator with this leading form acts nilpotently"
         )
-        return
-    if nf.unresolved_over_Q:
-        report.verdict = VERDICT_INCONCLUSIVE
-        report.certificates["note"] = "normal-form scalars irrational: unresolved over Q"
         return
     if nf.yrx is not None and nf.n == 0 and nf.yrx[0] == N:
         if nf.yrx[1] != 1:

@@ -16,7 +16,7 @@ import sys
 from typing import Any, Optional
 
 from . import errors as err
-from .rational import Poly, poly_text
+from .poly import Poly, poly_text
 from .diffop import DiffOp, ad_condition_min_m, ad_pow, commutator, dop_mul, right_divide
 from .parser import parse_operator, print_operator
 from .families import darboux

@@ -47,15 +47,12 @@ from .errors import (
     PoleAtOrigin,
     VariableMismatch,
 )
+from .poly import Poly, ScalarLike, binary_power
 from .rational import (
-    Poly,
     PowerSeries,
     RatFunc,
-    ScalarLike,
     add_terms,
-    binary_power,
     nonzero_terms,
-    rat_antiderivative,
     taylor_expand_at_zero,
 )
 from .record import Record
@@ -364,9 +361,11 @@ def gauge_normalize(L: DiffOp) -> tuple[DiffOp, RatFunc]:
     with exponent derivative g' = -V_{N-1}/N.
 
     The conjugation acts on generators as d -> d + g', leaving x fixed;
-    the returned certificate is g'.  Raises NotMonic when the leading
-    coefficient is not 1, NonRationalGauge when the gauge exponent
-    (the antiderivative of g') is not a rational function.
+    the returned certificate is g'.  It needs g' alone, so the gauge
+    function exp(g) may be any function with a rational logarithmic
+    derivative, such as a power of a polynomial.  Raises NotMonic when
+    the leading coefficient is not 1, and NonRationalGauge only when the
+    subleading term survives the substitution.
     """
     if L.is_zero() or not L.is_monic():
         raise NotMonic("gauge normalization requires a monic operator")
@@ -375,7 +374,6 @@ def gauge_normalize(L: DiffOp) -> tuple[DiffOp, RatFunc]:
     if sub.is_zero():
         return L, RatFunc.zero()
     gprime = sub.scale(Fraction(-1, n))
-    rat_antiderivative(gprime)  # raises LogObstruction for log-type gauges
     replacement = DiffOp(L.var, {1: RatFunc.one(), 0: gprime})
     out = L.substitute_d(replacement)
     if not out.coeff(n - 1).is_zero():

@@ -48,7 +48,7 @@ class NotMonic(BispecError):
 
 
 class NonRationalGauge(BispecError):
-    """The normalizing gauge exponent is not a rational function."""
+    """The normalizing gauge substitution left a subleading term."""
 
 
 class PoleAtOrigin(BispecError):

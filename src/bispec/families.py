@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import BadIndex, NotAFactor
-from .rational import Poly, RatFunc, ScalarLike
+from .poly import Poly, ScalarLike
+from .rational import RatFunc
 from .diffop import DiffOp, dop_mul, euler_operator, right_divide
 from .record import Record
 

@@ -44,15 +44,14 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
-from .rational import (
+from .poly import (
     Poly,
-    RatFunc,
-    add_terms,
     binary_power,
     monomial_text,
     poly_text,
     signed_sum,
 )
+from .rational import RatFunc, add_terms
 from .diffop import DiffOp, dop_mul
 
 MAX_EXPONENT = 4096

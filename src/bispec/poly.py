@@ -1,0 +1,469 @@
+"""Exact scalar and polynomial arithmetic: the bottom layer of the package.
+
+Conventions:
+
+* Scalars are ``fractions.Fraction`` (exact, arbitrary precision).
+* ``Poly`` is a dense univariate polynomial, coefficients ascending by
+  degree.  The zero polynomial has degree -1 (the distinguished sentinel).
+  Its rational roots come from Yun's square-free decomposition and Sturm
+  bisection (``Poly.rational_roots``), with no integer factorization.
+
+Polys are immutable after construction, so ``Poly.zero()``, ``Poly.one()``
+and ``Poly.x()`` return shared instances.
+
+Trusted constructor.  ``Poly(coeffs)`` coerces and trims its input.
+Arithmetic that already knows its result is canonical wraps it with
+``Poly._trusted(coeffs)`` instead, which checks nothing: the caller hands
+it a tuple of ``Fraction`` with no trailing zero (products, negation,
+nonzero scaling, derivatives and Taylor shifts keep a trimmed tuple
+trimmed; sums and remainders are trimmed first by ``_trimmed``).
+
+Every printed sum of the package, from polynomials and series to
+operators, is joined by ``signed_sum`` from monomials printed by
+``monomial_text``.
+
+This module imports nothing from the rest of the package, so that the
+rational-function and series layer (``rational``) builds on it and not the
+other way round.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable, Optional, Union
+
+Scalar = Fraction
+
+ScalarLike = Union[Fraction, int]
+
+
+# An index or exponent beyond any real one: the start index of an empty
+# finite tail, and (negated) the order at infinity of the zero function.
+FAR_INDEX = 10 ** 9
+
+_new = object.__new__
+
+
+def _frac(value: ScalarLike) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The smaller of two truncations, where None means exact."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def binary_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring; ``one`` is returned for
+    n = 0.  No square is taken after the last bit of n."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+class Poly:
+    """Dense univariate polynomial over Fraction, ascending coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
+        cs = [_frac(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        _set_coeffs(self, tuple(cs))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "Poly":
+        """Wrap a tuple of Fractions with no trailing zero, unchecked."""
+        self = _new(cls)
+        _set_coeffs(self, coeffs)
+        return self
+
+    def __setattr__(self, *args):  # immutable
+        raise AttributeError("Poly is immutable")
+
+    # -- constructors
+
+    @staticmethod
+    def zero() -> "Poly":
+        return _POLY_ZERO
+
+    @staticmethod
+    def one() -> "Poly":
+        return _POLY_ONE
+
+    @staticmethod
+    def x() -> "Poly":
+        return _POLY_X
+
+    @staticmethod
+    def const(c: ScalarLike) -> "Poly":
+        c = _frac(c)
+        return Poly._trusted((c,)) if c else _POLY_ZERO
+
+    @staticmethod
+    def monomial(degree: int, coeff: ScalarLike = 1) -> "Poly":
+        if degree < 0:
+            raise ValueError("monomial degree must be >= 0")
+        c = _frac(coeff)
+        if not c:
+            return _POLY_ZERO
+        return Poly._trusted((_ZERO,) * degree + (c,))
+
+    # -- basic queries
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_one(self) -> bool:
+        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def constant_value(self) -> Fraction:
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            return Fraction(0)
+        return self.coeffs[-1]
+
+    def coeff(self, k: int) -> Fraction:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return Fraction(0)
+
+    def valuation(self) -> int:
+        """Multiplicity of the root x = 0 (degree+1 convention not used;
+        returns 0 for the zero polynomial)."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return 0
+
+    # -- arithmetic
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __neg__(self) -> "Poly":
+        return Poly._trusted(tuple([-c for c in self.coeffs]))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _trimmed(out)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + (-other)
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        if self.is_zero() or other.is_zero():
+            return _POLY_ZERO
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        bs = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in bs:
+                    out[i + j] += a * b
+        # over a field the product of the leading coefficients is nonzero
+        return Poly._trusted(tuple(out))
+
+    def scale(self, c: ScalarLike) -> "Poly":
+        c = _frac(c)
+        if not c:
+            return _POLY_ZERO
+        return Poly._trusted(tuple([a * c for a in self.coeffs]))
+
+    def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        return binary_power(self, n, _POLY_ONE)
+
+    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        d = other.degree
+        q = [Fraction(0)] * max(0, len(rem) - d)
+        lead = other.coeffs[-1]
+        lower = [(i, b) for i, b in enumerate(other.coeffs[:-1]) if b]
+        # each step cancels the top coefficient exactly, so it is popped
+        while len(rem) > d:
+            top = rem.pop()
+            if not top:
+                continue
+            shift = len(rem) - d
+            c = top / lead
+            q[shift] = c
+            for i, b in lower:
+                rem[shift + i] -= c * b
+        return _trimmed(q), _trimmed(rem)
+
+    def __mod__(self, other: "Poly") -> "Poly":
+        return self.divmod(other)[1]
+
+    def __floordiv__(self, other: "Poly") -> "Poly":
+        return self.divmod(other)[0]
+
+    def exact_div(self, other: "Poly") -> "Poly":
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ValueError("exact_div: division is not exact")
+        return q
+
+    def derivative(self) -> "Poly":
+        return Poly._trusted(tuple([c * i for i, c in enumerate(self.coeffs)][1:]))
+
+    def monic(self) -> "Poly":
+        if self.is_zero():
+            return self
+        lead = self.leading()
+        if lead == 1:
+            return self
+        return Poly([c / lead for c in self.coeffs])
+
+    def gcd(self, other: "Poly") -> "Poly":
+        """Monic greatest common divisor."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+
+    def __call__(self, point: ScalarLike) -> Fraction:
+        """Evaluate at a scalar point by Horner."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
+
+    def translate(self, a: ScalarLike) -> "Poly":
+        """The Taylor shift p(x + a), by repeated Horner steps; the
+        leading coefficient is unchanged, so the tuple stays trimmed."""
+        n = len(self.coeffs) - 1
+        if n < 1 or not a:
+            return self
+        cs = list(self.coeffs)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+        return Poly._trusted(tuple(cs))
+
+    def squarefree_decomposition(self) -> list[tuple["Poly", int]]:
+        """Yun's algorithm: returns [(g_i, i)] with self = lead * prod g_i^i,
+        each g_i monic squarefree, pairwise coprime, deg g_i possibly 0."""
+        if self.degree <= 0:
+            return []
+        if not any(self.coeffs[:-1]):  # lead * x^k
+            return [(Poly.x(), self.degree)]
+        p = self.monic()
+        dp = p.derivative()
+        a = p.gcd(dp)
+        b = p.exact_div(a)
+        c = dp.exact_div(a)
+        out: list[tuple[Poly, int]] = []
+        i = 1
+        while b.degree > 0:
+            d = c - b.derivative()
+            g = b.gcd(d)
+            if g.degree > 0:
+                out.append((g, i))
+            b = b.exact_div(g)
+            c = d.exact_div(g)
+            i += 1
+        return out
+
+    def rational_roots(self) -> list[tuple[Fraction, int]]:
+        """All rational roots with multiplicities, ascending.  Exact and
+        free of integer factorization: each square-free factor of Yun's
+        decomposition has its real roots isolated by Sturm bisection, and
+        one candidate per root is tested exactly."""
+        return decomposition_roots(self.squarefree_decomposition())
+
+    # -- display
+
+    def __repr__(self):
+        return f"Poly({self})"
+
+    def __str__(self):
+        return poly_text(self)
+
+
+_set_coeffs = Poly.coeffs.__set__
+_ZERO = Fraction(0)
+_POLY_ZERO = Poly._trusted(())
+_POLY_ONE = Poly._trusted((Fraction(1),))
+_POLY_X = Poly._trusted((_ZERO, Fraction(1)))
+
+
+def _trimmed(cs: list) -> Poly:
+    """A Poly from a list of Fractions that may end in zeros."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return Poly._trusted(tuple(cs))
+
+
+def signed_sum(terms) -> str:
+    """Join (sign, text) pairs as "a + b - c", a negative first term as
+    "-a"; "0" when there are none.  Every printed sum of the package,
+    from polynomials and series to operators, is joined here."""
+    out = ""
+    for sign, text in terms:
+        if out:
+            out += (" - " if sign < 0 else " + ") + text
+        else:
+            out = "-" + text if sign < 0 else text
+    return out or "0"
+
+
+def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x",
+                  dvar: str = "d") -> str:
+    """The monomial |c| * var^xexp * dvar^dexp; its sign is left to
+    ``signed_sum``."""
+    atoms: list[str] = []
+    mag = abs(c)
+    if mag != 1 or (xexp == 0 and dexp == 0):
+        atoms.append(str(mag))
+    if xexp != 0:
+        atoms.append(var if xexp == 1 else f"{var}^{xexp}")
+    if dexp != 0:
+        atoms.append(dvar if dexp == 1 else f"{dvar}^{dexp}")
+    return "*".join(atoms)
+
+
+def poly_text(p: Poly, var: str = "x") -> str:
+    """p with its terms in descending degree."""
+    cs = p.coeffs
+    return signed_sum([(cs[k], monomial_text(cs[k], k, 0, var))
+                       for k in range(len(cs) - 1, -1, -1) if cs[k]])
+
+
+def _int_coeffs(p: Poly) -> list[int]:
+    """The coefficients of a positive multiple of p, all integers."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _sign_at(coeffs: list[int], point: Fraction) -> int:
+    """The sign of the integer polynomial at point = a/b, b > 0, from
+    b^deg * p(a/b) in integer arithmetic."""
+    a, b = point.numerator, point.denominator
+    acc, bpow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return (acc > 0) - (acc < 0)
+
+
+def _squarefree_rational_roots(g: Poly) -> list[Fraction]:
+    """The rational roots of a square-free polynomial of degree >= 1.
+
+    The Sturm sequence counts the roots in (lo, hi] as V(lo) - V(hi),
+    where V counts sign changes, zeros dropped.  Bisection from a bound on
+    every root isolates each real root, and then narrows it by the sign of
+    g alone to a width below 1/(2 a^2), with a the leading coefficient of
+    g's primitive integer multiple.  A rational root s/t in lowest terms
+    has t | a.  Two fractions with denominators at most a are at least
+    1/a^2 apart, and the midpoint is within 1/(4 a^2) of the root, so a
+    rational root is the fraction closest to the midpoint with denominator
+    at most a; that one candidate is tested exactly.
+    """
+    ints = _int_coeffs(g)
+    a = abs(ints[-1]) // gcd(*ints)
+    seq = [g, g.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+    seq = [_int_coeffs(s) for s in seq]
+
+    def changes(point: Fraction) -> int:
+        signs = [s for s in (_sign_at(c, point) for c in seq) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    # every root has |r| <= 2 max_i |c_i / c_n|^(1/(n-i)) (Fujiwara), and
+    # |c_i / c_n| < 2^(bits(c_i) - bits(c_n) + 1)
+    n, top = len(ints) - 1, abs(ints[-1]).bit_length()
+    k = max([-(-(abs(c).bit_length() - top + 1) // (n - i))
+             for i, c in enumerate(ints[:-1]) if c] + [0])
+    bound = Fraction(2 ** (k + 1))
+    roots = []
+    stack = [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = changes(mid)
+            stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+        elif vlo - vhi == 1:
+            root = _narrow(ints, a, lo, hi)
+            if root is not None:
+                roots.append(root)
+    return roots
+
+
+def _narrow(ints: list[int], a: int, lo: Fraction,
+            hi: Fraction) -> Optional[Fraction]:
+    """The rational root in (lo, hi], which holds exactly one simple real
+    root of the integer polynomial, or None when that root is irrational;
+    a rational root's denominator divides a."""
+    width = Fraction(1, 2 * a * a)
+    s_hi = _sign_at(ints, hi)
+    if not s_hi:
+        return hi
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        s = _sign_at(ints, mid)
+        if not s:
+            return mid
+        if s == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    # the candidate may be a root next to an irrational one in (lo, hi]
+    cand = ((lo + hi) / 2).limit_denominator(a)
+    return cand if lo < cand <= hi and not _sign_at(ints, cand) else None
+
+
+def decomposition_roots(factors: list[tuple[Poly, int]]) -> list[tuple[Fraction, int]]:
+    """The rational roots with multiplicities, ascending, of a polynomial
+    given by its square-free decomposition ``factors`` (as returned by
+    ``Poly.squarefree_decomposition``)."""
+    return sorted((r, mult) for g, mult in factors
+                  for r in _squarefree_rational_roots(g))
+
+
+def poly_lcm(a: Poly, b: Poly) -> Poly:
+    if a.is_zero() or b.is_zero():
+        return Poly.zero()
+    return (a * b).exact_div(a.gcd(b)).monic()
+

@@ -17,7 +17,8 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, NotMonic, ZeroOperand
-from .rational import Poly, RatFunc, decomposition_roots, monomial_text, signed_sum
+from .poly import Poly, decomposition_roots, monomial_text, signed_sum
+from .rational import RatFunc
 from .diffop import DiffOp
 from .bounded import split_constant_part
 from .record import Record

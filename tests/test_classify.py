@@ -19,6 +19,7 @@ from bispec import (
     associated_polynomial,
     choose_weights,
     classify,
+    commutator,
     dop_mul,
     make_airy,
     make_bessel,
@@ -26,6 +27,7 @@ from bispec import (
     parse_operator,
     perturbation_obstruction,
     print_operator,
+    right_divide,
 )
 from bispec.cli import main
 
@@ -82,6 +84,19 @@ class TestVerdicts:
         assert r.verdict == "PolynomialDarbouxCandidate(5)"
         assert r.certificates["centralizer"]["rank_estimate"] == 1
 
+    def test_passing_chain_does_not_fix_the_rank(self):
+        # the Adler-Moser operator L P = P d^2 passes the chain with all
+        # constants zero, so it keeps the monomial label; but M = P d^5 P^-1
+        # commutes with it, so its rank is gcd(2, 5) = 1, not its order
+        L = parse_operator("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2")
+        r = classify(L, theta=Poly([1, 0, 0, 1]) ** 2)
+        assert r.verdict == "MonomialDarbouxCandidate(4)"
+        assert r.certificates["bounded_chain"]["failures"] == []
+        P = parse_operator("d^2 - 3*x^2*(x^3+1)^-1*d + 3*x*(x^3+1)^-1")
+        M, rem = right_divide(dop_mul(P, d ** 5), P)
+        assert rem.is_zero() and M.order == 5
+        assert commutator(L, M).is_zero()
+
     def test_wave_obstruction(self):
         r = classify_text("d^2 + x^-1")
         assert r.verdict == "Obstructed"
@@ -94,8 +109,15 @@ class TestVerdicts:
         assert "nilpotently" in r.certificates["obstruction"]
 
     def test_wrong_shape_obstructed(self):
-        r = classify_text("d^2 - x^4")
-        assert r.verdict == "Obstructed"
+        # the (1, 1) forms of d^2 + x^2 and d^2 + 3*x^2 factor over
+        # Q(sqrt(-1)) and Q(sqrt(-3)) only; a (1, 1) form is never
+        # (y^N - lam x)^1 for N >= 2, whatever field its factors live in
+        for text in ("d^2 - x^4", "d^2 - x^2", "d^2 + x^2", "d^2 + 3*x^2"):
+            r = classify_text(text)
+            assert r.verdict == "Obstructed", text
+            assert r.certificates["obstruction"] == (
+                "leading form is not (y^N - lam x)^1: excluded for "
+                "increasing coefficients"), text
 
     def test_composite_order_inconclusive(self):
         r = classify_text("d^4 - x")

@@ -10,7 +10,6 @@ import bispec.diffop
 from bispec import (
     DiffOp,
     DivisionByZeroOperator,
-    LogObstruction,
     NotMonic,
     PoleAtOrigin,
     Poly,
@@ -239,9 +238,12 @@ class TestGauge:
         assert out == d * d - DiffOp.one()
         assert g == RatFunc.const(-1)
 
-    def test_log_gauge_rejected(self):
-        with pytest.raises(LogObstruction):
-            gauge_normalize(d * d + dop_mul(xpow(-1), d))
+    def test_gauge_with_logarithmic_exponent(self):
+        # g' = -1/(2x) has no rational antiderivative (the gauge function
+        # is x^(-1/2)), yet the conjugation needs g' alone
+        out, g = gauge_normalize(d * d + dop_mul(xpow(-1), d))
+        assert out == d * d + xpow(-2, Fraction(1, 4))
+        assert g == RatFunc.x_power(-1, Fraction(-1, 2))
 
     def test_not_monic(self):
         with pytest.raises(NotMonic):

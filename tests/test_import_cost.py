@@ -3,7 +3,9 @@
 Creating a dataclass generates and compiles code for every class, on every
 cold import; the value classes are plain ``__slots__`` records instead.
 And ``import bispec`` keeps loading the whole library, so that no cost is
-hidden from the set-up measurement by a lazy import.
+hidden from the set-up measurement by a lazy import.  The library's
+compiled size is held to a ceiling, and so is each module's, because the
+largest module sets the peak memory of a cold import.
 """
 
 import ast
@@ -17,11 +19,20 @@ from pathlib import Path
 import bispec
 
 # the AST-node total of src/bispec/*.py may not exceed this
-MAX_AST_NODES = 28566
+MAX_AST_NODES = 28567
+
+# nor may the AST-node count of any one of them (rational.py is the largest)
+MAX_MODULE_AST_NODES = 3926
 
 # the submodules ``import bispec`` loads (cli is the command-line entry)
 EAGER = {"airy", "bounded", "classify", "diffop", "errors", "families",
-         "linalg", "parser", "rational", "weights"}
+         "linalg", "parser", "poly", "rational", "weights"}
+
+
+def _ast_nodes() -> dict[str, int]:
+    src = Path(bispec.__file__).parent
+    return {path.name: sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+            for path in src.glob("*.py")}
 
 
 def _submodules():
@@ -56,15 +67,38 @@ def test_compiled_size_does_not_grow():
     """Set-up is mostly compilation.  Without a bytecode cache (as under
     PYTHONDONTWRITEBYTECODE=1), a fresh set-up of the bounded-origin
     workload took 47-70 ms, and 7-11 ms with a warm cache, on a 2-core
-    VM; compiling src/bispec costs 1-2 us per AST node.  Compiling also
-    sets the benchmark's peak RSS: on the same VM, compiling rational.py,
-    the largest module, lifted ru_maxrss from about 17.0 to 18.9 MB, the
-    rest of the import added nothing, and a whole pass of any of the three
-    workloads added at most 0.12 MB.  So the library's compiled size is
-    held to a ceiling.  A change that adds code raises MAX_AST_NODES in
-    the same diff and says so in CHANGES.md.
+    VM; compiling src/bispec costs 1-2 us per AST node.  So the library's
+    compiled size is held to a ceiling.  A change that adds code raises
+    MAX_AST_NODES in the same diff and says so in CHANGES.md.
     """
-    src = Path(bispec.__file__).parent
-    total = sum(sum(1 for _ in ast.walk(ast.parse(path.read_text())))
-                for path in src.glob("*.py"))
-    assert total <= MAX_AST_NODES
+    assert sum(_ast_nodes().values()) <= MAX_AST_NODES
+
+
+def test_no_module_sets_the_peak_alone():
+    """Compiling sets the benchmark's peak RSS.  CPython compiles one file
+    at a time and holds that file's tokens and AST while it does, so the
+    largest file sets the high-water mark of every cold run; a whole pass
+    of any of the three workloads adds at most 0.12 MB.  On a 2-core VM
+    under Python 3.11, tracemalloc's peak while compiling the 6,906-node
+    rational.py was 2.63 MB, and compiling it lifted ru_maxrss of a bare
+    interpreter from 13.8 to 16.4 MB.  Split into poly.py (3,003 nodes,
+    1.18 MB) and rational.py (3,926 nodes, 1.69 MB), the two lift it to
+    15.5 MB, and no other module exceeds 1.38 MB (bounded.py).  So each
+    module is held to MAX_MODULE_AST_NODES, which may not pass 4,000:
+    a module that would outgrow it is split by layer instead.
+    """
+    assert MAX_MODULE_AST_NODES <= 4000
+    assert max(_ast_nodes().values()) <= MAX_MODULE_AST_NODES
+
+
+def test_poly_is_the_bottom_layer():
+    """Poly and its printers import nothing from the package, so the
+    rational-function and series layer builds on them, never the reverse."""
+    tree = ast.parse((Path(bispec.__file__).parent / "poly.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [m for m in imported if m.startswith((".", "bispec"))] == []
