@@ -8,7 +8,6 @@ calculus, the filtration toolkit, and the parser/classifier front end.
 """
 
 from .errors import (
-    AdBudgetExceeded,
     BadIndex,
     BispecError,
     DivisionByZeroOperator,
@@ -40,10 +39,8 @@ from .rational import (
     LaurentTail,
     PowerSeries,
     RatFunc,
-    antiderivative,
     laurent_expand,
     rat_antiderivative,
-    ratfunc_canonicalize,
     rational_reconstruct,
     taylor_expand_at_zero,
 )

@@ -22,7 +22,6 @@ from math import factorial, gcd
 from typing import Mapping, Optional, Union
 
 from .errors import (
-    AdBudgetExceeded,
     InsufficientPrecision,
     NormalizationFailed,
     NotCommuting,
@@ -46,8 +45,8 @@ from .rational import (
 from .diffop import (
     CoeffLike,
     DiffOp,
-    _ad_chain_end,
     _coerce,
+    ad_pow,
     commutator,
     leibniz_divide,
     leibniz_product,
@@ -489,23 +488,29 @@ class BoundedTestReport(Record):
         return tuple(out)
 
 
-def bounded_test(L: DiffOp, theta: Poly, m_max: int) -> BoundedTestReport:
+def bounded_test(L: DiffOp, theta: Poly) -> BoundedTestReport:
     """Run the full chain for a bounded-coefficient normalized operator.
 
+    The ad exponent is m = deg theta or none at all (the proof is in
+    ``diffop.ad_condition_min_m``): with L = f(d) + V, ad_L^k(theta) has
+    leading part theta^(k)(x) f'(d)^k at infinity, and a bracket with L
+    never vanishes on a nonzero operator that decays there.  So one
+    chain of deg theta + 1 brackets decides, and no budget is needed.
+
     Raises NotMonic when the leading coefficient of L is not 1 (the
-    expected q_r = m! N^m holds only for a monic L), AdBudgetExceeded when
-    no m is found, NotRankOrderCase when ad^m(theta) is not a polynomial in
-    L (the rank is then smaller than the order and the input belongs to
-    the constant-coefficient Darboux branch).
+    expected q_r = m! N^m holds only for a monic L), NotCommuting when
+    ad_L^(m+1)(theta) != 0, NotRankOrderCase when ad^m(theta) is not a
+    polynomial in L (the rank is then smaller than the order and the
+    input belongs to the constant-coefficient Darboux branch).
     """
     if not L.is_monic():
         raise NotMonic("bounded test needs a monic operator")
     f, _ = split_constant_part(L)
     N = L.order
-    end = _ad_chain_end(L, theta, m_max)
-    if end is None:
-        raise AdBudgetExceeded(f"no ad exponent within budget {m_max}")
-    m, Q = end  # [L, Q] = 0 is the end of the chain
+    m = theta.degree
+    Q = ad_pow(L, DiffOp.from_function(theta, L.var), max(m, 0))
+    if theta.is_zero() or not commutator(L, Q).is_zero():
+        raise NotCommuting(f"theta = {theta} has no ad exponent")
     q = _expand_in_L(Q, L)
     if q is None:
         raise NotRankOrderCase("ad power is not a polynomial in L")

@@ -74,10 +74,14 @@ FAMILY_VERDICTS = (
 
 
 class Budgets(Record):
-    """Search budgets.  The ad budget and the theta degree have no
-    theoretical bound in general, so the caller may set them; the
-    centralizer search always runs through order 2N - 1, and the Airy
-    perturbation walk through ``obstruction_steps`` steps."""
+    """Search budgets.  On the bounded branch the ad exponent of theta is
+    exactly deg theta or does not exist (``diffop.ad_condition_min_m``),
+    so each chain of the theta search stops after
+    min(ad_budget, deg theta) + 1 brackets, and a theta of degree above
+    the ad budget is never admissible.  The theta degree has no theoretical
+    bound, so the caller may set ``theta_lmax``; the centralizer search
+    always runs through order 2N - 1, and the Airy perturbation walk
+    through ``obstruction_steps`` steps."""
 
     __slots__ = ("ad_budget", "trunc", "theta_lmax")
     _defaults = {"ad_budget": 8, "trunc": 8, "theta_lmax": 4}
@@ -399,7 +403,8 @@ def _classify_bounded(
     else:
         candidates = [Poly.monomial(l) for l in range(1, budgets.theta_lmax + 1)]
     for cand in candidates:
-        m = ad_condition_min_m(L, cand, budgets.ad_budget)
+        # the exponent is deg theta or none (see ad_condition_min_m)
+        m = ad_condition_min_m(L, cand, min(budgets.ad_budget, cand.degree))
         if m is not None:
             thetas.append(cand)
     report.certificates["admissible_thetas"] = [str(t) for t in thetas]
@@ -418,7 +423,7 @@ def _classify_bounded(
 
     use = thetas[0]
     try:
-        chain = bounded_test(L, use, budgets.ad_budget)
+        chain = bounded_test(L, use)
     except err.NotRankOrderCase:
         report.certificates["ad_theta"] = str(use)
         report.certificates["rank_order_case"] = False

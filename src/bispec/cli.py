@@ -147,7 +147,7 @@ def _dispatch(args) -> int:
             payload["ad_power"] = print_operator(Q)
             lines.append(f"ad^m(theta) = {print_operator(Q)}")
             try:
-                chain = bounded_test(L, theta, args.order_budget)
+                chain = bounded_test(L, theta)
                 payload["chain"] = {
                     "q": list(chain.q), "identity_holds": chain.identity_holds,
                     "s": chain.s, "q_r": chain.q_r,

@@ -306,24 +306,30 @@ def ad_pow(L: DiffOp, G: DiffOp, m: int) -> DiffOp:
     return out
 
 
-def _ad_chain_end(L: DiffOp, theta: Poly, m_max: int) -> Optional[tuple[int, DiffOp]]:
-    """(m, ad_L^m(theta)) for the minimal m <= m_max with
-    ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0, or None when no such m
-    exists within the budget.  It takes m + 1 brackets."""
+def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
+    """Minimal m <= m_max with ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0,
+    or None when no such m exists within the budget.  It takes m + 1
+    brackets.
+
+    For a bounded L = f(d) + V (deg f >= 1, every coefficient of V in
+    O(1/x), as ``bounded.split_constant_part`` returns it) the only
+    candidate is m = deg theta, so m_max = deg theta decides.  Filter
+    operators by their x-degree at infinity.  [f(d), .] lowers it by
+    exactly one while it is >= 1, and [V, .] by at least two, so
+    ad_L^k(theta) has leading part theta^(k)(x) f'(d)^k != 0 for
+    k <= deg theta, and ad_L^(deg theta)(theta) is c f'(d)^(deg theta) plus
+    a part that decays.  Its bracket with L decays too.  On a nonzero
+    operator of x-degree -a < 0 with leading part x^-a C(d), the bracket
+    with L has leading term -a x^(-a-1) f'(d) C(d) != 0, so a chain that
+    goes past deg theta never ends.  On an Airy operator the chain may
+    end elsewhere, so the budget stays the caller's."""
     current = DiffOp.from_function(theta, L.var)
     for m in range(m_max + 1):
         nxt = commutator(L, current)
         if nxt.is_zero():
-            return (m, current) if not current.is_zero() else None
+            return m if not current.is_zero() else None
         current = nxt
     return None
-
-
-def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
-    """Minimal m <= m_max with ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0,
-    or None when no such m exists within the budget."""
-    end = _ad_chain_end(L, theta, m_max)
-    return None if end is None else end[0]
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class NotCommuting(BispecError):
     """Operands were required to commute but do not."""
 
 
-class AdBudgetExceeded(BispecError):
-    """No ad-condition exponent m found within the search budget."""
-
-
 class NotRankOrderCase(BispecError):
     """ad-power is not a polynomial in L: rank < order, different branch."""
 

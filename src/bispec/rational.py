@@ -219,6 +219,9 @@ class RatFunc:
         )
 
     def __hash__(self):
+        # a constant equals its int or Fraction value, so it hashes as one
+        if self.is_constant():
+            return hash(self.num.constant_value())
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
@@ -289,11 +292,6 @@ _set_den = RatFunc.den.__set__
 _RAT_ZERO = RatFunc._reduced(_POLY_ZERO, _POLY_ONE)
 _RAT_ONE = RatFunc._reduced(_POLY_ONE, _POLY_ONE)
 _RAT_X = RatFunc._reduced(_POLY_X, _POLY_ONE)
-
-
-def ratfunc_canonicalize(num: Poly, den: Poly) -> RatFunc:
-    """gcd-reduced, monic-denominator representative of num/den."""
-    return RatFunc(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -597,40 +595,39 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     return None
 
 
-def antiderivative(t: LaurentTail) -> LaurentTail:
-    """Module-level alias for LaurentTail.antiderivative (spec operation)."""
-    return t.antiderivative()
-
-
 # ---------------------------------------------------------------------------
-# rational antiderivative (tail propose, exact derivative verify)
+# rational antiderivative (one Pade solve, exact derivative verify)
 # ---------------------------------------------------------------------------
 
 def rat_antiderivative(g: RatFunc) -> RatFunc:
-    """Antiderivative of a rational function, certified rational.
+    """Antiderivative of a rational function, certified rational, with
+    zero constant term at infinity.
 
-    Proposes a candidate by integrating the Laurent tail at infinity and
-    reconstructing; certifies by exact re-differentiation.  Raises
-    LogObstruction when the residue at infinity (x^-1 coefficient) is
-    nonzero, ReconstructionFailed when no rational antiderivative is found
-    within growing degree bounds (e.g. arctan-type integrands).
+    If h = P/Q (reduced) has h' = g, each pole of h of order e is a pole
+    of g of order e + 1 and g has no other pole.  So the denominator D of
+    g is Q times the product of Q's distinct factors, and Q = gcd(D, D')
+    (Bronstein, Symbolic Integration I, section 2.2).  As h has no
+    constant term at infinity, deg h = ord_inf(g) + 1, so
+    deg P = deg Q + ord_inf(g) + 1.  One Pade solve on the integrated tail
+    at infinity at exactly those degrees finds h when it exists, and exact
+    re-differentiation certifies it.  Raises LogObstruction when the
+    residue at infinity (x^-1 coefficient) is nonzero, and
+    ReconstructionFailed when the solve yields no antiderivative (e.g.
+    arctan-type integrands): then none is rational.
     """
     if g.is_zero():
         return RatFunc.zero()
-    dn = max(g.num.degree - g.den.degree + 1, 0) + g.den.degree
-    dd = g.den.degree
-    for round_ in range(4):  # four rounds of growing degree bounds
-        degN = dn + round_ * (dn + 2)
-        degD = dd + round_ * (dd + 2)
-        depth = degN + degD + 4 + max(0, -g.infinity_order())
-        tail = laurent_expand(g, depth)
-        anti = tail.antiderivative()  # raises LogObstruction on x^-1 term
-        try:
-            cand = rational_reconstruct(anti, degN + 1, degD)
-        except InsufficientPrecision:
-            cand = None
-        if cand is not None and cand.derivative() == g:
-            return cand
+    order = g.infinity_order()
+    degD = g.den.gcd(g.den.derivative()).degree
+    # below degree 0 no h exists, and the solve at degree 0 finds none
+    degN = max(degD + order + 1, 0)
+    # the integrated tail then holds the degN + degD + 2 known
+    # coefficients that the solve needs
+    tail = laurent_expand(g, degN + degD + 1 - order)
+    anti = tail.antiderivative()  # raises LogObstruction on x^-1 term
+    cand = rational_reconstruct(anti, degN, degD)
+    if cand is not None and cand.derivative() == g:
+        return cand
     raise ReconstructionFailed("no rational antiderivative within degree bounds")
 
 

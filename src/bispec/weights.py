@@ -131,14 +131,6 @@ class BiHomPoly(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __mul__(self, other: "BiHomPoly") -> "BiHomPoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiHomPoly(out)
-
     def weight(self, w: WeightPair) -> int:
         if self.is_zero():
             raise ZeroOperand("weight of the zero polynomial")

@@ -9,6 +9,7 @@ These deliberately avoid the library's code paths:
 * operator application to explicit Laurent polynomials, so products can be
   checked through their action on functions;
 * commutator chains built on the monomial algebra for ad-condition values;
+* the product of associated polynomials in commuting x and y;
 * the Bessel shape by its defining bracket [xd, L] = -N L, and the Bessel
   symbol read off the product x^N L, the references for the library's
   coefficient scan;
@@ -22,7 +23,10 @@ These deliberately avoid the library's code paths:
 * three Airy references: the bispectral check on a two-variable series
   Psi(x, z) = Phi(x + z), the Airy involution by relabelling the Weyl
   pair (d, A) and transposing, and the perturbation obstruction walk that
-  tests s = -1 at every step and once more after its loop.
+  tests s = -1 at every step and once more after its loop;
+* the rational antiderivative under the four-round growing degree
+  schedule, the reference for the one Pade solve at exact degrees in
+  ``rational.rat_antiderivative``.
 """
 
 from __future__ import annotations
@@ -35,19 +39,23 @@ from typing import Optional
 from bispec import (
     PDO,
     DiffOp,
+    InsufficientPrecision,
     LaurentTail,
     NotInDomain,
     ObstructionStep,
     ObstructionTrace,
     Poly,
     RatFunc,
+    ReconstructionFailed,
     airy_kernel_series,
     airy_shape,
     commutator,
     dop_mul,
     euler_operator,
     height,
+    laurent_expand,
     principal_part,
+    rational_reconstruct,
 )
 from bispec.airy import AiryBispectralReport, TOp
 from bispec.diffop import transpose_weyl
@@ -97,6 +105,17 @@ def mono_mul(u: dict, v: dict) -> dict:
                 key = (a1 + a2 - i, b1 + b2 - i)
                 out[key] = out.get(key, Fraction(0)) + coeff
     return {k: c for k, c in out.items() if c != 0}
+
+
+def commutative_mul(u: dict, v: dict) -> dict:
+    """The product of u and v as polynomials in commuting x and y, the
+    product of associated polynomials (``weights.BiHomPoly`` terms)."""
+    out: dict = {}
+    for (a1, b1), c1 in u.items():
+        for (a2, b2), c2 in v.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def mono_commutator(u: dict, v: dict) -> dict:
@@ -433,3 +452,25 @@ def perturbation_obstruction_loop(L: DiffOp, max_steps: int) -> ObstructionTrace
     if s == -1:
         return ObstructionTrace(tuple(steps), "obstructed", N, lam)
     return ObstructionTrace(tuple(steps), "inconclusive", N, lam)
+
+
+def rat_antiderivative_by_rounds(g: RatFunc) -> RatFunc:
+    """The antiderivative of g with zero constant term at infinity,
+    proposed from the integrated tail at infinity under four rounds of
+    growing degree bounds and certified by re-differentiation."""
+    if g.is_zero():
+        return RatFunc.zero()
+    dn = max(g.num.degree - g.den.degree + 1, 0) + g.den.degree
+    dd = g.den.degree
+    for round_ in range(4):
+        degN = dn + round_ * (dn + 2)
+        degD = dd + round_ * (dd + 2)
+        depth = degN + degD + 4 + max(0, -g.infinity_order())
+        anti = laurent_expand(g, depth).antiderivative()  # LogObstruction
+        try:
+            cand = rational_reconstruct(anti, degN + 1, degD)
+        except InsufficientPrecision:
+            cand = None
+        if cand is not None and cand.derivative() == g:
+            return cand
+    raise ReconstructionFailed("no rational antiderivative within degree bounds")

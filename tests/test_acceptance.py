@@ -113,7 +113,7 @@ def test_criterion_04_ad_condition():
 
 
 def test_criterion_05_bounded_chain():
-    rep = bounded_test(d * d - xpow(-2, 2), Poly([0, 0, 1]), 4)
+    rep = bounded_test(d * d - xpow(-2, 2), Poly([0, 0, 1]))
     assert rep.m == 2
     assert list(rep.q) == [0, 8]
     assert rep.identity_holds  # 8 z^2 = 2! (2z)^2

@@ -1,10 +1,13 @@
 """The noncommutative operator ring: products, brackets, division, gauges."""
 
 import random
+from datetime import timedelta
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bispec.diffop
 from bispec import (
@@ -37,6 +40,18 @@ from oracles import (
 
 d = DiffOp.d()
 x = DiffOp.x()
+
+# coefficients bounded at infinity over the denominators x^k, (x + 1)^k,
+# (x - 2)^k and (x^2 + 1)^k (k >= 1), alone or times x: a numerator of
+# degree at most 1
+BOUNDED_ST = st.builds(
+    lambda num, base, k, xk: RatFunc(num, base ** k * Poly.monomial(xk)),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2),
+             min_size=1, max_size=2).map(Poly),
+    st.sampled_from([Poly([1, 1]), Poly([-2, 1]), Poly([1, 0, 1]), Poly([0, 1])]),
+    st.integers(1, 2),
+    st.integers(0, 1),
+)
 
 
 def xpow(k, c=1):
@@ -182,6 +197,20 @@ class TestAdCondition:
     def test_budget_exhausted(self):
         L = d * d + xpow(-1)
         assert ad_condition_min_m(L, Poly([0, 1]), 5) is None
+
+    @settings(max_examples=15, deadline=timedelta(seconds=10))
+    @given(st.just(2), BOUNDED_ST,
+           st.fractions(min_value=-2, max_value=2, max_denominator=2),
+           st.integers(1, 2))
+    @example(2, RatFunc(Poly([-2]), Poly([0, 0, 1])), 0, 2)
+    @example(2, RatFunc(Poly([-2]), Poly([1, 0, 1])), 0, 4)
+    @example(3, RatFunc(Poly([Fraction(-1, 2)]), Poly([1, 1])), 1, 3)
+    @example(3, RatFunc(Poly([1]), Poly([0, 0, 0, 1])), 0, 2)
+    def test_bounded_exponent_is_deg_theta(self, N, V, c, l):
+        # L = d^N + c + V with V bounded: ad^(m+1)(x^l) = 0 holds at m = l
+        # or at no m (see the ad_condition_min_m docstring)
+        L = DiffOp("x", {N: RatFunc.one(), 0: V + RatFunc.const(c)})
+        assert ad_condition_min_m(L, Poly.monomial(l), l + 3) in (None, l)
 
     def test_oracle_chain(self):
         # independent commutator-chain oracle for the same values

@@ -158,6 +158,16 @@ class TestStageOrder:
         assert r.certificates["note"] == "wave coefficients not recognized rational"
         assert r.certificates["admissible_thetas"] == []
 
+    def test_theta_chains_end_at_deg_theta(self, monkeypatch):
+        # the exponent of x^l is l or none, so the chain of x^l stops after
+        # l + 1 brackets: 2 + 3 + 4 + 5 = 14, where an ad budget of 8 took
+        # 4 * 9 = 36
+        calls = counted(monkeypatch, "commutator",
+                        [m for m in EVERY_MODULE if hasattr(m, "commutator")])
+        r = classify("d^2 - 2*(x^2+1)^-1")
+        assert r.certificates["admissible_thetas"] == []
+        assert len(calls) == 14
+
 
 class TestGaugedBessel:
     @pytest.mark.parametrize("text, betas", [

@@ -1,10 +1,13 @@
 """Exact scalar, polynomial, rational-function and Laurent-tail arithmetic."""
 
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import bispec.rational
 
 from bispec import (
     InsufficientPrecision,
@@ -15,20 +18,49 @@ from bispec import (
     PowerSeries,
     RatFunc,
     ZeroDenominator,
-    antiderivative,
     laurent_expand,
     rat_antiderivative,
-    ratfunc_canonicalize,
     rational_reconstruct,
     taylor_expand_at_zero,
 )
 from bispec.errors import ReconstructionFailed
+
+from oracles import rat_antiderivative_by_rounds
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 polys_st = st.lists(fractions_st, min_size=0, max_size=5).map(Poly)
 nonzero_polys_st = polys_st.filter(lambda p: not p.is_zero())
 ratfuncs_st = st.builds(RatFunc, polys_st, nonzero_polys_st)
 nonzero_ratfuncs_st = ratfuncs_st.filter(lambda f: not f.is_zero())
+
+# small functions over the denominators 1, x^k, (x + 1)^k, (x - 2)^k and
+# (x^2 + 1)^k, alone or times x^k
+small_polys_st = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
+                          min_size=1, max_size=3).map(Poly)
+dens_st = st.builds(
+    lambda base, k, xk: base ** k * Poly.monomial(xk),
+    st.sampled_from([Poly([1]), Poly([1, 1]), Poly([-2, 1]), Poly([1, 0, 1])]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+small_ratfuncs_st = st.builds(RatFunc, small_polys_st, dens_st)
+# integrands: derivatives, with or without an extra term that may carry a
+# logarithm or an arctan
+integrands_st = st.builds(lambda h, extra: h.derivative() + extra,
+                          small_ratfuncs_st,
+                          st.one_of(st.just(RatFunc.zero()), small_ratfuncs_st))
+
+
+def value_at_infinity(h: RatFunc) -> Fraction:
+    """The x^0 coefficient of the expansion of h at infinity."""
+    return laurent_expand(h, 0).coeff(0)
+
+
+def outcome(fn, g):
+    try:
+        return fn(g)
+    except (LogObstruction, ReconstructionFailed) as e:
+        return type(e)
 
 
 class TestPoly:
@@ -117,14 +149,14 @@ class TestPoly:
 
 class TestRatFunc:
     def test_canonicalize_common_factor(self):
-        f = ratfunc_canonicalize(Poly([-1, 0, 1]), Poly([-1, 1]))
+        f = RatFunc(Poly([-1, 0, 1]), Poly([-1, 1]))
         assert f == RatFunc(Poly([1, 1]))
 
     def test_canonicalize_identity(self):
-        assert ratfunc_canonicalize(Poly([0, 1]), Poly([0, 1])).is_one()
+        assert RatFunc(Poly([0, 1]), Poly([0, 1])).is_one()
 
     def test_canonicalize_monic_denominator(self):
-        f = ratfunc_canonicalize(Poly([1]), Poly([0, 2]))
+        f = RatFunc(Poly([1]), Poly([0, 2]))
         assert f.num == Poly([Fraction(1, 2)])
         assert f.den == Poly([0, 1])
         # cross-multiplication: f * 2x = 1
@@ -132,7 +164,7 @@ class TestRatFunc:
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
-            ratfunc_canonicalize(Poly([1]), Poly())
+            RatFunc(Poly([1]), Poly())
 
     @settings(max_examples=60)
     @given(ratfuncs_st, ratfuncs_st, ratfuncs_st)
@@ -152,6 +184,21 @@ class TestRatFunc:
     @given(ratfuncs_st, ratfuncs_st)
     def test_derivative_product_rule(self, a, b):
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+    def test_constant_hashes_as_its_value(self):
+        # RatFunc.const(2) == 2, so a set holds one of them
+        assert len({RatFunc.const(2), 2}) == 1
+        assert len({RatFunc.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({RatFunc.zero(), 0}) == 1
+
+    @settings(max_examples=60)
+    @given(ratfuncs_st, nonzero_polys_st, fractions_st)
+    def test_equal_values_hash_equal(self, f, p, c):
+        # equal pairs: f and f p / p, a constant and its Fraction or int
+        for a, b in ((f, RatFunc(f.num * p, f.den * p)), (RatFunc.const(c), c),
+                     (RatFunc.const(c.numerator), c.numerator)):
+            assert a == b
+            assert hash(a) == hash(b)
 
 
 class TestLaurentExpand:
@@ -267,25 +314,25 @@ class TestRationalReconstruct:
 class TestAntiderivative:
     def test_polynomial_part(self):
         t = LaurentTail.x_power(1, 2)  # 2x
-        assert antiderivative(t).terms == {-2: 1}  # x^2
+        assert t.antiderivative().terms == {-2: 1}  # x^2
 
     def test_inverse_square(self):
         t = LaurentTail.x_power(-2, -1)  # -x^-2
-        assert antiderivative(t).terms == {1: 1}  # x^-1
+        assert t.antiderivative().terms == {1: 1}  # x^-1
 
     def test_log_obstruction(self):
         with pytest.raises(LogObstruction):
-            antiderivative(LaurentTail.x_power(-1))
+            LaurentTail.x_power(-1).antiderivative()
 
     def test_derivative_inverts(self):
         t = LaurentTail({-3: Fraction(2), 0: Fraction(5), 2: Fraction(-7),
                          4: Fraction(1, 3)}, 9)
-        back = antiderivative(t).derivative()
+        back = t.antiderivative().derivative()
         assert all(back.coeff(s) == t.coeff(s) for s in t.terms)
 
     def test_truncation_shifts(self):
         t = LaurentTail({2: Fraction(1)}, 6)
-        assert antiderivative(t).trunc == 5
+        assert t.antiderivative().trunc == 5
         assert t.derivative().trunc == 7
 
 
@@ -309,3 +356,64 @@ class TestRatAntiderivative:
         # d/dx of x / (x^2+1) has no log part
         f = RatFunc(Poly([0, 1]), Poly([1, 0, 1]))
         assert rat_antiderivative(f.derivative()) == f
+
+    def test_two_simple_poles_without_residue_at_infinity(self):
+        # 2/(x^2 - 1) = 1/(x - 1) - 1/(x + 1): the logarithms cancel at
+        # infinity only, and gcd(den, den') = 1 leaves no room for h
+        with pytest.raises(ReconstructionFailed):
+            rat_antiderivative(RatFunc(Poly([2]), Poly([-1, 0, 1])))
+
+    @settings(max_examples=60, deadline=timedelta(seconds=5))
+    @given(small_ratfuncs_st)
+    @example(RatFunc(Poly([1]), Poly([1, 0, 1]) ** 2))
+    @example(RatFunc(Poly([1, 1]), Poly([0, 0, 1]) * Poly([-2, 1]) ** 2))
+    def test_inverts_the_derivative(self, h):
+        # the denominator of h is gcd(den, den') of h', and no smaller one
+        # reconstructs h
+        expected = h - RatFunc.const(value_at_infinity(h))
+        assert rat_antiderivative(h.derivative()) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(integrands_st)
+    def test_matches_the_four_round_schedule(self, g):
+        assert outcome(rat_antiderivative, g) == outcome(rat_antiderivative_by_rounds, g)
+
+    @settings(max_examples=40, deadline=timedelta(seconds=5))
+    @given(integrands_st)
+    def test_agrees_with_sympy_ratint(self, g):
+        sympy = pytest.importorskip("sympy")
+        from sympy.integrals.rationaltools import ratint
+
+        x = sympy.Symbol("x")
+
+        def to_sympy(p: Poly):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                       for k, c in enumerate(p.coeffs))
+
+        integral = ratint(to_sympy(g.num) / to_sympy(g.den), x)
+        got = outcome(rat_antiderivative, g)
+        if integral.has(sympy.log, sympy.atan, sympy.RootSum):
+            assert got in (LogObstruction, ReconstructionFailed)
+        else:
+            assert isinstance(got, RatFunc)
+            diff = sympy.cancel(to_sympy(got.num) / to_sympy(got.den) - integral)
+            assert diff.is_constant()
+
+    def test_one_pade_solve(self, monkeypatch):
+        # the arctan integrand took four solves under the growing schedule
+        calls = []
+        real = bispec.rational.rational_reconstruct
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(bispec.rational, "rational_reconstruct", counting)
+        with pytest.raises(ReconstructionFailed):
+            rat_antiderivative(RatFunc(Poly([1]), Poly([1, 0, 1])))
+        assert len(calls) == 1
+        calls.clear()
+        # h = 1/(x^3 + x): the solve runs at deg P = 0 and deg Q = 3
+        h = RatFunc(Poly([1]), Poly([0, 1, 0, 1]))
+        assert rat_antiderivative(h.derivative()) == h
+        assert calls == [(0, 3)]
