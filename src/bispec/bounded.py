@@ -22,7 +22,6 @@ from math import factorial, gcd
 from typing import Mapping, Optional, Union
 
 from .errors import (
-    InsufficientPrecision,
     NormalizationFailed,
     NotCommuting,
     NotInDomain,
@@ -361,12 +360,13 @@ class DualOperator(Record):
 
 def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
     """Assemble Lambda = sum_j z^-j Theta_j(d_z), regroup by powers of d_z
-    and lift each z^-1 series coefficient to a rational function.
+    and lift each z^-1 series coefficient to a rational function with
+    ``pade_lift``.
 
-    Degree bounds for the lift grow from 0 up to max(2m, 2), capped by
-    the available truncation; the reconstruction is verified by exact
-    re-expansion.  The normalization Lambda_m = 1, Lambda_{m-1} = 0
-    is asserted."""
+    Theta = K^-1 theta K and ad are linear in theta, so theta is made
+    monic first (the record keeps the monic theta).  The normalization
+    Lambda_m = 1, Lambda_{m-1} = 0 is asserted."""
+    theta = theta.monic()
     f, _ = split_constant_part(L)  # raises UnboundedCoefficient
     w = wave_operator(L, f, J)
     conj = conjugate_theta(w, theta)
@@ -379,18 +379,7 @@ def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
     tails = involution_b(conj.series)
     lam_coeffs: dict[int, RatFunc] = {}
     for i in range(m + 1):
-        tail = tails.get(i, LaurentTail.zero(J))
-        got: Optional[RatFunc] = None
-        for d in range(max(2 * m, 2) + 1):
-            if 2 * d + 2 > J + 1:
-                break
-            try:
-                cand = rational_reconstruct(tail, d, d)
-            except InsufficientPrecision:
-                break
-            if cand is not None:
-                got = cand
-                break
+        got = pade_lift(tails.get(i, LaurentTail.zero(J)), m, J)
         if got is None:
             raise ReconstructionFailed(f"Lambda coefficient at d_z^{i}")
         if not got.is_zero():
@@ -401,6 +390,22 @@ def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
             f"Lambda_m = {lam.coeff(m)}, Lambda_(m-1) = {lam.coeff(m - 1)}"
         )
     return DualOperator(lam=lam, theta=theta, m=m)
+
+
+def pade_lift(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
+    """The rational function of degree <= D whose expansion at infinity
+    matches the tail t (truncated at J), found in one Pade solve at
+    D = min(max(2m, 2), (J - 1) // 2, (c - 2) // 2), where c is the
+    tail's known count; None when there is none (or D < 0).
+
+    One solve suffices.  If f0 = p0/q0 of degree d0 <= D matches t
+    through index J, and (p, q), q != 0, solves the system at D,
+    then q0 (q t - p) - q (q0 t - p0) = q p0 - q0 p is a polynomial with
+    no term of degree >= d0 + D - J; as J >= 2D + 1 > d0 + D, it is zero
+    and p/q = f0.  So every solution at D reduces to the one matching
+    function of degree <= D, the lowest-degree answer."""
+    D = min(max(2 * m, 2), (J - 1) // 2, (tail.known_count() - 2) // 2)
+    return rational_reconstruct(tail, D, D) if D >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +501,9 @@ def bounded_test(L: DiffOp, theta: Poly) -> BoundedTestReport:
     leading part theta^(k)(x) f'(d)^k at infinity, and a bracket with L
     never vanishes on a nonzero operator that decays there.  So one
     chain of deg theta + 1 brackets decides, and no budget is needed.
+    ad is linear, so theta is made monic first, and the report carries
+    the monic theta: the expected constants below are those of a monic
+    theta.
 
     Raises NotMonic when the leading coefficient of L is not 1 (the
     expected q_r = m! N^m holds only for a monic L), NotCommuting when
@@ -506,6 +514,7 @@ def bounded_test(L: DiffOp, theta: Poly) -> BoundedTestReport:
     if not L.is_monic():
         raise NotMonic("bounded test needs a monic operator")
     f, _ = split_constant_part(L)
+    theta = theta.monic()
     N = L.order
     m = theta.degree
     Q = ad_pow(L, DiffOp.from_function(theta, L.var), max(m, 0))

@@ -76,19 +76,22 @@ FAMILY_VERDICTS = (
 class Budgets(Record):
     """Search budgets.  On the bounded branch the ad exponent of theta is
     exactly deg theta or does not exist (``diffop.ad_condition_min_m``),
-    so each chain of the theta search stops after
-    min(ad_budget, deg theta) + 1 brackets, and a theta of degree above
-    the ad budget is never admissible.  The theta degree has no theoretical
-    bound, so the caller may set ``theta_lmax``; the centralizer search
-    always runs through order 2N - 1, and the Airy perturbation walk
-    through ``obstruction_steps`` steps."""
+    so a theta is admissible only when deg theta <= ad_budget, and its
+    chain stops after deg theta + 1 brackets.  The theta search therefore
+    tries the monomials x^1 .. x^min(ad_budget, theta_lmax), and a caller's
+    theta only within the ad budget.  ``trunc`` is the series truncation
+    of the wave probe (at most 4) and of Lambda.  Class constants:
+    ``theta_lmax`` caps the searched theta degree, which has no
+    theoretical bound, and the Airy perturbation walk runs through
+    ``obstruction_steps`` steps; the centralizer search always runs
+    through order 2N - 1."""
 
-    __slots__ = ("ad_budget", "trunc", "theta_lmax")
-    _defaults = {"ad_budget": 8, "trunc": 8, "theta_lmax": 4}
+    __slots__ = ("ad_budget", "trunc")
+    _defaults = {"ad_budget": 8, "trunc": 8}
+    theta_lmax = 4
     obstruction_steps = 24
     ad_budget: int
     trunc: int
-    theta_lmax: int
 
 
 class ClassificationReport(Record):
@@ -397,16 +400,14 @@ def _classify_bounded(
         # kept as text: the exception's traceback holds the probe's frames
         probe = f"{type(e).__name__}: {e}"
 
-    thetas: list[Poly] = []
+    lmax = min(budgets.ad_budget, budgets.theta_lmax)
     if theta is not None:
-        candidates = [theta]
+        candidates = [theta] if theta.degree <= budgets.ad_budget else []
     else:
-        candidates = [Poly.monomial(l) for l in range(1, budgets.theta_lmax + 1)]
-    for cand in candidates:
-        # the exponent is deg theta or none (see ad_condition_min_m)
-        m = ad_condition_min_m(L, cand, min(budgets.ad_budget, cand.degree))
-        if m is not None:
-            thetas.append(cand)
+        candidates = [Poly.monomial(l) for l in range(1, lmax + 1)]
+    # the exponent is deg theta or none (see ad_condition_min_m)
+    thetas = [t for t in candidates
+              if ad_condition_min_m(L, t, t.degree) is not None]
     report.certificates["admissible_thetas"] = [str(t) for t in thetas]
 
     if not thetas:
@@ -414,7 +415,7 @@ def _classify_bounded(
         if probe is None:
             report.certificates["note"] = (
                 f"no admissible theta among monomials up to degree "
-                f"{budgets.theta_lmax} within ad budget {budgets.ad_budget}"
+                f"{lmax} within ad budget {budgets.ad_budget}"
             )
         else:
             report.errors.append(probe)

@@ -567,8 +567,6 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     r = t._known_floor()
     e_max = max(degN, degD - r)
     e_min = degD - M
-    if e_min > e_max:
-        raise InsufficientPrecision("empty matching window")
     # unknowns: p_0..p_degN, q_0..q_degD ; rows: coefficient of x^e in q*t - p
     ncols = (degN + 1) + (degD + 1)
     rows = []

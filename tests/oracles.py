@@ -26,7 +26,9 @@ These deliberately avoid the library's code paths:
   tests s = -1 at every step and once more after its loop;
 * the rational antiderivative under the four-round growing degree
   schedule, the reference for the one Pade solve at exact degrees in
-  ``rational.rat_antiderivative``.
+  ``rational.rat_antiderivative``;
+* the lift of a coefficient of Lambda by Pade solves at growing degree
+  bounds, the reference for the one solve of ``bounded.pade_lift``.
 """
 
 from __future__ import annotations
@@ -474,3 +476,20 @@ def rat_antiderivative_by_rounds(g: RatFunc) -> RatFunc:
         if cand is not None and cand.derivative() == g:
             return cand
     raise ReconstructionFailed("no rational antiderivative within degree bounds")
+
+
+def lift_by_degree_search(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
+    """The rational function matching ``tail`` (truncated at J) found by
+    Pade solves at degree bounds d = 0, 1, ..., max(2m, 2), the first
+    that succeeds; the search stops when 2d + 2 exceeds J + 1 or the tail
+    holds too few known coefficients.  None when no bound succeeds."""
+    for d in range(max(2 * m, 2) + 1):
+        if 2 * d + 2 > J + 1:
+            break
+        try:
+            cand = rational_reconstruct(tail, d, d)
+        except InsufficientPrecision:
+            break
+        if cand is not None:
+            return cand
+    return None

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bispec import (
     DiffOp,
@@ -22,17 +24,25 @@ from bispec import (
     bounded_test,
     build_lambda,
     centralizer_search,
+    classify,
     commutator,
     conjugate_theta,
     dop_mul,
     involution_b,
+    laurent_expand,
     make_constcoeff,
     q_polynomial_in_L,
     split_constant_part,
     wave_defect,
     wave_operator,
 )
-from oracles import involution_b_as_pdo, random_diffop, random_poly
+from bispec.bounded import pade_lift
+from oracles import (
+    involution_b_as_pdo,
+    lift_by_degree_search,
+    random_diffop,
+    random_poly,
+)
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -251,6 +261,45 @@ class TestBuildLambda:
     def test_unbounded_routed(self):
         with pytest.raises(UnboundedCoefficient):
             build_lambda(d * d - x, Poly([0, 1]), 6)
+
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small, min_size=1, max_size=4),
+           st.lists(small, min_size=1, max_size=4),
+           st.integers(1, 16), st.integers(0, 3), st.integers(0, 8))
+    def test_one_solve_equals_the_degree_search(self, num, den, J, m, k):
+        # shifting by x^-k keeps the truncation J and shortens the known
+        # part, so the known-count cap binds, down to tails too short
+        # for any solve
+        assume(any(den))
+        f = RatFunc(Poly(num), Poly(den))
+        tail = laurent_expand(f, J)
+        tail = LaurentTail({s + k: c for s, c in tail.terms.items()}, J)
+        assert pade_lift(tail, m, J) == lift_by_degree_search(tail, m, J)
+
+
+class TestThetaScale:
+    """ad and K^-1 theta K are linear in theta, so every part of the
+    chain, Lambda and the verdict are those of the monic theta."""
+
+    SCALES = [3, -1, Fraction(1, 2)]
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_classify(self, c):
+        r0 = classify("d^2 + 1 - 2*x^-2", theta=THETA2)
+        r = classify("d^2 + 1 - 2*x^-2", theta=THETA2.scale(c))
+        assert r.verdict == r0.verdict == "PolynomialDarbouxCandidate(5)"
+        assert r.certificates["bounded_chain"] == r0.certificates["bounded_chain"]
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_chain(self, c):
+        rep = bounded_test(L_KDV, THETA2.scale(c))
+        assert rep == bounded_test(L_KDV, THETA2) and rep.passes
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_lambda(self, c):
+        assert build_lambda(L_KDV, THETA2.scale(c), 8) == build_lambda(L_KDV, THETA2, 8)
 
 
 class TestQPolynomialInL:

@@ -7,6 +7,7 @@ operators."""
 import importlib
 import json
 import pkgutil
+import signal
 import time
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ F = Fraction
 # Only Fuchs' test and the wave probe can say Obstructed in the bounded
 # branch, and both run before the theta search; small search budgets keep
 # the soundness draws fast without skipping either.
-SMALL = Budgets(theta_lmax=1, ad_budget=2)
+SMALL = Budgets(ad_budget=1)
 
 
 def pole(k, a):
@@ -167,6 +168,56 @@ class TestStageOrder:
         r = classify("d^2 - 2*(x^2+1)^-1")
         assert r.certificates["admissible_thetas"] == []
         assert len(calls) == 14
+
+    def test_search_stays_within_the_ad_budget(self, monkeypatch):
+        # only x^1 has an exponent within ad budget 1: one chain
+        calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
+        r = classify("d^2 - 2*(x^2+1)^-1", budgets=SMALL)
+        assert [(str(t), m) for _, t, m in calls] == [("x", 1)]
+        assert r.certificates["note"] == "wave coefficients not recognized rational"
+
+    def test_theta_above_the_ad_budget_runs_no_chain(self, monkeypatch):
+        calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
+        r = classify("d^2 + 1 - 2*x^-2", theta=Poly.monomial(2), budgets=SMALL)
+        assert calls == []
+        assert r.verdict == "Inconclusive"
+        assert r.certificates["admissible_thetas"] == []
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("classify took over 10 s")
+
+
+class TestNoHang:
+    """Inputs whose theta search took 9.6-101 s before the ad chains ended
+    at deg theta; each now takes at most about 1.4 s on a 2-core VM."""
+
+    NO_THETA = "no admissible theta among monomials up to degree 4 within ad budget 8"
+
+    @pytest.mark.parametrize("text, note", [
+        # D3 = P d^3 P^-1, P monic with kernel {x, x^4 + 1}
+        ("d^3 - (12*x^6 + 12*x^2)*(x^8 - 2/3*x^4 + 1/9)^-1*d"
+         " + (48*x^5 + 16/3*x)*(x^12 - x^8 + 1/3*x^4 - 1/27)^-1", NO_THETA),
+        ("d^2 - 2*(x-1)^-2 - 2*(x+2)^-2", "wave coefficients not recognized rational"),
+        # TP = d^3 - 3*d - 6*x^-2*d + 12*x^-3 at x + 1/2
+        ("d^3 - (3*x^2 + 3*x + 27/4)*(x^2 + x + 1/4)^-1*d"
+         " + (12)*(x^3 + 3/2*x^2 + 3/4*x + 1/8)^-1", NO_THETA),
+        # AM2, the Adler-Moser operator of tau = x^3 + 1
+        ("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2", NO_THETA),
+        # BD2, a Darboux transform of the Bessel operator d^2 - 15/4*x^-2
+        ("d^2 - (35/4*x^8 - 45/2*x^4 + 3/4)*(x^10 + 2*x^6 + x^2)^-1", NO_THETA),
+        ("d^3 + (x-2)^-2", NO_THETA),
+    ])
+    def test_classifies_within_ten_seconds(self, text, note):
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(10)
+        try:
+            r = classify(text)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert r.verdict == "Inconclusive"
+        assert r.certificates["note"] == note
 
 
 class TestGaugedBessel:

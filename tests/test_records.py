@@ -92,7 +92,7 @@ def test_repr_matches_the_dataclass_format():
     assert repr(ObstructionStep(j=1, s=-2, k=0, alpha=F(1, 2))) == (
         "ObstructionStep(j=1, s=-2, k=0, alpha=Fraction(1, 2))")
     assert repr(Budgets(ad_budget=3)) == (
-        "Budgets(ad_budget=3, trunc=8, theta_lmax=4)")
+        "Budgets(ad_budget=3, trunc=8)")
     assert repr(TAIL) == "LaurentTail(terms={0: Fraction(1, 1), 2: Fraction(1, 2)}, trunc=3)"
     assert repr(PDO("x", {1: RatFunc.x_power(-1)}, 4)) == (
         "PDO(var='x', terms={1: RatFunc((1)/(x))}, trunc=4)")
