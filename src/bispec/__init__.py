@@ -80,16 +80,14 @@ from .weights import (
     exponent_set,
     homogeneous_part,
     normal_form_test,
+    perfect_power,
     principal_part,
     weighted_order,
 )
 from .bounded import (
     BoundedTestReport,
     CentralizerResult,
-    DualOperator,
     PDO,
-    ThetaConjugate,
-    WaveData,
     bounded_test,
     build_lambda,
     centralizer_search,
@@ -100,6 +98,7 @@ from .bounded import (
     split_constant_part,
     wave_defect,
     wave_operator,
+    wave_residual_zero,
 )
 from .airy import (
     AiryPDO,

@@ -217,24 +217,6 @@ def fuchs_violation(L: DiffOp) -> Optional[dict]:
 # the wave operator
 # ---------------------------------------------------------------------------
 
-class WaveData(Record):
-    """K = 1 + sum a_j d^-j with L K = K f(d) through the truncation."""
-
-    __slots__ = ("L", "f", "K", "J")
-    L: DiffOp
-    f: Poly
-    K: PDO
-    J: int
-
-    def residual_zero(self) -> bool:
-        """Exactness certificate: the coefficients of L K - K f(d) vanish
-        at every index untouched by the unknown a_j, j > J (that is,
-        through index J + 1 - deg f)."""
-        E = wave_defect(self.L, self.f, self.K)
-        bound = self.J + 1 - self.f.degree
-        return all(c.is_zero() for j, c in E.terms.items() if j <= bound)
-
-
 def wave_defect(L: DiffOp, f: Poly, K: PDO) -> PDO:
     """L K - K f(d), treating K as the exact finite sum of its terms."""
     Kx = PDO._trusted(L.var, K.terms, None)
@@ -243,8 +225,19 @@ def wave_defect(L: DiffOp, f: Poly, K: PDO) -> PDO:
     return PDO.from_diffop(L) * Kx - Kx * F
 
 
-def wave_operator(L: DiffOp, f: Poly, J: int) -> WaveData:
-    """Solve L K = K f(d) for K = 1 + sum_{j=1}^J a_j(x) d^-j.
+def wave_residual_zero(L: DiffOp, f: Poly, K: PDO) -> bool:
+    """Exactness certificate for a wave operator K truncated at J =
+    K.trunc: the coefficients of L K - K f(d) vanish at every index
+    untouched by the unknown a_j, j > J (that is, through index
+    J + 1 - deg f)."""
+    bound = K.trunc + 1 - f.degree
+    return all(c.is_zero() for j, c in wave_defect(L, f, K).terms.items()
+               if j <= bound)
+
+
+def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
+    """Solve L K = K f(d) for K = 1 + sum_{j=1}^J a_j(x) d^-j, returned
+    truncated at J (so K.trunc == J).
 
     Each step reads the coefficient of d^(N-1-j) in the defect of the
     partial solution; the new a_j enters that slot only through N a_j', so
@@ -270,51 +263,22 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> WaveData:
         g = target.scale(-inv_n)
         a_j = rat_antiderivative(g)
         K = PDO(L.var, {**K.terms, j: a_j}, None)
-    return WaveData(L=L, f=f, K=K.restrict(J), J=J)
+    return K.restrict(J)
 
 
 # ---------------------------------------------------------------------------
 # conjugating theta through K
 # ---------------------------------------------------------------------------
 
-class ThetaConjugate(Record):
-    """Theta = K^-1 theta K with per-index polynomial degree report."""
-
-    __slots__ = ("theta", "series", "max_degree", "non_polynomial")
-    theta: Poly
-    series: PDO
-    max_degree: int
-    non_polynomial: tuple[int, ...]  # indices with non-polynomial coefficient
-
-    def all_polynomial(self) -> bool:
-        return not self.non_polynomial
-
-    def poly_coeff(self, j: int) -> Poly:
-        c = self.series.coeff(j)
-        if not c.is_polynomial():
-            raise NotInDomain(f"coefficient at d^-{j} is not polynomial")
-        return c.num
-
-
-def conjugate_theta(w: WaveData, theta: Poly) -> ThetaConjugate:
-    """Compute Theta = K^-1 theta(x) K through the truncation and report
-    the polynomial degrees of its coefficients."""
-    if w.J < 1:
+def conjugate_theta(K: PDO, theta: Poly) -> PDO:
+    """Theta = K^-1 theta(x) K through the truncation J = K.trunc of the
+    wave operator K."""
+    J = K.trunc
+    if J is None or J < 1:
         raise TruncationTooShort("need truncation >= 1")
-    K = w.K
-    Kinv = K.inverse(w.J)
-    theta_pdo = PDO.from_function(RatFunc(theta), w.L.var)
-    series = Kinv * (theta_pdo * PDO._trusted(w.L.var, K.terms, None))
-    series = series.restrict(w.J)
-    max_deg = 0
-    bad = []
-    for j, c in sorted(series.terms.items()):
-        if c.is_polynomial():
-            max_deg = max(max_deg, c.num.degree)
-        else:
-            bad.append(j)
-    return ThetaConjugate(theta=theta, series=series,
-                          max_degree=max_deg, non_polynomial=tuple(bad))
+    theta_pdo = PDO.from_function(RatFunc(theta), K.var)
+    series = K.inverse(J) * (theta_pdo * PDO._trusted(K.var, K.terms, None))
+    return series.restrict(J)
 
 
 # ---------------------------------------------------------------------------
@@ -347,36 +311,27 @@ def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, dict[int, LaurentTail]]
 # the dual operator Lambda
 # ---------------------------------------------------------------------------
 
-class DualOperator(Record):
-    __slots__ = ("lam", "theta", "m")
-    lam: DiffOp  # operator in z
-    theta: Poly
-    m: int
+def build_lambda(K: PDO, theta: Poly) -> DiffOp:
+    """Lambda in z for the wave operator K (truncated at J = K.trunc) and
+    theta: assemble sum_j z^-j Theta_j(d_z) from Theta = K^-1 theta K,
+    regroup by powers of d_z and lift each z^-1 series coefficient to a
+    rational function with ``pade_lift``.
 
-    def __post_init__(self):
-        if self.lam.order != self.m:
-            raise NormalizationFailed("order of Lambda disagrees with m")
-
-
-def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
-    """Assemble Lambda = sum_j z^-j Theta_j(d_z), regroup by powers of d_z
-    and lift each z^-1 series coefficient to a rational function with
-    ``pade_lift``.
-
-    Theta = K^-1 theta K and ad are linear in theta, so theta is made
-    monic first (the record keeps the monic theta).  The normalization
-    Lambda_m = 1, Lambda_{m-1} = 0 is asserted."""
-    theta = theta.monic()
-    f, _ = split_constant_part(L)  # raises UnboundedCoefficient
-    w = wave_operator(L, f, J)
-    conj = conjugate_theta(w, theta)
-    if not conj.all_polynomial():
+    Theta and ad are linear in theta, so theta is made monic first.  The
+    order m of Lambda is the largest degree among the coefficients of
+    Theta, which must all be polynomials (ReconstructionFailed
+    otherwise).  The normalization Lambda_m = 1, Lambda_{m-1} = 0 is
+    asserted; as no coefficient above d_z^m is lifted, it also makes m
+    the order of Lambda."""
+    J = K.trunc
+    series = conjugate_theta(K, theta.monic())
+    bad = tuple(j for j, c in sorted(series.terms.items()) if not c.is_polynomial())
+    if bad:
         raise ReconstructionFailed(
-            f"non-polynomial conjugate coefficients at d^-j, j in "
-            f"{conj.non_polynomial}"
+            f"non-polynomial conjugate coefficients at d^-j, j in {bad}"
         )
-    m = conj.max_degree
-    tails = involution_b(conj.series)
+    m = max((c.num.degree for c in series.terms.values()), default=0)
+    tails = involution_b(series)
     lam_coeffs: dict[int, RatFunc] = {}
     for i in range(m + 1):
         got = pade_lift(tails.get(i, LaurentTail.zero(J)), m, J)
@@ -389,7 +344,7 @@ def build_lambda(L: DiffOp, theta: Poly, J: int) -> DualOperator:
         raise NormalizationFailed(
             f"Lambda_m = {lam.coeff(m)}, Lambda_(m-1) = {lam.coeff(m - 1)}"
         )
-    return DualOperator(lam=lam, theta=theta, m=m)
+    return lam
 
 
 def pade_lift(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
@@ -504,6 +459,16 @@ def bounded_test(L: DiffOp, theta: Poly) -> BoundedTestReport:
     ad is linear, so theta is made monic first, and the report carries
     the monic theta: the expected constants below are those of a monic
     theta.
+
+    Whenever this returns, the identity, divisibility and leading-constant
+    links hold; only the constants c_j of f can fail.  Grade by the degree
+    in x at infinity.  ad^m(theta) for the monic theta of degree m has
+    degree-0 part m! f'(d)^m, and Q = sum q_j L^j has degree-0 part
+    sum q_j f(d)^j, as L = f(d) + V with V of degree <= -1.  So
+    sum q_j f(z)^j = m! f'(z)^m.  With f monic of degree N, the degrees
+    give r N = m (N - 1) and the leading coefficients q_r = m! N^m; as N
+    is prime to N - 1, N | m, so m = s N and r = s (N - 1).  The report
+    still carries these links, because they re-verify the result.
 
     Raises NotMonic when the leading coefficient of L is not 1 (the
     expected q_r = m! N^m holds only for a monic L), NotCommuting when

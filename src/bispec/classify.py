@@ -413,10 +413,7 @@ def _classify_bounded(
     if not thetas:
         report.verdict = VERDICT_INCONCLUSIVE
         if probe is None:
-            report.certificates["note"] = (
-                f"no admissible theta among monomials up to degree "
-                f"{lmax} within ad budget {budgets.ad_budget}"
-            )
+            report.certificates["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
         else:
             report.errors.append(probe)
             report.certificates["note"] = "wave coefficients not recognized rational"
@@ -449,9 +446,9 @@ def _classify_bounded(
     if chain.passes:
         report.verdict = VERDICT_MONOMIAL
         try:
-            dual = build_lambda(L, use, budgets.trunc)
-            report.certificates["lambda"] = dual.lam
-            report.certificates["ad_m"] = dual.m
+            lam = build_lambda(wave_operator(L, f, budgets.trunc), use)
+            report.certificates["lambda"] = lam
+            report.certificates["ad_m"] = lam.order
         except err.BispecError as e:
             report.errors.append(f"{type(e).__name__}: {e}")
         return
@@ -461,6 +458,19 @@ def _classify_bounded(
         _polynomial_branch(L, report)
         return
     report.verdict = VERDICT_INCONCLUSIVE
+
+
+def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
+    """Why the theta search found nothing: the monomials it tried, or why
+    the caller's theta was rejected."""
+    if theta is None:
+        return (f"no admissible theta among monomials up to degree "
+                f"{lmax} within ad budget {ad_budget}")
+    if theta.degree > ad_budget:
+        return (f"theta = {theta} not tried: its degree {theta.degree} is "
+                f"above the ad budget {ad_budget}")
+    return (f"theta = {theta} is not admissible: its ad chain does not end "
+            f"after deg theta + 1 = {theta.degree + 1} brackets")
 
 
 def _polynomial_branch(L: DiffOp, report: ClassificationReport):

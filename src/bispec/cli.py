@@ -27,6 +27,7 @@ from .bounded import (
     centralizer_search,
     split_constant_part,
     wave_operator,
+    wave_residual_zero,
 )
 from .classify import Budgets, ClassificationReport, _jsonable, classify
 
@@ -178,10 +179,11 @@ def _dispatch(args) -> int:
     elif cmd == "wave":
         L = _op(args.expr)
         f, _ = split_constant_part(L)
-        w = wave_operator(L, f, args.trunc)
-        coeffs = {j: str(c) for j, c in sorted(w.K.terms.items()) if j > 0}
+        K = wave_operator(L, f, args.trunc)
+        coeffs = {j: str(c) for j, c in sorted(K.terms.items()) if j > 0}
         fz = poly_text(f, "z")
-        _emit({"f": fz, "coefficients": coeffs, "residual_zero": w.residual_zero()},
+        _emit({"f": fz, "coefficients": coeffs,
+               "residual_zero": wave_residual_zero(L, f, K)},
               args.json,
               [f"f(z) = {fz}"] + [f"a_{j} = {c}" for j, c in coeffs.items()])
     elif cmd == "airy-wave":

@@ -255,11 +255,35 @@ class Poly:
         return Poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic greatest common divisor, by Euclid on primitive integer
+        pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1).  By Gauss's lemma
+        the primitive integer multiples of the operands have the same gcd
+        up to a scalar, and the primitive part of a pseudo-remainder
+        lead(b)^k a mod b is an associate of a mod b, so the remainders
+        are those of Euclid over Q up to scalars, without the growth of
+        Fraction coefficients.  The common power of x is split off first:
+        gcd(x^i p, x^j q) = x^min(i, j) gcd(p, q) when p(0) q(0) != 0."""
+        if self.degree == 0 or other.degree == 0:
+            return _POLY_ONE
+        if not other.coeffs:
+            return self.monic()
+        if not self.coeffs:
+            return other.monic()
+        va, vb = self.valuation(), other.valuation()
+        shift = (_ZERO,) * min(va, vb)
+        if va == self.degree or vb == other.degree:  # c x^k: only x^i divides it
+            return Poly._trusted(shift + (_ONE,))
+        a = _primitive(_int_coeffs(self)[va:])
+        b = _primitive(_int_coeffs(other)[vb:])
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            r = _pseudo_remainder(a, b)
+            if not r:
+                break
+            a, b = b, _primitive(r)
+        lead = b[-1]
+        return Poly._trusted(shift + tuple([Fraction(c, lead) for c in b]))
 
     def __call__(self, point: ScalarLike) -> Fraction:
         """Evaluate at a scalar point by Horner."""
@@ -322,6 +346,7 @@ class Poly:
 
 _set_coeffs = Poly.coeffs.__set__
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _POLY_ZERO = Poly._trusted(())
 _POLY_ONE = Poly._trusted((Fraction(1),))
 _POLY_X = Poly._trusted((_ZERO, Fraction(1)))
@@ -373,6 +398,35 @@ def _int_coeffs(p: Poly) -> list[int]:
     """The coefficients of a positive multiple of p, all integers."""
     den = lcm(*(c.denominator for c in p.coeffs))
     return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """The integer polynomial divided by the gcd of its coefficients."""
+    g = gcd(*ints)
+    return ints if g == 1 else [c // g for c in ints]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, for integer polynomials with
+    deg a >= deg b >= 1, trimmed of trailing zeros.  Each step multiplies
+    the remainder by lead(b), which it skips when that is 1, and cancels
+    the top term with the nonzero coefficients of b."""
+    rem = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    lower = [(i, c) for i, c in enumerate(b[:-1]) if c]
+    while len(rem) > d:
+        top = rem.pop()
+        if not top:
+            continue
+        if lead != 1:
+            rem = [lead * c for c in rem]
+        shift = len(rem) - d
+        for i, c in lower:
+            rem[shift + i] -= top * c
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def _sign_at(coeffs: list[int], point: Fraction) -> int:

@@ -177,16 +177,15 @@ class NormalFormReport(Record):
     case d has two linear factors with roots lam, mu).  ``yrx`` carries the
     (y^r - lam x)^k data when f = y^n (y^r - lam x)^k with lam != 0; the
     bispectral normal form is the sub-case n = 0 (lam rescalable to 1).
-    ``perfect_power`` reports f = h^d with maximal d >= 2 (the shape any
-    f^s = g^r relation would require).  ``nilpotency_excluded`` flags
+    ``nilpotency_excluded`` flags
     y^n (y^r - lam x)^k with n >= 1, k >= 1: such leading terms cannot come
     from an operator acting nilpotently."""
 
-    __slots__ = ("case", "n", "k", "m", "mu", "lam", "yrx", "perfect_power",
+    __slots__ = ("case", "n", "k", "m", "mu", "lam", "yrx",
                  "nilpotency_excluded", "unresolved_over_Q", "weight",
                  "precondition_weight_ok")
     _defaults = {"n": 0, "k": 0, "m": 0, "mu": None, "lam": None, "yrx": None,
-                 "perfect_power": None, "nilpotency_excluded": False,
+                 "nilpotency_excluded": False,
                  "unresolved_over_Q": False, "weight": 0,
                  "precondition_weight_ok": False}
     case: Optional[str]
@@ -196,7 +195,6 @@ class NormalFormReport(Record):
     mu: Optional[Fraction]
     lam: Optional[Fraction]
     yrx: Optional[tuple[int, int, Fraction]]  # (r, k, lam)
-    perfect_power: Optional[int]
     nilpotency_excluded: bool
     unresolved_over_Q: bool
     weight: int
@@ -241,14 +239,15 @@ def _match_binomial_power(p: Poly) -> Optional[tuple[int, Fraction]]:
     return None
 
 
-def _perfect_power(a0: int, b0: int, factors: list[tuple[Poly, int]]) -> Optional[int]:
-    """Largest d >= 2 with f = h^d structurally (gcd of the squarefree
-    multiplicities of p, given by its decomposition ``factors``, and the
-    monomial prefactor exponents)."""
-    g = 0
-    for _, mult in factors:
+def perfect_power(f: BiHomPoly, w: WeightPair) -> Optional[int]:
+    """Largest d >= 2 with the homogeneous f = h^d structurally (the shape
+    any f^s = g^r relation would require), or None: the gcd of the
+    square-free multiplicities of p, where f = x^a0 y^b0 p(w), and of the
+    monomial prefactor exponents."""
+    a0, b0, p = _line_data(f, w)  # raises NotHomogeneous
+    g = gcd(abs(a0), abs(b0))
+    for _, mult in p.squarefree_decomposition():
         g = gcd(g, mult)
-    g = gcd(gcd(g, abs(a0)), abs(b0))
     return g if g >= 2 else None
 
 
@@ -260,9 +259,9 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
       (b) sigma > rho = 1:  f = x^n (x^m + mu y)^k,
       (c) rho > sigma = 1:  f = y^n (y^m + mu x)^k,
       (d) rho = sigma = 1:  f = (y + lam x)^n (y + mu x)^k.
-    Also reports the (y^r - lam x)^k data, a perfect-power exponent f = h^d
-    (the shape any f^s = g^r relation would require), and the nilpotency
-    exclusion for the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern."""
+    Also reports the (y^r - lam x)^k data and the nilpotency exclusion for
+    the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern (``perfect_power``
+    computes the perfect-power exponent on request)."""
     if f.is_zero():
         raise ZeroOperand("normal form of the zero polynomial")
     v = f.weight(w)  # raises NotHomogeneous
@@ -270,9 +269,6 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     report_kwargs = dict(weight=v, precondition_weight_ok=pre_ok)
 
     a0, b0, p = _line_data(f, w)  # p != 0, as f != 0
-    # Yun's decomposition of p, run once for all three uses below
-    sqf = p.squarefree_decomposition()
-    perfect = _perfect_power(a0, b0, sqf)
 
     # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
     if w.sigma == 1 and w.rho > 1 and a0 == 0:
@@ -285,7 +281,6 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
                 yrx = (m, k, -mu)
                 return NormalFormReport(
                     case="c", n=n, k=k, m=m, mu=mu, yrx=yrx,
-                    perfect_power=perfect,
                     nilpotency_excluded=n >= 1 and k >= 1,
                     **report_kwargs,
                 )
@@ -307,13 +302,15 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
                 if n >= 0:
                     return NormalFormReport(
                         case="b", n=n, k=k, m=m, mu=mu,
-                        perfect_power=perfect, **report_kwargs,
+                        **report_kwargs,
                     )
 
     # case (d): rho = sigma = 1; factors read off the roots of p(w), plus a
     # (y + 0 x)-factor of multiplicity b0 - deg p
     if w.rho == 1 and w.sigma == 1 and a0 == 0:
         T = p.degree
+        # Yun's decomposition of p, run once for both uses below
+        sqf = p.squarefree_decomposition()
         roots = decomposition_roots(sqf)
         total = sum(mult for _, mult in roots)
         if T >= 0 and total == T:
@@ -334,7 +331,6 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
                     k=second[1] if second else 0,
                     mu=second[0] if second else None,
                     yrx=yrx,
-                    perfect_power=perfect,
                     nilpotency_excluded=bool(yrx) and first[1] >= 1,
                     **report_kwargs,
                 )
@@ -342,11 +338,10 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
             distinct = (1 if b0 - T > 0 else 0) + sum(g.degree for g, _ in sqf)
             if distinct <= 2:
                 return NormalFormReport(
-                    case="d", perfect_power=perfect,
-                    unresolved_over_Q=True, **report_kwargs,
+                    case="d", unresolved_over_Q=True, **report_kwargs,
                 )
 
-    return NormalFormReport(case=None, perfect_power=perfect, **report_kwargs)
+    return NormalFormReport(case=None, **report_kwargs)
 
 
 # ---------------------------------------------------------------------------

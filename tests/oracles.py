@@ -28,7 +28,9 @@ These deliberately avoid the library's code paths:
   schedule, the reference for the one Pade solve at exact degrees in
   ``rational.rat_antiderivative``;
 * the lift of a coefficient of Lambda by Pade solves at growing degree
-  bounds, the reference for the one solve of ``bounded.pade_lift``.
+  bounds, the reference for the one solve of ``bounded.pade_lift``;
+* Euclid's algorithm on Fraction remainders, the reference for the
+  primitive integer pseudo-remainders of ``Poly.gcd``.
 """
 
 from __future__ import annotations
@@ -493,3 +495,11 @@ def lift_by_degree_search(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc
         if cand is not None:
             return cand
     return None
+
+
+def gcd_by_fraction_remainders(a: Poly, b: Poly) -> Poly:
+    """The monic gcd by Euclid's algorithm over Q: a, b <- b, a mod b
+    until b = 0."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()

@@ -37,6 +37,7 @@ from bispec import (
     print_operator,
     split_constant_part,
     wave_operator,
+    wave_residual_zero,
 )
 from bispec.errors import OperatorSyntaxError
 from bispec.weights import BiHomPoly, WeightPair
@@ -124,12 +125,13 @@ def test_criterion_05_bounded_chain():
 
 
 def test_criterion_06_lambda_reconstruction():
-    dual = build_lambda(d * d - xpow(-2, 2), Poly([0, 0, 1]), 8)
-    assert dual.m == 2
+    L = d * d - xpow(-2, 2)
+    lam = build_lambda(wave_operator(L, split_constant_part(L)[0], 8), Poly([0, 0, 1]))
+    assert lam.order == 2
     expect = DiffOp("z", {2: RatFunc.one(), 0: RatFunc.x_power(-2, -2)})
-    assert dual.lam == expect
-    assert dual.lam.coeff(2) == RatFunc.one()
-    assert dual.lam.coeff(1).is_zero()
+    assert lam == expect
+    assert lam.coeff(2) == RatFunc.one()
+    assert lam.coeff(1).is_zero()
     ok("06 lambda-reconstruction")
 
 
@@ -193,11 +195,11 @@ def test_criterion_09_perturbation_obstruction():
 def test_criterion_10_wave_recursion():
     L = d * d - xpow(-2, 2)
     f, _ = split_constant_part(L)
-    w = wave_operator(L, f, 5)
-    assert w.K.coeff(1) == RatFunc.x_power(-1, -1)
+    K = wave_operator(L, f, 5)
+    assert K.coeff(1) == RatFunc.x_power(-1, -1)
     for j in range(1, 6):
-        assert isinstance(w.K.coeff(j), RatFunc)
-    assert w.residual_zero()
+        assert isinstance(K.coeff(j), RatFunc)
+    assert wave_residual_zero(L, f, K)
     with pytest.raises(LogObstruction):
         wave_operator(d * d + xpow(-1), Poly([0, 0, 1]), 2)
     ok("10 wave-recursion")

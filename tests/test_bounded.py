@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import bispec.bounded
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bispec import (
@@ -35,6 +36,7 @@ from bispec import (
     split_constant_part,
     wave_defect,
     wave_operator,
+    wave_residual_zero,
 )
 from bispec.bounded import pade_lift
 from oracles import (
@@ -50,6 +52,11 @@ x = DiffOp.x()
 
 def xpow(k, c=1):
     return DiffOp.from_function(RatFunc.x_power(k, c))
+
+
+def lambda_wave(L, J):
+    """The wave operator that Lambda is built from, as classify makes it."""
+    return wave_operator(L, split_constant_part(L)[0], J)
 
 
 L_KDV = d * d - xpow(-2, 2)  # d^2 - 2 x^-2
@@ -84,16 +91,16 @@ class TestSplitConstantPart:
 
 class TestWaveOperator:
     def test_trivial(self):
-        w = wave_operator(d * d, Poly([0, 0, 1]), 5)
-        assert dict(w.K.terms) == {0: RatFunc.one()}
-        assert w.residual_zero()
+        K = wave_operator(d * d, Poly([0, 0, 1]), 5)
+        assert dict(K.terms) == {0: RatFunc.one()} and K.trunc == 5
+        assert wave_residual_zero(d * d, Poly([0, 0, 1]), K)
 
     def test_kdv(self):
         f, _ = split_constant_part(L_KDV)
-        w = wave_operator(L_KDV, f, 5)
-        assert w.K.coeff(1) == RatFunc.x_power(-1, -1)
-        assert all(w.K.coeff(j).is_zero() for j in range(2, 6))
-        assert w.residual_zero()
+        K = wave_operator(L_KDV, f, 5)
+        assert K.coeff(1) == RatFunc.x_power(-1, -1)
+        assert all(K.coeff(j).is_zero() for j in range(2, 6))
+        assert wave_residual_zero(L_KDV, f, K)
 
     @pytest.mark.parametrize("L", [
         (d * d).scale(2),
@@ -113,48 +120,45 @@ class TestWaveOperator:
     def test_defect_vanishes_third_order(self):
         L = d ** 3 + xpow(-2) - xpow(-4, 6)
         f, _ = split_constant_part(L)
-        w = wave_operator(L, f, 4)
-        assert w.residual_zero()
-        E = wave_defect(L, f, w.K)
-        assert all(c.is_zero() for j, c in E.terms.items() if j <= w.J + 1 - 3)
+        K = wave_operator(L, f, 4)
+        assert wave_residual_zero(L, f, K)
+        E = wave_defect(L, f, K)
+        assert all(c.is_zero() for j, c in E.terms.items() if j <= K.trunc + 1 - 3)
 
     def test_coefficients_vanish_at_infinity(self):
         L = d ** 3 + xpow(-2) - xpow(-4, 6)
         f, _ = split_constant_part(L)
-        w = wave_operator(L, f, 4)
-        for j, c in w.K.terms.items():
+        K = wave_operator(L, f, 4)
+        for j, c in K.terms.items():
             if j > 0:
                 assert c.infinity_order() <= -1
 
 
 class TestConjugateTheta:
     def test_identity_wave(self):
-        w = wave_operator(d * d, Poly([0, 0, 1]), 4)
-        conj = conjugate_theta(w, Poly([0, 1]))
-        assert dict(conj.series.terms) == {0: RatFunc.x()}
+        K = wave_operator(d * d, Poly([0, 0, 1]), 4)
+        conj = conjugate_theta(K, Poly([0, 1]))
+        assert dict(conj.terms) == {0: RatFunc.x()} and conj.trunc == 4
 
     def test_kdv_theta_squared(self):
         f, _ = split_constant_part(L_KDV)
-        w = wave_operator(L_KDV, f, 6)
-        conj = conjugate_theta(w, THETA2)
-        assert conj.all_polynomial()
-        assert conj.max_degree == 2
+        conj = conjugate_theta(wave_operator(L_KDV, f, 6), THETA2)
+        assert all(c.is_polynomial() for c in conj.terms.values())
+        assert max(c.num.degree for c in conj.terms.values()) == 2
         # degree exactly m attained at the head
-        assert conj.poly_coeff(0) == THETA2
-        assert conj.poly_coeff(2) == Poly([-2])
+        assert conj.coeff(0) == RatFunc(THETA2)
+        assert conj.coeff(2) == RatFunc.const(-2)
 
     def test_kdv_theta_linear_fails(self):
         f, _ = split_constant_part(L_KDV)
-        w = wave_operator(L_KDV, f, 6)
-        conj = conjugate_theta(w, Poly([0, 1]))
-        assert not conj.all_polynomial()
+        conj = conjugate_theta(wave_operator(L_KDV, f, 6), Poly([0, 1]))
+        assert not all(c.is_polynomial() for c in conj.terms.values())
 
     def test_degree_bound_property(self):
         # for admissible theta every coefficient has degree <= m
         f, _ = split_constant_part(L_KDV)
-        w = wave_operator(L_KDV, f, 8)
-        conj = conjugate_theta(w, THETA2)
-        for j, c in conj.series.terms.items():
+        conj = conjugate_theta(wave_operator(L_KDV, f, 8), THETA2)
+        for j, c in conj.terms.items():
             assert c.is_polynomial() and c.num.degree <= 2
 
 
@@ -227,16 +231,15 @@ class TestDeeperPotential:
 
     def test_wave_coefficients(self):
         f, _ = split_constant_part(self.L6)
-        w = wave_operator(self.L6, f, 6)
-        assert w.K.coeff(1) == RatFunc.x_power(-1, -3)
-        assert w.K.coeff(2) == RatFunc.x_power(-2, 3)
-        assert all(w.K.coeff(j).is_zero() for j in range(3, 7))
-        assert w.residual_zero()
+        K = wave_operator(self.L6, f, 6)
+        assert K.coeff(1) == RatFunc.x_power(-1, -3)
+        assert K.coeff(2) == RatFunc.x_power(-2, 3)
+        assert all(K.coeff(j).is_zero() for j in range(3, 7))
+        assert wave_residual_zero(self.L6, f, K)
 
     def test_dual_operator(self):
-        dual = build_lambda(self.L6, THETA2, 10)
-        assert dual.lam == DiffOp("z", {2: RatFunc.one(),
-                                        0: RatFunc.x_power(-2, -6)})
+        lam = build_lambda(lambda_wave(self.L6, 10), THETA2)
+        assert lam == DiffOp("z", {2: RatFunc.one(), 0: RatFunc.x_power(-2, -6)})
 
     def test_chain(self):
         rep = bounded_test(self.L6, THETA2)
@@ -245,22 +248,25 @@ class TestDeeperPotential:
 
 class TestBuildLambda:
     def test_free_operator(self):
-        dual = build_lambda(d * d, Poly([0, 1]), 6)
-        assert dual.m == 1
-        assert dual.lam == DiffOp.d("z")
+        lam = build_lambda(lambda_wave(d * d, 6), Poly([0, 1]))
+        assert lam == DiffOp.d("z") and lam.order == 1
 
     def test_kdv(self):
-        dual = build_lambda(L_KDV, THETA2, 8)
-        assert dual.m == 2
-        expect = DiffOp("z", {2: RatFunc.one(),
-                              0: RatFunc.x_power(-2, -2)})
-        assert dual.lam == expect
-        assert dual.lam.coeff(2).is_one()
-        assert dual.lam.coeff(1).is_zero()
+        lam = build_lambda(lambda_wave(L_KDV, 8), THETA2)
+        assert lam.order == 2
+        assert lam == DiffOp("z", {2: RatFunc.one(), 0: RatFunc.x_power(-2, -2)})
 
     def test_unbounded_routed(self):
+        # Lambda starts from K, whose f(d) comes from the split, and the
+        # split routes an unbounded operator to the Airy branch
         with pytest.raises(UnboundedCoefficient):
-            build_lambda(d * d - x, Poly([0, 1]), 6)
+            lambda_wave(d * d - x, 6)
+
+    def test_reuses_the_callers_wave_operator(self, monkeypatch):
+        K = lambda_wave(L_KDV, 8)
+        for name in ("split_constant_part", "wave_operator"):
+            monkeypatch.setattr(bispec.bounded, name, None)
+        assert build_lambda(K, THETA2).order == 2
 
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -299,7 +305,8 @@ class TestThetaScale:
 
     @pytest.mark.parametrize("c", SCALES)
     def test_lambda(self, c):
-        assert build_lambda(L_KDV, THETA2.scale(c), 8) == build_lambda(L_KDV, THETA2, 8)
+        K = lambda_wave(L_KDV, 8)
+        assert build_lambda(K, THETA2.scale(c)) == build_lambda(K, THETA2)
 
 
 class TestQPolynomialInL:
@@ -354,7 +361,6 @@ class TestBoundedChain:
     def test_chain_is_built_once(self, monkeypatch, L, theta, m):
         # the chain that finds m ends at ad^m(theta), which commutes with
         # L: m + 1 brackets in all
-        import bispec.bounded
         import bispec.diffop
 
         calls = []
@@ -400,6 +406,31 @@ class TestBoundedChain:
         # a lower-order term of the wrong parity forces rank < order
         with pytest.raises(NotRankOrderCase):
             bounded_test(make_constcoeff(3, {1: 2}), Poly([0, 0, 0, 1]))
+
+    CHAIN_BASES = [d * d, L_KDV, d * d - xpow(-2, 6), d * d - xpow(-2, Fraction(15, 4)),
+                   make_constcoeff(3), d ** 3 - dop_mul(xpow(-2, 6), d) + xpow(-3, 12),
+                   d ** 3 + xpow(-3, 2), d * d + xpow(-1)]
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(CHAIN_BASES), st.lists(small, min_size=3, max_size=3),
+           st.integers(1, 6), st.lists(small, max_size=2))
+    @example(d * d, [1, 0, 0], 2, [])
+    @example(make_constcoeff(3), [0, -3, 0], 3, [])
+    @example(L_KDV, [0, 0, 0], 4, [])
+    def test_only_the_constants_can_fail(self, base, consts, m, lower):
+        # the degree-0 parts at infinity of ad^m(theta) = sum q_j L^j give
+        # the identity, and with it r N = m (N - 1), N | m and q_r = m! N^m
+        # (the proof is in bounded_test's docstring)
+        N = base.order
+        L = base + DiffOp("x", {j: RatFunc.const(c) for j, c in enumerate(consts[:N])})
+        theta = Poly.monomial(m) + Poly(lower)
+        try:
+            rep = bounded_test(L, theta)
+        except (NotCommuting, NotRankOrderCase):
+            return
+        assert rep.identity_holds and rep.divisibility_ok and rep.q_r_ok
+        assert rep.failures() in ((), ("nonzero-constants",))
 
 
 class TestCentralizer:

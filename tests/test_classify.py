@@ -224,11 +224,14 @@ class TestCertificateReverification:
         assert trace.verdict == r.certificates["obstruction_trace"]["verdict"]
 
     def test_lambda_reverifies(self):
-        from bispec import build_lambda
+        from bispec import build_lambda, split_constant_part, wave_operator
 
         r = classify_text("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
-        dual = build_lambda(r.operator, Poly([0, 0, 1]), 8)
-        assert dual.lam == r.certificates["lambda"]
+        L = r.operator
+        K = wave_operator(L, split_constant_part(L)[0], 8)
+        lam = build_lambda(K, Poly([0, 0, 1]))
+        assert lam == r.certificates["lambda"]
+        assert lam.order == r.certificates["ad_m"]
 
 
 class TestJson:
@@ -263,6 +266,18 @@ def run_cli(*args):
 
 
 class TestCli:
+    def test_note_names_the_callers_theta(self):
+        # the note used to name a monomial search that never ran
+        out = run_cli("classify", "d^2 + 1 - 2*x^-2", "--theta", "x^2",
+                      "--order-budget", "1")
+        assert out.returncode == 0
+        assert ("note: theta = x^2 not tried: its degree 2 is above the ad "
+                "budget 1\n") in out.stdout
+        out = run_cli("--json", "classify", "d^2 + 1 - 2*x^-2", "--theta", "x^2 + x")
+        assert json.loads(out.stdout)["certificates"]["note"] == (
+            "theta = x^2 + x is not admissible: its ad chain does not end "
+            "after deg theta + 1 = 3 brackets")
+
     def test_parse(self):
         out = run_cli("parse", "d*x")
         assert out.returncode == 0

@@ -142,7 +142,7 @@ class TestPDOInverse:
 
         L = DiffOp.d() ** 3 + DiffOp.from_function(RatFunc(Poly([1]), Poly([1, 1]) ** 2))
         f, _ = split_constant_part(L)
-        K = wave_operator(L, f, 6).K
+        K = wave_operator(L, f, 6)
         monkeypatch.setattr(bispec.bounded.PDO, "__mul__", counting)
         K.inverse(6)
         assert calls == []

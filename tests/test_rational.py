@@ -25,7 +25,7 @@ from bispec import (
 )
 from bispec.errors import ReconstructionFailed
 
-from oracles import rat_antiderivative_by_rounds
+from oracles import gcd_by_fraction_remainders, rat_antiderivative_by_rounds
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 polys_st = st.lists(fractions_st, min_size=0, max_size=5).map(Poly)
@@ -80,6 +80,21 @@ class TestPoly:
         p = Poly([-1, 0, 1])
         q = Poly([-1, 1])
         assert p.gcd(q) == Poly([-1, 1])
+
+    # products with a random common factor, so that gcds of positive
+    # degree, powers of x and constants all occur
+    small_polys = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                           max_size=5).map(Poly)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_polys, small_polys, small_polys, st.integers(0, 3), st.integers(0, 3))
+    @example(Poly.zero(), Poly.zero(), Poly.one(), 0, 0)
+    @example(Poly.one(), Poly.zero(), Poly([1, 2]), 2, 0)
+    def test_gcd_equals_fraction_euclid(self, p, q, c, i, j):
+        a = p * c * Poly.monomial(i)
+        b = q * c * Poly.monomial(j)
+        assert a.gcd(b) == gcd_by_fraction_remainders(a, b)
+        assert b.gcd(a) == gcd_by_fraction_remainders(a, b)
 
     def test_rational_roots(self):
         # (x - 1/2)^2 (x + 3)

@@ -18,7 +18,6 @@ from bispec import (
     ClassificationReport,
     DarbouxResult,
     DiffOp,
-    DualOperator,
     LaurentTail,
     NewtonPolygon,
     NormalFormReport,
@@ -35,7 +34,7 @@ from bispec import (
     parse_operator,
 )
 from bispec.airy import AiryBispectralReport, AiryShape, TOp
-from bispec.bounded import BoundedTestReport, ThetaConjugate, WaveData
+from bispec.bounded import BoundedTestReport, build_lambda, split_constant_part, wave_operator
 
 F = Fraction
 TAIL = LaurentTail({0: 1, 2: F(1, 2)}, 3)
@@ -55,9 +54,6 @@ def _instances():
         ObstructionStep(j=1, s=-2, k=0, alpha=F(1, 2)),
         ObstructionTrace((), "clean", 3, F(1)),
         AiryBispectralReport(True, 4),
-        WaveData(L=L2, f=Poly([0, 0, 1]), K=PDO.identity(), J=2),
-        ThetaConjugate(Poly.x(), PDO.identity(), 1, ()),
-        DualOperator(lam=DiffOp.d("z"), theta=Poly.x(), m=1),
         BoundedTestReport(Poly.x(), 1, 2, Poly([0, 0, 1]), (F(1),), True, None,
                           None, 0, F(1), F(2), False, ()),
         CentralizerResult((), (), None),
@@ -149,8 +145,13 @@ class TestChecks:
     """Every check the dataclass __post_init__ made still runs."""
 
     def test_dual_operator_order_must_be_m(self):
+        # the check lives in build_lambda, whose normalization (Lambda_m = 1,
+        # Lambda_(m-1) = 0, nothing lifted above d_z^m) fixes the order m;
+        # here Lambda_1 = 2
+        L = parse_operator("d^2 - 2*(x+1)^-2")
+        K = wave_operator(L, split_constant_part(L)[0], 8)
         with pytest.raises(NormalizationFailed):
-            DualOperator(lam=DiffOp.d("z"), theta=Poly.x(), m=2)
+            build_lambda(K, Poly([1, 1]) ** 2)
 
     def test_bessel_weight_sum(self):
         # any weight sum is accepted, and the betas become fractions
