@@ -239,9 +239,11 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
     """Solve L K = K f(d) for K = 1 + sum_{j=1}^J a_j(x) d^-j, returned
     truncated at J (so K.trunc == J).
 
-    Each step reads the coefficient of d^(N-1-j) in the defect of the
-    partial solution; the new a_j enters that slot only through N a_j', so
-    one antiderivative determines it.  Raises LogObstruction when the
+    Each step reads the coefficient of d^(N-1-j) in the defect
+    E = L K - K f(d) of the partial solution; the new a_j enters that slot
+    only through N a_j', so one antiderivative determines it.  E is linear
+    in K, so it is kept as the loop runs: a new term a_j d^-j adds its own
+    defect, a product with one term.  Raises LogObstruction when the
     antiderivative has an x^-1 residue (rationality fails, so the input
     cannot satisfy the polynomial-conjugation lemma), ReconstructionFailed
     when the integral is not rational for a deeper reason, NotMonic when
@@ -253,17 +255,15 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
         raise NotMonic("wave operator needs a monic operator")
     if f.degree != N or f.leading() != 1:
         raise ValueError("f must be monic of the operator's order")
-    K = PDO.identity(L.var)
-    inv_n = Fraction(1, N)
+    terms = {0: RatFunc.one()}
+    E = wave_defect(L, f, PDO.identity(L.var))
     for j in range(1, J + 1):
-        E = wave_defect(L, f, K)
         target = E.coeff(j - N + 1)  # coefficient of d^(N-1-j)
         if target.is_zero():
             continue
-        g = target.scale(-inv_n)
-        a_j = rat_antiderivative(g)
-        K = PDO(L.var, {**K.terms, j: a_j}, None)
-    return K.restrict(J)
+        terms[j] = a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
+        E = E + wave_defect(L, f, PDO._trusted(L.var, {j: a_j}, None))
+    return PDO(L.var, terms, J)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +333,19 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     m = max((c.num.degree for c in series.terms.values()), default=0)
     tails = involution_b(series)
     lam_coeffs: dict[int, RatFunc] = {}
+    full = max(2 * m, 2)
     for i in range(m + 1):
-        got = pade_lift(tails.get(i, LaurentTail.zero(J)), m, J)
+        tail = tails.get(i, LaurentTail.zero(J))
+        got = pade_lift(tail, m, J)
         if got is None:
-            raise ReconstructionFailed(f"Lambda coefficient at d_z^{i}")
+            # Theta starts at d^0, so the tail's known count c is at most
+            # J + 1, and pade_lift's degree is (c - 2) // 2 < full until
+            # trunc J + 2 full + 2 - c
+            c = tail.known_count()
+            raise ReconstructionFailed(f"Lambda coefficient at d_z^{i}" + (
+                f": the Pade degree is capped at {(c - 2) // 2} by trunc {J}; "
+                f"trunc {J + 2 * full + 2 - c} lifts the full degree {full}"
+                if c < 2 * full + 2 else ""))
         if not got.is_zero():
             lam_coeffs[i] = got
     lam = DiffOp("z", lam_coeffs)

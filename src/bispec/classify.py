@@ -6,15 +6,15 @@ obstruction; the only bispectral survivors are the generalized Airy
 operators.  The Bessel shape is read from the coefficients before the
 gauge, and again after it when the gauge changed the operator: first at
 the origin, then after translating a single finite pole there.  Bounded
-branch: the constant-coefficient shape, then two cheap exact
-obstructions (Fuchs' pole-order criterion and a logarithm in the first
-wave coefficients), then the ad-condition chain; a passing chain with all
-constants zero marks a monomial-Darboux-of-Bessel candidate, while a
-failing constants check or a non-polynomial ad power routes to the
-constant-coefficient Darboux branch.  Neither route bounds the rank: the
-Adler-Moser operator d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes the chain with
-theta = (x^3 + 1)^2, yet it commutes with an operator of order 5, so its
-rank is 1.
+branch: the constant-coefficient shape, then two exact obstructions
+(Fuchs' pole-order criterion and a logarithm in the wave coefficients
+through the truncation, whose one solve also serves Lambda), then the
+ad-condition chain; a passing chain with all constants zero marks a
+monomial-Darboux-of-Bessel candidate, while a failing constants check or
+a non-polynomial ad power routes to the constant-coefficient Darboux
+branch.  Neither route bounds the rank: the Adler-Moser operator
+d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes the chain with theta = (x^3 + 1)^2,
+yet it commutes with an operator of order 5, so its rank is 1.
 
 Every verdict carries machine-checkable certificates (weights, associated
 polynomial, principal part, ad data, Lambda, Darboux pairs, obstruction
@@ -80,7 +80,8 @@ class Budgets(Record):
     chain stops after deg theta + 1 brackets.  The theta search therefore
     tries the monomials x^1 .. x^min(ad_budget, theta_lmax), and a caller's
     theta only within the ad budget.  ``trunc`` is the series truncation
-    of the wave probe (at most 4) and of Lambda.  Class constants:
+    of the wave operator, which the probe solves once and Lambda reuses.
+    Class constants:
     ``theta_lmax`` caps the searched theta degree, which has no
     theoretical bound, and the Airy perturbation walk runs through
     ``obstruction_steps`` steps; the centralizer search always runs
@@ -379,17 +380,20 @@ def _classify_bounded(
         _record_bessel(L, report.certificates)
         _darboux_certificate(L, P, N, report)
 
-    # the exact certificates cost about a millisecond, the theta search
-    # up to seconds: every family of the bounded branch is Fuchsian at
+    # the exact certificates cost up to about 0.1 s, the theta search up
+    # to seconds: every family of the bounded branch is Fuchsian at
     # its finite poles and has a rational wave operator
     irregular = fuchs_violation(L)
     if irregular is not None:
         report.verdict = VERDICT_OBSTRUCTED
         report.certificates["irregular_singularity"] = irregular
         return
-    probe = None  # the first wave coefficients: only a logarithm decides
+    # the wave operator through trunc, solved once: a logarithm decides
+    # Obstructed, another error is kept for the note, and a passing chain
+    # reads Lambda from the same K
+    K = probe = None
     try:
-        wave_operator(L, f, min(budgets.trunc, 4))
+        K = wave_operator(L, f, budgets.trunc)
     except err.LogObstruction as e:
         report.verdict = VERDICT_OBSTRUCTED
         report.certificates["obstruction"] = (
@@ -445,8 +449,11 @@ def _classify_bounded(
     }
     if chain.passes:
         report.verdict = VERDICT_MONOMIAL
+        if K is None:
+            report.errors.append(probe)
+            return
         try:
-            lam = build_lambda(wave_operator(L, f, budgets.trunc), use)
+            lam = build_lambda(K, use)
             report.certificates["lambda"] = lam
             report.certificates["ad_m"] = lam.order
         except err.BispecError as e:

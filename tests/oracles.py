@@ -30,7 +30,10 @@ These deliberately avoid the library's code paths:
 * the lift of a coefficient of Lambda by Pade solves at growing degree
   bounds, the reference for the one solve of ``bounded.pade_lift``;
 * Euclid's algorithm on Fraction remainders, the reference for the
-  primitive integer pseudo-remainders of ``Poly.gcd``.
+  primitive integer pseudo-remainders of ``Poly.gcd``;
+* the wave recursion that rebuilds the defect L K - K f(d) from the whole
+  of K at every step, the reference for the running defect of
+  ``bounded.wave_operator``.
 """
 
 from __future__ import annotations
@@ -59,7 +62,9 @@ from bispec import (
     height,
     laurent_expand,
     principal_part,
+    rat_antiderivative,
     rational_reconstruct,
+    wave_defect,
 )
 from bispec.airy import AiryBispectralReport, TOp
 from bispec.diffop import transpose_weyl
@@ -503,3 +508,18 @@ def gcd_by_fraction_remainders(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:
+    """K = 1 + sum_{j=1}^J a_j d^-j with L K = K f(d) through J, for a
+    monic L of order N >= 1 and f monic of degree N: at step j, a_j is
+    the antiderivative of -1/N times the coefficient of d^(N-1-j) in
+    L K - K f(d), recomputed from the whole of K."""
+    N = L.order
+    K = PDO.identity(L.var)
+    for j in range(1, J + 1):
+        target = wave_defect(L, f, K).coeff(j - N + 1)
+        if not target.is_zero():
+            a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
+            K = PDO(L.var, {**K.terms, j: a_j}, None)
+    return K.restrict(J)

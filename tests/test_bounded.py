@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bispec import (
+    BispecError,
     DiffOp,
     LaurentTail,
     LogObstruction,
@@ -44,6 +45,7 @@ from oracles import (
     lift_by_degree_search,
     random_diffop,
     random_poly,
+    wave_by_rebuilt_defect,
 )
 
 d = DiffOp.d()
@@ -124,6 +126,37 @@ class TestWaveOperator:
         assert wave_residual_zero(L, f, K)
         E = wave_defect(L, f, K)
         assert all(c.is_zero() for j, c in E.terms.items() if j <= K.trunc + 1 - 3)
+
+    POLES = [Poly([0, 1]), Poly([1, 1]), Poly([-2, 1]), Poly([1, 0, 1])]
+
+    @staticmethod
+    def _solved(solve, L, J):
+        f, _ = split_constant_part(L)
+        try:
+            K = solve(L, f, J)
+        except BispecError as e:
+            return type(e), str(e)
+        return K.terms, K.trunc
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 5]), st.integers(1, 10),
+           st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                              st.integers(0, 3), st.integers(1, 3),
+                              st.integers(0, 4)),
+                    min_size=1, max_size=3),
+           st.integers(-2, 2))
+    @example(3, 10, [(1, 2, 2, 0)], 0)   # d^3 + (x-2)^-2: rational through 10
+    @example(2, 10, [(-2, 0, 2, 0)], 1)  # d^2 + 1 - 2*x^-2: K ends at a_1
+    def test_running_defect_equals_the_rebuilt_one(self, N, J, parts, c0):
+        # d^N + c0 plus, for each (c, pole, e, k), c * B^-e * d^(k mod
+        # (N - 1)) with B one of POLES: 0, -1, 2 and the roots of x^2 + 1;
+        # no d^(N-1) term, as in the operators classify solves for
+        L = d ** N + DiffOp.from_function(RatFunc.const(c0))
+        for c, pole, e, k in parts:
+            B = RatFunc(Poly([c]), self.POLES[pole] ** e)
+            L = L + DiffOp("x", {k % (N - 1): B})
+        assert (self._solved(wave_operator, L, J)
+                == self._solved(wave_by_rebuilt_defect, L, J))
 
     def test_coefficients_vanish_at_infinity(self):
         L = d ** 3 + xpow(-2) - xpow(-4, 6)

@@ -97,6 +97,17 @@ class TestVerdicts:
         assert rem.is_zero() and M.order == 5
         assert commutator(L, M).is_zero()
 
+    def test_lambda_names_the_truncation_cap(self):
+        # Lambda of AM2 has order m = 6, so its lift may need degree
+        # 2m = 12; at the default trunc 8 the tail at d_z^1 holds too few
+        # known terms for more than degree 1, and the error says so
+        r = classify("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2", theta=Poly([1, 0, 0, 1]) ** 2)
+        assert r.verdict == "MonomialDarbouxCandidate(4)"
+        assert "lambda" not in r.certificates
+        assert r.errors == ["ReconstructionFailed: Lambda coefficient at d_z^1: the "
+                            "Pade degree is capped at 1 by trunc 8; trunc 30 lifts "
+                            "the full degree 12"]
+
     def test_wave_obstruction(self):
         r = classify_text("d^2 + x^-1")
         assert r.verdict == "Obstructed"

@@ -235,6 +235,42 @@ class TestNoHang:
                             "within degree bounds"]
 
 
+class TestOneWaveSolve:
+    """The probe solves the wave recursion once, through trunc, and a
+    passing chain reads Lambda from that same K."""
+
+    NOT_RATIONAL = "ReconstructionFailed: no rational antiderivative within degree bounds"
+    # rational through step 4, where the probe used to stop, and not
+    # through 8
+    DEEP = ["d^5 - 3*(x+1)^-2*d^2 + 7/2*(x-2)^-2", "d^3 - 3*(x+1)^-2*d + 3*x^-2*d"]
+
+    def test_one_solve_with_a_factor(self, monkeypatch, capsys):
+        calls = counted(monkeypatch, "wave_operator", MODULES[:1])
+        assert main(["classify", "d^2 - 2*x^-2", "--p", "d - x^-1",
+                     "--trunc", "16", "--json"]) == 0
+        assert [J for _, _, J in calls] == [16]
+        assert json.loads(capsys.readouterr().out)["certificates"]["lambda"] == "d^2 - 2*z^-2"
+
+    @pytest.mark.parametrize("text", DEEP)
+    def test_the_probe_reaches_the_failing_step(self, text):
+        # the note and error do not depend on the theta search, which the
+        # small ad budget keeps short (the order-5 input's takes 12-15 s)
+        r = classify(text, budgets=SMALL)
+        assert r.verdict == "Inconclusive"
+        assert r.certificates["note"] == "wave coefficients not recognized rational"
+        assert r.errors == [self.NOT_RATIONAL]
+
+    @pytest.mark.parametrize("trunc", [1, 2, 3, 4])
+    def test_shallow_truncations_keep_their_answers(self, trunc, monkeypatch):
+        # at trunc <= 4 the probe runs as deep as it did, so the answer
+        # stays that of the theta search
+        calls = counted(monkeypatch, "wave_operator", MODULES[:1])
+        r = classify(self.DEEP[1], budgets=Budgets(trunc=trunc))
+        assert [J for _, _, J in calls] == [trunc]
+        assert r.verdict == "Inconclusive" and r.errors == []
+        assert r.certificates["note"] == TestNoHang.NO_THETA
+
+
 class TestGaugedBessel:
     @pytest.mark.parametrize("text, betas", [
         ("d^2 - 2/3*x^-2*d - 10/9*x^-2 + 2/3*x^-3 + 1/9*x^-4", [F(-2, 3), F(5, 3)]),
