@@ -51,7 +51,7 @@ from .diffop import (
     leibniz_product,
     transpose_weyl,
 )
-from .linalg import nullspace, rref
+from .linalg import nullspace
 from .record import Record
 
 
@@ -315,7 +315,9 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     """Lambda in z for the wave operator K (truncated at J = K.trunc) and
     theta: assemble sum_j z^-j Theta_j(d_z) from Theta = K^-1 theta K,
     regroup by powers of d_z and lift each z^-1 series coefficient to a
-    rational function with ``pade_lift``.
+    rational function with ``pade_lift``.  A zero tail proves its
+    coefficient zero only when it is known through z^-max(2m, 2)
+    (TruncationTooShort otherwise).
 
     Theta and ad are linear in theta, so theta is made monic first.  The
     order m of Lambda is the largest degree among the coefficients of
@@ -336,6 +338,14 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     full = max(2 * m, 2)
     for i in range(m + 1):
         tail = tails.get(i, LaurentTail.zero(J))
+        if tail.is_zero():
+            # a nonzero coefficient of degree <= full starts at or above
+            # z^-full, so only a tail known that far proves it zero
+            if J < full:
+                raise TruncationTooShort(
+                    f"Lambda coefficient at d_z^{i} is zero only through trunc "
+                    f"{J}; a nonzero one of degree <= {full} can start at z^-{full}")
+            continue
         got = pade_lift(tail, m, J)
         if got is None:
             # Theta starts at d^0, so the tail's known count c is at most
@@ -346,8 +356,7 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
                 f": the Pade degree is capped at {(c - 2) // 2} by trunc {J}; "
                 f"trunc {J + 2 * full + 2 - c} lifts the full degree {full}"
                 if c < 2 * full + 2 else ""))
-        if not got.is_zero():
-            lam_coeffs[i] = got
+        lam_coeffs[i] = got
     lam = DiffOp("z", lam_coeffs)
     if lam.coeff(m) != RatFunc.one() or not lam.coeff(m - 1).is_zero():
         raise NormalizationFailed(
@@ -568,21 +577,16 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
             for e, v in enumerate(numer.coeffs):
                 if v != 0:
                     rows_by_key.setdefault((k, e), {})[col] = v
-    sols = nullspace(list(rows_by_key.values()), ncols)
-    # echelonize by descending derivative power so orders are exposed
-    coord_order = sorted(range(ncols),
-                         key=lambda c: (-basis_ops[c][0], -basis_ops[c][1]))
-    pos_of = {c: pos for pos, c in enumerate(coord_order)}
-    red, _ = rref([{pos_of[c]: v for c, v in vec.items()} for vec in sols])
+    # the columns ascend with (j, i), and each nullspace vector is 1 at its
+    # own free column and elsewhere nonzero only at smaller pivot columns:
+    # read by descending (j, i), the reversed list is already echelonized
     gens: list[DiffOp] = []
-    for vec in red:
+    for vec in reversed(nullspace(list(rows_by_key.values()), ncols)):
         coeffs: dict[int, RatFunc] = {}
-        for pos, v in sorted(vec.items()):
-            j, i = basis_ops[coord_order[pos]]
+        for col, v in sorted(vec.items(), reverse=True):
+            j, i = basis_ops[col]
             coeffs[j] = coeffs.get(j, RatFunc.zero()) + RatFunc.x_power(i - d, v)
-        M = DiffOp(L.var, coeffs)
-        if not M.is_zero():
-            gens.append(M)
+        gens.append(DiffOp(L.var, coeffs))
     for M in gens:
         if not commutator(L, M).is_zero():
             raise NotCommuting("search produced a non-commuting element")

@@ -8,6 +8,14 @@ all its exponent pairs lie on one line, every structural question reduces
 to a univariate polynomial p(w) in the line parameter w = x^sigma y^-rho
 times a monomial prefactor, and the normal-form shapes become statements
 about the root structure of p.
+
+The generalized Airy form (y^N - lam x)^1 of a monic L of order N >= 2
+needs none of this: it is the leading form exactly when the d^0
+coefficient has order 1 at infinity and every d^j coefficient with
+0 < j < N is bounded.  The line through (0, N) and (1, 0) has weights
+(N, 1), and no (m, j) with 0 < j < N lies on it, since N m = N - j has
+no integer solution; conversely those weights need each m_j <= (N - j)/N,
+so m_j < 1.  ``principal_part`` reads lam = -lead(c_0) from one scan.
 """
 
 from __future__ import annotations
@@ -79,6 +87,18 @@ class WeightPair(Record):
         return self.rho * x_exp + self.sigma * d_exp
 
 
+def _growing_points(L: DiffOp) -> list[tuple[int, int]]:
+    """The points (k, j) of E(L) with j < N and k > 0.  Raises NotMonic for
+    an operator that is not monic, NotIncreasing when there is none."""
+    if L.is_zero() or not L.is_monic():
+        raise NotMonic("weight selection requires a monic operator")
+    grow = [(k, j) for j, c in L.coeffs.items()
+            if j < L.order and (k := c.infinity_order()) > 0]
+    if not grow:
+        raise NotIncreasing("all coefficients bounded at infinity")
+    return grow
+
+
 def choose_weights(L: DiffOp) -> WeightPair:
     """The supporting line of the Newton polygon through (0, N).
 
@@ -87,15 +107,8 @@ def choose_weights(L: DiffOp) -> WeightPair:
     the coprime positive solution rho = (N - j)/g, sigma = k/g.  Raises
     NotMonic for an operator that is not monic, NotIncreasing when no
     coefficient grows at infinity."""
-    if L.is_zero() or not L.is_monic():
-        raise NotMonic("weight selection requires a monic operator")
     N = L.order
-    pts = [(c.infinity_order(), j) for j, c in L.coeffs.items() if j < N]
-    grow = [(k, j) for (k, j) in pts if k > 0]
-    if not grow:
-        raise NotIncreasing("all coefficients bounded at infinity")
-    best = max(grow, key=lambda kj: (Fraction(kj[1] - N, kj[0]), kj[0]))
-    k, j = best
+    k, j = max(_growing_points(L), key=lambda kj: (Fraction(kj[1] - N, kj[0]), kj[0]))
     g = gcd(N - j, k)
     return WeightPair(rho=(N - j) // g, sigma=k // g, support=(k, j))
 
@@ -210,18 +223,18 @@ def _line_data(f: BiHomPoly, w: WeightPair) -> tuple[int, int, Poly]:
     """Write a homogeneous f as x^a0 y^b0 p(w), w = x^sigma y^-rho.
 
     Exponent pairs of a (rho,sigma)-homogeneous polynomial lie on a line
-    with direction (sigma, -rho); a0/b0 anchor at the minimal x exponent."""
-    f.weight(w)  # raises NotHomogeneous
-    a0 = min(a for (a, _) in f.terms)
-    b_at_a0 = max(b for (a, b) in f.terms if a == a0)
+    with direction (sigma, -rho); a0/b0 anchor at the minimal x exponent,
+    so p(0) != 0."""
+    f.weight(w)  # raises ZeroOperand and NotHomogeneous
+    a0, b0 = min(f.terms)  # one term per x exponent
     coeffs: dict[int, Fraction] = {}
-    for (a, b), c in f.terms.items():
+    for (a, _), c in f.terms.items():
         t, rem = divmod(a - a0, w.sigma)
-        if rem or b != b_at_a0 - w.rho * t:
+        if rem:  # only for weights that are not coprime
             raise NotHomogeneous("terms do not lie on a single weight line")
         coeffs[t] = c
     p = Poly([coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)])
-    return a0, b_at_a0, p
+    return a0, b0, p
 
 
 def _match_binomial_power(p: Poly) -> Optional[tuple[int, Fraction]]:
@@ -259,51 +272,35 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
       (b) sigma > rho = 1:  f = x^n (x^m + mu y)^k,
       (c) rho > sigma = 1:  f = y^n (y^m + mu x)^k,
       (d) rho = sigma = 1:  f = (y + lam x)^n (y + mu x)^k.
+    (b) and (c) share one match of the line polynomial p, where
+    f = x^a0 y^b0 p(w): (c) is p = c (1 + mu w)^k with a0 = 0.  (b) is its
+    mirror: with b0 = deg p, reversing p gives f's polynomial in
+    w' = x^-sigma y, and the reverse of c (1 + mu w)^k is
+    c mu^k (1 + w'/mu)^k, so (b) holds with mu -> 1/mu and n = a0.
     Also reports the (y^r - lam x)^k data and the nilpotency exclusion for
     the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern (``perfect_power``
     computes the perfect-power exponent on request)."""
     if f.is_zero():
         raise ZeroOperand("normal form of the zero polynomial")
-    v = f.weight(w)  # raises NotHomogeneous
-    pre_ok = v > w.rho + w.sigma
-    report_kwargs = dict(weight=v, precondition_weight_ok=pre_ok)
+    a0, b0, p = _line_data(f, w)  # raises NotHomogeneous; p != 0
+    v = w.weight(a0, b0)
+    report_kwargs = dict(weight=v, precondition_weight_ok=v > w.rho + w.sigma)
 
-    a0, b0, p = _line_data(f, w)  # p != 0, as f != 0
-
-    # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
-    if w.sigma == 1 and w.rho > 1 and a0 == 0:
+    mirror = w.rho == 1 < w.sigma  # case (b)
+    if (mirror and a0 >= 0 and b0 == p.degree) or (w.sigma == 1 < w.rho and a0 == 0):
         match = _match_binomial_power(p)
         if match is not None:
             k, mu = match
-            m = w.rho
-            n = b0 - m * k
+            if mirror:
+                return NormalFormReport(case="b", n=a0, k=k, m=w.sigma, mu=1 / mu,
+                                        **report_kwargs)
+            # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
+            n = b0 - w.rho * k
             if n >= 0:
-                yrx = (m, k, -mu)
                 return NormalFormReport(
-                    case="c", n=n, k=k, m=m, mu=mu, yrx=yrx,
-                    nilpotency_excluded=n >= 1 and k >= 1,
-                    **report_kwargs,
+                    case="c", n=n, k=k, m=w.rho, mu=mu, yrx=(w.rho, k, -mu),
+                    nilpotency_excluded=n >= 1, **report_kwargs,
                 )
-
-    # case (b): mirror of (c) with x and y swapped (sigma > rho = 1)
-    if w.rho == 1 and w.sigma > 1 and all(a >= 0 for (a, _) in f.terms):
-        swapped = BiHomPoly({(b, a): c for (a, b), c in f.terms.items()})
-        ws = WeightPair(rho=w.sigma, sigma=w.rho, support=w.support)
-        try:
-            sa0, sb0, sp = _line_data(swapped, ws)
-        except NotHomogeneous:
-            sp = None
-        if sp is not None and sa0 == 0:
-            match = _match_binomial_power(sp)
-            if match is not None:
-                k, mu = match
-                m = ws.rho
-                n = sb0 - m * k
-                if n >= 0:
-                    return NormalFormReport(
-                        case="b", n=n, k=k, m=m, mu=mu,
-                        **report_kwargs,
-                    )
 
     # case (d): rho = sigma = 1; factors read off the roots of p(w), plus a
     # (y + 0 x)-factor of multiplicity b0 - deg p
@@ -353,17 +350,24 @@ def principal_part(L: DiffOp) -> tuple[DiffOp, DiffOp]:
     part and the decaying remainder.
 
     Requires the pipeline choose_weights -> associated_polynomial ->
-    normal_form_test to land on (y^N - lam x)^1.  Then L + lam x has
-    bounded coefficients, and ``split_constant_part`` writes it as
-    f(d) + V with every coefficient of V of order O(x^-1); the Airy part
-    is A = f(d) - lam x."""
-    w = choose_weights(L)  # NotMonic and NotIncreasing propagate
-    f = associated_polynomial(L, w)
-    nf = normal_form_test(f, w)
+    normal_form_test to land on (y^N - lam x)^1.  It does exactly when
+    N >= 2, the d^0 coefficient c_0 has order 1 at infinity and every c_j
+    with 0 < j < N is bounded, so one scan of the orders decides it and
+    lam = -lead(c_0).  Proof: the line through (0, N) and (1, 0) has
+    weights (N, 1), and no (m, j) with 0 < j < N lies on it, since
+    N m = N - j has no integer solution; so f = y^N + lead(c_0) x.
+    Conversely yrx = (N, 1, lam) forces the weights (N, 1), which
+    choose_weights picks only at the support (1, 0); every other point
+    then lies below the line, m_j <= (N - j)/N < 1.  The pipeline runs
+    only to name f when the shape is rejected.
+
+    Then L + lam x has bounded coefficients, and ``split_constant_part``
+    writes it as f(d) + V with every coefficient of V of order O(x^-1);
+    the Airy part is A = f(d) - lam x."""
     N = L.order
-    if not nf.is_airy_normal_form or nf.yrx is None or nf.yrx[0] != N:
+    if N < 2 or _growing_points(L) != [(1, 0)]:  # raises NotMonic, NotIncreasing
+        f = associated_polynomial(L, choose_weights(L))
         raise NotAiryShape(f"leading form {f} is not (y^{N} - lam*x)^1")
-    lam = nf.yrx[2]
-    lam_x = DiffOp.x(L.var).scale(lam)
+    lam_x = DiffOp.x(L.var).scale(-L.coeffs[0].infinity_leading())
     const, V = split_constant_part(L + lam_x)
     return DiffOp(L.var, dict(enumerate(const.coeffs))) - lam_x, V

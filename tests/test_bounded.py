@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bispec import (
     BispecError,
+    Budgets,
     DiffOp,
     LaurentTail,
     LogObstruction,
@@ -22,6 +23,7 @@ from bispec import (
     PDO,
     Poly,
     RatFunc,
+    TruncationTooShort,
     UnboundedCoefficient,
     bounded_test,
     build_lambda,
@@ -33,6 +35,8 @@ from bispec import (
     involution_b,
     laurent_expand,
     make_constcoeff,
+    parse_operator,
+    print_operator,
     q_polynomial_in_L,
     split_constant_part,
     wave_defect,
@@ -300,6 +304,28 @@ class TestBuildLambda:
         for name in ("split_constant_part", "wave_operator"):
             monkeypatch.setattr(bispec.bounded, name, None)
         assert build_lambda(K, THETA2).order == 2
+
+    def test_short_zero_tail_is_refused(self):
+        # at trunc 1 the d_z^0 tail of d^2 - 2 z^-2 is zero through z^-1,
+        # which cannot tell it from a coefficient starting at z^-4
+        with pytest.raises(TruncationTooShort, match=r"d_z\^0 is zero only through trunc 1"):
+            build_lambda(lambda_wave(L_KDV, 1), THETA2)
+
+    @pytest.mark.parametrize("text,P,theta,trunc,lam", [
+        ("d^2 - 2*x^-2", "d - x^-1", None, 1, None),
+        ("d^2 - 2*x^-2", "d - x^-1", None, 8, "d^2 - 2*z^-2"),
+        ("d^2 - 2*x^-2", "d - x^-1", None, 16, "d^2 - 2*z^-2"),
+        ("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2", None, Poly([1, 0, 0, 2, 0, 0, 1]), 1, None),
+    ])
+    def test_classify_reports_no_unproven_lambda(self, text, P, theta, trunc, lam):
+        # d^2 and d^6 + 2*d^3 + 1 used to be reported at trunc 1
+        r = classify(text, P=P and parse_operator(P), theta=theta,
+                     budgets=Budgets(trunc=trunc))
+        assert r.verdict == "MonomialDarbouxCandidate(4)"
+        got = r.certificates.get("lambda")
+        assert (got and print_operator(got)) == lam
+        short = [e for e in r.errors if e.startswith("TruncationTooShort")]
+        assert bool(short) == (lam is None)
 
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 

@@ -3,6 +3,7 @@ normal forms, and principal parts."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -25,6 +26,7 @@ from bispec import (
     normal_form_test,
     perfect_power,
     principal_part,
+    split_constant_part,
     weighted_order,
 )
 from oracles import commutative_mul, random_diffop
@@ -195,6 +197,25 @@ class TestNormalForm:
         assert nf.case == "b"
         assert nf.n == 1 and nf.k == 2 and nf.m == 2 and nf.mu == 1
 
+    MIRROR = [(0, 1, 2, Fraction(1)), (1, 2, 2, Fraction(1)), (2, 3, 3, Fraction(-2, 3)),
+              (0, 2, 5, Fraction(7)), (3, 1, 4, Fraction(-1, 2))]
+
+    @staticmethod
+    def _binomial_form(n, k, s, mu, swap):
+        # x^n (x^s + mu y)^k, or with x and y swapped
+        terms = {(n + s * (k - i), i): comb(k, i) * mu ** i for i in range(k + 1)}
+        return BiHomPoly({((b, a) if swap else (a, b)): c for (a, b), c in terms.items()})
+
+    @pytest.mark.parametrize("n,k,s,mu", MIRROR)
+    def test_case_b_mirrors_case_c(self, n, k, s, mu):
+        # (b) reads the same binomial match as (c), through the reversed p
+        nf = normal_form_test(self._binomial_form(n, k, s, mu, False), WeightPair(1, s, (1, 1)))
+        assert (nf.case, nf.n, nf.k, nf.m, nf.mu) == ("b", n, k, s, mu)
+        assert nf.yrx is None and not nf.nilpotency_excluded
+        nf = normal_form_test(self._binomial_form(n, k, s, mu, True), WeightPair(s, 1, (1, 0)))
+        assert (nf.case, nf.n, nf.k, nf.m, nf.mu) == ("c", n, k, s, mu)
+        assert nf.yrx == (s, k, -mu) and nf.nilpotency_excluded == (n >= 1)
+
     def test_unresolved_over_q(self):
         # (y - sqrt(2) x)(y + sqrt(2) x): rational coefficients, irrational roots
         w = WeightPair(1, 1, (1, 1))
@@ -269,3 +290,47 @@ class TestPrincipalPart:
             assert f.terms == {(0, p): 1, (1, 0): -1}
             nf = normal_form_test(f, w)
             assert nf.is_airy_normal_form and nf.yrx == (p, 1, Fraction(1))
+
+    @staticmethod
+    def _random_monic(rng, N):
+        # coefficient orders in -2..2 at infinity, so that the Airy shape,
+        # its near misses and the bounded case all come up
+        coeffs = {N: RatFunc.one()}
+        for j in range(N):
+            if rng.random() < 0.5:
+                c = RatFunc.zero()
+                for _ in range(rng.randint(1, 2)):
+                    c = c + RatFunc.x_power(rng.randint(-2, 2), rng.choice([-3, -1, 1, 2]))
+                if rng.random() < 0.2:
+                    c = c * RatFunc(Poly([1]), Poly([1, 0, 1]))  # (x^2 + 1)^-1
+                if not c.is_zero():
+                    coeffs[j] = c
+        if rng.random() < 0.5:  # lean towards an order-1 d^0 coefficient
+            coeffs[0] = RatFunc(Poly([rng.randint(-2, 2), rng.choice([-2, -1, 1, 3])]))
+        return DiffOp("x", coeffs)
+
+    def test_orders_decide_the_airy_form(self):
+        # principal_part reads the Airy form from the coefficient orders;
+        # it must agree with the weight pipeline, and split at its lam
+        rng = random.Random(2024)
+        accepted = 0
+        for _ in range(400):
+            N = rng.randint(2, 6)
+            L = self._random_monic(rng, N)
+            try:
+                w = choose_weights(L)
+            except NotIncreasing:
+                with pytest.raises(NotIncreasing):
+                    principal_part(L)
+                continue
+            nf = normal_form_test(associated_polynomial(L, w), w)
+            if not (nf.is_airy_normal_form and nf.yrx[0] == N):
+                with pytest.raises(NotAiryShape):
+                    principal_part(L)
+                continue
+            accepted += 1
+            lam_x = x.scale(nf.yrx[2])
+            const, V = split_constant_part(L + lam_x)
+            assert principal_part(L) == (DiffOp("x", dict(enumerate(const.coeffs))) - lam_x, V)
+        assert accepted >= 50
+
