@@ -47,7 +47,6 @@ from .rational import (
 from .diffop import (
     DiffOp,
     ad_condition_min_m,
-    ad_pow,
     apply_to_series,
     commutator,
     dop_mul,

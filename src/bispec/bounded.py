@@ -45,7 +45,6 @@ from .diffop import (
     CoeffLike,
     DiffOp,
     _coerce,
-    ad_pow,
     commutator,
     leibniz_divide,
     leibniz_product,
@@ -466,15 +465,17 @@ class BoundedTestReport(Record):
         return tuple(out)
 
 
-def bounded_test(L: DiffOp, theta: Poly) -> BoundedTestReport:
-    """Run the full chain for a bounded-coefficient normalized operator.
+def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> BoundedTestReport:
+    """Run the full chain for a bounded-coefficient normalized operator
+    L = f(d) + V, from the end Q = ad_L^m(theta) of theta's chain, as
+    ``diffop.ad_condition_min_m`` returns it with ``split_constant_part``'s
+    f.
 
     The ad exponent is m = deg theta or none at all (the proof is in
-    ``diffop.ad_condition_min_m``): with L = f(d) + V, ad_L^k(theta) has
-    leading part theta^(k)(x) f'(d)^k at infinity, and a bracket with L
-    never vanishes on a nonzero operator that decays there.  So one
-    chain of deg theta + 1 brackets decides, and no budget is needed.
-    ad is linear, so theta is made monic first, and the report carries
+    ``diffop.ad_condition_min_m``), so the chain that admitted theta
+    already showed ad_L^(m+1)(theta) = [L, Q] = 0; this function brackets
+    nothing and does not check it again.  ad is linear, so theta is made
+    monic and Q scaled by the same 1/lead(theta), and the report carries
     the monic theta: the expected constants below are those of a monic
     theta.
 
@@ -490,19 +491,20 @@ def bounded_test(L: DiffOp, theta: Poly) -> BoundedTestReport:
 
     Raises NotMonic when the leading coefficient of L is not 1 (the
     expected q_r = m! N^m holds only for a monic L), NotCommuting when
-    ad_L^(m+1)(theta) != 0, NotRankOrderCase when ad^m(theta) is not a
+    theta is constant (its chain ends at once with m = 0, which says
+    nothing about L), NotRankOrderCase when ad^m(theta) is not a
     polynomial in L (the rank is then smaller than the order and the
     input belongs to the constant-coefficient Darboux branch).
     """
     if not L.is_monic():
         raise NotMonic("bounded test needs a monic operator")
-    f, _ = split_constant_part(L)
-    theta = theta.monic()
+    if theta.degree < 1:
+        raise NotCommuting(f"theta = {theta} is constant: it has no ad exponent m >= 1")
+    lead = theta.leading()
+    if lead != 1:
+        theta, Q = theta.monic(), Q.scale(1 / lead)
     N = L.order
     m = theta.degree
-    Q = ad_pow(L, DiffOp.from_function(theta, L.var), max(m, 0))
-    if theta.is_zero() or not commutator(L, Q).is_zero():
-        raise NotCommuting(f"theta = {theta} has no ad exponent")
     q = _expand_in_L(Q, L)
     if q is None:
         raise NotRankOrderCase("ad power is not a polynomial in L")

@@ -79,7 +79,8 @@ class Budgets(Record):
     so a theta is admissible only when deg theta <= ad_budget, and its
     chain stops after deg theta + 1 brackets.  The theta search therefore
     tries the monomials x^1 .. x^min(ad_budget, theta_lmax), and a caller's
-    theta only within the ad budget.  ``trunc`` is the series truncation
+    theta only when 1 <= deg theta <= ad_budget: a constant's chain ends
+    at once and says nothing.  ``trunc`` is the series truncation
     of the wave operator, which the probe solves once and Lambda reuses.
     Class constants:
     ``theta_lmax`` caps the searched theta degree, which has no
@@ -190,7 +191,11 @@ def classify(
     budgets: Budgets = Budgets(),
 ) -> ClassificationReport:
     """Classify against the prime-order families; errors from sub-modules
-    are embedded in the report rather than raised.
+    are embedded in the report rather than raised.  Each stage catches
+    only what it can meet on the monic, normalized operator its earlier
+    stages hand it.  On the bounded branch the ad chain of each theta is
+    built once, and the first admitted theta's chain end goes on to
+    ``bounded_test``.
 
     ``L`` may be operator text, which is parsed (OperatorSyntaxError is
     raised for malformed text) and is then the default ``input_text``."""
@@ -290,13 +295,11 @@ def _bessel_stage(L: DiffOp, report: ClassificationReport) -> bool:
 
 def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budgets):
     N = L.order
-    try:
-        w = choose_weights(L)
-        f = associated_polynomial(L, w)
-        nf = normal_form_test(f, w)
-    except err.BispecError as e:
-        report.errors.append(f"{type(e).__name__}: {e}")
-        return
+    # L is monic and increasing here, so none of these raises: f, the
+    # maximal-weight part, holds y^N and is homogeneous for coprime weights
+    w = choose_weights(L)
+    f = associated_polynomial(L, w)
+    nf = normal_form_test(f, w)
     report.certificates["weights"] = {"rho": w.rho, "sigma": w.sigma,
                                       "support": list(w.support)}
     report.certificates["associated_polynomial"] = str(f)
@@ -313,19 +316,10 @@ def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budge
             "no operator with this leading form acts nilpotently"
         )
         return
-    if nf.yrx is not None and nf.n == 0 and nf.yrx[0] == N:
-        if nf.yrx[1] != 1:
-            report.verdict = VERDICT_INCONCLUSIVE
-            report.certificates["note"] = (
-                "leading form (y^r - lam x)^k with k > 1: outside the "
-                "prime-order case split"
-            )
-            return
-        try:
-            A, V = principal_part(L)
-        except err.BispecError as e:
-            report.errors.append(f"{type(e).__name__}: {e}")
-            return
+    # f has y-degree n + r k = N, so r = N forces n = 0 and k = 1: f is
+    # (y^N - lam x)^1, the one input principal_part accepts
+    if nf.yrx is not None and nf.yrx[0] == N:
+        A, V = principal_part(L)
         shape = airy_shape(A)
         report.certificates["principal_part"] = A
         report.certificates["perturbation"] = V
@@ -365,11 +359,9 @@ def _classify_bounded(
     P: Optional[DiffOp],
 ):
     N = L.order
-    try:
-        f, V = split_constant_part(L)
-    except err.BispecError as e:
-        report.errors.append(f"{type(e).__name__}: {e}")
-        return
+    # this branch is taken only when no coefficient grows, the one thing
+    # the split refuses
+    f, V = split_constant_part(L)
     report.certificates["constant_part"] = poly_text(f, "z")
 
     if V.is_zero():
@@ -406,15 +398,16 @@ def _classify_bounded(
 
     lmax = min(budgets.ad_budget, budgets.theta_lmax)
     if theta is not None:
-        candidates = [theta] if theta.degree <= budgets.ad_budget else []
+        candidates = [theta] if 1 <= theta.degree <= budgets.ad_budget else []
     else:
         candidates = [Poly.monomial(l) for l in range(1, lmax + 1)]
-    # the exponent is deg theta or none (see ad_condition_min_m)
-    thetas = [t for t in candidates
-              if ad_condition_min_m(L, t, t.degree) is not None]
-    report.certificates["admissible_thetas"] = [str(t) for t in thetas]
+    # the exponent is deg theta or none (see ad_condition_min_m); each
+    # chain's end ad^m(theta) is kept for bounded_test
+    admitted = [(t, end[1]) for t in candidates
+                if (end := ad_condition_min_m(L, t, t.degree)) is not None]
+    report.certificates["admissible_thetas"] = [str(t) for t, _ in admitted]
 
-    if not thetas:
+    if not admitted:
         report.verdict = VERDICT_INCONCLUSIVE
         if probe is None:
             report.certificates["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
@@ -423,17 +416,15 @@ def _classify_bounded(
             report.certificates["note"] = "wave coefficients not recognized rational"
         return
 
-    use = thetas[0]
+    use, Q = admitted[0]
+    # L is monic and use admitted with 1 <= deg use, so NotRankOrderCase
+    # is the one error bounded_test can raise here
     try:
-        chain = bounded_test(L, use)
+        chain = bounded_test(L, f, use, Q)
     except err.NotRankOrderCase:
         report.certificates["ad_theta"] = str(use)
         report.certificates["rank_order_case"] = False
         _polynomial_branch(L, report)
-        return
-    except err.BispecError as e:
-        report.errors.append(f"{type(e).__name__}: {e}")
-        report.verdict = VERDICT_INCONCLUSIVE
         return
     report.certificates["bounded_chain"] = {
         "theta": str(chain.theta),
@@ -473,6 +464,8 @@ def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
     if theta is None:
         return (f"no admissible theta among monomials up to degree "
                 f"{lmax} within ad budget {ad_budget}")
+    if theta.degree < 1:
+        return f"theta = {theta} not tried: theta must be non-constant"
     if theta.degree > ad_budget:
         return (f"theta = {theta} not tried: its degree {theta.degree} is "
                 f"above the ad budget {ad_budget}")

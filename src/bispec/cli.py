@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from . import errors as err
 from .poly import Poly, poly_text
-from .diffop import DiffOp, ad_condition_min_m, ad_pow, commutator, dop_mul, right_divide
+from .diffop import DiffOp, ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator, print_operator
 from .families import darboux
 from .weights import associated_polynomial, choose_weights, normal_form_test
@@ -140,15 +140,17 @@ def _dispatch(args) -> int:
     elif cmd == "ad-test":
         L = _op(args.expr)
         theta = _parse_theta(args.theta) if args.theta else Poly.x()
-        m = ad_condition_min_m(L, theta, args.order_budget)
+        m, Q = ad_condition_min_m(L, theta, args.order_budget) or (None, None)
         payload: dict[str, Any] = {"theta": str(theta), "m": m}
         lines = [f"minimal m: {m}"]
-        if m is not None:
-            Q = ad_pow(L, DiffOp.from_function(theta, L.var), m)
+        if Q is not None:
             payload["ad_power"] = print_operator(Q)
             lines.append(f"ad^m(theta) = {print_operator(Q)}")
             try:
-                chain = bounded_test(L, theta)
+                # bounded_test refuses a non-monic L before the split could
+                # refuse a growing coefficient: keep that order
+                f = split_constant_part(L)[0] if L.is_monic() else Poly.zero()
+                chain = bounded_test(L, f, theta, Q)
                 payload["chain"] = {
                     "q": list(chain.q), "identity_holds": chain.identity_holds,
                     "s": chain.s, "q_r": chain.q_r,

@@ -296,20 +296,13 @@ def commutator(L: DiffOp, M: DiffOp) -> DiffOp:
     return LM - DiffOp._trusted(M.var, leibniz_product(M.coeffs, L.coeffs, first=1))
 
 
-def ad_pow(L: DiffOp, G: DiffOp, m: int) -> DiffOp:
-    """m-fold iterated bracket ad_L^m(G); ad^0 = G."""
-    if m < 0:
-        raise ValueError("ad power must be >= 0")
-    out = G
-    for _ in range(m):
-        out = commutator(L, out)
-    return out
-
-
-def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
-    """Minimal m <= m_max with ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0,
-    or None when no such m exists within the budget.  It takes m + 1
-    brackets.
+def ad_condition_min_m(L: DiffOp, theta: Poly,
+                       m_max: int) -> Optional[tuple[int, DiffOp]]:
+    """(m, ad_L^m(theta)) for the minimal m <= m_max with
+    ad_L^(m+1)(theta) = 0 and ad_L^m(theta) != 0, or None when no such m
+    exists within the budget.  It takes m + 1 brackets, and the chain's
+    end ad_L^m(theta), which commutes with L, is returned so that no
+    caller brackets again.
 
     For a bounded L = f(d) + V (deg f >= 1, every coefficient of V in
     O(1/x), as ``bounded.split_constant_part`` returns it) the only
@@ -327,7 +320,7 @@ def ad_condition_min_m(L: DiffOp, theta: Poly, m_max: int) -> Optional[int]:
     for m in range(m_max + 1):
         nxt = commutator(L, current)
         if nxt.is_zero():
-            return m if not current.is_zero() else None
+            return (m, current) if not current.is_zero() else None
         current = nxt
     return None
 

@@ -34,6 +34,10 @@ These deliberately avoid the library's code paths:
 * the wave recursion that rebuilds the defect L K - K f(d) from the whole
   of K at every step, the reference for the running defect of
   ``bounded.wave_operator``.
+
+One helper is not an oracle: ``bounded_chain`` feeds ``bounded_test``
+the way ``classify`` does, so the tests of the chain state only L and
+theta.
 """
 
 from __future__ import annotations
@@ -48,14 +52,17 @@ from bispec import (
     DiffOp,
     InsufficientPrecision,
     LaurentTail,
+    NotCommuting,
     NotInDomain,
     ObstructionStep,
     ObstructionTrace,
     Poly,
     RatFunc,
     ReconstructionFailed,
+    ad_condition_min_m,
     airy_kernel_series,
     airy_shape,
+    bounded_test,
     commutator,
     dop_mul,
     euler_operator,
@@ -64,6 +71,7 @@ from bispec import (
     principal_part,
     rat_antiderivative,
     rational_reconstruct,
+    split_constant_part,
     wave_defect,
 )
 from bispec.airy import AiryBispectralReport, TOp
@@ -523,3 +531,14 @@ def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:
             a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
             K = PDO(L.var, {**K.terms, j: a_j}, None)
     return K.restrict(J)
+
+
+def bounded_chain(L: DiffOp, theta: Poly):
+    """``bounded_test`` on f from the split of L and the end of theta's ad
+    chain, which may take at most deg theta + 1 brackets; NotCommuting
+    when it does not end there."""
+    f, _ = split_constant_part(L)
+    end = ad_condition_min_m(L, theta, max(theta.degree, 0))
+    if end is None:
+        raise NotCommuting(f"theta = {theta} has no ad exponent")
+    return bounded_test(L, f, theta, end[1])

@@ -25,6 +25,7 @@ from bispec import (
     RatFunc,
     TruncationTooShort,
     UnboundedCoefficient,
+    ad_condition_min_m,
     bounded_test,
     build_lambda,
     centralizer_search,
@@ -45,6 +46,7 @@ from bispec import (
 )
 from bispec.bounded import pade_lift
 from oracles import (
+    bounded_chain,
     involution_b_as_pdo,
     lift_by_degree_search,
     random_diffop,
@@ -279,7 +281,7 @@ class TestDeeperPotential:
         assert lam == DiffOp("z", {2: RatFunc.one(), 0: RatFunc.x_power(-2, -6)})
 
     def test_chain(self):
-        rep = bounded_test(self.L6, THETA2)
+        rep = bounded_chain(self.L6, THETA2)
         assert rep.passes and rep.q == (0, 8)
 
 
@@ -359,8 +361,8 @@ class TestThetaScale:
 
     @pytest.mark.parametrize("c", SCALES)
     def test_chain(self, c):
-        rep = bounded_test(L_KDV, THETA2.scale(c))
-        assert rep == bounded_test(L_KDV, THETA2) and rep.passes
+        rep = bounded_chain(L_KDV, THETA2.scale(c))
+        assert rep == bounded_chain(L_KDV, THETA2) and rep.passes
 
     @pytest.mark.parametrize("c", SCALES)
     def test_lambda(self, c):
@@ -392,7 +394,7 @@ class TestQPolynomialInL:
 
 class TestBoundedChain:
     def test_free_chain(self):
-        rep = bounded_test(d * d, THETA2)
+        rep = bounded_chain(d * d, THETA2)
         assert rep.m == 2
         assert list(rep.q) == [0, 8]
         assert rep.identity_holds
@@ -401,13 +403,13 @@ class TestBoundedChain:
         assert rep.passes
 
     def test_kdv_chain(self):
-        rep = bounded_test(L_KDV, THETA2)
+        rep = bounded_chain(L_KDV, THETA2)
         assert rep.passes
         assert rep.q == (0, 8)
         assert rep.cj_all_zero
 
     def test_nonzero_constant_flagged(self):
-        rep = bounded_test(d * d + DiffOp.one(), THETA2)
+        rep = bounded_chain(d * d + DiffOp.one(), THETA2)
         assert rep.identity_holds and rep.divisibility_ok and rep.q_r_ok
         assert rep.nonzero_cj == ((0, Fraction(1)),)
         assert not rep.passes
@@ -419,7 +421,8 @@ class TestBoundedChain:
     ])
     def test_chain_is_built_once(self, monkeypatch, L, theta, m):
         # the chain that finds m ends at ad^m(theta), which commutes with
-        # L: m + 1 brackets in all
+        # L: m + 1 brackets in all, and bounded_test takes that end and
+        # brackets nothing
         import bispec.diffop
 
         calls = []
@@ -430,23 +433,34 @@ class TestBoundedChain:
 
         for module in (bispec.diffop, bispec.bounded):
             monkeypatch.setattr(module, "commutator", counting)
-        assert bounded_test(L, theta).m == m
+        f, _ = split_constant_part(L)
+        found, Q = ad_condition_min_m(L, theta, theta.degree)
+        assert found == m and len(calls) == m + 1
+        assert bounded_test(L, f, theta, Q).m == m
         assert len(calls) == m + 1
 
     def test_rank_order_case_error(self):
         with pytest.raises(NotRankOrderCase):
-            bounded_test(d * d, Poly([0, 1]))
+            bounded_chain(d * d, Poly([0, 1]))
 
     def test_no_ad_exponent(self):
         # the exponent could only be deg theta = 2, and ad^3(x^2) != 0
         with pytest.raises(NotCommuting):
-            bounded_test(d * d + xpow(-1), THETA2)
+            bounded_chain(d * d + xpow(-1), THETA2)
+
+    @pytest.mark.parametrize("theta", [Poly([3]), Poly.zero()])
+    def test_constant_theta_refused(self, theta):
+        # ad^1(c) = 0, so a constant's chain ends at once with m = 0: it
+        # used to pass the chain and decide a family
+        f, _ = split_constant_part(L_KDV)
+        with pytest.raises(NotCommuting, match="is constant"):
+            bounded_test(L_KDV, f, theta, DiffOp.from_function(theta))
 
     def test_constant_coefficient_leading(self):
         # q_r = m! N^m where the chain completes (theta of degree N)
         for N in (2, 3):
             L = make_constcoeff(N)
-            rep = bounded_test(L, Poly.monomial(N))
+            rep = bounded_chain(L, Poly.monomial(N))
             assert rep.m == N
             assert rep.q_r == factorial(N) * N ** N
             assert rep.q_r_ok and rep.identity_holds
@@ -458,13 +472,16 @@ class TestBoundedChain:
     def test_non_monic_rejected(self, L):
         # q_r = m! N^m holds only for a monic L: 2*d^2 used to report
         # q = [0, 16] and a false leading-coefficient failure against 8
+        # (the check comes first, so the chain end passed is immaterial:
+        # that of (1 + x^-1) d^2 would never end)
+        f, _ = split_constant_part(L)
         with pytest.raises(NotMonic):
-            bounded_test(L, THETA2)
+            bounded_test(L, f, THETA2, L)
 
     def test_generic_constant_coefficient_routed(self):
         # a lower-order term of the wrong parity forces rank < order
         with pytest.raises(NotRankOrderCase):
-            bounded_test(make_constcoeff(3, {1: 2}), Poly([0, 0, 0, 1]))
+            bounded_chain(make_constcoeff(3, {1: 2}), Poly([0, 0, 0, 1]))
 
     CHAIN_BASES = [d * d, L_KDV, d * d - xpow(-2, 6), d * d - xpow(-2, Fraction(15, 4)),
                    make_constcoeff(3), d ** 3 - dop_mul(xpow(-2, 6), d) + xpow(-3, 12),
@@ -485,7 +502,7 @@ class TestBoundedChain:
         L = base + DiffOp("x", {j: RatFunc.const(c) for j, c in enumerate(consts[:N])})
         theta = Poly.monomial(m) + Poly(lower)
         try:
-            rep = bounded_test(L, theta)
+            rep = bounded_chain(L, theta)
         except (NotCommuting, NotRankOrderCase):
             return
         assert rep.identity_holds and rep.divisibility_ok and rep.q_r_ok

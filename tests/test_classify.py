@@ -97,6 +97,24 @@ class TestVerdicts:
         assert rem.is_zero() and M.order == 5
         assert commutator(L, M).is_zero()
 
+    AM2 = "d^2 - (6*x^4 - 12*x)*(x^3+1)^-2"
+
+    @pytest.mark.parametrize("text, theta, note", [
+        # the arctan anchor's probe fails, and its note says so
+        ("d^2 - 2*(x^2+1)^-1", Poly([2]), "wave coefficients not recognized rational"),
+        (AM2, Poly([3]), "theta = 3 not tried: theta must be non-constant"),
+        (AM2, Poly.zero(), "theta = 0 not tried: theta must be non-constant"),
+    ], ids=["arctan-2", "AM2-3", "AM2-0"])
+    def test_constant_theta_decides_nothing(self, text, theta, note):
+        # ad^1(c) = 0, so a constant's chain ends at once with m = 0: the
+        # first two used to give MonomialDarbouxCandidate(4), AM2 with
+        # lambda: 1 and ad_m: 0, and theta = 0 a note about 0 brackets
+        r = classify(text, theta=theta)
+        assert r.verdict == "Inconclusive"
+        assert r.certificates["admissible_thetas"] == []
+        assert r.certificates["note"] == note
+        assert not {"bounded_chain", "lambda", "ad_m"} & r.certificates.keys()
+
     def test_lambda_names_the_truncation_cap(self):
         # Lambda of AM2 has order m = 6, so its lift may need degree
         # 2m = 12; at the default trunc 8 the tail at d_z^1 holds too few
@@ -332,6 +350,23 @@ class TestCli:
         assert json.loads(out.stdout) == {
             "theta": "x^2", "m": 2, "ad_power": "32*d^2",
             "chain_error": "NotMonic: bounded test needs a monic operator"}
+
+    def test_ad_test_refuses_non_monic_before_the_split(self):
+        # 2*d^2 - x also grows, but NotMonic is reported first
+        out = run_cli("--json", "ad-test", "2*d^2 - x", "--theta", "x")
+        assert out.returncode == 0
+        assert json.loads(out.stdout) == {
+            "theta": "x", "m": 2, "ad_power": "4",
+            "chain_error": "NotMonic: bounded test needs a monic operator"}
+
+    def test_ad_test_of_a_constant_theta_does_not_pass(self):
+        # used to print chain: passes=True
+        out = run_cli("ad-test", "d^2 - 2*x^-2", "--theta", "3")
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == [
+            "minimal m: 0", "ad^m(theta) = 3",
+            "chain: NotCommuting: theta = 3 is constant: it has no ad "
+            "exponent m >= 1"]
 
     def test_airy_wave_of_non_monic_operator_is_an_error(self):
         # used to name NotIncreasing, the bounded-branch error

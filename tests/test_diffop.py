@@ -20,7 +20,6 @@ from bispec import (
     RatFunc,
     VariableMismatch,
     ad_condition_min_m,
-    ad_pow,
     apply_to_series,
     commutator,
     dop_mul,
@@ -166,25 +165,6 @@ class TestCommutator:
             assert total.is_zero()
 
 
-class TestAdPow:
-    def test_examples(self):
-        assert ad_pow(d * d, x, 1) == d.scale(2)
-        assert ad_pow(d * d, x, 2).is_zero()
-        assert ad_pow(d * d - x, x, 2) == DiffOp.const(2)
-
-    def test_recursion_property(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            L = random_diffop(rng, max_order=3, max_degree=2)
-            G = random_diffop(rng, max_order=2, max_degree=2)
-            for m in range(3):
-                assert ad_pow(L, G, m + 1) == commutator(L, ad_pow(L, G, m))
-
-    def test_ad_zero_is_identity(self):
-        G = x * d
-        assert ad_pow(d, G, 0) == G
-
-
 class TestAdCondition:
     @pytest.mark.parametrize("L,theta,expect", [
         (d * d, Poly([0, 1]), 1),
@@ -192,7 +172,16 @@ class TestAdCondition:
         (d * d - DiffOp.from_function(RatFunc.x_power(-2, 2)), Poly([0, 0, 1]), 2),
     ])
     def test_examples(self, L, theta, expect):
-        assert ad_condition_min_m(L, theta, 6) == expect
+        assert ad_condition_min_m(L, theta, 6)[0] == expect
+
+    @pytest.mark.parametrize("L,end", [
+        (d * d, (1, d.scale(2))),
+        (d * d - x, (2, DiffOp.const(2))),
+    ])
+    def test_chain_returns_its_end(self, L, end):
+        # ad_L^m(x), whose bracket with L is zero
+        assert ad_condition_min_m(L, Poly([0, 1]), 6) == end
+        assert commutator(L, end[1]).is_zero()
 
     def test_budget_exhausted(self):
         L = d * d + xpow(-1)
@@ -210,7 +199,8 @@ class TestAdCondition:
         # L = d^N + c + V with V bounded: ad^(m+1)(x^l) = 0 holds at m = l
         # or at no m (see the ad_condition_min_m docstring)
         L = DiffOp("x", {N: RatFunc.one(), 0: V + RatFunc.const(c)})
-        assert ad_condition_min_m(L, Poly.monomial(l), l + 3) in (None, l)
+        end = ad_condition_min_m(L, Poly.monomial(l), l + 3)
+        assert end is None or end[0] == l
 
     def test_oracle_chain(self):
         # independent commutator-chain oracle for the same values

@@ -169,6 +169,21 @@ class TestStageOrder:
         assert r.certificates["admissible_thetas"] == []
         assert len(calls) == 14
 
+    def test_admitted_chain_is_not_rebuilt(self, monkeypatch, capsys):
+        # x^2 is admitted by its 3 brackets, and bounded_test takes that
+        # chain's end: 2 + 3 + 4 + 5 = 14 for the search (17 when the
+        # chain was rebuilt), and 3 for ad-test (8 when it was built three
+        # times)
+        calls = counted(monkeypatch, "commutator",
+                        [m for m in EVERY_MODULE if hasattr(m, "commutator")])
+        r = classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
+        assert r.verdict == "MonomialDarbouxCandidate(4)"
+        assert len(calls) == 14
+        del calls[:]
+        assert main(["ad-test", "d^2 - 2*x^-2", "--theta", "x^2"]) == 0
+        assert "chain: passes=True" in capsys.readouterr().out
+        assert len(calls) == 3
+
     def test_search_stays_within_the_ad_budget(self, monkeypatch):
         # only x^1 has an exponent within ad budget 1: one chain
         calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])

@@ -311,7 +311,10 @@ class TestPrincipalPart:
 
     def test_orders_decide_the_airy_form(self):
         # principal_part reads the Airy form from the coefficient orders;
-        # it must agree with the weight pipeline, and split at its lam
+        # it must agree with the weight pipeline, and split at its lam.
+        # On a monic increasing L the pipeline never raises, and r = N
+        # forces n = 0 and k = 1, as f has y-degree n + r k = N: classify
+        # relies on both
         rng = random.Random(2024)
         accepted = 0
         for _ in range(400):
@@ -324,6 +327,8 @@ class TestPrincipalPart:
                     principal_part(L)
                 continue
             nf = normal_form_test(associated_polynomial(L, w), w)
+            if nf.yrx is not None and nf.yrx[0] == N:
+                assert nf.n == 0 and nf.yrx[1] == 1
             if not (nf.is_airy_normal_form and nf.yrx[0] == N):
                 with pytest.raises(NotAiryShape):
                     principal_part(L)
