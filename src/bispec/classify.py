@@ -9,12 +9,16 @@ the origin, then after translating a single finite pole there.  Bounded
 branch: the constant-coefficient shape, then two exact obstructions
 (Fuchs' pole-order criterion and a logarithm in the wave coefficients
 through the truncation, whose one solve also serves Lambda), then the
-ad-condition chain; a passing chain with all constants zero marks a
-monomial-Darboux-of-Bessel candidate, while a failing constants check or
-a non-polynomial ad power routes to the constant-coefficient Darboux
-branch.  Neither route bounds the rank: the Adler-Moser operator
-d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes the chain with theta = (x^3 + 1)^2,
-yet it commutes with an operator of order 5, so its rank is 1.
+ad-condition chain of the first admitted theta; a passing chain with all
+constants zero marks a monomial-Darboux-of-Bessel candidate, while a
+failing constants check or a non-polynomial ad power routes to the
+constant-coefficient Darboux branch.  That verdict needs no centralizer:
+the chain says rank < order, and for a prime order the rank divides the
+order, so it is 1 (``bispec centralizer`` searches the commuting
+operators on request).  A passing chain does not bound the rank either:
+the Adler-Moser operator d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes it with
+theta = (x^3 + 1)^2, yet it commutes with an operator of order 5, so its
+rank is 1.
 
 Every verdict carries machine-checkable certificates (weights, associated
 polynomial, principal part, ad data, Lambda, Darboux pairs, obstruction
@@ -48,7 +52,6 @@ from .airy import airy_shape, perturbation_obstruction
 from .bounded import (
     bounded_test,
     build_lambda,
-    centralizer_search,
     fuchs_violation,
     split_constant_part,
     wave_operator,
@@ -85,8 +88,8 @@ class Budgets(Record):
     Class constants:
     ``theta_lmax`` caps the searched theta degree, which has no
     theoretical bound, and the Airy perturbation walk runs through
-    ``obstruction_steps`` steps; the centralizer search always runs
-    through order 2N - 1."""
+    ``obstruction_steps`` steps.  The search stops at the first admitted
+    theta."""
 
     __slots__ = ("ad_budget", "trunc")
     _defaults = {"ad_budget": 8, "trunc": 8}
@@ -193,9 +196,8 @@ def classify(
     """Classify against the prime-order families; errors from sub-modules
     are embedded in the report rather than raised.  Each stage catches
     only what it can meet on the monic, normalized operator its earlier
-    stages hand it.  On the bounded branch the ad chain of each theta is
-    built once, and the first admitted theta's chain end goes on to
-    ``bounded_test``.
+    stages hand it.  On the bounded branch the theta search stops at the
+    first admitted theta, whose chain end goes on to ``bounded_test``.
 
     ``L`` may be operator text, which is parsed (OperatorSyntaxError is
     raised for malformed text) and is then the default ``input_text``."""
@@ -401,22 +403,26 @@ def _classify_bounded(
         candidates = [theta] if 1 <= theta.degree <= budgets.ad_budget else []
     else:
         candidates = [Poly.monomial(l) for l in range(1, lmax + 1)]
-    # the exponent is deg theta or none (see ad_condition_min_m); each
-    # chain's end ad^m(theta) is kept for bounded_test
-    admitted = [(t, end[1]) for t in candidates
-                if (end := ad_condition_min_m(L, t, t.degree)) is not None]
-    report.certificates["admissible_thetas"] = [str(t) for t, _ in admitted]
-
-    if not admitted:
+    # the exponent is deg theta or none (see ad_condition_min_m); the
+    # verdict reads only the first admitted theta, so no later chain is
+    # built, and that chain's end ad^m(theta) goes on to bounded_test
+    admitted = next(((t, end[1]) for t in candidates
+                     if (end := ad_condition_min_m(L, t, t.degree)) is not None),
+                    None)
+    if admitted is None:
+        report.certificates["admissible_thetas"] = []
         report.verdict = VERDICT_INCONCLUSIVE
-        if probe is None:
+        if probe is not None:
+            report.errors.append(probe)
+        # a caller's theta that was not tried says why, whatever the probe
+        if probe is None or (theta is not None and not candidates):
             report.certificates["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
         else:
-            report.errors.append(probe)
             report.certificates["note"] = "wave coefficients not recognized rational"
         return
 
-    use, Q = admitted[0]
+    use, Q = admitted
+    report.certificates["admissible_thetas"] = [str(use)]
     # L is monic and use admitted with 1 <= deg use, so NotRankOrderCase
     # is the one error bounded_test can raise here
     try:
@@ -424,7 +430,7 @@ def _classify_bounded(
     except err.NotRankOrderCase:
         report.certificates["ad_theta"] = str(use)
         report.certificates["rank_order_case"] = False
-        _polynomial_branch(L, report)
+        report.verdict = VERDICT_POLYNOMIAL
         return
     report.certificates["bounded_chain"] = {
         "theta": str(chain.theta),
@@ -453,7 +459,7 @@ def _classify_bounded(
     if chain.identity_holds and chain.divisibility_ok and chain.q_r_ok:
         # chain consistent except nonzero constants: rank < order forced
         report.certificates["rank_order_case"] = False
-        _polynomial_branch(L, report)
+        report.verdict = VERDICT_POLYNOMIAL
         return
     report.verdict = VERDICT_INCONCLUSIVE
 
@@ -471,20 +477,6 @@ def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
                 f"above the ad budget {ad_budget}")
     return (f"theta = {theta} is not admissible: its ad chain does not end "
             f"after deg theta + 1 = {theta.degree + 1} brackets")
-
-
-def _polynomial_branch(L: DiffOp, report: ClassificationReport):
-    """Rank < order: candidate for a Darboux transformation of a
-    constant-coefficient operator."""
-    try:
-        cen = centralizer_search(L, 2 * L.order - 1)
-        report.certificates["centralizer"] = {
-            "orders": sorted(set(cen.orders)),
-            "rank_estimate": cen.rank,
-        }
-    except err.BispecError as e:
-        report.errors.append(f"{type(e).__name__}: {e}")
-    report.verdict = VERDICT_POLYNOMIAL
 
 
 def _darboux_certificate(L: DiffOp, P: DiffOp, N: int, report: ClassificationReport):

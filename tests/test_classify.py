@@ -12,11 +12,13 @@ import pytest
 
 from bispec import (
     BesselSpec,
+    Budgets,
     DiffOp,
     OperatorSyntaxError,
     Poly,
     RatFunc,
     associated_polynomial,
+    centralizer_search,
     choose_weights,
     classify,
     commutator,
@@ -82,7 +84,11 @@ class TestVerdicts:
         # Darboux transform of d^2 + 1: chain passes except nonzero constant
         r = classify_text("d^2 + 1 - 2*x^-2")
         assert r.verdict == "PolynomialDarbouxCandidate(5)"
-        assert r.certificates["centralizer"]["rank_estimate"] == 1
+        assert r.certificates["rank_order_case"] is False
+        # rank < order 2 leaves rank 1, which the centralizer confirms
+        cen = centralizer_search(parse_operator("d^2 + 1 - 2*x^-2"), 3)
+        assert sorted(set(cen.orders)) == [0, 2, 3]
+        assert cen.rank == 1
 
     def test_passing_chain_does_not_fix_the_rank(self):
         # the Adler-Moser operator L P = P d^2 passes the chain with all
@@ -99,13 +105,18 @@ class TestVerdicts:
 
     AM2 = "d^2 - (6*x^4 - 12*x)*(x^3+1)^-2"
 
-    @pytest.mark.parametrize("text, theta, note", [
-        # the arctan anchor's probe fails, and its note says so
-        ("d^2 - 2*(x^2+1)^-1", Poly([2]), "wave coefficients not recognized rational"),
-        (AM2, Poly([3]), "theta = 3 not tried: theta must be non-constant"),
-        (AM2, Poly.zero(), "theta = 0 not tried: theta must be non-constant"),
+    ARCTAN = "d^2 - 2*(x^2+1)^-1"
+    NOT_RATIONAL = "ReconstructionFailed: no rational antiderivative within degree bounds"
+
+    @pytest.mark.parametrize("text, theta, note, errors", [
+        # the arctan anchor's probe fails too: the note still says why
+        # theta was not tried, and the probe's error is kept
+        (ARCTAN, Poly([2]), "theta = 2 not tried: theta must be non-constant",
+         [NOT_RATIONAL]),
+        (AM2, Poly([3]), "theta = 3 not tried: theta must be non-constant", []),
+        (AM2, Poly.zero(), "theta = 0 not tried: theta must be non-constant", []),
     ], ids=["arctan-2", "AM2-3", "AM2-0"])
-    def test_constant_theta_decides_nothing(self, text, theta, note):
+    def test_constant_theta_decides_nothing(self, text, theta, note, errors):
         # ad^1(c) = 0, so a constant's chain ends at once with m = 0: the
         # first two used to give MonomialDarbouxCandidate(4), AM2 with
         # lambda: 1 and ad_m: 0, and theta = 0 a note about 0 brackets
@@ -113,7 +124,16 @@ class TestVerdicts:
         assert r.verdict == "Inconclusive"
         assert r.certificates["admissible_thetas"] == []
         assert r.certificates["note"] == note
+        assert r.errors == errors
         assert not {"bounded_chain", "lambda", "ad_m"} & r.certificates.keys()
+
+    def test_theta_above_the_budget_is_named_when_the_probe_fails(self):
+        # the probe's note used to hide why x^2 was not tried
+        r = classify(self.ARCTAN, theta=Poly.monomial(2), budgets=Budgets(ad_budget=1))
+        assert r.verdict == "Inconclusive"
+        assert r.certificates["note"] == ("theta = x^2 not tried: its degree 2 is "
+                                          "above the ad budget 1")
+        assert r.errors == [self.NOT_RATIONAL]
 
     def test_lambda_names_the_truncation_cap(self):
         # Lambda of AM2 has order m = 6, so its lift may need degree

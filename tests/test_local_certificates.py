@@ -67,6 +67,11 @@ def bessel(nu, a):
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
+# P (d^5 - 5 d) P^-1 with P = d^2 - 2*x^-1*d - 1 + 2*x^-2, a Darboux
+# transform of a constant-coefficient operator of order 5
+ORDER_5 = ("d^5 - 10*x^-2*d^3 + 40*x^-3*d^2 - 5*d - 10*x^-2*d - 80*x^-4*d"
+           " + 20*x^-3 + 80*x^-5")
+
 
 def counted(monkeypatch, name, modules=MODULES):
     """Record the arguments of every call of ``name`` made through the
@@ -170,19 +175,38 @@ class TestStageOrder:
         assert len(calls) == 14
 
     def test_admitted_chain_is_not_rebuilt(self, monkeypatch, capsys):
-        # x^2 is admitted by its 3 brackets, and bounded_test takes that
-        # chain's end: 2 + 3 + 4 + 5 = 14 for the search (17 when the
-        # chain was rebuilt), and 3 for ad-test (8 when it was built three
-        # times)
+        # x fails after 2 brackets and x^2 is admitted by its 3; the search
+        # stops there and bounded_test takes that chain's end: 2 + 3 = 5
+        # (14 while the chains of x^3 and x^4 were built too, 17 when the
+        # admitted chain was rebuilt), and 3 for ad-test (8 when it was
+        # built three times)
         calls = counted(monkeypatch, "commutator",
                         [m for m in EVERY_MODULE if hasattr(m, "commutator")])
         r = classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
         assert r.verdict == "MonomialDarbouxCandidate(4)"
-        assert len(calls) == 14
+        assert r.certificates["admissible_thetas"] == ["x^2"]
+        assert len(calls) == 5
         del calls[:]
         assert main(["ad-test", "d^2 - 2*x^-2", "--theta", "x^2"]) == 0
         assert "chain: passes=True" in capsys.readouterr().out
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("text", [
+        "d^2 + 1 - 2*x^-2",
+        # TP, a Darboux transform of d^3 - 3*d
+        "d^3 - 3*d - 6*x^-2*d + 12*x^-3",
+        ORDER_5,
+    ], ids=["order-2", "TP", "order-5"])
+    def test_polynomial_verdict_runs_no_centralizer_search(self, text, monkeypatch):
+        # for a prime order the rank divides the order, so rank < order
+        # is rank 1 and the verdict needs no commuting operator
+        calls = counted(monkeypatch, "centralizer_search",
+                        [m for m in EVERY_MODULE if hasattr(m, "centralizer_search")])
+        r = classify(text)
+        assert r.verdict == "PolynomialDarbouxCandidate(5)"
+        assert r.certificates["rank_order_case"] is False
+        assert "centralizer" not in r.certificates
+        assert calls == []
 
     def test_search_stays_within_the_ad_budget(self, monkeypatch):
         # only x^1 has an exponent within ad budget 1: one chain
@@ -237,6 +261,13 @@ class TestNoHang:
         r = _classify_within_ten_seconds(text)
         assert r.verdict == "Inconclusive"
         assert r.certificates["note"] == note
+
+    def test_polynomial_verdict_within_ten_seconds(self):
+        # about 4 s on a 2-core VM while the verdict waited on a centralizer
+        # search through order 9
+        r = _classify_within_ten_seconds(ORDER_5)
+        assert r.verdict == "PolynomialDarbouxCandidate(5)"
+        assert r.certificates["rank_order_case"] is False
 
     # 42 s and 75-87 s on a 2-core VM while Poly.gcd ran Euclid on
     # Fraction remainders (the theta search's chains reduce large
