@@ -549,6 +549,18 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     poles are the roots of x^3 + 1, it finds only the constants, although
     an operator of order 5 commutes with it.
 
+    Each bracket [L, x^a d^j] (a >= -d) is cleared of denominators by one
+    multiplier F fixed by L, and its coefficients go straight into the
+    rows; no bracket is kept.  Let D = lcm_k den(L_k) and R = D / gcd(D, D')
+    its squarefree part.  The Leibniz terms of the bracket are
+    L_k (x^a)^(t) with t <= k <= N, whose denominators divide D x^(d+N),
+    and x^a L_k^(t) with t <= j <= max_ord; a derivative raises each pole
+    order by one, so den L_k^(t) divides den(L_k) R^t and these divide
+    x^d D R^max_ord.  Hence F = x^d D lcm(x^N, R^max_ord).  For each power
+    of d, the rows are those of the lcm of that power's denominators times
+    one fixed nonzero polynomial, so the solution space, its reduced
+    echelon form and the generators do not depend on F.
+
     Returns a basis of the solution space (echelonized so leading terms are
     distinct), the orders, and the gcd of the nonzero orders as the rank
     estimate (None when the search finds only the constants).
@@ -558,32 +570,26 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     basis_ops: list[tuple[int, int]] = [
         (j, i) for j in range(max_ord + 1) for i in range(num_degree + 1)
     ]
-    brackets = [commutator(L, DiffOp.monomial(RatFunc.x_power(i - d), j, L.var))
-                for (j, i) in basis_ops]
-    # common denominator per derivative power, then polynomial coordinates
-    all_degrees = sorted({k for B in brackets for k in B.coeffs})
+    D = Poly.one()
+    for c in L.coeffs.values():
+        D = poly_lcm(D, c.den)
+    R = D.exact_div(D.gcd(D.derivative()))
+    F = Poly.monomial(d) * D * poly_lcm(Poly.monomial(L.order), R ** max_ord)
     rows_by_key: dict[tuple[int, int], dict[int, Fraction]] = {}
-    ncols = len(basis_ops)
-    for k in all_degrees:
-        den = Poly.one()
-        for B in brackets:
-            c = B.coeffs.get(k)
-            if c is not None:
-                den = poly_lcm(den, c.den)
-        for col, B in enumerate(brackets):
-            c = B.coeffs.get(k)
-            if c is None:
-                continue
-            mult = den.exact_div(c.den)
-            numer = c.num * mult
-            for e, v in enumerate(numer.coeffs):
-                if v != 0:
+    for col, (j, i) in enumerate(basis_ops):
+        B = commutator(L, DiffOp.monomial(RatFunc.x_power(i - d), j, L.var))
+        for k, c in B.coeffs.items():
+            for e, v in enumerate((c.num * F.exact_div(c.den)).coeffs):
+                if v:
                     rows_by_key.setdefault((k, e), {})[col] = v
+    # rref copies each row it takes: popping the rows as it goes keeps the
+    # system from being held twice
+    rows = map(rows_by_key.pop, list(rows_by_key))
     # the columns ascend with (j, i), and each nullspace vector is 1 at its
     # own free column and elsewhere nonzero only at smaller pivot columns:
     # read by descending (j, i), the reversed list is already echelonized
     gens: list[DiffOp] = []
-    for vec in reversed(nullspace(list(rows_by_key.values()), ncols)):
+    for vec in reversed(nullspace(rows, len(basis_ops))):
         coeffs: dict[int, RatFunc] = {}
         for col, v in sorted(vec.items(), reverse=True):
             j, i = basis_ops[col]

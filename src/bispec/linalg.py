@@ -9,13 +9,15 @@ nonzeros, and its cost follows the fill of the system, not rows x columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 Row = dict[int, Fraction]
 
 
-def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
+def rref(rows: Iterable[Row]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices), the
-    rows in ascending pivot order."""
+    rows in ascending pivot order.  The given rows are read once, in order,
+    and left unchanged."""
     reduced: dict[int, Row] = {}  # pivot column -> its row
     for given in rows:
         row = {c: v for c, v in given.items() if v}
@@ -48,7 +50,7 @@ def _subtract(row: Row, factor: Fraction, pivot_row: Row) -> None:
             del row[c]
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
+def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Basis of the solution space of rows * v = 0 over columns 0..ncols-1,
     one vector per free column, in ascending order of that column."""
     mat, pivots = rref(rows)

@@ -548,21 +548,18 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     whose expansion at infinity matches ``t`` on every known coefficient.
 
     Returns None when no such function exists.  Raises InsufficientPrecision
-    when the tail carries fewer than degN + degD + 2 known coefficients.
+    when the tail carries fewer than degN + degD + 2 known coefficients, and
+    ValueError on an exact tail, which is already its own rational function.
     """
+    if t.trunc is None:
+        raise ValueError("rational_reconstruct needs a truncated tail")
     count = t.known_count()
-    if count is not None and count < degN + degD + 2:
+    if count < degN + degD + 2:
         raise InsufficientPrecision(
             f"need {degN + degD + 2} known coefficients, have {count}"
         )
     if t.is_zero():
         return RatFunc.zero()
-    if t.trunc is None:
-        # exact Laurent polynomial: solve by direct comparison
-        f = t.as_ratfunc()
-        if f.num.degree <= degN and f.den.degree <= degD:
-            return f
-        return None
     M = t.trunc
     r = t._known_floor()
     e_max = max(degN, degD - r)

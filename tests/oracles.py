@@ -33,7 +33,10 @@ These deliberately avoid the library's code paths:
   primitive integer pseudo-remainders of ``Poly.gcd``;
 * the wave recursion that rebuilds the defect L K - K f(d) from the whole
   of K at every step, the reference for the running defect of
-  ``bounded.wave_operator``.
+  ``bounded.wave_operator``;
+* the centralizer search that keeps every bracket, clears each power of d
+  by the lcm of that power's denominators and solves densely, the
+  reference for the one multiplier of ``bounded.centralizer_search``.
 
 One helper is not an oracle: ``bounded_chain`` feeds ``bounded_test``
 the way ``classify`` does, so the tests of the chain state only L and
@@ -44,11 +47,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Optional
 
 from bispec import (
     PDO,
+    CentralizerResult,
     DiffOp,
     InsufficientPrecision,
     LaurentTail,
@@ -77,6 +81,7 @@ from bispec import (
 from bispec.airy import AiryBispectralReport, TOp
 from bispec.diffop import transpose_weyl
 from bispec.families import falling_factorial
+from bispec.poly import poly_lcm
 
 # monomial algebra: {(a, b): coeff} represents sum coeff * x^a d^b, a in Z
 
@@ -542,3 +547,38 @@ def bounded_chain(L: DiffOp, theta: Poly):
     if end is None:
         raise NotCommuting(f"theta = {theta} has no ad exponent")
     return bounded_test(L, f, theta, end[1])
+
+
+# centralizer search with one denominator per power of d
+
+
+def centralizer_by_degree_lcm(L: DiffOp, max_ord: int) -> CentralizerResult:
+    """``centralizer_search``'s ansatz and result, with every bracket kept
+    and the coefficients of d^k cleared by the lcm of their denominators."""
+    d = max_ord
+    num_degree = 2 * max(max_ord, L.order) + d
+    basis_ops = [(j, i) for j in range(max_ord + 1) for i in range(num_degree + 1)]
+    brackets = [commutator(L, DiffOp.monomial(RatFunc.x_power(i - d), j, L.var))
+                for (j, i) in basis_ops]
+    rows = []
+    for k in sorted({k for B in brackets for k in B.coeffs}):
+        den = Poly.one()
+        for B in brackets:
+            if k in B.coeffs:
+                den = poly_lcm(den, B.coeffs[k].den)
+        numers = [(den.exact_div(B.coeffs[k].den) * B.coeffs[k].num).coeffs
+                  if k in B.coeffs else () for B in brackets]
+        for e in range(max(len(n) for n in numers)):
+            rows.append([n[e] if e < len(n) else Fraction(0) for n in numers])
+    gens = []
+    for vec in reversed(dense_nullspace(rows, len(basis_ops))):
+        coeffs: dict[int, RatFunc] = {}
+        for col in reversed(range(len(basis_ops))):
+            if vec[col]:
+                j, i = basis_ops[col]
+                coeffs[j] = coeffs.get(j, RatFunc.zero()) + RatFunc.x_power(i - d, vec[col])
+        gens.append(DiffOp(L.var, coeffs))
+    orders = tuple(M.order for M in gens)
+    nonconstant = [n for n in orders if n]
+    return CentralizerResult(generators=tuple(gens), orders=orders,
+                             rank=gcd(*nonconstant) if nonconstant else None)

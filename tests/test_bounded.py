@@ -2,6 +2,7 @@
 reconstruction, the obstruction chain, and centralizer search."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -47,6 +48,7 @@ from bispec import (
 from bispec.bounded import pade_lift
 from oracles import (
     bounded_chain,
+    centralizer_by_degree_lcm,
     involution_b_as_pdo,
     lift_by_degree_search,
     random_diffop,
@@ -509,7 +511,53 @@ class TestBoundedChain:
         assert rep.failures() in ((), ("nonzero-constants",))
 
 
+AM2 = "d^2 - (6*x^4 - 12*x)*(x^3+1)^-2"
+
+
+@st.composite
+def _pole_operators(draw):
+    """d^N plus lower coefficients a (x + s)^-k, N in {2, 3}, a pole at 0
+    (s = 0) or off it, and a search budget of at most 3."""
+    N = draw(st.integers(2, 3))
+    coeffs = {N: RatFunc.one()}
+    for j in range(N):
+        a = draw(st.integers(-3, 3))
+        shift = draw(st.sampled_from([0, 1, -2]))
+        k = draw(st.integers(0, 3))
+        coeffs[j] = RatFunc(Poly([a]), Poly([shift, 1]) ** k)
+    return DiffOp("x", coeffs), draw(st.integers(0, 3))
+
+
 class TestCentralizer:
+    @pytest.mark.parametrize("text", [AM2, "d^2 - 2*(x+1)^-2"])
+    def test_pole_off_the_origin_finds_the_constants(self, text):
+        # the ansatz has poles at 0 only; one multiplier clears denominators
+        # that are not powers of x
+        res = centralizer_search(parse_operator(text), 3)
+        assert res.orders == (0,)
+        assert res.rank is None
+        assert [print_operator(M) for M in res.generators] == ["1"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(_pole_operators())
+    def test_matches_per_degree_denominators(self, case):
+        L, budget = case
+        assert centralizer_search(L, budget) == centralizer_by_degree_lcm(L, budget)
+
+    def test_no_bracket_is_kept(self):
+        # the rows (about 80 KB here) are built as each bracket is taken
+        # and handed to rref one at a time: holding every bracket read
+        # about 300 KB, and holding the rows beside rref's copies 136 KB
+        L = parse_operator("d^3 - 3*x^-2*d + 3*x^-3")
+        centralizer_search(L, 1)
+        tracemalloc.start()
+        try:
+            centralizer_search(L, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 1024
+
     def test_free(self):
         res = centralizer_search(d * d, 3)
         assert 1 in res.orders

@@ -314,6 +314,11 @@ class TestRationalReconstruct:
         with pytest.raises(InsufficientPrecision):
             rational_reconstruct(t, 2, 2)
 
+    def test_exact_tail_refused(self):
+        # an exact tail is its own rational function: nothing to recover
+        with pytest.raises(ValueError, match="truncated"):
+            rational_reconstruct(LaurentTail({0: Fraction(1), 1: Fraction(2)}), 2, 2)
+
     @settings(max_examples=40)
     @given(st.builds(RatFunc,
                      st.lists(fractions_st, min_size=0, max_size=3).map(Poly),
