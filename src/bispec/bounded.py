@@ -18,6 +18,7 @@ right division by L, each remainder a constant.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 from typing import Mapping, Optional, Union
 
@@ -576,10 +577,12 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     R = D.exact_div(D.gcd(D.derivative()))
     F = Poly.monomial(d) * D * poly_lcm(Poly.monomial(L.order), R ** max_ord)
     rows_by_key: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # F / den, divided once per distinct denominator
+    cofactor = cache(F.exact_div)
     for col, (j, i) in enumerate(basis_ops):
         B = commutator(L, DiffOp.monomial(RatFunc.x_power(i - d), j, L.var))
         for k, c in B.coeffs.items():
-            for e, v in enumerate((c.num * F.exact_div(c.den)).coeffs):
+            for e, v in enumerate((c.num * cofactor(c.den)).coeffs):
                 if v:
                     rows_by_key.setdefault((k, e), {})[col] = v
     # rref copies each row it takes: popping the rows as it goes keeps the

@@ -27,7 +27,6 @@ traces) that the other modules can re-verify independently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Optional, Union
 
 from . import errors as err
@@ -143,9 +142,6 @@ class ClassificationReport(Record):
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-            else str(value.numerator)
     if isinstance(value, DiffOp):
         return print_operator(value)
     if isinstance(value, (Poly, RatFunc)):

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from . import errors as err
 from .poly import Poly, poly_text
-from .diffop import DiffOp, ad_condition_min_m, commutator, dop_mul, right_divide
+from .diffop import ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator, print_operator
 from .families import darboux
 from .weights import associated_polynomial, choose_weights, normal_form_test
@@ -50,10 +50,6 @@ def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
-
-
-def _op(text: str) -> DiffOp:
-    return parse_operator(text)
 
 
 @functools.cache
@@ -120,32 +116,30 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
     except err.BispecError as e:
-        payload = {"errors": [f"{type(e).__name__}: {e}"]}
-        _emit(payload, args.json, [f"error: {type(e).__name__}: {e}"])
+        text = f"{type(e).__name__}: {e}"
+        _emit({"errors": [text]}, args.json, [f"error: {text}"])
         return 0
 
 
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "parse":
-        L = _op(args.expr)
-        _emit({"input": args.expr, "operator": print_operator(L)},
-              args.json, [print_operator(L)])
-    elif cmd == "mul":
-        R = dop_mul(_op(args.left), _op(args.right))
-        _emit({"result": print_operator(R)}, args.json, [print_operator(R)])
-    elif cmd == "commutator":
-        R = commutator(_op(args.left), _op(args.right))
-        _emit({"result": print_operator(R)}, args.json, [print_operator(R)])
+        text = print_operator(parse_operator(args.expr))
+        _emit({"input": args.expr, "operator": text}, args.json, [text])
+    elif cmd in ("mul", "commutator"):
+        product = dop_mul if cmd == "mul" else commutator
+        text = print_operator(product(parse_operator(args.left),
+                                      parse_operator(args.right)))
+        _emit({"result": text}, args.json, [text])
     elif cmd == "ad-test":
-        L = _op(args.expr)
+        L = parse_operator(args.expr)
         theta = _parse_theta(args.theta) if args.theta else Poly.x()
         m, Q = ad_condition_min_m(L, theta, args.order_budget) or (None, None)
         payload: dict[str, Any] = {"theta": str(theta), "m": m}
         lines = [f"minimal m: {m}"]
         if Q is not None:
             payload["ad_power"] = print_operator(Q)
-            lines.append(f"ad^m(theta) = {print_operator(Q)}")
+            lines.append(f"ad^m(theta) = {payload['ad_power']}")
             try:
                 # bounded_test refuses a non-monic L before the split could
                 # refuse a growing coefficient: keep that order
@@ -161,25 +155,22 @@ def _dispatch(args) -> int:
                              f"failures={list(chain.failures())}")
             except err.BispecError as e:
                 payload["chain_error"] = f"{type(e).__name__}: {e}"
-                lines.append(f"chain: {type(e).__name__}: {e}")
+                lines.append(f"chain: {payload['chain_error']}")
         _emit(payload, args.json, lines)
     elif cmd == "divide":
-        Q, R = right_divide(_op(args.numerator), _op(args.divisor))
-        _emit({"quotient": print_operator(Q), "remainder": print_operator(R)},
-              args.json,
-              [f"Q = {print_operator(Q)}", f"R = {print_operator(R)}"])
+        Q, R = right_divide(parse_operator(args.numerator),
+                            parse_operator(args.divisor))
+        payload = {"quotient": print_operator(Q), "remainder": print_operator(R)}
+        _emit(payload, args.json,
+              [f"Q = {payload['quotient']}", f"R = {payload['remainder']}"])
     elif cmd == "darboux":
-        res = darboux(_op(args.base), _op(args.factor))
-        _emit({
-            "P": print_operator(res.P), "Q": print_operator(res.Q),
-            "base": print_operator(res.base),
-            "transformed": print_operator(res.transformed),
-        }, args.json, [
-            f"Q = {print_operator(res.Q)}",
-            f"transformed = {print_operator(res.transformed)}",
-        ])
+        res = darboux(parse_operator(args.base), parse_operator(args.factor))
+        payload = {name: print_operator(getattr(res, name))
+                   for name in ("P", "Q", "base", "transformed")}
+        _emit(payload, args.json,
+              [f"Q = {payload['Q']}", f"transformed = {payload['transformed']}"])
     elif cmd == "wave":
-        L = _op(args.expr)
+        L = parse_operator(args.expr)
         f, _ = split_constant_part(L)
         K = wave_operator(L, f, args.trunc)
         coeffs = {j: str(c) for j, c in sorted(K.terms.items()) if j > 0}
@@ -189,7 +180,7 @@ def _dispatch(args) -> int:
               args.json,
               [f"f(z) = {fz}"] + [f"a_{j} = {c}" for j, c in coeffs.items()])
     elif cmd == "airy-wave":
-        L = _op(args.expr)
+        L = parse_operator(args.expr)
         out = airy_wave_solve(L, args.trunc)
         if isinstance(out, AiryPDO):
             mjs = {j: {k: str(t) for k, t in m.coeffs.items()}
@@ -205,7 +196,7 @@ def _dispatch(args) -> int:
                   args.json,
                   [f"obstruction: {out.verdict}", f"steps: {steps}"])
     elif cmd == "weights":
-        L = _op(args.expr)
+        L = parse_operator(args.expr)
         w = choose_weights(L)
         f = associated_polynomial(L, w)
         nf = normal_form_test(f, w)
@@ -216,21 +207,21 @@ def _dispatch(args) -> int:
               [f"(rho, sigma) = ({w.rho}, {w.sigma})", f"f(x, y) = {f}",
                f"normal form case: {nf.case}"])
     elif cmd == "classify":
-        L = _op(args.expr)
+        L = parse_operator(args.expr)
         theta = _parse_theta(args.theta) if args.theta else None
-        P = _op(args.p) if args.p else None
+        P = parse_operator(args.p) if args.p else None
         budgets = Budgets(ad_budget=args.order_budget, trunc=args.trunc)
         report = classify(L, input_text=args.expr, theta=theta, P=P,
                           budgets=budgets)
         _emit_report(report, args.json)
     elif cmd == "centralizer":
-        L = _op(args.expr)
+        L = parse_operator(args.expr)
         res = centralizer_search(L, args.order_budget)
         gens = [print_operator(M) for M in res.generators]
-        _emit({"orders": sorted(set(res.orders)), "rank": res.rank,
-               "generators": gens},
+        orders = sorted(set(res.orders))
+        _emit({"orders": orders, "rank": res.rank, "generators": gens},
               args.json,
-              [f"orders: {sorted(set(res.orders))}",
+              [f"orders: {orders}",
                f"rank estimate: {'undetermined' if res.rank is None else res.rank}"]
               + [f"  {g}" for g in gens])
     return 0

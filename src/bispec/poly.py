@@ -231,12 +231,6 @@ class Poly:
                 rem[shift + i] -= c * b
         return _trimmed(q), _trimmed(rem)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -407,10 +401,15 @@ def _primitive(ints: list[int]) -> list[int]:
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of a mod b, for integer polynomials with
-    deg a >= deg b >= 1, trimmed of trailing zeros.  Each step multiplies
-    the remainder by lead(b), which it skips when that is 1, and cancels
-    the top term with the nonzero coefficients of b."""
+    """A positive integer multiple of a mod b, for integer polynomials with
+    deg a >= deg b >= 1, trimmed of trailing zeros: the one remainder
+    kernel of ``Poly.gcd`` and ``_sturm_sequence``.  The remainder by -b is
+    the remainder by b, so b is taken with a positive leading coefficient;
+    each step multiplies the remainder by that lead, which it skips when
+    it is 1, and cancels the top term with the other nonzero coefficients
+    of b."""
+    if b[-1] < 0:
+        b = [-c for c in b]
     rem = list(a)
     d = len(b) - 1
     lead = b[-1]
@@ -440,6 +439,17 @@ def _sign_at(coeffs: list[int], point: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _sturm_sequence(g: Poly) -> list[list[int]]:
+    """The Sturm sequence of a square-free g of degree >= 1, each member a
+    positive multiple of the one over Q (g, g', then -(s_(i-1) mod s_i)),
+    in primitive integer coefficients.  A positive multiple has the sign of
+    the member at every point, so every sign count is the same."""
+    seq = [_int_coeffs(g), _int_coeffs(g.derivative())]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _primitive(_pseudo_remainder(seq[-2], seq[-1]))])
+    return seq
+
+
 def _squarefree_rational_roots(g: Poly) -> list[Fraction]:
     """The rational roots of a square-free polynomial of degree >= 1.
 
@@ -453,12 +463,9 @@ def _squarefree_rational_roots(g: Poly) -> list[Fraction]:
     rational root is the fraction closest to the midpoint with denominator
     at most a; that one candidate is tested exactly.
     """
-    ints = _int_coeffs(g)
+    seq = _sturm_sequence(g)
+    ints = seq[0]
     a = abs(ints[-1]) // gcd(*ints)
-    seq = [g, g.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
-    seq = [_int_coeffs(s) for s in seq]
 
     def changes(point: Fraction) -> int:
         signs = [s for s in (_sign_at(c, point) for c in seq) if s]

@@ -83,9 +83,13 @@ class RatFunc:
     divisors are x^j, so the gcd is x^min(val(num), k), and removing it is
     a shift of the coefficient tuples.  Any other denominator is reduced
     by ``Poly.gcd``.  A unit denominator is the shared ``Poly.one()``.
+
+    Each value takes its derivative at most once: the first call of
+    ``derivative`` keeps it in the third slot, so the Leibniz chains over
+    one operator's coefficients reuse it.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_derivative")
 
     def __init__(self, num: Poly, den: Poly = _POLY_ONE):
         if den.is_zero():
@@ -266,12 +270,19 @@ class RatFunc:
         return binary_power(self, n, _RAT_ONE)
 
     def derivative(self) -> "RatFunc":
+        try:
+            return self._derivative
+        except AttributeError:
+            pass
         if self.den is _POLY_ONE:
-            return RatFunc._reduced(self.num.derivative(), _POLY_ONE)
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+            out = RatFunc._reduced(self.num.derivative(), _POLY_ONE)
+        else:
+            out = RatFunc(
+                self.num.derivative() * self.den - self.num * self.den.derivative(),
+                self.den * self.den,
+            )
+        _set_derivative(self, out)
+        return out
 
     def translate(self, a: ScalarLike) -> "RatFunc":
         """f(x + a).  The shift is a ring automorphism that keeps degrees
@@ -289,6 +300,7 @@ class RatFunc:
 
 _set_num = RatFunc.num.__set__
 _set_den = RatFunc.den.__set__
+_set_derivative = RatFunc._derivative.__set__
 _RAT_ZERO = RatFunc._reduced(_POLY_ZERO, _POLY_ONE)
 _RAT_ONE = RatFunc._reduced(_POLY_ONE, _POLY_ONE)
 _RAT_X = RatFunc._reduced(_POLY_X, _POLY_ONE)
@@ -418,10 +430,6 @@ class _ScalarSeries(TruncatedSeries):
     def zero(cls, trunc: Optional[int] = None):
         return cls._trusted({}, trunc)
 
-    @classmethod
-    def from_poly(cls, p: Poly):
-        return cls({cls._SIGN * k: c for k, c in enumerate(p.coeffs)}, None)
-
     def coeff(self, i: int) -> Fraction:
         return self.terms.get(i, _ZERO)
 
@@ -502,15 +510,6 @@ class LaurentTail(_ScalarSeries):
             return None
         anchor = min(self.terms) if self.terms else 0
         return self.trunc - anchor + 1
-
-    def as_ratfunc(self) -> RatFunc:
-        """Exact tails only: the Laurent polynomial as a rational function."""
-        if self.trunc is not None:
-            raise ValueError("tail is truncated; not an exact value")
-        out = RatFunc.zero()
-        for s, c in self.terms.items():
-            out = out + RatFunc.x_power(-s, c)
-        return out
 
 
 def _quotient_terms(num: tuple, den: tuple, start: int, count: int) -> dict:

@@ -213,11 +213,6 @@ class NormalFormReport(Record):
     weight: int
     precondition_weight_ok: bool
 
-    @property
-    def is_airy_normal_form(self) -> bool:
-        """f = (y^r - lam x)^1 with no y factor."""
-        return self.yrx is not None and self.n == 0 and self.yrx[1] == 1
-
 
 def _line_data(f: BiHomPoly, w: WeightPair) -> tuple[int, int, Poly]:
     """Write a homogeneous f as x^a0 y^b0 p(w), w = x^sigma y^-rho.

@@ -29,8 +29,9 @@ These deliberately avoid the library's code paths:
   ``rational.rat_antiderivative``;
 * the lift of a coefficient of Lambda by Pade solves at growing degree
   bounds, the reference for the one solve of ``bounded.pade_lift``;
-* Euclid's algorithm on Fraction remainders, the reference for the
-  primitive integer pseudo-remainders of ``Poly.gcd``;
+* Euclid's algorithm and the Sturm sequence on Fraction remainders, the
+  references for the primitive integer pseudo-remainders that
+  ``Poly.gcd`` and ``poly._sturm_sequence`` share;
 * the wave recursion that rebuilds the defect L K - K f(d) from the whole
   of K at every step, the reference for the running defect of
   ``bounded.wave_operator``;
@@ -519,8 +520,23 @@ def gcd_by_fraction_remainders(a: Poly, b: Poly) -> Poly:
     """The monic gcd by Euclid's algorithm over Q: a, b <- b, a mod b
     until b = 0."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, a.divmod(b)[1]
     return a.monic()
+
+
+def sturm_by_fraction_remainders(g: Poly) -> list[Poly]:
+    """The Sturm sequence of a square-free g over Q: g, g', and then
+    -(s_(i-1) mod s_i) until a constant."""
+    seq = [g, g.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-seq[-2].divmod(seq[-1])[1])
+    return seq
+
+
+def sign_changes(values) -> int:
+    """The sign changes of a sequence of numbers, zeros dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:

@@ -558,6 +558,43 @@ class TestCentralizer:
             tracemalloc.stop()
         assert peak < 120 * 1024
 
+    def test_coefficient_derivatives_are_taken_once(self, monkeypatch):
+        # every bracket's Leibniz chains run over L's coefficients and their
+        # derivatives, of order at most the budget 5: each derivative is
+        # taken once, and later calls return the one kept
+        L = parse_operator("d^3 - 3*x^-2*d + 3*x^-3")
+        kept = {}
+        for c in L.coeffs.values():
+            for _ in range(5):
+                kept[id(c)] = c.derivative()
+                c = kept[id(c)]
+        derivative = RatFunc.derivative
+        reused = []
+
+        def recorded(f):
+            out = derivative(f)
+            if id(f) in kept:
+                reused.append(out is kept[id(f)])
+            return out
+
+        monkeypatch.setattr(RatFunc, "derivative", recorded)
+        centralizer_search(L, 5)
+        assert len(reused) > 151 and all(reused)
+
+    def test_one_division_per_denominator(self, monkeypatch):
+        # F is divided by each distinct bracket denominator once: 19
+        # divisions in all, where one per bracket coefficient made 513
+        calls = []
+        divmod_ = Poly.divmod
+
+        def counted(a, b):
+            calls.append(b)
+            return divmod_(a, b)
+
+        monkeypatch.setattr(Poly, "divmod", counted)
+        centralizer_search(parse_operator("d^3 - 3*x^-2*d + 3*x^-3"), 5)
+        assert len(calls) <= 20
+
     def test_free(self):
         res = centralizer_search(d * d, 3)
         assert 1 in res.orders

@@ -25,7 +25,13 @@ from bispec import (
 )
 from bispec.errors import ReconstructionFailed
 
-from oracles import gcd_by_fraction_remainders, rat_antiderivative_by_rounds
+from bispec.poly import _sign_at, _sturm_sequence
+from oracles import (
+    gcd_by_fraction_remainders,
+    rat_antiderivative_by_rounds,
+    sign_changes,
+    sturm_by_fraction_remainders,
+)
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 polys_st = st.lists(fractions_st, min_size=0, max_size=5).map(Poly)
@@ -162,6 +168,67 @@ class TestPoly:
         assert sorted((g.degree, m) for g, m in dec) == [(1, 1), (1, 3)]
 
 
+def linear(r) -> Poly:
+    return Poly([-Fraction(r), 1])
+
+
+class TestRemainderKernel:
+    """``Poly.gcd`` and the Sturm sequences of ``Poly.rational_roots`` share
+    one integer pseudo-remainder, which keeps its multiplier positive."""
+
+    BIG = 2 ** 60 + 33  # a 61-bit root
+
+    @pytest.mark.parametrize("p, want", [
+        # negative leading coefficients
+        (linear(2) * linear(-3).scale(-1), [(-3, 1), (2, 1)]),
+        (Poly([-2, 0, 1]).scale(-7) * linear(Fraction(5, 3)) ** 2,
+         [(Fraction(5, 3), 2)]),
+        # sparse factors: a pseudo-remainder step meets a zero top, so the
+        # multiplier is an odd power of a leading coefficient
+        (Poly([-2, 0, 0, -1]) * linear(-1) ** 3 * linear(4), [(-1, 3), (4, 1)]),
+        (Poly([2, 0, 0, 1]) * linear(0), [(0, 1)]),
+        (Poly([3, 0, 0, 0, -2]) * linear(0) ** 2 * linear(Fraction(-1, 2)),
+         [(Fraction(-1, 2), 1), (0, 2)]),
+        (Poly([3, 0, 0, 0, -2]).scale(2) * linear(1) * linear(-1), [(-1, 1), (1, 1)]),
+        # a 10^20 constant next to small roots
+        (Poly([10 ** 20, -1, -1]) * linear(7) * linear(-7) ** 2, [(-7, 2), (7, 1)]),
+        (Poly([-10 ** 20, 1, -3]) * linear(Fraction(10 ** 20, 3)),
+         [(Fraction(10 ** 20, 3), 1)]),
+        # 60-bit roots, repeated, beside a 60-bit irrational pair
+        (linear(BIG) ** 2 * linear(Fraction(-BIG, 2 ** 59 + 1))
+         * Poly([2 ** 61 + 1, 0, -3]), [(Fraction(-BIG, 2 ** 59 + 1), 1), (BIG, 2)]),
+        (linear(Fraction(BIG, 3)) ** 3 * Poly([BIG, 0, 0, -1]).scale(Fraction(-5, 2)),
+         [(Fraction(BIG, 3), 3)]),
+    ])
+    def test_rational_roots_beside_irrational_factors(self, p, want):
+        assert p.rational_roots() == [(Fraction(r), m) for r, m in want]
+
+    # sparse integer polynomials, so that remainders drop more than one
+    # degree and leading coefficients of either sign occur
+    sparse_st = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, -10 ** 20]),
+                         min_size=3, max_size=8).map(Poly)
+    points_st = st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=7),
+                         min_size=1, max_size=6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_st, points_st)
+    @example(Poly([-2, 0, 0, -1]), [Fraction(0), Fraction(-2), Fraction(3, 2)])
+    @example(Poly([1, 0, 0, 0, -1, 0, 1]).scale(-1), [Fraction(1, 2)])
+    def test_sturm_signs_equal_fraction_remainders(self, p, points):
+        if p.degree < 1:
+            return
+        g = p.exact_div(p.gcd(p.derivative()))  # square-free, p's lead sign
+        if g.degree < 1:
+            return
+        ints = _sturm_sequence(g)
+        want = sturm_by_fraction_remainders(g)
+        assert len(ints) == len(want)
+        for point in points:
+            signs = [_sign_at(c, point) for c in ints]
+            assert signs == [(s(point) > 0) - (s(point) < 0) for s in want]
+            assert sign_changes(signs) == sign_changes([s(point) for s in want])
+
+
 class TestRatFunc:
     def test_canonicalize_common_factor(self):
         f = RatFunc(Poly([-1, 0, 1]), Poly([-1, 1]))
@@ -274,7 +341,7 @@ class TestSeriesText:
         assert str(s) == "-2*x^-1 + 1 + x + O(x^3)"
         assert str(s.derivative()) == "2*x^-2 + 1 + O(x^2)"
         assert str(s * s) == "4*x^-2 - 4*x^-1 - 3 + 2*x + O(x^2)"
-        assert str(PowerSeries.from_poly(Poly([0, 1]))) == "x"
+        assert str(PowerSeries({1: 1})) == "x"
 
     def test_expansions_at_both_ends(self):
         f = RatFunc(Poly([1, 2]), Poly([0, 0, 1, 1]))

@@ -174,7 +174,7 @@ class TestNormalForm:
         nf = normal_form_test(BiHomPoly({(0, 2): 1, (1, 0): -1}), w)
         assert nf.case == "c"
         assert nf.yrx == (2, 1, Fraction(1))
-        assert nf.is_airy_normal_form
+        assert nf.n == 0
         assert not nf.nilpotency_excluded
 
     def test_nilpotency_flag(self):
@@ -289,7 +289,7 @@ class TestPrincipalPart:
             f = associated_polynomial(A, w)
             assert f.terms == {(0, p): 1, (1, 0): -1}
             nf = normal_form_test(f, w)
-            assert nf.is_airy_normal_form and nf.yrx == (p, 1, Fraction(1))
+            assert nf.n == 0 and nf.yrx == (p, 1, Fraction(1))
 
     @staticmethod
     def _random_monic(rng, N):
@@ -329,7 +329,7 @@ class TestPrincipalPart:
             nf = normal_form_test(associated_polynomial(L, w), w)
             if nf.yrx is not None and nf.yrx[0] == N:
                 assert nf.n == 0 and nf.yrx[1] == 1
-            if not (nf.is_airy_normal_form and nf.yrx[0] == N):
+            if not (nf.n == 0 and nf.yrx is not None and nf.yrx[:2] == (N, 1)):
                 with pytest.raises(NotAiryShape):
                     principal_part(L)
                 continue
