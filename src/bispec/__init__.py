@@ -71,13 +71,10 @@ from .families import (
 )
 from .weights import (
     BiHomPoly,
-    NewtonPolygon,
     NormalFormReport,
     WeightPair,
     associated_polynomial,
     choose_weights,
-    exponent_set,
-    homogeneous_part,
     normal_form_test,
     perfect_power,
     principal_part,
@@ -93,7 +90,6 @@ from .bounded import (
     conjugate_theta,
     fuchs_violation,
     involution_b,
-    q_polynomial_in_L,
     split_constant_part,
     wave_defect,
     wave_operator,
@@ -109,11 +105,8 @@ from .airy import (
     airy_shape,
     airy_wave_residual,
     airy_wave_solve,
-    bracket_decompose,
     height,
     perturbation_obstruction,
-    reduce_mod_A,
-    v_decompose,
 )
 from .parser import parse_operator, print_operator
 from .classify import Budgets, ClassificationReport, classify

@@ -1,14 +1,14 @@
 """Calculus of operators expanded in inverse powers of a generalized Airy
-operator: reduction mod A, the bracket decompositions [A,m] = bA + c and
-Vm = UA + W, the Airy-adic wave recursion, the perturbation obstruction,
+operator: the Airy-adic wave recursion, the perturbation obstruction,
 kernel series, and the Airy involution.
 
 Height bookkeeping: monomials x^r d^k are ordered by r first, then k; the
 height of an operator is the x-exponent of its maximal monomial.  The wave
 recursion L K = K A is solved equation by equation in powers of A^-1; within
 one equation the unknowns are determined from the top height down, each by a
-single antiderivative, because the b-part of [A, .] sits exactly one height
-below its argument while the U-part of V(.) enters at least two below.
+single antiderivative, because in [A, m] = b A + c the b-part sits exactly
+one height below m, while in V m = U A + W the U-part enters at least two
+below.  Both decompositions are one division by A (``_reduce_top``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .diffop import (
     dop_mul,
     leibniz_divide,
     leibniz_product,
-    right_divide,
 )
 from .weights import principal_part
 from .record import Record
@@ -226,60 +225,16 @@ class ObstructionTrace(Record):
     def obstructed(self) -> bool:
         return self.verdict == "obstructed"
 
-    def recursion_consistent(self) -> bool:
-        """Check consecutive records against the height recursion
-        alpha' = -lam * alpha * (N(s+1)+k) / (N(s+1)), s' = s+1."""
-        for a, b in zip(self.steps, self.steps[1:]):
-            if b.s != a.s + 1 or b.k != a.k or b.j != a.j + 1:
-                return False
-            denom = self.N * (a.s + 1)
-            if denom == 0:
-                return False
-            expect = -self.lam * a.alpha * Fraction(self.N * (a.s + 1) + a.k, denom)
-            if b.alpha != expect:
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
-# reduction and decompositions
+# reduction mod A and heights
 # ---------------------------------------------------------------------------
-
-def reduce_mod_A(T: DiffOp, A: DiffOp) -> tuple[DiffOp, TOp]:
-    """T = q A + r with d-degree(r) < N, both exact and unique."""
-    airy_shape(A)  # raises NotAiryShape
-    q, r = right_divide(T, A)
-    return q, top_of_diffop(r)
-
 
 def _reduce_top(T: TOp, At: TOp) -> tuple[TOp, TOp]:
     """Division T = q * At + r in the tail-coefficient ring, d-degree(r)
     below order(At)."""
     q, r = leibniz_divide(T.coeffs, At.coeffs)
     return TOp._trusted(q), TOp._trusted(r)
-
-
-def bracket_decompose(A: DiffOp, m: TOp) -> tuple[TOp, TOp]:
-    """[A, m] = b A + c with d-degree(b), d-degree(c) < N, exact; m must
-    have d-degree < N.
-
-    The height relation ht(c) = ht(b) + 1 holds when m arises from the wave
-    recursion (where the d^0 coefficient never dominates); it is checked by
-    the callers that rely on it rather than asserted here."""
-    N = airy_shape(A).N
-    if m.order >= N:
-        raise ValueError("m must have d-degree below the Airy order")
-    At = top_of_diffop(A)
-    return _reduce_top(At * m - m * At, At)
-
-
-def v_decompose(V: DiffOp, m: TOp, A: DiffOp) -> tuple[TOp, TOp]:
-    """V m = U A + W, exact; V and m must have d-degree < N."""
-    N = airy_shape(A).N
-    Vt = top_of_diffop(V)
-    if Vt.order >= N or m.order >= N:
-        raise ValueError("V and m must have d-degree below the Airy order")
-    return _reduce_top(Vt * m, top_of_diffop(A))
 
 
 def height(m: Union[TOp, DiffOp]):

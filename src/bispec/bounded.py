@@ -385,17 +385,9 @@ def pade_lift(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
 # polynomial expansion in L
 # ---------------------------------------------------------------------------
 
-def q_polynomial_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
-    """Constants q_0..q_r with Q = sum q_j L^j, q_r != 0 (just [0] for
-    Q = 0); None when Q is not a polynomial in L.  Requires [L, Q] = 0
-    (NotCommuting otherwise)."""
-    if not commutator(L, Q).is_zero():
-        raise NotCommuting("[L, Q] != 0")
-    return _expand_in_L(Q, L)
-
-
 def _expand_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
-    """``q_polynomial_in_L`` for a Q already known to commute with L:
+    """Constants q_0..q_r with Q = sum q_j L^j, q_r != 0 (just [0] for
+    Q = 0), or None when Q is not a polynomial in L; Q must commute with L.
     Q = q_0 + (q_1 + (q_2 + ...) L) L by repeated right division by L,
     where every remainder must be a constant."""
     if L.order < 1:

@@ -292,6 +292,7 @@ class Poly:
         n = len(self.coeffs) - 1
         if n < 1 or not a:
             return self
+        a = _frac(a)
         cs = list(self.coeffs)
         for i in range(n):
             for j in range(n - 1, i - 1, -1):

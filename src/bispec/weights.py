@@ -1,13 +1,15 @@
-"""Filtration toolkit: exponent sets, Newton-polygon weight selection,
-weighted orders, associated polynomials and normal-form tests.
+"""Filtration toolkit: weight selection on the Newton polygon, weighted
+orders, associated polynomials and normal-form tests.
 
-The weight of a term V(x) d^i is rho * (leading exponent of V at infinity)
-+ sigma * i.  The associated polynomial collects the leading monomials of
-the maximal-weight terms into a sparse element of Q[x, x^-1, y]; because
-all its exponent pairs lie on one line, every structural question reduces
-to a univariate polynomial p(w) in the line parameter w = x^sigma y^-rho
-times a monomial prefactor, and the normal-form shapes become statements
-about the root structure of p.
+The exponent pairs of L are the points (m, j), m the leading exponent at
+infinity of the coefficient of d^j; their convex hull is the Newton
+polygon.  The weight of a term V(x) d^i is rho * (leading exponent of V
+at infinity) + sigma * i.  The associated polynomial collects the leading
+monomials of the maximal-weight terms into a sparse element of
+Q[x, x^-1, y]; because all its exponent pairs lie on one line, every
+structural question reduces to a univariate polynomial p(w) in the line
+parameter w = x^sigma y^-rho times a monomial prefactor, and the
+normal-form shapes become statements about the root structure of p.
 
 The generalized Airy form (y^N - lam x)^1 of a monic L of order N >= 2
 needs none of this: it is the leading form exactly when the d^0
@@ -26,53 +28,9 @@ from typing import Mapping, Optional
 
 from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, NotMonic, ZeroOperand
 from .poly import Poly, decomposition_roots, monomial_text, signed_sum
-from .rational import RatFunc
 from .diffop import DiffOp
 from .bounded import split_constant_part
 from .record import Record
-
-
-# ---------------------------------------------------------------------------
-# exponent set / Newton polygon
-# ---------------------------------------------------------------------------
-
-class NewtonPolygon(Record):
-    """Exponent pairs (m, j): m the leading Laurent exponent at infinity of
-    the coefficient of d^j; plus the convex hull vertices."""
-
-    __slots__ = ("points", "hull")
-    points: frozenset[tuple[int, int]]
-    hull: tuple[tuple[int, int], ...]
-
-
-def _convex_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Monotone-chain hull in integer arithmetic."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def exponent_set(L: DiffOp) -> NewtonPolygon:
-    """E(L): the set of (leading exponent, derivative power) pairs."""
-    if L.is_zero():
-        raise ZeroOperand("exponent set of the zero operator")
-    pts = [(c.infinity_order(), j) for j, c in L.coeffs.items()]
-    return NewtonPolygon(frozenset(pts), tuple(_convex_hull(pts)))
 
 
 class WeightPair(Record):
@@ -88,8 +46,9 @@ class WeightPair(Record):
 
 
 def _growing_points(L: DiffOp) -> list[tuple[int, int]]:
-    """The points (k, j) of E(L) with j < N and k > 0.  Raises NotMonic for
-    an operator that is not monic, NotIncreasing when there is none."""
+    """The exponent pairs (k, j) of L with j < N and k > 0.  Raises
+    NotMonic for an operator that is not monic, NotIncreasing when there
+    is none."""
     if L.is_zero() or not L.is_monic():
         raise NotMonic("weight selection requires a monic operator")
     grow = [(k, j) for j, c in L.coeffs.items()
@@ -166,16 +125,6 @@ def associated_polynomial(L: DiffOp, w: WeightPair) -> BiHomPoly:
         if w.weight(m, j) == v:
             terms[(m, j)] = c.infinity_leading()
     return BiHomPoly(terms)
-
-
-def homogeneous_part(L: DiffOp, w: WeightPair) -> DiffOp:
-    """The normal-ordered operator realization of the associated polynomial
-    (y goes to d, already on the right)."""
-    f = associated_polynomial(L, w)
-    coeffs: dict[int, RatFunc] = {}
-    for (a, b), c in f.terms.items():
-        coeffs[b] = coeffs.get(b, RatFunc.zero()) + RatFunc.x_power(a, c)
-    return DiffOp(L.var, coeffs)
 
 
 # ---------------------------------------------------------------------------

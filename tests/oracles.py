@@ -23,7 +23,9 @@ These deliberately avoid the library's code paths:
 * three Airy references: the bispectral check on a two-variable series
   Psi(x, z) = Phi(x + z), the Airy involution by relabelling the Weyl
   pair (d, A) and transposing, and the perturbation obstruction walk that
-  tests s = -1 at every step and once more after its loop;
+  tests s = -1 at every step and once more after its loop; and the height
+  recursion between consecutive steps of an obstruction trace, checked
+  step by step;
 * the rational antiderivative under the four-round growing degree
   schedule, the reference for the one Pade solve at exact degrees in
   ``rational.rat_antiderivative``;
@@ -475,6 +477,17 @@ def perturbation_obstruction_loop(L: DiffOp, max_steps: int) -> ObstructionTrace
     if s == -1:
         return ObstructionTrace(tuple(steps), "obstructed", N, lam)
     return ObstructionTrace(tuple(steps), "inconclusive", N, lam)
+
+
+def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
+    """Whether consecutive steps of a trace follow the height recursion
+    j' = j + 1, s' = s + 1, k' = k and
+    alpha' = -lam * alpha * (N(s+1)+k) / (N(s+1))."""
+    N, lam = trace.N, trace.lam
+    return all(
+        (b.j, b.s, b.k) == (a.j + 1, a.s + 1, a.k) and a.s != -1
+        and b.alpha == -lam * a.alpha * Fraction(N * (a.s + 1) + a.k, N * (a.s + 1))
+        for a, b in zip(trace.steps, trace.steps[1:]))
 
 
 def rat_antiderivative_by_rounds(g: RatFunc) -> RatFunc:

@@ -1,5 +1,6 @@
-"""Airy-adic calculus: reduction, bracket decompositions, the wave
-recursion, obstruction traces, kernel series, and the involution."""
+"""Airy-adic calculus: reduction mod A, the bracket decompositions of the
+wave recursion, the recursion itself, obstruction traces, kernel series,
+and the involution."""
 
 import random
 from fractions import Fraction
@@ -21,20 +22,20 @@ from bispec import (
     airy_shape,
     airy_wave_residual,
     airy_wave_solve,
-    bracket_decompose,
     dop_mul,
     height,
     make_airy,
     perturbation_obstruction,
-    reduce_mod_A,
-    v_decompose,
+    right_divide,
 )
-from bispec.airy import AiryBispectralReport, TOp, top_of_diffop
-from oracles import random_diffop
+from bispec.airy import (AiryBispectralReport, TOp, _contributions, _reduce_top,
+                         top_of_diffop)
+from oracles import obstruction_recursion_holds, random_diffop
 
 d = DiffOp.d()
 x = DiffOp.x()
 A2 = make_airy(2)
+AT2 = top_of_diffop(A2)
 
 
 def xpow(k, c=1):
@@ -65,20 +66,22 @@ class TestAiryShape:
 
 
 class TestReduceModA:
+    """Reduction mod A is right division by A: T = q A + r, order(r) < N."""
+
     def test_constant_shift(self):
-        q, r = reduce_mod_A(d * d, A2)
+        q, r = right_divide(d * d, A2)
         assert q == DiffOp.one()
-        assert dict(r.coeffs) == {0: tail(1)}
+        assert r == x
 
     def test_cube(self):
-        q, r = reduce_mod_A(d ** 3, A2)
+        q, r = right_divide(d ** 3, A2)
         assert q == d
-        assert dict(r.coeffs) == {1: tail(1), 0: tail(0)}
+        assert r == x * d + DiffOp.one()
 
     def test_already_reduced(self):
-        q, r = reduce_mod_A(x, A2)
+        q, r = right_divide(x, A2)
         assert q.is_zero()
-        assert dict(r.coeffs) == {0: tail(1)}
+        assert r == x
 
     def test_reconstruction_random(self):
         rng = random.Random(91)
@@ -86,76 +89,72 @@ class TestReduceModA:
             A = make_airy(rng.choice([2, 3]), {})
             N = A.order
             T = random_diffop(rng, max_order=2 * N, max_degree=3, min_exponent=-2)
-            q, r = reduce_mod_A(T, A)
-            assert all(t.trunc is None for t in r.coeffs.values())
-            r_op = DiffOp("x", {k: sum((RatFunc.x_power(-s, c) for s, c in t.terms.items()),
-                                       RatFunc.zero())
-                                for k, t in r.coeffs.items()})
-            assert dop_mul(q, A) + r_op == T
-            assert all(k < N for k in r.coeffs)
+            q, r = right_divide(T, A)
+            assert all(t.trunc is None for t in top_of_diffop(r).coeffs.values())
+            assert dop_mul(q, A) + r == T
+            assert r.order < N
 
 
 class TestBracketDecompose:
+    """[A, m] = b A + c, the part of ``_contributions`` with V = 0."""
+
+    @staticmethod
+    def bracket(m):
+        return _contributions(m, AT2, TOp.zero())
+
     def test_pure_function(self):
         m = TOp({0: tail(2) + tail(0, 3)})  # x^2 + 3
-        b, c = bracket_decompose(A2, m)
+        b, c = self.bracket(m)
         assert b.is_zero()
         # [d^2 - x, x^2 + 3] = 4x d + 2
         assert dict(c.coeffs) == {1: tail(1, 4), 0: tail(0, 2)}
 
     def test_alpha_d(self):
         m = TOp({1: tail(0)})  # d
-        b, c = bracket_decompose(A2, m)
+        b, c = self.bracket(m)
         assert b.is_zero()
         assert dict(c.coeffs) == {0: tail(0)}
 
     def test_constant(self):
-        b, c = bracket_decompose(A2, TOp({0: tail(0, 5)}))
+        b, c = self.bracket(TOp({0: tail(0, 5)}))
         assert b.is_zero() and c.is_zero()
-
-    def test_m_of_airy_order_rejected(self):
-        with pytest.raises(ValueError):
-            bracket_decompose(A2, TOp({2: tail(0)}))
-        with pytest.raises(ValueError):
-            v_decompose(xpow(-2), TOp({2: tail(0)}), A2)
 
     def test_consistency_and_height_relation(self):
         rng = random.Random(97)
-        At = top_of_diffop(A2)
         for _ in range(25):
             # recursion-shaped m: the d^0 part never dominates
             h1 = rng.randint(-4, 3)
             m = TOp({1: tail(h1), 0: tail(rng.randint(-4, h1 + 1))})
-            b, c = bracket_decompose(A2, m)
-            bc = b * At + c
-            lhs = At * m - m * At
-            diff = lhs - bc
+            lhs = AT2 * m - m * AT2
+            b, c = _reduce_top(lhs, AT2)
+            diff = lhs - (b * AT2 + c)
             assert all(t.is_zero() for t in diff.coeffs.values())
             if not b.is_zero():
                 assert height(c)[0] == height(b)[0] + 1
 
 
 class TestVDecompose:
+    """V m = U A + W, one division by A in the tail-coefficient ring."""
+
+    @staticmethod
+    def v_parts(V, m):
+        return _reduce_top(top_of_diffop(V) * m, AT2)
+
     def test_below_order(self):
-        U, W = v_decompose(xpow(-2), TOp({0: tail(0)}), A2)
+        U, W = self.v_parts(xpow(-2), TOp({0: tail(0)}))
         assert U.is_zero()
         assert dict(W.coeffs) == {0: tail(-2)}
 
     def test_quotient_appears(self):
         # x^-1 d applied to d with N = 2: x^-1 d^2 = x^-1 A + 1
-        U, W = v_decompose(dop_mul(xpow(-1), d), TOp({1: tail(0)}), A2)
+        U, W = self.v_parts(dop_mul(xpow(-1), d), TOp({1: tail(0)}))
         assert dict(U.coeffs) == {0: tail(-1)}
         assert dict(W.coeffs) == {0: tail(0)}
 
     def test_function_argument(self):
-        U, W = v_decompose(xpow(-2), TOp({1: tail(0)}), A2)
+        U, W = self.v_parts(xpow(-2), TOp({1: tail(0)}))
         assert U.is_zero()
         assert dict(W.coeffs) == {1: tail(-2)}
-
-    def test_non_airy_operator_rejected(self):
-        # the division by A assumes a monic A: 2*d^2 used to loop forever
-        with pytest.raises(NotAiryShape):
-            v_decompose(dop_mul(xpow(-1), d), TOp({1: tail(0)}), (d ** 2).scale(2))
 
     def test_height_bounds(self):
         rng = random.Random(103)
@@ -163,7 +162,7 @@ class TestVDecompose:
             hm = rng.randint(-3, 3)
             m = TOp({rng.randint(0, 1): tail(hm)})
             V = xpow(rng.randint(-5, -2))
-            U, W = v_decompose(V, m, A2)
+            U, W = self.v_parts(V, m)
             if not U.is_zero():
                 assert height(U)[0] <= hm - 2
             if not W.is_zero():
@@ -171,13 +170,12 @@ class TestVDecompose:
 
     def test_reconstruction(self):
         rng = random.Random(107)
-        At = top_of_diffop(A2)
         for _ in range(20):
             m = TOp({k: tail(rng.randint(-4, 3), rng.randint(-3, 3) or 1)
                      for k in range(2) if rng.random() < 0.8} or {0: tail(0)})
             V = dop_mul(xpow(rng.randint(-5, -2)), d ** rng.randint(0, 1))
-            U, W = v_decompose(V, m, A2)
-            lhs = U * At + W
+            U, W = self.v_parts(V, m)
+            lhs = U * AT2 + W
             rhs = top_of_diffop(V) * m
             diff = lhs - rhs
             assert all(t.is_zero() for t in diff.coeffs.values())
@@ -239,7 +237,7 @@ class TestPerturbationObstruction:
         assert trace.obstructed
         assert [s.s for s in trace.steps] == [-2, -1]
         assert all(s.alpha != 0 for s in trace.steps)
-        assert trace.recursion_consistent()
+        assert obstruction_recursion_holds(trace)
 
     def test_order_three_derivative_term(self):
         L = make_airy(3, {1: 1}) + dop_mul(xpow(-1), d)

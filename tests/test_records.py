@@ -19,7 +19,6 @@ from bispec import (
     DarbouxResult,
     DiffOp,
     LaurentTail,
-    NewtonPolygon,
     NormalFormReport,
     NormalizationFailed,
     NotAFactor,
@@ -60,7 +59,6 @@ def _instances():
         Budgets(),
         BesselSpec((0, 1)),
         DarbouxResult(P=DiffOp.one(), Q=L2, base=L2, transformed=L2),
-        NewtonPolygon(frozenset({(0, 2)}), ((0, 2),)),
         WeightPair(1, 2, (3, 4)),
         BiHomPoly({(1, 0): 2}),
         NormalFormReport(case=None),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispec import DiffOp, Poly, RatFunc, commutator, dop_mul
+from bispec import DiffOp, Poly, RatFunc, commutator, dop_mul, parse_operator
 
 from test_leibniz import operators, ratfuncs_st, small_st
 from test_trusted_ring import (
@@ -104,3 +104,18 @@ class TestDiffOp:
         L = DiffOp("x", {2: RatFunc.one(), 0: f})  # d^2 - 6 (x + 1)^-2
         assert L.translate(-1) == DiffOp("x", {2: 1, 0: RatFunc.x_power(-2, -6)})
 
+
+def test_float_shift_is_coerced():
+    """A float shift is read as the Fraction it equals, at every layer, so
+    no float reaches a coefficient."""
+    half = Fraction(1, 2)
+    p = Poly([1, 2, 3])
+    f = RatFunc(Poly([1, 2]), Poly([1, 1]))
+    L = parse_operator("d^2 + x^-1")
+    for value, exact in [(p.translate(0.5), p.translate(half)),
+                         (f.translate(0.5), f.translate(half)),
+                         (L.translate(0.5), L.translate(half))]:
+        assert value == exact and str(value) == str(exact)
+    polys = [p.translate(0.5), f.translate(0.5).num, f.translate(0.5).den]
+    polys += [q for c in L.translate(0.5).coeffs.values() for q in (c.num, c.den)]
+    assert all(type(c) is Fraction for q in polys for c in q.coeffs)

@@ -1,5 +1,5 @@
-"""Filtration toolkit: exponent sets, weights, associated polynomials,
-normal forms, and principal parts."""
+"""Filtration toolkit: weights, associated polynomials, normal forms, and
+principal parts."""
 
 import random
 from fractions import Fraction
@@ -20,8 +20,6 @@ from bispec import (
     associated_polynomial,
     choose_weights,
     dop_mul,
-    exponent_set,
-    homogeneous_part,
     make_airy,
     normal_form_test,
     perfect_power,
@@ -37,23 +35,6 @@ x = DiffOp.x()
 
 def xpow(k, c=1):
     return DiffOp.from_function(RatFunc.x_power(k, c))
-
-
-class TestExponentSet:
-    def test_airy(self):
-        assert exponent_set(d * d - x).points == {(0, 2), (1, 0)}
-
-    def test_pure_power(self):
-        assert exponent_set(d * d).points == {(0, 2)}
-
-    def test_mixed(self):
-        L = dop_mul(DiffOp.from_function(Poly([0, 0, 1])), d) + x
-        assert exponent_set(L).points == {(2, 1), (1, 0)}
-
-    def test_hull_contains_extremes(self):
-        L = d ** 3 - x + dop_mul(xpow(1), d)
-        np_ = exponent_set(L)
-        assert set(np_.hull) <= np_.points
 
 
 class TestChooseWeights:
@@ -88,7 +69,7 @@ class TestChooseWeights:
             w = choose_weights(L)
             N = L.order
             v = N * w.sigma
-            for m, j in exponent_set(L).points:
+            for m, j in {(c.infinity_order(), j) for j, c in L.coeffs.items()}:
                 assert w.rho * m + w.sigma * j <= v
             k, j = w.support
             assert N * w.sigma == k * w.rho + j * w.sigma
@@ -149,23 +130,6 @@ class TestAssociatedPolynomial:
             assert weighted_order(dop_mul(A, B), w) == \
                 weighted_order(A, w) + weighted_order(B, w)
             checked += 1
-
-
-class TestHomogeneousPart:
-    def test_idempotent(self):
-        rng = random.Random(71)
-        for _ in range(20):
-            L = random_diffop(rng, max_order=3, max_degree=3, min_exponent=-2)
-            if L.is_zero():
-                continue
-            w = WeightPair(2, 1, (1, 0))
-            H = homogeneous_part(L, w)
-            assert homogeneous_part(H, w) == H
-
-    def test_matches_polynomial(self):
-        w = WeightPair(2, 1, (1, 0))
-        L = d * d - x + dop_mul(xpow(-1), d)
-        assert homogeneous_part(L, w) == d * d - x
 
 
 class TestNormalForm:
