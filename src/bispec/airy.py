@@ -14,6 +14,7 @@ below.  Both decompositions are one division by A (``_reduce_top``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -398,24 +399,16 @@ def airy_kernel_series(A: DiffOp, init, M: int) -> PowerSeries:
     A Phi = 0 with Phi^(i)(0) = init[i], i < N."""
     shape = airy_shape(A)
     N = shape.N
-    init = list(init)
-    if len(init) != N:
+    D = [Fraction(v) for v in init]
+    if len(D) != N:
         raise ValueError(f"need {N} initial derivatives")
-    c = [Fraction(0)] * (M + 1)
-    from math import factorial
-
-    for i, v in enumerate(init):
-        if i <= M:
-            c[i] = Fraction(v, factorial(i))
-    a = dict(shape.a)
-    for n in range(0, M - N + 1):
-        # coefficient of x^n in d^N Phi = lam*x*Phi - a0*Phi - sum a_j Phi^(j)
-        acc = shape.lam * (c[n - 1] if n >= 1 else Fraction(0))
-        acc -= shape.a0 * c[n]
-        for j, aj in a.items():
-            acc -= aj * c[n + j] * Fraction(factorial(n + j), factorial(n))
-        c[n + N] = acc * Fraction(factorial(n), factorial(n + N))
-    return PowerSeries({e: v for e, v in enumerate(c)}, M)
+    # D_k = Phi^(k)(0): differentiating d^N Phi = lam*x*Phi - a0*Phi -
+    # sum a_j Phi^(j) n times at 0 gives D_(n+N) = lam*n*D_(n-1) - a0*D_n
+    # - sum a_j D_(n+j) (at n = 0 the first term is 0 whatever D[-1] is)
+    for n in range(M - N + 1):
+        D.append(shape.lam * n * D[n - 1] - shape.a0 * D[n]
+                 - sum(aj * D[n + j] for j, aj in shape.a))
+    return PowerSeries({k: D[k] / factorial(k) for k in range(M + 1)}, M)
 
 
 class AiryBispectralReport(Record):

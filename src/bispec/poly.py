@@ -6,7 +6,8 @@ Conventions:
 * ``Poly`` is a dense univariate polynomial, coefficients ascending by
   degree.  The zero polynomial has degree -1 (the distinguished sentinel).
   Its rational roots come from Yun's square-free decomposition and Sturm
-  bisection (``Poly.rational_roots``), with no integer factorization.
+  bisection on the grid Z/a (``Poly.rational_roots``), with no integer
+  factorization.
 
 Polys are immutable after construction, so ``Poly.zero()``, ``Poly.one()``
 and ``Poly.x()`` return shared instances.
@@ -281,6 +282,7 @@ class Poly:
 
     def __call__(self, point: ScalarLike) -> Fraction:
         """Evaluate at a scalar point by Horner."""
+        point = _frac(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -326,8 +328,10 @@ class Poly:
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicities, ascending.  Exact and
         free of integer factorization: each square-free factor of Yun's
-        decomposition has its real roots isolated by Sturm bisection, and
-        one candidate per root is tested exactly."""
+        decomposition, with a the leading coefficient of its primitive
+        integer multiple, has its roots found by Sturm bisection on the
+        grid Z/a, and each grid point left beside a root is tested
+        exactly."""
         return decomposition_roots(self.squarefree_decomposition())
 
     # -- display
@@ -454,21 +458,20 @@ def _sturm_sequence(g: Poly) -> list[list[int]]:
 def _squarefree_rational_roots(g: Poly) -> list[Fraction]:
     """The rational roots of a square-free polynomial of degree >= 1.
 
-    The Sturm sequence counts the roots in (lo, hi] as V(lo) - V(hi),
-    where V counts sign changes, zeros dropped.  Bisection from a bound on
-    every root isolates each real root, and then narrows it by the sign of
-    g alone to a width below 1/(2 a^2), with a the leading coefficient of
-    g's primitive integer multiple.  A rational root s/t in lowest terms
-    has t | a.  Two fractions with denominators at most a are at least
-    1/a^2 apart, and the midpoint is within 1/(4 a^2) of the root, so a
-    rational root is the fraction closest to the midpoint with denominator
-    at most a; that one candidate is tested exactly.
+    Let a be the leading coefficient of g's primitive integer multiple.  A
+    rational root s/t in lowest terms has t | a, so every rational root
+    lies on the grid Z/a; an integer k stands for the point k/a.  The Sturm
+    sequence counts the roots in (lo, hi] as V(lo) - V(hi), where V counts
+    sign changes, zeros dropped.  Bisection at grid points, from a bound on
+    every root, splits each interval that holds a root until it is one grid
+    step wide; it then holds one grid point, hi/a, which is tested exactly.
     """
     seq = _sturm_sequence(g)
     ints = seq[0]
     a = abs(ints[-1]) // gcd(*ints)
 
-    def changes(point: Fraction) -> int:
+    def changes(k: int) -> int:
+        point = Fraction(k, a)
         signs = [s for s in (_sign_at(c, point) for c in seq) if s]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
@@ -477,43 +480,20 @@ def _squarefree_rational_roots(g: Poly) -> list[Fraction]:
     n, top = len(ints) - 1, abs(ints[-1]).bit_length()
     k = max([-(-(abs(c).bit_length() - top + 1) // (n - i))
              for i, c in enumerate(ints[:-1]) if c] + [0])
-    bound = Fraction(2 ** (k + 1))
+    bound = a * 2 ** (k + 1)
     roots = []
     stack = [(-bound, bound, changes(-bound), changes(bound))]
     while stack:
         lo, hi, vlo, vhi = stack.pop()
-        if vlo - vhi > 1:
-            mid = (lo + hi) / 2
+        if vlo == vhi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
             vmid = changes(mid)
             stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
-        elif vlo - vhi == 1:
-            root = _narrow(ints, a, lo, hi)
-            if root is not None:
-                roots.append(root)
+        elif not _sign_at(ints, Fraction(hi, a)):
+            roots.append(Fraction(hi, a))
     return roots
-
-
-def _narrow(ints: list[int], a: int, lo: Fraction,
-            hi: Fraction) -> Optional[Fraction]:
-    """The rational root in (lo, hi], which holds exactly one simple real
-    root of the integer polynomial, or None when that root is irrational;
-    a rational root's denominator divides a."""
-    width = Fraction(1, 2 * a * a)
-    s_hi = _sign_at(ints, hi)
-    if not s_hi:
-        return hi
-    while hi - lo >= width:
-        mid = (lo + hi) / 2
-        s = _sign_at(ints, mid)
-        if not s:
-            return mid
-        if s == s_hi:
-            hi = mid
-        else:
-            lo = mid
-    # the candidate may be a root next to an irrational one in (lo, hi]
-    cand = ((lo + hi) / 2).limit_denominator(a)
-    return cand if lo < cand <= hi and not _sign_at(ints, cand) else None
 
 
 def decomposition_roots(factors: list[tuple[Poly, int]]) -> list[tuple[Fraction, int]]:

@@ -34,6 +34,9 @@ These deliberately avoid the library's code paths:
 * Euclid's algorithm and the Sturm sequence on Fraction remainders, the
   references for the primitive integer pseudo-remainders that
   ``Poly.gcd`` and ``poly._sturm_sequence`` share;
+* the rational root theorem over the divisors of the constant term and
+  the lead, the reference for the Sturm bisection on the grid Z/a of
+  ``Poly.rational_roots``;
 * the wave recursion that rebuilds the defect L K - K f(d) from the whole
   of K at every step, the reference for the running defect of
   ``bounded.wave_operator``;
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt, lcm
 from typing import Optional
 
 from bispec import (
@@ -550,6 +553,41 @@ def sign_changes(values) -> int:
     """The sign changes of a sequence of numbers, zeros dropped."""
     signs = [v > 0 for v in values if v]
     return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _divisors(n: int) -> set[int]:
+    """The positive divisors of n != 0, by trial up to sqrt|n|."""
+    n = abs(n)
+    return {e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
+
+
+def rational_roots_by_candidates(p: Poly) -> list[tuple[Fraction, int]]:
+    """The rational roots of p (degree >= 1) with multiplicities, ascending,
+    by the rational root theorem: after x^k is divided out, a root s/t in
+    lowest terms of the integer multiple c_0 + ... + c_n x^n has s | c_0
+    and t | c_n, and each candidate +-s/t is divided out by synthetic
+    division as often as the remainder is 0.  On plain Fractions, for small
+    c_0 and c_n only (their divisors are found by trial)."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    cs = [int(c * den) for c in p.coeffs]
+    roots = {}
+    while not cs[0]:
+        cs.pop(0)
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+    for r in {Fraction(sign * s, t) for s in _divisors(cs[0])
+              for t in _divisors(cs[-1]) for sign in (1, -1)}:
+        while len(cs) > 1:
+            # b_n = c_n, b_i = c_i + r b_(i+1): the quotient is b_n..b_1,
+            # the remainder b_0
+            acc, bs = 0, []
+            for c in reversed(cs):
+                acc = acc * r + c
+                bs.append(acc)
+            if acc:
+                break
+            cs = bs[-2::-1]
+            roots[r] = roots.get(r, 0) + 1
+    return sorted(roots.items())
 
 
 def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:

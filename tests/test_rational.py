@@ -2,6 +2,7 @@
 
 from datetime import timedelta
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from bispec.poly import _sign_at, _sturm_sequence
 from oracles import (
     gcd_by_fraction_remainders,
     rat_antiderivative_by_rounds,
+    rational_roots_by_candidates,
     sign_changes,
     sturm_by_fraction_remainders,
 )
@@ -126,6 +128,29 @@ class TestPoly:
         # -sqrt(23) is within 1/2 of the root -5
         p = Poly([5, 1]) * Poly([-1, 1]) * Poly([-23, 0, 1]) * Poly([0, 1]) ** 2
         assert p.rational_roots() == [(Fraction(-5), 1), (Fraction(0), 2), (Fraction(1), 1)]
+
+    # roots k/a on the grid of a lead a, with multiplicities, beside
+    # irrational pairs +-sqrt(c); a straddled sqrt(c) also has the grid
+    # points on either side of it, floor(a sqrt c)/a and the next, as roots
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-12, 12).filter(bool),
+           st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 2)), max_size=3),
+           st.lists(st.tuples(st.integers(2, 30).filter(lambda c: isqrt(c) ** 2 != c),
+                              st.booleans()), max_size=2))
+    @example(1, [(-5, 1)], [(23, False)])
+    @example(7, [], [(23, True)])
+    @example(-3, [(4, 1), (5, 2)], [(2, True)])
+    def test_rational_roots_on_the_grid_equal_candidates(self, a, ks, quads):
+        p = Poly.const(a)
+        for k, m in ks:
+            p = p * linear(Fraction(k, abs(a))) ** m
+        for c, straddle in quads:
+            p = p * Poly([-c, 0, 1])
+            if straddle:
+                k = isqrt(a * a * c)
+                p = p * linear(Fraction(k, abs(a))) * linear(Fraction(k + 1, abs(a)))
+        if p.degree >= 1:
+            assert p.rational_roots() == rational_roots_by_candidates(p)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.fractions(min_value=-2 ** 64, max_value=2 ** 64,

@@ -119,3 +119,12 @@ def test_float_shift_is_coerced():
     polys = [p.translate(0.5), f.translate(0.5).num, f.translate(0.5).den]
     polys += [q for c in L.translate(0.5).coeffs.values() for q in (c.num, c.den)]
     assert all(type(c) is Fraction for q in polys for c in q.coeffs)
+
+
+def test_float_point_is_coerced():
+    """``Poly.__call__`` reads a float point as the Fraction it equals, so
+    the value is exact and a Fraction."""
+    p = Poly([1, 2, 3])
+    assert type(p(0.5)) is Fraction and p(0.5) == Fraction(11, 4)
+    tenth = Fraction(0.1)
+    assert Poly([0, 1, 1])(0.1) == tenth + tenth ** 2
