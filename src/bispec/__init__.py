@@ -26,7 +26,6 @@ from .errors import (
     NotMonic,
     NotRankOrderCase,
     OperatorSyntaxError,
-    PoleAtOrigin,
     ReconstructionFailed,
     TruncationTooShort,
     UnboundedCoefficient,
@@ -37,17 +36,14 @@ from .errors import (
 from .poly import Poly, Scalar
 from .rational import (
     LaurentTail,
-    PowerSeries,
     RatFunc,
     laurent_expand,
     rat_antiderivative,
     rational_reconstruct,
-    taylor_expand_at_zero,
 )
 from .diffop import (
     DiffOp,
     ad_condition_min_m,
-    apply_to_series,
     commutator,
     dop_mul,
     euler_operator,

@@ -71,7 +71,6 @@ class PDO(TruncatedSeries):
 
     __slots__ = ("var", "terms", "trunc")
     _VAR = "d"
-    _SIGN = -1
 
     def __init__(self, var: str, terms: Mapping[int, CoeffLike],
                  trunc: Optional[int] = None):

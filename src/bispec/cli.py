@@ -29,7 +29,7 @@ from .bounded import (
     wave_operator,
     wave_residual_zero,
 )
-from .classify import Budgets, ClassificationReport, _jsonable, classify
+from .classify import Budgets, _jsonable, classify
 
 
 def _parse_theta(text: str) -> Poly:
@@ -175,10 +175,11 @@ def _dispatch(args) -> int:
         K = wave_operator(L, f, args.trunc)
         coeffs = {j: str(c) for j, c in sorted(K.terms.items()) if j > 0}
         fz = poly_text(f, "z")
-        _emit({"f": fz, "coefficients": coeffs,
-               "residual_zero": wave_residual_zero(L, f, K)},
+        residual_zero = wave_residual_zero(L, f, K)
+        _emit({"f": fz, "coefficients": coeffs, "residual_zero": residual_zero},
               args.json,
-              [f"f(z) = {fz}"] + [f"a_{j} = {c}" for j, c in coeffs.items()])
+              [f"f(z) = {fz}"] + [f"a_{j} = {c}" for j, c in coeffs.items()]
+              + [f"residual zero: {residual_zero}"])
     elif cmd == "airy-wave":
         L = parse_operator(args.expr)
         out = airy_wave_solve(L, args.trunc)
@@ -213,7 +214,12 @@ def _dispatch(args) -> int:
         budgets = Budgets(ad_budget=args.order_budget, trunc=args.trunc)
         report = classify(L, input_text=args.expr, theta=theta, P=P,
                           budgets=budgets)
-        _emit_report(report, args.json)
+        doc = report.to_json_dict()
+        _emit(doc, args.json,
+              [f"input:   {doc['input']}", f"branch:  {doc['branch']}",
+               f"verdict: {doc['verdict']}"]
+              + [f"  {key}: {value}" for key, value in doc["certificates"].items()]
+              + [f"  error: {e}" for e in doc["errors"]])
     elif cmd == "centralizer":
         L = parse_operator(args.expr)
         res = centralizer_search(L, args.order_budget)
@@ -225,19 +231,6 @@ def _dispatch(args) -> int:
                f"rank estimate: {'undetermined' if res.rank is None else res.rank}"]
               + [f"  {g}" for g in gens])
     return 0
-
-
-def _emit_report(report: ClassificationReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json_dict(), indent=2))
-        return
-    print(f"input:   {report.input_text}")
-    print(f"branch:  {report.branch}")
-    print(f"verdict: {report.verdict}")
-    for key, value in report.certificates.items():
-        print(f"  {key}: {_jsonable(value)}")
-    for e in report.errors:
-        print(f"  error: {e}")
 
 
 if __name__ == "__main__":

@@ -44,17 +44,10 @@ from .errors import (
     NonRationalGauge,
     NotInDomain,
     NotMonic,
-    PoleAtOrigin,
     VariableMismatch,
 )
 from .poly import Poly, ScalarLike, binary_power
-from .rational import (
-    PowerSeries,
-    RatFunc,
-    add_terms,
-    nonzero_terms,
-    taylor_expand_at_zero,
-)
+from .rational import RatFunc, add_terms, nonzero_terms
 from .record import Record
 
 CoeffLike = Union[RatFunc, Poly, Fraction, int]
@@ -378,38 +371,6 @@ def gauge_normalize(L: DiffOp) -> tuple[DiffOp, RatFunc]:
     if not out.coeff(n - 1).is_zero():
         raise NonRationalGauge("gauge failed to cancel the subleading term")
     return out, gprime
-
-
-# ---------------------------------------------------------------------------
-# application to truncated series at the origin
-# ---------------------------------------------------------------------------
-
-def apply_to_series(L: DiffOp, s: PowerSeries) -> PowerSeries:
-    """Apply L to a truncated series at the origin.
-
-    The result's ``trunc`` field reports the guaranteed-exact range (one
-    derivative order is lost per d).  Coefficients with poles at 0 are
-    allowed only when the series supports them: any surviving negative
-    exponent raises PoleAtOrigin.
-    """
-    out = PowerSeries.zero(None)
-    for j, c in sorted(L.coeffs.items()):
-        term = s
-        for _ in range(j):
-            term = term.derivative()
-        if c.is_laurent_polynomial():
-            factor = PowerSeries({e: v for e, v in c.laurent_terms()}, None)
-        else:
-            # expand the coefficient at 0 deep enough for the known window
-            depth_needed = term.trunc if term.trunc is not None else 0
-            hi = max(term.terms) if term.terms else 0
-            depth = max(depth_needed, hi, 0) + c.den.degree + 4
-            factor = taylor_expand_at_zero(c, depth)
-        out = out + term * factor
-    neg = [e for e in out.terms if e < 0]
-    if neg:
-        raise PoleAtOrigin(f"result has pole terms at exponents {sorted(neg)}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ class NonRationalGauge(BispecError):
     """The normalizing gauge substitution left a subleading term."""
 
 
-class PoleAtOrigin(BispecError):
-    """Series application hit a pole at x = 0 the series cannot absorb."""
-
-
 # -- families-darboux -------------------------------------------------------
 
 class BadIndex(BispecError):

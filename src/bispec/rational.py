@@ -10,11 +10,8 @@ Conventions:
 * ``LaurentTail`` is a truncated expansion at infinity written in the
   variable x^-1: the term at index ``s`` is ``c_s * x^(-s)``.  Indices may
   be negative (polynomial part).  ``trunc`` is the last index known exactly;
-  ``trunc=None`` means every absent coefficient is exactly zero.
-* ``PowerSeries`` is the mirror object at the origin (term at index ``e``
-  is ``c_e * x^e``, exact through ``e <= trunc``).  Both share one body,
-  ``TruncatedSeries``, with ``bounded.PDO``; only the sign of the exponent
-  tells the two apart.
+  ``trunc=None`` means every absent coefficient is exactly zero.  It
+  shares one body, ``TruncatedSeries``, with ``bounded.PDO``.
 
 All values are immutable after construction, so ``RatFunc.zero()``,
 ``RatFunc.one()`` and ``RatFunc.x()`` return shared instances.
@@ -28,9 +25,8 @@ meet the invariant itself (``Poly._trusted`` is described in ``poly``):
   is the shared ``Poly.one()``, and zero is 0/1.  Negation, nonzero
   scaling and translation keep a pair reduced; so do products, sums and
   derivatives of polynomials.
-* ``LaurentTail._trusted(terms, trunc)`` and ``PowerSeries._trusted``: a
-  dict with int keys and nonzero ``Fraction`` values, every key at most
-  ``trunc``.
+* ``LaurentTail._trusted(terms, trunc)``: a dict with int keys and
+  nonzero ``Fraction`` values, every key at most ``trunc``.
 
 Every coefficient map is cleaned by ``nonzero_terms``, which reads a
 coefficient's truth: ``Fraction``, ``RatFunc`` and the series are false
@@ -337,10 +333,10 @@ class TruncatedSeries(Record):
     ``terms`` maps the index i to a nonzero coefficient; indices at most
     ``trunc`` are exact, and ``trunc=None`` means every absent coefficient
     is exactly zero.  This is the coefficient-ring-independent body of
-    ``LaurentTail`` (t = 1/x), ``PowerSeries`` (t = x) and ``bounded.PDO``
-    (t = 1/d).  A subclass lists ``terms`` and ``trunc`` in its own
-    ``__slots__``, builds its values with ``_with``, prints one term with
-    ``_term`` and the order term as O(_VAR^(_SIGN * (trunc + 1))).
+    ``LaurentTail`` (t = 1/x) and ``bounded.PDO`` (t = 1/d).  A subclass
+    lists ``terms`` and ``trunc`` in its own ``__slots__``, builds its
+    values with ``_with``, prints one term with ``_term`` and the order
+    term as O(_VAR^-(trunc + 1)).
     """
 
     __slots__ = ()
@@ -401,15 +397,18 @@ class TruncatedSeries(Record):
         body = signed_sum([self._term(i, c) for i, c in sorted(self.terms.items())])
         if self.trunc is None:
             return body
-        return f"{body} + O({self._VAR}^{self._SIGN * (self.trunc + 1)})"
+        return f"{body} + O({self._VAR}^{-(self.trunc + 1)})"
 
 
-class _ScalarSeries(TruncatedSeries):
-    """A truncated series with Fraction coefficients whose term at index i
-    is c_i * x^(_SIGN * i).  The sign of the exponent is all that tells
-    ``LaurentTail`` (_SIGN = -1) from ``PowerSeries`` (_SIGN = 1)."""
+class LaurentTail(TruncatedSeries):
+    """Truncated Laurent expansion at infinity: sum_s c_s * x^(-s).
 
-    __slots__ = ()
+    ``terms`` maps the index s (negated exponent) to a nonzero coefficient.
+    Indices at most ``trunc`` are exact; ``trunc=None`` means the tail is an
+    exact Laurent polynomial (all absent coefficients are zero).
+    """
+
+    __slots__ = ("terms", "trunc")
     _VAR = "x"
 
     def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
@@ -456,26 +455,13 @@ class _ScalarSeries(TruncatedSeries):
         return self._trusted(nonzero_terms(out), trunc)
 
     def derivative(self):
-        # d/dx x^(sign*i) = sign*i * x^(sign*i - 1), the term at index
-        # i - sign; the constant term drops out
-        sign = self._SIGN
-        out = {i - sign: sign * i * c for i, c in self.terms.items() if i}
-        return self._trusted(out, None if self.trunc is None else self.trunc - sign)
+        # d/dx x^-s = -s * x^-(s+1), the term at index s + 1; the constant
+        # term drops out
+        out = {s + 1: -s * c for s, c in self.terms.items() if s}
+        return self._trusted(out, None if self.trunc is None else self.trunc + 1)
 
-    def _term(self, i: int, c: Fraction) -> tuple:
-        return c, monomial_text(c, self._SIGN * i)
-
-
-class LaurentTail(_ScalarSeries):
-    """Truncated Laurent expansion at infinity: sum_s c_s * x^(-s).
-
-    ``terms`` maps the index s (negated exponent) to a nonzero coefficient.
-    Indices at most ``trunc`` are exact; ``trunc=None`` means the tail is an
-    exact Laurent polynomial (all absent coefficients are zero).
-    """
-
-    __slots__ = ("terms", "trunc")
-    _SIGN = -1
+    def _term(self, s: int, c: Fraction) -> tuple:
+        return c, monomial_text(c, -s)
 
     @staticmethod
     def x_power(exponent: int, coeff: ScalarLike = 1) -> "LaurentTail":
@@ -512,33 +498,26 @@ class LaurentTail(_ScalarSeries):
         return self.trunc - anchor + 1
 
 
-def _quotient_terms(num: tuple, den: tuple, start: int, count: int) -> dict:
-    """The first ``count`` coefficients of the power series num/den in one
-    variable (den[0] != 0), keyed by ``start`` + their degree, zeros
-    dropped."""
+def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
+    """Laurent expansion of ``f`` at infinity, exact through index M
+    (i.e. through the term in x^-M)."""
+    if f.is_zero():
+        return LaurentTail._trusted({}, M)
+    # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise, so the tail
+    # is the power series num_rev/den_rev in t from the leading index on
+    num, den = f.num.coeffs[::-1], f.den.coeffs[::-1]
+    start = len(den) - len(num)  # index of the leading term
     lead = den[0]
     series: list[Fraction] = []
-    out: dict[int, Fraction] = {}
-    for i in range(count):
+    terms: dict[int, Fraction] = {}
+    for i in range(M - start + 1):
         acc = num[i] if i < len(num) else _ZERO
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * series[i - j]
         c = acc / lead
         series.append(c)
         if c:
-            out[start + i] = c
-    return out
-
-
-def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
-    """Laurent expansion of ``f`` at infinity, exact through index M
-    (i.e. through the term in x^-M)."""
-    if f.is_zero():
-        return LaurentTail._trusted({}, M)
-    num, den = f.num, f.den
-    # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise
-    start = den.degree - num.degree  # index of the leading term
-    terms = _quotient_terms(num.coeffs[::-1], den.coeffs[::-1], start, M - start + 1)
+            terms[start + i] = c
     return LaurentTail._trusted(terms, M)
 
 
@@ -623,32 +602,3 @@ def rat_antiderivative(g: RatFunc) -> RatFunc:
     if cand is not None and cand.derivative() == g:
         return cand
     raise ReconstructionFailed("no rational antiderivative within degree bounds")
-
-
-# ---------------------------------------------------------------------------
-# truncated power series at the origin
-# ---------------------------------------------------------------------------
-
-class PowerSeries(_ScalarSeries):
-    """Truncated (Laurent) series at the origin: sum_e c_e * x^e.
-
-    Exponents below zero are allowed internally (they arise while applying
-    operators with poles at 0).  ``trunc`` is the last exponent known
-    exactly; None means the series is an exact Laurent polynomial.
-    """
-
-    __slots__ = ("terms", "trunc")
-    _SIGN = 1
-
-
-def taylor_expand_at_zero(f: RatFunc, M: int) -> PowerSeries:
-    """Laurent expansion of ``f`` at the origin, exact through x^M.  The
-    principal part (negative exponents) is finite and exact."""
-    if f.is_zero():
-        return PowerSeries._trusted({}, M)
-    num, den = f.num, f.den
-    # num = x^nv * (its unit part), den = x^v * unit with unit(0) != 0
-    nv, v = num.valuation(), den.valuation()
-    start = nv - v
-    terms = _quotient_terms(num.coeffs[nv:], den.coeffs[v:], start, M - start + 1)
-    return PowerSeries._trusted(terms, M)

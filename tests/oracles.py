@@ -414,7 +414,7 @@ def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> AiryBispectralReport:
     init[0] = 1
     phi = airy_kernel_series(A, init, M + N)
     psi: dict = {}
-    for n, c in phi.terms.items():
+    for n, c in enumerate(phi.coeffs):
         for i in range(n + 1):
             psi[(i, n - i)] = psi.get((i, n - i), Fraction(0)) + c * comb(n, i)
 

@@ -136,9 +136,9 @@ def test_criterion_07_airy_bispectrality():
         rep = airy_bispectral_check(A, 12)
         assert rep.ok and rep.verified_degree >= 10
     s2 = airy_kernel_series(make_airy(2), (1, 0), 7)
-    assert s2.terms == {0: 1, 3: Fraction(1, 6), 6: Fraction(1, 180)}
+    assert s2 == Poly([1, 0, 0, Fraction(1, 6), 0, 0, Fraction(1, 180)])
     s3 = airy_kernel_series(make_airy(3), (1, 0, 0), 5)
-    assert s3.terms == {0: 1, 4: Fraction(1, 24)}
+    assert s3 == Poly([1, 0, 0, 0, Fraction(1, 24)])
     ok("07 airy-bispectrality")
 
 

@@ -418,6 +418,13 @@ class TestCli:
         # f used to print in x: "f(z) = x^2"
         out = run_cli("wave", "d^2 - 2*x^-2")
         assert out.stdout.splitlines()[0] == "f(z) = z^2"
+
+    def test_wave_text_ends_with_its_residual_check(self):
+        # text mode used to drop the certificate that --json reports
+        out = run_cli("wave", "d^2 - 2*x^-2", "--trunc", "5")
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == [
+            "f(z) = z^2", "a_1 = (-1)/(x)", "residual zero: True"]
         out = run_cli("--json", "wave", "d^2 + 1 - 2*x^-2")
         assert json.loads(out.stdout)["f"] == "z^2 + 1"
 

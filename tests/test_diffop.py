@@ -3,7 +3,6 @@
 import random
 from datetime import timedelta
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,13 +13,10 @@ from bispec import (
     DiffOp,
     DivisionByZeroOperator,
     NotMonic,
-    PoleAtOrigin,
     Poly,
-    PowerSeries,
     RatFunc,
     VariableMismatch,
     ad_condition_min_m,
-    apply_to_series,
     commutator,
     dop_mul,
     gauge_normalize,
@@ -280,56 +276,3 @@ class TestGauge:
             assert out.coeff(L.order - 1).is_zero()
             back = out.substitute_d(DiffOp("x", {1: RatFunc.one(), 0: -g}))
             assert back == L
-
-
-class TestApplyToSeries:
-    def test_derivative(self):
-        s = PowerSeries({2: 1})
-        out = apply_to_series(d, s)
-        assert out.terms == {1: Fraction(2)}
-
-    def test_euler_eigenvector(self):
-        for k in range(1, 5):
-            s = PowerSeries({k: 1})
-            out = apply_to_series(x * d, s)
-            assert out.terms == {k: Fraction(k)}
-
-    def test_airy_truncation_defect(self):
-        s = PowerSeries({0: 1, 3: Fraction(1, 6), 6: Fraction(1, 180)})
-        out = apply_to_series(d * d - x, s)
-        assert out.terms == {7: Fraction(-1, 180)}
-
-    def test_pole_supported(self):
-        s = PowerSeries({3: 1})  # x^3
-        out = apply_to_series(dop_mul(xpow(-1), d), s)
-        assert out.terms == {1: Fraction(3)}
-
-    def test_pole_rejected(self):
-        s = PowerSeries({0: 1})
-        with pytest.raises(PoleAtOrigin):
-            apply_to_series(xpow(-1), s)
-
-    def test_rational_coefficient(self):
-        # (x + 1)^-1 d on x^2 is exactly 2x/(1 + x) = 2x - 2x^2 + 2x^3 - ...
-        s = PowerSeries({2: 1})
-        L = dop_mul(DiffOp.from_function(RatFunc(Poly.one(), Poly([1, 1]))), d)
-        out = apply_to_series(L, s)
-        assert out.trunc is not None and out.trunc >= 5
-        assert out.terms == {e: Fraction(2 * (-1) ** (e + 1)) for e in range(1, out.trunc + 1)}
-
-    def test_rational_coefficient_on_truncated_series(self):
-        # (x^2 + 1)^-1 d^2 on e^x through x^8: e^x/(1 + x^2), exact through
-        # x^6, has coefficients sum_i (-1)^i / (e - 2i)!
-        M = 8
-        s = PowerSeries({e: Fraction(1, factorial(e)) for e in range(M + 1)}, M)
-        L = dop_mul(DiffOp.from_function(RatFunc(Poly.one(), Poly([1, 0, 1]))), d * d)
-        out = apply_to_series(L, s)
-        assert out.trunc == M - 2
-        assert out.terms == {e: sum(Fraction((-1) ** i, factorial(e - 2 * i))
-                                    for i in range(e // 2 + 1))
-                             for e in range(M - 1)}
-
-    def test_truncation_loss_reported(self):
-        s = PowerSeries({0: Fraction(1), 1: Fraction(1)}, 5)
-        out = apply_to_series(d * d, s)
-        assert out.trunc == 3

@@ -16,13 +16,11 @@ from bispec import (
     LogObstruction,
     PDO,
     Poly,
-    PowerSeries,
     RatFunc,
     ZeroDenominator,
     laurent_expand,
     rat_antiderivative,
     rational_reconstruct,
-    taylor_expand_at_zero,
 )
 from bispec.errors import ReconstructionFailed
 
@@ -351,8 +349,8 @@ class TestLaurentExpand:
 
 
 class TestSeriesText:
-    """LaurentTail, PowerSeries and PDO share one series body and one
-    printer; these pin the printed forms and the mirrored derivatives."""
+    """LaurentTail and PDO share one series body and one printer; these
+    pin the printed forms and the derivative."""
 
     def test_laurent_tail(self):
         t = LaurentTail({-1: -1, 0: 2, 2: Fraction(-3, 4)}, 3)
@@ -361,17 +359,8 @@ class TestSeriesText:
         assert str(-t) == "x - 2 + 3/4*x^-2 + O(x^-4)"
         assert str(LaurentTail.zero(2)) == "0 + O(x^-3)"
 
-    def test_power_series(self):
-        s = PowerSeries({-1: -2, 0: 1, 1: 1}, 2)
-        assert str(s) == "-2*x^-1 + 1 + x + O(x^3)"
-        assert str(s.derivative()) == "2*x^-2 + 1 + O(x^2)"
-        assert str(s * s) == "4*x^-2 - 4*x^-1 - 3 + 2*x + O(x^2)"
-        assert str(PowerSeries({1: 1})) == "x"
-
     def test_expansions_at_both_ends(self):
         f = RatFunc(Poly([1, 2]), Poly([0, 0, 1, 1]))
-        assert str(taylor_expand_at_zero(f, 3)) == (
-            "x^-2 + x^-1 - 1 + x - x^2 + x^3 + O(x^4)")
         assert str(laurent_expand(f, 5)) == "2*x^-2 - x^-3 + x^-4 - x^-5 + O(x^-6)"
 
     def test_poly_and_pdo(self):

@@ -26,7 +26,6 @@ from bispec import (
     ObstructionTrace,
     PDO,
     Poly,
-    PowerSeries,
     RatFunc,
     WeightPair,
     make_airy,
@@ -45,7 +44,6 @@ def _instances():
     return [
         DiffOp.d(),
         TAIL,
-        PowerSeries({0: 1, -1: 2}, None),
         PDO("x", {0: RatFunc.one(), 1: RatFunc.x_power(-1)}, 4),
         TOp({1: TAIL}),
         AiryShape(N=3, a=((1, F(2)),), a0=F(0), lam=F(1)),

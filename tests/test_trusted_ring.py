@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispec import DiffOp, LaurentTail, PDO, Poly, PowerSeries, RatFunc, dop_mul
+from bispec import DiffOp, LaurentTail, PDO, Poly, RatFunc, dop_mul
 from bispec.airy import TOp
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -98,11 +98,6 @@ tail_st = st.builds(
     st.dictionaries(st.integers(-3, 6), small, max_size=5),
     st.one_of(st.none(), st.integers(-2, 8)),
 )
-series_st = st.builds(
-    PowerSeries,
-    st.dictionaries(st.integers(-2, 6), small, max_size=5),
-    st.one_of(st.none(), st.integers(-1, 8)),
-)
 
 
 def assert_canonical_terms(t):
@@ -124,13 +119,6 @@ def test_tail_results(s, t, c, trunc):
     for T in (top + top, top * top, top.scale(c), -top):
         assert all(not v.is_zero() for v in T.coeffs.values())
         assert TOp(dict(T.coeffs)) == T
-
-
-@settings(max_examples=100, deadline=None)
-@given(series_st, series_st, small, st.integers(-1, 8))
-def test_power_series_results(s, t, c, trunc):
-    for r in (s + t, s - t, s * t, -s, s.scale(c), s.derivative(), s.restrict(trunc)):
-        assert_canonical_terms(r)
 
 
 @settings(max_examples=60, deadline=None)
