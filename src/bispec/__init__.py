@@ -72,7 +72,6 @@ from .weights import (
     associated_polynomial,
     choose_weights,
     normal_form_test,
-    perfect_power,
     principal_part,
     weighted_order,
 )

@@ -131,11 +131,6 @@ class TOp(Record):
     def __sub__(self, other: "TOp") -> "TOp":
         return self + (-other)
 
-    def scale(self, c) -> "TOp":
-        if not c:
-            return TOp._trusted({})
-        return TOp._trusted({k: t.scale(c) for k, t in self.coeffs.items()})
-
     def __mul__(self, other: "TOp") -> "TOp":
         return TOp._trusted(leibniz_product(self.coeffs, other.coeffs))
 

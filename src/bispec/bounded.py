@@ -100,10 +100,6 @@ class PDO(TruncatedSeries):
     def from_diffop(L: DiffOp) -> "PDO":
         return PDO._trusted(L.var, {-j: c for j, c in L.coeffs.items()}, None)
 
-    @staticmethod
-    def from_function(f: RatFunc, var: str = "x") -> "PDO":
-        return PDO(var, {0: f}, None)
-
     # -- queries
 
     def coeff(self, j: int) -> RatFunc:
@@ -118,12 +114,6 @@ class PDO(TruncatedSeries):
     def __add__(self, other: "PDO") -> "PDO":
         self._check(other)
         return TruncatedSeries.__add__(self, other)
-
-    def scale(self, c) -> "PDO":
-        if not c:
-            return PDO._trusted(self.var, {}, self.trunc)
-        return PDO._trusted(self.var, {j: v.scale(c) for j, v in self.terms.items()},
-                            self.trunc)
 
     def __mul__(self, other: "PDO") -> "PDO":
         """Product, exact through the combined truncation: the shared
@@ -171,9 +161,10 @@ def split_constant_part(L: DiffOp) -> tuple[Poly, DiffOp]:
     fcoeffs: dict[int, Fraction] = {}
     vcoeffs: dict[int, RatFunc] = {}
     for j, c in L.coeffs.items():
-        if c.infinity_order() > 0:
+        order = c.infinity_order()
+        if order > 0:
             raise UnboundedCoefficient(f"coefficient of d^{j} grows at infinity")
-        const = c.constant_at_infinity()
+        const = c.infinity_leading() if order == 0 else Fraction(0)
         if const != 0:
             fcoeffs[j] = const
         rest = c - RatFunc.const(const)
@@ -275,9 +266,11 @@ def conjugate_theta(K: PDO, theta: Poly) -> PDO:
     J = K.trunc
     if J is None or J < 1:
         raise TruncationTooShort("need truncation >= 1")
-    theta_pdo = PDO.from_function(RatFunc(theta), K.var)
-    series = K.inverse(J) * (theta_pdo * PDO._trusted(K.var, K.terms, None))
-    return series.restrict(J)
+    # a function times a series multiplies each coefficient; the cleaning
+    # constructor drops them all when theta = 0
+    th = RatFunc(theta)
+    theta_K = PDO(K.var, {j: th * a for j, a in K.terms.items()})
+    return (K.inverse(J) * theta_K).restrict(J)
 
 
 # ---------------------------------------------------------------------------

@@ -166,18 +166,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _size_stats(*ops: Optional[DiffOp]) -> dict[str, int]:
+def _size_stats(L: DiffOp) -> dict[str, int]:
     terms = 0
     bits = 0
-    for L in ops:
-        if L is None:
-            continue
-        for c in L.coeffs.values():
-            for p in (c.num, c.den):
-                for v in p.coeffs:
-                    terms += 1
-                    bits = max(bits, v.numerator.bit_length(),
-                               v.denominator.bit_length())
+    for c in L.coeffs.values():
+        for p in (c.num, c.den):
+            for v in p.coeffs:
+                terms += 1
+                bits = max(bits, v.numerator.bit_length(),
+                           v.denominator.bit_length())
     return {"coefficient_terms": terms, "max_coefficient_bits": bits}
 
 
@@ -217,12 +214,11 @@ def classify(
     # changed
     decided = P is None and _bessel_stage(L, report)
     if not decided and not L.coeff(N - 1).is_zero():
-        try:
-            L, gprime = gauge_normalize(L)
-            report.certificates["gauge"] = gprime
-        except err.BispecError as e:
-            report.errors.append(f"{type(e).__name__}: {e}")
-            return report
+        # L is monic of order N >= 2, so the d^(N-1) coefficient of
+        # L(d + g') is N g' + V_(N-1) = 0: neither NotMonic nor
+        # NonRationalGauge can be raised
+        L, gprime = gauge_normalize(L)
+        report.certificates["gauge"] = gprime
         decided = P is None and _bessel_stage(L, report)
     report.operator = L
     increasing = any(c.infinity_order() > 0 for c in L.coeffs.values())
@@ -238,7 +234,7 @@ def classify(
             f"certificates indicate {report.verdict}"
         )
         report.verdict = VERDICT_INCONCLUSIVE
-    report.trace_sizes = _size_stats(report.operator)
+    report.trace_sizes = _size_stats(L)
     return report
 
 
@@ -456,8 +452,6 @@ def _classify_bounded(
         # chain consistent except nonzero constants: rank < order forced
         report.certificates["rank_order_case"] = False
         report.verdict = VERDICT_POLYNOMIAL
-        return
-    report.verdict = VERDICT_INCONCLUSIVE
 
 
 def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:

@@ -185,15 +185,6 @@ class RatFunc:
             return Fraction(0)
         return self.num.leading() / self.den.leading()
 
-    def constant_at_infinity(self) -> Fraction:
-        """Limit at infinity when bounded (0 if strictly decaying)."""
-        o = self.infinity_order()
-        if o > 0:
-            raise ValueError("unbounded at infinity")
-        if o == 0:
-            return self.infinity_leading()
-        return Fraction(0)
-
     def is_laurent_polynomial(self) -> bool:
         """True when the denominator is a power of x."""
         return not any(self.den.coeffs[:-1])
@@ -356,9 +347,6 @@ class TruncatedSeries(Record):
         """Leading index; None for the zero series."""
         return min(self.terms) if self.terms else None
 
-    def known(self, i: int) -> bool:
-        return self.trunc is None or i <= self.trunc
-
     def _known_floor(self) -> int:
         """Start index used in precision bookkeeping (surrogate for zero)."""
         if self.terms:
@@ -463,11 +451,6 @@ class LaurentTail(TruncatedSeries):
     def _term(self, s: int, c: Fraction) -> tuple:
         return c, monomial_text(c, -s)
 
-    @staticmethod
-    def x_power(exponent: int, coeff: ScalarLike = 1) -> "LaurentTail":
-        """Exact tail for coeff * x^exponent."""
-        return LaurentTail({-exponent: _frac(coeff)}, None)
-
     def is_one(self) -> bool:
         return self.trunc is None and self.terms == {0: 1}
 
@@ -522,8 +505,13 @@ def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
 
 
 def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
-    """Recover the rational function with deg num <= degN, deg den <= degD
+    """Recover the rational function p/q with deg p <= degN, deg q <= degD
     whose expansion at infinity matches ``t`` on every known coefficient.
+
+    p is the polynomial part of q*t, so one solve over q's degD + 1
+    coefficients finds it: the rows are the coefficients of x^e in q*t
+    outside 0..degN that the known coefficients of t fix, and p is read
+    off q*t afterwards.  The reduced p/q must re-expand to t.
 
     Returns None when no such function exists.  Raises InsufficientPrecision
     when the tail carries fewer than degN + degD + 2 known coefficients, and
@@ -540,31 +528,24 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
         return RatFunc.zero()
     M = t.trunc
     r = t._known_floor()
-    e_max = max(degN, degD - r)
-    e_min = degD - M
-    # unknowns: p_0..p_degN, q_0..q_degD ; rows: coefficient of x^e in q*t - p
-    ncols = (degN + 1) + (degD + 1)
+    # the coefficient of x^e in q*t is sum_i q_i t_(i-e); it is known for
+    # e >= degD - M, and zero for e > degD - r
     rows = []
-    for e in range(e_max, e_min - 1, -1):
-        row = {e: Fraction(-1)} if 0 <= e <= degN else {}
-        for i in range(degD + 1):
-            c = t.coeff(i - e)
-            if c != 0:
-                row[degN + 1 + i] = c
-        if row:
-            rows.append(row)
-    basis = nullspace(rows, ncols)
-    for vec in basis:
-        if max(vec) > degN:  # q != 0
-            p = Poly([vec.get(k, _ZERO) for k in range(degN + 1)])
-            q = Poly([vec.get(degN + 1 + i, _ZERO) for i in range(degD + 1)])
-            f = RatFunc(p, q)
-            # belt and braces: the reduced representative must re-expand to t
-            check = laurent_expand(f, M)
-            ok = all(check.coeff(s) == t.coeff(s) for s in range(min(r, check._known_floor()), M + 1))
-            if ok:
-                return f
-            return None
+    for e in range(max(degN, degD - r), degD - M - 1, -1):
+        if not 0 <= e <= degN:
+            row = {i: c for i in range(degD + 1) if (c := t.coeff(i - e))}
+            if row:
+                rows.append(row)
+    basis = nullspace(rows, degD + 1)
+    if not basis:
+        return None
+    q = basis[0]
+    p = [sum((v * t.coeff(i - e) for i, v in q.items()), _ZERO) for e in range(degN + 1)]
+    f = RatFunc(Poly(p), Poly([q.get(i, _ZERO) for i in range(degD + 1)]))
+    # belt and braces: the reduced representative must re-expand to t
+    check = laurent_expand(f, M)
+    if all(check.coeff(s) == t.coeff(s) for s in range(min(r, check._known_floor()), M + 1)):
+        return f
     return None
 
 

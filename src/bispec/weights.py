@@ -196,18 +196,6 @@ def _match_binomial_power(p: Poly) -> Optional[tuple[int, Fraction]]:
     return None
 
 
-def perfect_power(f: BiHomPoly, w: WeightPair) -> Optional[int]:
-    """Largest d >= 2 with the homogeneous f = h^d structurally (the shape
-    any f^s = g^r relation would require), or None: the gcd of the
-    square-free multiplicities of p, where f = x^a0 y^b0 p(w), and of the
-    monomial prefactor exponents."""
-    a0, b0, p = _line_data(f, w)  # raises NotHomogeneous
-    g = gcd(abs(a0), abs(b0))
-    for _, mult in p.squarefree_decomposition():
-        g = gcd(g, mult)
-    return g if g >= 2 else None
-
-
 def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     """Classify a homogeneous f against the admissible shapes.
 
@@ -222,8 +210,7 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     w' = x^-sigma y, and the reverse of c (1 + mu w)^k is
     c mu^k (1 + w'/mu)^k, so (b) holds with mu -> 1/mu and n = a0.
     Also reports the (y^r - lam x)^k data and the nilpotency exclusion for
-    the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern (``perfect_power``
-    computes the perfect-power exponent on request)."""
+    the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern."""
     if f.is_zero():
         raise ZeroOperand("normal form of the zero polynomial")
     a0, b0, p = _line_data(f, w)  # raises NotHomogeneous; p != 0

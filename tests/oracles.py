@@ -26,6 +26,9 @@ These deliberately avoid the library's code paths:
   tests s = -1 at every step and once more after its loop; and the height
   recursion between consecutive steps of an obstruction trace, checked
   step by step;
+* the Pade solve over the numerator's and the denominator's
+  coefficients together, the reference for the solve over the
+  denominator alone in ``rational.rational_reconstruct``;
 * the rational antiderivative under the four-round growing degree
   schedule, the reference for the one Pade solve at exact degrees in
   ``rational.rat_antiderivative``;
@@ -87,6 +90,7 @@ from bispec import (
 from bispec.airy import AiryBispectralReport, TOp
 from bispec.diffop import transpose_weyl
 from bispec.families import falling_factorial
+from bispec.linalg import nullspace
 from bispec.poly import poly_lcm
 
 # monomial algebra: {(a, b): coeff} represents sum coeff * x^a d^b, a in Z
@@ -491,6 +495,51 @@ def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
         (b.j, b.s, b.k) == (a.j + 1, a.s + 1, a.k) and a.s != -1
         and b.alpha == -lam * a.alpha * Fraction(N * (a.s + 1) + a.k, N * (a.s + 1))
         for a, b in zip(trace.steps, trace.steps[1:]))
+
+
+def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
+    """The Pade solve with the numerator's coefficients as unknowns too:
+    one nullspace over p_0..p_degN, q_0..q_degD whose rows are the
+    coefficients of x^e in q*t - p, and the first vector with q != 0,
+    checked by re-expansion.  The reference for the solve over the
+    denominator alone in ``rational.rational_reconstruct``."""
+    if t.trunc is None:
+        raise ValueError("rational_reconstruct needs a truncated tail")
+    count = t.known_count()
+    if count < degN + degD + 2:
+        raise InsufficientPrecision(
+            f"need {degN + degD + 2} known coefficients, have {count}"
+        )
+    if t.is_zero():
+        return RatFunc.zero()
+    M = t.trunc
+    r = t._known_floor()
+    e_max = max(degN, degD - r)
+    e_min = degD - M
+    # unknowns: p_0..p_degN, q_0..q_degD ; rows: coefficient of x^e in q*t - p
+    ncols = (degN + 1) + (degD + 1)
+    rows = []
+    for e in range(e_max, e_min - 1, -1):
+        row = {e: Fraction(-1)} if 0 <= e <= degN else {}
+        for i in range(degD + 1):
+            c = t.coeff(i - e)
+            if c != 0:
+                row[degN + 1 + i] = c
+        if row:
+            rows.append(row)
+    basis = nullspace(rows, ncols)
+    for vec in basis:
+        if max(vec) > degN:  # q != 0
+            p = Poly([vec.get(k, Fraction(0)) for k in range(degN + 1)])
+            q = Poly([vec.get(degN + 1 + i, Fraction(0)) for i in range(degD + 1)])
+            f = RatFunc(p, q)
+            # belt and braces: the reduced representative must re-expand to t
+            check = laurent_expand(f, M)
+            ok = all(check.coeff(s) == t.coeff(s) for s in range(min(r, check._known_floor()), M + 1))
+            if ok:
+                return f
+            return None
+    return None
 
 
 def rat_antiderivative_by_rounds(g: RatFunc) -> RatFunc:

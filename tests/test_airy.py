@@ -43,7 +43,7 @@ def xpow(k, c=1):
 
 
 def tail(e, c=1):
-    return LaurentTail.x_power(e, c)
+    return LaurentTail({-e: c})
 
 
 class TestAiryShape:

@@ -180,6 +180,11 @@ class TestConjugateTheta:
         conj = conjugate_theta(K, Poly([0, 1]))
         assert dict(conj.terms) == {0: RatFunc.x()} and conj.trunc == 4
 
+    def test_zero_theta(self):
+        f, _ = split_constant_part(L_KDV)
+        conj = conjugate_theta(wave_operator(L_KDV, f, 6), Poly.zero())
+        assert conj.terms == {} and conj.trunc == 6
+
     def test_kdv_theta_squared(self):
         f, _ = split_constant_part(L_KDV)
         conj = conjugate_theta(wave_operator(L_KDV, f, 6), THETA2)

@@ -5,7 +5,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bispec.diffop
@@ -276,3 +276,19 @@ class TestGauge:
             assert out.coeff(L.order - 1).is_zero()
             back = out.substitute_d(DiffOp("x", {1: RatFunc.one(), 0: -g}))
             assert back == L
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), BOUNDED_ST,
+           st.lists(st.fractions(-3, 3, max_denominator=2), max_size=3),
+           st.dictionaries(st.integers(0, 3), BOUNDED_ST, max_size=2))
+    def test_any_monic_operator_normalizes(self, N, pole, poly, lower):
+        # classify calls the gauge without a handler: a monic L of order
+        # N >= 2 with any nonzero rational V_(N-1) must not raise
+        sub = pole + RatFunc(Poly(poly))
+        assume(not sub.is_zero())
+        L = DiffOp("x", {j: c for j, c in lower.items() if j < N - 1}
+                   | {N: RatFunc.one(), N - 1: sub})
+        out, g = gauge_normalize(L)
+        assert out.order == N and out.is_monic()
+        assert out.coeff(N - 1).is_zero()
+        assert g == sub.scale(Fraction(-1, N))

@@ -27,6 +27,7 @@ from bispec.errors import ReconstructionFailed
 from bispec.poly import _sign_at, _sturm_sequence
 from oracles import (
     gcd_by_fraction_remainders,
+    pade_by_joint_system,
     rat_antiderivative_by_rounds,
     rational_roots_by_candidates,
     sign_changes,
@@ -335,7 +336,7 @@ class TestLaurentExpand:
         prod = laurent_expand(f * g, M)
         approx = laurent_expand(f, M + 8) * laurent_expand(g, M + 8)
         for s in range(min(prod.terms, default=0), M + 1):
-            if approx.known(s):
+            if s <= approx.trunc:
                 assert prod.coeff(s) == approx.coeff(s)
 
     def test_multiply_back(self):
@@ -345,7 +346,7 @@ class TestLaurentExpand:
         den_tail = laurent_expand(RatFunc(f.den), 9)
         num_tail = laurent_expand(RatFunc(f.num), 9)
         resid = t * den_tail - num_tail
-        assert all(c == 0 for s, c in resid.terms.items() if resid.known(s))
+        assert all(c == 0 for s, c in resid.terms.items() if s <= resid.trunc)
 
 
 class TestSeriesText:
@@ -370,6 +371,38 @@ class TestSeriesText:
         assert str(PDO("x", {})) == "0"
 
 
+@st.composite
+def pade_cases(draw):
+    """(t, degN, degD): the expansion of a random p/q with leading index
+    -6..4, truncated anywhere from below its leading index (so also
+    below degD) to well past what the solve needs, at times with one known
+    coefficient changed or left exact; the degree pair is p/q's own,
+    swapped, or with one more numerator degree."""
+    num = draw(st.lists(fractions_st, min_size=1, max_size=4).map(Poly)
+               .filter(lambda p: not p.is_zero()))
+    den = draw(nonzero_polys_st.filter(lambda p: p.degree <= 3))
+    lead = draw(st.integers(-6, 4))
+    shift = den.degree - num.degree - lead  # x^shift * num/den leads at lead
+    f = (RatFunc(num * Poly.monomial(shift), den) if shift >= 0
+         else RatFunc(num, den * Poly.monomial(-shift)))
+    dN, dD = f.num.degree, f.den.degree
+    degN, degD = draw(st.sampled_from([(dN, dD), (dD, dN), (dN + 1, dD)]))
+    # the solve at p/q's own degrees needs M >= lead + dN + dD + 1
+    M = lead + dN + dD + 1 + draw(st.integers(-dN - dD - 2, 5))
+    terms = dict(laurent_expand(f, M).terms)
+    if draw(st.booleans()):
+        s = draw(st.integers(lead, max(lead, M)))
+        terms[s] = terms.get(s, Fraction(0)) + draw(fractions_st.filter(bool))
+    return LaurentTail(terms, draw(st.sampled_from([M] * 9 + [None]))), degN, degD
+
+
+def pade_outcome(solve, t, degN, degD):
+    try:
+        return solve(t, degN, degD)
+    except (InsufficientPrecision, ValueError) as e:
+        return type(e)
+
+
 class TestRationalReconstruct:
     def test_geometric_series(self):
         t = LaurentTail({s: Fraction(1) for s in range(1, 9)}, 8)
@@ -386,9 +419,21 @@ class TestRationalReconstruct:
         assert rational_reconstruct(t, 2, 2) is None
 
     def test_unmatched_numerator_coefficient_is_no_solution(self):
-        # the window x^11..x^1 leaves p_0 free: its nullspace vector has q = 0
+        # the window x^11..x^1 holds no x^0 row, and its x^11..x^9 rows
+        # force q = 0
         t = laurent_expand(RatFunc(Poly([0] * 9 + [1])) + RatFunc(Poly([1]), Poly([1, 1])), 1)
         assert rational_reconstruct(t, 0, 2) is None
+
+    def test_numerator_degree_too_low_needs_no_reexpansion(self, monkeypatch):
+        # x^3 + 1/(x + 1) at (degN, degD) = (1, 1): the rows above x^1
+        # force q = 0, so the solve answers None before re-expanding
+        t = laurent_expand(RatFunc(Poly([0, 0, 0, 1])) + RatFunc(Poly([1]), Poly([1, 1])), 6)
+        calls = []
+        real = bispec.rational.laurent_expand
+        monkeypatch.setattr(bispec.rational, "laurent_expand",
+                            lambda *args: calls.append(args) or real(*args))
+        assert rational_reconstruct(t, 1, 1) is None
+        assert calls == []
 
     def test_insufficient_precision(self):
         t = LaurentTail({1: Fraction(1)}, 2)
@@ -411,19 +456,26 @@ class TestRationalReconstruct:
         t = laurent_expand(f, dn + dd + 8)
         assert rational_reconstruct(t, dn, dd) == f
 
+    @settings(max_examples=300, deadline=None)
+    @given(pade_cases())
+    def test_equals_the_joint_system(self, case):
+        t, degN, degD = case
+        assert pade_outcome(rational_reconstruct, t, degN, degD) == \
+            pade_outcome(pade_by_joint_system, t, degN, degD)
+
 
 class TestAntiderivative:
     def test_polynomial_part(self):
-        t = LaurentTail.x_power(1, 2)  # 2x
+        t = LaurentTail({-1: 2})  # 2x
         assert t.antiderivative().terms == {-2: 1}  # x^2
 
     def test_inverse_square(self):
-        t = LaurentTail.x_power(-2, -1)  # -x^-2
+        t = LaurentTail({2: -1})  # -x^-2
         assert t.antiderivative().terms == {1: 1}  # x^-1
 
     def test_log_obstruction(self):
         with pytest.raises(LogObstruction):
-            LaurentTail.x_power(-1).antiderivative()
+            LaurentTail({1: 1}).antiderivative()
 
     def test_derivative_inverts(self):
         t = LaurentTail({-3: Fraction(2), 0: Fraction(5), 2: Fraction(-7),

@@ -22,7 +22,6 @@ from bispec import (
     dop_mul,
     make_airy,
     normal_form_test,
-    perfect_power,
     principal_part,
     split_constant_part,
     weighted_order,
@@ -197,14 +196,6 @@ class TestNormalForm:
         nf = normal_form_test(BiHomPoly({(0, 2): 1, (2, 0): -2}), w)
         assert nf.unresolved_over_Q
         assert len(calls) == 1
-
-    def test_perfect_power(self):
-        w = WeightPair(2, 1, (1, 0))
-        f = BiHomPoly({(0, 4): 1, (1, 2): -2, (2, 0): 1})  # (y^2 - x)^2
-        assert perfect_power(f, w) == 2
-        assert normal_form_test(f, w).yrx == (2, 2, Fraction(1))
-        assert perfect_power(BiHomPoly({(0, 2): 1, (1, 0): -1}), w) is None  # y^2 - x
-        assert perfect_power(BiHomPoly({(0, 6): 1}), w) == 6  # y^6
 
     def test_not_homogeneous(self):
         w = WeightPair(2, 1, (1, 0))
