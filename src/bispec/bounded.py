@@ -210,8 +210,7 @@ def fuchs_violation(L: DiffOp) -> Optional[dict]:
 def wave_defect(L: DiffOp, f: Poly, K: PDO) -> PDO:
     """L K - K f(d), treating K as the exact finite sum of its terms."""
     Kx = PDO._trusted(L.var, K.terms, None)
-    F = PDO.from_diffop(DiffOp(L.var, {j: RatFunc.const(c)
-                                       for j, c in enumerate(f.coeffs)}))
+    F = PDO.from_diffop(DiffOp(L.var, dict(enumerate(f.coeffs))))
     return PDO.from_diffop(L) * Kx - Kx * F
 
 

@@ -114,20 +114,14 @@ class ClassificationReport(Record):
     certificates: dict[str, Any]
     errors: list[str]
     trace_sizes: dict[str, int]
+    _defaults = {"branch": "", "verdict": VERDICT_INCONCLUSIVE, "operator": None,
+                 "certificates": None, "errors": None, "trace_sizes": None}
 
-    def __init__(self, input_text: str, branch: str = "",
-                 verdict: str = VERDICT_INCONCLUSIVE,
-                 operator: Optional[DiffOp] = None,
-                 certificates: Optional[dict[str, Any]] = None,
-                 errors: Optional[list[str]] = None,
-                 trace_sizes: Optional[dict[str, int]] = None):
-        self.input_text = input_text
-        self.branch = branch
-        self.verdict = verdict
-        self.operator = operator
-        self.certificates = {} if certificates is None else certificates
-        self.errors = [] if errors is None else errors
-        self.trace_sizes = {} if trace_sizes is None else trace_sizes
+    def __post_init__(self):
+        # each report gets its own containers
+        self.certificates = self.certificates or {}
+        self.errors = self.errors or []
+        self.trace_sizes = self.trace_sizes or {}
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

@@ -29,8 +29,13 @@ and each Laurent operand that meets it is converted once.
 Negative exponents are only allowed on derivative-free (order-0)
 subexpressions, where they mean multiplication by the reciprocal
 function; on anything containing d they raise NegativeDerivativeExponent.
-Exponent magnitudes are capped (dense coefficient storage makes
-astronomically large powers a denial-of-service, not a computation).
+Exponent magnitudes are capped at ``MAX_EXPONENT`` (dense coefficient
+storage makes astronomically large powers a denial-of-service, not a
+computation).  That is enough for a power of one term c*x^e or c*d^k,
+which stays one term, but not for any other base: (x+1)^4096 holds 4,097
+terms and (d+x)^128 thousands.  So a power of any other base, of either
+sign, is refused when ``_power_size`` bounds its monomials x^e*d^k by
+more than ``MAX_POWER_TERMS``.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
@@ -55,6 +60,7 @@ from .rational import RatFunc, add_terms
 from .diffop import DiffOp, dop_mul
 
 MAX_EXPONENT = 4096
+MAX_POWER_TERMS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +194,24 @@ class _Weyl:
         return DiffOp._trusted(var, coeffs)
 
 
+def _power_size(base: "_Value", n: int) -> int:
+    """An upper bound on the number of monomials x^e*d^k of base^n.
+
+    k reaches n*K for the base's order K, and e spreads over n*(S + K),
+    with S the spread of the base's x-exponents, each reordering of d past
+    x^b lowering the exponent by one.  A DiffOp coefficient num/den spreads
+    from x^-deg(den) to x^deg(num).  A power of one term c*x^e or c*d^k is
+    one term."""
+    keys = base.terms if type(base) is _Weyl else [
+        (k, e) for k, c in base.coeffs.items() for e in (c.num.degree, -c.den.degree)]
+    # one term (k, e) with k = 0 or e = 0
+    if len(keys) == 1 and 0 in min(keys):
+        return 1
+    K = max((k for k, _ in keys), default=0)
+    es = [e for _, e in keys] or [0]
+    return (n * K + 1) * (n * (max(es) - min(es) + K) + 1)
+
+
 _WEYL_ONE = _Weyl({(0, 0): _ONE})
 _WEYL_X = _Weyl({(0, 1): _ONE})
 _WEYL_D = _Weyl({(1, 0): _ONE})
@@ -272,11 +296,13 @@ class _Parser:
         _, value, pos = self.expect("NUM")
         if value.denominator != 1:
             raise OperatorSyntaxError("exponent must be an integer", pos)
-        if value.numerator > MAX_EXPONENT:
+        n = value.numerator
+        if n > MAX_EXPONENT or _power_size(base, n) > MAX_POWER_TERMS:
             raise OperatorSyntaxError(
-                f"exponent exceeds the supported bound {MAX_EXPONENT}", pos
+                f"power exceeds the supported bounds: exponent {MAX_EXPONENT}, "
+                f"size {MAX_POWER_TERMS} terms", pos
             )
-        e = sign * value.numerator
+        e = sign * n
         if e < 0 and not base.is_function():
             raise NegativeDerivativeExponent(
                 "negative exponent on a subexpression containing d", caret

@@ -12,6 +12,8 @@ Conventions:
   be negative (polynomial part).  ``trunc`` is the last index known exactly;
   ``trunc=None`` means every absent coefficient is exactly zero.  It
   shares one body, ``TruncatedSeries``, with ``bounded.PDO``.
+  ``laurent_expand`` finds a tail by polynomial long division, one
+  ``Poly.divmod``.
 
 All values are immutable after construction, so ``RatFunc.zero()``,
 ``RatFunc.one()`` and ``RatFunc.x()`` return shared instances.
@@ -483,25 +485,17 @@ class LaurentTail(TruncatedSeries):
 
 def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
     """Laurent expansion of ``f`` at infinity, exact through index M
-    (i.e. through the term in x^-M)."""
+    (i.e. through the term in x^-M), by polynomial long division.
+
+    x^M * f = sum_s c_s x^(M-s), so c_s for s <= M is the coefficient of
+    x^(M-s) in the quotient of num * x^M by den; for M < 0 the quotient
+    of num by den * x^-M.  The remainder holds the terms past M."""
     if f.is_zero():
         return LaurentTail._trusted({}, M)
-    # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise, so the tail
-    # is the power series num_rev/den_rev in t from the leading index on
-    num, den = f.num.coeffs[::-1], f.den.coeffs[::-1]
-    start = len(den) - len(num)  # index of the leading term
-    lead = den[0]
-    series: list[Fraction] = []
-    terms: dict[int, Fraction] = {}
-    for i in range(M - start + 1):
-        acc = num[i] if i < len(num) else _ZERO
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * series[i - j]
-        c = acc / lead
-        series.append(c)
-        if c:
-            terms[start + i] = c
-    return LaurentTail._trusted(terms, M)
+    num = Poly._trusted((_ZERO,) * max(M, 0) + f.num.coeffs)
+    den = Poly._trusted((_ZERO,) * max(-M, 0) + f.den.coeffs)
+    q = num.divmod(den)[0].coeffs
+    return LaurentTail._trusted({M - k: c for k, c in enumerate(q) if c}, M)
 
 
 def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:

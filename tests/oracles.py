@@ -26,6 +26,9 @@ These deliberately avoid the library's code paths:
   tests s = -1 at every step and once more after its loop; and the height
   recursion between consecutive steps of an obstruction trace, checked
   step by step;
+* the Laurent expansion at infinity as a power series in 1/x, divided
+  coefficient by coefficient, the reference for the one polynomial long
+  division of ``rational.laurent_expand``;
 * the Pade solve over the numerator's and the denominator's
   coefficients together, the reference for the solve over the
   denominator alone in ``rational.rational_reconstruct``;
@@ -495,6 +498,31 @@ def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
         (b.j, b.s, b.k) == (a.j + 1, a.s + 1, a.k) and a.s != -1
         and b.alpha == -lam * a.alpha * Fraction(N * (a.s + 1) + a.k, N * (a.s + 1))
         for a, b in zip(trace.steps, trace.steps[1:]))
+
+
+def laurent_expand_by_series(f: RatFunc, M: int) -> LaurentTail:
+    """The expansion of f at infinity through index M, as the power
+    series num_rev/den_rev in t = 1/x divided term by term from the
+    leading index on.  The reference for the long division of
+    ``rational.laurent_expand``."""
+    if f.is_zero():
+        return LaurentTail._trusted({}, M)
+    # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise, so the tail
+    # is the power series num_rev/den_rev in t from the leading index on
+    num, den = f.num.coeffs[::-1], f.den.coeffs[::-1]
+    start = len(den) - len(num)  # index of the leading term
+    lead = den[0]
+    series: list[Fraction] = []
+    terms: dict[int, Fraction] = {}
+    for i in range(M - start + 1):
+        acc = num[i] if i < len(num) else Fraction(0)
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * series[i - j]
+        c = acc / lead
+        series.append(c)
+        if c:
+            terms[start + i] = c
+    return LaurentTail._trusted(terms, M)
 
 
 def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:

@@ -1,6 +1,7 @@
 """Expression parsing and canonical printing."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from bispec import (
     parser as parser_module,
     print_operator,
 )
-from bispec.parser import MAX_EXPONENT
+from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS
 from oracles import diffop_of_mono, mono_mul, mono_of_diffop, random_diffop
 from test_trusted_ring import assert_canonical_op
 
@@ -140,6 +141,31 @@ class TestFastPaths:
             parse_operator(f"d^{MAX_EXPONENT + 1}")
         with pytest.raises(OperatorSyntaxError):
             parse_operator("x^4097")
+
+    @pytest.mark.parametrize("text,pos", [
+        ("(x+1)^4096", 6),
+        ("(x+1)^-4096", 7),
+        ("(d+x)^128", 6),
+        ("((x+1)^-1+x)^-171", 14),  # a power of a DiffOp base
+    ])
+    def test_large_power_of_a_sum_answers_at_once(self, text, pos):
+        # the first three took 29 s or more before the size bound; each is
+        # now refused at its exponent
+        start = time.perf_counter()
+        with pytest.raises(OperatorSyntaxError, match="bounds") as err:
+            parse_operator(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == pos
+
+    def test_power_size_bound_edge(self):
+        # (d + x)^n has at most (n + 1)(2n + 1) monomials: 496 at n = 15,
+        # 561 at n = 16; (x*d)^n at most (n + 1)^2
+        assert MAX_POWER_TERMS == 512
+        assert parse_operator("(d+x)^15") == (d + x) ** 15
+        assert parse_operator("(x*d)^21") == dop_mul(x, d) ** 21
+        for text in ("(d+x)^16", "(x*d)^22"):
+            with pytest.raises(OperatorSyntaxError, match="bounds"):
+                parse_operator(text)
 
 
 # texts drawn from the grammar, each with its value built by DiffOp arithmetic

@@ -27,6 +27,7 @@ from bispec.errors import ReconstructionFailed
 from bispec.poly import _sign_at, _sturm_sequence
 from oracles import (
     gcd_by_fraction_remainders,
+    laurent_expand_by_series,
     pade_by_joint_system,
     rat_antiderivative_by_rounds,
     rational_roots_by_candidates,
@@ -338,6 +339,20 @@ class TestLaurentExpand:
         for s in range(min(prod.terms, default=0), M + 1):
             if s <= approx.trunc:
                 assert prod.coeff(s) == approx.coeff(s)
+
+    @settings(max_examples=200)
+    @given(ratfuncs_st, st.integers(-8, 30))
+    # the zero function; M < 0; M below the leading index (1/(x^2+x+1)
+    # leads at 2); and denominators that are not powers of x
+    @example(RatFunc.zero(), 3)
+    @example(RatFunc.zero(), -2)
+    @example(RatFunc(Poly([1, 2]), Poly([1, 0, 0, 1])), -3)
+    @example(RatFunc(Poly([1]), Poly([1, 1, 1])), 1)
+    @example(RatFunc(Poly([3, 0, 1]), Poly([-2, 1])), -1)
+    @example(RatFunc(Poly([1]), Poly([0, 0, 1])), -5)
+    def test_equals_the_series_division(self, f, M):
+        t, ref = laurent_expand(f, M), laurent_expand_by_series(f, M)
+        assert (t.terms, t.trunc) == (ref.terms, ref.trunc)
 
     def test_multiply_back(self):
         # independent verification: t * den - num vanishes on known range
