@@ -9,7 +9,8 @@ recursion L K = K A is solved equation by equation in powers of A^-1; within
 one equation the unknowns are determined from the top height down, each by a
 single antiderivative, because in [A, m] = b A + c the b-part sits exactly
 one height below m, while in V m = U A + W the U-part enters at least two
-below.  Both decompositions are one division by A (``_reduce_top``).
+below.  Both decompositions are one division by A (``_reduce_top``): their
+sum is L m - m A, and division by the monic A is linear.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .poly import Poly
 from .rational import LaurentTail, RatFunc, add_terms, laurent_expand, nonzero_terms
-from .diffop import DiffOp, dop_mul, leibniz_divide, leibniz_product
+from .diffop import DiffOp, anti_homomorphism, leibniz_divide, leibniz_product
 from .weights import principal_part
 from .record import Record
 
@@ -222,18 +223,14 @@ def _reduce_top(T: TOp, At: TOp) -> tuple[TOp, TOp]:
     return TOp._trusted(q), TOp._trusted(r)
 
 
-def height(m: Union[TOp, DiffOp]):
+def height(m: DiffOp):
     """Height and leading monomial under the (x power, then d power) order.
 
     Returns (height, d-degree, coefficient) of the leading monomial."""
     if m.is_zero():
         raise ZeroOperand("height of zero")
-    if isinstance(m, DiffOp):
-        leads = [(c.infinity_order(), k, c.infinity_leading())
-                 for k, c in m.coeffs.items()]
-    else:  # the tails of a TOp are nonzero
-        leads = [(-s, k, c) for k, t in m.coeffs.items() for s, c in [t.leading()]]
-    return max(leads, key=lambda hkc: hkc[:2])
+    return max(((c.infinity_order(), k, c.infinity_leading()) for k, c in m.coeffs.items()),
+               key=lambda hkc: hkc[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +269,19 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
 # ---------------------------------------------------------------------------
 
 def _wave_tops(A: DiffOp, V: DiffOp, depth: int) -> tuple[TOp, TOp]:
-    """A and V as tail-coefficient operators, V's tails cut at ``depth``."""
-    return top_of_diffop(A), TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
-                                  for j, c in V.coeffs.items()})
+    """A and L = A + V as tail-coefficient operators, V's tails cut at
+    ``depth``."""
+    At = top_of_diffop(A)
+    return At, At + TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
+                         for j, c in V.coeffs.items()})
 
 
-def _contributions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
+def _contributions(delta: TOp, At: TOp, Lt: TOp) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of [A, delta] = b A + c and
-    V delta = U A + W for a piece delta of some m_j."""
-    qb, rc = _reduce_top(At * delta - delta * At, At)
-    qu, rw = _reduce_top(Vt * delta, At)
-    return qb + qu, rc + rw
+    V delta = U A + W for a piece delta of some m_j.  Their sum is
+    L delta - delta A, and division by the monic A is linear, so one
+    division gives both."""
+    return _reduce_top(Lt * delta - delta * At, At)
 
 
 def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
@@ -296,8 +295,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     if J < 1:
         raise ValueError("truncation must be >= 1")
     A, V = principal_part(L)
-    shape = airy_shape(A)
-    N = shape.N
+    N = airy_shape(A).N
     if V.order > N - 2:
         raise NotAiryShape("perturbation touches the subleading slot; "
                            "normalize the operator first")
@@ -306,12 +304,12 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     if V.is_zero():
         return AiryPDO(A, {}, J)
 
-    At, Vt = _wave_tops(A, V, depth)
+    At, Lt = _wave_tops(A, V, depth)
     inv_n = Fraction(-1, N)
     m: dict[int, dict[int, LaurentTail]] = {j: {} for j in range(1, J + 2)}
 
     try:
-        rhs = Vt  # equation 0: b_1 + U_1 + V = 0
+        rhs = Lt - At  # equation 0: b_1 + U_1 + V = 0
         for eq in range(0, J + 1):
             R = rhs
             next_rhs = TOp.zero()
@@ -320,7 +318,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 beta = g.antiderivative().scale(inv_n)
                 if not beta.is_zero():
                     m[eq][0] = beta
-                    same, nxt = _contributions(TOp({0: beta}), At, Vt)
+                    same, nxt = _contributions(TOp({0: beta}), At, Lt)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
@@ -332,7 +330,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 if alpha.is_zero():
                     continue
                 m[eq + 1][k] = alpha
-                same, nxt = _contributions(TOp({k: alpha}), At, Vt)
+                same, nxt = _contributions(TOp({k: alpha}), At, Lt)
                 R = R + same
                 next_rhs = next_rhs + nxt
             for k, t in R.coeffs.items():
@@ -363,11 +361,11 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     airy_shape(A)  # raises NotAiryShape
     h_min = K.h_min
     depth = -h_min
-    At, Vt = _wave_tops(A, V, depth)
+    At, Lt = _wave_tops(A, V, depth)
     # parts[j] holds the (b+U, c+W) parts of m_(j+1), each reduced once
-    parts = [_contributions(K.coeff(j), At, Vt) for j in range(1, K.trunc + 1)]
+    parts = [_contributions(K.coeff(j), At, Lt) for j in range(1, K.trunc + 1)]
     for j in range(0, K.trunc):
-        lhs = parts[j][0] + (Vt if j == 0 else parts[j - 1][1])
+        lhs = parts[j][0] + (Lt - At if j == 0 else parts[j - 1][1])
         for k, t in lhs.coeffs.items():
             if any(-s >= h_min and c != 0 for s, c in t.terms.items()):
                 return False
@@ -433,19 +431,8 @@ def airy_involution(P: DiffOp, A: DiffOp) -> DiffOp:
     """Anti-homomorphic image of a Weyl-algebra element under
     b(A) = z, b(d) = d_z, hence b(x) = A(z, d_z).
 
-    Each x^a d^j goes to d_z^j A(z, d_z)^a.  Requires lam = 1 and
-    polynomial coefficients."""
+    Each x^a d^j goes to d_z^j A(z, d_z)^a (``diffop.anti_homomorphism``).
+    Requires lam = 1 and polynomial coefficients."""
     if airy_shape(A).lam != 1:
         raise NotInDomain("Airy involution requires the -x normalization")
-    if not P.has_polynomial_coeffs():
-        raise NotInDomain("involution defined on polynomial coefficients")
-    Az = DiffOp("z", A.coeffs)
-    powers = [DiffOp.one("z")]
-    for _ in range(max((c.num.degree for c in P.coeffs.values()), default=0)):
-        powers.append(dop_mul(powers[-1], Az))
-    image = DiffOp.zero("z")
-    for j, c in P.coeffs.items():
-        xj = sum((powers[a].scale(coeff) for a, coeff in enumerate(c.num.coeffs)),
-                 DiffOp.zero("z"))
-        image = image + dop_mul(DiffOp.monomial(1, j, "z"), xj)
-    return image
+    return anti_homomorphism(P, DiffOp("z", A.coeffs), DiffOp.d("z"))

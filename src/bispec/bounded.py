@@ -46,10 +46,10 @@ from .diffop import (
     CoeffLike,
     DiffOp,
     _coerce,
+    anti_homomorphism,
     commutator,
     leibniz_divide,
     leibniz_product,
-    transpose_weyl,
 )
 from .linalg import nullspace
 from .record import Record
@@ -165,10 +165,10 @@ def split_constant_part(L: DiffOp) -> tuple[Poly, DiffOp]:
         if order > 0:
             raise UnboundedCoefficient(f"coefficient of d^{j} grows at infinity")
         const = c.infinity_leading() if order == 0 else Fraction(0)
-        if const != 0:
+        if const:
             fcoeffs[j] = const
         rest = c - RatFunc.const(const)
-        if not rest.is_zero():
+        if rest:
             vcoeffs[j] = rest
     top = max(fcoeffs) if fcoeffs else 0
     f = Poly([fcoeffs.get(k, Fraction(0)) for k in range(top + 1)])
@@ -280,14 +280,13 @@ def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, dict[int, LaurentTail]]
     """b(x) = d_z, b(d) = z extended as an anti-homomorphism
     (b(PQ) = b(Q) b(P)); defined on polynomial coefficients.
 
-    On differential operators this is the coordinate transpose
-    x^a d^j -> z^j d_z^a.  On series sum a_j(x) d^-j the image is
+    On differential operators this is ``diffop.anti_homomorphism``, which
+    sends x^a d^j to z^j d_z^a.  On series sum a_j(x) d^-j the image is
     sum z^-j a_j(d_z), regrouped by powers of d_z: a map from the power k
     of d_z to its coefficient, a truncated expansion in z^-1 (a tail)."""
     if isinstance(P, DiffOp):
-        if not P.has_polynomial_coeffs():
-            raise NotInDomain("b requires polynomial coefficients")
-        return transpose_weyl(P, "z" if P.var == "x" else "x")
+        var = "z" if P.var == "x" else "x"
+        return anti_homomorphism(P, DiffOp.d(var), DiffOp.x(var))
     tails: dict[int, dict[int, Fraction]] = {}
     for j, c in P.terms.items():
         if not c.is_polynomial():

@@ -37,6 +37,7 @@ the shared ``RatFunc.one()`` and ``RatFunc.x()`` instances.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Optional, Union
 
 from .errors import (
@@ -189,14 +190,9 @@ class DiffOp(Record):
         """Evaluate sum V_j(x) * R^j for an order-preserving replacement R
         of the derivative (used by the gauge normalizer)."""
         self._check_var(replacement)
-        powers: dict[int, DiffOp] = {0: DiffOp.one(self.var)}
-        top = self.order
-        for j in range(1, top + 1):
-            powers[j] = powers[j - 1] * replacement
-        out = DiffOp.zero(self.var)
-        for j, c in self.coeffs.items():
-            out = out + powers[j].mul_function(c)
-        return out
+        powers = _powers(replacement, self.order)
+        return sum((powers[j].mul_function(c) for j, c in self.coeffs.items()),
+                   DiffOp.zero(self.var))
 
     def translate(self, a: ScalarLike) -> "DiffOp":
         """L with x replaced by x + a; d is unchanged."""
@@ -382,19 +378,23 @@ def euler_operator(var: str = "x") -> DiffOp:
     return DiffOp(var, {1: RatFunc.x()})
 
 
-def transpose_weyl(P: DiffOp, out_var: str) -> DiffOp:
-    """Coordinate transpose x^a d^b -> z^b d_z^a on polynomial-coefficient
-    operators.  This realizes the standard anti-isomorphism b with
-    b(x) = d_z, b(d) = z (products reverse)."""
-    out: dict[int, RatFunc] = {}
-    terms: dict[int, Poly] = {}
+def _powers(P: DiffOp, n: int) -> list[DiffOp]:
+    """[1, P, P^2, ..., P^n], each power one product from the last."""
+    return list(accumulate([P] * n, dop_mul, initial=DiffOp.one(P.var)))
+
+
+def anti_homomorphism(P: DiffOp, x_image: DiffOp, d_image: DiffOp) -> DiffOp:
+    """The anti-homomorphism of the Weyl algebra fixed by x -> x_image and
+    d -> d_image (products reverse), on an operator with polynomial
+    coefficients: x^a d^j goes to d_image^j x_image^a.  It is well defined
+    when [x_image, d_image] = 1.  Each power of an image is built once."""
+    if not P.has_polynomial_coeffs():
+        raise NotInDomain("anti-homomorphism defined on polynomial coefficients")
+    zero = DiffOp.zero(x_image.var)
+    xs = _powers(x_image, max((c.num.degree for c in P.coeffs.values()), default=0))
+    ds = _powers(d_image, P.order)
+    image = zero
     for j, c in P.coeffs.items():
-        if not c.is_polynomial():
-            raise ValueError("transpose requires polynomial coefficients")
-        for a, coeff in enumerate(c.num.coeffs):
-            if coeff == 0:
-                continue
-            terms[a] = terms.get(a, Poly.zero()) + Poly.monomial(j, coeff)
-    for a, poly in terms.items():
-        out[a] = RatFunc(poly)
-    return DiffOp(out_var, out)
+        c_image = sum((xs[a].scale(v) for a, v in enumerate(c.num.coeffs)), zero)
+        image = image + dop_mul(ds[j], c_image)
+    return image

@@ -35,7 +35,8 @@ computation).  That is enough for a power of one term c*x^e or c*d^k,
 which stays one term, but not for any other base: (x+1)^4096 holds 4,097
 terms and (d+x)^128 thousands.  So a power of any other base, of either
 sign, is refused when ``_power_size`` bounds its monomials x^e*d^k by
-more than ``MAX_POWER_TERMS``.
+more than ``MAX_POWER_TERMS``, and so is a product whose bound, by the
+same reasoning, passes it, such as (x+1)^511*(x+1)^511.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
@@ -45,6 +46,7 @@ coefficient whose denominator is not a power of x is printed as
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -73,10 +75,8 @@ _SINGLE = {"x": "X", "d": "D", "+": "PLUS", "-": "MINUS", "*": "STAR",
            "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
 
 
-def _digits_end(text: str, i: int, n: int) -> int:
-    while i < n and text[i].isdecimal():
-        i += 1
-    return i
+# an integer, or a rational literal p/q with no space before the slash
+_NUMBER = re.compile(r"(\d+)(?:/\s*(\d*))?")
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -93,23 +93,16 @@ def _tokenize(text: str) -> list[tuple]:
         elif ch.isspace():
             i += 1
         elif ch.isdecimal():
-            j = _digits_end(text, i + 1, n)
-            num = int(text[i:j])
-            if j < n and text[j] == "/":  # rational literal p/q
-                k = j + 1
-                while k < n and text[k].isspace():
-                    k += 1
-                m = _digits_end(text, k, n)
-                if m == k:
-                    raise OperatorSyntaxError("expected denominator digits", k)
-                den = int(text[k:m])
-                if den == 0:
-                    raise OperatorSyntaxError("zero denominator", k)
-                append(("NUM", Fraction(num, den), i))
-                i = m
+            m = _NUMBER.match(text, i)
+            num, den = m.groups()
+            if den is None:
+                append(("NUM", Fraction(int(num)), i))
+            elif den and int(den):
+                append(("NUM", Fraction(int(num), int(den)), i))
             else:
-                append(("NUM", Fraction(num), i))
-                i = j
+                raise OperatorSyntaxError("zero denominator" if den else
+                                          "expected denominator digits", m.start(2))
+            i = m.end()
         else:
             raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
     append(("EOF", None, n))
@@ -166,12 +159,27 @@ class _Weyl:
         return _Weyl({key: c for key, c in out.items() if c})
 
     def __pow__(self, n: int) -> "_Weyl":
-        """self**n; n < 0 only for a single term c * x^e."""
+        """self**n; n < 0 only for a single term c * x^e.
+
+        The power of a nonzero function x^lo * sum_i q_i x^i comes from
+        J. C. P. Miller's recurrence for the coefficients of
+        (sum_i q_i y^i)^n, b_k = sum_i ((n+1) i - k) q_i b_(k-i) / (k q_0):
+        a few products per coefficient, where squarings take a number
+        quadratic in the length."""
         if len(self.terms) == 1:
             ((k, e), c), = self.terms.items()
             if not k:
                 return _Weyl({(0, e * n): c ** n})
-        return binary_power(self, n, _WEYL_ONE)
+        if not self.terms or not self.is_function():
+            return binary_power(self, n, _WEYL_ONE)
+        lo = min(e for _, e in self.terms)
+        q = {e - lo: c for (_, e), c in self.terms.items()}
+        q0 = q.pop(0)
+        b = [q0 ** n]
+        for k in range(1, n * max(q, default=0) + 1):
+            b.append(sum(((n + 1) * i - k) * c * b[k - i] for i, c in q.items() if i <= k)
+                     / (k * q0))
+        return _Weyl({(0, n * lo + k): c for k, c in enumerate(b) if c})
 
     def diffop(self, var: str) -> DiffOp:
         """The same operator as a DiffOp.  Each coefficient sum c * x^e
@@ -194,22 +202,26 @@ class _Weyl:
         return DiffOp._trusted(var, coeffs)
 
 
+def _extent(value: "_Value") -> tuple[int, int]:
+    """The order K of a value and the spread S of its x-exponents; a
+    DiffOp coefficient num/den spreads from x^-deg(den) to x^deg(num)."""
+    keys = value.terms if type(value) is _Weyl else [
+        (k, e) for k, c in value.coeffs.items() for e in (c.num.degree, -c.den.degree)]
+    ks, es = zip(*keys) if keys else ((0,), (0,))
+    return max(ks), max(es) - min(es)
+
+
 def _power_size(base: "_Value", n: int) -> int:
     """An upper bound on the number of monomials x^e*d^k of base^n.
 
     k reaches n*K for the base's order K, and e spreads over n*(S + K),
     with S the spread of the base's x-exponents, each reordering of d past
-    x^b lowering the exponent by one.  A DiffOp coefficient num/den spreads
-    from x^-deg(den) to x^deg(num).  A power of one term c*x^e or c*d^k is
-    one term."""
-    keys = base.terms if type(base) is _Weyl else [
-        (k, e) for k, c in base.coeffs.items() for e in (c.num.degree, -c.den.degree)]
-    # one term (k, e) with k = 0 or e = 0
-    if len(keys) == 1 and 0 in min(keys):
+    x^b lowering the exponent by one.  A power of one term c*x^e or c*d^k
+    is one term."""
+    if type(base) is _Weyl and len(base.terms) == 1 and 0 in min(base.terms):
         return 1
-    K = max((k for k, _ in keys), default=0)
-    es = [e for _, e in keys] or [0]
-    return (n * K + 1) * (n * (max(es) - min(es) + K) + 1)
+    K, S = _extent(base)
+    return (n * K + 1) * (n * (S + K) + 1)
 
 
 _WEYL_ONE = _Weyl({(0, 0): _ONE})
@@ -273,8 +285,14 @@ class _Parser:
     def term(self) -> _Value:
         value = self.unary()
         while self.kind() == "STAR":
-            self.pos += 1
+            star = self.advance()[2]
             value, rhs = self.pair(value, self.unary())
+            # by the reasoning of _power_size, k reaches Ka + Kb, and e
+            # spreads over Sa + Sb + Ka, as each of a's derivatives may lower it
+            (Ka, Sa), (Kb, Sb) = _extent(value), _extent(rhs)
+            if (Ka + Kb + 1) * (Sa + Sb + Ka + 1) > MAX_POWER_TERMS:
+                raise OperatorSyntaxError(
+                    f"product exceeds the supported size: {MAX_POWER_TERMS} terms", star)
             value = value * rhs if type(value) is _Weyl else dop_mul(value, rhs)
         return value
 

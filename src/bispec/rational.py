@@ -60,7 +60,6 @@ from .poly import (
     ScalarLike,
     _frac,
     _new,
-    binary_power,
     min_trunc,
     monomial_text,
     signed_sum,
@@ -254,9 +253,11 @@ class RatFunc:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "RatFunc":
+        """p^n/q^n of a reduced p/q with monic q is reduced, so the powers
+        of numerator and denominator need no gcd."""
         if n < 0:
             return self.inverse() ** (-n)
-        return binary_power(self, n, _RAT_ONE)
+        return RatFunc._reduced(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RatFunc":
         try:

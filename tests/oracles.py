@@ -20,6 +20,11 @@ These deliberately avoid the library's code paths:
   operator division, reduction modulo a tail-coefficient Airy operator,
   the Neumann series of a pseudo-differential inverse, and the expansion
   of an operator in powers of L by subtracting scaled powers L^r;
+* the pieces of the Airy-adic wave recursion divided by A twice, once
+  for [A, delta] and once for V delta, the reference for the one
+  division of L delta - delta A in ``airy._contributions``;
+* the coordinate transpose x^a d^b -> z^b d_z^a, the reference for the
+  involution b through ``diffop.anti_homomorphism``;
 * three Airy references: the bispectral check on a two-variable series
   Psi(x, z) = Phi(x + z), the Airy involution by relabelling the Weyl
   pair (d, A) and transposing, and the perturbation obstruction walk that
@@ -90,8 +95,7 @@ from bispec import (
     split_constant_part,
     wave_defect,
 )
-from bispec.airy import AiryBispectralReport, TOp
-from bispec.diffop import transpose_weyl
+from bispec.airy import AiryBispectralReport, TOp, _reduce_top
 from bispec.families import falling_factorial
 from bispec.linalg import nullspace
 from bispec.poly import poly_lcm
@@ -339,6 +343,21 @@ def reduce_top_by_leading_terms(T: TOp, At: TOp) -> tuple[TOp, TOp]:
     return q, r
 
 
+def contributions_by_two_divisions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
+    """The (b + U, c + W) parts of a piece delta of the Airy-adic wave
+    recursion: [A, delta] = b A + c and V delta = U A + W, each divided
+    by A on its own."""
+    qb, rc = _reduce_top(At * delta - delta * At, At)
+    qu, rw = _reduce_top(Vt * delta, At)
+    return qb + qu, rc + rw
+
+
+def top_height(m: TOp) -> int:
+    """The height of a nonzero TOp: the largest x-exponent -s of the
+    leading terms of its tails."""
+    return max(-t.leading()[0] for t in m.coeffs.values())
+
+
 def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
     """(1 + T)^-1 = sum_n (-T)^n through index J, for K = 1 + T with T
     strictly decaying."""
@@ -443,6 +462,24 @@ def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> AiryBispectralReport:
     shift = zero_through(_bi_add(_bi_diff(psi, 0), _bi_diff(psi, 1), -1))
     return AiryBispectralReport(ok=eigen[0] and eigen[1] and shift,
                                 verified_degree=M - 2)
+
+
+def transpose_weyl(P: DiffOp, out_var: str) -> DiffOp:
+    """Coordinate transpose x^a d^b -> z^b d_z^a on polynomial-coefficient
+    operators.  This realizes the standard anti-isomorphism b with
+    b(x) = d_z, b(d) = z (products reverse)."""
+    out: dict[int, RatFunc] = {}
+    terms: dict[int, Poly] = {}
+    for j, c in P.coeffs.items():
+        if not c.is_polynomial():
+            raise ValueError("transpose requires polynomial coefficients")
+        for a, coeff in enumerate(c.num.coeffs):
+            if coeff == 0:
+                continue
+            terms[a] = terms.get(a, Poly.zero()) + Poly.monomial(j, coeff)
+    for a, poly in terms.items():
+        out[a] = RatFunc(poly)
+    return DiffOp(out_var, out)
 
 
 def airy_involution_by_transpose(P: DiffOp, A: DiffOp) -> DiffOp:

@@ -30,7 +30,7 @@ from bispec import (
 )
 from bispec.airy import (AiryBispectralReport, TOp, _contributions, _reduce_top,
                          top_of_diffop)
-from oracles import obstruction_recursion_holds, random_diffop
+from oracles import obstruction_recursion_holds, random_diffop, top_height
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -96,11 +96,12 @@ class TestReduceModA:
 
 
 class TestBracketDecompose:
-    """[A, m] = b A + c, the part of ``_contributions`` with V = 0."""
+    """[A, m] = b A + c, the part of ``_contributions`` with V = 0,
+    that is with L = A."""
 
     @staticmethod
     def bracket(m):
-        return _contributions(m, AT2, TOp.zero())
+        return _contributions(m, AT2, AT2)
 
     def test_pure_function(self):
         m = TOp({0: tail(2) + tail(0, 3)})  # x^2 + 3
@@ -130,7 +131,7 @@ class TestBracketDecompose:
             diff = lhs - (b * AT2 + c)
             assert all(t.is_zero() for t in diff.coeffs.values())
             if not b.is_zero():
-                assert height(c)[0] == height(b)[0] + 1
+                assert top_height(c) == top_height(b) + 1
 
 
 class TestVDecompose:
@@ -164,9 +165,9 @@ class TestVDecompose:
             V = xpow(rng.randint(-5, -2))
             U, W = self.v_parts(V, m)
             if not U.is_zero():
-                assert height(U)[0] <= hm - 2
+                assert top_height(U) <= hm - 2
             if not W.is_zero():
-                assert height(W)[0] <= hm - 1
+                assert top_height(W) <= hm - 1
 
     def test_reconstruction(self):
         rng = random.Random(107)

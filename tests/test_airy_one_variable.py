@@ -1,9 +1,10 @@
 """The Airy side in one variable, u = x + z: the bispectral check reads
 both eigenvalue identities from A Phi = 0, the involution maps x^a d^j to
-d_z^j A(z, d_z)^a, and the obstruction walk takes its known length.
+d_z^j A(z, d_z)^a, the obstruction walk takes its known length, and each
+piece of the wave recursion is one division of L delta - delta A.
 
-Each is checked against the two-variable or step-by-step reference it
-replaced (in ``oracles``).
+Each is checked against the two-variable, step-by-step or two-division
+reference it replaced (in ``oracles``).
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import bispec.airy
 import oracles
 from bispec import (
     DiffOp,
+    LaurentTail,
     Poly,
     RatFunc,
     airy_bispectral_check,
@@ -24,9 +26,11 @@ from bispec import (
     perturbation_obstruction,
 )
 
+from bispec.airy import TOp, _contributions, _wave_tops, tail_of_ratfunc
 from oracles import (
     airy_bispectral_check_bivariate,
     airy_involution_by_transpose,
+    contributions_by_two_divisions,
     perturbation_obstruction_loop,
 )
 
@@ -96,3 +100,41 @@ class TestObstructionWalk:
         assert trace == perturbation_obstruction_loop(L, max_steps)
         assert len(trace.steps) == 1 + min(-1 - h, max_steps)
         assert trace.obstructed == (-1 - h <= max_steps)
+
+
+def exact_tails(low=-3, high=6):
+    """Exact Laurent tails with terms at indices low..high."""
+    return st.dictionaries(st.integers(low, high), nonzero_st, max_size=3).map(LaurentTail)
+
+
+@st.composite
+def perturbations(draw, N):
+    """A decaying V of order <= N - 2: Laurent terms c x^h (h < 0) and
+    rational terms c (x + a)^-k."""
+    coeffs = {}
+    for j in range(draw(st.integers(1, N - 1))):
+        c, h = draw(nonzero_st), draw(st.integers(-4, -1))
+        f = RatFunc.x_power(h, c)
+        if draw(st.booleans()):
+            a, k = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+            f = f + RatFunc(Poly([c]), Poly([a, 1]) ** k)
+        coeffs[j] = f
+    return DiffOp("x", coeffs)
+
+
+class TestContributions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(3, 12))
+    def test_matches_two_divisions(self, data, A, depth):
+        """On exact pieces.  On a truncated piece the one division can know
+        fewer coefficients: the t = 0 Leibniz terms of [A, delta] cancel
+        exactly, but once V delta is added to them the sum carries
+        delta's truncation shifted by A's x term."""
+        N = A.order
+        V = data.draw(perturbations(N))
+        delta = TOp(data.draw(st.dictionaries(st.integers(0, N - 1), exact_tails(),
+                                              max_size=N)))
+        At, Lt = _wave_tops(A, V, depth)
+        Vt = TOp({j: tail_of_ratfunc(c, depth).restrict(depth) for j, c in V.coeffs.items()})
+        assert Lt - At == Vt
+        assert _contributions(delta, At, Lt) == contributions_by_two_divisions(delta, At, Vt)

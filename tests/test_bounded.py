@@ -52,6 +52,7 @@ from oracles import (
     lift_by_degree_search,
     random_diffop,
     random_poly,
+    transpose_weyl,
     wave_by_rebuilt_defect,
 )
 
@@ -227,6 +228,20 @@ class TestInvolutionB:
             P = random_diffop(rng, max_order=3, max_degree=3)
             back = involution_b(involution_b(P))
             assert back == DiffOp(back.var, P.coeffs)
+
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(0, 4), st.lists(small, max_size=5).map(Poly),
+                           max_size=4),
+           st.sampled_from(["x", "z"]))
+    def test_matches_the_coordinate_transpose(self, coeffs, var):
+        P = DiffOp(var, coeffs)
+        assert involution_b(P) == transpose_weyl(P, "z" if var == "x" else "x")
+
+    def test_needs_polynomial_coefficients(self):
+        with pytest.raises(NotInDomain):
+            involution_b(DiffOp("x", {1: RatFunc.x_power(-1)}))
 
     def test_pdo_image(self):
         K = PDO("x", {0: RatFunc.one(), 1: RatFunc(Poly([0, 1])),

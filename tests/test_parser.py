@@ -157,6 +157,60 @@ class TestFastPaths:
         assert time.perf_counter() - start < 1
         assert err.value.position == pos
 
+    @pytest.mark.parametrize("text,n", [("((x+1)^-1+x)^170", 170),
+                                        ("((x+1)^-1+x)^-170", -170)])
+    def test_large_power_of_a_reciprocal_answers_at_once(self, text, n):
+        # 5 s when every squaring of the RatFunc power took a gcd; p^n/q^n
+        # of a reduced p/q is already reduced
+        start = time.perf_counter()
+        L = parse_operator(text)
+        assert time.perf_counter() - start < 1
+        # (x^2+x+1)/(x+1) is reduced, so its power is num^170/den^170
+        p, q = (parse_operator(t).coeff(0).num for t in ("(x^2+x+1)^170", "(x+1)^170"))
+        assert (L.coeff(0).num, L.coeff(0).den) == ((p, q) if n > 0 else (q, p))
+
+    @pytest.mark.parametrize("text,pos", [
+        ("(x+1)^511*(x+1)^511", 9),
+        ("((x+1)^-1+x)^170*((x+1)^-1+x)^170", 16),
+        ("(x+1)^200*(x+1)^200*(x+1)^200*(x+1)^200", 19),
+    ])
+    def test_large_product_answers_at_once(self, text, pos):
+        # the first took 2.7 s before products were bounded; each is now
+        # refused at the * whose bound passes MAX_POWER_TERMS
+        start = time.perf_counter()
+        with pytest.raises(OperatorSyntaxError, match="product") as err:
+            parse_operator(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == pos
+
+    def test_product_size_bound_edge(self):
+        # orders 0 and spreads 255 and 256: the bound is 1 * 512; the
+        # product of the squarings-free powers equals the one power
+        assert parse_operator("(x+1)^255*(x+1)^256") == parse_operator("(x+1)^511")
+        with pytest.raises(OperatorSyntaxError, match="product"):
+            parse_operator("(x+1)^256*(x+1)^256")
+        # d^k times one term x^b: order k and spreads 0, so (k + 1)^2
+        assert parse_operator("d^21*x^21") == dop_mul(d ** 21, x ** 21)
+        with pytest.raises(OperatorSyntaxError, match="product"):
+            parse_operator("d^22*x^22")
+
+    def test_sum_of_large_powers_answers_at_once(self):
+        # 1.5 s when each power of a function took repeated squarings
+        start = time.perf_counter()
+        L = parse_operator("(x+1)^511+(x+1)^511")
+        assert time.perf_counter() - start < 1
+        assert L.coeff(0).num.coeffs[1] == 2 * 511
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(-3, 3),
+                           st.fractions(-3, 3, max_denominator=3).filter(bool),
+                           min_size=2, max_size=4),
+           st.integers(0, 12))
+    def test_power_of_a_function_by_recurrence(self, terms, n):
+        text = "(" + " + ".join(f"({c})*x^{e}" for e, c in terms.items()) + f")^{n}"
+        f = sum((RatFunc.x_power(e, c) for e, c in terms.items()), RatFunc.zero())
+        assert parse_operator(text) == DiffOp.from_function(f ** n)
+
     def test_power_size_bound_edge(self):
         # (d + x)^n has at most (n + 1)(2n + 1) monomials: 496 at n = 15,
         # 561 at n = 16; (x*d)^n at most (n + 1)^2
