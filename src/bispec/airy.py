@@ -9,8 +9,8 @@ recursion L K = K A is solved equation by equation in powers of A^-1; within
 one equation the unknowns are determined from the top height down, each by a
 single antiderivative, because in [A, m] = b A + c the b-part sits exactly
 one height below m, while in V m = U A + W the U-part enters at least two
-below.  Both decompositions are one division by A (``_reduce_top``): their
-sum is L m - m A, and division by the monic A is linear.
+below.  Both decompositions are one division by A (``_contributions``):
+division by the monic A is linear, so it divides their sum.
 """
 
 from __future__ import annotations
@@ -213,15 +213,8 @@ class ObstructionTrace(Record):
 
 
 # ---------------------------------------------------------------------------
-# reduction mod A and heights
+# heights
 # ---------------------------------------------------------------------------
-
-def _reduce_top(T: TOp, At: TOp) -> tuple[TOp, TOp]:
-    """Division T = q * At + r in the tail-coefficient ring, d-degree(r)
-    below order(At)."""
-    q, r = leibniz_divide(T.coeffs, At.coeffs)
-    return TOp._trusted(q), TOp._trusted(r)
-
 
 def height(m: DiffOp):
     """Height and leading monomial under the (x power, then d power) order.
@@ -269,19 +262,19 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
 # ---------------------------------------------------------------------------
 
 def _wave_tops(A: DiffOp, V: DiffOp, depth: int) -> tuple[TOp, TOp]:
-    """A and L = A + V as tail-coefficient operators, V's tails cut at
-    ``depth``."""
-    At = top_of_diffop(A)
-    return At, At + TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
-                         for j, c in V.coeffs.items()})
+    """A and V as tail-coefficient operators, V's tails cut at ``depth``."""
+    return top_of_diffop(A), TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
+                                  for j, c in V.coeffs.items()})
 
 
-def _contributions(delta: TOp, At: TOp, Lt: TOp) -> tuple[TOp, TOp]:
+def _contributions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of [A, delta] = b A + c and
-    V delta = U A + W for a piece delta of some m_j.  Their sum is
-    L delta - delta A, and division by the monic A is linear, so one
-    division gives both."""
-    return _reduce_top(Lt * delta - delta * At, At)
+    V delta = U A + W for a piece delta of some m_j: one division
+    T = q A + r of their sum T, with d-degree(r) below order(A), as
+    division by the monic A is linear.  The bracket is formed on its own,
+    so its a_k delta terms cancel whatever delta's truncation."""
+    q, r = leibniz_divide((At * delta - delta * At + Vt * delta).coeffs, At.coeffs)
+    return TOp._trusted(q), TOp._trusted(r)
 
 
 def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
@@ -295,7 +288,8 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     if J < 1:
         raise ValueError("truncation must be >= 1")
     A, V = principal_part(L)
-    N = airy_shape(A).N
+    shape = airy_shape(A)
+    N = shape.N
     if V.order > N - 2:
         raise NotAiryShape("perturbation touches the subleading slot; "
                            "normalize the operator first")
@@ -304,12 +298,12 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     if V.is_zero():
         return AiryPDO(A, {}, J)
 
-    At, Lt = _wave_tops(A, V, depth)
+    At, Vt = _wave_tops(A, V, depth)
     inv_n = Fraction(-1, N)
-    m: dict[int, dict[int, LaurentTail]] = {j: {} for j in range(1, J + 2)}
+    m: dict[int, dict[int, LaurentTail]] = {j: {} for j in range(1, J + 1)}
 
     try:
-        rhs = Lt - At  # equation 0: b_1 + U_1 + V = 0
+        rhs = Vt  # equation 0: b_1 + U_1 + V = 0
         for eq in range(0, J + 1):
             R = rhs
             next_rhs = TOp.zero()
@@ -318,7 +312,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 beta = g.antiderivative().scale(inv_n)
                 if not beta.is_zero():
                     m[eq][0] = beta
-                    same, nxt = _contributions(TOp({0: beta}), At, Lt)
+                    same, nxt = _contributions(TOp({0: beta}), At, Vt)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
@@ -330,7 +324,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 if alpha.is_zero():
                     continue
                 m[eq + 1][k] = alpha
-                same, nxt = _contributions(TOp({k: alpha}), At, Lt)
+                same, nxt = _contributions(TOp({k: alpha}), At, Vt)
                 R = R + same
                 next_rhs = next_rhs + nxt
             for k, t in R.coeffs.items():
@@ -346,7 +340,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
             return trace
         raise
 
-    mjs = {j: TOp(parts) for j, parts in m.items() if parts and j <= J}
+    mjs = {j: TOp(parts) for j, parts in m.items() if parts}
     return AiryPDO(A, mjs, J)
 
 
@@ -361,14 +355,17 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     airy_shape(A)  # raises NotAiryShape
     h_min = K.h_min
     depth = -h_min
-    At, Lt = _wave_tops(A, V, depth)
-    # parts[j] holds the (b+U, c+W) parts of m_(j+1), each reduced once
-    parts = [_contributions(K.coeff(j), At, Lt) for j in range(1, K.trunc + 1)]
-    for j in range(0, K.trunc):
-        lhs = parts[j][0] + (Lt - At if j == 0 else parts[j - 1][1])
-        for k, t in lhs.coeffs.items():
-            if any(-s >= h_min and c != 0 for s, c in t.terms.items()):
+    At, Vt = _wave_tops(A, V, depth)
+    # equation j - 1 adds the (b+U) part of m_j to the (c+W) part of
+    # m_(j-1), or to V for j = 1; each m_j is divided once
+    prev = Vt
+    for j in range(1, K.trunc + 1):
+        same, nxt = _contributions(K.coeff(j), At, Vt)
+        # a tail holds only nonzero terms
+        for t in (same + prev).coeffs.values():
+            if any(-s >= h_min for s in t.terms):
                 return False
+        prev = nxt
     return True
 
 

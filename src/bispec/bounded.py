@@ -165,10 +165,10 @@ def split_constant_part(L: DiffOp) -> tuple[Poly, DiffOp]:
         if order > 0:
             raise UnboundedCoefficient(f"coefficient of d^{j} grows at infinity")
         const = c.infinity_leading() if order == 0 else Fraction(0)
-        if const:
+        if const != 0:
             fcoeffs[j] = const
         rest = c - RatFunc.const(const)
-        if rest:
+        if not rest.is_zero():
             vcoeffs[j] = rest
     top = max(fcoeffs) if fcoeffs else 0
     f = Poly([fcoeffs.get(k, Fraction(0)) for k in range(top + 1)])
@@ -432,8 +432,7 @@ class BoundedTestReport(Record):
 
     @property
     def passes(self) -> bool:
-        return (self.identity_holds and self.divisibility_ok
-                and self.q_r_ok and self.cj_all_zero)
+        return not self.failures()
 
     def failures(self) -> tuple[str, ...]:
         out = []

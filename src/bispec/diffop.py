@@ -47,7 +47,7 @@ from .errors import (
     NotMonic,
     VariableMismatch,
 )
-from .poly import Poly, ScalarLike, binary_power
+from .poly import Poly, ScalarLike
 from .rational import RatFunc, add_terms, nonzero_terms
 from .record import Record
 
@@ -64,6 +64,21 @@ def _coerce(c: CoeffLike) -> RatFunc:
     if isinstance(c, (Fraction, int)):
         return RatFunc.const(c)
     raise NotInDomain(f"{type(c).__name__} coefficient is not a rational function")
+
+
+def binary_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring, for the noncommutative
+    operator rings (``DiffOp`` and the parser's Weyl-algebra values);
+    ``one`` is returned for n = 0.  No square is taken after the last bit
+    of n."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
 
 
 class DiffOp(Record):

@@ -21,8 +21,9 @@ and the ``DiffOp`` is built once, at the end, with every coefficient
 already canonical (its lowest term is nonzero, so no x divides the
 numerator of an x^m denominator).  Only one construction leaves the
 algebra: a derivative-free subexpression with two or more terms raised
-to a negative power, such as (x+1)^-1 (a zero one raises
-ZeroDenominator on the same route).  From that node on the value is a
+to a power, such as (x+1)^-1 or (x+1)^3, which is the ``RatFunc`` power
+num^n/den^n by ``Poly.__pow__`` (a zero one raises ZeroDenominator on
+the same route at a negative power).  From that node on the value is a
 ``DiffOp`` built with ``dop_mul``, ``DiffOp`` sums and ``RatFunc`` powers,
 and each Laurent operand that meets it is converted once.
 
@@ -34,32 +35,34 @@ storage makes astronomically large powers a denial-of-service, not a
 computation).  That is enough for a power of one term c*x^e or c*d^k,
 which stays one term, but not for any other base: (x+1)^4096 holds 4,097
 terms and (d+x)^128 thousands.  So a power of any other base, of either
-sign, is refused when ``_power_size`` bounds its monomials x^e*d^k by
-more than ``MAX_POWER_TERMS``, and so is a product whose bound, by the
-same reasoning, passes it, such as (x+1)^511*(x+1)^511.
+sign, is refused when it could hold more than ``MAX_POWER_TERMS``
+monomials x^e*d^k, and so is a product, such as (x+1)^511*(x+1)^511.
+Both bounds count the monomials in a box, the ranges of the powers of d
+and of x that the factors' boxes (``_box``) allow.  A box misses that
+the terms of d^k*x^k lie on one diagonal (k + 1 terms in a box of
+(k + 1)^2), so such products are refused from k = 22 on.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
 coefficient whose denominator is not a power of x is printed as
-(numerator)*(denominator)^-1.
+(numerator)*(denominator)^-1; the parser takes that product back while
+the two degrees add up to less than ``MAX_POWER_TERMS``.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
 from .poly import (
     Poly,
-    binary_power,
     monomial_text,
     poly_text,
     signed_sum,
 )
 from .rational import RatFunc, add_terms
-from .diffop import DiffOp, dop_mul
+from .diffop import DiffOp, binary_power, dop_mul
 
 MAX_EXPONENT = 4096
 MAX_POWER_TERMS = 512
@@ -75,8 +78,10 @@ _SINGLE = {"x": "X", "d": "D", "+": "PLUS", "-": "MINUS", "*": "STAR",
            "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
 
 
-# an integer, or a rational literal p/q with no space before the slash
-_NUMBER = re.compile(r"(\d+)(?:/\s*(\d*))?")
+def _digits_end(text: str, i: int, n: int) -> int:
+    while i < n and text[i].isdecimal():
+        i += 1
+    return i
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -93,16 +98,23 @@ def _tokenize(text: str) -> list[tuple]:
         elif ch.isspace():
             i += 1
         elif ch.isdecimal():
-            m = _NUMBER.match(text, i)
-            num, den = m.groups()
-            if den is None:
-                append(("NUM", Fraction(int(num)), i))
-            elif den and int(den):
-                append(("NUM", Fraction(int(num), int(den)), i))
+            j = _digits_end(text, i + 1, n)
+            num = int(text[i:j])
+            if j < n and text[j] == "/":  # rational literal p/q
+                k = j + 1
+                while k < n and text[k].isspace():
+                    k += 1
+                m = _digits_end(text, k, n)
+                if m == k:
+                    raise OperatorSyntaxError("expected denominator digits", k)
+                den = int(text[k:m])
+                if den == 0:
+                    raise OperatorSyntaxError("zero denominator", k)
+                append(("NUM", Fraction(num, den), i))
+                i = m
             else:
-                raise OperatorSyntaxError("zero denominator" if den else
-                                          "expected denominator digits", m.start(2))
-            i = m.end()
+                append(("NUM", Fraction(num), i))
+                i = j
         else:
             raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
     append(("EOF", None, n))
@@ -159,27 +171,12 @@ class _Weyl:
         return _Weyl({key: c for key, c in out.items() if c})
 
     def __pow__(self, n: int) -> "_Weyl":
-        """self**n; n < 0 only for a single term c * x^e.
-
-        The power of a nonzero function x^lo * sum_i q_i x^i comes from
-        J. C. P. Miller's recurrence for the coefficients of
-        (sum_i q_i y^i)^n, b_k = sum_i ((n+1) i - k) q_i b_(k-i) / (k q_0):
-        a few products per coefficient, where squarings take a number
-        quadratic in the length."""
+        """self**n; n < 0 only for a single term c * x^e."""
         if len(self.terms) == 1:
             ((k, e), c), = self.terms.items()
             if not k:
                 return _Weyl({(0, e * n): c ** n})
-        if not self.terms or not self.is_function():
-            return binary_power(self, n, _WEYL_ONE)
-        lo = min(e for _, e in self.terms)
-        q = {e - lo: c for (_, e), c in self.terms.items()}
-        q0 = q.pop(0)
-        b = [q0 ** n]
-        for k in range(1, n * max(q, default=0) + 1):
-            b.append(sum(((n + 1) * i - k) * c * b[k - i] for i, c in q.items() if i <= k)
-                     / (k * q0))
-        return _Weyl({(0, n * lo + k): c for k, c in enumerate(b) if c})
+        return binary_power(self, n, _WEYL_ONE)
 
     def diffop(self, var: str) -> DiffOp:
         """The same operator as a DiffOp.  Each coefficient sum c * x^e
@@ -202,13 +199,14 @@ class _Weyl:
         return DiffOp._trusted(var, coeffs)
 
 
-def _extent(value: "_Value") -> tuple[int, int]:
-    """The order K of a value and the spread S of its x-exponents; a
-    DiffOp coefficient num/den spreads from x^-deg(den) to x^deg(num)."""
+def _box(value: "_Value") -> tuple:
+    """The lowest and highest power of d, then of x, over the monomials
+    x^e*d^k of a value, all 0 for zero.  A DiffOp coefficient num/den
+    stands for x^deg(num) and x^-deg(den)."""
     keys = value.terms if type(value) is _Weyl else [
         (k, e) for k, c in value.coeffs.items() for e in (c.num.degree, -c.den.degree)]
-    ks, es = zip(*keys) if keys else ((0,), (0,))
-    return max(ks), max(es) - min(es)
+    ks, es = zip(*keys or [(0, 0)])
+    return min(ks), max(ks), min(es), max(es)
 
 
 def _power_size(base: "_Value", n: int) -> int:
@@ -218,10 +216,23 @@ def _power_size(base: "_Value", n: int) -> int:
     with S the spread of the base's x-exponents, each reordering of d past
     x^b lowering the exponent by one.  A power of one term c*x^e or c*d^k
     is one term."""
-    if type(base) is _Weyl and len(base.terms) == 1 and 0 in min(base.terms):
+    k, K, e, E = _box(base)
+    if k == K and e == E and 0 in (K, E):
         return 1
-    K, S = _extent(base)
-    return (n * K + 1) * (n * (S + K) + 1)
+    return (n * K + 1) * (n * (E - e + K) + 1)
+
+
+def _product_size(a: "_Value", b: "_Value") -> int:
+    """An upper bound on the number of monomials x^e*d^k of a*b.
+
+    x^e1 d^k1 o x^e2 d^k2 is the sum over t of w_t x^(e1+e2-t) d^(k1+k2-t),
+    with t up to k1, and up to e2 when e2 >= 0 (w_t = 0 beyond).  So with
+    t below the largest such shift, k and e run over ranges set by the
+    factors' boxes."""
+    ak, aK, ae, aE = _box(a)
+    bk, bK, be, bE = _box(b)
+    t = aK if be < 0 else min(aK, bE)
+    return (aK + bK - bk - max(0, ak - t) + 1) * (aE + bE - ae - be + t + 1)
 
 
 _WEYL_ONE = _Weyl({(0, 0): _ONE})
@@ -287,10 +298,7 @@ class _Parser:
         while self.kind() == "STAR":
             star = self.advance()[2]
             value, rhs = self.pair(value, self.unary())
-            # by the reasoning of _power_size, k reaches Ka + Kb, and e
-            # spreads over Sa + Sb + Ka, as each of a's derivatives may lower it
-            (Ka, Sa), (Kb, Sb) = _extent(value), _extent(rhs)
-            if (Ka + Kb + 1) * (Sa + Sb + Ka + 1) > MAX_POWER_TERMS:
+            if _product_size(value, rhs) > MAX_POWER_TERMS:
                 raise OperatorSyntaxError(
                     f"product exceeds the supported size: {MAX_POWER_TERMS} terms", star)
             value = value * rhs if type(value) is _Weyl else dop_mul(value, rhs)
@@ -325,9 +333,10 @@ class _Parser:
             raise NegativeDerivativeExponent(
                 "negative exponent on a subexpression containing d", caret
             )
-        if type(base) is _Weyl and (e >= 0 or len(base.terms) == 1):
+        if type(base) is _Weyl and (len(base.terms) == 1 or not base.is_function()):
             return base ** e
-        # a reciprocal of a non-monomial function (or of zero) leaves Q[x, x^-1]
+        # a power of a function of several terms (or of zero) is a RatFunc
+        # power, num^e/den^e by Poly.__pow__
         base = self.as_diffop(base)
         if base.is_function():
             return DiffOp.from_function(base.coeff(0) ** e, base.var)

@@ -59,19 +59,6 @@ def min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-def binary_power(base, n: int, one):
-    """base**n for n >= 0 by repeated squaring; ``one`` is returned for
-    n = 0.  No square is taken after the last bit of n."""
-    result = None
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return one if result is None else result
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -208,9 +195,24 @@ class Poly:
         return Poly._trusted(tuple([a * c for a in self.coeffs]))
 
     def __pow__(self, n: int) -> "Poly":
+        """self**n by J. C. P. Miller's recurrence, run on the reversed
+        coefficients q_0, q_1, ... (leading first, so q_0 is nonzero): the
+        coefficients b_k of the reversed power satisfy
+        k q_0 b_k = sum_i ((n + 1) i - k) q_i b_(k-i).  That is a few
+        products per coefficient, where repeated squaring takes a number
+        quadratic in the length of the result."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        return binary_power(self, n, _POLY_ONE)
+        if not n or self.is_one():
+            return _POLY_ONE
+        if self.is_zero():
+            return self
+        q0, *q = reversed(self.coeffs)
+        b = [q0 ** n]
+        for k in range(1, n * len(q) + 1):
+            b.append(sum(((n + 1) * i - k) * c * b[k - i]
+                         for i, c in enumerate(q[:k], 1)) / (k * q0))
+        return Poly._trusted(tuple(reversed(b)))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():

@@ -20,6 +20,10 @@ These deliberately avoid the library's code paths:
   operator division, reduction modulo a tail-coefficient Airy operator,
   the Neumann series of a pseudo-differential inverse, and the expansion
   of an operator in powers of L by subtracting scaled powers L^r;
+* ``reduce_top``, not a reference but the library's ``leibniz_divide``
+  on tail-coefficient operators, the division that
+  ``airy._contributions`` makes once per piece, for the tests that divide
+  other operators by A;
 * the pieces of the Airy-adic wave recursion divided by A twice, once
   for [A, delta] and once for V delta, the reference for the one
   division of L delta - delta A in ``airy._contributions``;
@@ -95,7 +99,8 @@ from bispec import (
     split_constant_part,
     wave_defect,
 )
-from bispec.airy import AiryBispectralReport, TOp, _reduce_top
+from bispec.airy import AiryBispectralReport, TOp
+from bispec.diffop import leibniz_divide
 from bispec.families import falling_factorial
 from bispec.linalg import nullspace
 from bispec.poly import poly_lcm
@@ -343,12 +348,19 @@ def reduce_top_by_leading_terms(T: TOp, At: TOp) -> tuple[TOp, TOp]:
     return q, r
 
 
+def reduce_top(T: TOp, At: TOp) -> tuple[TOp, TOp]:
+    """Division T = q * At + r in the tail-coefficient ring, d-degree(r)
+    below order(At), by the shared ``leibniz_divide``."""
+    q, r = leibniz_divide(T.coeffs, At.coeffs)
+    return TOp(q), TOp(r)
+
+
 def contributions_by_two_divisions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of a piece delta of the Airy-adic wave
     recursion: [A, delta] = b A + c and V delta = U A + W, each divided
     by A on its own."""
-    qb, rc = _reduce_top(At * delta - delta * At, At)
-    qu, rw = _reduce_top(Vt * delta, At)
+    qb, rc = reduce_top(At * delta - delta * At, At)
+    qu, rw = reduce_top(Vt * delta, At)
     return qb + qu, rc + rw
 
 

@@ -28,9 +28,9 @@ from bispec import (
     perturbation_obstruction,
     right_divide,
 )
-from bispec.airy import (AiryBispectralReport, TOp, _contributions, _reduce_top,
+from bispec.airy import (AiryBispectralReport, TOp, _contributions,
                          top_of_diffop)
-from oracles import obstruction_recursion_holds, random_diffop, top_height
+from oracles import obstruction_recursion_holds, random_diffop, reduce_top, top_height
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -96,12 +96,11 @@ class TestReduceModA:
 
 
 class TestBracketDecompose:
-    """[A, m] = b A + c, the part of ``_contributions`` with V = 0,
-    that is with L = A."""
+    """[A, m] = b A + c, the part of ``_contributions`` with V = 0."""
 
     @staticmethod
     def bracket(m):
-        return _contributions(m, AT2, AT2)
+        return _contributions(m, AT2, TOp.zero())
 
     def test_pure_function(self):
         m = TOp({0: tail(2) + tail(0, 3)})  # x^2 + 3
@@ -127,7 +126,7 @@ class TestBracketDecompose:
             h1 = rng.randint(-4, 3)
             m = TOp({1: tail(h1), 0: tail(rng.randint(-4, h1 + 1))})
             lhs = AT2 * m - m * AT2
-            b, c = _reduce_top(lhs, AT2)
+            b, c = reduce_top(lhs, AT2)
             diff = lhs - (b * AT2 + c)
             assert all(t.is_zero() for t in diff.coeffs.values())
             if not b.is_zero():
@@ -139,7 +138,7 @@ class TestVDecompose:
 
     @staticmethod
     def v_parts(V, m):
-        return _reduce_top(top_of_diffop(V) * m, AT2)
+        return reduce_top(top_of_diffop(V) * m, AT2)
 
     def test_below_order(self):
         U, W = self.v_parts(xpow(-2), TOp({0: tail(0)}))

@@ -1,13 +1,14 @@
 """The Airy side in one variable, u = x + z: the bispectral check reads
 both eigenvalue identities from A Phi = 0, the involution maps x^a d^j to
 d_z^j A(z, d_z)^a, the obstruction walk takes its known length, and each
-piece of the wave recursion is one division of L delta - delta A.
+piece of the wave recursion is one division of [A, delta] + V delta.
 
 Each is checked against the two-variable, step-by-step or two-division
 reference it replaced (in ``oracles``).
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +23,14 @@ from bispec import (
     RatFunc,
     airy_bispectral_check,
     airy_involution,
+    airy_wave_residual,
+    airy_wave_solve,
     make_airy,
+    parse_operator,
     perturbation_obstruction,
 )
 
-from bispec.airy import TOp, _contributions, _wave_tops, tail_of_ratfunc
+from bispec.airy import AiryPDO, TOp, _contributions, _wave_tops
 from oracles import (
     airy_bispectral_check_bivariate,
     airy_involution_by_transpose,
@@ -126,15 +130,37 @@ class TestContributions:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(3, 12))
     def test_matches_two_divisions(self, data, A, depth):
-        """On exact pieces.  On a truncated piece the one division can know
-        fewer coefficients: the t = 0 Leibniz terms of [A, delta] cancel
-        exactly, but once V delta is added to them the sum carries
-        delta's truncation shifted by A's x term."""
         N = A.order
         V = data.draw(perturbations(N))
         delta = TOp(data.draw(st.dictionaries(st.integers(0, N - 1), exact_tails(),
                                               max_size=N)))
-        At, Lt = _wave_tops(A, V, depth)
-        Vt = TOp({j: tail_of_ratfunc(c, depth).restrict(depth) for j, c in V.coeffs.items()})
-        assert Lt - At == Vt
-        assert _contributions(delta, At, Lt) == contributions_by_two_divisions(delta, At, Vt)
+        At, Vt = _wave_tops(A, V, depth)
+        assert _contributions(delta, At, Vt) == contributions_by_two_divisions(delta, At, Vt)
+
+    @staticmethod
+    def solve_both_ways(L, J):
+        """(K, residual) by one division per piece, then by two."""
+        out = []
+        for contributions in (_contributions, contributions_by_two_divisions):
+            with mock.patch.object(bispec.airy, "_contributions", contributions):
+                K = airy_wave_solve(L, J)
+                out.append((K, isinstance(K, AiryPDO) and airy_wave_residual(L, K)))
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(1, 6))
+    def test_truncated_pieces(self, data, A, J):
+        """The recursion's pieces are truncated tails.  On them the solve
+        is the same either way; the residual check, which divides whole
+        m_j, may find a zero that two divisions missed, never the reverse."""
+        L = A + data.draw(perturbations(A.order))
+        (K, one), (K2, two) = self.solve_both_ways(L, J)
+        assert K == K2
+        assert one or not two
+
+    def test_residual_found_by_one_division_only(self):
+        # two divisions leave -9/8 x^-8 in the d^0 quotient of m_1 above
+        # h_min = -10: each keeps its own truncation, which the sum does not
+        L = parse_operator("d^4 - d^2 + 3*x^-4*d^2 - 3*d - x")
+        (K, one), (K2, two) = self.solve_both_ways(L, 2)
+        assert K == K2 and one and not two

@@ -19,10 +19,10 @@ from pathlib import Path
 import bispec
 
 # the AST-node total of src/bispec/*.py may not exceed this
-MAX_AST_NODES = 25939
+MAX_AST_NODES = 25942
 
 # nor may the AST-node count of any one of them (bounded.py is the largest)
-MAX_MODULE_AST_NODES = 3424
+MAX_MODULE_AST_NODES = 3421
 
 # the submodules ``import bispec`` loads (cli is the command-line entry)
 EAGER = {"airy", "bounded", "classify", "diffop", "errors", "families",

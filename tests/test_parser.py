@@ -21,7 +21,7 @@ from bispec import (
     parser as parser_module,
     print_operator,
 )
-from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS
+from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS, _product_size, _Weyl
 from oracles import diffop_of_mono, mono_mul, mono_of_diffop, random_diffop
 from test_trusted_ring import assert_canonical_op
 
@@ -185,14 +185,36 @@ class TestFastPaths:
 
     def test_product_size_bound_edge(self):
         # orders 0 and spreads 255 and 256: the bound is 1 * 512; the
-        # product of the squarings-free powers equals the one power
+        # product equals the one power
         assert parse_operator("(x+1)^255*(x+1)^256") == parse_operator("(x+1)^511")
-        with pytest.raises(OperatorSyntaxError, match="product"):
+        with pytest.raises(OperatorSyntaxError, match="product") as err:
             parse_operator("(x+1)^256*(x+1)^256")
-        # d^k times one term x^b: order k and spreads 0, so (k + 1)^2
-        assert parse_operator("d^21*x^21") == dop_mul(d ** 21, x ** 21)
-        with pytest.raises(OperatorSyntaxError, match="product"):
-            parse_operator("d^22*x^22")
+        assert err.value.position == 9
+        # 31 powers of d and 46 of x
+        with pytest.raises(OperatorSyntaxError, match="product") as err:
+            parse_operator("(d+x)^15*(d+x)^15")
+        assert err.value.position == 8
+
+    @pytest.mark.parametrize("text,a,b", [
+        # no x to move d past: one term
+        ("d^30*2", d ** 30, DiffOp.const(2)),
+        # d past x^b lowers the powers at most b times: 2 x 2
+        ("d^22*x", d ** 22, x),
+        ("d^21*x^21", d ** 21, x ** 21),
+        ("x^-300*d^20*x^300", DiffOp.from_function(RatFunc.x_power(-300)),
+         dop_mul(d ** 20, x ** 300)),
+    ])
+    def test_few_term_products_of_large_factors_parse(self, text, a, b):
+        assert parse_operator(text) == dop_mul(a, b)
+
+    weyl_st = st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(-4, 6)),
+        st.integers(-3, 3).filter(bool).map(Fraction), max_size=4).map(_Weyl)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weyl_st, weyl_st)
+    def test_product_size_bounds_the_product(self, a, b):
+        assert len((a * b).terms) <= _product_size(a, b)
 
     def test_sum_of_large_powers_answers_at_once(self):
         # 1.5 s when each power of a function took repeated squarings
@@ -328,6 +350,12 @@ class TestPrint:
         for _ in range(100):
             L = random_diffop(rng, max_order=4, max_degree=6, min_exponent=-4)
             assert parse_operator(print_operator(L)) == L
+
+    def test_large_order_over_a_general_denominator(self):
+        # the printed product's bound is deg num + deg den + 1 = 19
+        L = DiffOp("x", {30: RatFunc(Poly([1] + [0] * 9 + [1]), Poly([1] + [0] * 7 + [1]))})
+        assert print_operator(L) == "(x^10 + 1)*(x^8 + 1)^-1*d^30"
+        assert parse_operator(print_operator(L)) == L
 
     def test_general_denominator(self):
         L = DiffOp("x", {1: RatFunc(Poly([1]), Poly([-1, 1]))})

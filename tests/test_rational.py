@@ -72,6 +72,18 @@ def outcome(fn, g):
 
 
 class TestPoly:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(-3, 3, max_denominator=3), max_size=5).map(Poly),
+           st.integers(0, 9))
+    def test_power_by_recurrence_is_repeated_product(self, p, n):
+        expect = Poly.one()
+        for _ in range(n):
+            expect = expect * p
+        assert p ** n == expect
+
+    def test_powers_of_one_are_the_shared_unit(self):
+        assert Poly.one() ** 7 is Poly.one() and Poly([5]) ** 0 is Poly.one()
+
     def test_zero_degree_sentinel(self):
         assert Poly().degree == -1
         assert Poly([0, 0]).degree == -1
