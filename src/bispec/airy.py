@@ -11,6 +11,23 @@ single antiderivative, because in [A, m] = b A + c the b-part sits exactly
 one height below m, while in V m = U A + W the U-part enters at least two
 below.  Both decompositions are one division by A (``_contributions``):
 division by the monic A is linear, so it divides their sum.
+
+Depth rule.  A solve through truncation J runs at the one depth
+D = J + N + 4 on exact Laurent polynomials: V's coefficients are expanded
+through x^-D, every division result is cut there, and nothing else is
+dropped.  Then m_j is exact through x^-(D - j).  Proof: V's cut and every
+later cut drop only terms of height <= -(D + 1), so an error first enters
+equation 0 there.  Let equation j - 1 err at heights <= h.  Its unknowns,
+the d^k parts of m_j with k >= 1, are one antiderivative each of a
+coefficient of that equation, so they err at <= h + 1; their b + U parts
+reach the same equation one height or more below them, at <= h.  Their
+c + W parts reach equation j at <= h + 1 (c holds lam k alpha d^(k-1) at
+alpha's height), but its d^(N-1) slot, which fixes the d^0 part of m_j by
+one more antiderivative, only at <= h; that part and all it adds stay at
+<= h + 1.  So equation j errs at <= h + 1 and m_j at <= -(D + 1) + j.
+Cutting the reported m_j and m_(j-1) at x^-(D - j) and x^-(D + 1 - j)
+changes equation j - 1 only at heights <= -(D + 2 - j), so
+``airy_wave_residual`` finds it exact through x^-(D - j), where it checks.
 """
 
 from __future__ import annotations
@@ -27,12 +44,10 @@ from .errors import (
     ZeroOperand,
 )
 from .poly import Poly
-from .rational import LaurentTail, RatFunc, add_terms, laurent_expand, nonzero_terms
+from .rational import LaurentTail, add_terms, laurent_expand, nonzero_terms
 from .diffop import DiffOp, anti_homomorphism, leibniz_divide, leibniz_product
 from .weights import principal_part
 from .record import Record
-
-DEFAULT_TAIL_DEPTH = 24
 
 
 # ---------------------------------------------------------------------------
@@ -140,23 +155,17 @@ _new = object.__new__
 _set_top_coeffs = TOp.coeffs.__set__
 
 
-def tail_of_ratfunc(c: RatFunc, depth: int) -> LaurentTail:
-    if c.is_laurent_polynomial():
-        return LaurentTail({-e: v for e, v in c.laurent_terms()}, None)
-    return laurent_expand(c, depth)
-
-
-def top_of_diffop(L: DiffOp) -> TOp:
-    return TOp({j: tail_of_ratfunc(c, DEFAULT_TAIL_DEPTH) for j, c in L.coeffs.items()})
-
-
 # ---------------------------------------------------------------------------
 # AiryPDO
 # ---------------------------------------------------------------------------
 
 class AiryPDO(Record):
     """Truncated Airy-adic wave operator K = 1 + sum_{j=1}^J m_j A^-j,
-    each m_j a ``TOp`` of d-degree below N = order(A)."""
+    each m_j a ``TOp`` of d-degree below N = order(A).
+
+    ``airy_wave_solve`` reports each tail of m_j cut at x^-(D - j), its
+    ``trunc``, with D = J + N + 4; by the depth rule of the module
+    docstring every coefficient through that index is exact."""
 
     __slots__ = ("A", "mjs", "trunc")
     A: DiffOp
@@ -171,12 +180,6 @@ class AiryPDO(Record):
         if any(m.order >= self.A.order for m in clean.values()):
             raise ValueError("coefficient of d-degree at or above the Airy order")
         object.__setattr__(self, "mjs", clean)
-
-    @property
-    def h_min(self) -> int:
-        """The deepest height tracked while solving, -(trunc + N + 4);
-        identities involving K are exact above it."""
-        return -(self.trunc + self.A.order + 4)
 
     def coeff(self, j: int) -> TOp:
         return self.mjs.get(j, TOp.zero())
@@ -230,7 +233,8 @@ def height(m: DiffOp):
 # perturbation obstruction (leading-height recursion)
 # ---------------------------------------------------------------------------
 
-def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace:
+def perturbation_obstruction(L: Union[DiffOp, tuple[DiffOp, DiffOp]],
+                             max_steps: int = 24) -> ObstructionTrace:
     """Track only the leading heights of the b_j through the recursion.
 
     b_1 matches -V at the top; thereafter the leading of b_{j+1} is forced
@@ -239,8 +243,11 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
     top height h < 0 the walk takes min(-1 - h, max_steps) steps.  It ends
     at s_j = -1 (obstructed: that leading term would have to be the
     derivative of a rational function) or when the budget runs out
-    (inconclusive); V = 0 is clean."""
-    A, V = principal_part(L)
+    (inconclusive); V = 0 is clean.
+
+    ``L`` is the operator, or the split (A, V) that ``principal_part``
+    returned for it, so that a caller holding the split does not redo it."""
+    A, V = principal_part(L) if isinstance(L, DiffOp) else L
     shape = airy_shape(A)
     N, lam = shape.N, shape.lam
     if V.is_zero():
@@ -261,44 +268,56 @@ def perturbation_obstruction(L: DiffOp, max_steps: int = 24) -> ObstructionTrace
 # the Airy-adic wave recursion
 # ---------------------------------------------------------------------------
 
-def _wave_tops(A: DiffOp, V: DiffOp, depth: int) -> tuple[TOp, TOp]:
-    """A and V as tail-coefficient operators, V's tails cut at ``depth``."""
-    return top_of_diffop(A), TOp({j: tail_of_ratfunc(c, depth).restrict(depth)
-                                  for j, c in V.coeffs.items()})
+def _depth(J: int, N: int) -> int:
+    """The one depth D of a solve through truncation J (module docstring)."""
+    return J + N + 4
 
 
-def _contributions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
+def _cut(coeffs: Mapping[int, LaurentTail], depth: int) -> TOp:
+    """The operator whose coefficients are the terms of the tails
+    ``coeffs`` through x^-depth, as exact Laurent polynomials."""
+    return TOp({k: LaurentTail._trusted(nonzero_terms(t.terms, depth), None)
+                for k, t in coeffs.items()})
+
+
+def _top(P: DiffOp, depth: int) -> TOp:
+    """P with each coefficient expanded at infinity through x^-depth, as an
+    exact Laurent polynomial; a polynomial coefficient loses nothing."""
+    return _cut({j: LaurentTail({-e: v for e, v in c.laurent_terms()})
+                 if c.is_laurent_polynomial() else laurent_expand(c, depth)
+                 for j, c in P.coeffs.items()}, depth)
+
+
+def _contributions(delta: TOp, At: TOp, Vt: TOp, depth: int) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of [A, delta] = b A + c and
-    V delta = U A + W for a piece delta of some m_j: one division
-    T = q A + r of their sum T, with d-degree(r) below order(A), as
-    division by the monic A is linear.  The bracket is formed on its own,
-    so its a_k delta terms cancel whatever delta's truncation."""
+    V delta = U A + W for a piece delta of some m_j, cut at x^-depth: one
+    division T = q A + r of their sum T, with d-degree(r) below order(A),
+    as division by the monic A is linear."""
     q, r = leibniz_divide((At * delta - delta * At + Vt * delta).coeffs, At.coeffs)
-    return TOp._trusted(q), TOp._trusted(r)
+    return _cut(q, depth), _cut(r, depth)
 
 
 def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     """Solve L K = K A for K = 1 + sum m_j A^-j through truncation J.
 
-    Heights below h_min = -(J + N + 4) are not tracked.  When a
-    required antiderivative needs a logarithm the recursion is impossible
-    for rational data; the leading-height trace certifying the failure is
+    The recursion runs at the depth D = J + N + 4 of the module docstring
+    and reports m_j exact through x^-(D - j).  When a required
+    antiderivative needs a logarithm the recursion is impossible for
+    rational data; the leading-height trace certifying the failure is
     returned instead of K.
     """
     if J < 1:
         raise ValueError("truncation must be >= 1")
     A, V = principal_part(L)
-    shape = airy_shape(A)
-    N = shape.N
+    N = airy_shape(A).N
     if V.order > N - 2:
         raise NotAiryShape("perturbation touches the subleading slot; "
                            "normalize the operator first")
-    h_min = -(J + N + 4)
-    depth = -h_min
     if V.is_zero():
         return AiryPDO(A, {}, J)
 
-    At, Vt = _wave_tops(A, V, depth)
+    D = _depth(J, N)
+    At, Vt = _top(A, D), _top(V, D)
     inv_n = Fraction(-1, N)
     m: dict[int, dict[int, LaurentTail]] = {j: {} for j in range(1, J + 1)}
 
@@ -312,7 +331,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 beta = g.antiderivative().scale(inv_n)
                 if not beta.is_zero():
                     m[eq][0] = beta
-                    same, nxt = _contributions(TOp({0: beta}), At, Vt)
+                    same, nxt = _contributions(TOp({0: beta}), At, Vt, D)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
@@ -324,23 +343,21 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 if alpha.is_zero():
                     continue
                 m[eq + 1][k] = alpha
-                same, nxt = _contributions(TOp({k: alpha}), At, Vt)
+                same, nxt = _contributions(TOp({k: alpha}), At, Vt, D)
                 R = R + same
                 next_rhs = next_rhs + nxt
-            for k, t in R.coeffs.items():
-                live = {s: c for s, c in t.terms.items() if -s >= h_min}
-                if live:
-                    raise InvariantViolation(
-                        f"equation {eq} residual at d^{k}: {LaurentTail(live, t.trunc)}"
-                    )
+            # each unknown cancels its slot exactly, so nothing is left
+            if R.coeffs:
+                raise InvariantViolation(f"equation {eq} residual: {R.coeffs}")
             rhs = next_rhs
     except LogObstruction:
-        trace = perturbation_obstruction(L)
+        trace = perturbation_obstruction((A, V))
         if trace.obstructed:
             return trace
         raise
 
-    mjs = {j: TOp(parts) for j, parts in m.items() if parts}
+    mjs = {j: TOp({k: t.restrict(D - j) for k, t in parts.items()})
+           for j, parts in m.items() if parts}
     return AiryPDO(A, mjs, J)
 
 
@@ -348,22 +365,20 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     """Re-verify the recursion equations b_{j+1}+U_{j+1}+c_j+W_j = 0
     (and b_1+U_1+V = 0) for the solved coefficients, through truncation.
 
-    Equations 0 .. trunc-1 are checked; heights below the solve's tracked
-    range are ignored.  This is the L K - K A = 0 statement written in
-    A-adic slices."""
+    Equation j - 1 is checked through x^-(D - j), where the depth rule of
+    the module docstring makes it exact.  This is the L K - K A = 0
+    statement written in A-adic slices."""
     A, V = principal_part(L)
-    airy_shape(A)  # raises NotAiryShape
-    h_min = K.h_min
-    depth = -h_min
-    At, Vt = _wave_tops(A, V, depth)
+    D = _depth(K.trunc, airy_shape(A).N)  # raises NotAiryShape
+    At, Vt = _top(A, D), _top(V, D)
     # equation j - 1 adds the (b+U) part of m_j to the (c+W) part of
     # m_(j-1), or to V for j = 1; each m_j is divided once
     prev = Vt
     for j in range(1, K.trunc + 1):
-        same, nxt = _contributions(K.coeff(j), At, Vt)
+        same, nxt = _contributions(_cut(K.coeff(j).coeffs, D), At, Vt, D)
         # a tail holds only nonzero terms
         for t in (same + prev).coeffs.values():
-            if any(-s >= h_min for s in t.terms):
+            if min(t.terms) <= D - j:
                 return False
         prev = nxt
     return True

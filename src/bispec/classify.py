@@ -320,7 +320,7 @@ def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budge
             report.verdict = VERDICT_AIRY
             report.certificates["airy_parameters"] = dict(shape.a)
             return
-        trace = perturbation_obstruction(L, budgets.obstruction_steps)
+        trace = perturbation_obstruction((A, V), budgets.obstruction_steps)
         report.certificates["obstruction_trace"] = {
             "verdict": trace.verdict,
             "steps": [(s.j, s.s, s.k, s.alpha) for s in trace.steps],

@@ -26,7 +26,10 @@ These deliberately avoid the library's code paths:
   other operators by A;
 * the pieces of the Airy-adic wave recursion divided by A twice, once
   for [A, delta] and once for V delta, the reference for the one
-  division of L delta - delta A in ``airy._contributions``;
+  division of L delta - delta A in ``airy._contributions``, and the
+  whole recursion run that way at 12 more terms of depth, one unknown
+  per slot, the reference for every coefficient ``airy_wave_solve``
+  reports;
 * the coordinate transpose x^a d^b -> z^b d_z^a, the reference for the
   involution b through ``diffop.anti_homomorphism``;
 * three Airy references: the bispectral check on a two-variable series
@@ -77,6 +80,7 @@ from bispec import (
     DiffOp,
     InsufficientPrecision,
     LaurentTail,
+    LogObstruction,
     NotCommuting,
     NotInDomain,
     ObstructionStep,
@@ -362,6 +366,48 @@ def contributions_by_two_divisions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, T
     qb, rc = reduce_top(At * delta - delta * At, At)
     qu, rw = reduce_top(Vt * delta, At)
     return qb + qu, rc + rw
+
+
+def airy_wave_deep(L: DiffOp, J: int, extra: int = 12) -> Optional[dict]:
+    """The m_j (j <= J) of the Airy-adic wave recursion L K = K A, as
+    {j: {k: exact tail}}, solved on Laurent polynomials cut at x^-(D + extra),
+    D = J + N + 4 the depth of ``airy_wave_solve``; None when an
+    antiderivative needs a logarithm.  Equation eq fixes its slots from
+    d^(N-1) down, each by one antiderivative: d^(N-1) the d^0 part of
+    m_eq, d^(s) below it the d^(s+1) part of m_(eq+1)."""
+    A, V = principal_part(L)
+    N = A.order
+    depth = J + N + 4 + extra
+
+    def cut(op: TOp) -> TOp:
+        return TOp({k: LaurentTail({s: c for s, c in t.terms.items() if s <= depth})
+                    for k, t in op.coeffs.items()})
+
+    def top(P: DiffOp) -> TOp:
+        return cut(TOp({k: laurent_expand(c, depth) for k, c in P.coeffs.items()}))
+
+    At, Vt = top(A), top(V)
+    m: dict = {j: {} for j in range(1, J + 1)}
+    rhs = Vt
+    try:
+        for eq in range(J + 1):
+            R, rhs = rhs, TOp.zero()
+            for slot in range(N - 1, -1 if eq < J else N - 2, -1):
+                j, k = (eq, 0) if slot == N - 1 else (eq + 1, slot + 1)
+                piece = R.coeff(slot).antiderivative().scale(Fraction(-1, N))
+                if j == 0 or piece.is_zero():
+                    continue
+                m[j][k] = piece
+                same, nxt = contributions_by_two_divisions(TOp({k: piece}), At, Vt)
+                # a pure function's c + W part belongs to its own equation
+                if k == 0:
+                    R = R + cut(same) + cut(nxt)
+                else:
+                    R, rhs = R + cut(same), rhs + cut(nxt)
+            assert eq == J or R.is_zero()
+    except LogObstruction:
+        return None
+    return m
 
 
 def top_height(m: TOp) -> int:

@@ -25,17 +25,19 @@ from bispec import (
     dop_mul,
     height,
     make_airy,
+    parse_operator,
     perturbation_obstruction,
     right_divide,
 )
-from bispec.airy import (AiryBispectralReport, TOp, _contributions,
-                         top_of_diffop)
-from oracles import obstruction_recursion_holds, random_diffop, reduce_top, top_height
+from bispec.airy import AiryBispectralReport, TOp, _contributions, _top
+from oracles import (airy_wave_deep, obstruction_recursion_holds, random_diffop,
+                     reduce_top, top_height)
 
 d = DiffOp.d()
 x = DiffOp.x()
 A2 = make_airy(2)
-AT2 = top_of_diffop(A2)
+DEPTH = 24  # deeper than every tail of the tests below
+AT2 = _top(A2, DEPTH)
 
 
 def xpow(k, c=1):
@@ -90,7 +92,7 @@ class TestReduceModA:
             N = A.order
             T = random_diffop(rng, max_order=2 * N, max_degree=3, min_exponent=-2)
             q, r = right_divide(T, A)
-            assert all(t.trunc is None for t in top_of_diffop(r).coeffs.values())
+            assert all(c.is_laurent_polynomial() for c in r.coeffs.values())
             assert dop_mul(q, A) + r == T
             assert r.order < N
 
@@ -100,7 +102,7 @@ class TestBracketDecompose:
 
     @staticmethod
     def bracket(m):
-        return _contributions(m, AT2, TOp.zero())
+        return _contributions(m, AT2, TOp.zero(), DEPTH)
 
     def test_pure_function(self):
         m = TOp({0: tail(2) + tail(0, 3)})  # x^2 + 3
@@ -138,7 +140,7 @@ class TestVDecompose:
 
     @staticmethod
     def v_parts(V, m):
-        return reduce_top(top_of_diffop(V) * m, AT2)
+        return reduce_top(_top(V, DEPTH) * m, AT2)
 
     def test_below_order(self):
         U, W = self.v_parts(xpow(-2), TOp({0: tail(0)}))
@@ -176,7 +178,7 @@ class TestVDecompose:
             V = dop_mul(xpow(rng.randint(-5, -2)), d ** rng.randint(0, 1))
             U, W = self.v_parts(V, m)
             lhs = U * AT2 + W
-            rhs = top_of_diffop(V) * m
+            rhs = _top(V, DEPTH) * m
             diff = lhs - rhs
             assert all(t.is_zero() for t in diff.coeffs.values())
 
@@ -226,6 +228,53 @@ class TestWaveSolve:
         deep = airy_wave_solve(L, 12)
         assert isinstance(deep, ObstructionTrace) and deep.obstructed
         assert [s.s for s in deep.steps] == list(range(-9, 0))
+
+
+def perturbed_airy(rng):
+    """(L, J): a generalized Airy operator of order N in {2, 3, 5} plus one
+    or two terms c B^-e d^k, B in {x, x + a, x^2 + 1}, e <= 9, k <= N - 2,
+    and a truncation J <= 8."""
+    N = rng.choice([2, 3, 5])
+    L = make_airy(N, {j: rng.choice([-2, -1, 1, 3]) for j in range(1, N - 1)
+                      if rng.random() < 0.5})
+    for _ in range(rng.choice([1, 2])):
+        B = rng.choice([Poly([0, 1]), Poly([rng.choice([-2, -1, 1, 2]), 1]), Poly([1, 0, 1])])
+        c = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3]))
+        L = L + DiffOp("x", {rng.randrange(N - 1): RatFunc(Poly([c]), B ** rng.randint(1, 9))})
+    return L, rng.randint(1, 8)
+
+
+class TestDepthRule:
+    """m_j is exact through x^-(D - j), D = J + N + 4, and the residual
+    check accepts every solve."""
+
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_regression_d0_part_of_m1(self, J):
+        out = airy_wave_solve(parse_operator("d^3 - x^-5*d - x"), J)
+        m10 = out.coeff(1).coeff(0)
+        assert m10.coeff(6) == Fraction(-10, 9)
+        assert m10.trunc == J + 3 + 4 - 1
+
+    def test_reported_coefficients_match_a_deeper_solve(self):
+        solves = 0
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for _ in range(20):
+                L, J = perturbed_airy(rng)
+                K = airy_wave_solve(L, J)
+                if not isinstance(K, AiryPDO):
+                    continue
+                assert airy_wave_residual(L, K)
+                solves += not K.is_identity()
+                deep = airy_wave_deep(L, J)
+                D = J + L.order + 4
+                for j in range(1, J + 1):
+                    for k in range(L.order):
+                        got = K.coeff(j).coeff(k)
+                        want = deep[j].get(k, LaurentTail.zero())
+                        assert got.terms == want.restrict(D - j).terms
+                        assert got.trunc in (None, D - j)
+        assert solves >= 20
 
 
 class TestPerturbationObstruction:

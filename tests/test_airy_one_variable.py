@@ -30,7 +30,7 @@ from bispec import (
     perturbation_obstruction,
 )
 
-from bispec.airy import AiryPDO, TOp, _contributions, _wave_tops
+from bispec.airy import AiryPDO, TOp, _contributions, _cut, _top
 from oracles import (
     airy_bispectral_check_bivariate,
     airy_involution_by_transpose,
@@ -126,6 +126,12 @@ def perturbations(draw, N):
     return DiffOp("x", coeffs)
 
 
+def contributions_cut_by_two_divisions(delta, At, Vt, depth):
+    """``contributions_by_two_divisions`` cut at x^-depth, as the solve cuts."""
+    return tuple(_cut(part.coeffs, depth)
+                 for part in contributions_by_two_divisions(delta, At, Vt))
+
+
 class TestContributions:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(3, 12))
@@ -134,14 +140,15 @@ class TestContributions:
         V = data.draw(perturbations(N))
         delta = TOp(data.draw(st.dictionaries(st.integers(0, N - 1), exact_tails(),
                                               max_size=N)))
-        At, Vt = _wave_tops(A, V, depth)
-        assert _contributions(delta, At, Vt) == contributions_by_two_divisions(delta, At, Vt)
+        At, Vt = _top(A, depth), _top(V, depth)
+        assert _contributions(delta, At, Vt, depth) == \
+            contributions_cut_by_two_divisions(delta, At, Vt, depth)
 
     @staticmethod
     def solve_both_ways(L, J):
         """(K, residual) by one division per piece, then by two."""
         out = []
-        for contributions in (_contributions, contributions_by_two_divisions):
+        for contributions in (_contributions, contributions_cut_by_two_divisions):
             with mock.patch.object(bispec.airy, "_contributions", contributions):
                 K = airy_wave_solve(L, J)
                 out.append((K, isinstance(K, AiryPDO) and airy_wave_residual(L, K)))
@@ -149,18 +156,17 @@ class TestContributions:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(1, 6))
-    def test_truncated_pieces(self, data, A, J):
-        """The recursion's pieces are truncated tails.  On them the solve
-        is the same either way; the residual check, which divides whole
-        m_j, may find a zero that two divisions missed, never the reverse."""
+    def test_exact_pieces(self, data, A, J):
+        """The recursion's pieces are exact Laurent polynomials cut at one
+        depth, so one division and two give the same solve, and the
+        residual check accepts every solve either way."""
         L = A + data.draw(perturbations(A.order))
         (K, one), (K2, two) = self.solve_both_ways(L, J)
         assert K == K2
-        assert one or not two
+        assert one == two == isinstance(K, AiryPDO)
 
-    def test_residual_found_by_one_division_only(self):
-        # two divisions leave -9/8 x^-8 in the d^0 quotient of m_1 above
-        # h_min = -10: each keeps its own truncation, which the sum does not
+    def test_residual_found_by_either_division(self):
         L = parse_operator("d^4 - d^2 + 3*x^-4*d^2 - 3*d - x")
         (K, one), (K2, two) = self.solve_both_ways(L, 2)
-        assert K == K2 and one and not two
+        assert isinstance(K, AiryPDO)
+        assert K == K2 and one and two

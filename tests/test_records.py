@@ -169,7 +169,7 @@ class TestChecks:
 
     def test_airy_pdo(self):
         K = AiryPDO(make_airy(3), {1: TOp.zero()}, 2)
-        assert K.mjs == {} and K.h_min == -(2 + 3 + 4)
+        assert K.mjs == {}
         with pytest.raises(ValueError):
             AiryPDO(make_airy(3), {3: TOp({0: TAIL})}, 2)
         with pytest.raises(ValueError):
