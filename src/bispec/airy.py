@@ -10,14 +10,17 @@ one equation the unknowns are determined from the top height down, each by a
 single antiderivative, because in [A, m] = b A + c the b-part sits exactly
 one height below m, while in V m = U A + W the U-part enters at least two
 below.  Both decompositions are one division by A (``_contributions``):
-division by the monic A is linear, so it divides their sum.
+division by the monic A is linear, so it divides their sum.  Every
+operator of the solve lies in Q[x, x^-1]<d>, so it is a ``diffop.TOp``,
+the sparse map {(k, e): c} that the parser also evaluates in.
 
 Depth rule.  A solve through truncation J runs at the one depth
 D = J + N + 4 on exact Laurent polynomials: V's coefficients are expanded
-through x^-D, every division result is cut there, and nothing else is
-dropped.  Then m_j is exact through x^-(D - j).  Proof: V's cut and every
-later cut drop only terms of height <= -(D + 1), so an error first enters
-equation 0 there.  Let equation j - 1 err at heights <= h.  Its unknowns,
+through x^-D, every division result is cut there, each dividend is cut
+at x^-(D + 1) before its division, and nothing else is dropped.  Then m_j
+is exact through x^-(D - j).  Proof: V's cut and every later cut drop
+only terms of height <= -(D + 1), so an error first enters equation 0
+there.  Let equation j - 1 err at heights <= h.  Its unknowns,
 the d^k parts of m_j with k >= 1, are one antiderivative each of a
 coefficient of that equation, so they err at <= h + 1; their b + U parts
 reach the same equation one height or more below them, at <= h.  Their
@@ -28,13 +31,21 @@ one more antiderivative, only at <= h; that part and all it adds stay at
 Cutting the reported m_j and m_(j-1) at x^-(D - j) and x^-(D + 1 - j)
 changes equation j - 1 only at heights <= -(D + 2 - j), so
 ``airy_wave_residual`` finds it exact through x^-(D - j), where it checks.
+
+The dividend's cut changes no division result through x^-D.  A piece
+delta has d-order <= N - 1, and the top terms of A delta and delta A
+cancel, so the dividend has d-order <= 2N - 2.  A quotient step on its
+term x^e d^k keeps the exponent e in every term it makes but one: A's
+-lam x gives x^(e+1) d^(k-N), one index higher, and k - N < N, so that
+term makes no further step.  So a result at x^-s comes only from
+dividend terms at x^-(s + 1) or higher.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from .errors import (
     InvariantViolation,
@@ -44,8 +55,8 @@ from .errors import (
     ZeroOperand,
 )
 from .poly import Poly
-from .rational import LaurentTail, add_terms, laurent_expand, nonzero_terms
-from .diffop import DiffOp, anti_homomorphism, leibniz_divide, leibniz_product
+from .rational import LaurentTail, laurent_expand
+from .diffop import DiffOp, TOp, anti_homomorphism
 from .weights import principal_part
 from .record import Record
 
@@ -99,63 +110,6 @@ def airy_shape(A: DiffOp) -> AiryShape:
 
 
 # ---------------------------------------------------------------------------
-# operators with Laurent-tail coefficients (internal working ring)
-# ---------------------------------------------------------------------------
-
-class TOp(Record):
-    """Normal-ordered operator sum_k alpha_k(x) d^k with tail coefficients.
-    The operator coefficients m_j of an Airy-adic series are ``TOp``
-    values of d-degree below the Airy order N.
-
-    ``TOp._trusted`` wraps a dict with int keys >= 0 and nonzero tails,
-    unchecked."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Mapping[int, LaurentTail]] = None):
-        clean = nonzero_terms({int(k): t for k, t in (coeffs or {}).items()})
-        if any(k < 0 for k in clean):
-            raise ValueError("negative derivative power")
-        _set_top_coeffs(self, clean)
-
-    @classmethod
-    def _trusted(cls, coeffs: dict) -> "TOp":
-        self = _new(cls)
-        _set_top_coeffs(self, coeffs)
-        return self
-
-    @staticmethod
-    def zero() -> "TOp":
-        return TOp._trusted({})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def order(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def coeff(self, k: int) -> LaurentTail:
-        return self.coeffs.get(k, LaurentTail.zero(None))
-
-    def __add__(self, other: "TOp") -> "TOp":
-        return TOp._trusted(add_terms(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "TOp":
-        return TOp._trusted({k: -t for k, t in self.coeffs.items()})
-
-    def __sub__(self, other: "TOp") -> "TOp":
-        return self + (-other)
-
-    def __mul__(self, other: "TOp") -> "TOp":
-        return TOp._trusted(leibniz_product(self.coeffs, other.coeffs))
-
-
-_new = object.__new__
-_set_top_coeffs = TOp.coeffs.__set__
-
-
-# ---------------------------------------------------------------------------
 # AiryPDO
 # ---------------------------------------------------------------------------
 
@@ -163,9 +117,10 @@ class AiryPDO(Record):
     """Truncated Airy-adic wave operator K = 1 + sum_{j=1}^J m_j A^-j,
     each m_j a ``TOp`` of d-degree below N = order(A).
 
-    ``airy_wave_solve`` reports each tail of m_j cut at x^-(D - j), its
-    ``trunc``, with D = J + N + 4; by the depth rule of the module
-    docstring every coefficient through that index is exact."""
+    ``airy_wave_solve`` reports m_j cut at x^-(D - j) with D = J + N + 4;
+    by the depth rule of the module docstring every coefficient through
+    that index is exact.  For V != 0 it reports every m_j, a zero one
+    included, so ``mjs`` is empty exactly for K = 1."""
 
     __slots__ = ("A", "mjs", "trunc")
     A: DiffOp
@@ -174,18 +129,29 @@ class AiryPDO(Record):
 
     def __post_init__(self):
         airy_shape(self.A)
-        clean = {int(j): m for j, m in self.mjs.items() if not m.is_zero()}
-        if any(j < 1 or j > self.trunc for j in clean):
+        if any(j < 1 or j > self.trunc for j in self.mjs):
             raise ValueError("coefficient index outside [1, trunc]")
-        if any(m.order >= self.A.order for m in clean.values()):
+        if any(m.order >= self.A.order for m in self.mjs.values()):
             raise ValueError("coefficient of d-degree at or above the Airy order")
-        object.__setattr__(self, "mjs", clean)
 
     def coeff(self, j: int) -> TOp:
-        return self.mjs.get(j, TOp.zero())
+        return self.mjs.get(j, _ZERO_OP)
+
+    def tails(self, j: int) -> dict[int, LaurentTail]:
+        """The d^k parts of m_j, k descending, as tails exact through
+        x^-(D - j); a zero m_j is its d^0 part, 0 + O(x^-(D - j + 1))."""
+        trunc = _depth(self.trunc, self.A.order) - j
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (k, e), c in self.coeff(j).terms.items():
+            rows.setdefault(k, {})[-e] = c
+        return {k: LaurentTail._trusted(rows[k], trunc)
+                for k in sorted(rows, reverse=True)} or {0: LaurentTail.zero(trunc)}
 
     def is_identity(self) -> bool:
         return not self.mjs
+
+
+_ZERO_OP = TOp({})
 
 
 class ObstructionStep(Record):
@@ -273,27 +239,53 @@ def _depth(J: int, N: int) -> int:
     return J + N + 4
 
 
-def _cut(coeffs: Mapping[int, LaurentTail], depth: int) -> TOp:
-    """The operator whose coefficients are the terms of the tails
-    ``coeffs`` through x^-depth, as exact Laurent polynomials."""
-    return TOp({k: LaurentTail._trusted(nonzero_terms(t.terms, depth), None)
-                for k, t in coeffs.items()})
+def _cut(T: TOp, depth: int) -> TOp:
+    """The terms of T through x^-depth."""
+    return TOp({key: c for key, c in T.terms.items() if key[1] >= -depth})
 
 
 def _top(P: DiffOp, depth: int) -> TOp:
     """P with each coefficient expanded at infinity through x^-depth, as an
     exact Laurent polynomial; a polynomial coefficient loses nothing."""
-    return _cut({j: LaurentTail({-e: v for e, v in c.laurent_terms()})
-                 if c.is_laurent_polynomial() else laurent_expand(c, depth)
-                 for j, c in P.coeffs.items()}, depth)
+    terms = {}
+    for k, c in P.coeffs.items():
+        pairs = c.laurent_terms() if c.is_laurent_polynomial() else [
+            (-s, v) for s, v in laurent_expand(c, depth).terms.items()]
+        terms.update(((k, e), v) for e, v in pairs if e >= -depth)
+    return TOp(terms)
+
+
+def _piece(R: TOp, slot: int, k: int, N: int) -> TOp:
+    """-1/N times the antiderivative of R's d^slot coefficient, times d^k.
+    Raises LogObstruction on an x^-1 term, whose antiderivative is a log."""
+    out = {}
+    for (i, e), c in R.terms.items():
+        if i == slot:
+            if e == -1:
+                raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
+            out[(k, e + 1)] = c / (e + 1) * Fraction(-1, N)
+    return TOp(out)
+
+
+def _divide(T: TOp, At: TOp) -> tuple[TOp, TOp]:
+    """T = q A + r with every d-power of r below N = order(A), for a monic
+    A: each step takes the remainder's top d^k terms as the quotient's
+    d^(k - N) part."""
+    N = At.order
+    quo: dict = {}
+    while (k := T.order) >= N:
+        top = TOp({(i - N, e): c for (i, e), c in T.terms.items() if i == k})
+        quo.update(top.terms)
+        T = T - top * At
+    return TOp(quo), T
 
 
 def _contributions(delta: TOp, At: TOp, Vt: TOp, depth: int) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of [A, delta] = b A + c and
     V delta = U A + W for a piece delta of some m_j, cut at x^-depth: one
-    division T = q A + r of their sum T, with d-degree(r) below order(A),
-    as division by the monic A is linear."""
-    q, r = leibniz_divide((At * delta - delta * At + Vt * delta).coeffs, At.coeffs)
+    division of their sum by A, as division by the monic A is linear.
+    The dividend is cut at x^-(depth + 1) first (module docstring)."""
+    q, r = _divide(_cut(At * delta - delta * At + Vt * delta, depth + 1), At)
     return _cut(q, depth), _cut(r, depth)
 
 
@@ -301,7 +293,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
     """Solve L K = K A for K = 1 + sum m_j A^-j through truncation J.
 
     The recursion runs at the depth D = J + N + 4 of the module docstring
-    and reports m_j exact through x^-(D - j).  When a required
+    and reports every m_j, exact through x^-(D - j).  When a required
     antiderivative needs a logarithm the recursion is impossible for
     rational data; the leading-height trace certifying the failure is
     returned instead of K.
@@ -318,37 +310,34 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
 
     D = _depth(J, N)
     At, Vt = _top(A, D), _top(V, D)
-    inv_n = Fraction(-1, N)
-    m: dict[int, dict[int, LaurentTail]] = {j: {} for j in range(1, J + 1)}
+    m: dict[int, dict] = {j: {} for j in range(1, J + 1)}
 
     try:
         rhs = Vt  # equation 0: b_1 + U_1 + V = 0
         for eq in range(0, J + 1):
             R = rhs
-            next_rhs = TOp.zero()
+            next_rhs = _ZERO_OP
             if eq >= 1:
-                g = R.coeff(N - 1)
-                beta = g.antiderivative().scale(inv_n)
-                if not beta.is_zero():
-                    m[eq][0] = beta
-                    same, nxt = _contributions(TOp({0: beta}), At, Vt, D)
+                beta = _piece(R, N - 1, 0, N)
+                if beta.terms:
+                    m[eq].update(beta.terms)
+                    same, nxt = _contributions(beta, At, Vt, D)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
             if eq == J:
                 break
             for k in range(N - 1, 0, -1):
-                g = R.coeff(k - 1)
-                alpha = g.antiderivative().scale(inv_n)
-                if alpha.is_zero():
+                alpha = _piece(R, k - 1, k, N)
+                if not alpha.terms:
                     continue
-                m[eq + 1][k] = alpha
-                same, nxt = _contributions(TOp({k: alpha}), At, Vt, D)
+                m[eq + 1].update(alpha.terms)
+                same, nxt = _contributions(alpha, At, Vt, D)
                 R = R + same
                 next_rhs = next_rhs + nxt
             # each unknown cancels its slot exactly, so nothing is left
-            if R.coeffs:
-                raise InvariantViolation(f"equation {eq} residual: {R.coeffs}")
+            if R.terms:
+                raise InvariantViolation(f"equation {eq} residual: {R.terms}")
             rhs = next_rhs
     except LogObstruction:
         trace = perturbation_obstruction((A, V))
@@ -356,9 +345,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
             return trace
         raise
 
-    mjs = {j: TOp({k: t.restrict(D - j) for k, t in parts.items()})
-           for j, parts in m.items() if parts}
-    return AiryPDO(A, mjs, J)
+    return AiryPDO(A, {j: _cut(TOp(mj), D - j) for j, mj in m.items()}, J)
 
 
 def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
@@ -375,11 +362,9 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     # m_(j-1), or to V for j = 1; each m_j is divided once
     prev = Vt
     for j in range(1, K.trunc + 1):
-        same, nxt = _contributions(_cut(K.coeff(j).coeffs, D), At, Vt, D)
-        # a tail holds only nonzero terms
-        for t in (same + prev).coeffs.values():
-            if min(t.terms) <= D - j:
-                return False
+        same, nxt = _contributions(K.coeff(j), At, Vt, D)
+        if any(e >= j - D for _, e in (same + prev).terms):
+            return False
         prev = nxt
     return True
 

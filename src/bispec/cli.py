@@ -184,8 +184,8 @@ def _dispatch(args) -> int:
         L = parse_operator(args.expr)
         out = airy_wave_solve(L, args.trunc)
         if isinstance(out, AiryPDO):
-            mjs = {j: {k: str(t) for k, t in m.coeffs.items()}
-                   for j, m in sorted(out.mjs.items())}
+            mjs = {j: {k: str(t) for k, t in out.tails(j).items()}
+                   for j in sorted(out.mjs)}
             _emit({"kind": "wave", "identity": out.is_identity(),
                    "coefficients": mjs},
                   args.json,

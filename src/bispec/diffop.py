@@ -1,4 +1,5 @@
-"""The ring of differential operators with rational-function coefficients.
+"""The ring of differential operators with rational-function coefficients,
+and its subring Q[x, x^-1]<d>, the Laurent Weyl algebra.
 
 A ``DiffOp`` is kept in normal order: all x-dependence to the left of all
 derivatives, i.e. a finite sum  sum_j V_j(x) * d^j  stored as a map from
@@ -15,10 +16,15 @@ Division with remainder is long division on the same coefficient maps
 (``leibniz_divide``): each step cancels the leading term of the remainder
 with one quotient monomial, divided by the divisor's leading coefficient
 when that is not 1.  It serves ``right_divide`` (L = Q o P + R) and
-``left_divide`` (L = P o Q + R) with order(R) < order(P), reduction modulo
-an Airy operator with tail coefficients, the inverse of a
-pseudo-differential series (a series division cut at a floor), and the
+``left_divide`` (L = P o Q + R) with order(R) < order(P), the inverse of
+a pseudo-differential series (a series division cut at a floor), and the
 expansion of an operator in powers of L.
+
+A ``TOp`` is an element of the Laurent Weyl algebra, a sparse map
+{(k, e): c} of the monomials c * x^e * d^k, multiplied by the closed-form
+reordering of d^i past x^b.  It is the package's one class for that
+algebra: the parser evaluates expressions in it, and the Airy-adic wave
+solve runs on it.
 
 ``DiffOp(var, coeffs)`` coerces every coefficient to a ``RatFunc`` and
 drops the zero ones.  Ring operations build their result with the trusted
@@ -47,7 +53,7 @@ from .errors import (
     NotMonic,
     VariableMismatch,
 )
-from .poly import Poly, ScalarLike
+from .poly import _ONE, _ZERO, Poly, ScalarLike
 from .rational import RatFunc, add_terms, nonzero_terms
 from .record import Record
 
@@ -68,9 +74,8 @@ def _coerce(c: CoeffLike) -> RatFunc:
 
 def binary_power(base, n: int, one):
     """base**n for n >= 0 by repeated squaring, for the noncommutative
-    operator rings (``DiffOp`` and the parser's Weyl-algebra values);
-    ``one`` is returned for n = 0.  No square is taken after the last bit
-    of n."""
+    operator rings ``DiffOp`` and ``TOp``; ``one`` is returned for n = 0.
+    No square is taken after the last bit of n."""
     result = None
     while n:
         if n & 1:
@@ -229,6 +234,90 @@ _set_coeffs = DiffOp.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------
+# the Laurent Weyl algebra
+# ---------------------------------------------------------------------------
+
+class TOp(Record):
+    """An element sum c * x^e * d^k of Q[x, x^-1]<d>, as a map
+    {(k, e): c} with nonzero Fraction values that is never changed after
+    construction (the constructor checks nothing)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        _set_terms(self, terms)
+
+    @property
+    def order(self) -> int:
+        """The highest power of d; -1 for zero."""
+        return max((k for k, _ in self.terms), default=-1)
+
+    def is_function(self) -> bool:
+        return not any(k for k, _ in self.terms)
+
+    def __neg__(self) -> "TOp":
+        return TOp({key: -c for key, c in self.terms.items()})
+
+    def __add__(self, other: "TOp") -> "TOp":
+        return TOp(add_terms(self.terms, other.terms))
+
+    def __sub__(self, other: "TOp") -> "TOp":
+        return self + (-other)
+
+    def __mul__(self, other: "TOp") -> "TOp":
+        out: dict = {}
+        for (i, a), c1 in self.terms.items():
+            for (j, b), c2 in other.terms.items():
+                # x^a d^i o x^b d^j = sum_t w_t x^(a+b-t) d^(i+j-t) with
+                # w_t = C(i, t) * b(b-1)...(b-t+1), zero once t > b >= 0;
+                # the parser's atoms x and d carry the shared _ONE, which
+                # needs no product
+                c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
+                k, e = i + j, a + b
+                w = 1
+                for t in range(i + 1):
+                    key = (k - t, e - t)
+                    term = c * w if t else c
+                    out[key] = out[key] + term if key in out else term
+                    w = w * (i - t) // (t + 1) * (b - t)
+                    if not w:
+                        break
+        return TOp({key: c for key, c in out.items() if c})
+
+    def __pow__(self, n: int) -> "TOp":
+        """self**n; n < 0 only for a single term c * x^e."""
+        if len(self.terms) == 1:
+            ((k, e), c), = self.terms.items()
+            if not k:
+                return TOp({(0, e * n): c ** n})
+        return binary_power(self, n, _TOP_ONE)
+
+    def diffop(self, var: str) -> DiffOp:
+        """The same operator as a DiffOp.  Each coefficient sum c * x^e
+        is numerator / x^m with m = max(0, -min e), which is already
+        reduced: the numerator's constant term is the nonzero lowest one."""
+        rows: dict[int, dict[int, Fraction]] = {}
+        for (k, e), c in self.terms.items():
+            if k in rows:
+                rows[k][e] = c
+            else:
+                rows[k] = {e: c}
+        coeffs = {}
+        for k, row in rows.items():
+            shift = min(min(row), 0)
+            num = [_ZERO] * (max(row) - shift + 1)
+            for e, c in row.items():
+                num[e - shift] = c
+            den = Poly.monomial(-shift) if shift else Poly.one()
+            coeffs[k] = RatFunc._reduced(Poly._trusted(tuple(num)), den)
+        return DiffOp._trusted(var, coeffs)
+
+
+_set_terms = TOp.terms.__set__
+_TOP_ONE = TOp({(0, 0): _ONE})
+
+
+# ---------------------------------------------------------------------------
 # products, brackets, ad powers
 # ---------------------------------------------------------------------------
 
@@ -242,8 +331,7 @@ def leibniz_product(left: dict, right: dict, floor: Optional[int] = None,
     below the power ``floor`` when one is given.  Terms with t < ``first``
     are left out: with ``first=1`` the product drops the a_i b_j d^(i+j)
     that cancel in a commutator.  Coefficients need ``*``, ``+``,
-    ``scale``, ``derivative`` and truth; ``RatFunc`` and ``LaurentTail``
-    have them."""
+    ``scale``, ``derivative`` and truth, as ``RatFunc`` has them."""
     out = {}
     for i, a in left.items():
         for j, b in right.items():
@@ -272,7 +360,9 @@ def leibniz_divide(rem: dict, div: dict, floor: Optional[int] = None,
     ``leibniz_product``.  With n the top power of ``div``, quotient powers
     stay >= 0, so the remainder ends below power n.  A ``floor`` makes the
     maps series: products are cut below power ``floor``, and the quotient
-    runs down to power floor - n."""
+    runs down to power floor - n.  The coefficients are ``RatFunc``
+    values: ``DiffOp`` and ``bounded.PDO`` divide here, while a ``TOp``
+    is divided by a monic Airy operator in ``airy``."""
     n = max(div)
     lead = div[n]
     unit = lead.is_one()

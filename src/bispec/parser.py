@@ -13,7 +13,8 @@ left-associative; ^ binds tighter than *):
 
 Expressions are evaluated in the Laurent Weyl algebra Q[x, x^-1]<d>,
 where every element has one normal form sum c * x^e * d^k.  A value there
-is a sparse map {(k, e): c}; products reorder with the closed form
+is a ``diffop.TOp``, the package's one class for that algebra: a sparse
+map {(k, e): c} whose products reorder with the closed form
 
     d^i o x^b = sum_t C(i, t) b(b-1)...(b-t+1) x^(b-t) d^(i-t),
 
@@ -55,14 +56,8 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
-from .poly import (
-    Poly,
-    monomial_text,
-    poly_text,
-    signed_sum,
-)
-from .rational import RatFunc, add_terms
-from .diffop import DiffOp, binary_power, dop_mul
+from .poly import _ONE, monomial_text, poly_text, signed_sum
+from .diffop import DiffOp, TOp, dop_mul
 
 MAX_EXPONENT = 4096
 MAX_POWER_TERMS = 512
@@ -122,88 +117,14 @@ def _tokenize(text: str) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# evaluation algebra
+# size bounds
 # ---------------------------------------------------------------------------
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class _Weyl:
-    """An element sum c * x^e * d^k of Q[x, x^-1]<d>, as a map
-    {(k, e): c} with nonzero Fraction values that is never changed after
-    construction."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def is_function(self) -> bool:
-        return not any(k for k, _ in self.terms)
-
-    def __neg__(self) -> "_Weyl":
-        return _Weyl({key: -c for key, c in self.terms.items()})
-
-    def __add__(self, other: "_Weyl") -> "_Weyl":
-        return _Weyl(add_terms(self.terms, other.terms))
-
-    def __sub__(self, other: "_Weyl") -> "_Weyl":
-        return self + (-other)
-
-    def __mul__(self, other: "_Weyl") -> "_Weyl":
-        out: dict = {}
-        for (i, a), c1 in self.terms.items():
-            for (j, b), c2 in other.terms.items():
-                # x^a d^i o x^b d^j = sum_t w_t x^(a+b-t) d^(i+j-t) with
-                # w_t = C(i, t) * b(b-1)...(b-t+1), zero once t > b >= 0;
-                # the atoms x and d carry the shared _ONE, which needs no product
-                c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
-                k, e = i + j, a + b
-                w = 1
-                for t in range(i + 1):
-                    key = (k - t, e - t)
-                    term = c * w if t else c
-                    out[key] = out[key] + term if key in out else term
-                    w = w * (i - t) // (t + 1) * (b - t)
-                    if not w:
-                        break
-        return _Weyl({key: c for key, c in out.items() if c})
-
-    def __pow__(self, n: int) -> "_Weyl":
-        """self**n; n < 0 only for a single term c * x^e."""
-        if len(self.terms) == 1:
-            ((k, e), c), = self.terms.items()
-            if not k:
-                return _Weyl({(0, e * n): c ** n})
-        return binary_power(self, n, _WEYL_ONE)
-
-    def diffop(self, var: str) -> DiffOp:
-        """The same operator as a DiffOp.  Each coefficient sum c * x^e
-        is numerator / x^m with m = max(0, -min e), which is already
-        reduced: the numerator's constant term is the nonzero lowest one."""
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (k, e), c in self.terms.items():
-            if k in rows:
-                rows[k][e] = c
-            else:
-                rows[k] = {e: c}
-        coeffs = {}
-        for k, row in rows.items():
-            shift = min(min(row), 0)
-            num = [_ZERO] * (max(row) - shift + 1)
-            for e, c in row.items():
-                num[e - shift] = c
-            den = Poly.monomial(-shift) if shift else Poly.one()
-            coeffs[k] = RatFunc._reduced(Poly._trusted(tuple(num)), den)
-        return DiffOp._trusted(var, coeffs)
-
 
 def _box(value: "_Value") -> tuple:
     """The lowest and highest power of d, then of x, over the monomials
     x^e*d^k of a value, all 0 for zero.  A DiffOp coefficient num/den
     stands for x^deg(num) and x^-deg(den)."""
-    keys = value.terms if type(value) is _Weyl else [
+    keys = value.terms if type(value) is TOp else [
         (k, e) for k, c in value.coeffs.items() for e in (c.num.degree, -c.den.degree)]
     ks, es = zip(*keys or [(0, 0)])
     return min(ks), max(ks), min(es), max(es)
@@ -235,18 +156,15 @@ def _product_size(a: "_Value", b: "_Value") -> int:
     return (aK + bK - bk - max(0, ak - t) + 1) * (aE + bE - ae - be + t + 1)
 
 
-_WEYL_ONE = _Weyl({(0, 0): _ONE})
-_WEYL_X = _Weyl({(0, 1): _ONE})
-_WEYL_D = _Weyl({(1, 0): _ONE})
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
 # A parsed value: an element of the Laurent Weyl algebra, or a DiffOp once
 # a non-monomial denominator has been met.
-_Value = Union[_Weyl, DiffOp]
+_Value = Union[TOp, DiffOp]
+_X = TOp({(0, 1): _ONE})
+_D = TOp({(1, 0): _ONE})
 
 
 class _Parser:
@@ -270,7 +188,7 @@ class _Parser:
         return tok
 
     def as_diffop(self, value: _Value) -> DiffOp:
-        return value.diffop(self.var) if type(value) is _Weyl else value
+        return value.diffop(self.var) if type(value) is TOp else value
 
     def pair(self, a: _Value, b: _Value) -> tuple[_Value, _Value]:
         """Two operands in one algebra: DiffOp when either is one."""
@@ -301,7 +219,7 @@ class _Parser:
             if _product_size(value, rhs) > MAX_POWER_TERMS:
                 raise OperatorSyntaxError(
                     f"product exceeds the supported size: {MAX_POWER_TERMS} terms", star)
-            value = value * rhs if type(value) is _Weyl else dop_mul(value, rhs)
+            value = value * rhs if type(value) is TOp else dop_mul(value, rhs)
         return value
 
     def unary(self) -> _Value:
@@ -333,7 +251,7 @@ class _Parser:
             raise NegativeDerivativeExponent(
                 "negative exponent on a subexpression containing d", caret
             )
-        if type(base) is _Weyl and (len(base.terms) == 1 or not base.is_function()):
+        if type(base) is TOp and (len(base.terms) == 1 or not base.is_function()):
             return base ** e
         # a power of a function of several terms (or of zero) is a RatFunc
         # power, num^e/den^e by Poly.__pow__
@@ -345,11 +263,11 @@ class _Parser:
     def atom(self) -> _Value:
         kind, value, pos = self.advance()
         if kind == "NUM":
-            return _Weyl({(0, 0): value} if value else {})
+            return TOp({(0, 0): value} if value else {})
         if kind == "X":
-            return _WEYL_X
+            return _X
         if kind == "D":
-            return _WEYL_D
+            return _D
         if kind == "LPAREN":
             value = self.expr()
             self.expect("RPAREN")

@@ -13,7 +13,11 @@ Conventions:
   ``trunc=None`` means every absent coefficient is exactly zero.  It
   shares one body, ``TruncatedSeries``, with ``bounded.PDO``.
   ``laurent_expand`` finds a tail by polynomial long division, one
-  ``Poly.divmod``.
+  ``Poly.divmod``.  A tail serves the Pade path only: ``laurent_expand``,
+  ``rat_antiderivative``, ``rational_reconstruct``,
+  ``bounded.involution_b`` and ``bounded.pade_lift`` read it, and it has
+  no product.  Operators with Laurent-polynomial coefficients are
+  ``diffop.TOp`` values, in the one class for Q[x, x^-1]<d>.
 
 All values are immutable after construction, so ``RatFunc.zero()``,
 ``RatFunc.one()`` and ``RatFunc.x()`` return shared instances.
@@ -423,45 +427,8 @@ class LaurentTail(TruncatedSeries):
     def coeff(self, i: int) -> Fraction:
         return self.terms.get(i, _ZERO)
 
-    def scale(self, c: ScalarLike):
-        c = _frac(c)
-        if not c:
-            return self._trusted({}, self.trunc)
-        return self._trusted({i: v * c for i, v in self.terms.items()}, self.trunc)
-
-    def __mul__(self, other):
-        # an exact zero absorbs
-        if (not self.terms and self.trunc is None) or (
-            not other.terms and other.trunc is None
-        ):
-            return self._trusted({}, None)
-        trunc = self._product_trunc(other)
-        out: dict[int, Fraction] = {}
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                i = i1 + i2
-                if trunc is not None and i > trunc:
-                    continue
-                out[i] = out.get(i, _ZERO) + c1 * c2
-        return self._trusted(nonzero_terms(out), trunc)
-
-    def derivative(self):
-        # d/dx x^-s = -s * x^-(s+1), the term at index s + 1; the constant
-        # term drops out
-        out = {s + 1: -s * c for s, c in self.terms.items() if s}
-        return self._trusted(out, None if self.trunc is None else self.trunc + 1)
-
     def _term(self, s: int, c: Fraction) -> tuple:
         return c, monomial_text(c, -s)
-
-    def is_one(self) -> bool:
-        return self.trunc is None and self.terms == {0: 1}
-
-    def leading(self) -> tuple[int, Fraction]:
-        if not self.terms:
-            raise ValueError("zero tail has no leading term")
-        s = min(self.terms)
-        return s, self.terms[s]
 
     def antiderivative(self) -> "LaurentTail":
         """Term-by-term antiderivative, zero constant of integration.

@@ -15,21 +15,21 @@ These deliberately avoid the library's code paths:
   coefficient scan;
 * dense Gauss-Jordan elimination over lists of Fractions, the reference
   for the library's sparse ``linalg``;
-* four division loops on whole operators and series, the references for
-  the library's one long-division kernel ``diffop.leibniz_divide``:
-  operator division, reduction modulo a tail-coefficient Airy operator,
-  the Neumann series of a pseudo-differential inverse, and the expansion
-  of an operator in powers of L by subtracting scaled powers L^r;
-* ``reduce_top``, not a reference but the library's ``leibniz_divide``
-  on tail-coefficient operators, the division that
-  ``airy._contributions`` makes once per piece, for the tests that divide
-  other operators by A;
+* three division loops on whole operators and series, the references
+  for the library's one long-division kernel ``diffop.leibniz_divide``:
+  operator division, the Neumann series of a pseudo-differential
+  inverse, and the expansion of an operator in powers of L by
+  subtracting scaled powers L^r;
+* division by a monic Airy operator on monomial-algebra dicts, one
+  leading monomial per step, the reference for ``airy._divide``, which
+  takes a whole power of d per step with ``diffop.TOp`` products;
 * the pieces of the Airy-adic wave recursion divided by A twice, once
   for [A, delta] and once for V delta, the reference for the one
   division of L delta - delta A in ``airy._contributions``, and the
   whole recursion run that way at 12 more terms of depth, one unknown
   per slot, the reference for every coefficient ``airy_wave_solve``
-  reports;
+  reports.  All three run on monomial-algebra dicts, so they share no
+  product with the library;
 * the coordinate transpose x^a d^b -> z^b d_z^a, the reference for the
   involution b through ``diffop.anti_homomorphism``;
 * three Airy references: the bispectral check on a two-variable series
@@ -80,7 +80,6 @@ from bispec import (
     DiffOp,
     InsufficientPrecision,
     LaurentTail,
-    LogObstruction,
     NotCommuting,
     NotInDomain,
     ObstructionStep,
@@ -103,8 +102,8 @@ from bispec import (
     split_constant_part,
     wave_defect,
 )
-from bispec.airy import AiryBispectralReport, TOp
-from bispec.diffop import leibniz_divide
+from bispec.airy import AiryBispectralReport
+from bispec.diffop import TOp
 from bispec.families import falling_factorial
 from bispec.linalg import nullspace
 from bispec.poly import poly_lcm
@@ -128,17 +127,11 @@ def mono_scale(u: dict, s) -> dict:
     return {k: c * s for k, c in u.items() if c * s != 0}
 
 
-def _falling(a: int, i: int) -> Fraction:
-    out = Fraction(1)
+def _falling(a: int, i: int) -> int:
+    out = 1
     for t in range(i):
         out *= a - t
     return out
-
-
-def _choose(b: int, i: int) -> int:
-    from math import comb
-
-    return comb(b, i)
 
 
 def mono_mul(u: dict, v: dict) -> dict:
@@ -146,12 +139,13 @@ def mono_mul(u: dict, v: dict) -> dict:
     for (a1, b1), c1 in u.items():
         for (a2, b2), c2 in v.items():
             # x^a1 d^b1 x^a2 d^b2: reorder d^b1 past x^a2
+            c = c1 * c2
             for i in range(b1 + 1):
-                coeff = c1 * c2 * _choose(b1, i) * _falling(a2, i)
-                if coeff == 0:
+                w = comb(b1, i) * _falling(a2, i)
+                if w == 0:
                     continue
                 key = (a1 + a2 - i, b1 + b2 - i)
-                out[key] = out.get(key, Fraction(0)) + coeff
+                out[key] = out.get(key, Fraction(0)) + c * w
     return {k: c for k, c in out.items() if c != 0}
 
 
@@ -338,82 +332,95 @@ def divide_by_leading_terms(L: DiffOp, P: DiffOp, side: str) -> tuple[DiffOp, Di
     return q, r
 
 
-def reduce_top_by_leading_terms(T: TOp, At: TOp) -> tuple[TOp, TOp]:
-    """q, r with T = q * At + r and d-degree(r) < order(At), for At monic
-    with the exact tail 1 as its leading coefficient."""
-    N = At.order
-    q = TOp.zero()
-    r = T
-    while r.order >= N:
-        k = r.order
-        piece = TOp({k - N: r.coeff(k)})
-        q = q + piece
-        r = r - piece * At
+def mono_of_top(T: TOp) -> dict:
+    """A Laurent Weyl-algebra value {(k, e): c} as a monomial-algebra dict
+    {(e, k): c}."""
+    return {(e, k): c for (k, e), c in T.terms.items()}
+
+
+def top_of_mono(u: dict) -> TOp:
+    return TOp({(b, a): c for (a, b), c in u.items()})
+
+
+def mono_order(u: dict) -> int:
+    """The highest power of d; -1 for zero."""
+    return max((b for _, b in u), default=-1)
+
+
+def mono_cut(u: dict, depth: int) -> dict:
+    """The monomials of u through x^-depth."""
+    return {(a, b): c for (a, b), c in u.items() if a >= -depth}
+
+
+def reduce_top_by_leading_terms(T: dict, A: dict) -> tuple[dict, dict]:
+    """q, r with T = q A + r and d-degree(r) < order(A), for A with the
+    leading monomial d^N, as monomial-algebra dicts: each step cancels the
+    monomial of r with the highest power of d (then of x) by one quotient
+    monomial."""
+    N = mono_order(A)
+    q, r = {}, dict(T)
+    while mono_order(r) >= N:
+        a, b = max(r, key=lambda ab: (ab[1], ab[0]))
+        c = q[(a, b - N)] = r[(a, b)]
+        for key, v in mono_mul({(a, b - N): c}, A).items():
+            r[key] = r.get(key, Fraction(0)) - v
+            if not r[key]:
+                del r[key]
     return q, r
 
 
-def reduce_top(T: TOp, At: TOp) -> tuple[TOp, TOp]:
-    """Division T = q * At + r in the tail-coefficient ring, d-degree(r)
-    below order(At), by the shared ``leibniz_divide``."""
-    q, r = leibniz_divide(T.coeffs, At.coeffs)
-    return TOp(q), TOp(r)
-
-
-def contributions_by_two_divisions(delta: TOp, At: TOp, Vt: TOp) -> tuple[TOp, TOp]:
+def contributions_by_two_divisions(delta: dict, A: dict, V: dict) -> tuple[dict, dict]:
     """The (b + U, c + W) parts of a piece delta of the Airy-adic wave
     recursion: [A, delta] = b A + c and V delta = U A + W, each divided
-    by A on its own."""
-    qb, rc = reduce_top(At * delta - delta * At, At)
-    qu, rw = reduce_top(Vt * delta, At)
-    return qb + qu, rc + rw
+    by A on its own, as monomial-algebra dicts."""
+    qb, rc = reduce_top_by_leading_terms(mono_commutator(A, delta), A)
+    qu, rw = reduce_top_by_leading_terms(mono_mul(V, delta), A)
+    return mono_add(qb, qu), mono_add(rc, rw)
 
 
 def airy_wave_deep(L: DiffOp, J: int, extra: int = 12) -> Optional[dict]:
     """The m_j (j <= J) of the Airy-adic wave recursion L K = K A, as
-    {j: {k: exact tail}}, solved on Laurent polynomials cut at x^-(D + extra),
-    D = J + N + 4 the depth of ``airy_wave_solve``; None when an
-    antiderivative needs a logarithm.  Equation eq fixes its slots from
-    d^(N-1) down, each by one antiderivative: d^(N-1) the d^0 part of
+    {j: monomial-algebra dict}, solved on Laurent polynomials cut at
+    x^-(D + extra), D = J + N + 4 the depth of ``airy_wave_solve``; None
+    when an antiderivative needs a logarithm.  Equation eq fixes its slots
+    from d^(N-1) down, each by one antiderivative: d^(N-1) the d^0 part of
     m_eq, d^(s) below it the d^(s+1) part of m_(eq+1)."""
     A, V = principal_part(L)
     N = A.order
     depth = J + N + 4 + extra
 
-    def cut(op: TOp) -> TOp:
-        return TOp({k: LaurentTail({s: c for s, c in t.terms.items() if s <= depth})
-                    for k, t in op.coeffs.items()})
-
-    def top(P: DiffOp) -> TOp:
-        return cut(TOp({k: laurent_expand(c, depth) for k, c in P.coeffs.items()}))
+    def top(P: DiffOp) -> dict:
+        return {(-s, k): c for k, f in P.coeffs.items()
+                for s, c in laurent_expand(f, depth).terms.items()}
 
     At, Vt = top(A), top(V)
     m: dict = {j: {} for j in range(1, J + 1)}
     rhs = Vt
-    try:
-        for eq in range(J + 1):
-            R, rhs = rhs, TOp.zero()
-            for slot in range(N - 1, -1 if eq < J else N - 2, -1):
-                j, k = (eq, 0) if slot == N - 1 else (eq + 1, slot + 1)
-                piece = R.coeff(slot).antiderivative().scale(Fraction(-1, N))
-                if j == 0 or piece.is_zero():
-                    continue
-                m[j][k] = piece
-                same, nxt = contributions_by_two_divisions(TOp({k: piece}), At, Vt)
-                # a pure function's c + W part belongs to its own equation
-                if k == 0:
-                    R = R + cut(same) + cut(nxt)
-                else:
-                    R, rhs = R + cut(same), rhs + cut(nxt)
-            assert eq == J or R.is_zero()
-    except LogObstruction:
-        return None
+    for eq in range(J + 1):
+        R, rhs = rhs, {}
+        for slot in range(N - 1, -1 if eq < J else N - 2, -1):
+            j, k = (eq, 0) if slot == N - 1 else (eq + 1, slot + 1)
+            g = {a: c for (a, b), c in R.items() if b == slot}
+            if -1 in g:
+                return None
+            piece = {(a + 1, k): c / (-N * (a + 1)) for a, c in g.items()}
+            if j == 0 or not piece:
+                continue
+            m[j] = mono_add(m[j], piece)
+            same, nxt = contributions_by_two_divisions(piece, At, Vt)
+            # a pure function's c + W part belongs to its own equation
+            if k == 0:
+                R = mono_add(R, mono_cut(mono_add(same, nxt), depth))
+            else:
+                R, rhs = mono_add(R, mono_cut(same, depth)), mono_add(rhs, mono_cut(nxt, depth))
+        assert eq == J or not R
     return m
 
 
-def top_height(m: TOp) -> int:
-    """The height of a nonzero TOp: the largest x-exponent -s of the
-    leading terms of its tails."""
-    return max(-t.leading()[0] for t in m.coeffs.values())
+def top_height(u: dict) -> int:
+    """The height of a nonzero monomial-algebra dict: its largest
+    x-exponent."""
+    return max(a for a, _ in u)
 
 
 def pdo_inverse_neumann(K: PDO, J: int) -> PDO:

@@ -10,7 +10,6 @@ import pytest
 from bispec import (
     AiryPDO,
     DiffOp,
-    LaurentTail,
     NotAiryShape,
     ObstructionTrace,
     Poly,
@@ -29,9 +28,10 @@ from bispec import (
     perturbation_obstruction,
     right_divide,
 )
-from bispec.airy import AiryBispectralReport, TOp, _contributions, _top
-from oracles import (airy_wave_deep, obstruction_recursion_holds, random_diffop,
-                     reduce_top, top_height)
+from bispec.airy import AiryBispectralReport, _contributions, _divide, _top
+from bispec.diffop import TOp
+from oracles import (airy_wave_deep, mono_add, mono_commutator, mono_cut, mono_mul,
+                     mono_of_top, obstruction_recursion_holds, random_diffop, top_height)
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -44,8 +44,14 @@ def xpow(k, c=1):
     return DiffOp.from_function(RatFunc.x_power(k, c))
 
 
-def tail(e, c=1):
-    return LaurentTail({-e: c})
+def mono(e, k=0, c=1):
+    """c x^e d^k in the Laurent Weyl algebra."""
+    return TOp({(k, e): Fraction(c)})
+
+
+def reconstructs(q, A, r, T):
+    """T = q A + r, by the monomial-algebra product."""
+    return mono_add(mono_mul(mono_of_top(q), mono_of_top(A)), mono_of_top(r)) == mono_of_top(T)
 
 
 class TestAiryShape:
@@ -102,85 +108,83 @@ class TestBracketDecompose:
 
     @staticmethod
     def bracket(m):
-        return _contributions(m, AT2, TOp.zero(), DEPTH)
+        return _contributions(m, AT2, TOp({}), DEPTH)
 
     def test_pure_function(self):
-        m = TOp({0: tail(2) + tail(0, 3)})  # x^2 + 3
+        m = mono(2) + mono(0, c=3)  # x^2 + 3
         b, c = self.bracket(m)
-        assert b.is_zero()
+        assert not b.terms
         # [d^2 - x, x^2 + 3] = 4x d + 2
-        assert dict(c.coeffs) == {1: tail(1, 4), 0: tail(0, 2)}
+        assert c.terms == {(1, 1): 4, (0, 0): 2}
 
     def test_alpha_d(self):
-        m = TOp({1: tail(0)})  # d
-        b, c = self.bracket(m)
-        assert b.is_zero()
-        assert dict(c.coeffs) == {0: tail(0)}
+        b, c = self.bracket(mono(0, 1))  # d
+        assert not b.terms
+        assert c.terms == {(0, 0): 1}
 
     def test_constant(self):
-        b, c = self.bracket(TOp({0: tail(0, 5)}))
-        assert b.is_zero() and c.is_zero()
+        b, c = self.bracket(mono(0, c=5))
+        assert not b.terms and not c.terms
 
     def test_consistency_and_height_relation(self):
         rng = random.Random(97)
         for _ in range(25):
             # recursion-shaped m: the d^0 part never dominates
             h1 = rng.randint(-4, 3)
-            m = TOp({1: tail(h1), 0: tail(rng.randint(-4, h1 + 1))})
+            m = mono(h1, 1) + mono(rng.randint(-4, h1 + 1))
             lhs = AT2 * m - m * AT2
-            b, c = reduce_top(lhs, AT2)
-            diff = lhs - (b * AT2 + c)
-            assert all(t.is_zero() for t in diff.coeffs.values())
-            if not b.is_zero():
-                assert top_height(c) == top_height(b) + 1
+            assert mono_of_top(lhs) == mono_commutator(mono_of_top(AT2), mono_of_top(m))
+            b, c = _divide(lhs, AT2)
+            assert reconstructs(b, AT2, c, lhs)
+            if b.terms:
+                assert top_height(mono_of_top(c)) == top_height(mono_of_top(b)) + 1
 
 
 class TestVDecompose:
-    """V m = U A + W, one division by A in the tail-coefficient ring."""
+    """V m = U A + W, one division by A in the Laurent Weyl algebra."""
 
     @staticmethod
     def v_parts(V, m):
-        return reduce_top(_top(V, DEPTH) * m, AT2)
+        return _divide(_top(V, DEPTH) * m, AT2)
 
     def test_below_order(self):
-        U, W = self.v_parts(xpow(-2), TOp({0: tail(0)}))
-        assert U.is_zero()
-        assert dict(W.coeffs) == {0: tail(-2)}
+        U, W = self.v_parts(xpow(-2), mono(0))
+        assert not U.terms
+        assert W.terms == {(0, -2): 1}
 
     def test_quotient_appears(self):
         # x^-1 d applied to d with N = 2: x^-1 d^2 = x^-1 A + 1
-        U, W = self.v_parts(dop_mul(xpow(-1), d), TOp({1: tail(0)}))
-        assert dict(U.coeffs) == {0: tail(-1)}
-        assert dict(W.coeffs) == {0: tail(0)}
+        U, W = self.v_parts(dop_mul(xpow(-1), d), mono(0, 1))
+        assert U.terms == {(0, -1): 1}
+        assert W.terms == {(0, 0): 1}
 
     def test_function_argument(self):
-        U, W = self.v_parts(xpow(-2), TOp({1: tail(0)}))
-        assert U.is_zero()
-        assert dict(W.coeffs) == {1: tail(-2)}
+        U, W = self.v_parts(xpow(-2), mono(0, 1))
+        assert not U.terms
+        assert W.terms == {(1, -2): 1}
 
     def test_height_bounds(self):
         rng = random.Random(103)
         for _ in range(20):
             hm = rng.randint(-3, 3)
-            m = TOp({rng.randint(0, 1): tail(hm)})
+            m = mono(hm, rng.randint(0, 1))
             V = xpow(rng.randint(-5, -2))
             U, W = self.v_parts(V, m)
-            if not U.is_zero():
-                assert top_height(U) <= hm - 2
-            if not W.is_zero():
-                assert top_height(W) <= hm - 1
+            if U.terms:
+                assert top_height(mono_of_top(U)) <= hm - 2
+            if W.terms:
+                assert top_height(mono_of_top(W)) <= hm - 1
 
     def test_reconstruction(self):
         rng = random.Random(107)
         for _ in range(20):
-            m = TOp({k: tail(rng.randint(-4, 3), rng.randint(-3, 3) or 1)
-                     for k in range(2) if rng.random() < 0.8} or {0: tail(0)})
+            m = TOp({(k, rng.randint(-4, 3)): Fraction(rng.randint(-3, 3) or 1)
+                     for k in range(2) if rng.random() < 0.8} or {(0, 0): Fraction(1)})
             V = dop_mul(xpow(rng.randint(-5, -2)), d ** rng.randint(0, 1))
             U, W = self.v_parts(V, m)
-            lhs = U * AT2 + W
-            rhs = _top(V, DEPTH) * m
-            diff = lhs - rhs
-            assert all(t.is_zero() for t in diff.coeffs.values())
+            Vm = _top(V, DEPTH) * m
+            assert mono_of_top(Vm) == mono_mul(mono_of_top(_top(V, DEPTH)), mono_of_top(m))
+            assert reconstructs(U, AT2, W, Vm)
 
 
 class TestWaveSolve:
@@ -223,7 +227,7 @@ class TestWaveSolve:
         out = airy_wave_solve(L, 4)
         assert isinstance(out, AiryPDO) and not out.is_identity()
         # 2 alpha_{1,1}' = -x^-9
-        assert out.coeff(1).coeff(1).coeff(8) == Fraction(1, 16)
+        assert out.coeff(1).terms[(1, -8)] == Fraction(1, 16)
         assert airy_wave_residual(L, out)
         deep = airy_wave_solve(L, 12)
         assert isinstance(deep, ObstructionTrace) and deep.obstructed
@@ -251,9 +255,23 @@ class TestDepthRule:
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_regression_d0_part_of_m1(self, J):
         out = airy_wave_solve(parse_operator("d^3 - x^-5*d - x"), J)
-        m10 = out.coeff(1).coeff(0)
+        m10 = out.tails(1)[0]
         assert m10.coeff(6) == Fraction(-10, 9)
         assert m10.trunc == J + 3 + 4 - 1
+
+    @pytest.mark.parametrize("J", [1, 5])
+    def test_perturbation_below_the_depth_is_no_identity(self, J):
+        # V = -3/2 (x^2+1)^-6 starts at x^-12, below D = J + 6 for J <= 5:
+        # every m_j is zero as far as it is known, which is not K = 1
+        L = parse_operator("d^2 - x - 3/2*(x^2+1)^-6")
+        K = airy_wave_solve(L, J)
+        assert isinstance(K, AiryPDO) and not K.is_identity()
+        assert K.mjs == {j: TOp({}) for j in range(1, J + 1)}
+        assert {j: {k: str(t) for k, t in K.tails(j).items()} for j in K.mjs} == {
+            j: {0: f"0 + O(x^-{J + 7 - j})"} for j in range(1, J + 1)}
+        assert airy_wave_residual(L, K)
+        # one more equation reaches V's first term
+        assert airy_wave_solve(L, 6).coeff(1).terms == {(1, -11): Fraction(-3, 44)}
 
     def test_reported_coefficients_match_a_deeper_solve(self):
         solves = 0
@@ -268,12 +286,10 @@ class TestDepthRule:
                 solves += not K.is_identity()
                 deep = airy_wave_deep(L, J)
                 D = J + L.order + 4
+                assert sorted(K.mjs) == list(range(1, J + 1))
                 for j in range(1, J + 1):
-                    for k in range(L.order):
-                        got = K.coeff(j).coeff(k)
-                        want = deep[j].get(k, LaurentTail.zero())
-                        assert got.terms == want.restrict(D - j).terms
-                        assert got.trunc in (None, D - j)
+                    assert mono_of_top(K.coeff(j)) == mono_cut(deep[j], D - j)
+                    assert all(t.trunc == D - j for t in K.tails(j).values())
         assert solves >= 20
 
 

@@ -18,7 +18,6 @@ import bispec.airy
 import oracles
 from bispec import (
     DiffOp,
-    LaurentTail,
     Poly,
     RatFunc,
     airy_bispectral_check,
@@ -30,12 +29,16 @@ from bispec import (
     perturbation_obstruction,
 )
 
-from bispec.airy import AiryPDO, TOp, _contributions, _cut, _top
+from bispec.airy import AiryPDO, _contributions, _top
+from bispec.diffop import TOp
 from oracles import (
     airy_bispectral_check_bivariate,
     airy_involution_by_transpose,
     contributions_by_two_divisions,
+    mono_cut,
+    mono_of_top,
     perturbation_obstruction_loop,
+    top_of_mono,
 )
 
 small_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -106,9 +109,11 @@ class TestObstructionWalk:
         assert trace.obstructed == (-1 - h <= max_steps)
 
 
-def exact_tails(low=-3, high=6):
-    """Exact Laurent tails with terms at indices low..high."""
-    return st.dictionaries(st.integers(low, high), nonzero_st, max_size=3).map(LaurentTail)
+def pieces(N):
+    """Values c x^e d^k of the Laurent Weyl algebra with k < N and
+    e in -6..3."""
+    return st.dictionaries(st.tuples(st.integers(0, N - 1), st.integers(-6, 3)),
+                           nonzero_st, max_size=3 * N).map(TOp)
 
 
 @st.composite
@@ -127,9 +132,10 @@ def perturbations(draw, N):
 
 
 def contributions_cut_by_two_divisions(delta, At, Vt, depth):
-    """``contributions_by_two_divisions`` cut at x^-depth, as the solve cuts."""
-    return tuple(_cut(part.coeffs, depth)
-                 for part in contributions_by_two_divisions(delta, At, Vt))
+    """``contributions_by_two_divisions`` of the whole dividend, cut at
+    x^-depth, as the solve cuts its results."""
+    return tuple(top_of_mono(mono_cut(part, depth)) for part in contributions_by_two_divisions(
+        mono_of_top(delta), mono_of_top(At), mono_of_top(Vt)))
 
 
 class TestContributions:
@@ -138,8 +144,7 @@ class TestContributions:
     def test_matches_two_divisions(self, data, A, depth):
         N = A.order
         V = data.draw(perturbations(N))
-        delta = TOp(data.draw(st.dictionaries(st.integers(0, N - 1), exact_tails(),
-                                              max_size=N)))
+        delta = data.draw(pieces(N))
         At, Vt = _top(A, depth), _top(V, depth)
         assert _contributions(delta, At, Vt, depth) == \
             contributions_cut_by_two_divisions(delta, At, Vt, depth)

@@ -439,6 +439,17 @@ class TestCli:
         assert doc["kind"] == "obstruction"
         assert doc["verdict"] == "obstructed"
 
+    def test_airy_wave_names_the_depth_of_a_zero_coefficient(self):
+        # V starts at x^-12, below the depth: this used to print K = 1 and
+        # "identity": true, which only V = 0 may answer
+        expr = "d^2 - x - 3/2*(x^2+1)^-6"
+        out = run_cli("airy-wave", expr, "--trunc", "1")
+        assert out.stdout.splitlines() == ["m_j: {1: {0: '0 + O(x^-7)'}}"]
+        doc = json.loads(run_cli("--json", "airy-wave", expr, "--trunc", "1").stdout)
+        assert doc["identity"] is False
+        assert doc["coefficients"] == {"1": {"0": "0 + O(x^-7)"}}
+        assert run_cli("airy-wave", "d^3 - x").stdout.splitlines() == ["K = 1"]
+
     @pytest.mark.parametrize("command, trunc", [("airy-wave", "0"), ("airy-wave", "-2"),
                                                 ("wave", "0"), ("classify", "0")])
     def test_trunc_below_one_is_an_input_error(self, command, trunc):

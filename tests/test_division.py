@@ -1,6 +1,7 @@
 """The one long-division kernel, ``diffop.leibniz_divide``, behind
-``right_divide``/``left_divide``, reduction modulo a tail-coefficient Airy
-operator, ``PDO.inverse`` and the expansion of an operator in powers of L.
+``right_divide``/``left_divide``, ``PDO.inverse`` and the expansion of an
+operator in powers of L; and the division of a Laurent Weyl-algebra value
+by a monic Airy operator, ``airy._divide``.
 
 Each is checked against the whole-operator loop it replaced (in
 ``oracles``) and against the identity that defines it.
@@ -17,24 +18,25 @@ from bispec import (
     PDO,
     DiffOp,
     DivisionByZeroOperator,
-    LaurentTail,
     Poly,
     RatFunc,
     dop_mul,
-    laurent_expand,
     left_divide,
     make_airy,
     right_divide,
     split_constant_part,
     wave_operator,
 )
-from bispec.airy import TOp, _top
+from bispec.airy import _divide, _top
+from bispec.diffop import TOp
 
 from oracles import (
     divide_by_leading_terms,
     expand_in_powers,
+    mono_add,
+    mono_mul,
+    mono_of_top,
     pdo_inverse_neumann,
-    reduce_top,
     reduce_top_by_leading_terms,
 )
 
@@ -84,19 +86,10 @@ class TestOperatorDivision:
                 divide(DiffOp.d(), DiffOp.zero())
 
 
-def tail(c, depth):
-    """The expansion of c at infinity: exact when c is a Laurent
-    polynomial, truncated at x^-depth otherwise."""
-    if c.is_laurent_polynomial():
-        return LaurentTail({-e: v for e, v in c.laurent_terms()})
-    return laurent_expand(c, depth)
-
-
-def tops(max_order, depth=6):
-    """Tail-coefficient operators: each coefficient a rational function
-    expanded at infinity, exact when it is a Laurent polynomial."""
-    return st.dictionaries(st.integers(0, max_order), ratfuncs_st, max_size=max_order + 1).map(
-        lambda cs: TOp({k: tail(c, depth) for k, c in cs.items()}))
+def tops(max_order):
+    """Values c x^e d^k of the Laurent Weyl algebra, k <= max_order."""
+    return st.dictionaries(st.tuples(st.integers(0, max_order), st.integers(-4, 4)),
+                           small_st.filter(bool), max_size=8).map(TOp)
 
 
 airy_st = st.builds(
@@ -110,17 +103,20 @@ class TestReductionModA:
     @given(tops(5), airy_st)
     def test_matches_reference(self, T, A):
         At = _top(A, 0)  # A is polynomial: nothing is cut
-        q, r = reduce_top(T, At)
-        assert (q, r) == reduce_top_by_leading_terms(T, At)
-        assert r.order < At.order
+        q, r = _divide(T, At)
+        assert (mono_of_top(q), mono_of_top(r)) == \
+            reduce_top_by_leading_terms(mono_of_top(T), mono_of_top(At))
 
     @settings(max_examples=60, deadline=None)
     @given(tops(5), airy_st)
     def test_identity_on_exact_tails(self, T, A):
-        T = TOp({k: t for k, t in T.coeffs.items() if t.trunc is None})
+        """T = q A + r by the monomial-algebra product, with every power
+        of d in r below N."""
         At = _top(A, 0)  # A is polynomial: nothing is cut
-        q, r = reduce_top(T, At)
-        assert q * At + r == T
+        q, r = _divide(T, At)
+        assert mono_add(mono_mul(mono_of_top(q), mono_of_top(At)), mono_of_top(r)) == \
+            mono_of_top(T)
+        assert r.order < At.order
 
 
 def series(J):

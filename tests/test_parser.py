@@ -21,8 +21,9 @@ from bispec import (
     parser as parser_module,
     print_operator,
 )
-from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS, _product_size, _Weyl
-from oracles import diffop_of_mono, mono_mul, mono_of_diffop, random_diffop
+from bispec.diffop import TOp
+from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS, _product_size
+from oracles import diffop_of_mono, mono_mul, mono_of_diffop, mono_of_top, random_diffop
 from test_trusted_ring import assert_canonical_op
 
 d = DiffOp.d()
@@ -209,12 +210,17 @@ class TestFastPaths:
 
     weyl_st = st.dictionaries(
         st.tuples(st.integers(0, 4), st.integers(-4, 6)),
-        st.integers(-3, 3).filter(bool).map(Fraction), max_size=4).map(_Weyl)
+        st.integers(-3, 3).filter(bool).map(Fraction), max_size=4).map(TOp)
 
     @settings(max_examples=200, deadline=None)
     @given(weyl_st, weyl_st)
     def test_product_size_bounds_the_product(self, a, b):
         assert len((a * b).terms) <= _product_size(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weyl_st, weyl_st)
+    def test_product_equals_the_monomial_oracle(self, a, b):
+        assert mono_of_top(a * b) == mono_mul(mono_of_top(a), mono_of_top(b))
 
     def test_sum_of_large_powers_answers_at_once(self):
         # 1.5 s when each power of a function took repeated squarings
