@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     NormalizationFailed,
@@ -31,19 +31,16 @@ from .errors import (
     ReconstructionFailed,
     TruncationTooShort,
     UnboundedCoefficient,
-    VariableMismatch,
 )
 from .poly import Poly, min_trunc, poly_lcm
 from .rational import (
     LaurentTail,
     RatFunc,
     TruncatedSeries,
-    nonzero_terms,
     rat_antiderivative,
     rational_reconstruct,
 )
 from .diffop import (
-    CoeffLike,
     DiffOp,
     _coerce,
     anti_homomorphism,
@@ -62,64 +59,38 @@ from .record import Record
 class PDO(TruncatedSeries):
     """sum_{j >= j0} a_j(x) d^-j, exact for j <= trunc (None = finite sum).
 
-    ``PDO(var, terms, trunc)`` coerces every coefficient to a ``RatFunc``
-    as ``DiffOp`` does (NotInDomain for a value that is not a rational
+    ``PDO(terms, trunc)`` coerces every coefficient to a ``RatFunc`` as
+    ``DiffOp`` does (NotInDomain for a value that is not a rational
     function, such as a ``LaurentTail``) and drops the zero ones.
-    ``PDO._trusted`` wraps a dict with int keys at most ``trunc`` and
-    nonzero ``RatFunc`` coefficients, unchecked.  Negation, sums,
-    ``restrict`` and printing are those of ``TruncatedSeries``."""
+    ``PDO._trusted(terms, trunc)`` wraps a dict with int keys at most
+    ``trunc`` and nonzero ``RatFunc`` coefficients, unchecked.  The
+    constructors, negation, sums, ``restrict`` and printing are those of
+    ``TruncatedSeries``.
 
-    __slots__ = ("var", "terms", "trunc")
+    A series carries no variable tag: K and Theta are series in x, and
+    only the dual operator Lambda, a ``DiffOp``, lives in z."""
+
+    __slots__ = ("terms", "trunc")
     _VAR = "d"
-
-    def __init__(self, var: str, terms: Mapping[int, CoeffLike],
-                 trunc: Optional[int] = None):
-        _set_var(self, var)
-        _set_terms(self, nonzero_terms({int(j): _coerce(c) for j, c in terms.items()},
-                                       trunc))
-        _set_trunc(self, trunc)
-
-    @classmethod
-    def _trusted(cls, var: str, terms: dict, trunc: Optional[int]) -> "PDO":
-        self = _new(cls)
-        _set_var(self, var)
-        _set_terms(self, terms)
-        _set_trunc(self, trunc)
-        return self
-
-    def _with(self, terms: dict, trunc: Optional[int]) -> "PDO":
-        return PDO._trusted(self.var, terms, trunc)
+    _coerce = staticmethod(_coerce)
+    _zero = RatFunc.zero()
 
     # -- constructors
 
     @staticmethod
-    def identity(var: str = "x") -> "PDO":
-        return PDO._trusted(var, {0: RatFunc.one()}, None)
+    def identity() -> "PDO":
+        return PDO._trusted({0: RatFunc.one()}, None)
 
     @staticmethod
     def from_diffop(L: DiffOp) -> "PDO":
-        return PDO._trusted(L.var, {-j: c for j, c in L.coeffs.items()}, None)
-
-    # -- queries
-
-    def coeff(self, j: int) -> RatFunc:
-        return self.terms.get(j, RatFunc.zero())
-
-    def _check(self, other: "PDO"):
-        if self.var != other.var:
-            raise VariableMismatch(f"series in {self.var!r} and {other.var!r}")
+        return PDO._trusted({-j: c for j, c in L.coeffs.items()}, None)
 
     # -- arithmetic
-
-    def __add__(self, other: "PDO") -> "PDO":
-        self._check(other)
-        return TruncatedSeries.__add__(self, other)
 
     def __mul__(self, other: "PDO") -> "PDO":
         """Product, exact through the combined truncation: the shared
         Leibniz kernel on the powers d^(-j), whose chains for d^-i, i > 0,
         end at the truncation or when the derivatives of b die out."""
-        self._check(other)
         trunc = self._product_trunc(other)
         if (trunc is None and any(i > 0 for i in self.terms)
                 and not all(b.is_polynomial() for b in other.terms.values())):
@@ -127,7 +98,7 @@ class PDO(TruncatedSeries):
         out = leibniz_product({-i: a for i, a in self.terms.items()},
                               {-j: b for j, b in other.terms.items()},
                               None if trunc is None else -trunc)
-        return PDO._trusted(self.var, {-k: c for k, c in out.items()}, trunc)
+        return PDO._trusted({-k: c for k, c in out.items()}, trunc)
 
     def inverse(self, J: int) -> "PDO":
         """(1 + T)^-1 through index J for series with start index 0 and
@@ -138,16 +109,10 @@ class PDO(TruncatedSeries):
         trunc = min_trunc(self.trunc, J)
         quo, _ = leibniz_divide({0: RatFunc.one()},
                                 {-j: a for j, a in self.terms.items()}, -trunc)
-        return PDO._trusted(self.var, {-k: c for k, c in quo.items()}, trunc)
+        return PDO._trusted({-k: c for k, c in quo.items()}, trunc)
 
     def _term(self, j: int, c) -> tuple:
         return 1, f"({c})" + (f"*d^{-j}" if j else "")
-
-
-_new = object.__new__
-_set_var = PDO.var.__set__
-_set_terms = PDO.terms.__set__
-_set_trunc = PDO.trunc.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +174,8 @@ def fuchs_violation(L: DiffOp) -> Optional[dict]:
 
 def wave_defect(L: DiffOp, f: Poly, K: PDO) -> PDO:
     """L K - K f(d), treating K as the exact finite sum of its terms."""
-    Kx = PDO._trusted(L.var, K.terms, None)
-    F = PDO.from_diffop(DiffOp(L.var, dict(enumerate(f.coeffs))))
+    Kx = PDO._trusted(K.terms, None)
+    F = PDO({-j: c for j, c in enumerate(f.coeffs)})
     return PDO.from_diffop(L) * Kx - Kx * F
 
 
@@ -245,14 +210,14 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
     if f.degree != N or f.leading() != 1:
         raise ValueError("f must be monic of the operator's order")
     terms = {0: RatFunc.one()}
-    E = wave_defect(L, f, PDO.identity(L.var))
+    E = wave_defect(L, f, PDO.identity())
     for j in range(1, J + 1):
         target = E.coeff(j - N + 1)  # coefficient of d^(N-1-j)
         if target.is_zero():
             continue
         terms[j] = a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
-        E = E + wave_defect(L, f, PDO._trusted(L.var, {j: a_j}, None))
-    return PDO(L.var, terms, J)
+        E = E + wave_defect(L, f, PDO._trusted({j: a_j}, None))
+    return PDO(terms, J)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +233,7 @@ def conjugate_theta(K: PDO, theta: Poly) -> PDO:
     # a function times a series multiplies each coefficient; the cleaning
     # constructor drops them all when theta = 0
     th = RatFunc(theta)
-    theta_K = PDO(K.var, {j: th * a for j, a in K.terms.items()})
+    theta_K = PDO({j: th * a for j, a in K.terms.items()})
     return (K.inverse(J) * theta_K).restrict(J)
 
 

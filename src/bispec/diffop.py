@@ -75,7 +75,10 @@ def _coerce(c: CoeffLike) -> RatFunc:
 def binary_power(base, n: int, one):
     """base**n for n >= 0 by repeated squaring, for the noncommutative
     operator rings ``DiffOp`` and ``TOp``; ``one`` is returned for n = 0.
-    No square is taken after the last bit of n."""
+    No square is taken after the last bit of n.  A negative n raises
+    ValueError (an operator with d has no inverse in the ring)."""
+    if n < 0:
+        raise ValueError("negative operator power")
     result = None
     while n:
         if n & 1:
@@ -202,8 +205,6 @@ class DiffOp(Record):
         return dop_mul(self, other)
 
     def __pow__(self, n: int) -> "DiffOp":
-        if n < 0:
-            raise ValueError("negative operator power")
         return binary_power(self, n, DiffOp.one(self.var))
 
     def substitute_d(self, replacement: "DiffOp") -> "DiffOp":

@@ -60,14 +60,14 @@ class DarbouxResult(Record):
             raise NotAFactor("P*Q does not reproduce the transformed operator")
 
 
-def make_airy(p: int, a: Mapping[int, ScalarLike] | None = None, var: str = "x") -> DiffOp:
+def make_airy(p: int, a: Mapping[int, ScalarLike] | None = None) -> DiffOp:
     """d^p + sum_{j=1}^{p-2} a_j d^j - x."""
     if p < 2:
         raise BadIndex("Airy order must be >= 2")
-    return make_constcoeff(p, a, var) - DiffOp.x(var)
+    return make_constcoeff(p, a) - DiffOp.x()
 
 
-def make_constcoeff(p: int, a: Mapping[int, ScalarLike] | None = None, var: str = "x") -> DiffOp:
+def make_constcoeff(p: int, a: Mapping[int, ScalarLike] | None = None) -> DiffOp:
     """d^p + sum_{j=1}^{p-2} a_j d^j."""
     if p < 1:
         raise BadIndex("order must be >= 1")
@@ -78,16 +78,16 @@ def make_constcoeff(p: int, a: Mapping[int, ScalarLike] | None = None, var: str 
             raise BadIndex(f"parameter index {j} outside [1, {p - 2}]")
         if Fraction(c) != 0:
             coeffs[j] = RatFunc.const(c)
-    return DiffOp(var, coeffs)
+    return DiffOp("x", coeffs)
 
 
-def make_bessel(spec: BesselSpec, var: str = "x") -> DiffOp:
+def make_bessel(spec: BesselSpec) -> DiffOp:
     """x^-p (xd - beta_1) ... (xd - beta_p), fully expanded and normal
     ordered.  The factors commute, so the order of the betas is irrelevant."""
-    D = euler_operator(var)
-    prod = DiffOp.one(var)
+    D = euler_operator()
+    prod = DiffOp.one()
     for b in spec.betas:
-        prod = dop_mul(prod, D - DiffOp.const(b, var))
+        prod = dop_mul(prod, D - DiffOp.const(b))
     return prod.mul_function(RatFunc.x_power(-spec.p))
 
 

@@ -57,7 +57,7 @@ from typing import Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
 from .poly import _ONE, monomial_text, poly_text, signed_sum
-from .diffop import DiffOp, TOp, dop_mul
+from .diffop import DiffOp, TOp
 
 MAX_EXPONENT = 4096
 MAX_POWER_TERMS = 512
@@ -219,7 +219,7 @@ class _Parser:
             if _product_size(value, rhs) > MAX_POWER_TERMS:
                 raise OperatorSyntaxError(
                     f"product exceeds the supported size: {MAX_POWER_TERMS} terms", star)
-            value = value * rhs if type(value) is TOp else dop_mul(value, rhs)
+            value = value * rhs
         return value
 
     def unary(self) -> _Value:

@@ -30,9 +30,12 @@ meet the invariant itself (``Poly._trusted`` is described in ``poly``):
 * ``RatFunc._reduced(num, den)``: gcd(num, den) = 1, den monic, a unit den
   is the shared ``Poly.one()``, and zero is 0/1.  Negation, nonzero
   scaling and translation keep a pair reduced; so do products, sums and
-  derivatives of polynomials.
-* ``LaurentTail._trusted(terms, trunc)``: a dict with int keys and
-  nonzero ``Fraction`` values, every key at most ``trunc``.
+  derivatives of polynomials, and sums over coprime denominators.
+* ``TruncatedSeries._trusted(terms, trunc)``, for ``LaurentTail`` and
+  ``bounded.PDO`` alike: a dict with int keys, every key at most
+  ``trunc``, and nonzero values already of the series' coefficient ring
+  (``Fraction`` for a tail, ``RatFunc`` for a ``PDO``).  Negation, sums
+  and ``restrict`` keep it.
 
 Every coefficient map is cleaned by ``nonzero_terms``, which reads a
 coefficient's truth: ``Fraction``, ``RatFunc`` and the series are false
@@ -224,15 +227,26 @@ class RatFunc:
         return RatFunc._reduced(-self.num, self.den)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """The sum, reduced over lcm(b, e) for a/b + c/e.  Over coprime b
+        and e it is already reduced: a prime factor of b divides a e + c b
+        only if it divides a or e (Knuth, TAOCP vol. 2, 4.5.1).  Two powers
+        of x are reduced by the constructor's shift, without Euclid."""
         if other.is_zero():
             return self
         if self.is_zero():
             return other
-        if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return RatFunc._reduced(self.num + other.num, _POLY_ONE)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, e = self.num, self.den, other.num, other.den
+        if b is _POLY_ONE and e is _POLY_ONE:
+            return RatFunc._reduced(a + c, _POLY_ONE)
+        if b == e:
+            return RatFunc(a + c, b)
+        if self.is_laurent_polynomial() and other.is_laurent_polynomial():
+            return RatFunc(a * e + c * b, b * e)
+        g = b.gcd(e)
+        if g.is_one():
+            return RatFunc._reduced(a * e + c * b, b * e)
+        e = e.exact_div(g)
+        return RatFunc(a * e + c * b.exact_div(g), b * e)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -330,18 +344,34 @@ class TruncatedSeries(Record):
 
     ``terms`` maps the index i to a nonzero coefficient; indices at most
     ``trunc`` are exact, and ``trunc=None`` means every absent coefficient
-    is exactly zero.  This is the coefficient-ring-independent body of
-    ``LaurentTail`` (t = 1/x) and ``bounded.PDO`` (t = 1/d).  A subclass
-    lists ``terms`` and ``trunc`` in its own ``__slots__``, builds its
-    values with ``_with``, prints one term with ``_term`` and the order
+    is exactly zero.  This is the one body of ``LaurentTail`` (t = 1/x,
+    ``Fraction`` coefficients) and ``bounded.PDO`` (t = 1/d, ``RatFunc``
+    coefficients).  A subclass lists ``terms`` and ``trunc`` in its own
+    ``__slots__``, names its coefficient coercion ``_coerce`` and its zero
+    coefficient ``_zero``, prints one term with ``_term`` and the order
     term as O(_VAR^-(trunc + 1)).
+
+    The constructor, ``LaurentTail(terms, trunc)`` or ``PDO(terms,
+    trunc)``, coerces every coefficient with ``_coerce`` and drops the
+    zero ones and those past ``trunc``.  ``_trusted(terms, trunc)`` wraps
+    a dict with int keys at most ``trunc`` and nonzero coefficients
+    already of the subclass's ring, unchecked.
     """
 
     __slots__ = ()
 
-    def _with(self, terms: dict, trunc: Optional[int]):
-        """A value of this kind with a clean ``terms`` dict, unchecked."""
-        return self._trusted(terms, trunc)
+    def __init__(self, terms: Optional[Mapping] = None, trunc: Optional[int] = None):
+        coerce = self._coerce
+        clean = {int(i): coerce(c) for i, c in (terms or {}).items()}
+        _setattr(self, "terms", nonzero_terms(clean, trunc))
+        _setattr(self, "trunc", trunc)
+
+    @classmethod
+    def _trusted(cls, terms: dict, trunc: Optional[int]):
+        self = _new(cls)
+        _setattr(self, "terms", terms)
+        _setattr(self, "trunc", trunc)
+        return self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -352,7 +382,10 @@ class TruncatedSeries(Record):
     @property
     def start(self) -> Optional[int]:
         """Leading index; None for the zero series."""
-        return min(self.terms) if self.terms else None
+        return min(self.terms, default=None)
+
+    def coeff(self, i: int):
+        return self.terms.get(i, self._zero)
 
     def _known_floor(self) -> int:
         """Start index used in precision bookkeeping (surrogate for zero)."""
@@ -373,11 +406,11 @@ class TruncatedSeries(Record):
         return min(cands) if cands else None
 
     def __neg__(self):
-        return self._with({i: -c for i, c in self.terms.items()}, self.trunc)
+        return self._trusted({i: -c for i, c in self.terms.items()}, self.trunc)
 
     def __add__(self, other):
         trunc = min_trunc(self.trunc, other.trunc)
-        return self._with(add_terms(self.terms, other.terms, trunc), trunc)
+        return self._trusted(add_terms(self.terms, other.terms, trunc), trunc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -386,7 +419,7 @@ class TruncatedSeries(Record):
         new = min_trunc(self.trunc, trunc)
         terms = self.terms if new is None else {
             i: c for i, c in self.terms.items() if i <= new}
-        return self._with(terms, new)
+        return self._trusted(terms, new)
 
     def __str__(self):
         body = signed_sum([self._term(i, c) for i, c in sorted(self.terms.items())])
@@ -405,27 +438,12 @@ class LaurentTail(TruncatedSeries):
 
     __slots__ = ("terms", "trunc")
     _VAR = "x"
-
-    def __init__(self, terms: Optional[Mapping[int, ScalarLike]] = None,
-                 trunc: Optional[int] = None):
-        clean = {int(i): _frac(c) for i, c in (terms or {}).items()}
-        _setattr(self, "terms", nonzero_terms(clean, trunc))
-        _setattr(self, "trunc", trunc)
-
-    @classmethod
-    def _trusted(cls, terms: dict, trunc: Optional[int]):
-        """Wrap a clean ``terms`` dict (see the module docstring), unchecked."""
-        self = _new(cls)
-        _setattr(self, "terms", terms)
-        _setattr(self, "trunc", trunc)
-        return self
+    _coerce = staticmethod(_frac)
+    _zero = _ZERO
 
     @classmethod
     def zero(cls, trunc: Optional[int] = None):
         return cls._trusted({}, trunc)
-
-    def coeff(self, i: int) -> Fraction:
-        return self.terms.get(i, _ZERO)
 
     def _term(self, s: int, c: Fraction) -> tuple:
         return c, monomial_text(c, -s)
@@ -436,7 +454,7 @@ class LaurentTail(TruncatedSeries):
         Raises LogObstruction when the x^-1 coefficient is nonzero: the
         antiderivative would leave the Laurent/rational class.
         """
-        if self.terms.get(1, Fraction(0)) != 0:
+        if self.terms.get(1):
             raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
         out = {s - 1: c / (1 - s) for s, c in self.terms.items()}
         trunc = None if self.trunc is None else self.trunc - 1
@@ -447,8 +465,7 @@ class LaurentTail(TruncatedSeries):
         truncation (None = infinitely many)."""
         if self.trunc is None:
             return None
-        anchor = min(self.terms) if self.terms else 0
-        return self.trunc - anchor + 1
+        return self.trunc - min(self.terms, default=0) + 1
 
 
 def laurent_expand(f: RatFunc, M: int) -> LaurentTail:

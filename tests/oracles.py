@@ -426,9 +426,9 @@ def top_height(u: dict) -> int:
 def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
     """(1 + T)^-1 = sum_n (-T)^n through index J, for K = 1 + T with T
     strictly decaying."""
-    t = PDO(K.var, {j: c for j, c in K.terms.items() if j > 0}, K.trunc).restrict(J)
-    acc = PDO.identity(K.var).restrict(J)
-    power = PDO.identity(K.var).restrict(J)
+    t = PDO({j: c for j, c in K.terms.items() if j > 0}, K.trunc).restrict(J)
+    acc = PDO.identity().restrict(J)
+    power = PDO.identity().restrict(J)
     for _ in range(J):
         power = (power * (-t)).restrict(J)
         if power.is_zero():
@@ -449,7 +449,7 @@ def involution_b_as_pdo(P: PDO) -> PDO:
             if v != 0:
                 tails.setdefault(-k, {})[j] = v
     terms = {idx: LaurentTail(pairs, P.trunc) for idx, pairs in tails.items()}
-    return PDO._trusted("z" if P.var == "x" else "x", terms, None)
+    return PDO._trusted(terms, None)
 
 
 def expand_in_powers(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
@@ -775,12 +775,12 @@ def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:
     the antiderivative of -1/N times the coefficient of d^(N-1-j) in
     L K - K f(d), recomputed from the whole of K."""
     N = L.order
-    K = PDO.identity(L.var)
+    K = PDO.identity()
     for j in range(1, J + 1):
         target = wave_defect(L, f, K).coeff(j - N + 1)
         if not target.is_zero():
             a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
-            K = PDO(L.var, {**K.terms, j: a_j}, None)
+            K = PDO({**K.terms, j: a_j}, None)
     return K.restrict(J)
 
 

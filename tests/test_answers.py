@@ -1,0 +1,70 @@
+"""The benchmark's answers, pinned.
+
+Every operation of seeds 1-3 of the three benchmark workloads goes
+through ``bispec.cli.main`` twice, as text and with ``--json``.  One
+short digest per operation, of the exit code and stdout of both calls,
+is compared with ``answers.json`` beside this file, and the test names
+each operation whose answer moved.  A change that is meant to keep every
+answer keeps this file; one that changes answers on purpose regenerates
+it with
+
+    PYTHONPATH=src python tests/test_answers.py
+
+and lists the changed operations in CHANGES.md.  The benchmark's
+``workloads`` module is only imported (without writing bytecode).
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PINNED = HERE / "answers.json"
+SEEDS = (1, 2, 3)
+
+sys.path.insert(0, str(HERE.parent / "bench"))
+_dont_write = sys.dont_write_bytecode
+sys.dont_write_bytecode = True
+try:
+    import workloads  # noqa: E402
+finally:
+    sys.dont_write_bytecode = _dont_write
+
+from bispec import cli  # noqa: E402
+
+
+def _call(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return f"{rc}\n{out.getvalue()}"
+
+
+def answers() -> dict:
+    """{"workload/seed/index": "digest argv"} for every operation."""
+    out = {}
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for i, op in enumerate(workloads.build(name, seed)):
+                argv = list(op.argv)
+                both = _call(argv) + _call(argv + ["--json"])
+                digest = hashlib.sha256(both.encode()).hexdigest()[:16]
+                out[f"{name}/{seed}/{i}"] = f"{digest} {' '.join(argv)}"
+    return out
+
+
+def test_answers_are_unchanged():
+    pinned = json.loads(PINNED.read_text())
+    got = answers()
+    changed = [f"{key}: {got.get(key) or pinned[key]}"
+               for key in sorted(pinned.keys() | got.keys())
+               if pinned.get(key) != got.get(key)]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps(answers(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {PINNED}")

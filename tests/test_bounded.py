@@ -244,7 +244,7 @@ class TestInvolutionB:
             involution_b(DiffOp("x", {1: RatFunc.x_power(-1)}))
 
     def test_pdo_image(self):
-        K = PDO("x", {0: RatFunc.one(), 1: RatFunc(Poly([0, 1])),
+        K = PDO({0: RatFunc.one(), 1: RatFunc(Poly([0, 1])),
                       2: RatFunc(Poly([1, 0, 3]))}, 4)
         S = involution_b(K)
         # z^-j a_j(d_z), keyed by the power of d_z: x at index 1 becomes
@@ -260,25 +260,25 @@ class TestInvolutionB:
             trunc = rng.choice([None, 1, 3, 5])
             terms = {j: RatFunc(random_poly(rng, 3))
                      for j in rng.sample(range(-2, 6), rng.randint(0, 4))}
-            P = PDO("x", terms, trunc)
+            P = PDO(terms, trunc)
             old = involution_b_as_pdo(P)
             assert {-i: t for i, t in old.terms.items()} == involution_b(P)
 
     def test_series_image_needs_polynomial_coefficients(self):
         with pytest.raises(NotInDomain):
-            involution_b(PDO("x", {1: RatFunc.x_power(-1)}, 3))
+            involution_b(PDO({1: RatFunc.x_power(-1)}, 3))
 
 
 class TestPDOCoefficients:
     def test_coerced_as_in_diffop(self):
-        P = PDO("x", {-1: 1, 0: Fraction(1, 2), 1: Poly([0, 1]), 2: 0}, 4)
-        assert P == PDO._trusted("x", {-1: RatFunc.one(), 0: RatFunc.const(Fraction(1, 2)),
+        P = PDO({-1: 1, 0: Fraction(1, 2), 1: Poly([0, 1]), 2: 0}, 4)
+        assert P == PDO._trusted({-1: RatFunc.one(), 0: RatFunc.const(Fraction(1, 2)),
                                        1: RatFunc.x()}, 4)
 
     def test_tail_refused(self):
         tail = LaurentTail({1: 1}, 3)
         with pytest.raises(NotInDomain):
-            PDO("x", {0: RatFunc.one(), 1: tail}, 3)
+            PDO({0: RatFunc.one(), 1: tail}, 3)
         with pytest.raises(NotInDomain):
             DiffOp("x", {0: tail})
 

@@ -22,6 +22,7 @@ from bispec import (
     gauge_normalize,
     right_divide,
 )
+from bispec.diffop import TOp
 
 from oracles import (
     diffop_of_mono,
@@ -136,6 +137,17 @@ class TestPower:
         for _ in range(n):
             expect = diffop_of_mono(mono_mul(mono_of_diffop(expect), mono_of_diffop(base)))
         assert value == expect
+
+    @pytest.mark.parametrize("base", [d, x * d, TOp({(1, 0): Fraction(1)}),
+                                      TOp({(1, 0): Fraction(1), (0, 1): Fraction(1)})])
+    def test_negative_power_raises(self, base):
+        # the squaring loop shifted n = -1 to -1 for ever; the parser refuses
+        # such powers before they get here (a TOp c * x^e is inverted
+        # without it)
+        with pytest.raises(ValueError, match="negative operator power"):
+            base ** -1
+        with pytest.raises(ValueError, match="negative operator power"):
+            base ** -4
 
 
 class TestCommutator:

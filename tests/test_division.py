@@ -122,7 +122,7 @@ class TestReductionModA:
 def series(J):
     """K = 1 + sum_{j=1}^{J+1} a_j d^-j, exact or truncated at J."""
     return st.builds(
-        lambda terms, trunc: PDO("x", {**terms, 0: RatFunc.one()}, trunc),
+        lambda terms, trunc: PDO({**terms, 0: RatFunc.one()}, trunc),
         st.dictionaries(st.integers(1, J + 1), ratfuncs_st, max_size=3),
         st.sampled_from([None, J]),
     )
@@ -135,7 +135,7 @@ class TestPDOInverse:
         J, K = case
         inv = K.inverse(J)
         assert inv == pdo_inverse_neumann(K, J)
-        assert (inv * PDO._trusted("x", K.terms, None)).restrict(J) == \
+        assert (inv * PDO._trusted(K.terms, None)).restrict(J) == \
             PDO.identity().restrict(J)
 
     def test_makes_no_series_product(self, monkeypatch):

@@ -71,12 +71,12 @@ def pdo_product_oracle(P: PDO, Q: PDO) -> PDO:
                     break
                 out[k] = out.get(k, RatFunc.zero()) + a * deriv.scale(_binom(-i, t))
                 deriv, t = deriv.derivative(), t + 1
-    return PDO._trusted(P.var, nonzero_terms(out), trunc)
+    return PDO._trusted(nonzero_terms(out), trunc)
 
 
 def pdos(polynomial=False):
     coeffs = polys_st.map(RatFunc) if polynomial else ratfuncs_st
-    return st.builds(PDO, st.just("x"),
+    return st.builds(PDO,
                      st.dictionaries(st.integers(-2, 3), coeffs, max_size=4),
                      st.one_of(st.none(), st.integers(1, 5)))
 
@@ -111,22 +111,22 @@ class TestPDOProduct:
         assert _product_or_error(P, Q) == _oracle_or_error(P, Q)
 
     def test_truncated(self):
-        P = PDO("x", {-1: RatFunc.one(), 1: inv, 2: x}, 4)
-        Q = PDO("x", {0: RatFunc.one(), 1: inv * inv, 3: x * inv}, 5)
+        P = PDO({-1: RatFunc.one(), 1: inv, 2: x}, 4)
+        Q = PDO({0: RatFunc.one(), 1: inv * inv, 3: x * inv}, 5)
         got = P * Q
         assert got.trunc == 4  # min(4 + 0, 5 - 1)
         assert got == pdo_product_oracle(P, Q)
 
     def test_untruncated(self):
-        P = PDO("x", {-2: RatFunc.one(), 0: inv, 2: x}, None)
-        Q = PDO("x", {-1: x * x, 1: RatFunc(Poly([1, 0, 3]))}, None)
+        P = PDO({-2: RatFunc.one(), 0: inv, 2: x}, None)
+        Q = PDO({-1: x * x, 1: RatFunc(Poly([1, 0, 3]))}, None)
         got = P * Q
         assert got.trunc is None
         assert got == pdo_product_oracle(P, Q)
 
     def test_infinite_expansion_is_not_in_domain(self):
-        P = PDO("x", {0: RatFunc.one(), 1: x}, None)
-        Q = PDO("x", {0: inv}, None)
+        P = PDO({0: RatFunc.one(), 1: x}, None)
+        Q = PDO({0: inv}, None)
         with pytest.raises(NotInDomain, match="infinite expansion"):
             P * Q
         with pytest.raises(NotInDomain):
@@ -171,8 +171,8 @@ class TestKernelWork:
         M = DiffOp.from_function(x * x) * d * d + DiffOp.from_function(inv * inv)
         dop_mul(L, M)
         commutator(L, M)
-        P = PDO("x", {-2: RatFunc.one(), 1: inv, 2: x}, 4)
-        P * PDO("x", {0: RatFunc.one(), 1: x * x, 2: inv}, 4)
+        P = PDO({-2: RatFunc.one(), 1: inv, 2: x}, 4)
+        P * PDO({0: RatFunc.one(), 1: x * x, 2: inv}, 4)
         assert ratfunc_calls["scale"]
         assert 1 not in ratfunc_calls["scale"]
 
@@ -194,9 +194,9 @@ class TestKernelWork:
 
     @pytest.mark.parametrize("P,Q,count", [
         # d^2 o (x + 1)^-1: the binomial C(2, 3) = 0 ends the chain
-        (PDO("x", {-2: RatFunc.one()}, None), PDO("x", {0: inv}, None), 2),
+        (PDO({-2: RatFunc.one()}, None), PDO({0: inv}, None), 2),
         # d^-1 o (x + 1)^-1 through d^-3: the truncation ends the chain
-        (PDO("x", {1: RatFunc.one()}, 3), PDO("x", {0: inv}, 3), 2),
+        (PDO({1: RatFunc.one()}, 3), PDO({0: inv}, 3), 2),
     ])
     def test_no_unused_derivative(self, ratfunc_calls, P, Q, count):
         ratfunc_calls["derivative"] = 0

@@ -19,6 +19,7 @@ from bispec import (
     RatFunc,
     ZeroDenominator,
     laurent_expand,
+    parse_operator,
     rat_antiderivative,
     rational_reconstruct,
 )
@@ -320,6 +321,56 @@ class TestRatFunc:
             assert hash(a) == hash(b)
 
 
+class TestSum:
+    """A sum is reduced over the lcm of the denominators, and one over
+    coprime denominators needs no reduction at all."""
+
+    @staticmethod
+    def by_full_reduction(a: RatFunc, b: RatFunc) -> RatFunc:
+        return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+    @pytest.fixture
+    def gcd_degrees(self, monkeypatch):
+        """The degree pairs that reach Poly.gcd from here on."""
+        seen = []
+        gcd = Poly.gcd
+
+        def recording(p, q):
+            seen.append((p.degree, q.degree))
+            return gcd(p, q)
+
+        monkeypatch.setattr(Poly, "gcd", recording)
+        return seen
+
+    @settings(max_examples=80)
+    @given(small_ratfuncs_st, small_ratfuncs_st)
+    def test_equals_the_full_reduction(self, a, b):
+        assert a + b == self.by_full_reduction(a, b)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_coprime_powers_equal_the_full_reduction(self, n):
+        a = RatFunc(Poly([1]), Poly([1, 1]) ** n)
+        b = RatFunc(Poly([3]), Poly([2, 1]) ** n)
+        assert a + b == self.by_full_reduction(a, b)
+
+    def test_gcd_sees_no_degree_above_a_denominator(self, gcd_degrees):
+        # the sum of (x+1)^-300 and (x+2)^-300 took one gcd of two
+        # degree-600 polynomials (74 s); the denominators alone are coprime
+        L = parse_operator("(x+1)^-300+(x+2)^-300")
+        assert gcd_degrees and max(map(max, gcd_degrees)) <= 300
+        assert L.coeff(0).den == (Poly([1, 1]) * Poly([2, 1])) ** 300
+
+    def test_common_factor_reduces_over_the_lcm(self, gcd_degrees):
+        x1, x2, x3 = Poly([1, 1]), Poly([2, 1]), Poly([3, 1])
+        a = RatFunc(x3, x1 * x1 * x2)  # (x+3)/((x+1)^2 (x+2))
+        b = RatFunc(-x2, x1 * x3)      # -(x+2)/((x+1)(x+3))
+        expect = self.by_full_reduction(a, b)
+        gcd_degrees.clear()
+        assert a + b == expect
+        # the lcm (x+1)^2 (x+2)(x+3) has degree 4, the product 5
+        assert gcd_degrees and max(map(max, gcd_degrees)) <= 4
+
+
 def tail_product(s, t):
     """The product of two truncated tails, exact up to the index where the
     first unknown term of either factor lands."""
@@ -405,9 +456,9 @@ class TestSeriesText:
 
     def test_poly_and_pdo(self):
         assert str(Poly([Fraction(-1, 2), 0, -1, 3])) == "3*x^3 - x^2 - 1/2"
-        P = PDO("x", {-1: RatFunc.one(), 2: RatFunc.x_power(-1).scale(-1)}, 3)
+        P = PDO({-1: RatFunc.one(), 2: RatFunc.x_power(-1).scale(-1)}, 3)
         assert str(P) == "(1)*d^1 + ((-1)/(x))*d^-2 + O(d^-4)"
-        assert str(PDO("x", {})) == "0"
+        assert str(PDO({})) == "0"
 
 
 @st.composite

@@ -126,8 +126,8 @@ def test_tail_results(s, t, c, trunc):
        st.dictionaries(st.integers(-1, 3), ratfunc_st, max_size=3),
        st.integers(2, 5))
 def test_pdo_results(a, b, trunc):
-    P, Q = PDO("x", a, trunc), PDO("x", b, trunc)
+    P, Q = PDO(a, trunc), PDO(b, trunc)
     for R in (P * Q, P + Q, P - Q, -P, P.restrict(trunc - 1)):
         assert all(not v.is_zero() for v in R.terms.values())
         assert R.trunc is None or all(j <= R.trunc for j in R.terms)
-        assert PDO(R.var, dict(R.terms), R.trunc) == R
+        assert PDO(dict(R.terms), R.trunc) == R
