@@ -10,7 +10,7 @@ one equation the unknowns are determined from the top height down, each by a
 single antiderivative, because in [A, m] = b A + c the b-part sits exactly
 one height below m, while in V m = U A + W the U-part enters at least two
 below.  Both decompositions are one division by A (``_contributions``):
-division by the monic A is linear, so it divides their sum.  Every
+division by the monic A is linear, so it divides their sum L m - m A.  Every
 operator of the solve lies in Q[x, x^-1]<d>, so it is a ``diffop.TOp``,
 the sparse map {(k, e): c} that the parser also evaluates in.
 
@@ -118,8 +118,8 @@ class AiryPDO(Record):
     each m_j a ``TOp`` of d-degree below N = order(A).
 
     ``airy_wave_solve`` reports m_j cut at x^-(D - j) with D = J + N + 4;
-    by the depth rule of the module docstring every coefficient through
-    that index is exact.  For V != 0 it reports every m_j, a zero one
+    by the depth rule of the module docstring every coefficient down to
+    that power is exact.  For V != 0 it reports every m_j, a zero one
     included, so ``mjs`` is empty exactly for K = 1."""
 
     __slots__ = ("A", "mjs", "trunc")
@@ -143,7 +143,7 @@ class AiryPDO(Record):
         trunc = _depth(self.trunc, self.A.order) - j
         rows: dict[int, dict[int, Fraction]] = {}
         for (k, e), c in self.coeff(j).terms.items():
-            rows.setdefault(k, {})[-e] = c
+            rows.setdefault(k, {})[e] = c
         return {k: LaurentTail._trusted(rows[k], trunc)
                 for k in sorted(rows, reverse=True)} or {0: LaurentTail.zero(trunc)}
 
@@ -247,12 +247,8 @@ def _cut(T: TOp, depth: int) -> TOp:
 def _top(P: DiffOp, depth: int) -> TOp:
     """P with each coefficient expanded at infinity through x^-depth, as an
     exact Laurent polynomial; a polynomial coefficient loses nothing."""
-    terms = {}
-    for k, c in P.coeffs.items():
-        pairs = c.laurent_terms() if c.is_laurent_polynomial() else [
-            (-s, v) for s, v in laurent_expand(c, depth).terms.items()]
-        terms.update(((k, e), v) for e, v in pairs if e >= -depth)
-    return TOp(terms)
+    return TOp({(k, e): v for k, c in P.coeffs.items()
+                for e, v in laurent_expand(c, depth).terms.items()})
 
 
 def _piece(R: TOp, slot: int, k: int, N: int) -> TOp:
@@ -280,12 +276,13 @@ def _divide(T: TOp, At: TOp) -> tuple[TOp, TOp]:
     return TOp(quo), T
 
 
-def _contributions(delta: TOp, At: TOp, Vt: TOp, depth: int) -> tuple[TOp, TOp]:
+def _contributions(delta: TOp, At: TOp, Lt: TOp, depth: int) -> tuple[TOp, TOp]:
     """The (b + U, c + W) parts of [A, delta] = b A + c and
     V delta = U A + W for a piece delta of some m_j, cut at x^-depth: one
-    division of their sum by A, as division by the monic A is linear.
-    The dividend is cut at x^-(depth + 1) first (module docstring)."""
-    q, r = _divide(_cut(At * delta - delta * At + Vt * delta, depth + 1), At)
+    division of their sum L delta - delta A by A, as division by the
+    monic A is linear.  The dividend is cut at x^-(depth + 1) first
+    (module docstring)."""
+    q, r = _divide(_cut(Lt * delta - delta * At, depth + 1), At)
     return _cut(q, depth), _cut(r, depth)
 
 
@@ -310,6 +307,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
 
     D = _depth(J, N)
     At, Vt = _top(A, D), _top(V, D)
+    Lt = At + Vt
     m: dict[int, dict] = {j: {} for j in range(1, J + 1)}
 
     try:
@@ -321,7 +319,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 beta = _piece(R, N - 1, 0, N)
                 if beta.terms:
                     m[eq].update(beta.terms)
-                    same, nxt = _contributions(beta, At, Vt, D)
+                    same, nxt = _contributions(beta, At, Lt, D)
                     # a pure function has no b/U part: everything it
                     # produces belongs to the current equation
                     R = R + same + nxt
@@ -332,7 +330,7 @@ def airy_wave_solve(L: DiffOp, J: int) -> Union[AiryPDO, ObstructionTrace]:
                 if not alpha.terms:
                     continue
                 m[eq + 1].update(alpha.terms)
-                same, nxt = _contributions(alpha, At, Vt, D)
+                same, nxt = _contributions(alpha, At, Lt, D)
                 R = R + same
                 next_rhs = next_rhs + nxt
             # each unknown cancels its slot exactly, so nothing is left
@@ -358,11 +356,12 @@ def airy_wave_residual(L: DiffOp, K: AiryPDO) -> bool:
     A, V = principal_part(L)
     D = _depth(K.trunc, airy_shape(A).N)  # raises NotAiryShape
     At, Vt = _top(A, D), _top(V, D)
+    Lt = At + Vt
     # equation j - 1 adds the (b+U) part of m_j to the (c+W) part of
     # m_(j-1), or to V for j = 1; each m_j is divided once
     prev = Vt
     for j in range(1, K.trunc + 1):
-        same, nxt = _contributions(K.coeff(j), At, Vt, D)
+        same, nxt = _contributions(K.coeff(j), At, Lt, D)
         if any(e >= j - D for _, e in (same + prev).terms):
             return False
         prev = nxt

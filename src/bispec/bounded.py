@@ -3,12 +3,13 @@ conjugation of theta through K, the anti-isomorphism b, reconstruction of
 the dual operator Lambda, the polynomial-identity obstruction chain,
 bounded centralizer search, and Fuchs' criterion at the finite poles.
 
-Pseudo-differential series are stored as maps from the index j of d^-j to
-exact rational-function coefficients; negative indices are differential
-part.  The truncation J means indices <= J are known exactly (None for
-finite exact sums).  With exact coefficients every product below the
-truncation is computed exactly via
-    d^-i o a(x) = sum_t C(-i, t) a^(t)(x) d^(-i-t).
+Pseudo-differential series are stored as maps from the power k of d to
+exact rational-function coefficients, as differential operators are, so
+the wave operator's a_j sits at key -j.  The truncation J means the
+powers down to d^-J are known exactly (None for finite exact sums).  With
+exact coefficients every product above the truncation is computed
+exactly via
+    d^k o a(x) = sum_t C(k, t) a^(t)(x) d^(k-t).
 The inverse K^-1 is the quotient of 1 by K in the same long division that
 divides operators (``diffop.leibniz_divide``), cut at the truncation; the
 rank-equals-order test writes ad^m(theta) as a polynomial in L by repeated
@@ -57,13 +58,14 @@ from .record import Record
 # ---------------------------------------------------------------------------
 
 class PDO(TruncatedSeries):
-    """sum_{j >= j0} a_j(x) d^-j, exact for j <= trunc (None = finite sum).
+    """sum_k a_k(x) d^k over k <= k0, exact for k >= -trunc (None = finite
+    sum), keyed by the power k as ``DiffOp`` is.
 
     ``PDO(terms, trunc)`` coerces every coefficient to a ``RatFunc`` as
     ``DiffOp`` does (NotInDomain for a value that is not a rational
     function, such as a ``LaurentTail``) and drops the zero ones.
-    ``PDO._trusted(terms, trunc)`` wraps a dict with int keys at most
-    ``trunc`` and nonzero ``RatFunc`` coefficients, unchecked.  The
+    ``PDO._trusted(terms, trunc)`` wraps a dict with int keys at least
+    ``-trunc`` and nonzero ``RatFunc`` coefficients, unchecked.  The
     constructors, negation, sums, ``restrict`` and printing are those of
     ``TruncatedSeries``.
 
@@ -81,38 +83,29 @@ class PDO(TruncatedSeries):
     def identity() -> "PDO":
         return PDO._trusted({0: RatFunc.one()}, None)
 
-    @staticmethod
-    def from_diffop(L: DiffOp) -> "PDO":
-        return PDO._trusted({-j: c for j, c in L.coeffs.items()}, None)
-
     # -- arithmetic
 
     def __mul__(self, other: "PDO") -> "PDO":
         """Product, exact through the combined truncation: the shared
-        Leibniz kernel on the powers d^(-j), whose chains for d^-i, i > 0,
-        end at the truncation or when the derivatives of b die out."""
+        Leibniz kernel, whose chains for d^k, k < 0, end at the
+        truncation or when the derivatives of b die out."""
         trunc = self._product_trunc(other)
-        if (trunc is None and any(i > 0 for i in self.terms)
+        if (trunc is None and any(k < 0 for k in self.terms)
                 and not all(b.is_polynomial() for b in other.terms.values())):
             raise NotInDomain("untruncated product with infinite expansion")
-        out = leibniz_product({-i: a for i, a in self.terms.items()},
-                              {-j: b for j, b in other.terms.items()},
-                              None if trunc is None else -trunc)
-        return PDO._trusted({-k: c for k, c in out.items()}, trunc)
+        return PDO._trusted(leibniz_product(self.terms, other.terms,
+                                            None if trunc is None else -trunc), trunc)
 
     def inverse(self, J: int) -> "PDO":
-        """(1 + T)^-1 through index J for series with start index 0 and
-        leading coefficient 1: the quotient of 1 by the series, by long
-        division cut at d^-J."""
-        if self.coeff(0) != RatFunc.one() or (self.start or 0) < 0:
+        """(1 + T)^-1 down to d^-J for a series with leading term 1 d^0:
+        the quotient of 1 by the series, by long division cut at d^-J."""
+        if self.coeff(0) != RatFunc.one() or max(self.terms) > 0:
             raise NotInDomain("inverse requires 1 + (strictly decaying part)")
         trunc = min_trunc(self.trunc, J)
-        quo, _ = leibniz_divide({0: RatFunc.one()},
-                                {-j: a for j, a in self.terms.items()}, -trunc)
-        return PDO._trusted({-k: c for k, c in quo.items()}, trunc)
+        return PDO._trusted(leibniz_divide({0: RatFunc.one()}, self.terms, -trunc)[0], trunc)
 
-    def _term(self, j: int, c) -> tuple:
-        return 1, f"({c})" + (f"*d^{-j}" if j else "")
+    def _term(self, k: int, c) -> tuple:
+        return 1, f"({c})" + (f"*d^{k}" if k else "")
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +168,22 @@ def fuchs_violation(L: DiffOp) -> Optional[dict]:
 def wave_defect(L: DiffOp, f: Poly, K: PDO) -> PDO:
     """L K - K f(d), treating K as the exact finite sum of its terms."""
     Kx = PDO._trusted(K.terms, None)
-    F = PDO({-j: c for j, c in enumerate(f.coeffs)})
-    return PDO.from_diffop(L) * Kx - Kx * F
+    return PDO._trusted(L.coeffs, None) * Kx - Kx * PDO(dict(enumerate(f.coeffs)))
 
 
 def wave_residual_zero(L: DiffOp, f: Poly, K: PDO) -> bool:
     """Exactness certificate for a wave operator K truncated at J =
-    K.trunc: the coefficients of L K - K f(d) vanish at every index
-    untouched by the unknown a_j, j > J (that is, through index
-    J + 1 - deg f)."""
-    bound = K.trunc + 1 - f.degree
-    return all(c.is_zero() for j, c in wave_defect(L, f, K).terms.items()
-               if j <= bound)
+    K.trunc: the coefficients of L K - K f(d) vanish at every power of d
+    untouched by the unknown a_j, j > J (that is, down to
+    d^(deg f - J - 1))."""
+    low = f.degree - K.trunc - 1
+    return all(c.is_zero() for k, c in wave_defect(L, f, K).terms.items()
+               if k >= low)
 
 
 def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
     """Solve L K = K f(d) for K = 1 + sum_{j=1}^J a_j(x) d^-j, returned
-    truncated at J (so K.trunc == J).
+    truncated at J (so K.trunc == J and a_j is K.coeff(-j)).
 
     Each step reads the coefficient of d^(N-1-j) in the defect
     E = L K - K f(d) of the partial solution; the new a_j enters that slot
@@ -212,11 +204,11 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
     terms = {0: RatFunc.one()}
     E = wave_defect(L, f, PDO.identity())
     for j in range(1, J + 1):
-        target = E.coeff(j - N + 1)  # coefficient of d^(N-1-j)
+        target = E.coeff(N - 1 - j)
         if target.is_zero():
             continue
-        terms[j] = a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
-        E = E + wave_defect(L, f, PDO._trusted({j: a_j}, None))
+        terms[-j] = a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
+        E = E + wave_defect(L, f, PDO._trusted({-j: a_j}, None))
     return PDO(terms, J)
 
 
@@ -246,20 +238,20 @@ def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, dict[int, LaurentTail]]
     (b(PQ) = b(Q) b(P)); defined on polynomial coefficients.
 
     On differential operators this is ``diffop.anti_homomorphism``, which
-    sends x^a d^j to z^j d_z^a.  On series sum a_j(x) d^-j the image is
-    sum z^-j a_j(d_z), regrouped by powers of d_z: a map from the power k
+    sends x^a d^j to z^j d_z^a.  On series sum a_k(x) d^k the image is
+    sum z^k a_k(d_z), regrouped by powers of d_z: a map from the power i
     of d_z to its coefficient, a truncated expansion in z^-1 (a tail)."""
     if isinstance(P, DiffOp):
         var = "z" if P.var == "x" else "x"
         return anti_homomorphism(P, DiffOp.d(var), DiffOp.x(var))
     tails: dict[int, dict[int, Fraction]] = {}
-    for j, c in P.terms.items():
+    for k, c in P.terms.items():
         if not c.is_polynomial():
-            raise NotInDomain(f"coefficient at d^-{j} is not polynomial")
-        for k, v in enumerate(c.num.coeffs):
+            raise NotInDomain(f"coefficient at d^{k} is not polynomial")
+        for i, v in enumerate(c.num.coeffs):
             if v != 0:
-                tails.setdefault(k, {})[j] = v
-    return {k: LaurentTail(pairs, P.trunc) for k, pairs in tails.items()}
+                tails.setdefault(i, {})[k] = v
+    return {i: LaurentTail(pairs, P.trunc) for i, pairs in tails.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     the order of Lambda."""
     J = K.trunc
     series = conjugate_theta(K, theta.monic())
-    bad = tuple(j for j, c in sorted(series.terms.items()) if not c.is_polynomial())
+    bad = tuple(sorted(-k for k, c in series.terms.items() if not c.is_polynomial()))
     if bad:
         raise ReconstructionFailed(
             f"non-polynomial conjugate coefficients at d^-j, j in {bad}"
@@ -327,7 +319,7 @@ def pade_lift(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
     tail's known count; None when there is none (or D < 0).
 
     One solve suffices.  If f0 = p0/q0 of degree d0 <= D matches t
-    through index J, and (p, q), q != 0, solves the system at D,
+    down to x^-J, and (p, q), q != 0, solves the system at D,
     then q0 (q t - p) - q (q0 t - p0) = q p0 - q0 p is a polynomial with
     no term of degree >= d0 + D - J; as J >= 2D + 1 > d0 + D, it is zero
     and p/q = f0.  So every solution at D reduces to the one matching

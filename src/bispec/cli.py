@@ -173,7 +173,7 @@ def _dispatch(args) -> int:
         L = parse_operator(args.expr)
         f, _ = split_constant_part(L)
         K = wave_operator(L, f, args.trunc)
-        coeffs = {j: str(c) for j, c in sorted(K.terms.items()) if j > 0}
+        coeffs = {j: str(c) for j in range(1, K.trunc + 1) if (c := K.coeff(-j))}
         fz = poly_text(f, "z")
         residual_zero = wave_residual_zero(L, f, K)
         _emit({"f": fz, "coefficients": coeffs, "residual_zero": residual_zero},

@@ -33,15 +33,17 @@ subexpressions, where they mean multiplication by the reciprocal
 function; on anything containing d they raise NegativeDerivativeExponent.
 Exponent magnitudes are capped at ``MAX_EXPONENT`` (dense coefficient
 storage makes astronomically large powers a denial-of-service, not a
-computation).  That is enough for a power of one term c*x^e or c*d^k,
-which stays one term, but not for any other base: (x+1)^4096 holds 4,097
-terms and (d+x)^128 thousands.  So a power of any other base, of either
-sign, is refused when it could hold more than ``MAX_POWER_TERMS``
+computation): on the literal, and on every power of x or d that a power
+or a product may reach, so (x^4096)^4096 is refused at its exponent and
+d^4096*d at its *.  The cap alone bounds a power of one term c*x^e or
+c*d^k, which stays one term, but not any other base: (x+1)^4096 holds
+4,097 terms and (d+x)^128 thousands.  So a power of any other base, of
+either sign, is refused when it could hold more than ``MAX_POWER_TERMS``
 monomials x^e*d^k, and so is a product, such as (x+1)^511*(x+1)^511.
-Both bounds count the monomials in a box, the ranges of the powers of d
-and of x that the factors' boxes (``_box``) allow.  A box misses that
-the terms of d^k*x^k lie on one diagonal (k + 1 terms in a box of
-(k + 1)^2), so such products are refused from k = 22 on.
+Both bounds read a box, the ranges of the powers of d and of x that the
+factors' boxes (``_box``) allow.  A box misses that the terms of d^k*x^k
+lie on one diagonal (k + 1 terms in a box of (k + 1)^2), so such products
+are refused from k = 22 on.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
@@ -130,30 +132,32 @@ def _box(value: "_Value") -> tuple:
     return min(ks), max(ks), min(es), max(es)
 
 
-def _power_size(base: "_Value", n: int) -> int:
-    """An upper bound on the number of monomials x^e*d^k of base^n.
+def _power_bounds(base: "_Value", n: int) -> tuple[int, int]:
+    """Upper bounds on the number of monomials x^e*d^k of base^n and on
+    the largest |e| or k among them.
 
-    k reaches n*K for the base's order K, and e spreads over n*(S + K),
-    with S the spread of the base's x-exponents, each reordering of d past
-    x^b lowering the exponent by one.  A power of one term c*x^e or c*d^k
-    is one term."""
+    k reaches n*K for the base's order K, and e runs from n*(e0 - K) to
+    n*E0, over the spread n*(S + K), with e0..E0 the base's x-exponents
+    and S = E0 - e0, each reordering of d past x^b lowering the exponent
+    by one.  A power of one term c*x^e or c*d^k is one term."""
     k, K, e, E = _box(base)
-    if k == K and e == E and 0 in (K, E):
-        return 1
-    return (n * K + 1) * (n * (E - e + K) + 1)
+    size = 1 if k == K and e == E and 0 in (K, E) else (n * K + 1) * (n * (E - e + K) + 1)
+    return size, n * max(K, E, K - e)
 
 
-def _product_size(a: "_Value", b: "_Value") -> int:
-    """An upper bound on the number of monomials x^e*d^k of a*b.
+def _product_bounds(a: "_Value", b: "_Value") -> tuple[int, int]:
+    """Upper bounds on the number of monomials x^e*d^k of a*b and on the
+    largest |e| or k among them.
 
     x^e1 d^k1 o x^e2 d^k2 is the sum over t of w_t x^(e1+e2-t) d^(k1+k2-t),
     with t up to k1, and up to e2 when e2 >= 0 (w_t = 0 beyond).  So with
     t below the largest such shift, k and e run over ranges set by the
-    factors' boxes."""
+    factors' boxes: k up to aK + bK, e from ae + be - t to aE + bE."""
     ak, aK, ae, aE = _box(a)
     bk, bK, be, bE = _box(b)
     t = aK if be < 0 else min(aK, bE)
-    return (aK + bK - bk - max(0, ak - t) + 1) * (aE + bE - ae - be + t + 1)
+    return ((aK + bK - bk - max(0, ak - t) + 1) * (aE + bE - ae - be + t + 1),
+            max(aK + bK, aE + bE, t - ae - be))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +220,11 @@ class _Parser:
         while self.kind() == "STAR":
             star = self.advance()[2]
             value, rhs = self.pair(value, self.unary())
-            if _product_size(value, rhs) > MAX_POWER_TERMS:
+            size, reach = _product_bounds(value, rhs)
+            if size > MAX_POWER_TERMS or reach > MAX_EXPONENT:
                 raise OperatorSyntaxError(
-                    f"product exceeds the supported size: {MAX_POWER_TERMS} terms", star)
+                    f"product exceeds the supported bounds: exponent {MAX_EXPONENT}, "
+                    f"size {MAX_POWER_TERMS} terms", star)
             value = value * rhs
         return value
 
@@ -241,7 +247,8 @@ class _Parser:
         if value.denominator != 1:
             raise OperatorSyntaxError("exponent must be an integer", pos)
         n = value.numerator
-        if n > MAX_EXPONENT or _power_size(base, n) > MAX_POWER_TERMS:
+        size, reach = _power_bounds(base, n)
+        if max(n, reach) > MAX_EXPONENT or size > MAX_POWER_TERMS:
             raise OperatorSyntaxError(
                 f"power exceeds the supported bounds: exponent {MAX_EXPONENT}, "
                 f"size {MAX_POWER_TERMS} terms", pos

@@ -39,8 +39,8 @@ Scalar = Fraction
 ScalarLike = Union[Fraction, int]
 
 
-# An index or exponent beyond any real one: the start index of an empty
-# finite tail, and (negated) the order at infinity of the zero function.
+# An exponent beyond any real one: negated, the leading exponent of an
+# empty exact series and the order at infinity of the zero function.
 FAR_INDEX = 10 ** 9
 
 _new = object.__new__

@@ -7,11 +7,12 @@ Conventions:
   what every coefficient in Q[x, x^-1] has, is reduced without Euclid by
   shifting out x^min(val(num), k); only other denominators go through
   ``Poly.gcd``.  A unit denominator is always the shared ``Poly.one()``.
-* ``LaurentTail`` is a truncated expansion at infinity written in the
-  variable x^-1: the term at index ``s`` is ``c_s * x^(-s)``.  Indices may
-  be negative (polynomial part).  ``trunc`` is the last index known exactly;
-  ``trunc=None`` means every absent coefficient is exactly zero.  It
-  shares one body, ``TruncatedSeries``, with ``bounded.PDO``.
+* ``LaurentTail`` is a truncated expansion at infinity: the term at key
+  ``e`` is ``c_e * x^e``, keyed by the exponent as every coefficient map
+  of the package is.  Keys may be positive (polynomial part).  The tail
+  is exact down to x^-trunc; ``trunc=None`` means every absent
+  coefficient is exactly zero.  It shares one body, ``TruncatedSeries``,
+  with ``bounded.PDO``.
   ``laurent_expand`` finds a tail by polynomial long division, one
   ``Poly.divmod``.  A tail serves the Pade path only: ``laurent_expand``,
   ``rat_antiderivative``, ``rational_reconstruct``,
@@ -32,8 +33,8 @@ meet the invariant itself (``Poly._trusted`` is described in ``poly``):
   scaling and translation keep a pair reduced; so do products, sums and
   derivatives of polynomials, and sums over coprime denominators.
 * ``TruncatedSeries._trusted(terms, trunc)``, for ``LaurentTail`` and
-  ``bounded.PDO`` alike: a dict with int keys, every key at most
-  ``trunc``, and nonzero values already of the series' coefficient ring
+  ``bounded.PDO`` alike: a dict with int keys, every key at least
+  ``-trunc``, and nonzero values already of the series' coefficient ring
   (``Fraction`` for a tail, ``RatFunc`` for a ``PDO``).  Negation, sums
   and ``restrict`` keep it.
 
@@ -320,11 +321,12 @@ _RAT_X = RatFunc._reduced(_POLY_X, _POLY_ONE)
 
 def nonzero_terms(terms: dict, trunc: Optional[int] = None) -> dict:
     """The entries of ``terms`` whose coefficient is nonzero (true) and,
-    when a truncation is given, whose index is at most ``trunc``.  Every
-    coefficient map of the package (series, operators) is cleaned here."""
+    when a truncation is given, whose exponent is at least ``-trunc``.
+    Every coefficient map of the package (series, operators) is cleaned
+    here."""
     if trunc is None:
         return {i: c for i, c in terms.items() if c}
-    return {i: c for i, c in terms.items() if c and i <= trunc}
+    return {i: c for i, c in terms.items() if c and i >= -trunc}
 
 
 def add_terms(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
@@ -340,21 +342,21 @@ _setattr = object.__setattr__
 
 
 class TruncatedSeries(Record):
-    """A truncated series sum_i c_i t^i in one formal variable t.
+    """A truncated series sum_e c_e t^e in one formal variable t.
 
-    ``terms`` maps the index i to a nonzero coefficient; indices at most
-    ``trunc`` are exact, and ``trunc=None`` means every absent coefficient
-    is exactly zero.  This is the one body of ``LaurentTail`` (t = 1/x,
-    ``Fraction`` coefficients) and ``bounded.PDO`` (t = 1/d, ``RatFunc``
-    coefficients).  A subclass lists ``terms`` and ``trunc`` in its own
-    ``__slots__``, names its coefficient coercion ``_coerce`` and its zero
-    coefficient ``_zero``, prints one term with ``_term`` and the order
-    term as O(_VAR^-(trunc + 1)).
+    ``terms`` maps the exponent e to a nonzero coefficient; exponents at
+    least ``-trunc`` are exact, and ``trunc=None`` means every absent
+    coefficient is exactly zero.  This is the one body of ``LaurentTail``
+    (t = x, ``Fraction`` coefficients) and ``bounded.PDO`` (t = d,
+    ``RatFunc`` coefficients).  A subclass lists ``terms`` and ``trunc``
+    in its own ``__slots__``, names its coefficient coercion ``_coerce``
+    and its zero coefficient ``_zero``, prints one term with ``_term`` and
+    the order term as O(_VAR^-(trunc + 1)).
 
     The constructor, ``LaurentTail(terms, trunc)`` or ``PDO(terms,
     trunc)``, coerces every coefficient with ``_coerce`` and drops the
-    zero ones and those past ``trunc``.  ``_trusted(terms, trunc)`` wraps
-    a dict with int keys at most ``trunc`` and nonzero coefficients
+    zero ones and those below t^-trunc.  ``_trusted(terms, trunc)`` wraps
+    a dict with int keys at least ``-trunc`` and nonzero coefficients
     already of the subclass's ring, unchecked.
     """
 
@@ -379,30 +381,22 @@ class TruncatedSeries(Record):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    @property
-    def start(self) -> Optional[int]:
-        """Leading index; None for the zero series."""
-        return min(self.terms, default=None)
-
     def coeff(self, i: int):
         return self.terms.get(i, self._zero)
 
-    def _known_floor(self) -> int:
-        """Start index used in precision bookkeeping (surrogate for zero)."""
-        if self.terms:
-            return min(self.terms)
-        if self.trunc is not None:
-            return self.trunc + 1
-        return FAR_INDEX
+    def _known_top(self) -> int:
+        """Leading exponent used in precision bookkeeping: for the zero
+        series, the first unknown one (or a far sentinel when exact)."""
+        return max(self.terms, default=-FAR_INDEX if self.trunc is None else -self.trunc - 1)
 
     def _product_trunc(self, other: "TruncatedSeries") -> Optional[int]:
-        """The last exact index of a product: the unknown range of either
-        factor, shifted by the other factor's leading index."""
+        """The truncation of a product: the unknown range of either
+        factor, shifted by the other factor's leading exponent."""
         cands = []
         if self.trunc is not None:
-            cands.append(self.trunc + other._known_floor())
+            cands.append(self.trunc - other._known_top())
         if other.trunc is not None:
-            cands.append(other.trunc + self._known_floor())
+            cands.append(other.trunc - self._known_top())
         return min(cands) if cands else None
 
     def __neg__(self):
@@ -418,21 +412,21 @@ class TruncatedSeries(Record):
     def restrict(self, trunc: Optional[int]):
         new = min_trunc(self.trunc, trunc)
         terms = self.terms if new is None else {
-            i: c for i, c in self.terms.items() if i <= new}
+            i: c for i, c in self.terms.items() if i >= -new}
         return self._trusted(terms, new)
 
     def __str__(self):
-        body = signed_sum([self._term(i, c) for i, c in sorted(self.terms.items())])
+        body = signed_sum([self._term(i, c) for i, c in sorted(self.terms.items(), reverse=True)])
         if self.trunc is None:
             return body
         return f"{body} + O({self._VAR}^{-(self.trunc + 1)})"
 
 
 class LaurentTail(TruncatedSeries):
-    """Truncated Laurent expansion at infinity: sum_s c_s * x^(-s).
+    """Truncated Laurent expansion at infinity: sum_e c_e * x^e.
 
-    ``terms`` maps the index s (negated exponent) to a nonzero coefficient.
-    Indices at most ``trunc`` are exact; ``trunc=None`` means the tail is an
+    ``terms`` maps the exponent e to a nonzero coefficient.  Exponents
+    at least ``-trunc`` are exact; ``trunc=None`` means the tail is an
     exact Laurent polynomial (all absent coefficients are zero).
     """
 
@@ -445,8 +439,8 @@ class LaurentTail(TruncatedSeries):
     def zero(cls, trunc: Optional[int] = None):
         return cls._trusted({}, trunc)
 
-    def _term(self, s: int, c: Fraction) -> tuple:
-        return c, monomial_text(c, -s)
+    def _term(self, e: int, c: Fraction) -> tuple:
+        return c, monomial_text(c, e)
 
     def antiderivative(self) -> "LaurentTail":
         """Term-by-term antiderivative, zero constant of integration.
@@ -454,33 +448,33 @@ class LaurentTail(TruncatedSeries):
         Raises LogObstruction when the x^-1 coefficient is nonzero: the
         antiderivative would leave the Laurent/rational class.
         """
-        if self.terms.get(1):
+        if self.terms.get(-1):
             raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
-        out = {s - 1: c / (1 - s) for s, c in self.terms.items()}
+        out = {e + 1: c / (e + 1) for e, c in self.terms.items()}
         trunc = None if self.trunc is None else self.trunc - 1
         return LaurentTail._trusted(out, trunc)
 
     def known_count(self) -> Optional[int]:
-        """Number of known coefficients from the leading index down to the
-        truncation (None = infinitely many)."""
+        """Number of known coefficients from the leading exponent down to
+        x^-trunc (None = infinitely many)."""
         if self.trunc is None:
             return None
-        return self.trunc - min(self.terms, default=0) + 1
+        return self.trunc + max(self.terms, default=0) + 1
 
 
 def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
-    """Laurent expansion of ``f`` at infinity, exact through index M
-    (i.e. through the term in x^-M), by polynomial long division.
+    """Laurent expansion of ``f`` at infinity, exact down to the term in
+    x^-M, by polynomial long division.
 
-    x^M * f = sum_s c_s x^(M-s), so c_s for s <= M is the coefficient of
-    x^(M-s) in the quotient of num * x^M by den; for M < 0 the quotient
-    of num by den * x^-M.  The remainder holds the terms past M."""
+    x^M * f = sum_e c_e x^(e+M), so c_e for e >= -M is the coefficient of
+    x^(e+M) in the quotient of num * x^M by den; for M < 0 the quotient
+    of num by den * x^-M.  The remainder holds the terms below x^-M."""
     if f.is_zero():
         return LaurentTail._trusted({}, M)
     num = Poly._trusted((_ZERO,) * max(M, 0) + f.num.coeffs)
     den = Poly._trusted((_ZERO,) * max(-M, 0) + f.den.coeffs)
     q = num.divmod(den)[0].coeffs
-    return LaurentTail._trusted({M - k: c for k, c in enumerate(q) if c}, M)
+    return LaurentTail._trusted({k - M: c for k, c in enumerate(q) if c}, M)
 
 
 def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
@@ -506,26 +500,22 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     if t.is_zero():
         return RatFunc.zero()
     M = t.trunc
-    r = t._known_floor()
-    # the coefficient of x^e in q*t is sum_i q_i t_(i-e); it is known for
-    # e >= degD - M, and zero for e > degD - r
+    # the coefficient of x^e in q*t is sum_i q_i t_(e-i); it is known for
+    # e >= degD - M, and zero above degD plus t's leading exponent
     rows = []
-    for e in range(max(degN, degD - r), degD - M - 1, -1):
+    for e in range(max(degN, degD + max(t.terms)), degD - M - 1, -1):
         if not 0 <= e <= degN:
-            row = {i: c for i in range(degD + 1) if (c := t.coeff(i - e))}
+            row = {i: c for i in range(degD + 1) if (c := t.coeff(e - i))}
             if row:
                 rows.append(row)
     basis = nullspace(rows, degD + 1)
     if not basis:
         return None
     q = basis[0]
-    p = [sum((v * t.coeff(i - e) for i, v in q.items()), _ZERO) for e in range(degN + 1)]
+    p = [sum((v * t.coeff(e - i) for i, v in q.items()), _ZERO) for e in range(degN + 1)]
     f = RatFunc(Poly(p), Poly([q.get(i, _ZERO) for i in range(degD + 1)]))
     # belt and braces: the reduced representative must re-expand to t
-    check = laurent_expand(f, M)
-    if all(check.coeff(s) == t.coeff(s) for s in range(min(r, check._known_floor()), M + 1)):
-        return f
-    return None
+    return f if laurent_expand(f, M).terms == t.terms else None
 
 
 # ---------------------------------------------------------------------------

@@ -390,8 +390,8 @@ def airy_wave_deep(L: DiffOp, J: int, extra: int = 12) -> Optional[dict]:
     depth = J + N + 4 + extra
 
     def top(P: DiffOp) -> dict:
-        return {(-s, k): c for k, f in P.coeffs.items()
-                for s, c in laurent_expand(f, depth).terms.items()}
+        return {(e, k): c for k, f in P.coeffs.items()
+                for e, c in laurent_expand(f, depth).terms.items()}
 
     At, Vt = top(A), top(V)
     m: dict = {j: {} for j in range(1, J + 1)}
@@ -424,9 +424,9 @@ def top_height(u: dict) -> int:
 
 
 def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
-    """(1 + T)^-1 = sum_n (-T)^n through index J, for K = 1 + T with T
+    """(1 + T)^-1 = sum_n (-T)^n down to d^-J, for K = 1 + T with T
     strictly decaying."""
-    t = PDO({j: c for j, c in K.terms.items() if j > 0}, K.trunc).restrict(J)
+    t = PDO({k: c for k, c in K.terms.items() if k < 0}, K.trunc).restrict(J)
     acc = PDO.identity().restrict(J)
     power = PDO.identity().restrict(J)
     for _ in range(J):
@@ -438,16 +438,16 @@ def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
 
 
 def involution_b_as_pdo(P: PDO) -> PDO:
-    """b(sum a_j(x) d^-j) = sum z^-j a_j(d_z) as a series in d_z whose
-    coefficient at index -k (the power d_z^k) is a z^-1 tail.  PDO no
-    longer accepts tail coefficients, so the image is wrapped unchecked."""
+    """b(sum a_k(x) d^k) = sum z^k a_k(d_z) as a series in d_z whose
+    coefficient at the power d_z^i is a z^-1 tail.  PDO does not accept
+    tail coefficients, so the image is wrapped unchecked."""
     tails: dict[int, dict[int, Fraction]] = {}
-    for j, c in P.terms.items():
+    for k, c in P.terms.items():
         if not c.is_polynomial():
-            raise NotInDomain(f"coefficient at d^-{j} is not polynomial")
-        for k, v in enumerate(c.num.coeffs):
+            raise NotInDomain(f"coefficient at d^{k} is not polynomial")
+        for i, v in enumerate(c.num.coeffs):
             if v != 0:
-                tails.setdefault(-k, {})[j] = v
+                tails.setdefault(i, {})[k] = v
     terms = {idx: LaurentTail(pairs, P.trunc) for idx, pairs in tails.items()}
     return PDO._trusted(terms, None)
 
@@ -603,16 +603,16 @@ def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
 
 
 def laurent_expand_by_series(f: RatFunc, M: int) -> LaurentTail:
-    """The expansion of f at infinity through index M, as the power
+    """The expansion of f at infinity down to x^-M, as the power
     series num_rev/den_rev in t = 1/x divided term by term from the
-    leading index on.  The reference for the long division of
+    leading term on.  The reference for the long division of
     ``rational.laurent_expand``."""
     if f.is_zero():
         return LaurentTail._trusted({}, M)
     # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise, so the tail
     # is the power series num_rev/den_rev in t from the leading index on
     num, den = f.num.coeffs[::-1], f.den.coeffs[::-1]
-    start = len(den) - len(num)  # index of the leading term
+    start = len(den) - len(num)  # the leading term is in t^start
     lead = den[0]
     series: list[Fraction] = []
     terms: dict[int, Fraction] = {}
@@ -623,7 +623,7 @@ def laurent_expand_by_series(f: RatFunc, M: int) -> LaurentTail:
         c = acc / lead
         series.append(c)
         if c:
-            terms[start + i] = c
+            terms[-start - i] = c
     return LaurentTail._trusted(terms, M)
 
 
@@ -643,8 +643,7 @@ def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     if t.is_zero():
         return RatFunc.zero()
     M = t.trunc
-    r = t._known_floor()
-    e_max = max(degN, degD - r)
+    e_max = max(degN, degD + max(t.terms))
     e_min = degD - M
     # unknowns: p_0..p_degN, q_0..q_degD ; rows: coefficient of x^e in q*t - p
     ncols = (degN + 1) + (degD + 1)
@@ -652,7 +651,7 @@ def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     for e in range(e_max, e_min - 1, -1):
         row = {e: Fraction(-1)} if 0 <= e <= degN else {}
         for i in range(degD + 1):
-            c = t.coeff(i - e)
+            c = t.coeff(e - i)
             if c != 0:
                 row[degN + 1 + i] = c
         if row:
@@ -664,11 +663,7 @@ def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
             q = Poly([vec.get(degN + 1 + i, Fraction(0)) for i in range(degD + 1)])
             f = RatFunc(p, q)
             # belt and braces: the reduced representative must re-expand to t
-            check = laurent_expand(f, M)
-            ok = all(check.coeff(s) == t.coeff(s) for s in range(min(r, check._known_floor()), M + 1))
-            if ok:
-                return f
-            return None
+            return f if laurent_expand(f, M).terms == t.terms else None
     return None
 
 
@@ -744,29 +739,43 @@ def rational_roots_by_candidates(p: Poly) -> list[tuple[Fraction, int]]:
     """The rational roots of p (degree >= 1) with multiplicities, ascending,
     by the rational root theorem: after x^k is divided out, a root s/t in
     lowest terms of the integer multiple c_0 + ... + c_n x^n has s | c_0
-    and t | c_n, and each candidate +-s/t is divided out by synthetic
-    division as often as the remainder is 0.  On plain Fractions, for small
-    c_0 and c_n only (their divisors are found by trial)."""
+    and t | c_n, and each candidate +-s/t is divided out as often as it
+    divides.  The divisors of c_0 and c_n are found once, by trial, so
+    c_0 and c_n must be small.
+
+    For s/t in lowest terms, t x - s divides the integer polynomial
+    exactly when the quotient has integer coefficients (Gauss's lemma),
+    so the division runs in integers and stops at the first step that
+    does not divide by t."""
     den = lcm(*(c.denominator for c in p.coeffs))
     cs = [int(c * den) for c in p.coeffs]
     roots = {}
     while not cs[0]:
         cs.pop(0)
         roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-    for r in {Fraction(sign * s, t) for s in _divisors(cs[0])
-              for t in _divisors(cs[-1]) for sign in (1, -1)}:
-        while len(cs) > 1:
-            # b_n = c_n, b_i = c_i + r b_(i+1): the quotient is b_n..b_1,
-            # the remainder b_0
-            acc, bs = 0, []
-            for c in reversed(cs):
-                acc = acc * r + c
-                bs.append(acc)
-            if acc:
-                break
-            cs = bs[-2::-1]
-            roots[r] = roots.get(r, 0) + 1
+    tops = _divisors(cs[-1])
+    for s in _divisors(cs[0]):
+        for t in tops:
+            if gcd(s, t) != 1:
+                continue
+            for signed in (s, -s):
+                while len(cs) > 1 and (q := _divide_by_linear(cs, signed, t)):
+                    cs = q
+                    roots[Fraction(signed, t)] = roots.get(Fraction(signed, t), 0) + 1
     return sorted(roots.items())
+
+
+def _divide_by_linear(cs: list[int], s: int, t: int) -> Optional[list[int]]:
+    """The quotient of c_0 + ... + c_n x^n by t x - s in integers, or None
+    when the division is not exact: with quotient b_0..b_(n-1), c_n = t b_(n-1),
+    c_i = t b_(i-1) - s b_i and the remainder c_0 + s b_0 must be 0."""
+    acc, bs = 0, []
+    for c in reversed(cs[1:]):
+        acc, rem = divmod(c + s * acc, t)
+        if rem:
+            return None
+        bs.append(acc)
+    return bs[::-1] if cs[0] + s * acc == 0 else None
 
 
 def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:
@@ -777,10 +786,10 @@ def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:
     N = L.order
     K = PDO.identity()
     for j in range(1, J + 1):
-        target = wave_defect(L, f, K).coeff(j - N + 1)
+        target = wave_defect(L, f, K).coeff(N - 1 - j)
         if not target.is_zero():
             a_j = rat_antiderivative(target.scale(Fraction(-1, N)))
-            K = PDO({**K.terms, j: a_j}, None)
+            K = PDO({**K.terms, -j: a_j}, None)
     return K.restrict(J)
 
 

@@ -192,9 +192,10 @@ def test_criterion_10_wave_recursion():
     L = d * d - xpow(-2, 2)
     f, _ = split_constant_part(L)
     K = wave_operator(L, f, 5)
-    assert K.coeff(1) == RatFunc.x_power(-1, -1)
+    assert K.trunc == 5
+    assert K.coeff(-1) == RatFunc.x_power(-1, -1)
     for j in range(1, 6):
-        assert isinstance(K.coeff(j), RatFunc)
+        assert isinstance(K.coeff(-j), RatFunc)
     assert wave_residual_zero(L, f, K)
     with pytest.raises(LogObstruction):
         wave_operator(d * d + xpow(-1), Poly([0, 0, 1]), 2)

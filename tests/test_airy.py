@@ -104,11 +104,11 @@ class TestReduceModA:
 
 
 class TestBracketDecompose:
-    """[A, m] = b A + c, the part of ``_contributions`` with V = 0."""
+    """[A, m] = b A + c, ``_contributions`` with V = 0, so L = A."""
 
     @staticmethod
     def bracket(m):
-        return _contributions(m, AT2, TOp({}), DEPTH)
+        return _contributions(m, AT2, AT2, DEPTH)
 
     def test_pure_function(self):
         m = mono(2) + mono(0, c=3)  # x^2 + 3
@@ -256,7 +256,7 @@ class TestDepthRule:
     def test_regression_d0_part_of_m1(self, J):
         out = airy_wave_solve(parse_operator("d^3 - x^-5*d - x"), J)
         m10 = out.tails(1)[0]
-        assert m10.coeff(6) == Fraction(-10, 9)
+        assert m10.coeff(-6) == Fraction(-10, 9)
         assert m10.trunc == J + 3 + 4 - 1
 
     @pytest.mark.parametrize("J", [1, 5])

@@ -35,8 +35,10 @@ from oracles import (
     airy_bispectral_check_bivariate,
     airy_involution_by_transpose,
     contributions_by_two_divisions,
+    mono_add,
     mono_cut,
     mono_of_top,
+    mono_scale,
     perturbation_obstruction_loop,
     top_of_mono,
 )
@@ -131,11 +133,13 @@ def perturbations(draw, N):
     return DiffOp("x", coeffs)
 
 
-def contributions_cut_by_two_divisions(delta, At, Vt, depth):
-    """``contributions_by_two_divisions`` of the whole dividend, cut at
-    x^-depth, as the solve cuts its results."""
-    return tuple(top_of_mono(mono_cut(part, depth)) for part in contributions_by_two_divisions(
-        mono_of_top(delta), mono_of_top(At), mono_of_top(Vt)))
+def contributions_cut_by_two_divisions(delta, At, Lt, depth):
+    """``contributions_by_two_divisions`` of the whole dividend, with
+    V = L - A, cut at x^-depth, as the solve cuts its results."""
+    A = mono_of_top(At)
+    V = mono_add(mono_of_top(Lt), mono_scale(A, -1))
+    return tuple(top_of_mono(mono_cut(part, depth))
+                 for part in contributions_by_two_divisions(mono_of_top(delta), A, V))
 
 
 class TestContributions:
@@ -145,9 +149,10 @@ class TestContributions:
         N = A.order
         V = data.draw(perturbations(N))
         delta = data.draw(pieces(N))
-        At, Vt = _top(A, depth), _top(V, depth)
-        assert _contributions(delta, At, Vt, depth) == \
-            contributions_cut_by_two_divisions(delta, At, Vt, depth)
+        At = _top(A, depth)
+        Lt = At + _top(V, depth)
+        assert _contributions(delta, At, Lt, depth) == \
+            contributions_cut_by_two_divisions(delta, At, Lt, depth)
 
     @staticmethod
     def solve_both_ways(L, J):

@@ -108,8 +108,8 @@ class TestWaveOperator:
     def test_kdv(self):
         f, _ = split_constant_part(L_KDV)
         K = wave_operator(L_KDV, f, 5)
-        assert K.coeff(1) == RatFunc.x_power(-1, -1)
-        assert all(K.coeff(j).is_zero() for j in range(2, 6))
+        assert K.coeff(-1) == RatFunc.x_power(-1, -1)
+        assert all(K.coeff(-j).is_zero() for j in range(2, 6))
         assert wave_residual_zero(L_KDV, f, K)
 
     @pytest.mark.parametrize("L", [
@@ -133,7 +133,7 @@ class TestWaveOperator:
         K = wave_operator(L, f, 4)
         assert wave_residual_zero(L, f, K)
         E = wave_defect(L, f, K)
-        assert all(c.is_zero() for j, c in E.terms.items() if j <= K.trunc + 1 - 3)
+        assert all(c.is_zero() for k, c in E.terms.items() if k >= 3 - K.trunc - 1)
 
     POLES = [Poly([0, 1]), Poly([1, 1]), Poly([-2, 1]), Poly([1, 0, 1])]
 
@@ -170,8 +170,8 @@ class TestWaveOperator:
         L = d ** 3 + xpow(-2) - xpow(-4, 6)
         f, _ = split_constant_part(L)
         K = wave_operator(L, f, 4)
-        for j, c in K.terms.items():
-            if j > 0:
+        for k, c in K.terms.items():
+            if k < 0:
                 assert c.infinity_order() <= -1
 
 
@@ -193,7 +193,7 @@ class TestConjugateTheta:
         assert max(c.num.degree for c in conj.terms.values()) == 2
         # degree exactly m attained at the head
         assert conj.coeff(0) == RatFunc(THETA2)
-        assert conj.coeff(2) == RatFunc.const(-2)
+        assert conj.coeff(-2) == RatFunc.const(-2)
 
     def test_kdv_theta_linear_fails(self):
         f, _ = split_constant_part(L_KDV)
@@ -244,15 +244,15 @@ class TestInvolutionB:
             involution_b(DiffOp("x", {1: RatFunc.x_power(-1)}))
 
     def test_pdo_image(self):
-        K = PDO({0: RatFunc.one(), 1: RatFunc(Poly([0, 1])),
-                      2: RatFunc(Poly([1, 0, 3]))}, 4)
+        K = PDO({0: RatFunc.one(), -1: RatFunc(Poly([0, 1])),
+                 -2: RatFunc(Poly([1, 0, 3]))}, 4)
         S = involution_b(K)
-        # z^-j a_j(d_z), keyed by the power of d_z: x at index 1 becomes
+        # z^k a_k(d_z), keyed by the power of d_z: x at d^-1 becomes
         # d_z times the tail z^-1
         assert S.keys() == {0, 1, 2}
-        assert S[1] == LaurentTail({1: 1}, 4)
-        assert S[0] == LaurentTail({0: 1, 2: 1}, 4)
-        assert S[2] == LaurentTail({2: 3}, 4)
+        assert S[1] == LaurentTail({-1: 1}, 4)
+        assert S[0] == LaurentTail({0: 1, -2: 1}, 4)
+        assert S[2] == LaurentTail({-2: 3}, 4)
 
     def test_series_image_matches_the_tail_valued_pdo(self):
         rng = random.Random(97)
@@ -261,12 +261,11 @@ class TestInvolutionB:
             terms = {j: RatFunc(random_poly(rng, 3))
                      for j in rng.sample(range(-2, 6), rng.randint(0, 4))}
             P = PDO(terms, trunc)
-            old = involution_b_as_pdo(P)
-            assert {-i: t for i, t in old.terms.items()} == involution_b(P)
+            assert involution_b_as_pdo(P).terms == involution_b(P)
 
     def test_series_image_needs_polynomial_coefficients(self):
         with pytest.raises(NotInDomain):
-            involution_b(PDO({1: RatFunc.x_power(-1)}, 3))
+            involution_b(PDO({-1: RatFunc.x_power(-1)}, 3))
 
 
 class TestPDOCoefficients:
@@ -292,9 +291,9 @@ class TestDeeperPotential:
     def test_wave_coefficients(self):
         f, _ = split_constant_part(self.L6)
         K = wave_operator(self.L6, f, 6)
-        assert K.coeff(1) == RatFunc.x_power(-1, -3)
-        assert K.coeff(2) == RatFunc.x_power(-2, 3)
-        assert all(K.coeff(j).is_zero() for j in range(3, 7))
+        assert K.coeff(-1) == RatFunc.x_power(-1, -3)
+        assert K.coeff(-2) == RatFunc.x_power(-2, 3)
+        assert all(K.coeff(-j).is_zero() for j in range(3, 7))
         assert wave_residual_zero(self.L6, f, K)
 
     def test_dual_operator(self):
@@ -363,7 +362,7 @@ class TestBuildLambda:
         assume(any(den))
         f = RatFunc(Poly(num), Poly(den))
         tail = laurent_expand(f, J)
-        tail = LaurentTail({s + k: c for s, c in tail.terms.items()}, J)
+        tail = LaurentTail({e - k: c for e, c in tail.terms.items()}, J)
         assert pade_lift(tail, m, J) == lift_by_degree_search(tail, m, J)
 
 

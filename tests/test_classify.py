@@ -80,6 +80,18 @@ class TestVerdicts:
         assert r.certificates["bounded_chain"]["m"] == 2
         assert print_operator(r.certificates["lambda"]) == "d^2 - 2*z^-2"
 
+    @pytest.mark.parametrize("factor,error", [
+        ("d + 1", "NotAFactor: P does not left-divide L"),
+        ("0", "DivisionByZeroOperator: left division by the zero operator"),
+    ])
+    def test_factor_that_does_not_divide(self, factor, error):
+        # the verdict stands on the chain; the failed division is reported
+        # and no darboux certificate is attached
+        r = classify_text("d^2 - 2*x^-2", P=parse_operator(factor))
+        assert r.verdict == "MonomialDarbouxCandidate(4)"
+        assert r.errors == [error]
+        assert "darboux" not in r.certificates
+
     def test_polynomial_darboux(self):
         # Darboux transform of d^2 + 1: chain passes except nonzero constant
         r = classify_text("d^2 + 1 - 2*x^-2")
@@ -353,6 +365,21 @@ class TestCli:
         doc = json.loads(out.stdout)
         assert doc["verdict"] == "MonomialDarbouxCandidate(4)"
         assert doc["certificates"]["darboux"]["Q"] == "d + x^-1"
+
+    @pytest.mark.parametrize("factor,error", [
+        ("d + 1", "NotAFactor: P does not left-divide L"),
+        ("0", "DivisionByZeroOperator: left division by the zero operator"),
+    ])
+    def test_classify_with_a_factor_that_does_not_divide(self, factor, error):
+        out = run_cli("--json", "classify", "d^2 - 2*x^-2", "--p", factor)
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        assert doc["verdict"] == "MonomialDarbouxCandidate(4)"
+        assert doc["errors"] == [error]
+        assert "darboux" not in doc["certificates"]
+        out = run_cli("classify", "d^2 - 2*x^-2", "--p", factor)
+        assert out.returncode == 0
+        assert out.stdout.endswith(f"  error: {error}\n")
 
     @pytest.mark.parametrize("expr", ["2*d^2", "(1+x^-1)*d^2"])
     def test_wave_of_non_monic_operator_is_an_error(self, expr):

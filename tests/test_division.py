@@ -123,7 +123,7 @@ def series(J):
     """K = 1 + sum_{j=1}^{J+1} a_j d^-j, exact or truncated at J."""
     return st.builds(
         lambda terms, trunc: PDO({**terms, 0: RatFunc.one()}, trunc),
-        st.dictionaries(st.integers(1, J + 1), ratfuncs_st, max_size=3),
+        st.dictionaries(st.integers(-J - 1, -1), ratfuncs_st, max_size=3),
         st.sampled_from([None, J]),
     )
 

@@ -2,7 +2,7 @@
 ``commutator`` and ``PDO.__mul__``.
 
 Brackets skip the t = 0 terms a_i b_j d^(i+j), which cancel; PDO
-products run the kernel on negated keys with a floor at the truncation.
+products run the kernel on their own keys with a floor at the truncation.
 Both are checked against the direct computations they replace.
 """
 
@@ -56,20 +56,20 @@ def _binom(n: int, t: int) -> Fraction:
 
 
 def pdo_product_oracle(P: PDO, Q: PDO) -> PDO:
-    """d^-i o b = sum_t C(-i, t) b^(t) d^(-i-t), each chain cut at the
-    truncation, with the binomial C(-i, t) taken in fractions."""
+    """d^i o b = sum_t C(i, t) b^(t) d^(i-t), each chain cut at the
+    truncation, with the binomial C(i, t) taken in fractions."""
     trunc = P._product_trunc(Q)
     out = {}
     for i, a in P.terms.items():
         for j, b in Q.terms.items():
-            if trunc is None and i > 0 and not b.is_polynomial():
+            if trunc is None and i < 0 and not b.is_polynomial():
                 raise NotInDomain("untruncated product with infinite expansion")
             deriv, t = b, 0
-            while not deriv.is_zero() and not (i <= 0 and t > -i):
-                k = i + j + t
-                if trunc is not None and k > trunc:
+            while not deriv.is_zero() and not (i >= 0 and t > i):
+                k = i + j - t
+                if trunc is not None and k < -trunc:
                     break
-                out[k] = out.get(k, RatFunc.zero()) + a * deriv.scale(_binom(-i, t))
+                out[k] = out.get(k, RatFunc.zero()) + a * deriv.scale(_binom(i, t))
                 deriv, t = deriv.derivative(), t + 1
     return PDO._trusted(nonzero_terms(out), trunc)
 
@@ -77,7 +77,7 @@ def pdo_product_oracle(P: PDO, Q: PDO) -> PDO:
 def pdos(polynomial=False):
     coeffs = polys_st.map(RatFunc) if polynomial else ratfuncs_st
     return st.builds(PDO,
-                     st.dictionaries(st.integers(-2, 3), coeffs, max_size=4),
+                     st.dictionaries(st.integers(-3, 2), coeffs, max_size=4),
                      st.one_of(st.none(), st.integers(1, 5)))
 
 
@@ -111,21 +111,21 @@ class TestPDOProduct:
         assert _product_or_error(P, Q) == _oracle_or_error(P, Q)
 
     def test_truncated(self):
-        P = PDO({-1: RatFunc.one(), 1: inv, 2: x}, 4)
-        Q = PDO({0: RatFunc.one(), 1: inv * inv, 3: x * inv}, 5)
+        P = PDO({1: RatFunc.one(), -1: inv, -2: x}, 4)
+        Q = PDO({0: RatFunc.one(), -1: inv * inv, -3: x * inv}, 5)
         got = P * Q
-        assert got.trunc == 4  # min(4 + 0, 5 - 1)
+        assert got.trunc == 4  # min(4 - 0, 5 - 1)
         assert got == pdo_product_oracle(P, Q)
 
     def test_untruncated(self):
-        P = PDO({-2: RatFunc.one(), 0: inv, 2: x}, None)
-        Q = PDO({-1: x * x, 1: RatFunc(Poly([1, 0, 3]))}, None)
+        P = PDO({2: RatFunc.one(), 0: inv, -2: x}, None)
+        Q = PDO({1: x * x, -1: RatFunc(Poly([1, 0, 3]))}, None)
         got = P * Q
         assert got.trunc is None
         assert got == pdo_product_oracle(P, Q)
 
     def test_infinite_expansion_is_not_in_domain(self):
-        P = PDO({0: RatFunc.one(), 1: x}, None)
+        P = PDO({0: RatFunc.one(), -1: x}, None)
         Q = PDO({0: inv}, None)
         with pytest.raises(NotInDomain, match="infinite expansion"):
             P * Q
@@ -171,8 +171,8 @@ class TestKernelWork:
         M = DiffOp.from_function(x * x) * d * d + DiffOp.from_function(inv * inv)
         dop_mul(L, M)
         commutator(L, M)
-        P = PDO({-2: RatFunc.one(), 1: inv, 2: x}, 4)
-        P * PDO({0: RatFunc.one(), 1: x * x, 2: inv}, 4)
+        P = PDO({2: RatFunc.one(), -1: inv, -2: x}, 4)
+        P * PDO({0: RatFunc.one(), -1: x * x, -2: inv}, 4)
         assert ratfunc_calls["scale"]
         assert 1 not in ratfunc_calls["scale"]
 
@@ -194,9 +194,9 @@ class TestKernelWork:
 
     @pytest.mark.parametrize("P,Q,count", [
         # d^2 o (x + 1)^-1: the binomial C(2, 3) = 0 ends the chain
-        (PDO({-2: RatFunc.one()}, None), PDO({0: inv}, None), 2),
+        (PDO({2: RatFunc.one()}, None), PDO({0: inv}, None), 2),
         # d^-1 o (x + 1)^-1 through d^-3: the truncation ends the chain
-        (PDO({1: RatFunc.one()}, 3), PDO({0: inv}, 3), 2),
+        (PDO({-1: RatFunc.one()}, 3), PDO({0: inv}, 3), 2),
     ])
     def test_no_unused_derivative(self, ratfunc_calls, P, Q, count):
         ratfunc_calls["derivative"] = 0

@@ -1,6 +1,8 @@
 """Expression parsing and canonical printing."""
 
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from bispec import (
     print_operator,
 )
 from bispec.diffop import TOp
-from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS, _product_size
+from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS, _power_bounds, _product_bounds
 from oracles import diffop_of_mono, mono_mul, mono_of_diffop, mono_of_top, random_diffop
 from test_trusted_ring import assert_canonical_op
 
@@ -143,6 +145,45 @@ class TestFastPaths:
             parse_operator("x^4097")
 
     @pytest.mark.parametrize("text,pos", [
+        # the first ended in a MemoryError: the parser asked for a list of
+        # 68.7 billion coefficients; the next took 0.23 s and 271 MB, the
+        # third 0.55 s and 527 MB, the last 25 s in classify
+        ("((x^4096)^4096)^4096", 10),
+        ("(x^4096)^4096", 9),
+        ("(x^4096)^4096*(x^4096)^4096", 9),
+        ("(d^4096)^4096", 9),
+        ("(x^-4096)^2", 10),
+        ("(3*x^2)^2049", 8),
+        # a power is refused at its exponent, a product at its *, where
+        # the powers of its factors add up
+        ("d^4096*d", 6),
+        ("x^4096*x", 6),
+        ("x^-4096*x^-1", 7),
+        ("x^-4095*d*x^-1", 9),
+    ])
+    def test_exponent_bound_holds_for_the_result(self, text, pos):
+        start = time.perf_counter()
+        with pytest.raises(OperatorSyntaxError, match="bounds") as err:
+            parse_operator(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == pos
+
+    @pytest.mark.parametrize("text", [
+        "((x^4096)^4096)^4096", "(x^4096)^4096*(x^4096)^4096", "d^4096*d"])
+    def test_exponent_bound_is_a_syntax_error_through_the_cli(self, text):
+        out = subprocess.run([sys.executable, "-m", "bispec.cli", "parse", text],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert out.stderr.startswith("syntax error: ")
+
+    @pytest.mark.parametrize("text", [
+        "d^4096", "x^-4096", "(x^2)^2048", "x^4095*x", "x^-4095*x^-1", "(x^-1)^4096"])
+    def test_results_at_the_exponent_bound_parse(self, text):
+        L = parse_operator(text)
+        assert max(max(L.coeffs), *(max(c.num.degree, c.den.degree)
+                                    for c in L.coeffs.values())) == MAX_EXPONENT
+
+    @pytest.mark.parametrize("text,pos", [
         ("(x+1)^4096", 6),
         ("(x+1)^-4096", 7),
         ("(d+x)^128", 6),
@@ -214,7 +255,20 @@ class TestFastPaths:
     @settings(max_examples=200, deadline=None)
     @given(weyl_st, weyl_st)
     def test_product_size_bounds_the_product(self, a, b):
-        assert len((a * b).terms) <= _product_size(a, b)
+        assert len((a * b).terms) <= _product_bounds(a, b)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(weyl_st, weyl_st)
+    def test_product_reach_bounds_the_products_exponents(self, a, b):
+        reach = _product_bounds(a, b)[1]
+        assert all(max(k, abs(e)) <= reach for k, e in (a * b).terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weyl_st, st.integers(0, 4))
+    def test_power_bounds_bound_the_power(self, a, n):
+        size, reach = _power_bounds(a, n)
+        assert len((a ** n).terms) <= size
+        assert all(max(k, abs(e)) <= reach for k, e in (a ** n).terms)
 
     @settings(max_examples=200, deadline=None)
     @given(weyl_st, weyl_st)

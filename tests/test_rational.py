@@ -372,14 +372,14 @@ class TestSum:
 
 
 def tail_product(s, t):
-    """The product of two truncated tails, exact up to the index where the
-    first unknown term of either factor lands."""
-    trunc = min(s.trunc + min(t.terms, default=t.trunc + 1),
-                t.trunc + min(s.terms, default=s.trunc + 1))
+    """The product of two truncated tails, exact down to the power above
+    the one where the first unknown term of either factor lands."""
+    trunc = min(s.trunc - max(t.terms, default=-t.trunc - 1),
+                t.trunc - max(s.terms, default=-s.trunc - 1))
     terms = {}
     for i, a in s.terms.items():
         for j, b in t.terms.items():
-            if i + j <= trunc:
+            if i + j >= -trunc:
                 terms[i + j] = terms.get(i + j, 0) + a * b
     return LaurentTail(terms, trunc)
 
@@ -387,16 +387,16 @@ def tail_product(s, t):
 class TestLaurentExpand:
     def test_geometric(self):
         t = laurent_expand(RatFunc(Poly([1]), Poly([-1, 1])), 3)
-        assert t.terms == {1: 1, 2: 1, 3: 1}
+        assert t.terms == {-1: 1, -2: 1, -3: 1}
         assert t.trunc == 3
 
     def test_polynomial_passthrough(self):
         t = laurent_expand(RatFunc(Poly([0, 0, 1])), 3)
-        assert t.terms == {-2: 1}
+        assert t.terms == {2: 1}
 
     def test_alternating(self):
         t = laurent_expand(RatFunc(Poly([1]), Poly([1, 0, 1])), 4)
-        assert t.terms == {2: 1, 4: -1}
+        assert t.terms == {-2: 1, -4: -1}
 
     @settings(max_examples=40)
     @given(ratfuncs_st, ratfuncs_st)
@@ -412,9 +412,9 @@ class TestLaurentExpand:
         M = 6
         prod = laurent_expand(f * g, M)
         approx = tail_product(laurent_expand(f, M + 8), laurent_expand(g, M + 8))
-        for s in range(min(prod.terms, default=0), M + 1):
-            if s <= approx.trunc:
-                assert prod.coeff(s) == approx.coeff(s)
+        for e in range(-M, max(prod.terms, default=0) + 1):
+            if e >= -approx.trunc:
+                assert prod.coeff(e) == approx.coeff(e)
 
     @settings(max_examples=200)
     @given(ratfuncs_st, st.integers(-8, 30))
@@ -437,7 +437,7 @@ class TestLaurentExpand:
         den_tail = laurent_expand(RatFunc(f.den), 9)
         num_tail = laurent_expand(RatFunc(f.num), 9)
         resid = tail_product(t, den_tail) - num_tail
-        assert all(c == 0 for s, c in resid.terms.items() if s <= resid.trunc)
+        assert all(c == 0 for e, c in resid.terms.items() if e >= -resid.trunc)
 
 
 class TestSeriesText:
@@ -445,7 +445,7 @@ class TestSeriesText:
     pin the printed forms and the derivative."""
 
     def test_laurent_tail(self):
-        t = LaurentTail({-1: -1, 0: 2, 2: Fraction(-3, 4)}, 3)
+        t = LaurentTail({1: -1, 0: 2, -2: Fraction(-3, 4)}, 3)
         assert str(t) == "-x + 2 - 3/4*x^-2 + O(x^-4)"
         assert str(-t) == "x - 2 + 3/4*x^-2 + O(x^-4)"
         assert str(LaurentTail.zero(2)) == "0 + O(x^-3)"
@@ -456,16 +456,16 @@ class TestSeriesText:
 
     def test_poly_and_pdo(self):
         assert str(Poly([Fraction(-1, 2), 0, -1, 3])) == "3*x^3 - x^2 - 1/2"
-        P = PDO({-1: RatFunc.one(), 2: RatFunc.x_power(-1).scale(-1)}, 3)
+        P = PDO({1: RatFunc.one(), -2: RatFunc.x_power(-1).scale(-1)}, 3)
         assert str(P) == "(1)*d^1 + ((-1)/(x))*d^-2 + O(d^-4)"
         assert str(PDO({})) == "0"
 
 
 @st.composite
 def pade_cases(draw):
-    """(t, degN, degD): the expansion of a random p/q with leading index
-    -6..4, truncated anywhere from below its leading index (so also
-    below degD) to well past what the solve needs, at times with one known
+    """(t, degN, degD): the expansion of a random p/q with leading term
+    in x^-lead, lead in -6..4, truncated anywhere from above its leading
+    term (so also above x^-degD) to well past what the solve needs, at times with one known
     coefficient changed or left exact; the degree pair is p/q's own,
     swapped, or with one more numerator degree."""
     num = draw(st.lists(fractions_st, min_size=1, max_size=4).map(Poly)
@@ -481,8 +481,8 @@ def pade_cases(draw):
     M = lead + dN + dD + 1 + draw(st.integers(-dN - dD - 2, 5))
     terms = dict(laurent_expand(f, M).terms)
     if draw(st.booleans()):
-        s = draw(st.integers(lead, max(lead, M)))
-        terms[s] = terms.get(s, Fraction(0)) + draw(fractions_st.filter(bool))
+        e = -draw(st.integers(lead, max(lead, M)))
+        terms[e] = terms.get(e, Fraction(0)) + draw(fractions_st.filter(bool))
     return LaurentTail(terms, draw(st.sampled_from([M] * 9 + [None]))), degN, degD
 
 
@@ -495,7 +495,7 @@ def pade_outcome(solve, t, degN, degD):
 
 class TestRationalReconstruct:
     def test_geometric_series(self):
-        t = LaurentTail({s: Fraction(1) for s in range(1, 9)}, 8)
+        t = LaurentTail({-s: Fraction(1) for s in range(1, 9)}, 8)
         f = rational_reconstruct(t, 0, 1)
         assert f == RatFunc(Poly([1]), Poly([-1, 1]))
 
@@ -505,7 +505,7 @@ class TestRationalReconstruct:
     def test_exponential_tail_rejected(self):
         from math import factorial
 
-        t = LaurentTail({s: Fraction(1, factorial(s)) for s in range(8)}, 7)
+        t = LaurentTail({-s: Fraction(1, factorial(s)) for s in range(8)}, 7)
         assert rational_reconstruct(t, 2, 2) is None
 
     def test_unmatched_numerator_coefficient_is_no_solution(self):
@@ -526,14 +526,14 @@ class TestRationalReconstruct:
         assert calls == []
 
     def test_insufficient_precision(self):
-        t = LaurentTail({1: Fraction(1)}, 2)
+        t = LaurentTail({-1: Fraction(1)}, 2)
         with pytest.raises(InsufficientPrecision):
             rational_reconstruct(t, 2, 2)
 
     def test_exact_tail_refused(self):
         # an exact tail is its own rational function: nothing to recover
         with pytest.raises(ValueError, match="truncated"):
-            rational_reconstruct(LaurentTail({0: Fraction(1), 1: Fraction(2)}), 2, 2)
+            rational_reconstruct(LaurentTail({0: Fraction(1), -1: Fraction(2)}), 2, 2)
 
     @settings(max_examples=40)
     @given(st.builds(RatFunc,
@@ -556,26 +556,26 @@ class TestRationalReconstruct:
 
 class TestAntiderivative:
     def test_polynomial_part(self):
-        t = LaurentTail({-1: 2})  # 2x
-        assert t.antiderivative().terms == {-2: 1}  # x^2
+        t = LaurentTail({1: 2})  # 2x
+        assert t.antiderivative().terms == {2: 1}  # x^2
 
     def test_inverse_square(self):
-        t = LaurentTail({2: -1})  # -x^-2
-        assert t.antiderivative().terms == {1: 1}  # x^-1
+        t = LaurentTail({-2: -1})  # -x^-2
+        assert t.antiderivative().terms == {-1: 1}  # x^-1
 
     def test_log_obstruction(self):
         with pytest.raises(LogObstruction):
-            LaurentTail({1: 1}).antiderivative()
+            LaurentTail({-1: 1}).antiderivative()
 
     def test_derivative_inverts(self):
-        t = LaurentTail({-3: Fraction(2), 0: Fraction(5), 2: Fraction(-7),
-                         4: Fraction(1, 3)}, 9)
-        # d/dx x^-s = -s x^-(s+1)
-        back = {s + 1: -s * c for s, c in t.antiderivative().terms.items() if s}
+        t = LaurentTail({3: Fraction(2), 0: Fraction(5), -2: Fraction(-7),
+                         -4: Fraction(1, 3)}, 9)
+        # d/dx x^e = e x^(e-1)
+        back = {e - 1: e * c for e, c in t.antiderivative().terms.items() if e}
         assert back == t.terms
 
     def test_truncation_shifts(self):
-        t = LaurentTail({2: Fraction(1)}, 6)
+        t = LaurentTail({-2: Fraction(1)}, 6)
         assert t.antiderivative().trunc == 5
 
 

@@ -95,7 +95,7 @@ def test_cancellation_leaves_no_zero_coefficient():
 
 tail_st = st.builds(
     LaurentTail,
-    st.dictionaries(st.integers(-3, 6), small, max_size=5),
+    st.dictionaries(st.integers(-6, 3), small, max_size=5),
     st.one_of(st.none(), st.integers(-2, 8)),
 )
 
@@ -110,24 +110,24 @@ def assert_canonical_terms(t):
 @given(tail_st, tail_st, small, st.integers(-2, 8))
 def test_tail_results(s, t, c, trunc):
     results = [s + t, s - t, -s, s.restrict(trunc)]
-    if not s.coeff(1):
+    if not s.coeff(-1):
         results.append(s.antiderivative())
     for r in results:
         assert_canonical_terms(r)
     # the Laurent Weyl algebra: s as a function, t d^2 scaled by c
-    top = TOp({**{(0, -i): v for i, v in s.terms.items()},
-               **{(2, -i): v * c for i, v in t.terms.items() if c}})
+    top = TOp({**{(0, e): v for e, v in s.terms.items()},
+               **{(2, e): v * c for e, v in t.terms.items() if c}})
     for T in (top + top, top - top, top * top, -top, top ** 2):
         assert all(type(v) is Fraction and v for v in T.terms.values())
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.integers(-2, 3), ratfunc_st, max_size=3),
-       st.dictionaries(st.integers(-1, 3), ratfunc_st, max_size=3),
+@given(st.dictionaries(st.integers(-3, 2), ratfunc_st, max_size=3),
+       st.dictionaries(st.integers(-3, 1), ratfunc_st, max_size=3),
        st.integers(2, 5))
 def test_pdo_results(a, b, trunc):
     P, Q = PDO(a, trunc), PDO(b, trunc)
     for R in (P * Q, P + Q, P - Q, -P, P.restrict(trunc - 1)):
         assert all(not v.is_zero() for v in R.terms.values())
-        assert R.trunc is None or all(j <= R.trunc for j in R.terms)
+        assert R.trunc is None or all(k >= -R.trunc for k in R.terms)
         assert PDO(dict(R.terms), R.trunc) == R
