@@ -12,7 +12,6 @@ from .errors import (
     BispecError,
     DivisionByZeroOperator,
     InsufficientPrecision,
-    InvariantViolation,
     LogObstruction,
     NegativeDerivativeExponent,
     NonRationalGauge,
@@ -91,14 +90,12 @@ from .bounded import (
     wave_residual_zero,
 )
 from .airy import (
-    AiryPDO,
     ObstructionStep,
     ObstructionTrace,
     airy_bispectral_check,
     airy_involution,
     airy_kernel_series,
     airy_shape,
-    airy_wave_residual,
     airy_wave_solve,
     height,
     perturbation_obstruction,

@@ -47,7 +47,7 @@ from .weights import (
     normal_form_test,
     principal_part,
 )
-from .airy import airy_shape, perturbation_obstruction
+from .airy import OBSTRUCTION_STEPS, airy_shape, perturbation_obstruction
 from .bounded import (
     bounded_test,
     build_lambda,
@@ -93,7 +93,7 @@ class Budgets(Record):
     __slots__ = ("ad_budget", "trunc")
     _defaults = {"ad_budget": 8, "trunc": 8}
     theta_lmax = 4
-    obstruction_steps = 24
+    obstruction_steps = OBSTRUCTION_STEPS
     ad_budget: int
     trunc: int
 

@@ -3,8 +3,7 @@ pipeline.
 
 Exit codes: 0 for any completed report (domain errors are embedded in the
 report), 2 for operator syntax errors and other invalid input (such as a
-truncation below 1 or a negative order budget), 3 for internal invariant
-violations.
+truncation below 1 or a negative order budget).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .diffop import ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator, print_operator
 from .families import darboux
 from .weights import associated_polynomial, choose_weights, normal_form_test
-from .airy import AiryPDO, airy_wave_solve
+from .airy import airy_wave_solve
 from .bounded import (
     bounded_test,
     centralizer_search,
@@ -90,7 +89,7 @@ def _argument_parser() -> argparse.ArgumentParser:
     add("divide", "numerator", "divisor")
     add("darboux", "base", "factor")
     add("wave", "expr", trunc=True)
-    add("airy-wave", "expr", trunc=True)
+    add("airy-wave", "expr")
     add("weights", "expr")
     add("classify", "expr", theta=True, p=True, budget=True, trunc=True)
     add("centralizer", "expr", budget=True)
@@ -112,9 +111,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except err.OperatorSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
-    except err.InvariantViolation as e:
-        print(f"internal invariant violation: {e}", file=sys.stderr)
-        return 3
     except err.BispecError as e:
         text = f"{type(e).__name__}: {e}"
         _emit({"errors": [text]}, args.json, [f"error: {text}"])
@@ -182,14 +178,11 @@ def _dispatch(args) -> int:
               + [f"residual zero: {residual_zero}"])
     elif cmd == "airy-wave":
         L = parse_operator(args.expr)
-        out = airy_wave_solve(L, args.trunc)
-        if isinstance(out, AiryPDO):
-            mjs = {j: {k: str(t) for k, t in out.tails(j).items()}
-                   for j in sorted(out.mjs)}
-            _emit({"kind": "wave", "identity": out.is_identity(),
-                   "coefficients": mjs},
-                  args.json,
-                  ["K = 1" if out.is_identity() else f"m_j: {mjs}"])
+        # the truncation is not read: the walk decides the recursion
+        out = airy_wave_solve(L, 1)
+        if out.verdict == "clean":
+            _emit({"kind": "wave", "identity": True, "coefficients": {}},
+                  args.json, ["K = 1"])
         else:
             steps = [(s.j, s.s, s.k, s.alpha) for s in out.steps]
             _emit({"kind": "obstruction", "verdict": out.verdict,

@@ -23,8 +23,7 @@ expansion of an operator in powers of L.
 A ``TOp`` is an element of the Laurent Weyl algebra, a sparse map
 {(k, e): c} of the monomials c * x^e * d^k, multiplied by the closed-form
 reordering of d^i past x^b.  It is the package's one class for that
-algebra: the parser evaluates expressions in it, and the Airy-adic wave
-solve runs on it.
+algebra, and the parser evaluates expressions in it.
 
 ``DiffOp(var, coeffs)`` coerces every coefficient to a ``RatFunc`` and
 drops the zero ones.  Ring operations build their result with the trusted
@@ -362,8 +361,7 @@ def leibniz_divide(rem: dict, div: dict, floor: Optional[int] = None,
     stay >= 0, so the remainder ends below power n.  A ``floor`` makes the
     maps series: products are cut below power ``floor``, and the quotient
     runs down to power floor - n.  The coefficients are ``RatFunc``
-    values: ``DiffOp`` and ``bounded.PDO`` divide here, while a ``TOp``
-    is divided by a monic Airy operator in ``airy``."""
+    values: ``DiffOp`` and ``bounded.PDO`` divide here."""
     n = max(div)
     lead = div[n]
     unit = lead.is_one()

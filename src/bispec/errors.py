@@ -1,18 +1,12 @@
 """Exception hierarchy shared by all bispec modules.
 
 Every domain error derives from BispecError so callers can catch the
-library's failures without catching programming errors.  InvariantViolation
-is reserved for "this should be mathematically impossible" states and maps
-to exit code 3 in the CLI.
+library's failures without catching programming errors.
 """
 
 
 class BispecError(Exception):
     """Base class for all domain errors raised by this package."""
-
-
-class InvariantViolation(BispecError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
 
 
 # -- exact-algebra ----------------------------------------------------------

@@ -43,7 +43,12 @@ monomials x^e*d^k, and so is a product, such as (x+1)^511*(x+1)^511.
 Both bounds read a box, the ranges of the powers of d and of x that the
 factors' boxes (``_box``) allow.  A box misses that the terms of d^k*x^k
 lie on one diagonal (k + 1 terms in a box of (k + 1)^2), so such products
-are refused from k = 22 on.
+are refused from k = 22 on.  The box says nothing of a coefficient's
+size, and a constant's box is all zeros.  So a power is also refused
+when its term bound times n times the base's largest numerator or
+denominator bit length (``_bits``) exceeds ``MAX_POWER_BITS``:
+(2^4096)^4096 has 16.8 million bits and parses, ((2^4096)^4096)^4096
+would have 6.9*10^10 and is refused at its exponent.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
@@ -63,6 +68,7 @@ from .diffop import DiffOp, TOp
 
 MAX_EXPONENT = 4096
 MAX_POWER_TERMS = 512
+MAX_POWER_BITS = 2 ** 26
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +149,16 @@ def _power_bounds(base: "_Value", n: int) -> tuple[int, int]:
     k, K, e, E = _box(base)
     size = 1 if k == K and e == E and 0 in (K, E) else (n * K + 1) * (n * (E - e + K) + 1)
     return size, n * max(K, E, K - e)
+
+
+def _bits(value: "_Value") -> int:
+    """The largest bit length of a numerator or denominator among the
+    scalars of a value: its TOp coefficients, or the coefficients of the
+    numerators and denominators of its DiffOp coefficients."""
+    scalars = value.terms.values() if type(value) is TOp else [
+        c for f in value.coeffs.values() for p in (f.num, f.den) for c in p.coeffs]
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in scalars), default=0)
 
 
 def _product_bounds(a: "_Value", b: "_Value") -> tuple[int, int]:
@@ -248,10 +264,11 @@ class _Parser:
             raise OperatorSyntaxError("exponent must be an integer", pos)
         n = value.numerator
         size, reach = _power_bounds(base, n)
-        if max(n, reach) > MAX_EXPONENT or size > MAX_POWER_TERMS:
+        if (max(n, reach) > MAX_EXPONENT or size > MAX_POWER_TERMS
+                or size * n * _bits(base) > MAX_POWER_BITS):
             raise OperatorSyntaxError(
                 f"power exceeds the supported bounds: exponent {MAX_EXPONENT}, "
-                f"size {MAX_POWER_TERMS} terms", pos
+                f"size {MAX_POWER_TERMS} terms, {MAX_POWER_BITS} bits", pos
             )
         e = sign * n
         if e < 0 and not base.is_function():

@@ -20,16 +20,15 @@ These deliberately avoid the library's code paths:
   operator division, the Neumann series of a pseudo-differential
   inverse, and the expansion of an operator in powers of L by
   subtracting scaled powers L^r;
-* division by a monic Airy operator on monomial-algebra dicts, one
-  leading monomial per step, the reference for ``airy._divide``, which
-  takes a whole power of d per step with ``diffop.TOp`` products;
-* the pieces of the Airy-adic wave recursion divided by A twice, once
-  for [A, delta] and once for V delta, the reference for the one
-  division of L delta - delta A in ``airy._contributions``, and the
-  whole recursion run that way at 12 more terms of depth, one unknown
-  per slot, the reference for every coefficient ``airy_wave_solve``
-  reports.  All three run on monomial-algebra dicts, so they share no
-  product with the library;
+* the Airy-adic wave recursion L K = K A solved in full, one unknown
+  per slot, each piece divided by A twice (once for [A, delta], once for
+  V delta, one leading monomial per division step), the reference for
+  the leading-height walk that ``airy.airy_wave_solve`` and
+  ``airy.perturbation_obstruction`` answer with: the full recursion needs
+  its logarithm exactly where the walk ends.  It runs on
+  monomial-algebra dicts, so it shares no product with the library, and
+  its division also serves as the reference for right division by a
+  monic Airy operator;
 * the coordinate transpose x^a d^b -> z^b d_z^a, the reference for the
   involution b through ``diffop.anti_homomorphism``;
 * three Airy references: the bispectral check on a two-variable series
@@ -338,10 +337,6 @@ def mono_of_top(T: TOp) -> dict:
     return {(e, k): c for (k, e), c in T.terms.items()}
 
 
-def top_of_mono(u: dict) -> TOp:
-    return TOp({(b, a): c for (a, b), c in u.items()})
-
-
 def mono_order(u: dict) -> int:
     """The highest power of d; -1 for zero."""
     return max((b for _, b in u), default=-1)
@@ -381,8 +376,8 @@ def contributions_by_two_divisions(delta: dict, A: dict, V: dict) -> tuple[dict,
 def airy_wave_deep(L: DiffOp, J: int, extra: int = 12) -> Optional[dict]:
     """The m_j (j <= J) of the Airy-adic wave recursion L K = K A, as
     {j: monomial-algebra dict}, solved on Laurent polynomials cut at
-    x^-(D + extra), D = J + N + 4 the depth of ``airy_wave_solve``; None
-    when an antiderivative needs a logarithm.  Equation eq fixes its slots
+    x^-(J + N + 4 + extra); None when an antiderivative needs a
+    logarithm.  Equation eq fixes its slots
     from d^(N-1) down, each by one antiderivative: d^(N-1) the d^0 part of
     m_eq, d^(s) below it the d^(s+1) part of m_(eq+1)."""
     A, V = principal_part(L)
@@ -415,12 +410,6 @@ def airy_wave_deep(L: DiffOp, J: int, extra: int = 12) -> Optional[dict]:
                 R, rhs = mono_add(R, mono_cut(same, depth)), mono_add(rhs, mono_cut(nxt, depth))
         assert eq == J or not R
     return m
-
-
-def top_height(u: dict) -> int:
-    """The height of a nonzero monomial-algebra dict: its largest
-    x-exponent."""
-    return max(a for a, _ in u)
 
 
 def pdo_inverse_neumann(K: PDO, J: int) -> PDO:

@@ -1,6 +1,6 @@
 """Airy-adic calculus: reduction mod A, the bracket decompositions of the
-wave recursion, the recursion itself, obstruction traces, kernel series,
-and the involution."""
+wave recursion, the recursion's closed form and its obstruction traces
+against the full recursion, kernel series, and the involution."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from bispec import (
-    AiryPDO,
     DiffOp,
     NotAiryShape,
     ObstructionTrace,
@@ -19,8 +18,8 @@ from bispec import (
     airy_involution,
     airy_kernel_series,
     airy_shape,
-    airy_wave_residual,
     airy_wave_solve,
+    commutator,
     dop_mul,
     height,
     make_airy,
@@ -28,16 +27,13 @@ from bispec import (
     perturbation_obstruction,
     right_divide,
 )
-from bispec.airy import AiryBispectralReport, _contributions, _divide, _top
-from bispec.diffop import TOp
-from oracles import (airy_wave_deep, mono_add, mono_commutator, mono_cut, mono_mul,
-                     mono_of_top, obstruction_recursion_holds, random_diffop, top_height)
+from bispec.airy import AiryBispectralReport
+from oracles import (airy_wave_deep, mono_add, mono_commutator, mono_mul, mono_of_diffop,
+                     obstruction_recursion_holds, random_diffop)
 
 d = DiffOp.d()
 x = DiffOp.x()
 A2 = make_airy(2)
-DEPTH = 24  # deeper than every tail of the tests below
-AT2 = _top(A2, DEPTH)
 
 
 def xpow(k, c=1):
@@ -45,13 +41,19 @@ def xpow(k, c=1):
 
 
 def mono(e, k=0, c=1):
-    """c x^e d^k in the Laurent Weyl algebra."""
-    return TOp({(k, e): Fraction(c)})
+    """c x^e d^k."""
+    return dop_mul(xpow(e, c), d ** k)
+
+
+def top_height(P):
+    """The height of a nonzero operator: its largest x-exponent."""
+    return height(P)[0]
 
 
 def reconstructs(q, A, r, T):
     """T = q A + r, by the monomial-algebra product."""
-    return mono_add(mono_mul(mono_of_top(q), mono_of_top(A)), mono_of_top(r)) == mono_of_top(T)
+    return mono_add(mono_mul(mono_of_diffop(q), mono_of_diffop(A)),
+                    mono_of_diffop(r)) == mono_of_diffop(T)
 
 
 class TestAiryShape:
@@ -104,27 +106,27 @@ class TestReduceModA:
 
 
 class TestBracketDecompose:
-    """[A, m] = b A + c, ``_contributions`` with V = 0, so L = A."""
+    """[A, m] = b A + c, one right division by A."""
 
     @staticmethod
     def bracket(m):
-        return _contributions(m, AT2, AT2, DEPTH)
+        return right_divide(commutator(A2, m), A2)
 
     def test_pure_function(self):
         m = mono(2) + mono(0, c=3)  # x^2 + 3
         b, c = self.bracket(m)
-        assert not b.terms
+        assert b.is_zero()
         # [d^2 - x, x^2 + 3] = 4x d + 2
-        assert c.terms == {(1, 1): 4, (0, 0): 2}
+        assert c == mono(1, 1, 4) + mono(0, c=2)
 
     def test_alpha_d(self):
         b, c = self.bracket(mono(0, 1))  # d
-        assert not b.terms
-        assert c.terms == {(0, 0): 1}
+        assert b.is_zero()
+        assert c == DiffOp.one()
 
     def test_constant(self):
         b, c = self.bracket(mono(0, c=5))
-        assert not b.terms and not c.terms
+        assert b.is_zero() and c.is_zero()
 
     def test_consistency_and_height_relation(self):
         rng = random.Random(97)
@@ -132,36 +134,36 @@ class TestBracketDecompose:
             # recursion-shaped m: the d^0 part never dominates
             h1 = rng.randint(-4, 3)
             m = mono(h1, 1) + mono(rng.randint(-4, h1 + 1))
-            lhs = AT2 * m - m * AT2
-            assert mono_of_top(lhs) == mono_commutator(mono_of_top(AT2), mono_of_top(m))
-            b, c = _divide(lhs, AT2)
-            assert reconstructs(b, AT2, c, lhs)
-            if b.terms:
-                assert top_height(mono_of_top(c)) == top_height(mono_of_top(b)) + 1
+            lhs = commutator(A2, m)
+            assert mono_of_diffop(lhs) == mono_commutator(mono_of_diffop(A2), mono_of_diffop(m))
+            b, c = right_divide(lhs, A2)
+            assert reconstructs(b, A2, c, lhs)
+            if not b.is_zero():
+                assert top_height(c) == top_height(b) + 1
 
 
 class TestVDecompose:
-    """V m = U A + W, one division by A in the Laurent Weyl algebra."""
+    """V m = U A + W, one right division by A."""
 
     @staticmethod
     def v_parts(V, m):
-        return _divide(_top(V, DEPTH) * m, AT2)
+        return right_divide(dop_mul(V, m), A2)
 
     def test_below_order(self):
         U, W = self.v_parts(xpow(-2), mono(0))
-        assert not U.terms
-        assert W.terms == {(0, -2): 1}
+        assert U.is_zero()
+        assert W == xpow(-2)
 
     def test_quotient_appears(self):
         # x^-1 d applied to d with N = 2: x^-1 d^2 = x^-1 A + 1
         U, W = self.v_parts(dop_mul(xpow(-1), d), mono(0, 1))
-        assert U.terms == {(0, -1): 1}
-        assert W.terms == {(0, 0): 1}
+        assert U == xpow(-1)
+        assert W == DiffOp.one()
 
     def test_function_argument(self):
         U, W = self.v_parts(xpow(-2), mono(0, 1))
-        assert not U.terms
-        assert W.terms == {(1, -2): 1}
+        assert U.is_zero()
+        assert W == mono(-2, 1)
 
     def test_height_bounds(self):
         rng = random.Random(103)
@@ -170,31 +172,31 @@ class TestVDecompose:
             m = mono(hm, rng.randint(0, 1))
             V = xpow(rng.randint(-5, -2))
             U, W = self.v_parts(V, m)
-            if U.terms:
-                assert top_height(mono_of_top(U)) <= hm - 2
-            if W.terms:
-                assert top_height(mono_of_top(W)) <= hm - 1
+            if not U.is_zero():
+                assert top_height(U) <= hm - 2
+            if not W.is_zero():
+                assert top_height(W) <= hm - 1
 
     def test_reconstruction(self):
         rng = random.Random(107)
         for _ in range(20):
-            m = TOp({(k, rng.randint(-4, 3)): Fraction(rng.randint(-3, 3) or 1)
-                     for k in range(2) if rng.random() < 0.8} or {(0, 0): Fraction(1)})
+            m = sum((mono(rng.randint(-4, 3), k, rng.randint(-3, 3) or 1)
+                     for k in range(2) if rng.random() < 0.8), DiffOp.zero()) or DiffOp.one()
             V = dop_mul(xpow(rng.randint(-5, -2)), d ** rng.randint(0, 1))
             U, W = self.v_parts(V, m)
-            Vm = _top(V, DEPTH) * m
-            assert mono_of_top(Vm) == mono_mul(mono_of_top(_top(V, DEPTH)), mono_of_top(m))
-            assert reconstructs(U, AT2, W, Vm)
+            Vm = dop_mul(V, m)
+            assert mono_of_diffop(Vm) == mono_mul(mono_of_diffop(V), mono_of_diffop(m))
+            assert reconstructs(U, A2, W, Vm)
 
 
 class TestWaveSolve:
+    """The closed form: K = 1 exactly when V = 0, and otherwise the walk."""
+
     def test_exact_airy_identity(self):
-        K = airy_wave_solve(A2, 5)
-        assert isinstance(K, AiryPDO) and K.is_identity()
+        assert airy_wave_solve(A2, 5).verdict == "clean"
 
     def test_exact_airy_with_parameters(self):
-        K = airy_wave_solve(make_airy(3, {1: 5}), 4)
-        assert isinstance(K, AiryPDO) and K.is_identity()
+        assert airy_wave_solve(make_airy(3, {1: 5}), 4).verdict == "clean"
 
     def test_perturbed_obstructs(self):
         out = airy_wave_solve(A2 + xpow(-2), 10)
@@ -207,31 +209,43 @@ class TestWaveSolve:
         assert isinstance(out, ObstructionTrace) and out.obstructed
 
     def test_residual_for_identity(self):
-        K = airy_wave_solve(make_airy(3, {1: 5}), 4)
-        assert airy_wave_residual(make_airy(3, {1: 5}), K)
+        # the full recursion of an unperturbed operator has every m_j zero
+        A = make_airy(3, {1: 5})
+        assert airy_wave_solve(A, 4).verdict == "clean"
+        assert airy_wave_deep(A, 4) == {j: {} for j in range(1, 5)}
 
     def test_residual_for_deep_perturbation(self):
-        # an obstruction deeper than the solve depth: a partial solve
-        # comes back and its residual must vanish through truncation
+        # an obstruction deeper than the truncation is still the answer:
+        # the truncation is not read
         L = A2 + xpow(-9)
-        out = airy_wave_solve(L, 2)
-        if isinstance(out, AiryPDO):
-            assert airy_wave_residual(L, out)
-        else:
-            assert out.obstructed
+        assert airy_wave_solve(L, 2) == airy_wave_solve(L, 12) == perturbation_obstruction(L)
+        assert airy_wave_solve(L, 2).obstructed
 
     def test_partial_solve_nontrivial(self):
-        # obstruction at height -1 needs nine steps; with J = 4 the solve
-        # stays formal and returns genuine coefficients
+        # obstruction at height -1 needs nine steps; the full recursion
+        # through J = 4 stays formal and has genuine coefficients
         L = A2 + xpow(-9)
-        out = airy_wave_solve(L, 4)
-        assert isinstance(out, AiryPDO) and not out.is_identity()
+        m = airy_wave_deep(L, 4)
         # 2 alpha_{1,1}' = -x^-9
-        assert out.coeff(1).terms[(1, -8)] == Fraction(1, 16)
-        assert airy_wave_residual(L, out)
+        assert m[1][(-8, 1)] == Fraction(1, 16)
         deep = airy_wave_solve(L, 12)
         assert isinstance(deep, ObstructionTrace) and deep.obstructed
         assert [s.s for s in deep.steps] == list(range(-9, 0))
+        assert airy_wave_deep(L, len(deep.steps)) is None
+
+    def test_past_the_cap_is_inconclusive(self):
+        # the walk from x^-30 needs 29 steps; the 24-step cap stops it
+        trace = airy_wave_solve(parse_operator("d^2 - x + x^-30"), 1)
+        assert trace.verdict == "inconclusive" and len(trace.steps) == 25
+
+    @pytest.mark.parametrize("J", [0, -1])
+    def test_truncation_below_one(self, J):
+        with pytest.raises(ValueError):
+            airy_wave_solve(A2, J)
+
+    def test_subleading_perturbation_is_refused(self):
+        with pytest.raises(NotAiryShape):
+            airy_wave_solve(parse_operator("d^3 - x + x^-2*d^2"), 4)
 
 
 def perturbed_airy(rng):
@@ -248,49 +262,32 @@ def perturbed_airy(rng):
     return L, rng.randint(1, 8)
 
 
-class TestDepthRule:
-    """m_j is exact through x^-(D - j), D = J + N + 4, and the residual
-    check accepts every solve."""
+class TestWalkAgainstTheFullRecursion:
+    """The full recursion (``oracles.airy_wave_deep``, which shares no
+    product with the library) needs its logarithm exactly where the walk
+    ends, and the walk's steps are the leading terms of its m_j."""
 
-    @pytest.mark.parametrize("J", [1, 2, 3])
-    def test_regression_d0_part_of_m1(self, J):
-        out = airy_wave_solve(parse_operator("d^3 - x^-5*d - x"), J)
-        m10 = out.tails(1)[0]
-        assert m10.coeff(-6) == Fraction(-10, 9)
-        assert m10.trunc == J + 3 + 4 - 1
-
-    @pytest.mark.parametrize("J", [1, 5])
-    def test_perturbation_below_the_depth_is_no_identity(self, J):
-        # V = -3/2 (x^2+1)^-6 starts at x^-12, below D = J + 6 for J <= 5:
-        # every m_j is zero as far as it is known, which is not K = 1
-        L = parse_operator("d^2 - x - 3/2*(x^2+1)^-6")
-        K = airy_wave_solve(L, J)
-        assert isinstance(K, AiryPDO) and not K.is_identity()
-        assert K.mjs == {j: TOp({}) for j in range(1, J + 1)}
-        assert {j: {k: str(t) for k, t in K.tails(j).items()} for j in K.mjs} == {
-            j: {0: f"0 + O(x^-{J + 7 - j})"} for j in range(1, J + 1)}
-        assert airy_wave_residual(L, K)
-        # one more equation reaches V's first term
-        assert airy_wave_solve(L, 6).coeff(1).terms == {(1, -11): Fraction(-3, 44)}
-
-    def test_reported_coefficients_match_a_deeper_solve(self):
-        solves = 0
-        for seed in (1, 2, 3):
+    def test_logarithm_exactly_at_the_last_step(self):
+        walks = 0
+        for seed in (1, 2):
             rng = random.Random(seed)
-            for _ in range(20):
-                L, J = perturbed_airy(rng)
-                K = airy_wave_solve(L, J)
-                if not isinstance(K, AiryPDO):
+            for _ in range(40):
+                L, _ = perturbed_airy(rng)
+                trace = airy_wave_solve(L, 1)
+                assert trace.obstructed
+                last = trace.steps[-1].j
+                if last > 5:  # the deep solves grow fast with the depth
                     continue
-                assert airy_wave_residual(L, K)
-                solves += not K.is_identity()
-                deep = airy_wave_deep(L, J)
-                D = J + L.order + 4
-                assert sorted(K.mjs) == list(range(1, J + 1))
-                for j in range(1, J + 1):
-                    assert mono_of_top(K.coeff(j)) == mono_cut(deep[j], D - j)
-                    assert all(t.trunc == D - j for t in K.tails(j).values())
-        assert solves >= 20
+                walks += 1
+                assert airy_wave_deep(L, last, extra=4) is None
+                if last == 1:
+                    continue
+                m = airy_wave_deep(L, last - 1, extra=4)
+                assert m is not None
+                for step in trace.steps[:-1]:
+                    # b_j leads with x^s d^k, so m_j with x^(s+1) d^(k+1)
+                    assert max(m[step.j]) == (step.s + 1, step.k + 1)
+        assert walks >= 45
 
 
 class TestPerturbationObstruction:

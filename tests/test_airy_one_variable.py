@@ -1,14 +1,12 @@
 """The Airy side in one variable, u = x + z: the bispectral check reads
 both eigenvalue identities from A Phi = 0, the involution maps x^a d^j to
-d_z^j A(z, d_z)^a, the obstruction walk takes its known length, and each
-piece of the wave recursion is one division of [A, delta] + V delta.
+d_z^j A(z, d_z)^a, and the obstruction walk takes its known length.
 
-Each is checked against the two-variable, step-by-step or two-division
-reference it replaced (in ``oracles``).
+Each is checked against the two-variable or step-by-step reference it
+replaced (in ``oracles``).
 """
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,25 +20,13 @@ from bispec import (
     RatFunc,
     airy_bispectral_check,
     airy_involution,
-    airy_wave_residual,
-    airy_wave_solve,
     make_airy,
-    parse_operator,
     perturbation_obstruction,
 )
-
-from bispec.airy import AiryPDO, _contributions, _top
-from bispec.diffop import TOp
 from oracles import (
     airy_bispectral_check_bivariate,
     airy_involution_by_transpose,
-    contributions_by_two_divisions,
-    mono_add,
-    mono_cut,
-    mono_of_top,
-    mono_scale,
     perturbation_obstruction_loop,
-    top_of_mono,
 )
 
 small_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -110,73 +96,3 @@ class TestObstructionWalk:
         assert len(trace.steps) == 1 + min(-1 - h, max_steps)
         assert trace.obstructed == (-1 - h <= max_steps)
 
-
-def pieces(N):
-    """Values c x^e d^k of the Laurent Weyl algebra with k < N and
-    e in -6..3."""
-    return st.dictionaries(st.tuples(st.integers(0, N - 1), st.integers(-6, 3)),
-                           nonzero_st, max_size=3 * N).map(TOp)
-
-
-@st.composite
-def perturbations(draw, N):
-    """A decaying V of order <= N - 2: Laurent terms c x^h (h < 0) and
-    rational terms c (x + a)^-k."""
-    coeffs = {}
-    for j in range(draw(st.integers(1, N - 1))):
-        c, h = draw(nonzero_st), draw(st.integers(-4, -1))
-        f = RatFunc.x_power(h, c)
-        if draw(st.booleans()):
-            a, k = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
-            f = f + RatFunc(Poly([c]), Poly([a, 1]) ** k)
-        coeffs[j] = f
-    return DiffOp("x", coeffs)
-
-
-def contributions_cut_by_two_divisions(delta, At, Lt, depth):
-    """``contributions_by_two_divisions`` of the whole dividend, with
-    V = L - A, cut at x^-depth, as the solve cuts its results."""
-    A = mono_of_top(At)
-    V = mono_add(mono_of_top(Lt), mono_scale(A, -1))
-    return tuple(top_of_mono(mono_cut(part, depth))
-                 for part in contributions_by_two_divisions(mono_of_top(delta), A, V))
-
-
-class TestContributions:
-    @settings(max_examples=60, deadline=None)
-    @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(3, 12))
-    def test_matches_two_divisions(self, data, A, depth):
-        N = A.order
-        V = data.draw(perturbations(N))
-        delta = data.draw(pieces(N))
-        At = _top(A, depth)
-        Lt = At + _top(V, depth)
-        assert _contributions(delta, At, Lt, depth) == \
-            contributions_cut_by_two_divisions(delta, At, Lt, depth)
-
-    @staticmethod
-    def solve_both_ways(L, J):
-        """(K, residual) by one division per piece, then by two."""
-        out = []
-        for contributions in (_contributions, contributions_cut_by_two_divisions):
-            with mock.patch.object(bispec.airy, "_contributions", contributions):
-                K = airy_wave_solve(L, J)
-                out.append((K, isinstance(K, AiryPDO) and airy_wave_residual(L, K)))
-        return out
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data(), airy_operators(orders=(2, 3, 4)), st.integers(1, 6))
-    def test_exact_pieces(self, data, A, J):
-        """The recursion's pieces are exact Laurent polynomials cut at one
-        depth, so one division and two give the same solve, and the
-        residual check accepts every solve either way."""
-        L = A + data.draw(perturbations(A.order))
-        (K, one), (K2, two) = self.solve_both_ways(L, J)
-        assert K == K2
-        assert one == two == isinstance(K, AiryPDO)
-
-    def test_residual_found_by_either_division(self):
-        L = parse_operator("d^4 - d^2 + 3*x^-4*d^2 - 3*d - x")
-        (K, one), (K2, two) = self.solve_both_ways(L, 2)
-        assert isinstance(K, AiryPDO)
-        assert K == K2 and one and two

@@ -466,21 +466,30 @@ class TestCli:
         assert doc["kind"] == "obstruction"
         assert doc["verdict"] == "obstructed"
 
-    def test_airy_wave_names_the_depth_of_a_zero_coefficient(self):
-        # V starts at x^-12, below the depth: this used to print K = 1 and
-        # "identity": true, which only V = 0 may answer
+    def test_airy_wave_of_a_deep_perturbation_is_its_obstruction(self):
+        # V starts at x^-12: K = 1 and "identity": true belong to V = 0
+        # alone, and the walk reaches x^-1 after 11 steps
         expr = "d^2 - x - 3/2*(x^2+1)^-6"
-        out = run_cli("airy-wave", expr, "--trunc", "1")
-        assert out.stdout.splitlines() == ["m_j: {1: {0: '0 + O(x^-7)'}}"]
-        doc = json.loads(run_cli("--json", "airy-wave", expr, "--trunc", "1").stdout)
-        assert doc["identity"] is False
-        assert doc["coefficients"] == {"1": {"0": "0 + O(x^-7)"}}
+        doc = json.loads(run_cli("--json", "airy-wave", expr).stdout)
+        assert doc["kind"] == "obstruction" and doc["verdict"] == "obstructed"
+        assert [s[1] for s in doc["steps"]] == list(range(-12, 0))
         assert run_cli("airy-wave", "d^3 - x").stdout.splitlines() == ["K = 1"]
+        assert json.loads(run_cli("--json", "airy-wave", "d^3 - x").stdout) == {
+            "kind": "wave", "identity": True, "coefficients": {}}
 
-    @pytest.mark.parametrize("command, trunc", [("airy-wave", "0"), ("airy-wave", "-2"),
-                                                ("wave", "0"), ("classify", "0")])
+    def test_airy_wave_past_the_step_cap_is_inconclusive(self):
+        # the walk from x^-30 needs 29 steps; a truncated K used to print
+        out = run_cli("airy-wave", "d^2 - x + x^-30")
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[0] == "obstruction: inconclusive"
+
+    def test_airy_wave_takes_no_truncation(self):
+        out = run_cli("airy-wave", "d^3 - x", "--trunc", "8")
+        assert out.returncode == 2
+        assert "unrecognized arguments: --trunc 8" in out.stderr
+
+    @pytest.mark.parametrize("command, trunc", [("wave", "0"), ("classify", "0")])
     def test_trunc_below_one_is_an_input_error(self, command, trunc):
-        # airy-wave used to exit 1 with a ValueError traceback
         out = run_cli(command, "d^3 - x", "--trunc", trunc)
         assert out.returncode == 2
         assert out.stdout == ""

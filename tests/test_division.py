@@ -1,7 +1,7 @@
 """The one long-division kernel, ``diffop.leibniz_divide``, behind
 ``right_divide``/``left_divide``, ``PDO.inverse`` and the expansion of an
-operator in powers of L; and the division of a Laurent Weyl-algebra value
-by a monic Airy operator, ``airy._divide``.
+operator in powers of L; and right division of a Laurent Weyl-algebra
+value by a monic Airy operator, the step of the Airy-adic wave recursion.
 
 Each is checked against the whole-operator loop it replaced (in
 ``oracles``) and against the identity that defines it.
@@ -27,7 +27,6 @@ from bispec import (
     split_constant_part,
     wave_operator,
 )
-from bispec.airy import _divide, _top
 from bispec.diffop import TOp
 
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     expand_in_powers,
     mono_add,
     mono_mul,
+    mono_of_diffop,
     mono_of_top,
     pdo_inverse_neumann,
     reduce_top_by_leading_terms,
@@ -102,21 +102,19 @@ class TestReductionModA:
     @settings(max_examples=60, deadline=None)
     @given(tops(5), airy_st)
     def test_matches_reference(self, T, A):
-        At = _top(A, 0)  # A is polynomial: nothing is cut
-        q, r = _divide(T, At)
-        assert (mono_of_top(q), mono_of_top(r)) == \
-            reduce_top_by_leading_terms(mono_of_top(T), mono_of_top(At))
+        q, r = right_divide(T.diffop("x"), A)
+        assert (mono_of_diffop(q), mono_of_diffop(r)) == \
+            reduce_top_by_leading_terms(mono_of_top(T), mono_of_diffop(A))
 
     @settings(max_examples=60, deadline=None)
     @given(tops(5), airy_st)
     def test_identity_on_exact_tails(self, T, A):
         """T = q A + r by the monomial-algebra product, with every power
         of d in r below N."""
-        At = _top(A, 0)  # A is polynomial: nothing is cut
-        q, r = _divide(T, At)
-        assert mono_add(mono_mul(mono_of_top(q), mono_of_top(At)), mono_of_top(r)) == \
+        q, r = right_divide(T.diffop("x"), A)
+        assert mono_add(mono_mul(mono_of_diffop(q), mono_of_diffop(A)), mono_of_diffop(r)) == \
             mono_of_top(T)
-        assert r.order < At.order
+        assert r.order < A.order
 
 
 def series(J):

@@ -305,6 +305,24 @@ class TestFastPaths:
             expect = dop_mul(expect, base)
         assert parse_operator(f"((x+1)^-1*d)^{n}") == expect
 
+    @pytest.mark.parametrize("text,pos", [
+        # a constant's box is all zeros, so the term and exponent bounds
+        # let the first ask for about 6.9*10^10 bits, which never finished;
+        # the second took 2 s
+        ("((2^4096)^4096)^4096", 16),
+        ("(2^4096*x+1)^256", 13),
+    ])
+    def test_coefficient_bit_bound_holds(self, text, pos):
+        with pytest.raises(OperatorSyntaxError, match="bits") as err:
+            parse_operator(text)
+        assert err.value.position == pos
+
+    def test_large_coefficients_below_the_bit_bound_parse(self):
+        # 16.8 million and 33.6 million bits
+        c = 2 ** (4096 * 4096)
+        assert parse_operator("(2^4096)^4096") == DiffOp.const(c)
+        assert parse_operator("((2^4096)^4096)^2") == DiffOp.const(c * c)
+
     def test_power_size_bound_edge(self):
         # (d + x)^n has at most (n + 1)(2n + 1) monomials: 496 at n = 15,
         # 561 at n = 16; (x*d)^n at most (n + 1)^2

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from bispec import (
-    AiryPDO,
     BesselSpec,
     BiHomPoly,
     Budgets,
@@ -28,7 +27,6 @@ from bispec import (
     Poly,
     RatFunc,
     WeightPair,
-    make_airy,
     parse_operator,
 )
 from bispec.airy import AiryBispectralReport, AiryShape
@@ -49,7 +47,6 @@ def _instances():
         PDO({0: RatFunc.one(), 1: RatFunc.x_power(-1)}, 4),
         TOp({(1, 0): F(1)}),
         AiryShape(N=3, a=((1, F(2)),), a0=F(0), lam=F(1)),
-        AiryPDO(make_airy(3), {}, 2),
         ObstructionStep(j=1, s=-2, k=0, alpha=F(1, 2)),
         ObstructionTrace((), "clean", 3, F(1)),
         AiryBispectralReport(True, 4),
@@ -165,16 +162,6 @@ class TestChecks:
         P = PDO({2: RatFunc.one(), 0: RatFunc.zero(), -5: RatFunc.x()}, 4)
         assert P.terms == {2: RatFunc.one()}
         assert P.trunc == 4
-
-    def test_airy_pdo(self):
-        # a zero m_j is kept: it is zero only as far as it is known
-        K = AiryPDO(make_airy(3), {1: TOp({})}, 2)
-        assert K.mjs == {1: TOp({})} and not K.is_identity()
-        assert AiryPDO(make_airy(3), {}, 2).is_identity()
-        with pytest.raises(ValueError):
-            AiryPDO(make_airy(3), {3: TOp({(0, 0): F(1)})}, 2)
-        with pytest.raises(ValueError):
-            AiryPDO(make_airy(3), {1: TOp({(3, 0): F(1)})}, 2)
 
     def test_darboux_result_reverifies(self):
         with pytest.raises(NotAFactor):
