@@ -90,11 +90,12 @@ class ObstructionStep(Record):
 class ObstructionTrace(Record):
     """Leading-height record of the wave recursion.
 
-    Verdict "obstructed" certifies that the recursion forces a leading term
-    alpha * x^-1 * d^k in some b_j, which cannot be the derivative of a
-    rational function; "clean" means the perturbation was zero, so the
-    wave operator is K = 1; "inconclusive" means the step budget ran out
-    first."""
+    Step j records the leading term alpha_j x^s d^k of b_j: alpha_j is
+    the leading coefficient of b_j.  Verdict "obstructed" certifies that
+    the recursion forces a leading term alpha * x^-1 * d^k in some b_j,
+    which cannot be the derivative of a rational function; "clean" means
+    the perturbation was zero, so the wave operator is K = 1;
+    "inconclusive" means the step budget ran out first."""
 
     __slots__ = ("steps", "verdict", "N", "lam")
     steps: tuple[ObstructionStep, ...]
@@ -151,11 +152,6 @@ def perturbation_obstruction(L: Union[DiffOp, tuple[DiffOp, DiffOp]],
     stops at min(-1 - h, max_steps) steps: at s_j = -1 (obstructed) or
     when the budget runs out (inconclusive); V = 0 is clean.
 
-    The recorded alphas multiply by (N(s_j+1) + k) / (N(s_j+1)), which is
-    nonzero as well, so each step's (j, s, k) and the verdict are the
-    recursion's, but the alphas after the first are not its leading
-    coefficients.
-
     ``L`` is the operator, or the split (A, V) that ``principal_part``
     returned for it, so that a caller holding the split does not redo it."""
     A, V = principal_part(L) if isinstance(L, DiffOp) else L
@@ -169,7 +165,7 @@ def perturbation_obstruction(L: Union[DiffOp, tuple[DiffOp, DiffOp]],
     steps = [ObstructionStep(j=1, s=h, k=k, alpha=-lead)]
     alpha = -lead
     for s in range(h, h + min(-1 - h, max_steps)):
-        alpha = -lam * alpha * Fraction(N * (s + 1) + k, N * (s + 1))
+        alpha = -lam * alpha * Fraction(N * (s + 1) + k + 1, N * (s + 1))
         steps.append(ObstructionStep(j=steps[-1].j + 1, s=s + 1, k=k, alpha=alpha))
     verdict = "obstructed" if steps[-1].s == -1 else "inconclusive"
     return ObstructionTrace(tuple(steps), verdict, N, lam)

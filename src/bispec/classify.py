@@ -1,12 +1,13 @@
 """The end-to-end classification pipeline for prime-order operators.
 
 Branching follows coefficient growth at infinity.  Increasing branch:
-weight selection, normal-form test, principal part, perturbation
-obstruction; the only bispectral survivors are the generalized Airy
-operators.  The Bessel shape is read from the coefficients before the
-gauge, and again after it when the gauge changed the operator: first at
-the origin, then after translating a single finite pole there.  Bounded
-branch: the constant-coefficient shape, then two exact obstructions
+the principal part, whose one scan of the coefficient orders decides the
+Airy leading form (y^N - lam x)^1, then the perturbation obstruction;
+the only bispectral survivors are the generalized Airy operators.  The
+Bessel shape is read from the coefficients before the gauge, and again
+after it when the gauge changed the operator: first at the origin, then
+after translating a single finite pole there.  Bounded branch:
+the constant-coefficient shape, then two exact obstructions
 (Fuchs' pole-order criterion and a logarithm in the wave coefficients
 through the truncation, whose one solve also serves Lambda), then the
 ad-condition chain of the first admitted theta; a passing chain with all
@@ -20,9 +21,9 @@ the Adler-Moser operator d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes it with
 theta = (x^3 + 1)^2, yet it commutes with an operator of order 5, so its
 rank is 1.
 
-Every verdict carries machine-checkable certificates (weights, associated
-polynomial, principal part, ad data, Lambda, Darboux pairs, obstruction
-traces) that the other modules can re-verify independently.
+Every verdict carries machine-checkable certificates (principal part and
+perturbation, ad data, Lambda, Darboux pairs, obstruction traces) that
+the other modules can re-verify independently.
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from .families import (
     is_euler_homogeneous,
     p_form_check,
 )
-from .weights import (
-    associated_polynomial,
-    choose_weights,
-    normal_form_test,
-    principal_part,
-)
+from .weights import principal_part
 from .airy import OBSTRUCTION_STEPS, airy_shape, perturbation_obstruction
 from .bounded import (
     bounded_test,
@@ -282,57 +278,34 @@ def _bessel_stage(L: DiffOp, report: ClassificationReport) -> bool:
 # ---------------------------------------------------------------------------
 
 def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budgets):
-    N = L.order
-    # L is monic and increasing here, so none of these raises: f, the
-    # maximal-weight part, holds y^N and is homogeneous for coprime weights
-    w = choose_weights(L)
-    f = associated_polynomial(L, w)
-    nf = normal_form_test(f, w)
-    report.certificates["weights"] = {"rho": w.rho, "sigma": w.sigma,
-                                      "support": list(w.support)}
-    report.certificates["associated_polynomial"] = str(f)
-    report.certificates["normal_form"] = {
-        "case": nf.case, "n": nf.n, "k": nf.k,
-        "yrx": list(nf.yrx) if nf.yrx else None,
-        "weight": nf.weight,
-        "precondition_weight_ok": nf.precondition_weight_ok,
-    }
-    if nf.nilpotency_excluded:
-        report.verdict = VERDICT_OBSTRUCTED
-        report.certificates["obstruction"] = (
-            "leading form y^n (y^r - lam x)^k with n >= 1: "
-            "no operator with this leading form acts nilpotently"
-        )
-        return
-    # f has y-degree n + r k = N, so r = N forces n = 0 and k = 1: f is
-    # (y^N - lam x)^1, the one input principal_part accepts
-    if nf.yrx is not None and nf.yrx[0] == N:
+    # L is monic, normalized and increasing here, so principal_part raises
+    # only NotAiryShape: the leading form is not (y^N - lam x)^1, which
+    # excludes L (its docstring proves that the orders decide the form)
+    try:
         A, V = principal_part(L)
-        shape = airy_shape(A)
-        report.certificates["principal_part"] = A
-        report.certificates["perturbation"] = V
-        if not shape.strict:
-            report.certificates["airy_shape_note"] = {
-                "lam": shape.lam, "a0": shape.a0,
-                "note": "equivalent to the -x normalization by dilation/translation",
-            }
-        if V.is_zero():
-            report.verdict = VERDICT_AIRY
-            report.certificates["airy_parameters"] = dict(shape.a)
-            return
-        trace = perturbation_obstruction((A, V), budgets.obstruction_steps)
-        report.certificates["obstruction_trace"] = {
-            "verdict": trace.verdict,
-            "steps": [(s.j, s.s, s.k, s.alpha) for s in trace.steps],
-        }
-        report.verdict = (VERDICT_OBSTRUCTED if trace.obstructed
-                          else VERDICT_INCONCLUSIVE)
+    except err.NotAiryShape as e:
+        report.verdict = VERDICT_OBSTRUCTED
+        report.certificates["obstruction"] = str(e)
         return
-    report.verdict = VERDICT_OBSTRUCTED
-    report.certificates["obstruction"] = (
-        "leading form is not (y^N - lam x)^1: excluded for increasing "
-        "coefficients"
-    )
+    shape = airy_shape(A)
+    report.certificates["principal_part"] = A
+    report.certificates["perturbation"] = V
+    if not shape.strict:
+        report.certificates["airy_shape_note"] = {
+            "lam": shape.lam, "a0": shape.a0,
+            "note": "equivalent to the -x normalization by dilation/translation",
+        }
+    if V.is_zero():
+        report.verdict = VERDICT_AIRY
+        report.certificates["airy_parameters"] = dict(shape.a)
+        return
+    trace = perturbation_obstruction((A, V), budgets.obstruction_steps)
+    report.certificates["obstruction_trace"] = {
+        "verdict": trace.verdict,
+        "steps": [(s.j, s.s, s.k, s.alpha) for s in trace.steps],
+    }
+    report.verdict = (VERDICT_OBSTRUCTED if trace.obstructed
+                      else VERDICT_INCONCLUSIVE)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,10 @@ size, and a constant's box is all zeros.  So a power is also refused
 when its term bound times n times the base's largest numerator or
 denominator bit length (``_bits``) exceeds ``MAX_POWER_BITS``:
 (2^4096)^4096 has 16.8 million bits and parses, ((2^4096)^4096)^4096
-would have 6.9*10^10 and is refused at its exponent.
+would have 6.9*10^10 and is refused at its exponent.  A product is
+refused likewise when its term bound times the sum of its factors' bit
+lengths exceeds ``MAX_POWER_BITS``: three factors (2^4096)^4096 parse,
+and a fourth is refused at its *.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
@@ -237,10 +240,11 @@ class _Parser:
             star = self.advance()[2]
             value, rhs = self.pair(value, self.unary())
             size, reach = _product_bounds(value, rhs)
-            if size > MAX_POWER_TERMS or reach > MAX_EXPONENT:
+            if (size > MAX_POWER_TERMS or reach > MAX_EXPONENT
+                    or size * (_bits(value) + _bits(rhs)) > MAX_POWER_BITS):
                 raise OperatorSyntaxError(
                     f"product exceeds the supported bounds: exponent {MAX_EXPONENT}, "
-                    f"size {MAX_POWER_TERMS} terms", star)
+                    f"size {MAX_POWER_TERMS} terms, {MAX_POWER_BITS} bits", star)
             value = value * rhs
         return value
 

@@ -17,7 +17,9 @@ coefficient has order 1 at infinity and every d^j coefficient with
 0 < j < N is bounded.  The line through (0, N) and (1, 0) has weights
 (N, 1), and no (m, j) with 0 < j < N lies on it, since N m = N - j has
 no integer solution; conversely those weights need each m_j <= (N - j)/N,
-so m_j < 1.  ``principal_part`` reads lam = -lead(c_0) from one scan.
+so m_j < 1.  ``principal_part`` reads lam = -lead(c_0) from one scan,
+and ``classify`` decides the increasing branch by it alone: the
+filtration serves ``bispec weights``, which names the leading form.
 """
 
 from __future__ import annotations
@@ -144,12 +146,9 @@ class NormalFormReport(Record):
     from an operator acting nilpotently."""
 
     __slots__ = ("case", "n", "k", "m", "mu", "lam", "yrx",
-                 "nilpotency_excluded", "unresolved_over_Q", "weight",
-                 "precondition_weight_ok")
+                 "nilpotency_excluded", "unresolved_over_Q")
     _defaults = {"n": 0, "k": 0, "m": 0, "mu": None, "lam": None, "yrx": None,
-                 "nilpotency_excluded": False,
-                 "unresolved_over_Q": False, "weight": 0,
-                 "precondition_weight_ok": False}
+                 "nilpotency_excluded": False, "unresolved_over_Q": False}
     case: Optional[str]
     n: int
     k: int
@@ -159,8 +158,6 @@ class NormalFormReport(Record):
     yrx: Optional[tuple[int, int, Fraction]]  # (r, k, lam)
     nilpotency_excluded: bool
     unresolved_over_Q: bool
-    weight: int
-    precondition_weight_ok: bool
 
 
 def _line_data(f: BiHomPoly, w: WeightPair) -> tuple[int, int, Poly]:
@@ -214,8 +211,6 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     if f.is_zero():
         raise ZeroOperand("normal form of the zero polynomial")
     a0, b0, p = _line_data(f, w)  # raises NotHomogeneous; p != 0
-    v = w.weight(a0, b0)
-    report_kwargs = dict(weight=v, precondition_weight_ok=v > w.rho + w.sigma)
 
     mirror = w.rho == 1 < w.sigma  # case (b)
     if (mirror and a0 >= 0 and b0 == p.degree) or (w.sigma == 1 < w.rho and a0 == 0):
@@ -223,14 +218,13 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
         if match is not None:
             k, mu = match
             if mirror:
-                return NormalFormReport(case="b", n=a0, k=k, m=w.sigma, mu=1 / mu,
-                                        **report_kwargs)
+                return NormalFormReport(case="b", n=a0, k=k, m=w.sigma, mu=1 / mu)
             # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
             n = b0 - w.rho * k
             if n >= 0:
                 return NormalFormReport(
                     case="c", n=n, k=k, m=w.rho, mu=mu, yrx=(w.rho, k, -mu),
-                    nilpotency_excluded=n >= 1, **report_kwargs,
+                    nilpotency_excluded=n >= 1,
                 )
 
     # case (d): rho = sigma = 1; factors read off the roots of p(w), plus a
@@ -260,16 +254,13 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
                     mu=second[0] if second else None,
                     yrx=yrx,
                     nilpotency_excluded=bool(yrx) and first[1] >= 1,
-                    **report_kwargs,
                 )
         elif T >= 2:
             distinct = (1 if b0 - T > 0 else 0) + sum(g.degree for g, _ in sqf)
             if distinct <= 2:
-                return NormalFormReport(
-                    case="d", unresolved_over_Q=True, **report_kwargs,
-                )
+                return NormalFormReport(case="d", unresolved_over_Q=True)
 
-    return NormalFormReport(case=None, **report_kwargs)
+    return NormalFormReport(case=None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +280,17 @@ def principal_part(L: DiffOp) -> tuple[DiffOp, DiffOp]:
     N m = N - j has no integer solution; so f = y^N + lead(c_0) x.
     Conversely yrx = (N, 1, lam) forces the weights (N, 1), which
     choose_weights picks only at the support (1, 0); every other point
-    then lies below the line, m_j <= (N - j)/N < 1.  The pipeline runs
-    only to name f when the shape is rejected.
+    then lies below the line, m_j <= (N - j)/N < 1.  So the pipeline is
+    never run: a rejection names the growing points instead of f.
 
     Then L + lam x has bounded coefficients, and ``split_constant_part``
     writes it as f(d) + V with every coefficient of V of order O(x^-1);
     the Airy part is A = f(d) - lam x."""
-    N = L.order
-    if N < 2 or _growing_points(L) != [(1, 0)]:  # raises NotMonic, NotIncreasing
-        f = associated_polynomial(L, choose_weights(L))
-        raise NotAiryShape(f"leading form {f} is not (y^{N} - lam*x)^1")
+    grow = sorted(_growing_points(L))  # raises NotMonic, NotIncreasing
+    if L.order < 2:
+        raise NotAiryShape("Airy order must be >= 2")
+    if grow != [(1, 0)]:
+        raise NotAiryShape(f"growing points {grow} are not [(1, 0)]")
     lam_x = DiffOp.x(L.var).scale(-L.coeffs[0].infinity_leading())
     const, V = split_constant_part(L + lam_x)
     return DiffOp(L.var, dict(enumerate(const.coeffs))) - lam_x, V

@@ -572,7 +572,7 @@ def perturbation_obstruction_loop(L: DiffOp, max_steps: int) -> ObstructionTrace
     for _ in range(max_steps):
         if s == -1:
             return ObstructionTrace(tuple(steps), "obstructed", N, lam)
-        alpha = -lam * alpha * Fraction(N * (s + 1) + k, N * (s + 1))
+        alpha = -lam * alpha * Fraction(N * (s + 1) + k + 1, N * (s + 1))
         s += 1
         steps.append(ObstructionStep(j=steps[-1].j + 1, s=s, k=k, alpha=alpha))
     if s == -1:
@@ -583,11 +583,11 @@ def perturbation_obstruction_loop(L: DiffOp, max_steps: int) -> ObstructionTrace
 def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
     """Whether consecutive steps of a trace follow the height recursion
     j' = j + 1, s' = s + 1, k' = k and
-    alpha' = -lam * alpha * (N(s+1)+k) / (N(s+1))."""
+    alpha' = -lam * alpha * (N(s+1)+k+1) / (N(s+1))."""
     N, lam = trace.N, trace.lam
     return all(
         (b.j, b.s, b.k) == (a.j + 1, a.s + 1, a.k) and a.s != -1
-        and b.alpha == -lam * a.alpha * Fraction(N * (a.s + 1) + a.k, N * (a.s + 1))
+        and b.alpha == -lam * a.alpha * Fraction(N * (a.s + 1) + a.k + 1, N * (a.s + 1))
         for a, b in zip(trace.steps, trace.steps[1:]))
 
 

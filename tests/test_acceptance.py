@@ -17,6 +17,7 @@ from bispec import (
     ad_condition_min_m,
     airy_bispectral_check,
     airy_kernel_series,
+    airy_shape,
     airy_wave_solve,
     associated_polynomial,
     build_lambda,
@@ -224,11 +225,11 @@ def test_criterion_11_end_to_end_classification():
     assert [(s.j, s.s, s.k, s.alpha) for s in trace.steps] == \
         r.certificates["obstruction_trace"]["steps"]
 
-    # weights certificate re-supports
+    # the principal-part certificate re-splits the operator
     r = classify(parse_operator("d^3 - x"))
-    w = choose_weights(r.operator)
-    assert {"rho": w.rho, "sigma": w.sigma, "support": list(w.support)} == \
-        r.certificates["weights"]
+    A, V = r.certificates["principal_part"], r.certificates["perturbation"]
+    assert A + V == r.operator
+    assert airy_shape(A).N == 3
     ok("11 end-to-end-classification")
 
 

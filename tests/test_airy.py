@@ -265,7 +265,8 @@ def perturbed_airy(rng):
 class TestWalkAgainstTheFullRecursion:
     """The full recursion (``oracles.airy_wave_deep``, which shares no
     product with the library) needs its logarithm exactly where the walk
-    ends, and the walk's steps are the leading terms of its m_j."""
+    ends, and the walk's steps, alphas included, are the leading terms of
+    its m_j."""
 
     def test_logarithm_exactly_at_the_last_step(self):
         walks = 0
@@ -285,8 +286,11 @@ class TestWalkAgainstTheFullRecursion:
                 m = airy_wave_deep(L, last - 1, extra=4)
                 assert m is not None
                 for step in trace.steps[:-1]:
-                    # b_j leads with x^s d^k, so m_j with x^(s+1) d^(k+1)
-                    assert max(m[step.j]) == (step.s + 1, step.k + 1)
+                    # b_j leads with alpha x^s d^k, so m_j with x^(s+1)
+                    # d^(k+1), whose coefficient b_j takes N (s+1) times
+                    lead = (step.s + 1, step.k + 1)
+                    assert max(m[step.j]) == lead
+                    assert step.alpha == trace.N * (step.s + 1) * m[step.j][lead]
         assert walks >= 45
 
 

@@ -14,9 +14,11 @@ from bispec import (
     BesselSpec,
     Budgets,
     DiffOp,
+    NotAiryShape,
     OperatorSyntaxError,
     Poly,
     RatFunc,
+    airy_shape,
     associated_polynomial,
     centralizer_search,
     choose_weights,
@@ -26,8 +28,10 @@ from bispec import (
     make_airy,
     make_bessel,
     make_constcoeff,
+    normal_form_test,
     parse_operator,
     perturbation_obstruction,
+    principal_part,
     print_operator,
     right_divide,
 )
@@ -50,9 +54,9 @@ class TestVerdicts:
         r = classify_text("d^3 - x")
         assert r.verdict == "Airy(1)"
         assert r.branch == "increasing"
-        assert r.certificates["weights"] == {"rho": 3, "sigma": 1,
-                                             "support": [1, 0]}
-        assert r.certificates["associated_polynomial"] == "y^3 - x"
+        A, V = r.certificates["principal_part"], r.certificates["perturbation"]
+        assert A + V == r.operator and V.is_zero()
+        assert airy_shape(A).strict
 
     def test_constant_coefficient(self):
         r = classify_text("d^5 + d")
@@ -164,21 +168,22 @@ class TestVerdicts:
         assert "obstruction" in r.certificates
 
     def test_nilpotency_excluded(self):
-        # f = y(y^2 - x): leading form forbids nilpotent action
+        # f = y(y^2 - x): the growing point (1, 1) breaks the Airy shape
         r = classify_text("d^3 + x*d")
         assert r.verdict == "Obstructed"
-        assert "nilpotently" in r.certificates["obstruction"]
+        assert r.certificates["obstruction"] == (
+            "growing points [(1, 1)] are not [(1, 0)]")
 
     def test_wrong_shape_obstructed(self):
         # the (1, 1) forms of d^2 + x^2 and d^2 + 3*x^2 factor over
         # Q(sqrt(-1)) and Q(sqrt(-3)) only; a (1, 1) form is never
         # (y^N - lam x)^1 for N >= 2, whatever field its factors live in
-        for text in ("d^2 - x^4", "d^2 - x^2", "d^2 + x^2", "d^2 + 3*x^2"):
+        for text, m in (("d^2 - x^4", 4), ("d^2 - x^2", 2), ("d^2 + x^2", 2),
+                        ("d^2 + 3*x^2", 2)):
             r = classify_text(text)
             assert r.verdict == "Obstructed", text
             assert r.certificates["obstruction"] == (
-                "leading form is not (y^N - lam x)^1: excluded for "
-                "increasing coefficients"), text
+                f"growing points [({m}, 0)] are not [(1, 0)]"), text
 
     def test_composite_order_inconclusive(self):
         r = classify_text("d^4 - x")
@@ -262,14 +267,13 @@ class TestFamilySweep:
 
 
 class TestCertificateReverification:
-    def test_weights_resupport(self):
-        r = classify_text("d^3 - x")
-        L = r.operator
-        w = choose_weights(L)
-        assert w.rho == r.certificates["weights"]["rho"]
-        assert w.sigma == r.certificates["weights"]["sigma"]
-        assert str(associated_polynomial(L, w)) == \
-            r.certificates["associated_polynomial"]
+    def test_principal_part_resplits(self):
+        for text in ("d^3 - x", "d^3 - 2*x + 1 + x^-2*d"):
+            r = classify_text(text)
+            A, V = r.certificates["principal_part"], r.certificates["perturbation"]
+            assert A + V == r.operator
+            airy_shape(A)  # accepts
+            assert principal_part(r.operator) == (A, V)
 
     def test_darboux_remultiplies(self):
         r = classify_text("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
@@ -293,6 +297,83 @@ class TestCertificateReverification:
         lam = build_lambda(K, Poly([0, 0, 1]))
         assert lam == r.certificates["lambda"]
         assert lam.order == r.certificates["ad_m"]
+
+
+def random_increasing(rng, N):
+    """A monic operator of order N without a d^(N-1) term, so that no
+    gauge moves it, whose coefficients have orders -2..2 at infinity and
+    at least one of which grows; half the draws lean to the Airy shape,
+    an order-1 d^0 coefficient."""
+    coeffs = {N: RatFunc.one()}
+    for j in range(N - 1):
+        if rng.random() < 0.5:
+            c = sum((RatFunc.x_power(rng.randint(-2, 2), rng.choice([-3, -1, 1, 2]))
+                     for _ in range(rng.randint(1, 2))), RatFunc.zero())
+            if rng.random() < 0.2:
+                c = c * RatFunc(Poly([1]), Poly([1, 0, 1]))  # (x^2 + 1)^-1
+            if not c.is_zero():
+                coeffs[j] = c
+    if rng.random() < 0.5:
+        coeffs[0] = RatFunc(Poly([rng.randint(-2, 2), rng.choice([-2, -1, 1, 3])]))
+        if rng.random() < 0.7:
+            coeffs[0] = coeffs[0] + RatFunc.x_power(-rng.randint(2, 6), rng.choice([-1, 2]))
+    if not any(c.infinity_order() > 0 for c in coeffs.values()):
+        coeffs[0] = coeffs.get(0, RatFunc.zero()) + RatFunc.x_power(rng.randint(1, 2))
+    return DiffOp("x", coeffs)
+
+
+class TestOneDecider:
+    """``principal_part`` alone decides the increasing branch."""
+
+    def test_verdict_follows_the_principal_part(self):
+        # the verdict is Airy(1) exactly when principal_part accepts with
+        # V = 0, the walk's when it accepts with V != 0, and Obstructed
+        # otherwise; principal_part accepts exactly when the filtration
+        # lands on (y^N - lam x)^1, so no verdict differs from the
+        # filtration's
+        seen = {}
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            for _ in range(150):
+                N = rng.choice([2, 3, 4, 5])
+                r = classify(random_increasing(rng, N))
+                assert r.branch == "increasing"
+                L = r.operator
+                w = choose_weights(L)
+                nf = normal_form_test(associated_polynomial(L, w), w)
+                airy_form = nf.n == 0 and nf.yrx is not None and nf.yrx[:2] == (N, 1)
+                try:
+                    A, V = principal_part(L)
+                except NotAiryShape:
+                    assert not airy_form
+                    expect = "Obstructed"
+                else:
+                    assert airy_form
+                    if V.is_zero():
+                        expect = "Airy(1)" if N != 4 else "Inconclusive"
+                    else:
+                        trace = perturbation_obstruction((A, V), Budgets.obstruction_steps)
+                        expect = "Obstructed" if trace.obstructed else "Inconclusive"
+                assert r.verdict == expect, print_operator(L)
+                seen[expect] = seen.get(expect, 0) + 1
+        assert seen["Obstructed"] >= 100 and seen["Airy(1)"] >= 20, seen
+
+    def test_answers_without_the_filtration(self, monkeypatch):
+        classify_module = sys.modules["bispec.classify"]
+        weights = sys.modules["bispec.weights"]
+
+        def refuse(*args):
+            raise AssertionError("classify ran the filtration")
+
+        for name in ("choose_weights", "associated_polynomial", "normal_form_test"):
+            assert not hasattr(classify_module, name)
+            monkeypatch.setattr(weights, name, refuse)
+        assert classify("d^3 - x").verdict == "Airy(1)"
+        assert classify("d^3 + x*d").verdict == "Obstructed"
+        r = classify("d^2 - x + x^-2")
+        assert r.verdict == "Obstructed"
+        assert r.certificates["obstruction_trace"]["steps"] == [
+            (1, -2, 0, -1), (2, -1, 0, Fraction(1, 2))]
 
 
 class TestJson:

@@ -311,6 +311,10 @@ class TestFastPaths:
         # the second took 2 s
         ("((2^4096)^4096)^4096", 16),
         ("(2^4096*x+1)^256", 13),
+        # each factor is within the power bound, but a product adds their
+        # bits: refused at the first * whose result would pass 2^26 bits
+        ("((2^4096)^4096)^3*((2^4096)^4096)^3*((2^4096)^4096)^3", 17),
+        ("*".join(["(2^4096)^4096"] * 16), 41),
     ])
     def test_coefficient_bit_bound_holds(self, text, pos):
         with pytest.raises(OperatorSyntaxError, match="bits") as err:
@@ -318,10 +322,12 @@ class TestFastPaths:
         assert err.value.position == pos
 
     def test_large_coefficients_below_the_bit_bound_parse(self):
-        # 16.8 million and 33.6 million bits
+        # 16.8, 33.6, 33.6 and 50.3 million bits
         c = 2 ** (4096 * 4096)
         assert parse_operator("(2^4096)^4096") == DiffOp.const(c)
         assert parse_operator("((2^4096)^4096)^2") == DiffOp.const(c * c)
+        assert parse_operator("(2^4096)^4096*(2^4096)^4096") == DiffOp.const(c * c)
+        assert parse_operator("*".join(["(2^4096)^4096"] * 3)) == DiffOp.const(c ** 3)
 
     def test_power_size_bound_edge(self):
         # (d + x)^n has at most (n + 1)(2n + 1) monomials: 496 at n = 15,

@@ -202,12 +202,6 @@ class TestNormalForm:
         with pytest.raises(NotHomogeneous):
             normal_form_test(BiHomPoly({(0, 2): 1, (0, 0): 1}), w)
 
-    def test_precondition_attached(self):
-        w = WeightPair(2, 1, (1, 0))
-        nf = normal_form_test(BiHomPoly({(0, 2): 1, (1, 0): -1}), w)
-        assert nf.weight == 2
-        assert nf.precondition_weight_ok is False  # 2 = rho + sigma - 1 + ...
-
 
 class TestPrincipalPart:
     def test_decaying_remainder(self):
@@ -268,8 +262,8 @@ class TestPrincipalPart:
         # principal_part reads the Airy form from the coefficient orders;
         # it must agree with the weight pipeline, and split at its lam.
         # On a monic increasing L the pipeline never raises, and r = N
-        # forces n = 0 and k = 1, as f has y-degree n + r k = N: classify
-        # relies on both
+        # forces n = 0 and k = 1, as f has y-degree n + r k = N; classify
+        # decides by principal_part alone, so this is where the two meet
         rng = random.Random(2024)
         accepted = 0
         for _ in range(400):
