@@ -26,6 +26,7 @@ from .errors import (
     NotRankOrderCase,
     OperatorSyntaxError,
     ReconstructionFailed,
+    ScalarTooLong,
     TruncationTooShort,
     UnboundedCoefficient,
     VariableMismatch,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Optional, Union
 
 from . import errors as err
-from .poly import Poly, poly_text
+from .poly import Poly, poly_text, scalar_text
 from .rational import RatFunc
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
 from .parser import parse_operator, print_operator
@@ -142,7 +142,7 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, (int, str, bool)) or value is None:
         return value
-    return str(value)
+    return scalar_text(value)
 
 
 def _is_prime(n: int) -> bool:

@@ -15,7 +15,7 @@ import sys
 from typing import Any, Optional
 
 from . import errors as err
-from .poly import Poly, poly_text
+from .poly import Poly, poly_text, scalar_text
 from .diffop import ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator, print_operator
 from .families import darboux
@@ -188,7 +188,7 @@ def _dispatch(args) -> int:
             _emit({"kind": "obstruction", "verdict": out.verdict,
                    "steps": steps},
                   args.json,
-                  [f"obstruction: {out.verdict}", f"steps: {steps}"])
+                  [f"obstruction: {out.verdict}", f"steps: {scalar_text(steps)}"])
     elif cmd == "weights":
         L = parse_operator(args.expr)
         w = choose_weights(L)

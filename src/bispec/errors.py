@@ -27,6 +27,10 @@ class ReconstructionFailed(BispecError):
     """No rational function within the degree bounds matches the expansion."""
 
 
+class ScalarTooLong(BispecError):
+    """A scalar has more digits than the interpreter converts to text."""
+
+
 # -- diffop-core ------------------------------------------------------------
 
 class VariableMismatch(BispecError):

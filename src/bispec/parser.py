@@ -31,33 +31,35 @@ and each Laurent operand that meets it is converted once.
 Negative exponents are only allowed on derivative-free (order-0)
 subexpressions, where they mean multiplication by the reciprocal
 function; on anything containing d they raise NegativeDerivativeExponent.
-Exponent magnitudes are capped at ``MAX_EXPONENT`` (dense coefficient
-storage makes astronomically large powers a denial-of-service, not a
-computation): on the literal, and on every power of x or d that a power
-or a product may reach, so (x^4096)^4096 is refused at its exponent and
-d^4096*d at its *.  The cap alone bounds a power of one term c*x^e or
-c*d^k, which stays one term, but not any other base: (x+1)^4096 holds
-4,097 terms and (d+x)^128 thousands.  So a power of any other base, of
-either sign, is refused when it could hold more than ``MAX_POWER_TERMS``
-monomials x^e*d^k, and so is a product, such as (x+1)^511*(x+1)^511.
-Both bounds read a box, the ranges of the powers of d and of x that the
-factors' boxes (``_box``) allow.  A box misses that the terms of d^k*x^k
-lie on one diagonal (k + 1 terms in a box of (k + 1)^2), so such products
-are refused from k = 22 on.  The box says nothing of a coefficient's
-size, and a constant's box is all zeros.  So a power is also refused
-when its term bound times n times the base's largest numerator or
-denominator bit length (``_bits``) exceeds ``MAX_POWER_BITS``:
-(2^4096)^4096 has 16.8 million bits and parses, ((2^4096)^4096)^4096
-would have 6.9*10^10 and is refused at its exponent.  A product is
-refused likewise when its term bound times the sum of its factors' bit
-lengths exceeds ``MAX_POWER_BITS``: three factors (2^4096)^4096 parse,
-and a fourth is refused at its *.
+
+Every power and every product passes one size check (``_check``), which
+refuses it at its exponent or its * when bounds read off its operands
+(``_shape``) pass one of three caps:
+- ``MAX_EXPONENT``: the exponent literal, and every power of x or d the
+  result may reach, so (x^4096)^4096 and d^4096*d are refused;
+- ``MAX_POWER_TERMS``: the monomials x^e*d^k the result may hold, counted
+  over the box of d- and x-powers the operands allow, so (x+1)^4096 and
+  (d+x)^16 are refused (a box misses that d^k*x^k lies on one diagonal,
+  so such products are refused from k = 22 on);
+- ``MAX_SCALAR_BITS``: the predicted bit length of one scalar, n times the
+  base's for a power and the sum of the factors' for a product, so
+  2^4096*3^2500 parses and 2^4096*2^4095 is refused.
+Scalars are capped one at a time because that is where the cost is:
+``Fraction`` arithmetic takes a gcd per operation, quadratic in the bit
+length, and math.gcd of two random 2^16-, 2^18-, 2^20- and 2^22-bit
+integers took 0.009, 0.13, 2.2 and 21 s on a 2-core VM.  Sums are not
+checked: a sum adds its operands' bits, and each operand passed the caps.
+A decimal literal is read up to the interpreter's limit on digits
+(``sys.get_int_max_str_digits()``), and a longer one is a syntax error.
 
 The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
 coefficient whose denominator is not a power of x is printed as
 (numerator)*(denominator)^-1; the parser takes that product back while
-the two degrees add up to less than ``MAX_POWER_TERMS``.
+the two degrees add up to less than ``MAX_POWER_TERMS``.  It takes that
+product, and a printed monomial c*x^e*d^k, back while its predicted bits
+stay within ``MAX_SCALAR_BITS``: a sum or a literal can hold a scalar
+larger than any product may make.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .diffop import DiffOp, TOp
 
 MAX_EXPONENT = 4096
 MAX_POWER_TERMS = 512
-MAX_POWER_BITS = 2 ** 26
+MAX_SCALAR_BITS = 2 ** 13
 
 
 # ---------------------------------------------------------------------------
@@ -95,34 +97,38 @@ def _tokenize(text: str) -> list[tuple]:
     append = tokens.append
     i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        kind = _SINGLE.get(ch)
-        if kind is not None:
-            append((kind, None, i))
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch.isdecimal():
-            j = _digits_end(text, i + 1, n)
-            num = int(text[i:j])
-            if j < n and text[j] == "/":  # rational literal p/q
-                k = j + 1
-                while k < n and text[k].isspace():
-                    k += 1
-                m = _digits_end(text, k, n)
-                if m == k:
-                    raise OperatorSyntaxError("expected denominator digits", k)
-                den = int(text[k:m])
-                if den == 0:
-                    raise OperatorSyntaxError("zero denominator", k)
-                append(("NUM", Fraction(num, den), i))
-                i = m
+    try:
+        while i < n:
+            ch = text[i]
+            kind = _SINGLE.get(ch)
+            if kind is not None:
+                append((kind, None, i))
+                i += 1
+            elif ch.isspace():
+                i += 1
+            elif ch.isdecimal():
+                j = _digits_end(text, i + 1, n)
+                num = int(text[i:j])
+                if j < n and text[j] == "/":  # rational literal p/q
+                    k = j + 1
+                    while k < n and text[k].isspace():
+                        k += 1
+                    m = _digits_end(text, k, n)
+                    if m == k:
+                        raise OperatorSyntaxError("expected denominator digits", k)
+                    den = int(text[k:m])
+                    if den == 0:
+                        raise OperatorSyntaxError("zero denominator", k)
+                    append(("NUM", Fraction(num, den), i))
+                    i = m
+                else:
+                    append(("NUM", Fraction(num), i))
+                    i = j
             else:
-                append(("NUM", Fraction(num), i))
-                i = j
-        else:
-            raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
+                raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
+    except ValueError as e:
+        # int() reads at most sys.get_int_max_str_digits() digits
+        raise OperatorSyntaxError(f"integer literal too long: {e}", i) from None
     append(("EOF", None, n))
     return tokens
 
@@ -131,52 +137,62 @@ def _tokenize(text: str) -> list[tuple]:
 # size bounds
 # ---------------------------------------------------------------------------
 
-def _box(value: "_Value") -> tuple:
+def _shape(value: "_Value") -> tuple:
     """The lowest and highest power of d, then of x, over the monomials
-    x^e*d^k of a value, all 0 for zero.  A DiffOp coefficient num/den
-    stands for x^deg(num) and x^-deg(den)."""
-    keys = value.terms if type(value) is TOp else [
-        (k, e) for k, c in value.coeffs.items() for e in (c.num.degree, -c.den.degree)]
+    x^e*d^k of a value, all 0 for zero (its box), and the largest bit
+    length of a numerator or denominator among its scalars.  A DiffOp
+    coefficient num/den stands for x^deg(num) and x^-deg(den), and its
+    scalars are the coefficients of num and den."""
+    if type(value) is TOp:
+        keys, scalars = value.terms, value.terms.values()
+    else:
+        keys = [(k, e) for k, c in value.coeffs.items()
+                for e in (c.num.degree, -c.den.degree)]
+        scalars = [s for c in value.coeffs.values() for p in (c.num, c.den)
+                   for s in p.coeffs]
     ks, es = zip(*keys or [(0, 0)])
-    return min(ks), max(ks), min(es), max(es)
+    # |p| | q has the bit length of the longer of p and q
+    return min(ks), max(ks), min(es), max(es), max(
+        (abs(s.numerator) | s.denominator for s in scalars), default=0).bit_length()
 
 
-def _power_bounds(base: "_Value", n: int) -> tuple[int, int]:
+def _power_bounds(base: "_Value", n: int) -> tuple[int, int, int]:
     """Upper bounds on the number of monomials x^e*d^k of base^n and on
-    the largest |e| or k among them.
+    the largest |e| or k among them, taken at least n so that the
+    exponent itself is capped, and the predicted bit length of its
+    largest scalar, n times the base's.
 
     k reaches n*K for the base's order K, and e runs from n*(e0 - K) to
     n*E0, over the spread n*(S + K), with e0..E0 the base's x-exponents
     and S = E0 - e0, each reordering of d past x^b lowering the exponent
     by one.  A power of one term c*x^e or c*d^k is one term."""
-    k, K, e, E = _box(base)
+    k, K, e, E, bits = _shape(base)
     size = 1 if k == K and e == E and 0 in (K, E) else (n * K + 1) * (n * (E - e + K) + 1)
-    return size, n * max(K, E, K - e)
+    return size, n * max(K, E, K - e, 1), n * bits
 
 
-def _bits(value: "_Value") -> int:
-    """The largest bit length of a numerator or denominator among the
-    scalars of a value: its TOp coefficients, or the coefficients of the
-    numerators and denominators of its DiffOp coefficients."""
-    scalars = value.terms.values() if type(value) is TOp else [
-        c for f in value.coeffs.values() for p in (f.num, f.den) for c in p.coeffs]
-    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in scalars), default=0)
-
-
-def _product_bounds(a: "_Value", b: "_Value") -> tuple[int, int]:
+def _product_bounds(a: "_Value", b: "_Value") -> tuple[int, int, int]:
     """Upper bounds on the number of monomials x^e*d^k of a*b and on the
-    largest |e| or k among them.
+    largest |e| or k among them, and the predicted bit length of its
+    largest scalar, the sum of the factors'.
 
     x^e1 d^k1 o x^e2 d^k2 is the sum over t of w_t x^(e1+e2-t) d^(k1+k2-t),
     with t up to k1, and up to e2 when e2 >= 0 (w_t = 0 beyond).  So with
     t below the largest such shift, k and e run over ranges set by the
     factors' boxes: k up to aK + bK, e from ae + be - t to aE + bE."""
-    ak, aK, ae, aE = _box(a)
-    bk, bK, be, bE = _box(b)
+    ak, aK, ae, aE, abits = _shape(a)
+    bk, bK, be, bE, bbits = _shape(b)
     t = aK if be < 0 else min(aK, bE)
     return ((aK + bK - bk - max(0, ak - t) + 1) * (aE + bE - ae - be + t + 1),
-            max(aK + bK, aE + bE, t - ae - be))
+            max(aK + bK, aE + bE, t - ae - be), abits + bbits)
+
+
+def _check(size: int, reach: int, bits: int, what: str, pos: int) -> None:
+    """Refuse a power or product, at ``pos``, whose bounds pass a cap."""
+    if reach > MAX_EXPONENT or size > MAX_POWER_TERMS or bits > MAX_SCALAR_BITS:
+        raise OperatorSyntaxError(
+            f"{what} exceeds the supported bounds: exponent {MAX_EXPONENT}, "
+            f"size {MAX_POWER_TERMS} terms, {MAX_SCALAR_BITS} bits per scalar", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +255,7 @@ class _Parser:
         while self.kind() == "STAR":
             star = self.advance()[2]
             value, rhs = self.pair(value, self.unary())
-            size, reach = _product_bounds(value, rhs)
-            if (size > MAX_POWER_TERMS or reach > MAX_EXPONENT
-                    or size * (_bits(value) + _bits(rhs)) > MAX_POWER_BITS):
-                raise OperatorSyntaxError(
-                    f"product exceeds the supported bounds: exponent {MAX_EXPONENT}, "
-                    f"size {MAX_POWER_TERMS} terms, {MAX_POWER_BITS} bits", star)
+            _check(*_product_bounds(value, rhs), "product", star)
             value = value * rhs
         return value
 
@@ -259,22 +270,14 @@ class _Parser:
         if self.kind() != "CARET":
             return base
         caret = self.advance()[2]
-        sign = 1
-        if self.kind() == "MINUS":
-            self.pos += 1
-            sign = -1
+        negative = self.kind() == "MINUS"
+        self.pos += negative
         _, value, pos = self.expect("NUM")
         if value.denominator != 1:
             raise OperatorSyntaxError("exponent must be an integer", pos)
         n = value.numerator
-        size, reach = _power_bounds(base, n)
-        if (max(n, reach) > MAX_EXPONENT or size > MAX_POWER_TERMS
-                or size * n * _bits(base) > MAX_POWER_BITS):
-            raise OperatorSyntaxError(
-                f"power exceeds the supported bounds: exponent {MAX_EXPONENT}, "
-                f"size {MAX_POWER_TERMS} terms, {MAX_POWER_BITS} bits", pos
-            )
-        e = sign * n
+        _check(*_power_bounds(base, n), "power", pos)
+        e = -n if negative else n
         if e < 0 and not base.is_function():
             raise NegativeDerivativeExponent(
                 "negative exponent on a subexpression containing d", caret
@@ -318,8 +321,7 @@ def print_operator(L: DiffOp) -> str:
     of x, general denominators rendered as (den)^-1 factors."""
     var = L.var if L.var in ("x", "z") else "x"
     pieces: list[tuple] = []  # (sign, text) in canonical order
-    for j in sorted(L.coeffs, reverse=True):
-        c = L.coeffs[j]
+    for j, c in sorted(L.coeffs.items(), reverse=True):
         if c.is_laurent_polynomial():
             pieces += [(v, monomial_text(v, e, j, var)) for e, v in c.laurent_terms()]
         else:

@@ -23,7 +23,8 @@ Every printed sum of the package, from polynomials and series to
 operators, is joined by ``signed_sum`` from monomials printed by
 ``monomial_text``.
 
-This module imports nothing from the rest of the package, so that the
+This module imports nothing from the rest of the package but an
+exception from ``errors``, which imports nothing, so that the
 rational-function and series layer (``rational``) builds on it and not the
 other way round.
 """
@@ -33,6 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
+
+from .errors import ScalarTooLong
 
 Scalar = Fraction
 
@@ -129,17 +132,15 @@ class Poly:
         return len(self.coeffs) <= 1
 
     def constant_value(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else _ZERO
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else _ZERO
 
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return _ZERO
 
     def valuation(self) -> int:
         """Multiplicity of the root x = 0 (degree+1 convention not used;
@@ -179,7 +180,7 @@ class Poly:
             return self
         if self.is_one():
             return other
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         bs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
@@ -219,7 +220,7 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         d = other.degree
-        q = [Fraction(0)] * max(0, len(rem) - d)
+        q = [_ZERO] * max(0, len(rem) - d)
         lead = other.coeffs[-1]
         lower = [(i, b) for i, b in enumerate(other.coeffs[:-1]) if b]
         # each step cancels the top coefficient exactly, so it is popped
@@ -244,10 +245,8 @@ class Poly:
         return Poly._trusted(tuple([c * i for i, c in enumerate(self.coeffs)][1:]))
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
         lead = self.leading()
-        if lead == 1:
+        if lead in (0, 1):  # zero, or monic already
             return self
         return Poly([c / lead for c in self.coeffs])
 
@@ -285,7 +284,7 @@ class Poly:
     def __call__(self, point: ScalarLike) -> Fraction:
         """Evaluate at a scalar point by Horner."""
         point = _frac(point)
-        acc = Fraction(0)
+        acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
@@ -309,7 +308,7 @@ class Poly:
         if self.degree <= 0:
             return []
         if not any(self.coeffs[:-1]):  # lead * x^k
-            return [(Poly.x(), self.degree)]
+            return [(_POLY_X, self.degree)]
         p = self.monic()
         dp = p.derivative()
         a = p.gcd(dp)
@@ -349,8 +348,8 @@ _set_coeffs = Poly.coeffs.__set__
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _POLY_ZERO = Poly._trusted(())
-_POLY_ONE = Poly._trusted((Fraction(1),))
-_POLY_X = Poly._trusted((_ZERO, Fraction(1)))
+_POLY_ONE = Poly._trusted((_ONE,))
+_POLY_X = Poly._trusted((_ZERO, _ONE))
 
 
 def _trimmed(cs: list) -> Poly:
@@ -373,6 +372,16 @@ def signed_sum(terms) -> str:
     return out or "0"
 
 
+def scalar_text(c) -> str:
+    """``str(c)``, refused with ScalarTooLong where the interpreter
+    refuses to convert an int of more digits than
+    ``sys.get_int_max_str_digits()`` to text."""
+    try:
+        return str(c)
+    except ValueError as e:
+        raise ScalarTooLong(str(e)) from None
+
+
 def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x",
                   dvar: str = "d") -> str:
     """The monomial |c| * var^xexp * dvar^dexp; its sign is left to
@@ -380,7 +389,7 @@ def monomial_text(c: Fraction, xexp: int, dexp: int = 0, var: str = "x",
     atoms: list[str] = []
     mag = abs(c)
     if mag != 1 or (xexp == 0 and dexp == 0):
-        atoms.append(str(mag))
+        atoms.append(scalar_text(mag))
     if xexp != 0:
         atoms.append(var if xexp == 1 else f"{var}^{xexp}")
     if dexp != 0:
@@ -508,6 +517,6 @@ def decomposition_roots(factors: list[tuple[Poly, int]]) -> list[tuple[Fraction,
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero() or b.is_zero():
-        return Poly.zero()
+        return _POLY_ZERO
     return (a * b).exact_div(a.gcd(b)).monic()
 

@@ -11,19 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispec import (
+    BispecError,
     DiffOp,
     NegativeDerivativeExponent,
     OperatorSyntaxError,
     Poly,
     RatFunc,
+    ScalarTooLong,
     ZeroDenominator,
     diffop as diffop_module,
     dop_mul,
     parse_operator,
     print_operator,
 )
+from bispec.cli import main
 from bispec.diffop import TOp
-from bispec.parser import MAX_EXPONENT, MAX_POWER_TERMS, _power_bounds, _product_bounds
+from bispec.parser import (
+    MAX_EXPONENT, MAX_POWER_TERMS, MAX_SCALAR_BITS, _power_bounds, _product_bounds)
 from oracles import diffop_of_mono, mono_mul, mono_of_diffop, mono_of_top, random_diffop
 from test_trusted_ring import assert_canonical_op
 
@@ -266,7 +270,7 @@ class TestFastPaths:
     @settings(max_examples=100, deadline=None)
     @given(weyl_st, st.integers(0, 4))
     def test_power_bounds_bound_the_power(self, a, n):
-        size, reach = _power_bounds(a, n)
+        size, reach, _ = _power_bounds(a, n)
         assert len((a ** n).terms) <= size
         assert all(max(k, abs(e)) <= reach for k, e in (a ** n).terms)
 
@@ -308,26 +312,42 @@ class TestFastPaths:
     @pytest.mark.parametrize("text,pos", [
         # a constant's box is all zeros, so the term and exponent bounds
         # let the first ask for about 6.9*10^10 bits, which never finished;
-        # the second took 2 s
-        ("((2^4096)^4096)^4096", 16),
+        # the second took 2 s.  Each is refused at its first power whose
+        # scalars could pass MAX_SCALAR_BITS
+        ("((2^4096)^4096)^4096", 10),
         ("(2^4096*x+1)^256", 13),
-        # each factor is within the power bound, but a product adds their
-        # bits: refused at the first * whose result would pass 2^26 bits
-        ("((2^4096)^4096)^3*((2^4096)^4096)^3*((2^4096)^4096)^3", 17),
-        ("*".join(["(2^4096)^4096"] * 16), 41),
+        ("((2^4096)^4096)^3*((2^4096)^4096)^3*((2^4096)^4096)^3", 10),
+        ("*".join(["(2^4096)^4096"] * 16), 9),
     ])
     def test_coefficient_bit_bound_holds(self, text, pos):
         with pytest.raises(OperatorSyntaxError, match="bits") as err:
             parse_operator(text)
         assert err.value.position == pos
 
-    def test_large_coefficients_below_the_bit_bound_parse(self):
-        # 16.8, 33.6, 33.6 and 50.3 million bits
-        c = 2 ** (4096 * 4096)
-        assert parse_operator("(2^4096)^4096") == DiffOp.const(c)
-        assert parse_operator("((2^4096)^4096)^2") == DiffOp.const(c * c)
-        assert parse_operator("(2^4096)^4096*(2^4096)^4096") == DiffOp.const(c * c)
-        assert parse_operator("*".join(["(2^4096)^4096"] * 3)) == DiffOp.const(c ** 3)
+    def test_scalar_bit_bound_edge(self):
+        # a product predicts the sum of its factors' bits: 4,097 + 3,963
+        # = 8,060 parses, 4,097 + 4,096 = 8,193 is refused at the *
+        assert MAX_SCALAR_BITS == 8192
+        assert parse_operator("2^4096*3^2500") == DiffOp.const(2 ** 4096 * 3 ** 2500)
+        with pytest.raises(OperatorSyntaxError, match="product") as err:
+            parse_operator("2^4096*2^4095")
+        assert err.value.position == 6
+
+    @pytest.mark.parametrize("text,pos", [
+        # each ran for 3 s to past 30 s in big-integer arithmetic; each is
+        # refused at a power or product whose scalars could pass
+        # MAX_SCALAR_BITS
+        ("((2^4096)^4096+1)^-1+((2^4096)^4096+3)^-1+((2^4096)^4096+5)^-1", 10),
+        ("(2^4096)^-1024*(3^4096)^512", 10),
+        ("(2^4096)^-4096*(3^4096)^2048", 10),
+        ("(2^4096)^4096+(3^4096)^2048", 9),
+        ("(3^-128*x+2)^255*(3^-128*x+5)^255", 13),
+        ("(7^-8*x+2/3)^255*(5^-8*x+3/7)^255", 16),
+    ])
+    def test_short_texts_with_large_scalars_are_refused(self, text, pos):
+        with pytest.raises(OperatorSyntaxError, match="bits per scalar") as err:
+            parse_operator(text)
+        assert err.value.position == pos
 
     def test_power_size_bound_edge(self):
         # (d + x)^n has at most (n + 1)(2n + 1) monomials: 496 at n = 15,
@@ -397,6 +417,75 @@ class TestGrammarProperty:
         Z = parse_operator(text, "z")
         assert Z == DiffOp("z", value.coeffs)
         assert_canonical_op(Z)
+
+
+class TestPrintability:
+    """No text makes the parser or the printer fail with anything but a
+    BispecError: the interpreter refuses to convert an int of more than
+    ``sys.get_int_max_str_digits()`` digits to or from text, and both
+    places turn that refusal into a domain error."""
+
+    @pytest.mark.parametrize("argv,code,text", [
+        (["parse", "(2^4096)^4"], 2, "syntax error: power exceeds"),
+        (["mul", "(2^4096)^4", "d"], 2, "syntax error: power exceeds"),
+        (["parse", "9" * 4401], 2, "syntax error: integer literal too long"),
+        # the gauge pushes the scalars past the digit limit
+        (["classify", "d^3 + 3^-4096*d^2"], 0, "error: ScalarTooLong"),
+        (["--json", "classify", "d^3 + 3^-4096*d^2"], 0, '"ScalarTooLong: '),
+        (["parse", "9" * 4300 + "+1"], 0, "error: ScalarTooLong"),
+        # a sum holds a larger scalar than any product may make, and the
+        # obstruction walk carries it into its steps
+        (["airy-wave", "d^2 - x + 3^-4096*x^-3 + 5^-2700*x^-3 + 7^-2700*x^-3"], 0,
+         "error: ScalarTooLong"),
+        # the operator prints, but an alpha of its obstruction trace does not
+        (["--json", "classify", "d^2 - x + 3^-4096*x^-30 + 5^-2700*x^-30 + 7^-530*x^-30"],
+         0, '"ScalarTooLong: '),
+    ])
+    def test_cli_exit_codes(self, argv, code, text, capsys):
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert text in (out.err if code == 2 else out.out)
+
+    def test_literal_past_the_digit_limit(self):
+        # refused at the start of the literal p/q
+        with pytest.raises(OperatorSyntaxError, match="too long") as err:
+            parse_operator("x + 2/" + "9" * 4401)
+        assert err.value.position == 4
+        with pytest.raises(ScalarTooLong):
+            print_operator(parse_operator("9" * 4300 + "+1"))
+
+    # texts drawn from the grammar above, with scalars near the caps: the
+    # powers of small primes up to the bits-per-scalar cap, and literals
+    # at the interpreter's digit limit
+    _texts = st.recursive(
+        st.one_of(
+            _expressions.map(lambda node: node[0]),
+            st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(-4096, 4096)).map(
+                lambda bn: f"{bn[0]}^{bn[1]}"),
+            st.integers(4290, 4310).map(lambda n: "9" * n),
+        ),
+        lambda children: st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(children, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        ),
+        max_leaves=4,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_texts)
+    def test_every_text_is_refused_or_prints_back(self, text):
+        try:
+            L = parse_operator(text)
+            printed = print_operator(L)
+        except BispecError:
+            return
+        try:
+            assert parse_operator(printed) == L
+        except OperatorSyntaxError as e:
+            # a sum or a literal can hold a scalar that a product refuses,
+            # and its printed monomial c*x^e*d^k is such a product
+            assert "bits per scalar" in str(e)
 
 
 class TestErrors:
