@@ -43,7 +43,9 @@ refuses it at its exponent or its * when bounds read off its operands
   so such products are refused from k = 22 on);
 - ``MAX_SCALAR_BITS``: the predicted bit length of one scalar, n times the
   base's for a power and the sum of the factors' for a product, so
-  2^4096*3^2500 parses and 2^4096*2^4095 is refused.
+  2^4096*3^2500 parses and 2^4096*2^4095 is refused.  A product by one
+  monomial of scalar +-1 that reorders nothing copies the other
+  factor's scalars and predicts no bits.
 Scalars are capped one at a time because that is where the cost is:
 ``Fraction`` arithmetic takes a gcd per operation, quadratic in the bit
 length, and math.gcd of two random 2^16-, 2^18-, 2^20- and 2^22-bit
@@ -56,10 +58,11 @@ The printer emits one monomial per term, derivative powers descending and
 x-exponents descending within each, so parse(print(L)) = L exactly.  A
 coefficient whose denominator is not a power of x is printed as
 (numerator)*(denominator)^-1; the parser takes that product back while
-the two degrees add up to less than ``MAX_POWER_TERMS``.  It takes that
-product, and a printed monomial c*x^e*d^k, back while its predicted bits
-stay within ``MAX_SCALAR_BITS``: a sum or a literal can hold a scalar
-larger than any product may make.
+the two degrees add up to less than ``MAX_POWER_TERMS``, and while its
+predicted bits stay within ``MAX_SCALAR_BITS``: a sum or a literal can
+hold a scalar larger than any product may make.  A printed monomial
+c*x^e*d^k is such a product by unit monomials, so it parses back
+whatever the size of c.
 """
 
 from __future__ import annotations
@@ -140,9 +143,10 @@ def _tokenize(text: str) -> list[tuple]:
 def _shape(value: "_Value") -> tuple:
     """The lowest and highest power of d, then of x, over the monomials
     x^e*d^k of a value, all 0 for zero (its box), and the largest bit
-    length of a numerator or denominator among its scalars.  A DiffOp
-    coefficient num/den stands for x^deg(num) and x^-deg(den), and its
-    scalars are the coefficients of num and den."""
+    length of a numerator or denominator among its scalars, taken 0 for
+    one monomial of scalar +-1 (a unit monomial, whose box is a point).
+    A DiffOp coefficient num/den stands for x^deg(num) and x^-deg(den),
+    and its scalars are the coefficients of num and den."""
     if type(value) is TOp:
         keys, scalars = value.terms, value.terms.values()
     else:
@@ -152,8 +156,8 @@ def _shape(value: "_Value") -> tuple:
                    for s in p.coeffs]
     ks, es = zip(*keys or [(0, 0)])
     # |p| | q has the bit length of the longer of p and q
-    return min(ks), max(ks), min(es), max(es), max(
-        (abs(s.numerator) | s.denominator for s in scalars), default=0).bit_length()
+    bits = max((abs(s.numerator) | s.denominator for s in scalars), default=0).bit_length()
+    return min(ks), max(ks), min(es), max(es), 0 if bits == 1 and len(set(keys)) == 1 else bits
 
 
 def _power_bounds(base: "_Value", n: int) -> tuple[int, int, int]:
@@ -179,12 +183,16 @@ def _product_bounds(a: "_Value", b: "_Value") -> tuple[int, int, int]:
     x^e1 d^k1 o x^e2 d^k2 is the sum over t of w_t x^(e1+e2-t) d^(k1+k2-t),
     with t up to k1, and up to e2 when e2 >= 0 (w_t = 0 beyond).  So with
     t below the largest such shift, k and e run over ranges set by the
-    factors' boxes: k up to aK + bK, e from ae + be - t to aE + bE."""
+    factors' boxes: k up to aK + bK, e from ae + be - t to aE + bE.
+
+    With t = 0 and one factor a unit monomial (0 bits), the product
+    copies the other factor's scalars, so it predicts no bits: a printed
+    monomial c*x^e*d^k parses back whatever the size of c."""
     ak, aK, ae, aE, abits = _shape(a)
     bk, bK, be, bE, bbits = _shape(b)
     t = aK if be < 0 else min(aK, bE)
     return ((aK + bK - bk - max(0, ak - t) + 1) * (aE + bE - ae - be + t + 1),
-            max(aK + bK, aE + bE, t - ae - be), abits + bbits)
+            max(aK + bK, aE + bE, t - ae - be), abits + bbits if t or min(abits, bbits) else 0)
 
 
 def _check(size: int, reach: int, bits: int, what: str, pos: int) -> None:

@@ -10,6 +10,9 @@ Q[x, x^-1, y]; because all its exponent pairs lie on one line, every
 structural question reduces to a univariate polynomial p(w) in the line
 parameter w = x^sigma y^-rho times a monomial prefactor, and the
 normal-form shapes become statements about the root structure of p.
+``normal_form_test`` reads every case from one Yun square-free
+decomposition of p: cases (b) and (c) hold when it is one linear factor
+w + 1/mu of multiplicity deg p, and case (d) reads its rational roots.
 
 The generalized Airy form (y^N - lam x)^1 of a monic L of order N >= 2
 needs none of this: it is the leading form exactly when the d^0
@@ -160,39 +163,6 @@ class NormalFormReport(Record):
     unresolved_over_Q: bool
 
 
-def _line_data(f: BiHomPoly, w: WeightPair) -> tuple[int, int, Poly]:
-    """Write a homogeneous f as x^a0 y^b0 p(w), w = x^sigma y^-rho.
-
-    Exponent pairs of a (rho,sigma)-homogeneous polynomial lie on a line
-    with direction (sigma, -rho); a0/b0 anchor at the minimal x exponent,
-    so p(0) != 0."""
-    f.weight(w)  # raises ZeroOperand and NotHomogeneous
-    a0, b0 = min(f.terms)  # one term per x exponent
-    coeffs: dict[int, Fraction] = {}
-    for (a, _), c in f.terms.items():
-        t, rem = divmod(a - a0, w.sigma)
-        if rem:  # only for weights that are not coprime
-            raise NotHomogeneous("terms do not lie on a single weight line")
-        coeffs[t] = c
-    p = Poly([coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)])
-    return a0, b0, p
-
-
-def _match_binomial_power(p: Poly) -> Optional[tuple[int, Fraction]]:
-    """p = c (1 + mu w)^k?  Returns (k, mu).  Over Q this is decidable from
-    the first two coefficients: rational p forces mu = p_1/(k p_0)."""
-    k = p.degree
-    if k < 1 or p.coeff(0) == 0:
-        return None
-    c0 = p.coeff(0)
-    mu = p.coeff(1) / (k * c0)
-    if mu == 0:
-        return None
-    if (Poly([1, mu]) ** k).scale(c0) == p:
-        return k, mu
-    return None
-
-
 def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     """Classify a homogeneous f against the admissible shapes.
 
@@ -201,64 +171,60 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
       (b) sigma > rho = 1:  f = x^n (x^m + mu y)^k,
       (c) rho > sigma = 1:  f = y^n (y^m + mu x)^k,
       (d) rho = sigma = 1:  f = (y + lam x)^n (y + mu x)^k.
-    (b) and (c) share one match of the line polynomial p, where
-    f = x^a0 y^b0 p(w): (c) is p = c (1 + mu w)^k with a0 = 0.  (b) is its
-    mirror: with b0 = deg p, reversing p gives f's polynomial in
-    w' = x^-sigma y, and the reverse of c (1 + mu w)^k is
-    c mu^k (1 + w'/mu)^k, so (b) holds with mu -> 1/mu and n = a0.
+    Every case reads one Yun square-free decomposition [(g_i, i)] of the
+    line polynomial p, where f = x^a0 y^b0 p(w), w = x^sigma y^-rho,
+    anchored at the minimal x exponent so that p(0) != 0.
+    (c) is p = c (1 + mu w)^k, k >= 1, with a0 = 0, and that holds iff
+    the decomposition is [(w + 1/mu, deg p)]: the monic p is
+    prod g_i^i, which is (w + 1/mu)^k exactly when there is one g_i, of
+    degree 1 and with i = deg p.  (b) is its mirror: with b0 = deg p,
+    reversing p gives f's polynomial in w' = x^-sigma y, and the reverse
+    of c (1 + mu w)^k is c mu^k (1 + w'/mu)^k, so (b) holds with
+    mu -> 1/mu and n = a0.  (d) reads the rational roots of the same
+    decomposition, plus a (y + 0 x)-factor of multiplicity b0 - deg p,
+    and counts its distinct factors when a root is irrational.
     Also reports the (y^r - lam x)^k data and the nilpotency exclusion for
     the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern."""
     if f.is_zero():
         raise ZeroOperand("normal form of the zero polynomial")
-    a0, b0, p = _line_data(f, w)  # raises NotHomogeneous; p != 0
+    f.weight(w)  # raises NotHomogeneous
+    # the exponent pairs lie on a line with direction (sigma, -rho), one
+    # term per x exponent
+    a0, b0 = min(f.terms)
+    coeffs: dict[int, Fraction] = {}
+    for (a, _), c in f.terms.items():
+        t, rem = divmod(a - a0, w.sigma)
+        if rem:  # only for weights that are not coprime
+            raise NotHomogeneous("terms do not lie on a single weight line")
+        coeffs[t] = c
+    p = Poly([coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)])
+    T = p.degree
+    sqf = p.squarefree_decomposition()
 
-    mirror = w.rho == 1 < w.sigma  # case (b)
-    if (mirror and a0 >= 0 and b0 == p.degree) or (w.sigma == 1 < w.rho and a0 == 0):
-        match = _match_binomial_power(p)
-        if match is not None:
-            k, mu = match
-            if mirror:
-                return NormalFormReport(case="b", n=a0, k=k, m=w.sigma, mu=1 / mu)
-            # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
-            n = b0 - w.rho * k
-            if n >= 0:
-                return NormalFormReport(
-                    case="c", n=n, k=k, m=w.rho, mu=mu, yrx=(w.rho, k, -mu),
-                    nilpotency_excluded=n >= 1,
-                )
+    if [(g.degree, i) for g, i in sqf] == [(1, T)]:
+        g0 = sqf[0][0].coeff(0)  # p = c (1 + w/g0)^T
+        if w.rho == 1 < w.sigma and a0 >= 0 and b0 == T:
+            return NormalFormReport(case="b", n=a0, k=T, m=w.sigma, mu=g0)
+        # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
+        n = b0 - w.rho * T
+        if w.sigma == 1 < w.rho and a0 == 0 and n >= 0:
+            return NormalFormReport(case="c", n=n, k=T, m=w.rho, mu=1 / g0,
+                                    yrx=(w.rho, T, -1 / g0), nilpotency_excluded=n >= 1)
 
-    # case (d): rho = sigma = 1; factors read off the roots of p(w), plus a
-    # (y + 0 x)-factor of multiplicity b0 - deg p
     if w.rho == 1 and w.sigma == 1 and a0 == 0:
-        T = p.degree
-        # Yun's decomposition of p, run once for both uses below
-        sqf = p.squarefree_decomposition()
         roots = decomposition_roots(sqf)
-        total = sum(mult for _, mult in roots)
-        if T >= 0 and total == T:
-            factors: list[tuple[Fraction, int]] = []
-            if b0 - T > 0:
-                factors.append((Fraction(0), b0 - T))
-            for root, mult in roots:
-                factors.append((-1 / root, mult))
+        if sum(mult for _, mult in roots) == T:
+            factors = [(-1 / r, mult) for r, mult in roots]
+            if b0 > T:
+                factors.insert(0, (Fraction(0), b0 - T))
             if 1 <= len(factors) <= 2:
-                first = factors[0]
-                second = factors[1] if len(factors) > 1 else None
-                yrx = None
-                if first[0] == 0 and second is not None and w.rho == 1:
-                    yrx = (1, second[1], -second[0]) if second[0] != 0 else None
-                return NormalFormReport(
-                    case="d",
-                    n=first[1], lam=first[0],
-                    k=second[1] if second else 0,
-                    mu=second[0] if second else None,
-                    yrx=yrx,
-                    nilpotency_excluded=bool(yrx) and first[1] >= 1,
-                )
-        elif T >= 2:
-            distinct = (1 if b0 - T > 0 else 0) + sum(g.degree for g, _ in sqf)
-            if distinct <= 2:
-                return NormalFormReport(case="d", unresolved_over_Q=True)
+                (lam, n), (mu, k) = (factors + [(None, 0)])[:2]
+                # lam = 0 only for the y-factor, and every root's mu != 0
+                yrx = (1, k, -mu) if lam == 0 and k else None
+                return NormalFormReport(case="d", n=n, lam=lam, k=k, mu=mu, yrx=yrx,
+                                        nilpotency_excluded=yrx is not None)
+        elif (b0 > T) + sum(g.degree for g, _ in sqf) <= 2:  # an irrational root
+            return NormalFormReport(case="d", unresolved_over_Q=True)
 
     return NormalFormReport(case=None)
 

@@ -332,6 +332,18 @@ class TestFastPaths:
         with pytest.raises(OperatorSyntaxError, match="product") as err:
             parse_operator("2^4096*2^4095")
         assert err.value.position == 6
+        # a sum holds a scalar with an 11,136-bit denominator; its printed
+        # monomial c*x is a product by x, which copies c and predicts no
+        # bits, where it used to be refused at its * (position 5309)
+        L = parse_operator("3^-4096*x + 5^-2000*x")
+        text = print_operator(L)
+        assert len(text) == 5311 and text.endswith("*x")
+        assert parse_operator(text) == L
+        # a product that reorders, (c*d)*x, still predicts the sum of bits
+        c = text[:-2]
+        with pytest.raises(OperatorSyntaxError, match="bits per scalar") as err:
+            parse_operator(f"d*{c}*x")
+        assert err.value.position == len(c) + 2
 
     @pytest.mark.parametrize("text,pos", [
         # each ran for 3 s to past 30 s in big-integer arithmetic; each is
@@ -440,6 +452,25 @@ class TestPrintability:
         # the operator prints, but an alpha of its obstruction trace does not
         (["--json", "classify", "d^2 - x + 3^-4096*x^-30 + 5^-2700*x^-30 + 7^-530*x^-30"],
          0, '"ScalarTooLong: '),
+        # input checks before dispatch, the theta parser, and errors that a
+        # report embeds
+        (["classify", "d^2", "--trunc", "0"], 2,
+         "input error: --trunc must be at least 1, got 0"),
+        (["wave", "d^2", "--trunc", "0"], 2, "input error: --trunc must be at least 1, got 0"),
+        (["classify", "d^2", "--order-budget", "-1"], 2,
+         "input error: --order-budget must be at least 0, got -1"),
+        (["classify", "d^2+x^-2", "--theta", "d"], 2, "syntax error: theta must not contain d"),
+        (["classify", "d^2+x^-2", "--theta", "x^-1"], 2,
+         "syntax error: theta must be a polynomial"),
+        (["classify", "d"], 0, "error: order must be at least 2"),
+        (["classify", "x + 1"], 0, "error: order must be at least 2"),
+        (["ad-test", "2*d^2", "--theta", "x^2"], 0,
+         "chain: NotMonic: bounded test needs a monic operator"),
+        (["--json", "ad-test", "2*d^2", "--theta", "x^2"], 0,
+         '"chain_error": "NotMonic: bounded test needs a monic operator"'),
+        (["classify", "d^5 + x^-3", "--theta", "x"], 0,
+         "note: theta = x is not admissible: its ad chain does not end after "
+         "deg theta + 1 = 2 brackets"),
     ])
     def test_cli_exit_codes(self, argv, code, text, capsys):
         assert main(argv) == code
@@ -483,9 +514,12 @@ class TestPrintability:
         try:
             assert parse_operator(printed) == L
         except OperatorSyntaxError as e:
-            # a sum or a literal can hold a scalar that a product refuses,
-            # and its printed monomial c*x^e*d^k is such a product
+            # a sum or a literal can hold a scalar that a product refuses:
+            # a printed monomial c*x^e*d^k copies c and parses back, but a
+            # coefficient printed as (num)*(den)^-1 multiplies num by a den
+            # whose scalars count too
             assert "bits per scalar" in str(e)
+            assert printed[e.position - 1:e.position + 2] == ")*("
 
 
 class TestErrors:

@@ -26,6 +26,7 @@ from bispec import (
     split_constant_part,
     weighted_order,
 )
+from bispec import weights
 from oracles import commutative_mul, random_diffop
 
 d = DiffOp.d()
@@ -186,16 +187,118 @@ class TestNormalForm:
         assert nf.unresolved_over_Q
 
     def test_case_d_decomposes_once(self, monkeypatch):
-        # the perfect-power exponent, the rational roots and the count of
-        # distinct factors all come from one square-free decomposition of p
-        calls = []
-        original = Poly.squarefree_decomposition
+        # every case reads one square-free decomposition of p: the binomial
+        # power of (b) and (c), and the rational roots and the count of
+        # distinct factors of (d), which alone asks it for roots
+        calls, roots = [], []
+        original, original_roots = Poly.squarefree_decomposition, weights.decomposition_roots
         monkeypatch.setattr(Poly, "squarefree_decomposition",
                             lambda p: calls.append(p) or original(p))
-        w = WeightPair(1, 1, (1, 1))
-        nf = normal_form_test(BiHomPoly({(0, 2): 1, (2, 0): -2}), w)
+        monkeypatch.setattr(weights, "decomposition_roots",
+                            lambda sqf: roots.append(sqf) or original_roots(sqf))
+        for terms, (rho, sigma), case in [
+            ({(5, 0): 1, (3, 1): 2, (1, 2): 1}, (1, 2), "b"),  # x (x^2 + y)^2
+            ({(0, 3): 1, (1, 1): -1}, (2, 1), "c"),  # y (y^2 - x)
+            ({(0, 2): 1, (1, 1): 3, (2, 0): 2}, (1, 1), "d"),  # (y + x)(y + 2 x)
+            ({(0, 2): 1, (2, 0): -2}, (1, 1), "d"),  # y^2 - 2 x^2, unresolved
+        ]:
+            calls.clear()
+            roots.clear()
+            nf = normal_form_test(BiHomPoly(terms), WeightPair(rho, sigma, (1, 1)))
+            assert nf.case == case
+            assert len(calls) == 1
+            assert len(roots) == (case == "d")
         assert nf.unresolved_over_Q
-        assert len(calls) == 1
+
+    WEIGHTS = [(1, 1), (2, 1), (3, 1), (5, 1), (1, 2), (1, 3)]
+
+    @staticmethod
+    def _draw(rng):
+        # f = x^a0 y^b0 p(x^sigma y^-rho), p a product of up to three
+        # linear factors from a pool of two, sometimes times 2 + w^2
+        rho, sigma = rng.choice(TestNormalForm.WEIGHTS)
+        pool = [Poly([rng.choice([1, -1, 2, Fraction(1, 3)]),
+                      rng.choice([1, -2, 3, Fraction(-1, 2)])]) for _ in range(2)]
+        p = Poly([rng.choice([1, 2, Fraction(-3, 4)])])
+        for _ in range(rng.randrange(4)):
+            p = p * rng.choice(pool)
+        if rng.random() < 0.2:
+            p = p * Poly([2, 0, 1])
+        a0 = rng.choice([0, 0, 1, 2])
+        b0 = rho * p.degree + rng.choice([0, 0, 1, 2])
+        f = BiHomPoly({(a0 + sigma * t, b0 - rho * t): c for t, c in enumerate(p.coeffs)})
+        return f, WeightPair(rho, sigma, (1, 1))
+
+    NONE = (None, 0, 0, 0, None, None, None, False, False)
+
+    @staticmethod
+    def _sympy_report(sympy, f, w):
+        """The report fields (case, n, k, m, mu, lam, yrx, nilpotency,
+        unresolved) read off sympy's factorization of f over Q."""
+        X, Y = sympy.symbols("x y")
+        _, factors = sympy.factor_list(sum(
+            sympy.Rational(c.numerator, c.denominator) * X ** a * Y ** b
+            for (a, b), c in f.terms.items()), X, Y)
+        mono = {X: 0, Y: 0}
+        other = []  # (coefficient map, multiplicity) of each other factor
+        for g, e in factors:
+            if g in mono:
+                mono[g] = e
+            else:
+                other.append(({key: Fraction(int(c.p), int(c.q))
+                               for key, c in sympy.Poly(g, X, Y).as_dict().items()}, e))
+
+        def binomial(lead, second):
+            # f is a monomial times (alpha lead + beta second)^k: (k, beta/alpha)
+            if len(other) == 1 and set(other[0][0]) == {lead, second}:
+                g, k = other[0]
+                return k, g[second] / g[lead]
+            return None
+
+        rho, sigma = w.rho, w.sigma
+        if rho == 1 < sigma:  # (b): x^n (x^sigma + mu y)^k
+            match = binomial((sigma, 0), (0, 1))
+            if match and not mono[Y]:
+                k, mu = match
+                return ("b", mono[X], k, sigma, mu, None, None, False, False)
+            return TestNormalForm.NONE
+        if sigma == 1 < rho:  # (c): y^n (y^rho + mu x)^k
+            match = binomial((0, rho), (1, 0))
+            if match and not mono[X]:
+                (k, mu), n = match, mono[Y]
+                return ("c", n, k, rho, mu, None, (rho, k, -mu), n >= 1, False)
+            return TestNormalForm.NONE
+        if mono[X]:
+            return TestNormalForm.NONE
+        # (d): (y + lam x)^n (y + mu x)^k; the factors of f are homogeneous
+        degree = [sum(next(iter(g))) for g, _ in other]
+        if max(degree, default=1) > 1:
+            distinct = bool(mono[Y]) + sum(degree)
+            if distinct <= 2:
+                return ("d", 0, 0, 0, None, None, None, False, True)
+            return TestNormalForm.NONE
+        # the y factor first, then by the root -1/mu of p
+        linear = sorted(((g.get((1, 0), Fraction(0)) / g[(0, 1)], e) for g, e in other),
+                        key=lambda me: -1 / me[0])
+        found = [(Fraction(0), mono[Y])] * bool(mono[Y]) + linear
+        if not 1 <= len(found) <= 2:
+            return TestNormalForm.NONE
+        (lam, n), (mu, k) = (found + [(None, 0)])[:2]
+        yrx = (1, k, -mu) if lam == 0 and k else None
+        return ("d", n, k, 0, mu, lam, yrx, yrx is not None, False)
+
+    def test_agrees_with_sympy_factorization(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(40)
+        seen = []
+        for _ in range(300):
+            f, w = self._draw(rng)
+            nf = normal_form_test(f, w)
+            got = (nf.case, nf.n, nf.k, nf.m, nf.mu, nf.lam, nf.yrx,
+                   nf.nilpotency_excluded, nf.unresolved_over_Q)
+            assert got == self._sympy_report(sympy, f, w), (f, w)
+            seen.append(nf.case)
+        assert {"b", "c", "d", None} <= set(seen)
 
     def test_not_homogeneous(self):
         w = WeightPair(2, 1, (1, 0))
