@@ -107,6 +107,11 @@ class ObstructionTrace(Record):
     def obstructed(self) -> bool:
         return self.verdict == "obstructed"
 
+    def certificate(self) -> dict:
+        """The verdict and each step as (j, s, k, alpha)."""
+        return {"verdict": self.verdict,
+                "steps": [(s.j, s.s, s.k, s.alpha) for s in self.steps]}
+
 
 # ---------------------------------------------------------------------------
 # heights

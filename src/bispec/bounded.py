@@ -293,7 +293,7 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
                     f"Lambda coefficient at d_z^{i} is zero only through trunc "
                     f"{J}; a nonzero one of degree <= {full} can start at z^-{full}")
             continue
-        got = pade_lift(tail, m, J)
+        got = pade_lift(tail, m)
         if got is None:
             # Theta starts at d^0, so the tail's known count c is at most
             # J + 1, and pade_lift's degree is (c - 2) // 2 < full until
@@ -312,9 +312,9 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     return lam
 
 
-def pade_lift(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
+def pade_lift(tail: LaurentTail, m: int) -> Optional[RatFunc]:
     """The rational function of degree <= D whose expansion at infinity
-    matches the tail t (truncated at J), found in one Pade solve at
+    matches the tail t (truncated at J = t.trunc), found in one Pade solve at
     D = min(max(2m, 2), (J - 1) // 2, (c - 2) // 2), where c is the
     tail's known count; None when there is none (or D < 0).
 
@@ -324,7 +324,7 @@ def pade_lift(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
     no term of degree >= d0 + D - J; as J >= 2D + 1 > d0 + D, it is zero
     and p/q = f0.  So every solution at D reduces to the one matching
     function of degree <= D, the lowest-degree answer."""
-    D = min(max(2 * m, 2), (J - 1) // 2, (tail.known_count() - 2) // 2)
+    D = min(max(2 * m, 2), (tail.trunc - 1) // 2, (tail.known_count() - 2) // 2)
     return rational_reconstruct(tail, D, D) if D >= 0 else None
 
 
@@ -402,6 +402,15 @@ class BoundedTestReport(Record):
         if not self.cj_all_zero:
             out.append("nonzero-constants")
         return tuple(out)
+
+    def certificate(self) -> dict:
+        """Every link of the chain, with the failures it names."""
+        return {"theta": str(self.theta), "m": self.m, "q": list(self.q),
+                "identity_holds": self.identity_holds, "s": self.s,
+                "r": self.r_actual, "q_r": self.q_r,
+                "q_r_expected": self.q_r_expected,
+                "nonzero_cj": list(self.nonzero_cj),
+                "failures": list(self.failures())}
 
 
 def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> BoundedTestReport:

@@ -21,9 +21,16 @@ the Adler-Moser operator d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes it with
 theta = (x^3 + 1)^2, yet it commutes with an operator of order 5, so its
 rank is 1.
 
+A caller's theta has one reader, ``read_theta``: it takes a ``Poly``,
+operator text (the CLI's ``--theta``) or a derivative-free ``DiffOp``
+with a polynomial coefficient.
+
 Every verdict carries machine-checkable certificates (principal part and
 perturbation, ad data, Lambda, Darboux pairs, obstruction traces) that
-the other modules can re-verify independently.
+the other modules can re-verify independently.  Each is written once:
+the obstruction trace and the bounded chain by their records'
+``certificate`` methods, and every function or operator as its ``str``,
+which ``parse_operator`` reads back.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from . import errors as err
 from .poly import Poly, poly_text, scalar_text
 from .rational import RatFunc
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
-from .parser import parse_operator, print_operator
+from .parser import parse_operator
 from .families import (
     BesselSpec,
     bessel_integrality,
@@ -124,7 +131,7 @@ class ClassificationReport(Record):
             "input": self.input_text,
             "branch": self.branch,
             "verdict": self.verdict,
-            "operator": print_operator(self.operator) if self.operator else None,
+            "operator": _jsonable(self.operator),
             "certificates": _jsonable(self.certificates),
             "errors": list(self.errors),
             "trace_sizes": dict(self.trace_sizes),
@@ -132,9 +139,7 @@ class ClassificationReport(Record):
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, DiffOp):
-        return print_operator(value)
-    if isinstance(value, (Poly, RatFunc)):
+    if isinstance(value, (DiffOp, Poly, RatFunc)):
         return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -168,11 +173,28 @@ def _size_stats(L: DiffOp) -> dict[str, int]:
     return {"coefficient_terms": terms, "max_coefficient_bits": bits}
 
 
+def read_theta(theta: Union[Poly, DiffOp, str, None]) -> Optional[Poly]:
+    """theta, a polynomial in x, from a ``Poly``, from operator text or
+    from a derivative-free ``DiffOp`` with a polynomial coefficient (None
+    stays None).  Raises OperatorSyntaxError for malformed text, for a
+    theta with d and for one with a denominator."""
+    if theta is None or isinstance(theta, Poly):
+        return theta
+    if isinstance(theta, str):
+        theta = parse_operator(theta)
+    if not theta.is_function():
+        raise err.OperatorSyntaxError("theta must not contain d", 0)
+    c = theta.coeff(0)
+    if not c.is_polynomial():
+        raise err.OperatorSyntaxError("theta must be a polynomial", 0)
+    return c.num
+
+
 def classify(
     L: Union[DiffOp, str],
     *,
     input_text: str = "",
-    theta: Optional[Poly] = None,
+    theta: Union[Poly, DiffOp, str, None] = None,
     P: Optional[DiffOp] = None,
     budgets: Budgets = Budgets(),
 ) -> ClassificationReport:
@@ -183,11 +205,14 @@ def classify(
     first admitted theta, whose chain end goes on to ``bounded_test``.
 
     ``L`` may be operator text, which is parsed (OperatorSyntaxError is
-    raised for malformed text) and is then the default ``input_text``."""
+    raised for malformed text) and is then the default ``input_text``.
+    ``theta`` is read by ``read_theta``: a ``Poly``, operator text or a
+    derivative-free ``DiffOp`` with a polynomial coefficient."""
     if isinstance(L, str):
         input_text = input_text or L
         L = parse_operator(L)
-    report = ClassificationReport(input_text=input_text or print_operator(L))
+    theta = read_theta(theta)
+    report = ClassificationReport(input_text=input_text or str(L))
     if L.is_zero() or L.order < 2:
         report.errors.append("order must be at least 2")
         return report
@@ -300,10 +325,7 @@ def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budge
         report.certificates["airy_parameters"] = dict(shape.a)
         return
     trace = perturbation_obstruction((A, V), budgets.obstruction_steps)
-    report.certificates["obstruction_trace"] = {
-        "verdict": trace.verdict,
-        "steps": [(s.j, s.s, s.k, s.alpha) for s in trace.steps],
-    }
+    report.certificates["obstruction_trace"] = trace.certificate()
     report.verdict = (VERDICT_OBSTRUCTED if trace.obstructed
                       else VERDICT_INCONCLUSIVE)
 
@@ -391,18 +413,7 @@ def _classify_bounded(
         report.certificates["rank_order_case"] = False
         report.verdict = VERDICT_POLYNOMIAL
         return
-    report.certificates["bounded_chain"] = {
-        "theta": str(chain.theta),
-        "m": chain.m,
-        "q": list(chain.q),
-        "identity_holds": chain.identity_holds,
-        "s": chain.s,
-        "r": chain.r_actual,
-        "q_r": chain.q_r,
-        "q_r_expected": chain.q_r_expected,
-        "nonzero_cj": list(chain.nonzero_cj),
-        "failures": list(chain.failures()),
-    }
+    report.certificates["bounded_chain"] = chain.certificate()
     if chain.passes:
         report.verdict = VERDICT_MONOMIAL
         if K is None:

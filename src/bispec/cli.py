@@ -17,7 +17,7 @@ from typing import Any, Optional
 from . import errors as err
 from .poly import Poly, poly_text, scalar_text
 from .diffop import ad_condition_min_m, commutator, dop_mul, right_divide
-from .parser import parse_operator, print_operator
+from .parser import parse_operator
 from .families import darboux
 from .weights import associated_polynomial, choose_weights, normal_form_test
 from .airy import airy_wave_solve
@@ -28,19 +28,7 @@ from .bounded import (
     wave_operator,
     wave_residual_zero,
 )
-from .classify import Budgets, _jsonable, classify
-
-
-def _parse_theta(text: str) -> Poly:
-    """theta is a polynomial in x: parse as an operator and take the
-    order-0 polynomial part."""
-    L = parse_operator(text)
-    if not L.is_function():
-        raise err.OperatorSyntaxError("theta must not contain d", 0)
-    c = L.coeff(0)
-    if not c.is_polynomial():
-        raise err.OperatorSyntaxError("theta must be a polynomial", 0)
-    return c.num
+from .classify import Budgets, _jsonable, classify, read_theta
 
 
 def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
@@ -120,33 +108,27 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "parse":
-        text = print_operator(parse_operator(args.expr))
+        text = str(parse_operator(args.expr))
         _emit({"input": args.expr, "operator": text}, args.json, [text])
     elif cmd in ("mul", "commutator"):
         product = dop_mul if cmd == "mul" else commutator
-        text = print_operator(product(parse_operator(args.left),
-                                      parse_operator(args.right)))
+        text = str(product(parse_operator(args.left), parse_operator(args.right)))
         _emit({"result": text}, args.json, [text])
     elif cmd == "ad-test":
         L = parse_operator(args.expr)
-        theta = _parse_theta(args.theta) if args.theta else Poly.x()
+        theta = read_theta(args.theta or Poly.x())
         m, Q = ad_condition_min_m(L, theta, args.order_budget) or (None, None)
-        payload: dict[str, Any] = {"theta": str(theta), "m": m}
+        payload: dict[str, Any] = {"theta": theta, "m": m}
         lines = [f"minimal m: {m}"]
         if Q is not None:
-            payload["ad_power"] = print_operator(Q)
-            lines.append(f"ad^m(theta) = {payload['ad_power']}")
+            payload["ad_power"] = Q
+            lines.append(f"ad^m(theta) = {Q}")
             try:
                 # bounded_test refuses a non-monic L before the split could
                 # refuse a growing coefficient: keep that order
                 f = split_constant_part(L)[0] if L.is_monic() else Poly.zero()
                 chain = bounded_test(L, f, theta, Q)
-                payload["chain"] = {
-                    "q": list(chain.q), "identity_holds": chain.identity_holds,
-                    "s": chain.s, "q_r": chain.q_r,
-                    "q_r_expected": chain.q_r_expected,
-                    "failures": list(chain.failures()),
-                }
+                payload["chain"] = chain.certificate()
                 lines.append(f"chain: passes={chain.passes} "
                              f"failures={list(chain.failures())}")
             except err.BispecError as e:
@@ -156,15 +138,11 @@ def _dispatch(args) -> int:
     elif cmd == "divide":
         Q, R = right_divide(parse_operator(args.numerator),
                             parse_operator(args.divisor))
-        payload = {"quotient": print_operator(Q), "remainder": print_operator(R)}
-        _emit(payload, args.json,
-              [f"Q = {payload['quotient']}", f"R = {payload['remainder']}"])
+        _emit({"quotient": Q, "remainder": R}, args.json, [f"Q = {Q}", f"R = {R}"])
     elif cmd == "darboux":
         res = darboux(parse_operator(args.base), parse_operator(args.factor))
-        payload = {name: print_operator(getattr(res, name))
-                   for name in ("P", "Q", "base", "transformed")}
-        _emit(payload, args.json,
-              [f"Q = {payload['Q']}", f"transformed = {payload['transformed']}"])
+        _emit({name: getattr(res, name) for name in res.__slots__}, args.json,
+              [f"Q = {res.Q}", f"transformed = {res.transformed}"])
     elif cmd == "wave":
         L = parse_operator(args.expr)
         f, _ = split_constant_part(L)
@@ -184,11 +162,10 @@ def _dispatch(args) -> int:
             _emit({"kind": "wave", "identity": True, "coefficients": {}},
                   args.json, ["K = 1"])
         else:
-            steps = [(s.j, s.s, s.k, s.alpha) for s in out.steps]
-            _emit({"kind": "obstruction", "verdict": out.verdict,
-                   "steps": steps},
-                  args.json,
-                  [f"obstruction: {out.verdict}", f"steps: {scalar_text(steps)}"])
+            cert = out.certificate()
+            _emit({"kind": "obstruction", **cert}, args.json,
+                  [f"obstruction: {out.verdict}",
+                   f"steps: {scalar_text(cert['steps'])}"])
     elif cmd == "weights":
         L = parse_operator(args.expr)
         w = choose_weights(L)
@@ -201,12 +178,13 @@ def _dispatch(args) -> int:
               [f"(rho, sigma) = ({w.rho}, {w.sigma})", f"f(x, y) = {f}",
                f"normal form case: {nf.case}"])
     elif cmd == "classify":
-        L = parse_operator(args.expr)
-        theta = _parse_theta(args.theta) if args.theta else None
-        P = parse_operator(args.p) if args.p else None
-        budgets = Budgets(ad_budget=args.order_budget, trunc=args.trunc)
-        report = classify(L, input_text=args.expr, theta=theta, P=P,
-                          budgets=budgets)
+        # arguments are evaluated in order, so a bad operator is reported
+        # before a bad theta, and a bad theta before a bad P
+        report = classify(
+            parse_operator(args.expr), input_text=args.expr,
+            theta=read_theta(args.theta or None),
+            P=parse_operator(args.p) if args.p else None,
+            budgets=Budgets(ad_budget=args.order_budget, trunc=args.trunc))
         doc = report.to_json_dict()
         _emit(doc, args.json,
               [f"input:   {doc['input']}", f"branch:  {doc['branch']}",
@@ -216,7 +194,7 @@ def _dispatch(args) -> int:
     elif cmd == "centralizer":
         L = parse_operator(args.expr)
         res = centralizer_search(L, args.order_budget)
-        gens = [print_operator(M) for M in res.generators]
+        gens = res.generators
         orders = sorted(set(res.orders))
         _emit({"orders": orders, "rank": res.rank, "generators": gens},
               args.json,

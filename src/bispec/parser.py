@@ -5,7 +5,7 @@ Grammar (whitespace insensitive; multiplication is noncommutative and
 left-associative; ^ binds tighter than *):
 
     expr    := term (("+" | "-") term)*
-    term    := unary ("*" unary)*
+    term    := unary (("*" | "/") unary)*
     unary   := "-" unary | power
     power   := atom ("^" exponent)?
     atom    := INT | INT "/" INT | "x" | "d" | "(" expr ")"
@@ -31,6 +31,8 @@ and each Laurent operand that meets it is converted once.
 Negative exponents are only allowed on derivative-free (order-0)
 subexpressions, where they mean multiplication by the reciprocal
 function; on anything containing d they raise NegativeDerivativeExponent.
+A quotient a/b is a*b^-1, so b obeys the same rule; an INT "/" INT pair
+is one rational literal, which binds tighter than ^, so 2/3^2 = 4/9.
 
 Every power and every product passes one size check (``_check``), which
 refuses it at its exponent or its * when bounds read off its operands
@@ -54,24 +56,27 @@ checked: a sum adds its operands' bits, and each operand passed the caps.
 A decimal literal is read up to the interpreter's limit on digits
 (``sys.get_int_max_str_digits()``), and a longer one is a syntax error.
 
-The printer emits one monomial per term, derivative powers descending and
-x-exponents descending within each, so parse(print(L)) = L exactly.  A
-coefficient whose denominator is not a power of x is printed as
-(numerator)*(denominator)^-1; the parser takes that product back while
+The printer joins, derivative powers descending, the pieces that
+``RatFunc.signed_terms`` writes for each coefficient.  A coefficient
+whose denominator is a power of x is one monomial per term, x-exponents
+descending, so parse(print(L)) = L exactly; any other is printed as
+(numerator)*(denominator)^-1, and the parser takes that product back while
 the two degrees add up to less than ``MAX_POWER_TERMS``, and while its
 predicted bits stay within ``MAX_SCALAR_BITS``: a sum or a literal can
 hold a scalar larger than any product may make.  A printed monomial
 c*x^e*d^k is such a product by unit monomials, so it parses back
-whatever the size of c.
+whatever the size of c.  ``str`` of a ``RatFunc``, (numerator)/(denominator),
+comes back as that quotient under the same caps.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
 from .errors import NegativeDerivativeExponent, OperatorSyntaxError
-from .poly import _ONE, monomial_text, poly_text, signed_sum
+from .poly import _ONE, signed_sum
 from .diffop import DiffOp, TOp
 
 MAX_EXPONENT = 4096
@@ -84,15 +89,13 @@ MAX_SCALAR_BITS = 2 ** 13
 # ---------------------------------------------------------------------------
 
 # the tokens of one character; a token is a (kind, value, pos) triple whose
-# kind is one of NUM X D PLUS MINUS STAR CARET LPAREN RPAREN EOF
+# kind is one of NUM X D PLUS MINUS STAR SLASH CARET LPAREN RPAREN EOF
 _SINGLE = {"x": "X", "d": "D", "+": "PLUS", "-": "MINUS", "*": "STAR",
-           "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
+           "/": "SLASH", "^": "CARET", "(": "LPAREN", ")": "RPAREN"}
 
 
-def _digits_end(text: str, i: int, n: int) -> int:
-    while i < n and text[i].isdecimal():
-        i += 1
-    return i
+# an integer literal, or a rational literal p/q: \d is what isdecimal accepts
+_LITERAL = re.compile(r"(\d+)(?:/\s*(\d+))?")
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -110,23 +113,14 @@ def _tokenize(text: str) -> list[tuple]:
             elif ch.isspace():
                 i += 1
             elif ch.isdecimal():
-                j = _digits_end(text, i + 1, n)
-                num = int(text[i:j])
-                if j < n and text[j] == "/":  # rational literal p/q
-                    k = j + 1
-                    while k < n and text[k].isspace():
-                        k += 1
-                    m = _digits_end(text, k, n)
-                    if m == k:
-                        raise OperatorSyntaxError("expected denominator digits", k)
-                    den = int(text[k:m])
-                    if den == 0:
-                        raise OperatorSyntaxError("zero denominator", k)
-                    append(("NUM", Fraction(num, den), i))
-                    i = m
-                else:
-                    append(("NUM", Fraction(num), i))
-                    i = j
+                lit = _LITERAL.match(text, i)
+                num = Fraction(int(lit[1]))
+                if lit[2]:
+                    if not (den := int(lit[2])):
+                        raise OperatorSyntaxError("zero denominator", lit.start(2))
+                    num /= den
+                append(("NUM", num, i))
+                i = lit.end()
             else:
                 raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
     except ValueError as e:
@@ -260,9 +254,12 @@ class _Parser:
 
     def term(self) -> _Value:
         value = self.unary()
-        while self.kind() == "STAR":
+        while (kind := self.kind()) in ("STAR", "SLASH"):
             star = self.advance()[2]
-            value, rhs = self.pair(value, self.unary())
+            rhs = self.unary()
+            if kind == "SLASH":
+                rhs = self.raise_to(rhs, -1, star, star)
+            value, rhs = self.pair(value, rhs)
             _check(*_product_bounds(value, rhs), "product", star)
             value = value * rhs
         return value
@@ -284,8 +281,12 @@ class _Parser:
         if value.denominator != 1:
             raise OperatorSyntaxError("exponent must be an integer", pos)
         n = value.numerator
-        _check(*_power_bounds(base, n), "power", pos)
-        e = -n if negative else n
+        return self.raise_to(base, -n if negative else n, caret, pos)
+
+    def raise_to(self, base: _Value, e: int, caret: int, pos: int) -> _Value:
+        """base^e, refused at ``pos`` by size and at ``caret`` for a
+        negative e on d; a quotient a/b is a*b^-1, refused at its /."""
+        _check(*_power_bounds(base, abs(e)), "power", pos)
         if e < 0 and not base.is_function():
             raise NegativeDerivativeExponent(
                 "negative exponent on a subexpression containing d", caret
@@ -324,19 +325,8 @@ def parse_operator(text: str, var: str = "x") -> DiffOp:
 # ---------------------------------------------------------------------------
 
 def print_operator(L: DiffOp) -> str:
-    """Canonical text: derivative powers descending, then x-exponents
-    descending; Laurent-monomial denominators folded into negative powers
-    of x, general denominators rendered as (den)^-1 factors."""
+    """Canonical text: derivative powers descending, each coefficient
+    written by ``RatFunc.signed_terms`` and the pieces joined here."""
     var = L.var if L.var in ("x", "z") else "x"
-    pieces: list[tuple] = []  # (sign, text) in canonical order
-    for j, c in sorted(L.coeffs.items(), reverse=True):
-        if c.is_laurent_polynomial():
-            pieces += [(v, monomial_text(v, e, j, var)) for e, v in c.laurent_terms()]
-        else:
-            sign = c.num.leading()
-            text = (f"({poly_text(c.num if sign > 0 else -c.num, var)})"
-                    f"*({poly_text(c.den, var)})^-1")
-            if j:
-                text += "*" + monomial_text(1, 0, j)
-            pieces.append((sign, text))
-    return signed_sum(pieces)
+    return signed_sum([piece for j, c in sorted(L.coeffs.items(), reverse=True)
+                       for piece in c.signed_terms(j, var)])

@@ -7,6 +7,11 @@ Conventions:
   what every coefficient in Q[x, x^-1] has, is reduced without Euclid by
   shifting out x^min(val(num), k); only other denominators go through
   ``Poly.gcd``.  A unit denominator is always the shared ``Poly.one()``.
+* ``RatFunc.signed_terms`` owns the text of a coefficient: Laurent
+  monomials when the denominator is a power of x, else (num)*(den)^-1.
+  ``parser.print_operator`` joins those pieces.  ``str`` of a ``RatFunc``
+  writes (num)/(den), the form the benchmark's gate compares a gauge
+  certificate with; ``parser.parse_operator`` reads both forms back.
 * ``LaurentTail`` is a truncated expansion at infinity: the term at key
   ``e`` is ``c_e * x^e``, keyed by the exponent as every coefficient map
   of the package is.  Keys may be positive (polynomial part).  The tail
@@ -70,6 +75,7 @@ from .poly import (
     _new,
     min_trunc,
     monomial_text,
+    poly_text,
     signed_sum,
 )
 from .record import Record
@@ -297,6 +303,19 @@ class RatFunc:
         """f(x + a).  The shift is a ring automorphism that keeps degrees
         and leading coefficients, so the pair stays reduced."""
         return RatFunc._reduced(self.num.translate(a), self.den.translate(a))
+
+    def signed_terms(self, j: int = 0, var: str = "x") -> list[tuple]:
+        """The (sign, text) pairs of self * d^j, the one text of a
+        coefficient: a Laurent monomial c*x^e*d^j per term when the
+        denominator is a power of x, else (num)*(den)^-1*d^j with the
+        sign of num's leading coefficient outside.  ``parser.parse_operator``
+        reads both back."""
+        if self.is_laurent_polynomial():
+            return [(c, monomial_text(c, e, j, var)) for e, c in self.laurent_terms()]
+        sign = self.num.leading()
+        text = (f"({poly_text(self.num if sign > 0 else -self.num, var)})"
+                f"*({poly_text(self.den, var)})^-1")
+        return [(sign, text + "*" + monomial_text(1, 0, j) if j else text)]
 
     def __repr__(self):
         return f"RatFunc({self})"

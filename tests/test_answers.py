@@ -33,7 +33,7 @@ try:
 finally:
     sys.dont_write_bytecode = _dont_write
 
-from bispec import cli  # noqa: E402
+from bispec import cli, parse_operator, print_operator  # noqa: E402
 
 
 def _call(argv: list) -> str:
@@ -63,6 +63,31 @@ def test_answers_are_unchanged():
                for key in sorted(pinned.keys() | got.keys())
                if pinned.get(key) != got.get(key)]
     assert changed == []
+
+
+def test_certificate_texts_parse_back():
+    # every certificate that is a function or an operator in x, as the
+    # classify operations of bounded-origin at seed 1 print it with
+    # --json, is read back by parse_operator and prints as it was read:
+    # the gauge function as a RatFunc, the others as operators
+    ops = [op for op in workloads.build("bounded-origin", 1) if op.command == "classify"]
+    assert len(ops) == 16
+    seen = set()
+    for op in ops:
+        rc, out = _call(list(op.argv) + ["--json"]).split("\n", 1)
+        assert rc == "0"
+        certs = json.loads(out)["certificates"]
+        darboux = certs.get("darboux", {})
+        texts = {"gauge": certs.get("gauge"),
+                 "translation.operator": certs.get("translation", {}).get("operator"),
+                 **{f"darboux.{k}": darboux.get(k) for k in ("P", "Q", "base")}}
+        for key, text in texts.items():
+            if text is not None:
+                L = parse_operator(text)
+                printed = str(L.coeff(0)) if key == "gauge" else print_operator(L)
+                assert printed == text, (op.argv, key)
+                seen.add(key)
+    assert seen == {"gauge", "darboux.P", "darboux.Q", "darboux.base"}
 
 
 if __name__ == "__main__":

@@ -363,7 +363,7 @@ class TestBuildLambda:
         f = RatFunc(Poly(num), Poly(den))
         tail = laurent_expand(f, J)
         tail = LaurentTail({e - k: c for e, c in tail.terms.items()}, J)
-        assert pade_lift(tail, m, J) == lift_by_degree_search(tail, m, J)
+        assert pade_lift(tail, m) == lift_by_degree_search(tail, m, J)
 
 
 class TestThetaScale:

@@ -217,10 +217,24 @@ class TestVerdicts:
         want = classify(parse_operator("d^2 + x^-1")).to_json_dict()
         assert r.to_json_dict() == want
         assert classify("d^3-x", input_text="Airy").input_text == "Airy"
+        # theta is read alike from text, an operator and a Poly
+        docs = [classify("d^5 + x^-3", theta=t).to_json_dict()
+                for t in ("x", parse_operator("x"), Poly.x())]
+        assert docs[0] == docs[1] == docs[2]
+        assert docs[0]["certificates"]["note"] == (
+            "theta = x is not admissible: its ad chain does not end after "
+            "deg theta + 1 = 2 brackets")
 
     def test_operator_text_syntax_error(self):
         with pytest.raises(OperatorSyntaxError):
             classify("d^2 + ")
+        # a theta with d or with a denominator is refused as the CLI's
+        # --theta is, with the same messages
+        for theta, message in (("d", "theta must not contain d"),
+                               ("x^-1", "theta must be a polynomial")):
+            with pytest.raises(OperatorSyntaxError,
+                               match=rf"^{message} \(at position 0\)$"):
+                classify("d^5 + x^-3", theta=theta)
 
     def test_large_constant_bessel_shape_decides_quickly(self):
         # the symbol w(w - 1) - 10^20 has no rational root; finding that
@@ -593,6 +607,12 @@ class TestCli:
         out = run_cli("--json", "ad-test", "d^2 - 2*x^-2", "--theta", "x^2")
         doc = json.loads(out.stdout)
         assert doc["m"] == 2
+        # the chain is written once, as classify's bounded_chain
+        L = "d^2 + 1 - 2*x^-2"
+        chain = json.loads(run_cli("--json", "ad-test", L, "--theta", "x^2").stdout)["chain"]
+        out = run_cli("--json", "classify", L, "--theta", "x^2")
+        assert chain == json.loads(out.stdout)["certificates"]["bounded_chain"]
+        assert chain["failures"] == ["nonzero-constants"]
 
     def test_centralizer(self):
         out = run_cli("--json", "centralizer", "d^2", "--order-budget", "3")

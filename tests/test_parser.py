@@ -46,6 +46,11 @@ class TestParse:
         ("d^0", DiffOp.one()),
         ("(d - x^-1)*(d + x^-1)",
          d * d - DiffOp.from_function(RatFunc.x_power(-2, 2))),
+        # a quotient a/b is a*b^-1
+        ("(-3/2)/(x^2)", DiffOp.from_function(RatFunc.x_power(-2, Fraction(-3, 2)))),
+        ("2/ 3/4", DiffOp.const(Fraction(1, 6))),
+        ("d/x", d * DiffOp.from_function(RatFunc.x_power(-1))),
+        ("(x + 1)/(x^2 - 1)", DiffOp.from_function(RatFunc(Poly([1]), Poly([-1, 1])))),
     ])
     def test_examples(self, text, expect):
         assert parse_operator(text) == expect
@@ -69,6 +74,8 @@ class TestParse:
             parse_operator("d^-1")
         with pytest.raises(NegativeDerivativeExponent):
             parse_operator("(x*d)^-2")
+        with pytest.raises(NegativeDerivativeExponent):
+            parse_operator("x/(x*d)")
 
 
 def _fn(f):
@@ -402,10 +409,18 @@ def _reciprocal(node):
     return node
 
 
+def _quotient(pair):
+    (a, va), (b, vb) = pair
+    if vb.is_function() and not vb.is_zero():
+        return f"({a})/({b})", dop_mul(va, DiffOp.from_function(vb.coeff(0).inverse()))
+    return a, va
+
+
 def _branches(children):
     pairs = st.tuples(children, children)
     return st.one_of(
         pairs.map(lambda p: (f"({p[0][0]})*({p[1][0]})", dop_mul(p[0][1], p[1][1]))),
+        pairs.map(_quotient),
         pairs.map(lambda p: (f"{p[0][0]} + ({p[1][0]})", p[0][1] + p[1][1])),
         pairs.map(lambda p: (f"{p[0][0]} - ({p[1][0]})", p[0][1] - p[1][1])),
         children.map(lambda a: (f"-({a[0]})", -a[1])),
@@ -506,20 +521,24 @@ class TestPrintability:
     @settings(max_examples=150, deadline=None)
     @given(_texts)
     def test_every_text_is_refused_or_prints_back(self, text):
+        # the operator, and each of its coefficients printed alone as a
+        # RatFunc, (num)/(den), read back as what was printed
         try:
             L = parse_operator(text)
-            printed = print_operator(L)
+            texts = [(L, print_operator(L))]
+            texts += [(DiffOp.from_function(c), str(c)) for c in L.coeffs.values()]
         except BispecError:
             return
-        try:
-            assert parse_operator(printed) == L
-        except OperatorSyntaxError as e:
-            # a sum or a literal can hold a scalar that a product refuses:
-            # a printed monomial c*x^e*d^k copies c and parses back, but a
-            # coefficient printed as (num)*(den)^-1 multiplies num by a den
-            # whose scalars count too
-            assert "bits per scalar" in str(e)
-            assert printed[e.position - 1:e.position + 2] == ")*("
+        for value, printed in texts:
+            try:
+                assert parse_operator(printed) == value
+            except OperatorSyntaxError as e:
+                # a sum or a literal can hold a scalar that a product refuses:
+                # a printed monomial c*x^e*d^k copies c and parses back, but a
+                # coefficient printed as (num)*(den)^-1, or as (num)/(den),
+                # multiplies num by a den whose scalars count too
+                assert "bits per scalar" in str(e)
+                assert printed[e.position - 1:e.position + 2] in (")*(", ")/(")
 
 
 class TestErrors:
