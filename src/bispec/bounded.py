@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     NormalizationFailed,
@@ -44,7 +44,6 @@ from .rational import (
 from .diffop import (
     DiffOp,
     _coerce,
-    anti_homomorphism,
     commutator,
     leibniz_divide,
     leibniz_product,
@@ -233,17 +232,14 @@ def conjugate_theta(K: PDO, theta: Poly) -> PDO:
 # the anti-isomorphism b
 # ---------------------------------------------------------------------------
 
-def involution_b(P: Union[DiffOp, PDO]) -> Union[DiffOp, dict[int, LaurentTail]]:
+def involution_b(P: PDO) -> dict[int, LaurentTail]:
     """b(x) = d_z, b(d) = z extended as an anti-homomorphism
-    (b(PQ) = b(Q) b(P)); defined on polynomial coefficients.
-
-    On differential operators this is ``diffop.anti_homomorphism``, which
-    sends x^a d^j to z^j d_z^a.  On series sum a_k(x) d^k the image is
-    sum z^k a_k(d_z), regrouped by powers of d_z: a map from the power i
-    of d_z to its coefficient, a truncated expansion in z^-1 (a tail)."""
-    if isinstance(P, DiffOp):
-        var = "z" if P.var == "x" else "x"
-        return anti_homomorphism(P, DiffOp.d(var), DiffOp.x(var))
+    (b(PQ) = b(Q) b(P)) on a series sum a_k(x) d^k with polynomial
+    coefficients.  The image is sum z^k a_k(d_z), regrouped by powers of
+    d_z: a map from the power i of d_z to its coefficient, a truncated
+    expansion in z^-1 (a tail).  On a differential operator P in x, b is
+    ``diffop.anti_homomorphism(P, DiffOp.d("z"), DiffOp.x("z"))``, which
+    sends x^a d^j to z^j d_z^a."""
     tails: dict[int, dict[int, Fraction]] = {}
     for k, c in P.terms.items():
         if not c.is_polynomial():

@@ -1,25 +1,39 @@
 """The end-to-end classification pipeline for prime-order operators.
 
-Branching follows coefficient growth at infinity.  Increasing branch:
-the principal part, whose one scan of the coefficient orders decides the
-Airy leading form (y^N - lam x)^1, then the perturbation obstruction;
-the only bispectral survivors are the generalized Airy operators.  The
-Bessel shape is read from the coefficients before the gauge, and again
-after it when the gauge changed the operator: first at the origin, then
-after translating a single finite pole there.  Bounded branch:
-the constant-coefficient shape, then two exact obstructions
-(Fuchs' pole-order criterion and a logarithm in the wave coefficients
-through the truncation, whose one solve also serves Lambda), then the
-ad-condition chain of the first admitted theta; a passing chain with all
-constants zero marks a monomial-Darboux-of-Bessel candidate, while a
-failing constants check or a non-polynomial ad power routes to the
-constant-coefficient Darboux branch.  That verdict needs no centralizer:
-the chain says rank < order, and for a prime order the rank divides the
-order, so it is 1 (``bispec centralizer`` searches the commuting
-operators on request).  A passing chain does not bound the rank either:
-the Adler-Moser operator d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes it with
-theta = (x^3 + 1)^2, yet it commutes with an operator of order 5, so its
-rank is 1.
+The pipeline is the tuple ``STAGES``, the one place its order lives.
+Each stage reads and extends the run's context; it returns a verdict,
+which ends the run, or None, which passes on.  A run that no stage
+decides is Inconclusive.  In order:
+
+- ``_bessel``: the Bessel shape, read from the coefficients before the
+  gauge (so the betas are the input's), first at the origin and then
+  after translating a single finite pole there;
+- ``_gauge``: the gauge that removes the d^(N-1) coefficient, and the
+  Bessel shape again on an operator it changed (neither Bessel reading
+  runs when a Darboux factor P is given);
+- ``_increasing``: on an operator whose coefficients grow at infinity,
+  the principal part, whose one scan of the coefficient orders decides
+  the Airy leading form (y^N - lam x)^1, then the perturbation
+  obstruction; the only bispectral survivors are the generalized Airy
+  operators.  It decides every increasing operator, so the stages after
+  it see bounded ones only;
+- ``_constant``: the constant-coefficient shape;
+- ``_darboux_certificate``: a caller's P, completed to L = P Q;
+- ``_fuchs`` and ``_wave_probe``: two exact obstructions, Fuchs'
+  pole-order criterion and a logarithm in the wave coefficients through
+  the truncation, whose one solve also serves Lambda;
+- ``_theta_search`` and ``_chain``: the ad-condition chain of the first
+  admitted theta; a passing chain with all constants zero marks a
+  monomial-Darboux-of-Bessel candidate, while a failing constants check
+  or a non-polynomial ad power routes to the constant-coefficient
+  Darboux branch.
+
+That last verdict needs no centralizer: the chain says rank < order, and
+for a prime order the rank divides the order, so it is 1 (``bispec
+centralizer`` searches the commuting operators on request).  A passing
+chain does not bound the rank either: the Adler-Moser operator
+d^2 - (6x^4 - 12x)/(x^3 + 1)^2 passes it with theta = (x^3 + 1)^2, yet it
+commutes with an operator of order 5, so its rank is 1.
 
 A caller's theta has one reader, ``read_theta``: it takes a ``Poly``,
 operator text (the CLI's ``--theta``) or a derivative-free ``DiffOp``
@@ -35,6 +49,7 @@ which ``parse_operator`` reads back.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Optional, Union
 
 from . import errors as err
@@ -102,14 +117,10 @@ class Budgets(Record):
 
 
 class ClassificationReport(Record):
-    """The outcome of ``classify``; the pipeline fills it in as it runs,
-    so unlike the other records it is mutable (and unhashable)."""
+    """The outcome of ``classify``, built once when the run ends."""
 
     __slots__ = ("input_text", "branch", "verdict", "operator", "certificates",
                  "errors", "trace_sizes")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
     input_text: str
     branch: str
     verdict: str
@@ -122,9 +133,9 @@ class ClassificationReport(Record):
 
     def __post_init__(self):
         # each report gets its own containers
-        self.certificates = self.certificates or {}
-        self.errors = self.errors or []
-        self.trace_sizes = self.trace_sizes or {}
+        object.__setattr__(self, "certificates", self.certificates or {})
+        object.__setattr__(self, "errors", self.errors or [])
+        object.__setattr__(self, "trace_sizes", self.trace_sizes or {})
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -198,11 +209,10 @@ def classify(
     P: Optional[DiffOp] = None,
     budgets: Budgets = Budgets(),
 ) -> ClassificationReport:
-    """Classify against the prime-order families; errors from sub-modules
-    are embedded in the report rather than raised.  Each stage catches
-    only what it can meet on the monic, normalized operator its earlier
-    stages hand it.  On the bounded branch the theta search stops at the
-    first admitted theta, whose chain end goes on to ``bounded_test``.
+    """Classify against the prime-order families by running ``STAGES``
+    until one returns a verdict; errors from sub-modules are embedded in
+    the report rather than raised.  Each stage catches only what it can
+    meet on the monic, normalized operator its earlier stages hand it.
 
     ``L`` may be operator text, which is parsed (OperatorSyntaxError is
     raised for malformed text) and is then the default ``input_text``.
@@ -212,45 +222,30 @@ def classify(
         input_text = input_text or L
         L = parse_operator(L)
     theta = read_theta(theta)
-    report = ClassificationReport(input_text=input_text or str(L))
+    input_text = input_text or str(L)
     if L.is_zero() or L.order < 2:
-        report.errors.append("order must be at least 2")
-        return report
+        return ClassificationReport(input_text, errors=["order must be at least 2"])
     if not L.is_monic():
-        report.errors.append("NotMonic: leading coefficient must be 1")
-        return report
+        return ClassificationReport(
+            input_text, errors=["NotMonic: leading coefficient must be 1"])
     N = L.order
+    # a Bessel-decided operator is bounded: its coefficients are
+    # w (x - x0)^(j - N); only _increasing says otherwise
+    run = SimpleNamespace(L=L, N=N, theta=theta, P=P, budgets=budgets, K=None,
+                          probe=None, branch="bounded", certs={}, errors=[])
     prime = _is_prime(N)
     if not prime:
-        report.certificates["composite_order"] = N
-
-    # the Bessel shape needs no normalization, and its betas should be the
-    # input's: test it first, and again only on an operator the gauge
-    # changed
-    decided = P is None and _bessel_stage(L, report)
-    if not decided and not L.coeff(N - 1).is_zero():
-        # L is monic of order N >= 2, so the d^(N-1) coefficient of
-        # L(d + g') is N g' + V_(N-1) = 0: neither NotMonic nor
-        # NonRationalGauge can be raised
-        L, gprime = gauge_normalize(L)
-        report.certificates["gauge"] = gprime
-        decided = P is None and _bessel_stage(L, report)
-    report.operator = L
-    increasing = any(c.infinity_order() > 0 for c in L.coeffs.values())
-    report.branch = "increasing" if increasing else "bounded"
-    if increasing:
-        _classify_increasing(L, report, budgets)
-    elif not decided:
-        _classify_bounded(L, report, budgets, theta, P)
-
-    if not prime and report.verdict in FAMILY_VERDICTS:
-        report.certificates["composite_note"] = (
+        run.certs["composite_order"] = N
+    verdict = next(filter(None, (stage(run) for stage in STAGES)),
+                   VERDICT_INCONCLUSIVE)
+    if not prime and verdict in FAMILY_VERDICTS:
+        run.certs["composite_note"] = (
             f"order {N} is not prime: family verdicts do not apply; "
-            f"certificates indicate {report.verdict}"
+            f"certificates indicate {verdict}"
         )
-        report.verdict = VERDICT_INCONCLUSIVE
-    report.trace_sizes = _size_stats(L)
-    return report
+        verdict = VERDICT_INCONCLUSIVE
+    return ClassificationReport(input_text, run.branch, verdict, run.L, run.certs,
+                                run.errors, _size_stats(run.L))
 
 
 def _record_bessel(L: DiffOp, certs: dict[str, Any]) -> Optional[BesselSpec]:
@@ -263,173 +258,170 @@ def _record_bessel(L: DiffOp, certs: dict[str, Any]) -> Optional[BesselSpec]:
     return spec
 
 
-def _bessel_stage(L: DiffOp, report: ClassificationReport) -> bool:
-    """Record the Bessel shape of L, or of its translate T = L(x + x0)
-    when every finite pole of L sits at one point x0 != 0, and say
-    whether it was found.  Bessel operators stay bispectral under
-    x -> x + x0, so that pole is the only candidate centre.  A monic
-    (x - x0)^k has -k*x0 as its coefficient of x^(k-1), so each
-    denominator proposes x0 without a gcd.  The verdict is Bessel(2) when
-    the symbol roots are rational; the betas of a translate go into its
+def _bessel(run):
+    """The Bessel shape of L, or of its translate T = L(x + x0) when every
+    finite pole of L sits at one point x0 != 0; skipped when the caller
+    gives P.  Bessel operators stay bispectral under x -> x + x0, so that
+    pole is the only candidate centre.  A monic (x - x0)^k has -k*x0 as
+    its coefficient of x^(k-1), so each denominator proposes x0 without a
+    gcd.  The verdict is Bessel(2) when the symbol roots are rational,
+    else Inconclusive with a note; the betas of a translate go into its
     ``translation`` certificate only."""
-    certs = report.certificates
+    if run.P is not None:
+        return None
+    L, certs = run.L, run.certs
     shape = L
     if not is_euler_homogeneous(L):
         centres = {-c.den.coeffs[-2] / c.den.degree
                    for c in L.coeffs.values() if c.den.degree > 0}
         if len(centres) != 1 or 0 in centres:
-            return False
+            return None
         x0, = centres
         shape = L.translate(x0)
         if not is_euler_homogeneous(shape):
-            return False
+            return None
         certs["translation"] = certs = {"x0": x0, "operator": shape}
     elif len(L.coeffs) == 1:
-        return False  # d^N: the constant-coefficient verdict wins
+        return None  # d^N: the constant-coefficient verdict wins
     spec = _record_bessel(shape, certs)
     if spec is None:
-        report.certificates["note"] = (
+        run.certs["note"] = (
             "Euler-homogeneous of Bessel shape but the symbol roots are "
             "not all rational: unresolved over Q")
-    else:
-        report.verdict = VERDICT_BESSEL
-        N = L.order
-        certs["bessel_weight_sum_normalized"] = 2 * sum(spec.betas) == N * (N - 1)
-    return True
+        return VERDICT_INCONCLUSIVE
+    certs["bessel_weight_sum_normalized"] = 2 * sum(spec.betas) == run.N * (run.N - 1)
+    return VERDICT_BESSEL
 
 
-# ---------------------------------------------------------------------------
-# increasing branch
-# ---------------------------------------------------------------------------
+def _gauge(run):
+    """Remove the d^(N-1) coefficient, and read the Bessel shape of the
+    operator again when that changed it.  L is monic of order N >= 2, so
+    the d^(N-1) coefficient of L(d + g') is N g' + V_(N-1) = 0: neither
+    NotMonic nor NonRationalGauge can be raised."""
+    if run.L.coeff(run.N - 1).is_zero():
+        return None
+    run.L, run.certs["gauge"] = gauge_normalize(run.L)
+    return _bessel(run)
 
-def _classify_increasing(L: DiffOp, report: ClassificationReport, budgets: Budgets):
-    # L is monic, normalized and increasing here, so principal_part raises
-    # only NotAiryShape: the leading form is not (y^N - lam x)^1, which
-    # excludes L (its docstring proves that the orders decide the form)
+
+def _increasing(run):
+    """The increasing branch, decided by the principal part alone.  L is
+    monic, normalized and increasing here, so principal_part raises only
+    NotAiryShape: the leading form is not (y^N - lam x)^1, which excludes
+    L (its docstring proves that the orders decide the form)."""
+    L, certs = run.L, run.certs
+    if not any(c.infinity_order() > 0 for c in L.coeffs.values()):
+        return None
+    run.branch = "increasing"
     try:
         A, V = principal_part(L)
     except err.NotAiryShape as e:
-        report.verdict = VERDICT_OBSTRUCTED
-        report.certificates["obstruction"] = str(e)
-        return
+        certs["obstruction"] = str(e)
+        return VERDICT_OBSTRUCTED
     shape = airy_shape(A)
-    report.certificates["principal_part"] = A
-    report.certificates["perturbation"] = V
+    certs["principal_part"] = A
+    certs["perturbation"] = V
     if not shape.strict:
-        report.certificates["airy_shape_note"] = {
+        certs["airy_shape_note"] = {
             "lam": shape.lam, "a0": shape.a0,
             "note": "equivalent to the -x normalization by dilation/translation",
         }
     if V.is_zero():
-        report.verdict = VERDICT_AIRY
-        report.certificates["airy_parameters"] = dict(shape.a)
+        certs["airy_parameters"] = dict(shape.a)
+        return VERDICT_AIRY
+    trace = perturbation_obstruction((A, V), run.budgets.obstruction_steps)
+    certs["obstruction_trace"] = trace.certificate()
+    return VERDICT_OBSTRUCTED if trace.obstructed else VERDICT_INCONCLUSIVE
+
+
+def _constant(run):
+    # no coefficient grows here, the one thing the split refuses
+    run.f, V = split_constant_part(run.L)
+    run.certs["constant_part"] = poly_text(run.f, "z")
+    return VERDICT_CONSTCOEFF if V.is_zero() else None
+
+
+def _darboux_certificate(run):
+    """With a user-supplied P, record the Bessel shape of L, complete
+    L = P Q, reconstruct the base Q P and attach the full factorization
+    certificate."""
+    P = run.P
+    if P is None:
         return
-    trace = perturbation_obstruction((A, V), budgets.obstruction_steps)
-    report.certificates["obstruction_trace"] = trace.certificate()
-    report.verdict = (VERDICT_OBSTRUCTED if trace.obstructed
-                      else VERDICT_INCONCLUSIVE)
-
-
-# ---------------------------------------------------------------------------
-# bounded branch
-# ---------------------------------------------------------------------------
-
-def _classify_bounded(
-    L: DiffOp,
-    report: ClassificationReport,
-    budgets: Budgets,
-    theta: Optional[Poly],
-    P: Optional[DiffOp],
-):
-    N = L.order
-    # this branch is taken only when no coefficient grows, the one thing
-    # the split refuses
-    f, V = split_constant_part(L)
-    report.certificates["constant_part"] = poly_text(f, "z")
-
-    if V.is_zero():
-        report.verdict = VERDICT_CONSTCOEFF
-        return
-
-    if P is not None:
-        _record_bessel(L, report.certificates)
-        _darboux_certificate(L, P, N, report)
-
-    # the exact certificates cost up to about 0.1 s, the theta search up
-    # to seconds: every family of the bounded branch is Fuchsian at
-    # its finite poles and has a rational wave operator
-    irregular = fuchs_violation(L)
-    if irregular is not None:
-        report.verdict = VERDICT_OBSTRUCTED
-        report.certificates["irregular_singularity"] = irregular
-        return
-    # the wave operator through trunc, solved once: a logarithm decides
-    # Obstructed, another error is kept for the note, and a passing chain
-    # reads Lambda from the same K
-    K = probe = None
+    _record_bessel(run.L, run.certs)
     try:
-        K = wave_operator(L, f, budgets.trunc)
+        Q, R = left_divide(run.L, P)
+    except err.BispecError as e:
+        run.errors.append(f"{type(e).__name__}: {e}")
+        return
+    if not R.is_zero():
+        run.errors.append("NotAFactor: P does not left-divide L")
+        return
+    base = dop_mul(Q, P)
+    cert = {"P": P, "Q": Q, "base": base, "p_form_ok": p_form_check(P, run.N)}
+    spec = bessel_recover(base)
+    if spec is not None:
+        cert["base_bessel_betas"] = list(spec.betas)
+        cert["base_integrality"] = bessel_integrality(spec)
+        cert["monomial"] = True
+    run.certs["darboux"] = cert
+
+
+def _fuchs(run):
+    # the exact certificates cost up to about 0.1 s, the theta search up
+    # to seconds: every family of the bounded branch is Fuchsian at its
+    # finite poles and has a rational wave operator
+    irregular = fuchs_violation(run.L)
+    if irregular is None:
+        return None
+    run.certs["irregular_singularity"] = irregular
+    return VERDICT_OBSTRUCTED
+
+
+def _wave_probe(run):
+    """The wave operator K through trunc, solved once: a logarithm decides
+    Obstructed, another error is kept as ``probe`` for the note, and a
+    passing chain reads Lambda from the same K."""
+    try:
+        run.K = wave_operator(run.L, run.f, run.budgets.trunc)
     except err.LogObstruction as e:
-        report.verdict = VERDICT_OBSTRUCTED
-        report.certificates["obstruction"] = (
+        run.certs["obstruction"] = (
             f"wave recursion needs a logarithmic antiderivative: {e}"
         )
-        return
+        return VERDICT_OBSTRUCTED
     except err.BispecError as e:
         # kept as text: the exception's traceback holds the probe's frames
-        probe = f"{type(e).__name__}: {e}"
+        run.probe = f"{type(e).__name__}: {e}"
+    return None
 
+
+def _theta_search(run):
+    """The first admitted theta (the caller's, or a monomial) and the end
+    ad^m(theta) of its chain; Inconclusive when none is admitted.  The
+    exponent is deg theta or none (see ad_condition_min_m), and the
+    verdict reads only the first admitted theta, so no later chain is
+    built."""
+    theta, budgets = run.theta, run.budgets
     lmax = min(budgets.ad_budget, budgets.theta_lmax)
     if theta is not None:
         candidates = [theta] if 1 <= theta.degree <= budgets.ad_budget else []
     else:
         candidates = [Poly.monomial(l) for l in range(1, lmax + 1)]
-    # the exponent is deg theta or none (see ad_condition_min_m); the
-    # verdict reads only the first admitted theta, so no later chain is
-    # built, and that chain's end ad^m(theta) goes on to bounded_test
-    admitted = next(((t, end[1]) for t in candidates
-                     if (end := ad_condition_min_m(L, t, t.degree)) is not None),
-                    None)
-    if admitted is None:
-        report.certificates["admissible_thetas"] = []
-        report.verdict = VERDICT_INCONCLUSIVE
-        if probe is not None:
-            report.errors.append(probe)
-        # a caller's theta that was not tried says why, whatever the probe
-        if probe is None or (theta is not None and not candidates):
-            report.certificates["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
-        else:
-            report.certificates["note"] = "wave coefficients not recognized rational"
-        return
-
-    use, Q = admitted
-    report.certificates["admissible_thetas"] = [str(use)]
-    # L is monic and use admitted with 1 <= deg use, so NotRankOrderCase
-    # is the one error bounded_test can raise here
-    try:
-        chain = bounded_test(L, f, use, Q)
-    except err.NotRankOrderCase:
-        report.certificates["ad_theta"] = str(use)
-        report.certificates["rank_order_case"] = False
-        report.verdict = VERDICT_POLYNOMIAL
-        return
-    report.certificates["bounded_chain"] = chain.certificate()
-    if chain.passes:
-        report.verdict = VERDICT_MONOMIAL
-        if K is None:
-            report.errors.append(probe)
-            return
-        try:
-            lam = build_lambda(K, use)
-            report.certificates["lambda"] = lam
-            report.certificates["ad_m"] = lam.order
-        except err.BispecError as e:
-            report.errors.append(f"{type(e).__name__}: {e}")
-        return
-    if chain.identity_holds and chain.divisibility_ok and chain.q_r_ok:
-        # chain consistent except nonzero constants: rank < order forced
-        report.certificates["rank_order_case"] = False
-        report.verdict = VERDICT_POLYNOMIAL
+    for t in candidates:
+        end = ad_condition_min_m(run.L, t, t.degree)
+        if end is not None:
+            run.use, run.Q = t, end[1]
+            run.certs["admissible_thetas"] = [str(t)]
+            return None
+    run.certs["admissible_thetas"] = []
+    if run.probe is not None:
+        run.errors.append(run.probe)
+    # a caller's theta that was not tried says why, whatever the probe
+    if run.probe is None or (theta is not None and not candidates):
+        run.certs["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
+    else:
+        run.certs["note"] = "wave coefficients not recognized rational"
+    return VERDICT_INCONCLUSIVE
 
 
 def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
@@ -447,27 +439,35 @@ def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
             f"after deg theta + 1 = {theta.degree + 1} brackets")
 
 
-def _darboux_certificate(L: DiffOp, P: DiffOp, N: int, report: ClassificationReport):
-    """With a user-supplied P, complete L = P Q, reconstruct the base Q P
-    and attach the full factorization certificate."""
+def _chain(run):
+    """``bounded_test`` from the admitted chain's end, then Lambda from
+    the probe's K.  L is monic and theta admitted with 1 <= deg theta, so
+    NotRankOrderCase is the one error bounded_test can raise here."""
+    certs, use = run.certs, run.use
     try:
-        Q, R = left_divide(L, P)
-    except err.BispecError as e:
-        report.errors.append(f"{type(e).__name__}: {e}")
-        return
-    if not R.is_zero():
-        report.errors.append("NotAFactor: P does not left-divide L")
-        return
-    base = dop_mul(Q, P)
-    cert: dict[str, Any] = {
-        "P": P,
-        "Q": Q,
-        "base": base,
-        "p_form_ok": p_form_check(P, N),
-    }
-    spec = bessel_recover(base)
-    if spec is not None:
-        cert["base_bessel_betas"] = list(spec.betas)
-        cert["base_integrality"] = bessel_integrality(spec)
-        cert["monomial"] = True
-    report.certificates["darboux"] = cert
+        chain = bounded_test(run.L, run.f, use, run.Q)
+    except err.NotRankOrderCase:
+        certs["ad_theta"] = str(use)
+        certs["rank_order_case"] = False
+        return VERDICT_POLYNOMIAL
+    certs["bounded_chain"] = chain.certificate()
+    if chain.passes:
+        if run.K is None:
+            run.errors.append(run.probe)
+            return VERDICT_MONOMIAL
+        try:
+            lam = build_lambda(run.K, use)
+            certs["lambda"] = lam
+            certs["ad_m"] = lam.order
+        except err.BispecError as e:
+            run.errors.append(f"{type(e).__name__}: {e}")
+        return VERDICT_MONOMIAL
+    if chain.identity_holds and chain.divisibility_ok and chain.q_r_ok:
+        # chain consistent except nonzero constants: rank < order forced
+        certs["rank_order_case"] = False
+        return VERDICT_POLYNOMIAL
+    return None
+
+
+STAGES = (_bessel, _gauge, _increasing, _constant, _darboux_certificate,
+          _fuchs, _wave_probe, _theta_search, _chain)

@@ -144,6 +144,25 @@ class TestFuchsViolation:
 
 
 class TestStageOrder:
+    def test_the_stage_table(self):
+        assert [s.__name__ for s in MODULES[0].STAGES] == [
+            "_bessel", "_gauge", "_increasing", "_constant",
+            "_darboux_certificate", "_fuchs", "_wave_probe", "_theta_search",
+            "_chain"]
+
+    def test_a_verdict_ends_the_run(self, monkeypatch):
+        def search(run):
+            raise AssertionError("the theta search ran")
+
+        stages = MODULES[0].STAGES
+        monkeypatch.setattr(MODULES[0], "STAGES", tuple(
+            search if s is MODULES[0]._theta_search else s for s in stages))
+        # the probe decides: the search after it never runs
+        assert classify("d^2 + x^-1").verdict == "Obstructed"
+        # the arctan anchor passes the probe and reaches the search
+        with pytest.raises(AssertionError, match="the theta search ran"):
+            classify("d^2 - 2*(x^2+1)^-1")
+
     @pytest.mark.parametrize("text", ["d^2 + x^-1", "d^3 + x^-1"])
     def test_probe_decides_without_a_theta_search(self, text, monkeypatch):
         calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])

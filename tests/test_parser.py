@@ -51,9 +51,19 @@ class TestParse:
         ("2/ 3/4", DiffOp.const(Fraction(1, 6))),
         ("d/x", d * DiffOp.from_function(RatFunc.x_power(-1))),
         ("(x + 1)/(x^2 - 1)", DiffOp.from_function(RatFunc(Poly([1]), Poly([-1, 1])))),
+        # a literal p/q binds tighter than ^, and any other / is a quotient
+        ("2/3^2", DiffOp.const(Fraction(4, 9))),
+        ("2/x^2", DiffOp.from_function(RatFunc.x_power(-2, 2))),
+        ("(x^-1)/2", DiffOp.from_function(RatFunc.x_power(-1, Fraction(1, 2)))),
     ])
     def test_examples(self, text, expect):
         assert parse_operator(text) == expect
+
+    def test_an_exponent_is_not_a_literal_quotient(self):
+        # in x^-1/2 the literal 1/2 is the exponent, which must be an integer
+        with pytest.raises(OperatorSyntaxError, match="exponent must be an integer") as exc:
+            parse_operator("x^-1/2")
+        assert exc.value.position == 3
 
     def test_bessel_expression(self):
         L = parse_operator("x^-2*(x*d-1/2)*(x*d-1/2)")

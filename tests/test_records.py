@@ -5,8 +5,11 @@ field-wise ``==`` and ``hash``, the ``Name(field=value, ...)`` repr, the
 constructor's argument errors, and every validation check.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
+import bispec
 import pytest
 
 from bispec import (
@@ -33,6 +36,7 @@ from bispec.airy import AiryBispectralReport, AiryShape
 from bispec.bounded import BoundedTestReport, build_lambda, split_constant_part, wave_operator
 
 from bispec.diffop import TOp
+from bispec.record import Record
 
 F = Fraction
 TAIL = LaurentTail({0: 1, 2: F(1, 2)}, 3)
@@ -105,8 +109,7 @@ def test_equality_and_hash():
     assert TOp({(2, 0): F(1)}) != TOp({(1, 0): F(1)})
     report = ClassificationReport("a")
     assert report == ClassificationReport("a", certificates={})
-    report.verdict = "Bessel(2)"
-    assert report != ClassificationReport("a")
+    assert ClassificationReport("a", verdict="Bessel(2)") != report
 
 
 @pytest.mark.parametrize("obj", [TAIL, TOp({}), PDO.identity(), BiHomPoly(),
@@ -117,11 +120,25 @@ def test_unhashable_as_before(obj):
         hash(obj)
 
 
-def test_classification_report_is_mutable_with_fresh_defaults():
+def test_classification_report_is_immutable_with_fresh_defaults():
     a, b = ClassificationReport("a"), ClassificationReport("b")
-    a.errors.append("x")
-    a.certificates["k"] = 1
-    assert b.errors == [] and b.certificates == {}
+    with pytest.raises(AttributeError):
+        a.verdict = "Bessel(2)"
+    assert a.certificates is not b.certificates and a.errors is not b.errors
+
+
+def test_no_record_overrides_assignment():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for mod in pkgutil.iter_modules(bispec.__path__):
+        importlib.import_module(f"bispec.{mod.name}")
+    found = [cls.__qualname__ for cls in subclasses(Record)
+             if cls.__module__.startswith("bispec.")
+             and {"__setattr__", "__delattr__"} & vars(cls).keys()]
+    assert found == []
 
 
 def test_constructor_argument_errors():
