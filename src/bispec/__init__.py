@@ -57,7 +57,6 @@ from .families import (
     bessel_integrality,
     bessel_recover,
     bessel_symbol,
-    compose_darboux,
     darboux,
     is_euler_homogeneous,
     make_airy,

@@ -32,6 +32,7 @@ from .errors import (
     ReconstructionFailed,
     TruncationTooShort,
     UnboundedCoefficient,
+    ZeroOperand,
 )
 from .poly import Poly, min_trunc, poly_lcm
 from .rational import (
@@ -65,14 +66,13 @@ class PDO(TruncatedSeries):
     function, such as a ``LaurentTail``) and drops the zero ones.
     ``PDO._trusted(terms, trunc)`` wraps a dict with int keys at least
     ``-trunc`` and nonzero ``RatFunc`` coefficients, unchecked.  The
-    constructors, negation, sums, ``restrict`` and printing are those of
+    constructors, negation, sums and ``restrict`` are those of
     ``TruncatedSeries``.
 
     A series carries no variable tag: K and Theta are series in x, and
     only the dual operator Lambda, a ``DiffOp``, lives in z."""
 
     __slots__ = ("terms", "trunc")
-    _VAR = "d"
     _coerce = staticmethod(_coerce)
     _zero = RatFunc.zero()
 
@@ -102,9 +102,6 @@ class PDO(TruncatedSeries):
             raise NotInDomain("inverse requires 1 + (strictly decaying part)")
         trunc = min_trunc(self.trunc, J)
         return PDO._trusted(leibniz_divide({0: RatFunc.one()}, self.terms, -trunc)[0], trunc)
-
-    def _term(self, k: int, c) -> tuple:
-        return 1, f"({c})" + (f"*d^{k}" if k else "")
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +504,11 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
 
     Returns a basis of the solution space (echelonized so leading terms are
     distinct), the orders, and the gcd of the nonzero orders as the rank
-    estimate (None when the search finds only the constants).
+    estimate (None when the search finds only the constants).  Raises
+    ZeroOperand for L = 0, with which every operator commutes.
     """
+    if L.is_zero():
+        raise ZeroOperand("centralizer of the zero operator")
     d = max_ord
     num_degree = 2 * max(max_ord, L.order) + d
     basis_ops: list[tuple[int, int]] = [

@@ -462,11 +462,10 @@ def _chain(run):
         except err.BispecError as e:
             run.errors.append(f"{type(e).__name__}: {e}")
         return VERDICT_MONOMIAL
-    if chain.identity_holds and chain.divisibility_ok and chain.q_r_ok:
-        # chain consistent except nonzero constants: rank < order forced
-        certs["rank_order_case"] = False
-        return VERDICT_POLYNOMIAL
-    return None
+    # whenever bounded_test returns, only the constants of f can fail (its
+    # docstring proves it): rank < order is forced
+    certs["rank_order_case"] = False
+    return VERDICT_POLYNOMIAL
 
 
 STAGES = (_bessel, _gauge, _increasing, _constant, _darboux_certificate,

@@ -198,7 +198,9 @@ def darboux(base: DiffOp, P: DiffOp) -> DarbouxResult:
     """Factor base = Q P by right division and exchange to P Q.
 
     Raises NotAFactor when the division leaves a remainder.  The shape of
-    P is not tested here; ``p_form_check`` tests it.
+    P is not tested here; ``p_form_check`` tests it.  Two steps compose
+    through the same call: when B = Q1 P1 and P1 Q1 = Q2 P2,
+    ``darboux(B B, P2 P1)`` returns the pair (P2 P1, Q1 Q2).
     """
     if base.is_zero() or P.is_zero():
         raise NotAFactor("base and P must be nonzero")
@@ -208,10 +210,3 @@ def darboux(base: DiffOp, P: DiffOp) -> DarbouxResult:
     transformed = dop_mul(P, Q)
     return DarbouxResult(P=P, Q=Q, base=base, transformed=transformed)
 
-
-def compose_darboux(first: DarbouxResult, second: DarbouxResult) -> DarbouxResult:
-    """Chain two transformations: requires second.base to be built over
-    first.transformed.  The composite pair is (P2 P1, Q1 Q2)."""
-    P = dop_mul(second.P, first.P)
-    Q = dop_mul(first.Q, second.Q)
-    return DarbouxResult(P=P, Q=Q, base=dop_mul(Q, P), transformed=dop_mul(P, Q))

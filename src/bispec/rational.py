@@ -17,7 +17,7 @@ Conventions:
   of the package is.  Keys may be positive (polynomial part).  The tail
   is exact down to x^-trunc; ``trunc=None`` means every absent
   coefficient is exactly zero.  It shares one body, ``TruncatedSeries``,
-  with ``bounded.PDO``.
+  with ``bounded.PDO``; a series has no printed form of its own.
   ``laurent_expand`` finds a tail by polynomial long division, one
   ``Poly.divmod``.  A tail serves the Pade path only: ``laurent_expand``,
   ``rat_antiderivative``, ``rational_reconstruct``,
@@ -76,7 +76,6 @@ from .poly import (
     min_trunc,
     monomial_text,
     poly_text,
-    signed_sum,
 )
 from .record import Record
 
@@ -369,8 +368,8 @@ class TruncatedSeries(Record):
     (t = x, ``Fraction`` coefficients) and ``bounded.PDO`` (t = d,
     ``RatFunc`` coefficients).  A subclass lists ``terms`` and ``trunc``
     in its own ``__slots__``, names its coefficient coercion ``_coerce``
-    and its zero coefficient ``_zero``, prints one term with ``_term`` and
-    the order term as O(_VAR^-(trunc + 1)).
+    and its zero coefficient ``_zero``.  A series has no printed form:
+    ``str`` falls back to ``Record``'s repr.
 
     The constructor, ``LaurentTail(terms, trunc)`` or ``PDO(terms,
     trunc)``, coerces every coefficient with ``_coerce`` and drops the
@@ -434,12 +433,6 @@ class TruncatedSeries(Record):
             i: c for i, c in self.terms.items() if i >= -new}
         return self._trusted(terms, new)
 
-    def __str__(self):
-        body = signed_sum([self._term(i, c) for i, c in sorted(self.terms.items(), reverse=True)])
-        if self.trunc is None:
-            return body
-        return f"{body} + O({self._VAR}^{-(self.trunc + 1)})"
-
 
 class LaurentTail(TruncatedSeries):
     """Truncated Laurent expansion at infinity: sum_e c_e * x^e.
@@ -450,16 +443,12 @@ class LaurentTail(TruncatedSeries):
     """
 
     __slots__ = ("terms", "trunc")
-    _VAR = "x"
     _coerce = staticmethod(_frac)
     _zero = _ZERO
 
     @classmethod
     def zero(cls, trunc: Optional[int] = None):
         return cls._trusted({}, trunc)
-
-    def _term(self, e: int, c: Fraction) -> tuple:
-        return c, monomial_text(c, e)
 
     def antiderivative(self) -> "LaurentTail":
         """Term-by-term antiderivative, zero constant of integration.

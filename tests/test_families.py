@@ -18,7 +18,6 @@ from bispec import (
     bessel_recover,
     bessel_symbol,
     commutator,
-    compose_darboux,
     darboux,
     dop_mul,
     euler_operator,
@@ -239,8 +238,10 @@ class TestDarboux:
         assert res.transformed == base
 
     def test_compose(self):
+        # two steps are one: B = Q1 P1 and P1 Q1 = Q2 P2 give B B = (Q1 Q2)(P2 P1)
         first = darboux(d * d, d)
         second = darboux(first.transformed, d)
-        combined = compose_darboux(first, second)
+        combined = darboux(dop_mul(first.base, first.base), dop_mul(second.P, first.P))
+        assert combined.Q == dop_mul(first.Q, second.Q)
         assert dop_mul(combined.Q, combined.P) == combined.base
         assert dop_mul(combined.P, combined.Q) == combined.transformed

@@ -23,6 +23,7 @@ from bispec import (
     NotMonic,
     Poly,
     RatFunc,
+    ZeroOperand,
     centralizer_search,
     classify,
     dop_mul,
@@ -31,7 +32,7 @@ from bispec import (
     print_operator,
 )
 from bispec.cli import main
-from bispec.families import BesselSpec, compose_darboux, darboux, make_bessel
+from bispec.families import BesselSpec, darboux, make_bessel
 
 # the package exports a function named classify, which hides the module
 MODULES = [importlib.import_module(f"bispec.{m}") for m in ("classify", "bounded")]
@@ -357,11 +358,12 @@ class TestSoundness:
     @given(st.sampled_from([F(1), F(1, 3), F(-2, 3), F(3, 2), F(2)]), rationals)
     def test_darboux_chains(self, nu, a):
         # B_nu = Q P with P = d - nu/(x - a), and P Q = B_(nu+1): two steps
-        # composed give the pair (P2 P1, Q1 Q2) over B_nu^2
+        # composed are one Darboux step with P2 P1 over B_nu^2
         first = darboux(bessel(nu, a), factor(nu, a))
         assert first.transformed == bessel(nu + 1, a)
         second = darboux(first.transformed, factor(nu + 1, a))
-        chain = compose_darboux(first, second)
+        chain = darboux(dop_mul(first.base, first.base), dop_mul(second.P, first.P))
+        assert chain.Q == dop_mul(first.Q, second.Q)
         for L in (first.transformed, second.transformed, chain.base, chain.transformed):
             assert fuchs_violation(L) is None
             assert classify(L, budgets=SMALL).verdict != "Obstructed", print_operator(L)
@@ -516,3 +518,13 @@ class TestCentralizerRank:
             "orders: [0]", "rank estimate: undetermined"]
         assert main(["centralizer", "d^2", "--order-budget", "0", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["rank"] is None
+
+    @pytest.mark.parametrize("text", ["0", "d^2 - d^2"])
+    def test_zero_operator_is_refused(self, text, capsys):
+        # every operator commutes with 0: the search refuses it, and the
+        # report embeds the error
+        with pytest.raises(ZeroOperand):
+            centralizer_search(parse_operator(text), 2)
+        assert main(["centralizer", text, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["errors"] == [
+            "ZeroOperand: centralizer of the zero operator"]

@@ -1,5 +1,6 @@
 """Expression parsing and canonical printing."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -549,6 +550,25 @@ class TestPrintability:
                 # multiplies num by a den whose scalars count too
                 assert "bits per scalar" in str(e)
                 assert printed[e.position - 1:e.position + 2] in (")*(", ")/(")
+
+
+class TestDegenerateOperands:
+    """Every subcommand keeps the CLI's exit-code contract on the zero
+    operator (also written as d^2 - d^2), the unit, x and d: it returns 0
+    or 2 and raises nothing."""
+
+    OPERANDS = ["0", "1", "x", "d", "d^2 - d^2"]
+    UNARY = ["parse", "ad-test", "wave", "airy-wave", "weights", "classify",
+             "centralizer"]
+    BINARY = ["mul", "commutator", "divide", "darboux"]
+
+    @pytest.mark.parametrize("cmd", UNARY + BINARY)
+    def test_every_subcommand(self, cmd):
+        arity = 1 if cmd in self.UNARY else 2
+        for operands in itertools.product(self.OPERANDS, repeat=arity):
+            for flag in ([], ["--json"]):
+                argv = [cmd, *operands, *flag]
+                assert main(argv) in (0, 2), argv
 
 
 class TestErrors:
