@@ -178,9 +178,10 @@ def _size_stats(L: DiffOp) -> dict[str, int]:
     for c in L.coeffs.values():
         for p in (c.num, c.den):
             for v in p.coeffs:
-                terms += 1
-                bits = max(bits, v.numerator.bit_length(),
-                           v.denominator.bit_length())
+                if v:
+                    terms += 1
+                    bits = max(bits, v.numerator.bit_length(),
+                               v.denominator.bit_length())
     return {"coefficient_terms": terms, "max_coefficient_bits": bits}
 
 

@@ -1,6 +1,10 @@
 """Command-line surface: parse/arithmetic utilities and the classification
 pipeline.
 
+Each command computes one answer, a dict, which ``--json`` writes as a
+JSON document and text mode as ``key: value`` lines (``_text_lines``), so
+the two forms carry the same keys and values.
+
 Exit codes: 0 for any completed report (domain errors are embedded in the
 report), 2 for operator syntax errors and other invalid input (such as a
 truncation below 1 or a negative order budget).
@@ -15,7 +19,7 @@ import sys
 from typing import Any, Optional
 
 from . import errors as err
-from .poly import Poly, poly_text, scalar_text
+from .poly import Poly, poly_text
 from .diffop import ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator
 from .families import darboux
@@ -31,12 +35,24 @@ from .bounded import (
 from .classify import Budgets, _jsonable, classify, read_theta
 
 
-def _emit(payload: dict[str, Any], as_json: bool, lines: list[str]) -> None:
+def _emit(doc: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_jsonable(payload), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        for line in lines:
+        for line in _text_lines(doc):
             print(line)
+
+
+def _text_lines(doc: dict[str, Any], indent: str = ""):
+    """One ``key: value`` line per entry; a non-empty dict's entries go
+    two spaces deeper under ``key:``.  A string is written as is, any
+    other value as its JSON text."""
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            yield f"{indent}{key}:"
+            yield from _text_lines(value, indent + "  ")
+        else:
+            yield f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}"
 
 
 @functools.cache
@@ -95,113 +111,87 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        return _dispatch(args)
+        # writing a scalar as text can raise ScalarTooLong, which is
+        # embedded like any other domain error
+        doc = _jsonable(_answer(args))
     except err.OperatorSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
     except err.BispecError as e:
-        text = f"{type(e).__name__}: {e}"
-        _emit({"errors": [text]}, args.json, [f"error: {text}"])
-        return 0
+        doc = {"errors": [_error_text(e)]}
+    _emit(doc, args.json)
+    return 0
 
 
-def _dispatch(args) -> int:
+def _error_text(e: err.BispecError) -> str:
+    return f"{type(e).__name__}: {e}"
+
+
+def _answer(args) -> dict[str, Any]:
+    """The answer to one command: the dict that ``--json`` writes and
+    text mode renders line by line."""
     cmd = args.command
     if cmd == "parse":
-        text = str(parse_operator(args.expr))
-        _emit({"input": args.expr, "operator": text}, args.json, [text])
-    elif cmd in ("mul", "commutator"):
+        return {"input": args.expr, "operator": parse_operator(args.expr)}
+    if cmd in ("mul", "commutator"):
         product = dop_mul if cmd == "mul" else commutator
-        text = str(product(parse_operator(args.left), parse_operator(args.right)))
-        _emit({"result": text}, args.json, [text])
-    elif cmd == "ad-test":
+        return {"result": product(parse_operator(args.left), parse_operator(args.right))}
+    if cmd == "ad-test":
         L = parse_operator(args.expr)
         theta = read_theta(args.theta or Poly.x())
         m, Q = ad_condition_min_m(L, theta, args.order_budget) or (None, None)
-        payload: dict[str, Any] = {"theta": theta, "m": m}
-        lines = [f"minimal m: {m}"]
+        doc: dict[str, Any] = {"theta": theta, "m": m}
         if Q is not None:
-            payload["ad_power"] = Q
-            lines.append(f"ad^m(theta) = {Q}")
+            doc["ad_power"] = Q
             try:
                 # bounded_test refuses a non-monic L before the split could
                 # refuse a growing coefficient: keep that order
                 f = split_constant_part(L)[0] if L.is_monic() else Poly.zero()
-                chain = bounded_test(L, f, theta, Q)
-                payload["chain"] = chain.certificate()
-                lines.append(f"chain: passes={chain.passes} "
-                             f"failures={list(chain.failures())}")
+                doc["chain"] = bounded_test(L, f, theta, Q).certificate()
             except err.BispecError as e:
-                payload["chain_error"] = f"{type(e).__name__}: {e}"
-                lines.append(f"chain: {payload['chain_error']}")
-        _emit(payload, args.json, lines)
-    elif cmd == "divide":
+                doc["chain_error"] = _error_text(e)
+        return doc
+    if cmd == "divide":
         Q, R = right_divide(parse_operator(args.numerator),
                             parse_operator(args.divisor))
-        _emit({"quotient": Q, "remainder": R}, args.json, [f"Q = {Q}", f"R = {R}"])
-    elif cmd == "darboux":
+        return {"quotient": Q, "remainder": R}
+    if cmd == "darboux":
         res = darboux(parse_operator(args.base), parse_operator(args.factor))
-        _emit({name: getattr(res, name) for name in res.__slots__}, args.json,
-              [f"Q = {res.Q}", f"transformed = {res.transformed}"])
-    elif cmd == "wave":
+        return {name: getattr(res, name) for name in res.__slots__}
+    if cmd == "wave":
         L = parse_operator(args.expr)
         f, _ = split_constant_part(L)
         K = wave_operator(L, f, args.trunc)
-        coeffs = {j: str(c) for j in range(1, K.trunc + 1) if (c := K.coeff(-j))}
-        fz = poly_text(f, "z")
-        residual_zero = wave_residual_zero(L, f, K)
-        _emit({"f": fz, "coefficients": coeffs, "residual_zero": residual_zero},
-              args.json,
-              [f"f(z) = {fz}"] + [f"a_{j} = {c}" for j, c in coeffs.items()]
-              + [f"residual zero: {residual_zero}"])
-    elif cmd == "airy-wave":
-        L = parse_operator(args.expr)
+        return {"f": poly_text(f, "z"),
+                "coefficients": {j: c for j in range(1, K.trunc + 1)
+                                 if (c := K.coeff(-j))},
+                "residual_zero": wave_residual_zero(L, f, K)}
+    if cmd == "airy-wave":
         # the truncation is not read: the walk decides the recursion
-        out = airy_wave_solve(L, 1)
+        out = airy_wave_solve(parse_operator(args.expr), 1)
         if out.verdict == "clean":
-            _emit({"kind": "wave", "identity": True, "coefficients": {}},
-                  args.json, ["K = 1"])
-        else:
-            cert = out.certificate()
-            _emit({"kind": "obstruction", **cert}, args.json,
-                  [f"obstruction: {out.verdict}",
-                   f"steps: {scalar_text(cert['steps'])}"])
-    elif cmd == "weights":
+            return {"kind": "wave", "identity": True, "coefficients": {}}
+        return {"kind": "obstruction", **out.certificate()}
+    if cmd == "weights":
         L = parse_operator(args.expr)
         w = choose_weights(L)
         f = associated_polynomial(L, w)
         nf = normal_form_test(f, w)
-        _emit({"rho": w.rho, "sigma": w.sigma, "f": str(f),
-               "case": nf.case, "yrx": list(nf.yrx) if nf.yrx else None,
-               "nilpotency_excluded": nf.nilpotency_excluded},
-              args.json,
-              [f"(rho, sigma) = ({w.rho}, {w.sigma})", f"f(x, y) = {f}",
-               f"normal form case: {nf.case}"])
-    elif cmd == "classify":
+        return {"rho": w.rho, "sigma": w.sigma, "f": str(f), "case": nf.case,
+                "yrx": nf.yrx, "nilpotency_excluded": nf.nilpotency_excluded}
+    if cmd == "classify":
         # arguments are evaluated in order, so a bad operator is reported
         # before a bad theta, and a bad theta before a bad P
-        report = classify(
+        return classify(
             parse_operator(args.expr), input_text=args.expr,
             theta=read_theta(args.theta or None),
             P=parse_operator(args.p) if args.p else None,
-            budgets=Budgets(ad_budget=args.order_budget, trunc=args.trunc))
-        doc = report.to_json_dict()
-        _emit(doc, args.json,
-              [f"input:   {doc['input']}", f"branch:  {doc['branch']}",
-               f"verdict: {doc['verdict']}"]
-              + [f"  {key}: {value}" for key, value in doc["certificates"].items()]
-              + [f"  error: {e}" for e in doc["errors"]])
-    elif cmd == "centralizer":
-        L = parse_operator(args.expr)
-        res = centralizer_search(L, args.order_budget)
-        gens = res.generators
-        orders = sorted(set(res.orders))
-        _emit({"orders": orders, "rank": res.rank, "generators": gens},
-              args.json,
-              [f"orders: {orders}",
-               f"rank estimate: {'undetermined' if res.rank is None else res.rank}"]
-              + [f"  {g}" for g in gens])
-    return 0
+            budgets=Budgets(ad_budget=args.order_budget, trunc=args.trunc),
+        ).to_json_dict()
+    # centralizer
+    res = centralizer_search(parse_operator(args.expr), args.order_budget)
+    return {"orders": sorted(set(res.orders)), "rank": res.rank,
+            "generators": res.generators}
 
 
 if __name__ == "__main__":

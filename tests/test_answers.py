@@ -4,9 +4,10 @@ Every operation of seeds 1-3 of the three benchmark workloads goes
 through ``bispec.cli.main`` twice, as text and with ``--json``.  One
 short digest per operation, of the exit code and stdout of both calls,
 is compared with ``answers.json`` beside this file, and the test names
-each operation whose answer moved.  A change that is meant to keep every
-answer keeps this file; one that changes answers on purpose regenerates
-it with
+each operation whose answer moved, and the text of each must be the
+rendering of its ``--json`` document, since both write one answer.  A
+change that is meant to keep every answer keeps this file; one that
+changes answers on purpose regenerates it with
 
     PYTHONPATH=src python tests/test_answers.py
 
@@ -15,9 +16,11 @@ and lists the changed operations in CHANGES.md.  The benchmark's
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -43,16 +46,24 @@ def _call(argv: list) -> str:
     return f"{rc}\n{out.getvalue()}"
 
 
-def answers() -> dict:
-    """{"workload/seed/index": "digest argv"} for every operation."""
+@functools.cache
+def _outputs() -> dict:
+    """{"workload/seed/index": (argv, text answer, --json answer)}."""
     out = {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             for i, op in enumerate(workloads.build(name, seed)):
                 argv = list(op.argv)
-                both = _call(argv) + _call(argv + ["--json"])
-                digest = hashlib.sha256(both.encode()).hexdigest()[:16]
-                out[f"{name}/{seed}/{i}"] = f"{digest} {' '.join(argv)}"
+                out[f"{name}/{seed}/{i}"] = (argv, _call(argv), _call(argv + ["--json"]))
+    return out
+
+
+def answers() -> dict:
+    """{"workload/seed/index": "digest argv"} for every operation."""
+    out = {}
+    for key, (argv, text, as_json) in _outputs().items():
+        digest = hashlib.sha256((text + as_json).encode()).hexdigest()[:16]
+        out[key] = f"{digest} {' '.join(argv)}"
     return out
 
 
@@ -63,6 +74,26 @@ def test_answers_are_unchanged():
                for key in sorted(pinned.keys() | got.keys())
                if pinned.get(key) != got.get(key)]
     assert changed == []
+
+
+def _render(doc: dict, indent: str = "") -> str:
+    text = ""
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            text += f"{indent}{key}:\n" + _render(value, indent + "  ")
+        else:
+            text += f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}\n"
+    return text
+
+
+def test_text_is_the_rendering_of_the_json():
+    # both forms write one answer: the text is the --json doc, one
+    # "key: value" line per entry and a nested dict two spaces deeper
+    for key, (argv, text, as_json) in _outputs().items():
+        rc, doc = as_json.split("\n", 1)
+        assert text == f"{rc}\n{_render(json.loads(doc))}", key
+        # and no Python repr leaks into it
+        assert not re.search(r"Fraction\(|DiffOp\(|[\[({]'", text), key
 
 
 def test_certificate_texts_parse_back():

@@ -403,6 +403,12 @@ class TestJson:
         doc = r.to_json_dict()
         assert doc["certificates"]["bessel_betas"] == ["1/2", "1/2"]
 
+    def test_trace_sizes_count_nonzero_scalars(self):
+        # 1/1 and (1 - x^21)/x^20 hold 5 nonzero scalars; the 40 zero
+        # slots of the dense num/den tuples used to count too (45)
+        r = classify_text("d^2 - x + x^-20")
+        assert r.trace_sizes == {"coefficient_terms": 5, "max_coefficient_bits": 1}
+
 
 def test_in_process_calls_leave_no_parser_garbage(capsys):
     # a parser built per call left about 440 argparse objects in
@@ -411,7 +417,7 @@ def test_in_process_calls_leave_no_parser_garbage(capsys):
     gc.collect()
     main(["parse", "d*x"])
     assert gc.collect() < 50
-    assert capsys.readouterr().out == "x*d + 1\nx*d + 1\n"
+    assert capsys.readouterr().out == "input: d*x\noperator: x*d + 1\n" * 2
 
 
 def run_cli(*args):
@@ -437,7 +443,7 @@ class TestCli:
     def test_parse(self):
         out = run_cli("parse", "d*x")
         assert out.returncode == 0
-        assert out.stdout.strip() == "x*d + 1"
+        assert out.stdout.splitlines() == ["input: d*x", "operator: x*d + 1"]
 
     def test_syntax_error_exit_code(self):
         out = run_cli("parse", "d^^2")
@@ -474,7 +480,7 @@ class TestCli:
         assert "darboux" not in doc["certificates"]
         out = run_cli("classify", "d^2 - 2*x^-2", "--p", factor)
         assert out.returncode == 0
-        assert out.stdout.endswith(f"  error: {error}\n")
+        assert f'errors: ["{error}"]' in out.stdout.splitlines()
 
     @pytest.mark.parametrize("expr", ["2*d^2", "(1+x^-1)*d^2"])
     def test_wave_of_non_monic_operator_is_an_error(self, expr):
@@ -506,8 +512,8 @@ class TestCli:
         out = run_cli("ad-test", "d^2 - 2*x^-2", "--theta", "3")
         assert out.returncode == 0
         assert out.stdout.splitlines() == [
-            "minimal m: 0", "ad^m(theta) = 3",
-            "chain: NotCommuting: theta = 3 is constant: it has no ad "
+            "theta: 3", "m: 0", "ad_power: 3",
+            "chain_error: NotCommuting: theta = 3 is constant: it has no ad "
             "exponent m >= 1"]
 
     def test_airy_wave_of_non_monic_operator_is_an_error(self):
@@ -519,16 +525,17 @@ class TestCli:
 
     def test_divide(self):
         out = run_cli("divide", "d^2", "d - x^-1")
-        assert "Q = d + x^-1" in out.stdout
-        assert "R = 0" in out.stdout
+        assert out.stdout.splitlines() == ["quotient: d + x^-1", "remainder: 0"]
 
     def test_commutator(self):
         out = run_cli("commutator", "d", "x")
-        assert out.stdout.strip() == "1"
+        assert out.stdout == "result: 1\n"
 
     def test_darboux(self):
+        # text used to drop P and base
         out = run_cli("darboux", "d^2", "d - x^-1")
-        assert "transformed = d^2 - 2*x^-2" in out.stdout
+        assert out.stdout.splitlines() == [
+            "P: d - x^-1", "Q: d + x^-1", "base: d^2", "transformed: d^2 - 2*x^-2"]
 
     def test_wave(self):
         out = run_cli("--json", "wave", "d^2 - 2*x^-2", "--trunc", "5")
@@ -539,14 +546,14 @@ class TestCli:
     def test_wave_prints_f_in_z(self):
         # f used to print in x: "f(z) = x^2"
         out = run_cli("wave", "d^2 - 2*x^-2")
-        assert out.stdout.splitlines()[0] == "f(z) = z^2"
+        assert out.stdout.splitlines()[0] == "f: z^2"
 
     def test_wave_text_ends_with_its_residual_check(self):
         # text mode used to drop the certificate that --json reports
         out = run_cli("wave", "d^2 - 2*x^-2", "--trunc", "5")
         assert out.returncode == 0
         assert out.stdout.splitlines() == [
-            "f(z) = z^2", "a_1 = (-1)/(x)", "residual zero: True"]
+            "f: z^2", "coefficients:", "  1: (-1)/(x)", "residual_zero: true"]
         out = run_cli("--json", "wave", "d^2 + 1 - 2*x^-2")
         assert json.loads(out.stdout)["f"] == "z^2 + 1"
 
@@ -561,6 +568,14 @@ class TestCli:
         assert doc["kind"] == "obstruction"
         assert doc["verdict"] == "obstructed"
 
+    def test_airy_wave_text_writes_json_values(self):
+        # text used to print "steps: [(1, -2, 0, Fraction(-1, 1)), ...]"
+        out = run_cli("airy-wave", "d^2 - x + x^-2")
+        assert out.returncode == 0
+        assert out.stdout.splitlines() == [
+            "kind: obstruction", "verdict: obstructed",
+            'steps: [[1, -2, 0, "-1"], [2, -1, 0, "1/2"]]']
+
     def test_airy_wave_of_a_deep_perturbation_is_its_obstruction(self):
         # V starts at x^-12: K = 1 and "identity": true belong to V = 0
         # alone, and the walk reaches x^-1 after 11 steps
@@ -568,7 +583,8 @@ class TestCli:
         doc = json.loads(run_cli("--json", "airy-wave", expr).stdout)
         assert doc["kind"] == "obstruction" and doc["verdict"] == "obstructed"
         assert [s[1] for s in doc["steps"]] == list(range(-12, 0))
-        assert run_cli("airy-wave", "d^3 - x").stdout.splitlines() == ["K = 1"]
+        assert run_cli("airy-wave", "d^3 - x").stdout.splitlines() == [
+            "kind: wave", "identity: true", "coefficients: {}"]
         assert json.loads(run_cli("--json", "airy-wave", "d^3 - x").stdout) == {
             "kind": "wave", "identity": True, "coefficients": {}}
 
@@ -576,7 +592,7 @@ class TestCli:
         # the walk from x^-30 needs 29 steps; a truncated K used to print
         out = run_cli("airy-wave", "d^2 - x + x^-30")
         assert out.returncode == 0
-        assert out.stdout.splitlines()[0] == "obstruction: inconclusive"
+        assert out.stdout.splitlines()[:2] == ["kind: obstruction", "verdict: inconclusive"]
 
     def test_airy_wave_takes_no_truncation(self):
         out = run_cli("airy-wave", "d^3 - x", "--trunc", "8")
@@ -600,8 +616,11 @@ class TestCli:
         assert out.stderr == "input error: --order-budget must be at least 0, got -1\n"
 
     def test_weights(self):
+        # text used to drop yrx and nilpotency_excluded
         out = run_cli("weights", "d^3 - x")
-        assert "(rho, sigma) = (3, 1)" in out.stdout
+        assert out.stdout.splitlines() == [
+            "rho: 3", "sigma: 1", "f: y^3 - x", "case: c", 'yrx: [3, 1, "1"]',
+            "nilpotency_excluded: false"]
 
     def test_ad_test(self):
         out = run_cli("--json", "ad-test", "d^2 - 2*x^-2", "--theta", "x^2")

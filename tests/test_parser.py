@@ -468,13 +468,13 @@ class TestPrintability:
         (["mul", "(2^4096)^4", "d"], 2, "syntax error: power exceeds"),
         (["parse", "9" * 4401], 2, "syntax error: integer literal too long"),
         # the gauge pushes the scalars past the digit limit
-        (["classify", "d^3 + 3^-4096*d^2"], 0, "error: ScalarTooLong"),
+        (["classify", "d^3 + 3^-4096*d^2"], 0, 'errors: ["ScalarTooLong: '),
         (["--json", "classify", "d^3 + 3^-4096*d^2"], 0, '"ScalarTooLong: '),
-        (["parse", "9" * 4300 + "+1"], 0, "error: ScalarTooLong"),
+        (["parse", "9" * 4300 + "+1"], 0, 'errors: ["ScalarTooLong: '),
         # a sum holds a larger scalar than any product may make, and the
         # obstruction walk carries it into its steps
         (["airy-wave", "d^2 - x + 3^-4096*x^-3 + 5^-2700*x^-3 + 7^-2700*x^-3"], 0,
-         "error: ScalarTooLong"),
+         'errors: ["ScalarTooLong: '),
         # the operator prints, but an alpha of its obstruction trace does not
         (["--json", "classify", "d^2 - x + 3^-4096*x^-30 + 5^-2700*x^-30 + 7^-530*x^-30"],
          0, '"ScalarTooLong: '),
@@ -488,10 +488,10 @@ class TestPrintability:
         (["classify", "d^2+x^-2", "--theta", "d"], 2, "syntax error: theta must not contain d"),
         (["classify", "d^2+x^-2", "--theta", "x^-1"], 2,
          "syntax error: theta must be a polynomial"),
-        (["classify", "d"], 0, "error: order must be at least 2"),
-        (["classify", "x + 1"], 0, "error: order must be at least 2"),
+        (["classify", "d"], 0, 'errors: ["order must be at least 2"]'),
+        (["classify", "x + 1"], 0, 'errors: ["order must be at least 2"]'),
         (["ad-test", "2*d^2", "--theta", "x^2"], 0,
-         "chain: NotMonic: bounded test needs a monic operator"),
+         "chain_error: NotMonic: bounded test needs a monic operator"),
         (["--json", "ad-test", "2*d^2", "--theta", "x^2"], 0,
          '"chain_error": "NotMonic: bounded test needs a monic operator"'),
         (["classify", "d^5 + x^-3", "--theta", "x"], 0,

@@ -3,7 +3,8 @@
 Each ``bispec ...`` line of the README's CLI block goes through
 ``bispec.cli.main`` in-process and must exit 0.  A trailing comment is a
 claim ``# -> a; b``: each of ``a`` and ``b`` is a line of the command's
-output, verbatim.
+output, verbatim.  A transcript (a ``$ bispec ...`` line in a shell
+block, followed by the lines it prints) must print exactly those lines.
 """
 
 import contextlib
@@ -27,16 +28,38 @@ def cli_examples() -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize("line", cli_examples())
-def test_readme_cli_example(line):
-    command, _, comment = line.partition("#")
+def transcripts() -> list[tuple[str, list[str]]]:
+    """(command, printed lines) for each ``$ bispec`` line of a shell block."""
+    blocks = README.read_text().split("```sh\n")[1:]
+    found = []
+    for block in blocks:
+        lines = block.split("```", 1)[0].splitlines()
+        if lines and lines[0].startswith("$ bispec "):
+            found.append((lines[0][len("$ "):], lines[1:]))
+    assert found, "README has no bispec transcript"
+    return found
+
+
+def run(command: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(shlex.split(command)[1:])
+    return rc, out.getvalue()
+
+
+@pytest.mark.parametrize("line", cli_examples())
+def test_readme_cli_example(line):
+    command, _, comment = line.partition("#")
+    rc, out = run(command)
     assert rc == 0
     comment = comment.strip()
     if comment:
         assert comment.startswith("-> "), f"not an output claim: {comment!r}"
-        printed = out.getvalue().splitlines()
+        printed = out.splitlines()
         for claim in comment[len("-> "):].split("; "):
             assert claim in printed
+
+
+@pytest.mark.parametrize("command, printed", transcripts())
+def test_readme_transcript(command, printed):
+    assert run(command) == (0, "\n".join(printed) + "\n")
