@@ -353,7 +353,7 @@ def _darboux_certificate(run):
     try:
         Q, R = left_divide(run.L, P)
     except err.BispecError as e:
-        run.errors.append(f"{type(e).__name__}: {e}")
+        run.errors.append(err.error_text(e))
         return
     if not R.is_zero():
         run.errors.append("NotAFactor: P does not left-divide L")
@@ -392,7 +392,7 @@ def _wave_probe(run):
         return VERDICT_OBSTRUCTED
     except err.BispecError as e:
         # kept as text: the exception's traceback holds the probe's frames
-        run.probe = f"{type(e).__name__}: {e}"
+        run.probe = err.error_text(e)
     return None
 
 
@@ -461,7 +461,7 @@ def _chain(run):
             certs["lambda"] = lam
             certs["ad_m"] = lam.order
         except err.BispecError as e:
-            run.errors.append(f"{type(e).__name__}: {e}")
+            run.errors.append(err.error_text(e))
         return VERDICT_MONOMIAL
     # whenever bounded_test returns, only the constants of f can fail (its
     # docstring proves it): rank < order is forced

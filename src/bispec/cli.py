@@ -45,14 +45,16 @@ def _emit(doc: dict[str, Any], as_json: bool) -> None:
 
 def _text_lines(doc: dict[str, Any], indent: str = ""):
     """One ``key: value`` line per entry; a non-empty dict's entries go
-    two spaces deeper under ``key:``.  A string is written as is, any
-    other value as its JSON text."""
+    two spaces deeper under ``key:``.  A non-empty string is written as
+    is, any other value (the empty string too, so no line ends in a
+    space) as its JSON text."""
     for key, value in doc.items():
         if isinstance(value, dict) and value:
             yield f"{indent}{key}:"
             yield from _text_lines(value, indent + "  ")
         else:
-            yield f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}"
+            text = value if isinstance(value, str) and value else json.dumps(value)
+            yield f"{indent}{key}: {text}"
 
 
 @functools.cache
@@ -118,13 +120,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"syntax error: {e}", file=sys.stderr)
         return 2
     except err.BispecError as e:
-        doc = {"errors": [_error_text(e)]}
+        doc = {"errors": [err.error_text(e)]}
     _emit(doc, args.json)
     return 0
-
-
-def _error_text(e: err.BispecError) -> str:
-    return f"{type(e).__name__}: {e}"
 
 
 def _answer(args) -> dict[str, Any]:
@@ -149,7 +147,7 @@ def _answer(args) -> dict[str, Any]:
                 f = split_constant_part(L)[0] if L.is_monic() else Poly.zero()
                 doc["chain"] = bounded_test(L, f, theta, Q).certificate()
             except err.BispecError as e:
-                doc["chain_error"] = _error_text(e)
+                doc["chain_error"] = err.error_text(e)
         return doc
     if cmd == "divide":
         Q, R = right_divide(parse_operator(args.numerator),

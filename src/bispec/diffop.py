@@ -27,12 +27,13 @@ algebra, and the parser evaluates expressions in it.
 
 ``DiffOp(var, coeffs)`` coerces every coefficient to a ``RatFunc`` and
 drops the zero ones.  Ring operations build their result with the trusted
-constructor ``DiffOp._trusted(var, coeffs)`` instead, which checks
-nothing; its caller must pass a dict with int keys >= 0 and nonzero
+constructor ``DiffOp._trusted(var, coeffs)`` instead, ``Record``'s, which
+checks nothing; its caller must pass a dict with int keys >= 0 and nonzero
 ``RatFunc`` values (negation, nonzero scaling, translation and
 multiplication by a nonzero function keep nonzero values nonzero; sums
 and products drop their cancelled terms first).  A ``DiffOp`` is
-immutable but unhashable; its coefficient dict must never be changed.
+immutable but unhashable (its fields are compared as ``Record``'s are,
+and a dict has no hash); its coefficient dict must never be changed.
 
 ``DiffOp.zero(var)`` and ``DiffOp.one(var)`` build a new operator for
 their variable tag, but the coefficients they and ``d``/``x`` hold are
@@ -97,16 +98,8 @@ class DiffOp(Record):
         clean = nonzero_terms({int(j): _coerce(c) for j, c in coeffs.items()})
         if any(j < 0 for j in clean):
             raise ValueError("negative derivative power in DiffOp")
-        _set_var(self, var)
-        _set_coeffs(self, clean)
-
-    @classmethod
-    def _trusted(cls, var: str, coeffs: dict) -> "DiffOp":
-        """Wrap a clean coefficient dict (see the module docstring), unchecked."""
-        self = _new(cls)
-        _set_var(self, var)
-        _set_coeffs(self, coeffs)
-        return self
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "coeffs", clean)
 
     # -- constructors
 
@@ -171,13 +164,6 @@ class DiffOp(Record):
 
     # -- ring operations
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOp)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
-
     def __neg__(self) -> "DiffOp":
         return DiffOp._trusted(self.var, {j: -c for j, c in self.coeffs.items()})
 
@@ -228,11 +214,6 @@ class DiffOp(Record):
         return f"DiffOp({self.var!r}, {self!s})"
 
 
-_new = object.__new__
-_set_var = DiffOp.var.__set__
-_set_coeffs = DiffOp.coeffs.__set__
-
-
 # ---------------------------------------------------------------------------
 # the Laurent Weyl algebra
 # ---------------------------------------------------------------------------
@@ -245,7 +226,7 @@ class TOp(Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        _set_terms(self, terms)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def order(self) -> int:
@@ -309,11 +290,10 @@ class TOp(Record):
             for e, c in row.items():
                 num[e - shift] = c
             den = Poly.monomial(-shift) if shift else Poly.one()
-            coeffs[k] = RatFunc._reduced(Poly._trusted(tuple(num)), den)
+            coeffs[k] = RatFunc._trusted(Poly._trusted(tuple(num)), den)
         return DiffOp._trusted(var, coeffs)
 
 
-_set_terms = TOp.terms.__set__
 _TOP_ONE = TOp({(0, 0): _ONE})
 
 

@@ -9,6 +9,11 @@ class BispecError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+def error_text(e: Exception) -> str:
+    """The one text of a caught error in a report: "Name: message"."""
+    return f"{type(e).__name__}: {e}"
+
+
 # -- exact-algebra ----------------------------------------------------------
 
 class ZeroDenominator(BispecError):

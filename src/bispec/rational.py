@@ -30,15 +30,16 @@ All values are immutable after construction, so ``RatFunc.zero()``,
 
 Trusted constructors.  The public constructors coerce and normalize their
 input.  Arithmetic that already knows its result is canonical wraps it
-with a trusted constructor instead, which checks nothing; each caller must
-meet the invariant itself (``Poly._trusted`` is described in ``poly``):
+with the trusted constructor instead, ``Record._trusted``, which fills the
+fields in order and checks nothing; each caller must meet the invariant
+itself (``Poly._trusted``, the one other, is described in ``poly``):
 
-* ``RatFunc._reduced(num, den)``: gcd(num, den) = 1, den monic, a unit den
+* ``RatFunc._trusted(num, den)``: gcd(num, den) = 1, den monic, a unit den
   is the shared ``Poly.one()``, and zero is 0/1.  Negation, nonzero
   scaling and translation keep a pair reduced; so do products, sums and
   derivatives of polynomials, and sums over coprime denominators.
-* ``TruncatedSeries._trusted(terms, trunc)``, for ``LaurentTail`` and
-  ``bounded.PDO`` alike: a dict with int keys, every key at least
+* ``LaurentTail._trusted(terms, trunc)`` and ``bounded.PDO._trusted(terms,
+  trunc)`` alike: a dict with int keys, every key at least
   ``-trunc``, and nonzero values already of the series' coefficient ring
   (``Fraction`` for a tail, ``RatFunc`` for a ``PDO``).  Negation, sums
   and ``restrict`` keep it.
@@ -72,7 +73,6 @@ from .poly import (
     Poly,
     ScalarLike,
     _frac,
-    _new,
     min_trunc,
     monomial_text,
     poly_text,
@@ -84,7 +84,7 @@ from .record import Record
 # rational functions
 # ---------------------------------------------------------------------------
 
-class RatFunc:
+class RatFunc(Record):
     """Reduced rational function num/den with monic denominator.
 
     The representative is canonical: gcd(num, den) = 1, den is monic, and
@@ -126,19 +126,8 @@ class RatFunc:
                     den = _POLY_ONE
             if lead != 1:
                 num = num.scale(1 / lead)
-        _set_num(self, num)
-        _set_den(self, den)
-
-    @classmethod
-    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
-        """Wrap a pair that is already canonical, skipping the reduction."""
-        self = _new(cls)
-        _set_num(self, num)
-        _set_den(self, den)
-        return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc is immutable")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     # -- constructors
 
@@ -152,7 +141,7 @@ class RatFunc:
 
     @staticmethod
     def const(c: ScalarLike) -> "RatFunc":
-        return RatFunc._reduced(Poly.const(c), _POLY_ONE)
+        return RatFunc._trusted(Poly.const(c), _POLY_ONE)
 
     @staticmethod
     def x() -> "RatFunc":
@@ -230,7 +219,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc._reduced(-self.num, self.den)
+        return RatFunc._trusted(-self.num, self.den)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         """The sum, reduced over lcm(b, e) for a/b + c/e.  Over coprime b
@@ -243,14 +232,14 @@ class RatFunc:
             return other
         a, b, c, e = self.num, self.den, other.num, other.den
         if b is _POLY_ONE and e is _POLY_ONE:
-            return RatFunc._reduced(a + c, _POLY_ONE)
+            return RatFunc._trusted(a + c, _POLY_ONE)
         if b == e:
             return RatFunc(a + c, b)
         if self.is_laurent_polynomial() and other.is_laurent_polynomial():
             return RatFunc(a * e + c * b, b * e)
         g = b.gcd(e)
         if g.is_one():
-            return RatFunc._reduced(a * e + c * b, b * e)
+            return RatFunc._trusted(a * e + c * b, b * e)
         e = e.exact_div(g)
         return RatFunc(a * e + c * b.exact_div(g), b * e)
 
@@ -259,14 +248,14 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.den is _POLY_ONE and other.den is _POLY_ONE:
-            return RatFunc._reduced(self.num * other.num, _POLY_ONE)
+            return RatFunc._trusted(self.num * other.num, _POLY_ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def scale(self, c: ScalarLike) -> "RatFunc":
         num = self.num.scale(c)
         if num.is_zero():
             return _RAT_ZERO
-        return RatFunc._reduced(num, self.den)
+        return RatFunc._trusted(num, self.den)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
@@ -281,7 +270,7 @@ class RatFunc:
         of numerator and denominator need no gcd."""
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc._reduced(self.num ** n, self.den ** n)
+        return RatFunc._trusted(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RatFunc":
         try:
@@ -289,19 +278,19 @@ class RatFunc:
         except AttributeError:
             pass
         if self.den is _POLY_ONE:
-            out = RatFunc._reduced(self.num.derivative(), _POLY_ONE)
+            out = RatFunc._trusted(self.num.derivative(), _POLY_ONE)
         else:
             out = RatFunc(
                 self.num.derivative() * self.den - self.num * self.den.derivative(),
                 self.den * self.den,
             )
-        _set_derivative(self, out)
+        object.__setattr__(self, "_derivative", out)
         return out
 
     def translate(self, a: ScalarLike) -> "RatFunc":
         """f(x + a).  The shift is a ring automorphism that keeps degrees
         and leading coefficients, so the pair stays reduced."""
-        return RatFunc._reduced(self.num.translate(a), self.den.translate(a))
+        return RatFunc._trusted(self.num.translate(a), self.den.translate(a))
 
     def signed_terms(self, j: int = 0, var: str = "x") -> list[tuple]:
         """The (sign, text) pairs of self * d^j, the one text of a
@@ -325,12 +314,9 @@ class RatFunc:
         return f"({self.num})/({self.den})"
 
 
-_set_num = RatFunc.num.__set__
-_set_den = RatFunc.den.__set__
-_set_derivative = RatFunc._derivative.__set__
-_RAT_ZERO = RatFunc._reduced(_POLY_ZERO, _POLY_ONE)
-_RAT_ONE = RatFunc._reduced(_POLY_ONE, _POLY_ONE)
-_RAT_X = RatFunc._reduced(_POLY_X, _POLY_ONE)
+_RAT_ZERO = RatFunc._trusted(_POLY_ZERO, _POLY_ONE)
+_RAT_ONE = RatFunc._trusted(_POLY_ONE, _POLY_ONE)
+_RAT_X = RatFunc._trusted(_POLY_X, _POLY_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +342,6 @@ def add_terms(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
     return nonzero_terms(out, trunc)
 
 
-_setattr = object.__setattr__
-
-
 class TruncatedSeries(Record):
     """A truncated series sum_e c_e t^e in one formal variable t.
 
@@ -373,9 +356,9 @@ class TruncatedSeries(Record):
 
     The constructor, ``LaurentTail(terms, trunc)`` or ``PDO(terms,
     trunc)``, coerces every coefficient with ``_coerce`` and drops the
-    zero ones and those below t^-trunc.  ``_trusted(terms, trunc)`` wraps
-    a dict with int keys at least ``-trunc`` and nonzero coefficients
-    already of the subclass's ring, unchecked.
+    zero ones and those below t^-trunc.  ``_trusted(terms, trunc)``, from
+    ``Record``, wraps a dict with int keys at least ``-trunc`` and nonzero
+    coefficients already of the subclass's ring, unchecked.
     """
 
     __slots__ = ()
@@ -383,15 +366,8 @@ class TruncatedSeries(Record):
     def __init__(self, terms: Optional[Mapping] = None, trunc: Optional[int] = None):
         coerce = self._coerce
         clean = {int(i): coerce(c) for i, c in (terms or {}).items()}
-        _setattr(self, "terms", nonzero_terms(clean, trunc))
-        _setattr(self, "trunc", trunc)
-
-    @classmethod
-    def _trusted(cls, terms: dict, trunc: Optional[int]):
-        self = _new(cls)
-        _setattr(self, "terms", terms)
-        _setattr(self, "trunc", trunc)
-        return self
+        object.__setattr__(self, "terms", nonzero_terms(clean, trunc))
+        object.__setattr__(self, "trunc", trunc)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -4,7 +4,10 @@
 ``__slots__`` class what a frozen dataclass gave it, without generating
 and compiling code when the class is created: a constructor that binds
 arguments to the fields, field-wise ``==`` and ``hash``, a
-``Name(field=value, ...)`` repr, and assignment that raises.
+``Name(field=value, ...)`` repr, and assignment that raises.  It also
+gives the ring value classes (``rational.RatFunc``, ``diffop.DiffOp``,
+``diffop.TOp`` and the series ``rational.LaurentTail`` and
+``bounded.PDO``) their one unchecked constructor, ``_trusted``.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ class Record:
     may give default values in ``_defaults``.  The generic constructor
     binds positional and keyword arguments to the fields and then calls
     ``__post_init__``, where a subclass checks or normalizes its fields
-    (writing them with ``object.__setattr__``).  Hot classes write their
-    own ``__init__`` instead.
+    (writing them with ``object.__setattr__``).  A class whose public
+    constructor coerces or reduces writes its own ``__init__``; its
+    arithmetic wraps results it knows are canonical with ``_trusted``.
 
     Two records are equal when they are of the same class and their fields
     are equal; they hash by their fields, so a record with an unhashable
@@ -48,6 +52,17 @@ class Record:
             raise TypeError(f"{type(self).__name__}() got unexpected or repeated "
                             f"arguments {sorted(kwargs)}")
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record whose first fields, in ``__slots__`` order, are
+        ``values``, with no check: the caller hands values that already
+        meet the class's invariant.  Fields past ``values`` stay unset
+        (``RatFunc`` keeps its derivative cache there)."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __post_init__(self):
         pass

@@ -82,7 +82,8 @@ def _render(doc: dict, indent: str = "") -> str:
         if isinstance(value, dict) and value:
             text += f"{indent}{key}:\n" + _render(value, indent + "  ")
         else:
-            text += f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}\n"
+            shown = value if isinstance(value, str) and value else json.dumps(value)
+            text += f"{indent}{key}: {shown}\n"
     return text
 
 

@@ -440,6 +440,14 @@ class TestCli:
             "theta = x^2 + x is not admissible: its ad chain does not end "
             "after deg theta + 1 = 3 brackets")
 
+    def test_no_text_line_ends_in_a_space(self, capsys):
+        # an empty string used to print as "branch: "; it is written as
+        # its JSON text, as --json writes it
+        assert main(["classify", "d"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert 'branch: ""' in lines
+        assert not [line for line in lines if line.endswith(" ")]
+
     def test_parse(self):
         out = run_cli("parse", "d*x")
         assert out.returncode == 0

@@ -46,6 +46,7 @@ L2 = parse_operator("d^2 - 2*x^-2")
 def _instances():
     """One instance of every record class (ClassificationReport aside)."""
     return [
+        RatFunc(Poly.one(), Poly([1, 1])),
         DiffOp.d(),
         TAIL,
         PDO({0: RatFunc.one(), 1: RatFunc.x_power(-1)}, 4),
@@ -66,7 +67,11 @@ def _instances():
     ]
 
 
-@pytest.mark.parametrize("obj", _instances(), ids=lambda o: type(o).__name__)
+# Poly is no Record but keeps the same guards; deleting a field of a Poly
+# or a RatFunc used to succeed, and ``del Poly.one().coeffs`` emptied the
+# shared one for the process
+@pytest.mark.parametrize("obj", _instances() + [Poly([1, 2])],
+                         ids=lambda o: type(o).__name__)
 def test_immutable(obj):
     name = type(obj).__slots__[0]
     with pytest.raises(AttributeError):
@@ -118,6 +123,22 @@ def test_equality_and_hash():
 def test_unhashable_as_before(obj):
     with pytest.raises(TypeError):
         hash(obj)
+
+
+def test_ring_values_take_the_one_trusted_constructor():
+    # Record gives the unchecked constructor and, for DiffOp, the equality
+    # (test_no_record_overrides_assignment covers the guards); Poly, the
+    # bottom layer, keeps its own
+    for cls in (RatFunc, DiffOp, TOp, LaurentTail, PDO):
+        assert cls._trusted.__func__ is Record._trusted.__func__, cls.__name__
+    assert not hasattr(RatFunc, "_reduced") and "__eq__" not in vars(DiffOp)
+    assert DiffOp._trusted("x", {1: RatFunc.one()}) == DiffOp.d()
+    assert DiffOp.d() != DiffOp.d("z") and DiffOp.d() != 1
+    # the fields after the given values stay unset: RatFunc's derivative
+    # cache is filled on the first call
+    f = RatFunc._trusted(Poly.x(), Poly.one())
+    assert f == RatFunc.x() and not hasattr(f, "_derivative")
+    assert f.derivative() is f._derivative == RatFunc.one()
 
 
 def test_classification_report_is_immutable_with_fresh_defaults():

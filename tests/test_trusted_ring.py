@@ -1,8 +1,9 @@
 """The trusted constructors build only canonical values.
 
-Ring arithmetic wraps results it knows are canonical with ``Poly._trusted``,
-``RatFunc._reduced``, ``DiffOp._trusted`` and the series' ``_trusted``,
-skipping the public constructors' coercion, trimming and zero filtering.
+Ring arithmetic wraps results it knows are canonical with ``Poly._trusted``
+or, for ``RatFunc``, ``DiffOp``, ``TOp`` and the series, the one
+``Record._trusted``, skipping the public constructors' coercion, trimming,
+reduction and zero filtering.
 Each test re-validates results through the public constructors and
 requires the copy to be identical, entry types included.
 """
