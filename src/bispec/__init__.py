@@ -75,7 +75,6 @@ from .weights import (
     weighted_order,
 )
 from .bounded import (
-    BoundedTestReport,
     CentralizerResult,
     PDO,
     bounded_test,

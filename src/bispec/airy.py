@@ -212,15 +212,10 @@ def airy_kernel_series(A: DiffOp, init, M: int) -> Poly:
     return Poly([D[k] / factorial(k) for k in range(M + 1)])
 
 
-class AiryBispectralReport(Record):
-    __slots__ = ("ok", "verified_degree")
-    ok: bool             # A Phi = 0, so Psi meets both eigenvalue identities
-    verified_degree: int
-
-
-def airy_bispectral_check(A: DiffOp, M: int) -> AiryBispectralReport:
-    """Verify that Psi(x,z) = Phi(x+z), Phi the kernel series with
-    Phi(0) = 1, satisfies the two eigenvalue identities exactly.
+def airy_bispectral_check(A: DiffOp, M: int) -> bool:
+    """Whether Psi(x,z) = Phi(x+z), Phi the kernel series with
+    Phi(0) = 1, satisfies the two eigenvalue identities exactly through
+    total degree M - 2: the certificate is this one bit.
 
     Both identities are the one bit A Phi = 0 in u = x + z:
     A(x, d_x) Psi - lam z Psi = A(z, d_z) Psi - lam x Psi = (A Phi)(x + z),
@@ -231,15 +226,12 @@ def airy_bispectral_check(A: DiffOp, M: int) -> AiryBispectralReport:
     with A Phi through degree M; comparing it with 0 through degree M - 2
     verifies the identities through total degree M - 2."""
     N = airy_shape(A).N
-    check_deg = M - 2
     phi = airy_kernel_series(A, [1] + [0] * (N - 1), M + N)
     APhi = Poly.zero()
     for j in range(N + 1):  # A Phi = sum_j c_j Phi^(j); phi is Phi^(j)
         APhi = APhi + A.coeff(j).num * phi
         phi = phi.derivative()
-    return AiryBispectralReport(
-        ok=not any(APhi.coeff(e) for e in range(check_deg + 1)),
-        verified_degree=check_deg)
+    return not any(APhi.coeff(e) for e in range(M - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -348,77 +348,28 @@ def _expand_in_L(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
 # the bounded obstruction chain
 # ---------------------------------------------------------------------------
 
-class BoundedTestReport(Record):
-    """Every link of the polynomial-identity chain, reported separately.
-
-    The chain: m minimal with ad^|m+1|(theta) = 0; Q = ad^m(theta) commutes
-    with L and expands as sum q_j L^j; then sum q_j f(z)^j = m! f'(z)^m
-    must hold, with m = s N, r = s (N-1) and q_r = m! N^m; and when the
-    rank equals the order, every lower constant of f must vanish."""
-
-    __slots__ = ("theta", "m", "N", "f", "q", "identity_holds", "s", "r_expected",
-                 "r_actual", "q_r", "q_r_expected", "q_r_ok", "nonzero_cj")
-    theta: Poly
-    m: int
-    N: int
-    f: Poly
-    q: tuple[Fraction, ...]
-    identity_holds: bool
-    s: Optional[int]
-    r_expected: Optional[int]
-    r_actual: int
-    q_r: Fraction
-    q_r_expected: Fraction
-    q_r_ok: bool
-    nonzero_cj: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def divisibility_ok(self) -> bool:
-        return self.s is not None and self.r_expected == self.r_actual
-
-    @property
-    def cj_all_zero(self) -> bool:
-        return not self.nonzero_cj
-
-    @property
-    def passes(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> tuple[str, ...]:
-        out = []
-        if not self.identity_holds:
-            out.append("identity")
-        if not self.divisibility_ok:
-            out.append("divisibility")
-        if not self.q_r_ok:
-            out.append("leading-coefficient")
-        if not self.cj_all_zero:
-            out.append("nonzero-constants")
-        return tuple(out)
-
-    def certificate(self) -> dict:
-        """Every link of the chain, with the failures it names."""
-        return {"theta": str(self.theta), "m": self.m, "q": list(self.q),
-                "identity_holds": self.identity_holds, "s": self.s,
-                "r": self.r_actual, "q_r": self.q_r,
-                "q_r_expected": self.q_r_expected,
-                "nonzero_cj": list(self.nonzero_cj),
-                "failures": list(self.failures())}
-
-
-def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> BoundedTestReport:
+def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> dict:
     """Run the full chain for a bounded-coefficient normalized operator
     L = f(d) + V, from the end Q = ad_L^m(theta) of theta's chain, as
     ``diffop.ad_condition_min_m`` returns it with ``split_constant_part``'s
-    f.
+    f, and return its certificate: the dict that ``classify`` stores as
+    ``bounded_chain`` and ``bispec ad-test`` prints.
+
+    The certificate carries every link of the chain: the monic theta (as
+    text), m, the constants q_0..q_r with Q = sum q_j L^j, whether
+    sum q_j f(z)^j = m! f'(z)^m holds, s = m / N (None when N does not
+    divide m), r, q_r and the expected m! N^m, the nonzero lower constants
+    (j, c_j) of f, and ``failures``, the links that fail among
+    "identity", "divisibility" (r = s (N - 1)), "leading-coefficient" and
+    "nonzero-constants".  The chain passes when ``failures`` is empty.
 
     The ad exponent is m = deg theta or none at all (the proof is in
     ``diffop.ad_condition_min_m``), so the chain that admitted theta
     already showed ad_L^(m+1)(theta) = [L, Q] = 0; this function brackets
     nothing and does not check it again.  ad is linear, so theta is made
-    monic and Q scaled by the same 1/lead(theta), and the report carries
-    the monic theta: the expected constants below are those of a monic
-    theta.
+    monic and Q scaled by the same 1/lead(theta), and the certificate
+    carries the monic theta: the expected constants below are those of a
+    monic theta.
 
     Whenever this returns, the identity, divisibility and leading-constant
     links hold; only the constants c_j of f can fail.  Grade by the degree
@@ -427,8 +378,9 @@ def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> BoundedTestRepor
     sum q_j f(d)^j, as L = f(d) + V with V of degree <= -1.  So
     sum q_j f(z)^j = m! f'(z)^m.  With f monic of degree N, the degrees
     give r N = m (N - 1) and the leading coefficients q_r = m! N^m; as N
-    is prime to N - 1, N | m, so m = s N and r = s (N - 1).  The report
-    still carries these links, because they re-verify the result.
+    is prime to N - 1, N | m, so m = s N and r = s (N - 1).  The
+    certificate still carries these links, because they re-verify the
+    result.
 
     Raises NotMonic when the leading coefficient of L is not 1 (the
     expected q_r = m! N^m holds only for a monic L), NotCommuting when
@@ -453,21 +405,18 @@ def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> BoundedTestRepor
     lhs = Poly.zero()
     for j, qj in enumerate(q):
         lhs = lhs + (f ** j).scale(qj)
-    rhs = (f.derivative() ** m).scale(factorial(m))
-    r_actual = len(q) - 1
+    r = len(q) - 1
     s = m // N if m % N == 0 else None
-    q_r = q[-1] if q else Fraction(0)
     q_r_expected = Fraction(factorial(m) * N ** m)
-    nonzero = tuple((j, c) for j, c in enumerate(f.coeffs[:-1]) if c != 0)
-    return BoundedTestReport(
-        theta=theta, m=m, N=N, f=f, q=tuple(q),
-        identity_holds=(lhs == rhs),
-        s=s,
-        r_expected=(s * (N - 1) if s is not None else None),
-        r_actual=r_actual,
-        q_r=q_r, q_r_expected=q_r_expected, q_r_ok=(q_r == q_r_expected),
-        nonzero_cj=nonzero,
-    )
+    nonzero = [(j, c) for j, c in enumerate(f.coeffs[:-1]) if c != 0]
+    links = {"identity": lhs == (f.derivative() ** m).scale(factorial(m)),
+             "divisibility": s is not None and s * (N - 1) == r,
+             "leading-coefficient": q[-1] == q_r_expected,
+             "nonzero-constants": not nonzero}
+    return {"theta": str(theta), "m": m, "q": q, "identity_holds": links["identity"],
+            "s": s, "r": r, "q_r": q[-1], "q_r_expected": q_r_expected,
+            "nonzero_cj": nonzero,
+            "failures": [link for link, holds in links.items() if not holds]}
 
 
 # ---------------------------------------------------------------------------

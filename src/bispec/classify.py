@@ -441,9 +441,10 @@ def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
 
 
 def _chain(run):
-    """``bounded_test`` from the admitted chain's end, then Lambda from
-    the probe's K.  L is monic and theta admitted with 1 <= deg theta, so
-    NotRankOrderCase is the one error bounded_test can raise here."""
+    """``bounded_test``'s certificate from the admitted chain's end, then
+    Lambda from the probe's K.  L is monic and theta admitted with
+    1 <= deg theta, so NotRankOrderCase is the one error bounded_test can
+    raise here."""
     certs, use = run.certs, run.use
     try:
         chain = bounded_test(run.L, run.f, use, run.Q)
@@ -451,8 +452,8 @@ def _chain(run):
         certs["ad_theta"] = str(use)
         certs["rank_order_case"] = False
         return VERDICT_POLYNOMIAL
-    certs["bounded_chain"] = chain.certificate()
-    if chain.passes:
+    certs["bounded_chain"] = chain
+    if not chain["failures"]:
         if run.K is None:
             run.errors.append(run.probe)
             return VERDICT_MONOMIAL

@@ -145,7 +145,7 @@ def _answer(args) -> dict[str, Any]:
                 # bounded_test refuses a non-monic L before the split could
                 # refuse a growing coefficient: keep that order
                 f = split_constant_part(L)[0] if L.is_monic() else Poly.zero()
-                doc["chain"] = bounded_test(L, f, theta, Q).certificate()
+                doc["chain"] = bounded_test(L, f, theta, Q)
             except err.BispecError as e:
                 doc["chain_error"] = err.error_text(e)
         return doc

@@ -101,7 +101,6 @@ from bispec import (
     split_constant_part,
     wave_defect,
 )
-from bispec.airy import AiryBispectralReport
 from bispec.diffop import TOp
 from bispec.families import falling_factorial
 from bispec.linalg import nullspace
@@ -484,7 +483,7 @@ def _bi_mul(u: dict, axis: int) -> dict:
     return {(i + (axis == 0), j + (axis == 1)): c for (i, j), c in u.items()}
 
 
-def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> AiryBispectralReport:
+def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> bool:
     """Expand Psi(x, z) = Phi(x + z) binomially through total degree
     M + N and compare A(x, d_x) Psi with lam z Psi, A(z, d_z) Psi with
     lam x Psi and d_x Psi with d_z Psi through total degree M - 2."""
@@ -514,8 +513,7 @@ def airy_bispectral_check_bivariate(A: DiffOp, M: int) -> AiryBispectralReport:
     eigen = [zero_through(_bi_add(apply_A(axis), _bi_mul(psi, 1 - axis), -shape.lam))
              for axis in (0, 1)]
     shift = zero_through(_bi_add(_bi_diff(psi, 0), _bi_diff(psi, 1), -1))
-    return AiryBispectralReport(ok=eigen[0] and eigen[1] and shift,
-                                verified_degree=M - 2)
+    return eigen[0] and eigen[1] and shift
 
 
 def transpose_weyl(P: DiffOp, out_var: str) -> DiffOp:

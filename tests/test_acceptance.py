@@ -110,12 +110,12 @@ def test_criterion_04_ad_condition():
 
 def test_criterion_05_bounded_chain():
     rep = bounded_chain(d * d - xpow(-2, 2), Poly([0, 0, 1]))
-    assert rep.m == 2
-    assert list(rep.q) == [0, 8]
-    assert rep.identity_holds  # 8 z^2 = 2! (2z)^2
-    assert rep.s == 1 and rep.r_expected == 1 == rep.r_actual
-    assert rep.q_r == 8 == rep.q_r_expected
-    assert rep.passes
+    assert rep["m"] == 2
+    assert rep["q"] == [0, 8]
+    assert rep["identity_holds"]  # 8 z^2 = 2! (2z)^2
+    assert rep["s"] == 1 and rep["s"] * (2 - 1) == 1 == rep["r"]
+    assert rep["q_r"] == 8 == rep["q_r_expected"]
+    assert rep["failures"] == []
     ok("05 bounded-chain")
 
 
@@ -132,8 +132,8 @@ def test_criterion_06_lambda_reconstruction():
 
 def test_criterion_07_airy_bispectrality():
     for A in (make_airy(2), make_airy(3)):
-        rep = airy_bispectral_check(A, 12)
-        assert rep.ok and rep.verified_degree >= 10
+        # the identities hold through total degree 12 - 2 = 10
+        assert airy_bispectral_check(A, 12) is True
     s2 = airy_kernel_series(make_airy(2), (1, 0), 7)
     assert s2 == Poly([1, 0, 0, Fraction(1, 6), 0, 0, Fraction(1, 180)])
     s3 = airy_kernel_series(make_airy(3), (1, 0, 0), 5)

@@ -27,7 +27,7 @@ from bispec import (
     perturbation_obstruction,
     right_divide,
 )
-from bispec.airy import AiryBispectralReport
+import bispec.airy
 from oracles import (airy_wave_deep, mono_add, mono_commutator, mono_mul, mono_of_diffop,
                      obstruction_recursion_holds, random_diffop)
 
@@ -361,12 +361,20 @@ class TestBispectralCheck:
     @pytest.mark.parametrize("A", [make_airy(2), make_airy(3),
                                    make_airy(3, {1: 5})])
     def test_identities(self, A):
-        rep = airy_bispectral_check(A, 12)
-        assert rep.ok
-        assert rep.verified_degree == 10
+        assert airy_bispectral_check(A, 12) is True
 
-    def test_report_is_one_bit_and_its_degree(self):
-        assert airy_bispectral_check(make_airy(2), 8) == AiryBispectralReport(True, 6)
+    @pytest.mark.parametrize("A", [make_airy(2), make_airy(3, {1: 5})])
+    def test_checked_through_degree_M_minus_2(self, A, monkeypatch):
+        # x^k added to Phi adds k!/(k - N)! x^(k - N) to A Phi and nothing
+        # of lower degree: the check of M = 8 sees it at k = M + N - 2
+        # (degree 6) and not at k = M + N - 1 (degree 7)
+        kernel = bispec.airy.airy_kernel_series
+        N, M = A.order, 8
+        assert airy_bispectral_check(A, M) is True
+        for k, holds in ((M + N - 2, False), (M + N - 1, True)):
+            monkeypatch.setattr(bispec.airy, "airy_kernel_series",
+                                lambda op, init, n, k=k: kernel(op, init, n) + Poly.monomial(k))
+            assert airy_bispectral_check(A, M) is holds
 
 
 class TestAiryInvolution:

@@ -52,9 +52,8 @@ class TestBispectralCheck:
     @settings(max_examples=40, deadline=None)
     @given(airy_operators(), st.integers(3, 14))
     def test_matches_two_variable_check(self, A, M):
-        rep = airy_bispectral_check(A, M)
-        assert rep == airy_bispectral_check_bivariate(A, M)
-        assert rep.ok and rep.verified_degree == M - 2
+        # both check the identities through total degree M - 2
+        assert airy_bispectral_check(A, M) is airy_bispectral_check_bivariate(A, M) is True
 
     @pytest.mark.parametrize("A", [make_airy(2), make_airy(3, {1: 5}),
                                    make_airy(5, {2: -1, 3: 2})])
@@ -67,9 +66,7 @@ class TestBispectralCheck:
 
         monkeypatch.setattr(bispec.airy, "airy_kernel_series", corrupted)
         monkeypatch.setattr(oracles, "airy_kernel_series", corrupted)
-        rep = airy_bispectral_check(A, 10)
-        assert not rep.ok
-        assert rep == airy_bispectral_check_bivariate(A, 10)
+        assert airy_bispectral_check(A, 10) is airy_bispectral_check_bivariate(A, 10) is False
 
 
 polys_st = st.lists(small_st, min_size=1, max_size=3).map(Poly)
