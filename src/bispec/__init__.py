@@ -75,7 +75,6 @@ from .weights import (
     weighted_order,
 )
 from .bounded import (
-    CentralizerResult,
     PDO,
     bounded_test,
     build_lambda,

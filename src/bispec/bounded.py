@@ -50,7 +50,6 @@ from .diffop import (
     leibniz_product,
 )
 from .linalg import nullspace
-from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,9 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
     antiderivative has an x^-1 residue (rationality fails, so the input
     cannot satisfy the polynomial-conjugation lemma), ReconstructionFailed
     when the integral is not rational for a deeper reason, NotMonic when
-    the leading coefficient of L is not 1."""
+    the leading coefficient of L is not 1, and NotInDomain when the
+    d^(N-1) coefficient of L - f(d) is nonzero: that coefficient of E is
+    the same for every K, so no K solves the equation."""
     N = L.order
     if N < 1:
         raise UnboundedCoefficient("wave operator needs order >= 1")
@@ -199,6 +200,9 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
         raise ValueError("f must be monic of the operator's order")
     terms = {0: RatFunc.one()}
     E = wave_defect(L, f, PDO.identity())
+    if subleading := E.coeff(N - 1):
+        raise NotInDomain(f"the d^{N - 1} coefficient of L - f(d) is "
+                          f"{subleading}; gauge-normalize L first")
     for j in range(1, J + 1):
         target = E.coeff(N - 1 - j)
         if target.is_zero():
@@ -423,14 +427,7 @@ def bounded_test(L: DiffOp, f: Poly, theta: Poly, Q: DiffOp) -> dict:
 # centralizer search
 # ---------------------------------------------------------------------------
 
-class CentralizerResult(Record):
-    __slots__ = ("generators", "orders", "rank")
-    generators: tuple[DiffOp, ...]
-    orders: tuple[int, ...]
-    rank: Optional[int]  # None when only the constants were found
-
-
-def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
+def centralizer_search(L: DiffOp, max_ord: int) -> dict:
     """Solve [L, M] = 0 over candidates M = sum_j p_j(x) x^-d d^j with
     j <= max_ord, d = max_ord and deg p_j <= 2 max(max_ord, N) + d.
 
@@ -451,10 +448,12 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     one fixed nonzero polynomial, so the solution space, its reduced
     echelon form and the generators do not depend on F.
 
-    Returns a basis of the solution space (echelonized so leading terms are
-    distinct), the orders, and the gcd of the nonzero orders as the rank
-    estimate (None when the search finds only the constants).  Raises
-    ZeroOperand for L = 0, with which every operator commutes.
+    Returns the dict that ``bispec centralizer`` writes: the sorted
+    distinct ``orders`` of the generators, the gcd of the nonzero ones as
+    the ``rank`` estimate (None when the search finds only the constants)
+    and the ``generators``, a basis of the solution space echelonized so
+    leading terms are distinct.  Raises ZeroOperand for L = 0, with which
+    every operator commutes.
     """
     if L.is_zero():
         raise ZeroOperand("centralizer of the zero operator")
@@ -493,7 +492,7 @@ def centralizer_search(L: DiffOp, max_ord: int) -> CentralizerResult:
     for M in gens:
         if not commutator(L, M).is_zero():
             raise NotCommuting("search produced a non-commuting element")
-    orders = tuple(M.order for M in gens)
+    orders = sorted({M.order for M in gens})
     nonconstant = [n for n in orders if n]
-    return CentralizerResult(generators=tuple(gens), orders=orders,
-                             rank=gcd(*nonconstant) if nonconstant else None)
+    return {"orders": orders, "rank": gcd(*nonconstant) if nonconstant else None,
+            "generators": gens}

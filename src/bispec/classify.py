@@ -21,12 +21,15 @@ decides is Inconclusive.  In order:
 - ``_darboux_certificate``: a caller's P, completed to L = P Q;
 - ``_fuchs`` and ``_wave_probe``: two exact obstructions, Fuchs'
   pole-order criterion and a logarithm in the wave coefficients through
-  the truncation, whose one solve also serves Lambda;
-- ``_theta_search`` and ``_chain``: the ad-condition chain of the first
-  admitted theta; a passing chain with all constants zero marks a
+  the truncation, whose one solve also serves Lambda; the probe's other
+  errors go into the report's errors;
+- ``_theta_chain``: the ad-condition chain of the first admitted theta;
+  a passing chain with all constants zero marks a
   monomial-Darboux-of-Bessel candidate, while a failing constants check
   or a non-polynomial ad power routes to the constant-coefficient
-  Darboux branch.
+  Darboux branch.  When no theta is admitted it notes why and passes
+  on, so a decision stage after the search is one more entry in
+  ``STAGES``.
 
 That last verdict needs no centralizer: the chain says rank < order, and
 for a prime order the rank divides the order, so it is 1 (``bispec
@@ -42,9 +45,9 @@ with a polynomial coefficient.
 Every verdict carries machine-checkable certificates (principal part and
 perturbation, ad data, Lambda, Darboux pairs, obstruction traces) that
 the other modules can re-verify independently.  Each is written once:
-the obstruction trace and the bounded chain by their records'
-``certificate`` methods, and every function or operator as its ``str``,
-which ``parse_operator`` reads back.
+the obstruction trace by its record's ``certificate`` method, the
+bounded chain as the dict ``bounded_test`` returns, and every function
+or operator as its ``str``, which ``parse_operator`` reads back.
 """
 
 from __future__ import annotations
@@ -233,7 +236,7 @@ def classify(
     # a Bessel-decided operator is bounded: its coefficients are
     # w (x - x0)^(j - N); only _increasing says otherwise
     run = SimpleNamespace(L=L, N=N, theta=theta, P=P, budgets=budgets, K=None,
-                          probe=None, branch="bounded", certs={}, errors=[])
+                          branch="bounded", certs={}, errors=[])
     prime = _is_prime(N)
     if not prime:
         run.certs["composite_order"] = N
@@ -381,8 +384,8 @@ def _fuchs(run):
 
 def _wave_probe(run):
     """The wave operator K through trunc, solved once: a logarithm decides
-    Obstructed, another error is kept as ``probe`` for the note, and a
-    passing chain reads Lambda from the same K."""
+    Obstructed, another error goes into the report's errors, and a passing
+    chain reads Lambda from the same K."""
     try:
         run.K = wave_operator(run.L, run.f, run.budgets.trunc)
     except err.LogObstruction as e:
@@ -392,17 +395,20 @@ def _wave_probe(run):
         return VERDICT_OBSTRUCTED
     except err.BispecError as e:
         # kept as text: the exception's traceback holds the probe's frames
-        run.probe = err.error_text(e)
+        run.errors.append(err.error_text(e))
     return None
 
 
-def _theta_search(run):
-    """The first admitted theta (the caller's, or a monomial) and the end
-    ad^m(theta) of its chain; Inconclusive when none is admitted.  The
+def _theta_chain(run):
+    """The first admitted theta (the caller's, or a monomial) and its
+    chain's verdict; None, with a note, when none is admitted.  The
     exponent is deg theta or none (see ad_condition_min_m), and the
     verdict reads only the first admitted theta, so no later chain is
-    built."""
-    theta, budgets = run.theta, run.budgets
+    built.  ``bounded_test`` takes the admitted chain's end, then Lambda
+    comes from the probe's K.  L is monic and theta admitted with
+    1 <= deg theta, so NotRankOrderCase is the one error bounded_test can
+    raise here."""
+    theta, budgets, certs = run.theta, run.budgets, run.certs
     lmax = min(budgets.ad_budget, budgets.theta_lmax)
     if theta is not None:
         candidates = [theta] if 1 <= theta.degree <= budgets.ad_budget else []
@@ -411,18 +417,36 @@ def _theta_search(run):
     for t in candidates:
         end = ad_condition_min_m(run.L, t, t.degree)
         if end is not None:
-            run.use, run.Q = t, end[1]
-            run.certs["admissible_thetas"] = [str(t)]
-            return None
-    run.certs["admissible_thetas"] = []
-    if run.probe is not None:
-        run.errors.append(run.probe)
-    # a caller's theta that was not tried says why, whatever the probe
-    if run.probe is None or (theta is not None and not candidates):
-        run.certs["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
+            break
     else:
-        run.certs["note"] = "wave coefficients not recognized rational"
-    return VERDICT_INCONCLUSIVE
+        certs["admissible_thetas"] = []
+        # a caller's theta that was not tried says why, whatever the probe
+        if run.K is not None or (theta is not None and not candidates):
+            certs["note"] = _no_theta_note(theta, lmax, budgets.ad_budget)
+        else:
+            certs["note"] = "wave coefficients not recognized rational"
+        return None
+    certs["admissible_thetas"] = [str(t)]
+    try:
+        chain = bounded_test(run.L, run.f, t, end[1])
+    except err.NotRankOrderCase:
+        certs["ad_theta"] = str(t)
+        certs["rank_order_case"] = False
+        return VERDICT_POLYNOMIAL
+    certs["bounded_chain"] = chain
+    if chain["failures"]:
+        # whenever bounded_test returns, only the constants of f can fail
+        # (its docstring proves it): rank < order is forced
+        certs["rank_order_case"] = False
+        return VERDICT_POLYNOMIAL
+    if run.K is not None:
+        try:
+            lam = build_lambda(run.K, t)
+            certs["lambda"] = lam
+            certs["ad_m"] = lam.order
+        except err.BispecError as e:
+            run.errors.append(err.error_text(e))
+    return VERDICT_MONOMIAL
 
 
 def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
@@ -440,35 +464,5 @@ def _no_theta_note(theta: Optional[Poly], lmax: int, ad_budget: int) -> str:
             f"after deg theta + 1 = {theta.degree + 1} brackets")
 
 
-def _chain(run):
-    """``bounded_test``'s certificate from the admitted chain's end, then
-    Lambda from the probe's K.  L is monic and theta admitted with
-    1 <= deg theta, so NotRankOrderCase is the one error bounded_test can
-    raise here."""
-    certs, use = run.certs, run.use
-    try:
-        chain = bounded_test(run.L, run.f, use, run.Q)
-    except err.NotRankOrderCase:
-        certs["ad_theta"] = str(use)
-        certs["rank_order_case"] = False
-        return VERDICT_POLYNOMIAL
-    certs["bounded_chain"] = chain
-    if not chain["failures"]:
-        if run.K is None:
-            run.errors.append(run.probe)
-            return VERDICT_MONOMIAL
-        try:
-            lam = build_lambda(run.K, use)
-            certs["lambda"] = lam
-            certs["ad_m"] = lam.order
-        except err.BispecError as e:
-            run.errors.append(err.error_text(e))
-        return VERDICT_MONOMIAL
-    # whenever bounded_test returns, only the constants of f can fail (its
-    # docstring proves it): rank < order is forced
-    certs["rank_order_case"] = False
-    return VERDICT_POLYNOMIAL
-
-
 STAGES = (_bessel, _gauge, _increasing, _constant, _darboux_certificate,
-          _fuchs, _wave_probe, _theta_search, _chain)
+          _fuchs, _wave_probe, _theta_chain)

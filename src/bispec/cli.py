@@ -187,9 +187,7 @@ def _answer(args) -> dict[str, Any]:
             budgets=Budgets(ad_budget=args.order_budget, trunc=args.trunc),
         ).to_json_dict()
     # centralizer
-    res = centralizer_search(parse_operator(args.expr), args.order_budget)
-    return {"orders": sorted(set(res.orders)), "rank": res.rank,
-            "generators": res.generators}
+    return centralizer_search(parse_operator(args.expr), args.order_budget)
 
 
 if __name__ == "__main__":

@@ -75,7 +75,6 @@ from typing import Optional
 
 from bispec import (
     PDO,
-    CentralizerResult,
     DiffOp,
     InsufficientPrecision,
     LaurentTail,
@@ -794,7 +793,7 @@ def bounded_chain(L: DiffOp, theta: Poly):
 # centralizer search with one denominator per power of d
 
 
-def centralizer_by_degree_lcm(L: DiffOp, max_ord: int) -> CentralizerResult:
+def centralizer_by_degree_lcm(L: DiffOp, max_ord: int) -> dict:
     """``centralizer_search``'s ansatz and result, with every bracket kept
     and the coefficients of d^k cleared by the lcm of their denominators."""
     d = max_ord
@@ -820,7 +819,7 @@ def centralizer_by_degree_lcm(L: DiffOp, max_ord: int) -> CentralizerResult:
                 j, i = basis_ops[col]
                 coeffs[j] = coeffs.get(j, RatFunc.zero()) + RatFunc.x_power(i - d, vec[col])
         gens.append(DiffOp(L.var, coeffs))
-    orders = tuple(M.order for M in gens)
+    orders = sorted({M.order for M in gens})
     nonconstant = [n for n in orders if n]
-    return CentralizerResult(generators=tuple(gens), orders=orders,
-                             rank=gcd(*nonconstant) if nonconstant else None)
+    return {"orders": orders, "rank": gcd(*nonconstant) if nonconstant else None,
+            "generators": gens}

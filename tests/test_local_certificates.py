@@ -148,21 +148,44 @@ class TestStageOrder:
     def test_the_stage_table(self):
         assert [s.__name__ for s in MODULES[0].STAGES] == [
             "_bessel", "_gauge", "_increasing", "_constant",
-            "_darboux_certificate", "_fuchs", "_wave_probe", "_theta_search",
-            "_chain"]
+            "_darboux_certificate", "_fuchs", "_wave_probe", "_theta_chain"]
 
     def test_a_verdict_ends_the_run(self, monkeypatch):
-        def search(run):
-            raise AssertionError("the theta search ran")
+        def chain(run):
+            raise AssertionError("the theta chain ran")
 
         stages = MODULES[0].STAGES
         monkeypatch.setattr(MODULES[0], "STAGES", tuple(
-            search if s is MODULES[0]._theta_search else s for s in stages))
-        # the probe decides: the search after it never runs
+            chain if s is MODULES[0]._theta_chain else s for s in stages))
+        # the probe decides: the chain after it never runs
         assert classify("d^2 + x^-1").verdict == "Obstructed"
-        # the arctan anchor passes the probe and reaches the search
-        with pytest.raises(AssertionError, match="the theta search ran"):
+        # the arctan anchor passes the probe and reaches the chain
+        with pytest.raises(AssertionError, match="the theta chain ran"):
             classify("d^2 - 2*(x^2+1)^-1")
+
+    def test_a_stage_after_the_search_sees_what_it_left(self, monkeypatch):
+        # a decision stage appended to STAGES runs when no theta is
+        # admitted, and reads the probe's K or its error and the note
+        seen = []
+
+        def after(run):
+            seen.append((run.K, run.certs["note"], list(run.errors)))
+
+        monkeypatch.setattr(MODULES[0], "STAGES", MODULES[0].STAGES + (after,))
+        assert classify("d^2 - 2*(x^2+1)^-1").verdict == "Inconclusive"
+        assert seen == [(None, "wave coefficients not recognized rational",
+                         ["ReconstructionFailed: no rational antiderivative "
+                          "within degree bounds"])]
+        seen.clear()
+        assert classify("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2").verdict == "Inconclusive"
+        [(K, note, errors)] = seen
+        assert K is not None and note == TestNoHang.NO_THETA and errors == []
+        seen.clear()
+        # the probe decides the first, the chain the second
+        assert classify("d^2 + x^-1").verdict == "Obstructed"
+        assert classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1")).verdict == (
+            "MonomialDarbouxCandidate(4)")
+        assert seen == []
 
     @pytest.mark.parametrize("text", ["d^2 + x^-1", "d^3 + x^-1"])
     def test_probe_decides_without_a_theta_search(self, text, monkeypatch):
@@ -510,8 +533,8 @@ class TestTranslation:
 class TestCentralizerRank:
     def test_only_constants_leave_the_rank_undetermined(self):
         res = centralizer_search(parse_operator("d^2"), 0)
-        assert res.orders == (0,)
-        assert res.rank is None
+        assert res["orders"] == [0]
+        assert res["rank"] is None
 
     def test_cli(self, capsys):
         assert main(["centralizer", "d^2", "--order-budget", "0"]) == 0

@@ -16,7 +16,6 @@ from bispec import (
     BesselSpec,
     BiHomPoly,
     Budgets,
-    CentralizerResult,
     ClassificationReport,
     DarbouxResult,
     DiffOp,
@@ -55,7 +54,6 @@ def _instances():
         AiryShape(N=3, a=((1, F(2)),), a0=F(0), lam=F(1)),
         ObstructionStep(j=1, s=-2, k=0, alpha=F(1, 2)),
         ObstructionTrace((), "clean", 3, F(1)),
-        CentralizerResult((), (), None),
         Budgets(),
         BesselSpec((0, 1)),
         DarbouxResult(P=DiffOp.one(), Q=L2, base=L2, transformed=L2),
@@ -100,13 +98,18 @@ def test_repr_matches_the_dataclass_format():
     assert repr(DiffOp.d()) == "DiffOp('x', d)"
 
 
+class _SamePair(Record):
+    """WeightPair's fields in another class."""
+    __slots__ = ("rho", "sigma", "support")
+
+
 def test_equality_and_hash():
     a, b = WeightPair(1, 2, (3, 4)), WeightPair(rho=1, sigma=2, support=(3, 4))
     assert a == b and hash(a) == hash(b)
     assert a != WeightPair(1, 3, (3, 4))
     # a record equals only a record of its own class
     assert a.__eq__((1, 2, (3, 4))) is NotImplemented
-    assert a != CentralizerResult(1, 2, (3, 4))
+    assert a != _SamePair(1, 2, (3, 4))
     assert LaurentTail({1: 2, 5: 0}, 4) == LaurentTail({1: F(2)}, 4)
     assert PDO({0: RatFunc.one()}) == PDO.identity()
     assert TOp({(2, 0): F(1)}) != TOp({(1, 0): F(1)})
