@@ -53,7 +53,6 @@ from .diffop import (
 )
 from .families import (
     BesselSpec,
-    DarbouxResult,
     bessel_integrality,
     bessel_recover,
     bessel_symbol,
@@ -99,6 +98,6 @@ from .airy import (
     perturbation_obstruction,
 )
 from .parser import parse_operator, print_operator
-from .classify import Budgets, ClassificationReport, classify
+from .classify import Budgets, classify
 
 __version__ = "0.1.0"

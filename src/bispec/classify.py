@@ -44,10 +44,13 @@ with a polynomial coefficient.
 
 Every verdict carries machine-checkable certificates (principal part and
 perturbation, ad data, Lambda, Darboux pairs, obstruction traces) that
-the other modules can re-verify independently.  Each is written once:
-the obstruction trace by its record's ``certificate`` method, the
-bounded chain as the dict ``bounded_test`` returns, and every function
-or operator as its ``str``, which ``parse_operator`` reads back.
+the other modules can re-verify independently.  ``classify`` returns its
+report as the dict that ``bispec classify --json`` writes, built once
+when the run ends, and its certificates hold values: the obstruction
+trace as its record's ``certificate`` dict, the bounded chain as the
+dict ``bounded_test`` returns, and every function or operator as itself.
+The CLI writes each of those as its ``str``, which ``parse_operator``
+reads back.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ from types import SimpleNamespace
 from typing import Any, Optional, Union
 
 from . import errors as err
-from .poly import Poly, poly_text, scalar_text
-from .rational import RatFunc
+from .poly import Poly, poly_text
 from .diffop import DiffOp, dop_mul, gauge_normalize, left_divide
 from .parser import parse_operator
 from .families import (
@@ -119,51 +121,6 @@ class Budgets(Record):
     trunc: int
 
 
-class ClassificationReport(Record):
-    """The outcome of ``classify``, built once when the run ends."""
-
-    __slots__ = ("input_text", "branch", "verdict", "operator", "certificates",
-                 "errors", "trace_sizes")
-    input_text: str
-    branch: str
-    verdict: str
-    operator: Optional[DiffOp]
-    certificates: dict[str, Any]
-    errors: list[str]
-    trace_sizes: dict[str, int]
-    _defaults = {"branch": "", "verdict": VERDICT_INCONCLUSIVE, "operator": None,
-                 "certificates": None, "errors": None, "trace_sizes": None}
-
-    def __post_init__(self):
-        # each report gets its own containers
-        object.__setattr__(self, "certificates", self.certificates or {})
-        object.__setattr__(self, "errors", self.errors or [])
-        object.__setattr__(self, "trace_sizes", self.trace_sizes or {})
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "input": self.input_text,
-            "branch": self.branch,
-            "verdict": self.verdict,
-            "operator": _jsonable(self.operator),
-            "certificates": _jsonable(self.certificates),
-            "errors": list(self.errors),
-            "trace_sizes": dict(self.trace_sizes),
-        }
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (DiffOp, Poly, RatFunc)):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    return scalar_text(value)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -212,11 +169,16 @@ def classify(
     theta: Union[Poly, DiffOp, str, None] = None,
     P: Optional[DiffOp] = None,
     budgets: Budgets = Budgets(),
-) -> ClassificationReport:
+) -> dict[str, Any]:
     """Classify against the prime-order families by running ``STAGES``
     until one returns a verdict; errors from sub-modules are embedded in
     the report rather than raised.  Each stage catches only what it can
     meet on the monic, normalized operator its earlier stages hand it.
+
+    The report is the dict that ``bispec classify --json`` writes:
+    ``input``, ``branch``, ``verdict``, ``operator`` (the normalized
+    ``DiffOp``, None when an input guard refuses L), ``certificates``,
+    ``errors`` and ``trace_sizes``; the certificates hold values, not text.
 
     ``L`` may be operator text, which is parsed (OperatorSyntaxError is
     raised for malformed text) and is then the default ``input_text``.
@@ -228,10 +190,11 @@ def classify(
     theta = read_theta(theta)
     input_text = input_text or str(L)
     if L.is_zero() or L.order < 2:
-        return ClassificationReport(input_text, errors=["order must be at least 2"])
+        return _report(input_text, "", VERDICT_INCONCLUSIVE, None, {},
+                       ["order must be at least 2"], {})
     if not L.is_monic():
-        return ClassificationReport(
-            input_text, errors=["NotMonic: leading coefficient must be 1"])
+        return _report(input_text, "", VERDICT_INCONCLUSIVE, None, {},
+                       ["NotMonic: leading coefficient must be 1"], {})
     N = L.order
     # a Bessel-decided operator is bounded: its coefficients are
     # w (x - x0)^(j - N); only _increasing says otherwise
@@ -248,8 +211,14 @@ def classify(
             f"certificates indicate {verdict}"
         )
         verdict = VERDICT_INCONCLUSIVE
-    return ClassificationReport(input_text, run.branch, verdict, run.L, run.certs,
-                                run.errors, _size_stats(run.L))
+    return _report(input_text, run.branch, verdict, run.L, run.certs, run.errors,
+                   _size_stats(run.L))
+
+
+def _report(*values) -> dict[str, Any]:
+    """The report of ``classify``, keyed in the order ``--json`` writes."""
+    return dict(zip(("input", "branch", "verdict", "operator", "certificates",
+                     "errors", "trace_sizes"), values))
 
 
 def _record_bessel(L: DiffOp, certs: dict[str, Any]) -> Optional[BesselSpec]:

@@ -19,8 +19,9 @@ import sys
 from typing import Any, Optional
 
 from . import errors as err
-from .poly import Poly, poly_text
-from .diffop import ad_condition_min_m, commutator, dop_mul, right_divide
+from .poly import Poly, poly_text, scalar_text
+from .rational import RatFunc
+from .diffop import DiffOp, ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator
 from .families import darboux
 from .weights import associated_polynomial, choose_weights, normal_form_test
@@ -32,7 +33,22 @@ from .bounded import (
     wave_operator,
     wave_residual_zero,
 )
-from .classify import Budgets, _jsonable, classify, read_theta
+from .classify import Budgets, classify, read_theta
+
+
+def _jsonable(value: Any) -> Any:
+    """An answer as JSON values: each function or operator as its ``str``,
+    which ``parse_operator`` reads back, and each other scalar as its
+    exact text."""
+    if isinstance(value, (DiffOp, Poly, RatFunc)):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (int, str, bool)) or value is None:
+        return value
+    return scalar_text(value)
 
 
 def _emit(doc: dict[str, Any], as_json: bool) -> None:
@@ -154,8 +170,7 @@ def _answer(args) -> dict[str, Any]:
                             parse_operator(args.divisor))
         return {"quotient": Q, "remainder": R}
     if cmd == "darboux":
-        res = darboux(parse_operator(args.base), parse_operator(args.factor))
-        return {name: getattr(res, name) for name in res.__slots__}
+        return darboux(parse_operator(args.base), parse_operator(args.factor))
     if cmd == "wave":
         L = parse_operator(args.expr)
         f, _ = split_constant_part(L)
@@ -185,7 +200,7 @@ def _answer(args) -> dict[str, Any]:
             theta=read_theta(args.theta or None),
             P=parse_operator(args.p) if args.p else None,
             budgets=Budgets(ad_budget=args.order_budget, trunc=args.trunc),
-        ).to_json_dict()
+        )
     # centralizer
     return centralizer_search(parse_operator(args.expr), args.order_budget)
 

@@ -8,9 +8,9 @@ The families:
 
 A Darboux transformation factors a polynomial in a base operator as
 h(L) = Q P and exchanges the factors: the transformed operator is P Q.
-The caller supplies P; the engine completes Q by right division, verifies
-the factorization exactly and re-multiplies.  When h is a pure power of
-the base the transformation is called monomial.
+The caller supplies P; the engine completes Q by right division, checks
+Q P = base exactly and multiplies out P Q once.  When h is a pure power
+of the base the transformation is called monomial.
 """
 
 from __future__ import annotations
@@ -39,25 +39,6 @@ class BesselSpec(Record):
     @property
     def p(self) -> int:
         return len(self.betas)
-
-
-class DarbouxResult(Record):
-    """Certificate of a Darboux transformation.
-
-    Q * P = base and P * Q = transformed hold exactly (re-verified on
-    construction)."""
-
-    __slots__ = ("P", "Q", "base", "transformed")
-    P: DiffOp
-    Q: DiffOp
-    base: DiffOp
-    transformed: DiffOp
-
-    def __post_init__(self):
-        if dop_mul(self.Q, self.P) != self.base:
-            raise NotAFactor("Q*P does not reproduce the base operator")
-        if dop_mul(self.P, self.Q) != self.transformed:
-            raise NotAFactor("P*Q does not reproduce the transformed operator")
 
 
 def make_airy(p: int, a: Mapping[int, ScalarLike] | None = None) -> DiffOp:
@@ -194,19 +175,23 @@ def p_form_check(P: DiffOp, N: int) -> bool:
 # the Darboux engine
 # ---------------------------------------------------------------------------
 
-def darboux(base: DiffOp, P: DiffOp) -> DarbouxResult:
-    """Factor base = Q P by right division and exchange to P Q.
+def darboux(base: DiffOp, P: DiffOp) -> dict[str, DiffOp]:
+    """Factor base = Q P by right division and exchange to P Q: the dict
+    ``{"P", "Q", "base", "transformed"}`` that ``bispec darboux`` writes.
 
-    Raises NotAFactor when the division leaves a remainder.  The shape of
-    P is not tested here; ``p_form_check`` tests it.  Two steps compose
-    through the same call: when B = Q1 P1 and P1 Q1 = Q2 P2,
-    ``darboux(B B, P2 P1)`` returns the pair (P2 P1, Q1 Q2).
+    Raises NotAFactor when the division leaves a remainder, or when Q P,
+    multiplied out again, is not the base: that check guards
+    ``right_divide`` itself.  The shape of P is not tested here;
+    ``p_form_check`` tests it.  Two steps compose through the same call:
+    when B = Q1 P1 and P1 Q1 = Q2 P2, ``darboux(B B, P2 P1)`` returns the
+    pair (P2 P1, Q1 Q2).
     """
     if base.is_zero() or P.is_zero():
         raise NotAFactor("base and P must be nonzero")
     Q, R = right_divide(base, P)
     if not R.is_zero():
         raise NotAFactor("P does not divide the base operator on the right")
-    transformed = dop_mul(P, Q)
-    return DarbouxResult(P=P, Q=Q, base=base, transformed=transformed)
+    if dop_mul(Q, P) != base:
+        raise NotAFactor("Q*P does not reproduce the base operator")
+    return {"P": P, "Q": Q, "base": base, "transformed": dop_mul(P, Q)}
 

@@ -78,10 +78,10 @@ def test_criterion_02_bessel_identity():
 
 def test_criterion_03_darboux_round_trip():
     res = darboux(d * d, d - xpow(-1))
-    assert res.Q == d + xpow(-1)
-    assert res.transformed == d * d - xpow(-2, 2)
-    assert dop_mul(res.Q, res.P) == d * d
-    assert dop_mul(res.P, res.Q) == res.transformed
+    assert res["Q"] == d + xpow(-1)
+    assert res["transformed"] == d * d - xpow(-2, 2)
+    assert dop_mul(res["Q"], res["P"]) == d * d
+    assert dop_mul(res["P"], res["Q"]) == res["transformed"]
     ok("03 darboux-round-trip")
 
 
@@ -204,31 +204,31 @@ def test_criterion_10_wave_recursion():
 
 def test_criterion_11_end_to_end_classification():
     r = classify(parse_operator("d^3 - x"), input_text="d^3 - x")
-    assert r.verdict == "Airy(1)"
+    assert r["verdict"] == "Airy(1)"
 
     r = classify(parse_operator("d^5 + d"), input_text="d^5 + d")
-    assert r.verdict == "ConstantCoeff(3)"
+    assert r["verdict"] == "ConstantCoeff(3)"
 
     text = "x^-2*(x*d-1/2)*(x*d-1/2)"
     r = classify(parse_operator(text), input_text=text)
-    assert r.verdict == "Bessel(2)"
-    assert r.certificates["bessel_betas"] == [Fraction(1, 2), Fraction(1, 2)]
-    assert r.certificates["bessel_integrality"] is True
+    assert r["verdict"] == "Bessel(2)"
+    assert r["certificates"]["bessel_betas"] == [Fraction(1, 2), Fraction(1, 2)]
+    assert r["certificates"]["bessel_integrality"] is True
     # certificate re-verifies: rebuild the operator from the betas
-    spec = BesselSpec(tuple(r.certificates["bessel_betas"]))
-    assert make_bessel(spec) == r.operator
+    spec = BesselSpec(tuple(r["certificates"]["bessel_betas"]))
+    assert make_bessel(spec) == r["operator"]
 
     r = classify(parse_operator("d^2 - x + x^-2"), input_text="d^2 - x + x^-2")
-    assert r.verdict == "Obstructed"
-    trace = perturbation_obstruction(r.operator, 24)
-    assert trace.verdict == r.certificates["obstruction_trace"]["verdict"]
+    assert r["verdict"] == "Obstructed"
+    trace = perturbation_obstruction(r["operator"], 24)
+    assert trace.verdict == r["certificates"]["obstruction_trace"]["verdict"]
     assert [(s.j, s.s, s.k, s.alpha) for s in trace.steps] == \
-        r.certificates["obstruction_trace"]["steps"]
+        r["certificates"]["obstruction_trace"]["steps"]
 
     # the principal-part certificate re-splits the operator
     r = classify(parse_operator("d^3 - x"))
-    A, V = r.certificates["principal_part"], r.certificates["perturbation"]
-    assert A + V == r.operator
+    A, V = r["certificates"]["principal_part"], r["certificates"]["perturbation"]
+    assert A + V == r["operator"]
     assert airy_shape(A).N == 3
     ok("11 end-to-end-classification")
 

@@ -370,10 +370,10 @@ class TestBuildLambda:
         # d^2 and d^6 + 2*d^3 + 1 used to be reported at trunc 1
         r = classify(text, P=P and parse_operator(P), theta=theta,
                      budgets=Budgets(trunc=trunc))
-        assert r.verdict == "MonomialDarbouxCandidate(4)"
-        got = r.certificates.get("lambda")
+        assert r["verdict"] == "MonomialDarbouxCandidate(4)"
+        got = r["certificates"].get("lambda")
         assert (got and print_operator(got)) == lam
-        short = [e for e in r.errors if e.startswith("TruncationTooShort")]
+        short = [e for e in r["errors"] if e.startswith("TruncationTooShort")]
         assert bool(short) == (lam is None)
 
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -403,8 +403,8 @@ class TestThetaScale:
     def test_classify(self, c):
         r0 = classify("d^2 + 1 - 2*x^-2", theta=THETA2)
         r = classify("d^2 + 1 - 2*x^-2", theta=THETA2.scale(c))
-        assert r.verdict == r0.verdict == "PolynomialDarbouxCandidate(5)"
-        assert r.certificates["bounded_chain"] == r0.certificates["bounded_chain"]
+        assert r["verdict"] == r0["verdict"] == "PolynomialDarbouxCandidate(5)"
+        assert r["certificates"]["bounded_chain"] == r0["certificates"]["bounded_chain"]
 
     @pytest.mark.parametrize("c", SCALES)
     def test_chain(self, c):

@@ -35,7 +35,7 @@ from bispec import (
     print_operator,
     right_divide,
 )
-from bispec.cli import main
+from bispec.cli import _jsonable, main
 
 d = DiffOp.d()
 x = DiffOp.x()
@@ -52,37 +52,37 @@ def classify_text(text, **kw):
 class TestVerdicts:
     def test_airy(self):
         r = classify_text("d^3 - x")
-        assert r.verdict == "Airy(1)"
-        assert r.branch == "increasing"
-        A, V = r.certificates["principal_part"], r.certificates["perturbation"]
-        assert A + V == r.operator and V.is_zero()
+        assert r["verdict"] == "Airy(1)"
+        assert r["branch"] == "increasing"
+        A, V = r["certificates"]["principal_part"], r["certificates"]["perturbation"]
+        assert A + V == r["operator"] and V.is_zero()
         assert airy_shape(A).strict
 
     def test_constant_coefficient(self):
         r = classify_text("d^5 + d")
-        assert r.verdict == "ConstantCoeff(3)"
-        assert r.branch == "bounded"
+        assert r["verdict"] == "ConstantCoeff(3)"
+        assert r["branch"] == "bounded"
 
     def test_bessel(self):
         r = classify_text("x^-2*(x*d-1/2)*(x*d-1/2)")
-        assert r.verdict == "Bessel(2)"
-        assert r.certificates["bessel_betas"] == [Fraction(1, 2), Fraction(1, 2)]
-        assert r.certificates["bessel_integrality"] is True
+        assert r["verdict"] == "Bessel(2)"
+        assert r["certificates"]["bessel_betas"] == [Fraction(1, 2), Fraction(1, 2)]
+        assert r["certificates"]["bessel_integrality"] is True
 
     def test_obstructed_perturbation(self):
         r = classify_text("d^2 - x + x^-2")
-        assert r.verdict == "Obstructed"
-        assert r.certificates["obstruction_trace"]["verdict"] == "obstructed"
+        assert r["verdict"] == "Obstructed"
+        assert r["certificates"]["obstruction_trace"]["verdict"] == "obstructed"
 
     def test_monomial_darboux_with_factor(self):
         r = classify_text("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
-        assert r.verdict == "MonomialDarbouxCandidate(4)"
-        cert = r.certificates["darboux"]
+        assert r["verdict"] == "MonomialDarbouxCandidate(4)"
+        cert = r["certificates"]["darboux"]
         assert print_operator(cert["Q"]) == "d + x^-1"
         assert print_operator(cert["base"]) == "d^2"
         assert cert["base_bessel_betas"] == [Fraction(0), Fraction(1)]
-        assert r.certificates["bounded_chain"]["m"] == 2
-        assert print_operator(r.certificates["lambda"]) == "d^2 - 2*z^-2"
+        assert r["certificates"]["bounded_chain"]["m"] == 2
+        assert print_operator(r["certificates"]["lambda"]) == "d^2 - 2*z^-2"
 
     @pytest.mark.parametrize("factor,error", [
         ("d + 1", "NotAFactor: P does not left-divide L"),
@@ -92,15 +92,15 @@ class TestVerdicts:
         # the verdict stands on the chain; the failed division is reported
         # and no darboux certificate is attached
         r = classify_text("d^2 - 2*x^-2", P=parse_operator(factor))
-        assert r.verdict == "MonomialDarbouxCandidate(4)"
-        assert r.errors == [error]
-        assert "darboux" not in r.certificates
+        assert r["verdict"] == "MonomialDarbouxCandidate(4)"
+        assert r["errors"] == [error]
+        assert "darboux" not in r["certificates"]
 
     def test_polynomial_darboux(self):
         # Darboux transform of d^2 + 1: chain passes except nonzero constant
         r = classify_text("d^2 + 1 - 2*x^-2")
-        assert r.verdict == "PolynomialDarbouxCandidate(5)"
-        assert r.certificates["rank_order_case"] is False
+        assert r["verdict"] == "PolynomialDarbouxCandidate(5)"
+        assert r["certificates"]["rank_order_case"] is False
         # rank < order 2 leaves rank 1, which the centralizer confirms
         cen = centralizer_search(parse_operator("d^2 + 1 - 2*x^-2"), 3)
         assert cen["orders"] == [0, 2, 3]
@@ -112,8 +112,8 @@ class TestVerdicts:
         # commutes with it, so its rank is gcd(2, 5) = 1, not its order
         L = parse_operator("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2")
         r = classify(L, theta=Poly([1, 0, 0, 1]) ** 2)
-        assert r.verdict == "MonomialDarbouxCandidate(4)"
-        assert r.certificates["bounded_chain"]["failures"] == []
+        assert r["verdict"] == "MonomialDarbouxCandidate(4)"
+        assert r["certificates"]["bounded_chain"]["failures"] == []
         P = parse_operator("d^2 - 3*x^2*(x^3+1)^-1*d + 3*x*(x^3+1)^-1")
         M, rem = right_divide(dop_mul(P, d ** 5), P)
         assert rem.is_zero() and M.order == 5
@@ -137,41 +137,41 @@ class TestVerdicts:
         # first two used to give MonomialDarbouxCandidate(4), AM2 with
         # lambda: 1 and ad_m: 0, and theta = 0 a note about 0 brackets
         r = classify(text, theta=theta)
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["admissible_thetas"] == []
-        assert r.certificates["note"] == note
-        assert r.errors == errors
-        assert not {"bounded_chain", "lambda", "ad_m"} & r.certificates.keys()
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["admissible_thetas"] == []
+        assert r["certificates"]["note"] == note
+        assert r["errors"] == errors
+        assert not {"bounded_chain", "lambda", "ad_m"} & r["certificates"].keys()
 
     def test_theta_above_the_budget_is_named_when_the_probe_fails(self):
         # the probe's note used to hide why x^2 was not tried
         r = classify(self.ARCTAN, theta=Poly.monomial(2), budgets=Budgets(ad_budget=1))
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["note"] == ("theta = x^2 not tried: its degree 2 is "
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["note"] == ("theta = x^2 not tried: its degree 2 is "
                                           "above the ad budget 1")
-        assert r.errors == [self.NOT_RATIONAL]
+        assert r["errors"] == [self.NOT_RATIONAL]
 
     def test_lambda_names_the_truncation_cap(self):
         # Lambda of AM2 has order m = 6, so its lift may need degree
         # 2m = 12; at the default trunc 8 the tail at d_z^1 holds too few
         # known terms for more than degree 1, and the error says so
         r = classify("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2", theta=Poly([1, 0, 0, 1]) ** 2)
-        assert r.verdict == "MonomialDarbouxCandidate(4)"
-        assert "lambda" not in r.certificates
-        assert r.errors == ["ReconstructionFailed: Lambda coefficient at d_z^1: the "
+        assert r["verdict"] == "MonomialDarbouxCandidate(4)"
+        assert "lambda" not in r["certificates"]
+        assert r["errors"] == ["ReconstructionFailed: Lambda coefficient at d_z^1: the "
                             "Pade degree is capped at 1 by trunc 8; trunc 30 lifts "
                             "the full degree 12"]
 
     def test_wave_obstruction(self):
         r = classify_text("d^2 + x^-1")
-        assert r.verdict == "Obstructed"
-        assert "obstruction" in r.certificates
+        assert r["verdict"] == "Obstructed"
+        assert "obstruction" in r["certificates"]
 
     def test_nilpotency_excluded(self):
         # f = y(y^2 - x): the growing point (1, 1) breaks the Airy shape
         r = classify_text("d^3 + x*d")
-        assert r.verdict == "Obstructed"
-        assert r.certificates["obstruction"] == (
+        assert r["verdict"] == "Obstructed"
+        assert r["certificates"]["obstruction"] == (
             "growing points [(1, 1)] are not [(1, 0)]")
 
     def test_wrong_shape_obstructed(self):
@@ -181,44 +181,44 @@ class TestVerdicts:
         for text, m in (("d^2 - x^4", 4), ("d^2 - x^2", 2), ("d^2 + x^2", 2),
                         ("d^2 + 3*x^2", 2)):
             r = classify_text(text)
-            assert r.verdict == "Obstructed", text
-            assert r.certificates["obstruction"] == (
+            assert r["verdict"] == "Obstructed", text
+            assert r["certificates"]["obstruction"] == (
                 f"growing points [({m}, 0)] are not [(1, 0)]"), text
 
     def test_composite_order_inconclusive(self):
         r = classify_text("d^4 - x")
-        assert r.verdict == "Inconclusive"
-        assert "Airy(1)" in r.certificates["composite_note"]
+        assert r["verdict"] == "Inconclusive"
+        assert "Airy(1)" in r["certificates"]["composite_note"]
 
     def test_not_monic(self):
         r = classify_text("2*d^2 - x")
-        assert r.verdict == "Inconclusive"
-        assert any("NotMonic" in e for e in r.errors)
+        assert r["verdict"] == "Inconclusive"
+        assert any("NotMonic" in e for e in r["errors"])
 
     def test_gauge_applied(self):
         r = classify_text("d^2 + 2*d - x")
-        assert r.verdict == "Airy(1)"
-        assert r.certificates["gauge"] == RatFunc.const(-1)
+        assert r["verdict"] == "Airy(1)"
+        assert r["certificates"]["gauge"] == RatFunc.const(-1)
 
     def test_bessel_without_weight_normalization(self):
         # sum of betas away from N(N-1)/2: the operator keeps a d^(N-1)
         # term and only the homogeneity route can recognize it
         L = make_bessel(BesselSpec((0, 0)))
         r = classify(L)
-        assert r.verdict == "Bessel(2)"
-        assert r.certificates["bessel_weight_sum_normalized"] is False
+        assert r["verdict"] == "Bessel(2)"
+        assert r["certificates"]["bessel_weight_sum_normalized"] is False
 
     def test_operator_text_is_parsed(self):
         # regression: text used to reach print_operator and raise
         # AttributeError: 'str' object has no attribute 'is_zero'
         r = classify("d^2 + x^-1")
-        assert r.input_text == "d^2 + x^-1"
-        assert r.verdict == "Obstructed"
-        want = classify(parse_operator("d^2 + x^-1")).to_json_dict()
-        assert r.to_json_dict() == want
-        assert classify("d^3-x", input_text="Airy").input_text == "Airy"
+        assert r["input"] == "d^2 + x^-1"
+        assert r["verdict"] == "Obstructed"
+        want = _jsonable(classify(parse_operator("d^2 + x^-1")))
+        assert _jsonable(r) == want
+        assert classify("d^3-x", input_text="Airy")["input"] == "Airy"
         # theta is read alike from text, an operator and a Poly
-        docs = [classify("d^5 + x^-3", theta=t).to_json_dict()
+        docs = [_jsonable(classify("d^5 + x^-3", theta=t))
                 for t in ("x", parse_operator("x"), Poly.x())]
         assert docs[0] == docs[1] == docs[2]
         assert docs[0]["certificates"]["note"] == (
@@ -242,14 +242,14 @@ class TestVerdicts:
         start = time.perf_counter()
         r = classify("d^2 - 100000000000000000000*x^-2")
         assert time.perf_counter() - start < 1.0
-        assert r.verdict == "Inconclusive"
+        assert r["verdict"] == "Inconclusive"
 
     def test_bessel_irrational_roots_unresolved(self):
         # symbol u^2 - 2 has rational coefficients but irrational roots
         L = parse_operator("d^2 + x^-1*d - 2*x^-2")
         r = classify(L)
-        assert r.verdict == "Inconclusive"
-        assert "unresolved over Q" in r.certificates["note"]
+        assert r["verdict"] == "Inconclusive"
+        assert "unresolved over Q" in r["certificates"]["note"]
 
 
 class TestFamilySweep:
@@ -277,40 +277,40 @@ class TestFamilySweep:
                 else:
                     expect = "Bessel(2)"
             r = classify(L)
-            assert r.verdict == expect, (kind, print_operator(L), r.verdict)
+            assert r["verdict"] == expect, (kind, print_operator(L), r["verdict"])
 
 
 class TestCertificateReverification:
     def test_principal_part_resplits(self):
         for text in ("d^3 - x", "d^3 - 2*x + 1 + x^-2*d"):
             r = classify_text(text)
-            A, V = r.certificates["principal_part"], r.certificates["perturbation"]
-            assert A + V == r.operator
+            A, V = r["certificates"]["principal_part"], r["certificates"]["perturbation"]
+            assert A + V == r["operator"]
             airy_shape(A)  # accepts
-            assert principal_part(r.operator) == (A, V)
+            assert principal_part(r["operator"]) == (A, V)
 
     def test_darboux_remultiplies(self):
         r = classify_text("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
-        cert = r.certificates["darboux"]
+        cert = r["certificates"]["darboux"]
         assert dop_mul(cert["Q"], cert["P"]) == cert["base"]
-        assert dop_mul(cert["P"], cert["Q"]) == r.operator
+        assert dop_mul(cert["P"], cert["Q"]) == r["operator"]
 
     def test_obstruction_trace_reruns(self):
         r = classify_text("d^2 - x + x^-2")
-        trace = perturbation_obstruction(r.operator, 24)
+        trace = perturbation_obstruction(r["operator"], 24)
         got = [(s.j, s.s, s.k, s.alpha) for s in trace.steps]
-        assert got == r.certificates["obstruction_trace"]["steps"]
-        assert trace.verdict == r.certificates["obstruction_trace"]["verdict"]
+        assert got == r["certificates"]["obstruction_trace"]["steps"]
+        assert trace.verdict == r["certificates"]["obstruction_trace"]["verdict"]
 
     def test_lambda_reverifies(self):
         from bispec import build_lambda, split_constant_part, wave_operator
 
         r = classify_text("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
-        L = r.operator
+        L = r["operator"]
         K = wave_operator(L, split_constant_part(L)[0], 8)
         lam = build_lambda(K, Poly([0, 0, 1]))
-        assert lam == r.certificates["lambda"]
-        assert lam.order == r.certificates["ad_m"]
+        assert lam == r["certificates"]["lambda"]
+        assert lam.order == r["certificates"]["ad_m"]
 
 
 def random_increasing(rng, N):
@@ -351,8 +351,8 @@ class TestOneDecider:
             for _ in range(150):
                 N = rng.choice([2, 3, 4, 5])
                 r = classify(random_increasing(rng, N))
-                assert r.branch == "increasing"
-                L = r.operator
+                assert r["branch"] == "increasing"
+                L = r["operator"]
                 w = choose_weights(L)
                 nf = normal_form_test(associated_polynomial(L, w), w)
                 airy_form = nf.n == 0 and nf.yrx is not None and nf.yrx[:2] == (N, 1)
@@ -368,7 +368,7 @@ class TestOneDecider:
                     else:
                         trace = perturbation_obstruction((A, V), Budgets.obstruction_steps)
                         expect = "Obstructed" if trace.obstructed else "Inconclusive"
-                assert r.verdict == expect, print_operator(L)
+                assert r["verdict"] == expect, print_operator(L)
                 seen[expect] = seen.get(expect, 0) + 1
         assert seen["Obstructed"] >= 100 and seen["Airy(1)"] >= 20, seen
 
@@ -382,32 +382,56 @@ class TestOneDecider:
         for name in ("choose_weights", "associated_polynomial", "normal_form_test"):
             assert not hasattr(classify_module, name)
             monkeypatch.setattr(weights, name, refuse)
-        assert classify("d^3 - x").verdict == "Airy(1)"
-        assert classify("d^3 + x*d").verdict == "Obstructed"
+        assert classify("d^3 - x")["verdict"] == "Airy(1)"
+        assert classify("d^3 + x*d")["verdict"] == "Obstructed"
         r = classify("d^2 - x + x^-2")
-        assert r.verdict == "Obstructed"
-        assert r.certificates["obstruction_trace"]["steps"] == [
+        assert r["verdict"] == "Obstructed"
+        assert r["certificates"]["obstruction_trace"]["steps"] == [
             (1, -2, 0, -1), (2, -1, 0, Fraction(1, 2))]
 
 
 class TestJson:
     def test_shape(self):
         r = classify_text("d^3 - x")
-        doc = r.to_json_dict()
+        doc = _jsonable(r)
         assert set(doc) == {"input", "branch", "verdict", "operator",
                             "certificates", "errors", "trace_sizes"}
         json.dumps(doc)  # serializable
 
     def test_fraction_encoding(self):
         r = classify_text("x^-2*(x*d-1/2)*(x*d-1/2)")
-        doc = r.to_json_dict()
+        doc = _jsonable(r)
         assert doc["certificates"]["bessel_betas"] == ["1/2", "1/2"]
+
+    # one input per verdict, a run that ends Inconclusive with an error,
+    # and the two input guards
+    @pytest.mark.parametrize("text, factor", [
+        ("d^2 - x", None), ("d^2 - 2*x^-2", None), ("d^3", None),
+        ("d^2 + x^-1", None), ("d^2 + 1 - 2*x^-2", None),
+        ("d^2 - 2*x^-2", "d - x^-1"), ("d^2 - 2*(x^2+1)^-1", None),
+        ("d", None), ("x*d^2", None),
+    ])
+    def test_in_process_answer_is_the_written_answer(self, text, factor, capsys):
+        argv = ["--json", "classify", text] + (["--p", factor] if factor else [])
+        assert main(argv) == 0
+        written = json.loads(capsys.readouterr().out)
+        P = parse_operator(factor) if factor else None
+        r = classify(text, P=P)
+        assert list(r) == ["input", "branch", "verdict", "operator",
+                           "certificates", "errors", "trace_sizes"]
+        assert written == _jsonable(r)
+        assert json.dumps(written) == json.dumps(_jsonable(r))  # key order too
+        # each answer has its own containers
+        again = classify(text, P=P)
+        assert again == r
+        assert again["certificates"] is not r["certificates"]
+        assert again["errors"] is not r["errors"]
 
     def test_trace_sizes_count_nonzero_scalars(self):
         # 1/1 and (1 - x^21)/x^20 hold 5 nonzero scalars; the 40 zero
         # slots of the dense num/den tuples used to count too (45)
         r = classify_text("d^2 - x + x^-20")
-        assert r.trace_sizes == {"coefficient_terms": 5, "max_coefficient_bits": 1}
+        assert r["trace_sizes"] == {"coefficient_terms": 5, "max_coefficient_bits": 1}
 
 
 def test_in_process_calls_leave_no_parser_garbage(capsys):

@@ -27,6 +27,7 @@ from bispec import (
     make_constcoeff,
     p_form_check,
 )
+from bispec import families
 from oracles import bessel_symbol_by_product, euler_homogeneous_by_bracket
 
 d = DiffOp.d()
@@ -219,29 +220,38 @@ class TestPFormCheck:
 class TestDarboux:
     def test_round_trip(self):
         res = darboux(d * d, d - xpow(-1))
-        assert res.Q == d + xpow(-1)
-        assert res.transformed == d * d - xpow(-2, 2)
-        assert dop_mul(res.Q, res.P) == res.base
-        assert dop_mul(res.P, res.Q) == res.transformed
+        assert list(res) == ["P", "Q", "base", "transformed"]
+        assert res["Q"] == d + xpow(-1)
+        assert res["transformed"] == d * d - xpow(-2, 2)
+        assert dop_mul(res["Q"], res["P"]) == res["base"]
+        assert dop_mul(res["P"], res["Q"]) == res["transformed"]
 
     def test_commuting_factor(self):
         res = darboux(d * d, d)
-        assert res.transformed == d * d
+        assert res["transformed"] == d * d
 
     def test_not_a_factor(self):
         with pytest.raises(NotAFactor):
             darboux(d * d - x, d - xpow(-1))
 
+    def test_rechecks_q_times_p(self, monkeypatch):
+        # a division that returns a wrong Q with a zero remainder is caught
+        monkeypatch.setattr(families, "right_divide",
+                            lambda base, P: (base, DiffOp.zero()))
+        with pytest.raises(NotAFactor, match="Q\\*P"):
+            darboux(d * d - xpow(-2, 2), d)
+
     def test_self_factor(self):
         base = d * d - xpow(-2, 2)
         res = darboux(base, base)
-        assert res.transformed == base
+        assert res["transformed"] == base
 
     def test_compose(self):
         # two steps are one: B = Q1 P1 and P1 Q1 = Q2 P2 give B B = (Q1 Q2)(P2 P1)
         first = darboux(d * d, d)
-        second = darboux(first.transformed, d)
-        combined = darboux(dop_mul(first.base, first.base), dop_mul(second.P, first.P))
-        assert combined.Q == dop_mul(first.Q, second.Q)
-        assert dop_mul(combined.Q, combined.P) == combined.base
-        assert dop_mul(combined.P, combined.Q) == combined.transformed
+        second = darboux(first["transformed"], d)
+        combined = darboux(dop_mul(first["base"], first["base"]),
+                           dop_mul(second["P"], first["P"]))
+        assert combined["Q"] == dop_mul(first["Q"], second["Q"])
+        assert dop_mul(combined["Q"], combined["P"]) == combined["base"]
+        assert dop_mul(combined["P"], combined["Q"]) == combined["transformed"]

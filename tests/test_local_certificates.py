@@ -31,7 +31,7 @@ from bispec import (
     parse_operator,
     print_operator,
 )
-from bispec.cli import main
+from bispec.cli import _jsonable, main
 from bispec.families import BesselSpec, darboux, make_bessel
 
 # the package exports a function named classify, which hides the module
@@ -92,13 +92,13 @@ def counted(monkeypatch, name, modules=MODULES):
 class TestFuchsViolation:
     def test_triple_pole_certificate(self):
         r = classify("d^2 + 3*(x+1)^-3")
-        assert r.verdict == "Obstructed"
-        assert r.to_json_dict()["certificates"]["irregular_singularity"] == {
+        assert r["verdict"] == "Obstructed"
+        assert _jsonable(r)["certificates"]["irregular_singularity"] == {
             "factor": "x + 1", "coefficient": "d^0", "pole_order": 3, "fuchs_bound": 2}
-        assert "admissible_thetas" not in r.certificates
+        assert "admissible_thetas" not in r["certificates"]
 
     def test_certificate_reverifies_from_the_printed_operator(self):
-        doc = classify("d^2 + 3*(x+1)^-3").to_json_dict()
+        doc = _jsonable(classify("d^2 + 3*(x+1)^-3"))
         L = parse_operator(doc["operator"])
         assert fuchs_violation(L) == doc["certificates"]["irregular_singularity"]
 
@@ -131,9 +131,9 @@ class TestFuchsViolation:
 
     def test_composite_order_stays_obstructed(self):
         r = classify("d^4 + (x+1)^-5")
-        assert r.verdict == "Obstructed"
-        assert r.certificates["composite_order"] == 4
-        assert r.certificates["irregular_singularity"]["pole_order"] == 5
+        assert r["verdict"] == "Obstructed"
+        assert r["certificates"]["composite_order"] == 4
+        assert r["certificates"]["irregular_singularity"]["pole_order"] == 5
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(-4, 4), rationals), min_size=1, max_size=4))
@@ -158,7 +158,7 @@ class TestStageOrder:
         monkeypatch.setattr(MODULES[0], "STAGES", tuple(
             chain if s is MODULES[0]._theta_chain else s for s in stages))
         # the probe decides: the chain after it never runs
-        assert classify("d^2 + x^-1").verdict == "Obstructed"
+        assert classify("d^2 + x^-1")["verdict"] == "Obstructed"
         # the arctan anchor passes the probe and reaches the chain
         with pytest.raises(AssertionError, match="the theta chain ran"):
             classify("d^2 - 2*(x^2+1)^-1")
@@ -172,18 +172,18 @@ class TestStageOrder:
             seen.append((run.K, run.certs["note"], list(run.errors)))
 
         monkeypatch.setattr(MODULES[0], "STAGES", MODULES[0].STAGES + (after,))
-        assert classify("d^2 - 2*(x^2+1)^-1").verdict == "Inconclusive"
+        assert classify("d^2 - 2*(x^2+1)^-1")["verdict"] == "Inconclusive"
         assert seen == [(None, "wave coefficients not recognized rational",
                          ["ReconstructionFailed: no rational antiderivative "
                           "within degree bounds"])]
         seen.clear()
-        assert classify("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2").verdict == "Inconclusive"
+        assert classify("d^2 - (6*x^4 - 12*x)*(x^3+1)^-2")["verdict"] == "Inconclusive"
         [(K, note, errors)] = seen
         assert K is not None and note == TestNoHang.NO_THETA and errors == []
         seen.clear()
         # the probe decides the first, the chain the second
-        assert classify("d^2 + x^-1").verdict == "Obstructed"
-        assert classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1")).verdict == (
+        assert classify("d^2 + x^-1")["verdict"] == "Obstructed"
+        assert classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))["verdict"] == (
             "MonomialDarbouxCandidate(4)")
         assert seen == []
 
@@ -191,21 +191,21 @@ class TestStageOrder:
     def test_probe_decides_without_a_theta_search(self, text, monkeypatch):
         calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
         r = classify(text)
-        assert r.verdict == "Obstructed"
-        assert r.certificates["obstruction"].startswith(
+        assert r["verdict"] == "Obstructed"
+        assert r["certificates"]["obstruction"].startswith(
             "wave recursion needs a logarithmic antiderivative")
-        assert "admissible_thetas" not in r.certificates
+        assert "admissible_thetas" not in r["certificates"]
         assert calls == []
 
     def test_unrecognized_wave_coefficients_keep_their_report(self):
         # the arctan anchor: the probe raises ReconstructionFailed, which
         # decides nothing, and the search finds no theta
         r = classify("d^2 - 2*(x^2+1)^-1")
-        assert r.verdict == "Inconclusive"
-        assert r.errors == ["ReconstructionFailed: no rational antiderivative "
+        assert r["verdict"] == "Inconclusive"
+        assert r["errors"] == ["ReconstructionFailed: no rational antiderivative "
                             "within degree bounds"]
-        assert r.certificates["note"] == "wave coefficients not recognized rational"
-        assert r.certificates["admissible_thetas"] == []
+        assert r["certificates"]["note"] == "wave coefficients not recognized rational"
+        assert r["certificates"]["admissible_thetas"] == []
 
     def test_theta_chains_end_at_deg_theta(self, monkeypatch):
         # the exponent of x^l is l or none, so the chain of x^l stops after
@@ -214,7 +214,7 @@ class TestStageOrder:
         calls = counted(monkeypatch, "commutator",
                         [m for m in EVERY_MODULE if hasattr(m, "commutator")])
         r = classify("d^2 - 2*(x^2+1)^-1")
-        assert r.certificates["admissible_thetas"] == []
+        assert r["certificates"]["admissible_thetas"] == []
         assert len(calls) == 14
 
     def test_admitted_chain_is_not_rebuilt(self, monkeypatch, capsys):
@@ -226,8 +226,8 @@ class TestStageOrder:
         calls = counted(monkeypatch, "commutator",
                         [m for m in EVERY_MODULE if hasattr(m, "commutator")])
         r = classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1"))
-        assert r.verdict == "MonomialDarbouxCandidate(4)"
-        assert r.certificates["admissible_thetas"] == ["x^2"]
+        assert r["verdict"] == "MonomialDarbouxCandidate(4)"
+        assert r["certificates"]["admissible_thetas"] == ["x^2"]
         assert len(calls) == 5
         del calls[:]
         assert main(["ad-test", "d^2 - 2*x^-2", "--theta", "x^2"]) == 0
@@ -247,9 +247,9 @@ class TestStageOrder:
         calls = counted(monkeypatch, "centralizer_search",
                         [m for m in EVERY_MODULE if hasattr(m, "centralizer_search")])
         r = classify(text)
-        assert r.verdict == "PolynomialDarbouxCandidate(5)"
-        assert r.certificates["rank_order_case"] is False
-        assert "centralizer" not in r.certificates
+        assert r["verdict"] == "PolynomialDarbouxCandidate(5)"
+        assert r["certificates"]["rank_order_case"] is False
+        assert "centralizer" not in r["certificates"]
         assert calls == []
 
     def test_search_stays_within_the_ad_budget(self, monkeypatch):
@@ -257,14 +257,14 @@ class TestStageOrder:
         calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
         r = classify("d^2 - 2*(x^2+1)^-1", budgets=SMALL)
         assert [(str(t), m) for _, t, m in calls] == [("x", 1)]
-        assert r.certificates["note"] == "wave coefficients not recognized rational"
+        assert r["certificates"]["note"] == "wave coefficients not recognized rational"
 
     def test_theta_above_the_ad_budget_runs_no_chain(self, monkeypatch):
         calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
         r = classify("d^2 + 1 - 2*x^-2", theta=Poly.monomial(2), budgets=SMALL)
         assert calls == []
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["admissible_thetas"] == []
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["admissible_thetas"] == []
 
 
 def _alarm(signum, frame):
@@ -303,15 +303,15 @@ class TestNoHang:
     ])
     def test_classifies_within_ten_seconds(self, text, note):
         r = _classify_within_ten_seconds(text)
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["note"] == note
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["note"] == note
 
     def test_polynomial_verdict_within_ten_seconds(self):
         # about 4 s on a 2-core VM while the verdict waited on a centralizer
         # search through order 9
         r = _classify_within_ten_seconds(ORDER_5)
-        assert r.verdict == "PolynomialDarbouxCandidate(5)"
-        assert r.certificates["rank_order_case"] is False
+        assert r["verdict"] == "PolynomialDarbouxCandidate(5)"
+        assert r["certificates"]["rank_order_case"] is False
 
     # 42 s and 75-87 s on a 2-core VM while Poly.gcd ran Euclid on
     # Fraction remainders (the theta search's chains reduce large
@@ -319,9 +319,9 @@ class TestNoHang:
     @pytest.mark.parametrize("text", ["d^3 - (x^3+2)^-2*d", "d^5 + 9*(x^2+1)^-1"])
     def test_gcd_heavy_inputs_within_ten_seconds(self, text):
         r = _classify_within_ten_seconds(text)
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["note"] == "wave coefficients not recognized rational"
-        assert r.errors == ["ReconstructionFailed: no rational antiderivative "
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["note"] == "wave coefficients not recognized rational"
+        assert r["errors"] == ["ReconstructionFailed: no rational antiderivative "
                             "within degree bounds"]
 
 
@@ -346,9 +346,9 @@ class TestOneWaveSolve:
         # the note and error do not depend on the theta search, which the
         # small ad budget keeps short (the order-5 input's takes 12-15 s)
         r = classify(text, budgets=SMALL)
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["note"] == "wave coefficients not recognized rational"
-        assert r.errors == [self.NOT_RATIONAL]
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["note"] == "wave coefficients not recognized rational"
+        assert r["errors"] == [self.NOT_RATIONAL]
 
     @pytest.mark.parametrize("trunc", [1, 2, 3, 4])
     def test_shallow_truncations_keep_their_answers(self, trunc, monkeypatch):
@@ -357,8 +357,8 @@ class TestOneWaveSolve:
         calls = counted(monkeypatch, "wave_operator", MODULES[:1])
         r = classify(self.DEEP[1], budgets=Budgets(trunc=trunc))
         assert [J for _, _, J in calls] == [trunc]
-        assert r.verdict == "Inconclusive" and r.errors == []
-        assert r.certificates["note"] == TestNoHang.NO_THETA
+        assert r["verdict"] == "Inconclusive" and r["errors"] == []
+        assert r["certificates"]["note"] == TestNoHang.NO_THETA
 
 
 class TestGaugedBessel:
@@ -368,11 +368,11 @@ class TestGaugedBessel:
     ])
     def test_bessel_behind_a_gauge(self, text, betas):
         r = classify(text)
-        assert r.verdict == "Bessel(2)"
-        assert "gauge" in r.certificates
-        assert sorted(r.certificates["bessel_betas"]) == betas
-        assert r.certificates["bessel_weight_sum_normalized"] is True
-        assert "admissible_thetas" not in r.certificates
+        assert r["verdict"] == "Bessel(2)"
+        assert "gauge" in r["certificates"]
+        assert sorted(r["certificates"]["bessel_betas"]) == betas
+        assert r["certificates"]["bessel_weight_sum_normalized"] is True
+        assert "admissible_thetas" not in r["certificates"]
 
 
 class TestSoundness:
@@ -384,19 +384,19 @@ class TestSoundness:
         # B_nu = Q P with P = d - nu/(x - a), and P Q = B_(nu+1): two steps
         # composed are one Darboux step with P2 P1 over B_nu^2
         first = darboux(bessel(nu, a), factor(nu, a))
-        assert first.transformed == bessel(nu + 1, a)
-        second = darboux(first.transformed, factor(nu + 1, a))
-        chain = darboux(dop_mul(first.base, first.base), dop_mul(second.P, first.P))
-        assert chain.Q == dop_mul(first.Q, second.Q)
-        for L in (first.transformed, second.transformed, chain.base, chain.transformed):
+        assert first["transformed"] == bessel(nu + 1, a)
+        second = darboux(first["transformed"], factor(nu + 1, a))
+        chain = darboux(dop_mul(first["base"], first["base"]), dop_mul(second["P"], first["P"]))
+        assert chain["Q"] == dop_mul(first["Q"], second["Q"])
+        for L in (first["transformed"], second["transformed"], chain["base"], chain["transformed"]):
             assert fuchs_violation(L) is None
-            assert classify(L, budgets=SMALL).verdict != "Obstructed", print_operator(L)
+            assert classify(L, budgets=SMALL)["verdict"] != "Obstructed", print_operator(L)
 
     @settings(max_examples=15, deadline=None)
     @given(rationals.filter(lambda nu: nu not in (0, 1)), rationals)
     def test_translated_bessel(self, nu, a):
         L = bessel(nu, a)
-        assert classify(L, budgets=SMALL).verdict != "Obstructed", print_operator(L)
+        assert classify(L, budgets=SMALL)["verdict"] != "Obstructed", print_operator(L)
 
 
 class TestTranslation:
@@ -418,7 +418,7 @@ class TestTranslation:
         B = make_bessel(BesselSpec(betas))
         assume(not all(c.is_constant() for c in B.coeffs.values()))
         text = print_operator(B.translate(-x0))  # the pole sits at x0
-        doc = classify(text).to_json_dict()
+        doc = _jsonable(classify(text))
         assert doc["verdict"] == "Bessel(2)", text
         assert "bessel_betas" not in doc["certificates"]
         assert "gauge" not in doc["certificates"]
@@ -434,14 +434,14 @@ class TestTranslation:
     def test_translated_twin_of_an_unnormalized_bessel(self):
         # the gauge of this operator needs log(x + 1); its twin at the
         # origin was always decided before the gauge, and now it is too
-        doc = classify("d^2 - 1/2*(x+1)^-1*d + 1/2*(x+1)^-2").to_json_dict()
+        doc = _jsonable(classify("d^2 - 1/2*(x+1)^-1*d + 1/2*(x+1)^-2"))
         assert doc["verdict"] == "Bessel(2)"
         assert doc["errors"] == []
         cert = doc["certificates"]["translation"]
         assert cert["x0"] == "-1"
         assert cert["bessel_betas"] == ["1/2", "1"]
         assert cert["bessel_weight_sum_normalized"] is False
-        twin = classify("d^2 - 1/2*x^-1*d + 1/2*x^-2").to_json_dict()
+        twin = _jsonable(classify("d^2 - 1/2*x^-1*d + 1/2*x^-2"))
         assert twin["certificates"]["bessel_betas"] == cert["bessel_betas"]
         assert cert["operator"] == twin["operator"]
 
@@ -456,7 +456,7 @@ class TestTranslation:
     ])
     def test_no_translation(self, text):
         r = classify(text, budgets=SMALL)
-        assert "translation" not in r.certificates
+        assert "translation" not in r["certificates"]
 
     @pytest.mark.parametrize("text", [
         "d^2 - 2*x^-2",                    # at the origin
@@ -467,7 +467,7 @@ class TestTranslation:
     def test_bessel_shape_needs_no_bracket(self, text, monkeypatch):
         calls = counted(monkeypatch, "commutator",
                         [m for m in EVERY_MODULE if hasattr(m, "commutator")])
-        assert classify(text).verdict == "Bessel(2)"
+        assert classify(text)["verdict"] == "Bessel(2)"
         assert calls == []
 
     @pytest.mark.parametrize("text", [
@@ -491,8 +491,8 @@ class TestTranslation:
         calls = counted(monkeypatch, "is_euler_homogeneous", MODULES[:1])
         r = classify("d^2 - 2*x^-2", P=parse_operator("d - x^-1"), budgets=SMALL)
         assert calls == []
-        assert r.certificates["bessel_betas"] == [-1, 2]
-        assert "darboux" in r.certificates
+        assert r["certificates"]["bessel_betas"] == [-1, 2]
+        assert "darboux" in r["certificates"]
 
     @pytest.mark.parametrize("text, betas", [
         ("d^2 - 6*(x+1)^-2", ["-2", "3"]),
@@ -501,7 +501,7 @@ class TestTranslation:
     def test_no_probe_and_no_theta_search(self, text, betas, monkeypatch):
         ad_calls = counted(monkeypatch, "ad_condition_min_m", MODULES[:1])
         wave_calls = counted(monkeypatch, "wave_operator")
-        doc = classify(text).to_json_dict()
+        doc = _jsonable(classify(text))
         assert doc["verdict"] == "Bessel(2)"
         assert doc["certificates"]["translation"]["bessel_betas"] == betas
         assert ad_calls == [] and wave_calls == []
@@ -509,10 +509,10 @@ class TestTranslation:
     def test_irrational_symbol_roots(self):
         # nu (1 - nu) = -1 has irrational roots, as d^2 - x^-2 at the origin
         r = classify("d^2 - (x+1)^-2")
-        assert r.verdict == "Inconclusive"
-        assert r.to_json_dict()["certificates"]["translation"] == {
+        assert r["verdict"] == "Inconclusive"
+        assert _jsonable(r)["certificates"]["translation"] == {
             "x0": "-1", "operator": "d^2 - x^-2"}
-        assert r.certificates["note"] == classify("d^2 - x^-2").certificates["note"]
+        assert r["certificates"]["note"] == classify("d^2 - x^-2")["certificates"]["note"]
 
     def test_translated_darboux_square(self):
         # the composite transformed operator of d^2 - 2*(x - 1/2)^-2 took
@@ -522,11 +522,11 @@ class TestTranslation:
         t0 = time.perf_counter()
         r = classify(text)
         assert time.perf_counter() - t0 < 1.0
-        assert r.verdict == "Inconclusive"
-        assert r.certificates["composite_note"].endswith(
+        assert r["verdict"] == "Inconclusive"
+        assert r["certificates"]["composite_note"].endswith(
             "certificates indicate Bessel(2)")
-        assert r.certificates["translation"]["x0"] == Fraction(1, 2)
-        assert print_operator(r.certificates["translation"]["operator"]) == (
+        assert r["certificates"]["translation"]["x0"] == Fraction(1, 2)
+        assert print_operator(r["certificates"]["translation"]["operator"]) == (
             "d^4 - 12*x^-2*d^2 + 24*x^-3*d")
 
 

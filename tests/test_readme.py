@@ -5,6 +5,8 @@ Each ``bispec ...`` line of the README's CLI block goes through
 claim ``# -> a; b``: each of ``a`` and ``b`` is a line of the command's
 output, verbatim.  A transcript (a ``$ bispec ...`` line in a shell
 block, followed by the lines it prints) must print exactly those lines.
+The Python block under "## Library example" runs too, and each line it
+prints is the comment of its ``print(`` line.
 """
 
 import contextlib
@@ -69,3 +71,15 @@ def test_readme_cli_example(line):
 @pytest.mark.parametrize("command, printed", transcripts())
 def test_readme_transcript(command, printed):
     assert run(command) == (0, "\n".join(printed) + "\n")
+
+
+def test_readme_library_example():
+    section = README.read_text().split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    claims = [line.partition("#")[2].strip() for line in block.splitlines()
+              if line.startswith("print(")]
+    assert claims, "README's library example prints nothing"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == claims

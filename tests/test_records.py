@@ -16,13 +16,10 @@ from bispec import (
     BesselSpec,
     BiHomPoly,
     Budgets,
-    ClassificationReport,
-    DarbouxResult,
     DiffOp,
     LaurentTail,
     NormalFormReport,
     NormalizationFailed,
-    NotAFactor,
     ObstructionStep,
     ObstructionTrace,
     PDO,
@@ -39,7 +36,6 @@ from bispec.record import Record
 
 F = Fraction
 TAIL = LaurentTail({0: 1, 2: F(1, 2)}, 3)
-L2 = parse_operator("d^2 - 2*x^-2")
 
 
 def _instances():
@@ -56,7 +52,6 @@ def _instances():
         ObstructionTrace((), "clean", 3, F(1)),
         Budgets(),
         BesselSpec((0, 1)),
-        DarbouxResult(P=DiffOp.one(), Q=L2, base=L2, transformed=L2),
         WeightPair(1, 2, (3, 4)),
         BiHomPoly({(1, 0): 2}),
         NormalFormReport(case=None),
@@ -92,9 +87,6 @@ def test_repr_matches_the_dataclass_format():
     assert repr(TAIL) == "LaurentTail(terms={0: Fraction(1, 1), 2: Fraction(1, 2)}, trunc=3)"
     assert repr(PDO({1: RatFunc.x_power(-1)}, 4)) == (
         "PDO(terms={1: RatFunc((1)/(x))}, trunc=4)")
-    assert repr(ClassificationReport("a")) == (
-        "ClassificationReport(input_text='a', branch='', verdict='Inconclusive', "
-        "operator=None, certificates={}, errors=[], trace_sizes={})")
     assert repr(DiffOp.d()) == "DiffOp('x', d)"
 
 
@@ -113,13 +105,10 @@ def test_equality_and_hash():
     assert LaurentTail({1: 2, 5: 0}, 4) == LaurentTail({1: F(2)}, 4)
     assert PDO({0: RatFunc.one()}) == PDO.identity()
     assert TOp({(2, 0): F(1)}) != TOp({(1, 0): F(1)})
-    report = ClassificationReport("a")
-    assert report == ClassificationReport("a", certificates={})
-    assert ClassificationReport("a", verdict="Bessel(2)") != report
 
 
 @pytest.mark.parametrize("obj", [TAIL, TOp({}), PDO.identity(), BiHomPoly(),
-                                 DiffOp.d(), ClassificationReport("a")],
+                                 DiffOp.d()],
                          ids=lambda o: type(o).__name__)
 def test_unhashable_as_before(obj):
     with pytest.raises(TypeError):
@@ -142,13 +131,6 @@ def test_ring_values_take_the_one_trusted_constructor():
     assert f.derivative() is f._derivative == RatFunc.one()
 
 
-def test_classification_report_is_immutable_with_fresh_defaults():
-    a, b = ClassificationReport("a"), ClassificationReport("b")
-    with pytest.raises(AttributeError):
-        a.verdict = "Bessel(2)"
-    assert a.certificates is not b.certificates and a.errors is not b.errors
-
-
 def _record_classes():
     """Every Record subclass defined under bispec."""
     def subclasses(cls):
@@ -161,10 +143,9 @@ def _record_classes():
     return {cls for cls in subclasses(Record) if cls.__module__.startswith("bispec.")}
 
 
-# the record classes _instances() leaves out: ClassificationReport has its
-# own immutability test, and TruncatedSeries is the base of LaurentTail
-# and PDO, which are in the list
-INSTANCE_EXEMPT = {"ClassificationReport", "TruncatedSeries"}
+# the record classes _instances() leaves out: TruncatedSeries is the base
+# of LaurentTail and PDO, which are in the list
+INSTANCE_EXEMPT = {"TruncatedSeries"}
 
 
 def test_every_record_class_has_an_instance():
@@ -217,7 +198,3 @@ class TestChecks:
         P = PDO({2: RatFunc.one(), 0: RatFunc.zero(), -5: RatFunc.x()}, 4)
         assert P.terms == {2: RatFunc.one()}
         assert P.trunc == 4
-
-    def test_darboux_result_reverifies(self):
-        with pytest.raises(NotAFactor):
-            DarbouxResult(P=DiffOp.d(), Q=L2, base=L2, transformed=L2)
