@@ -10,14 +10,22 @@ recursion L K = K A, K = 1 + sum_j m_j A^-j, is one equation per power of
 A^-1.  In [A, m] = b A + c the b-part sits exactly one height below m,
 while in V m = U A + W the U-part enters at least two below, so the
 leading term of each equation is forced by the one before, and
-``perturbation_obstruction`` follows the leading terms alone.
+``perturbation_obstruction`` follows the leading terms alone.  It is the
+one pass over the increasing branch: it splits L, reads its Airy shape
+and returns both in its trace, which ``classify`` and ``airy_wave_solve``
+read.
+
+The bispectral check is not attached to the ``Airy(1)`` verdict as a
+certificate: it applies A to the Taylor polynomial that
+``airy_kernel_series`` builds by the recurrence read from A itself, so
+it re-checks that recurrence, not L, and holds for every A that
+``airy_shape`` accepts.  On ``Airy(1)`` it would certify nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Union
 
 from .errors import NotAiryShape, NotInDomain, ZeroOperand
 from .poly import Poly
@@ -88,20 +96,24 @@ class ObstructionStep(Record):
 
 
 class ObstructionTrace(Record):
-    """Leading-height record of the wave recursion.
+    """Leading-height record of the wave recursion of L = A + V.
 
-    Step j records the leading term alpha_j x^s d^k of b_j: alpha_j is
-    the leading coefficient of b_j.  Verdict "obstructed" certifies that
-    the recursion forces a leading term alpha * x^-1 * d^k in some b_j,
-    which cannot be the derivative of a rational function; "clean" means
-    the perturbation was zero, so the wave operator is K = 1;
-    "inconclusive" means the step budget ran out first."""
+    ``A`` and ``V`` are the split that ``principal_part`` returned for L
+    and ``shape`` is ``airy_shape(A)``, so a reader of the trace needs no
+    second split or shape read.  Step j records the leading term
+    alpha_j x^s d^k of b_j: alpha_j is the leading coefficient of b_j.
+    Verdict "obstructed" certifies that the recursion forces a leading
+    term alpha * x^-1 * d^k, alpha != 0, in some b_j, which cannot be the
+    derivative of a rational function; "clean" means V = 0, so the wave
+    operator is K = 1; "inconclusive" means the step budget ran out
+    first."""
 
-    __slots__ = ("steps", "verdict", "N", "lam")
+    __slots__ = ("steps", "verdict", "A", "V", "shape")
     steps: tuple[ObstructionStep, ...]
     verdict: str  # "obstructed" | "clean" | "inconclusive"
-    N: int
-    lam: Fraction
+    A: DiffOp
+    V: DiffOp
+    shape: AiryShape
 
     @property
     def obstructed(self) -> bool:
@@ -131,9 +143,10 @@ def height(m: DiffOp):
 # perturbation obstruction (leading-height recursion)
 # ---------------------------------------------------------------------------
 
-def perturbation_obstruction(L: Union[DiffOp, tuple[DiffOp, DiffOp]],
+def perturbation_obstruction(L: DiffOp,
                              max_steps: int = OBSTRUCTION_STEPS) -> ObstructionTrace:
-    """Track only the leading heights of the b_j through the recursion.
+    """Split L = A + V by ``principal_part``, read ``airy_shape(A)`` and
+    track only the leading heights of the b_j through the recursion.
 
     For L = A + V, K = 1 + sum_j m_j A^-j solves L K = K A exactly when
     b_1 + U_1 + V = 0 and b_(j+1) + U_(j+1) + c_j + W_j = 0 for j >= 1,
@@ -143,12 +156,14 @@ def perturbation_obstruction(L: Union[DiffOp, tuple[DiffOp, DiffOp]],
 
     Why the walk decides the recursion.  A term beta x^(s+1) d^(k+1) of
     m_j, 0 <= k <= N - 2, puts N (beta x^(s+1))' d^k = N (s+1) beta x^s d^k
-    into b_j and lam (N(s+1) + k + 1) beta x^(s+1) d^k into c_j.  The walk
-    takes a step only when V's top height h is at most -2, and then V m
-    lies at least two heights below m, so U_(j+1) lies below the leading
-    term of b_(j+1) and W_j below that of c_j.  So b_1 leads with
-    alpha_1 x^h d^k, minus V's top term, and by induction the leading term of
-    b_(j+1) is forced by that of c_j: one height higher, the same k, and
+    into b_j and lam (N(s+1) + k + 1) beta x^(s+1) d^k into c_j.
+    ``principal_part`` leaves every coefficient of V of order O(x^-1), so
+    V's top height h is at most -1.  The walk takes a step only when
+    h <= -2, and then V m lies at least two heights below m, so U_(j+1)
+    lies below the leading term of b_(j+1) and W_j below that of c_j.
+    So b_1 leads with alpha_1 x^h d^k, minus V's top term, and by
+    induction the leading term of b_(j+1) is forced by that of c_j: one
+    height higher, the same k, and
     alpha_(j+1) = -lam alpha_j (N(s_j+1) + k + 1) / (N(s_j+1)).  For
     s_j + 1 <= -1 and 0 <= k + 1 <= N - 1, N(s_j+1) + k + 1 < 0, so no
     factor vanishes, and after -1 - h steps b_j leads with alpha x^-1 d^k.
@@ -157,38 +172,38 @@ def perturbation_obstruction(L: Union[DiffOp, tuple[DiffOp, DiffOp]],
     stops at min(-1 - h, max_steps) steps: at s_j = -1 (obstructed) or
     when the budget runs out (inconclusive); V = 0 is clean.
 
-    ``L`` is the operator, or the split (A, V) that ``principal_part``
-    returned for it, so that a caller holding the split does not redo it."""
-    A, V = principal_part(L) if isinstance(L, DiffOp) else L
+    The proof needs k <= N - 2: at k = N - 1 the factor's numerator
+    N(s+2) vanishes at s = -2, and the walk would end at s = -1 with the
+    zero witness alpha = 0.  So L must have no d^(N-1) term: one in V is
+    refused here and one in A by ``airy_shape``, both with NotAiryShape.
+    ``classify`` gauges L first, so neither reaches it."""
+    A, V = principal_part(L)
     shape = airy_shape(A)
     N, lam = shape.N, shape.lam
+    if V.order > N - 2:
+        raise NotAiryShape("perturbation touches the subleading slot; "
+                           "normalize the operator first")
     if V.is_zero():
-        return ObstructionTrace((), "clean", N, lam)
+        return ObstructionTrace((), "clean", A, V, shape)
     h, k, lead = height(V)
-    if h >= 0:
-        raise NotAiryShape("perturbation does not decay at infinity")
     steps = [ObstructionStep(j=1, s=h, k=k, alpha=-lead)]
     alpha = -lead
     for s in range(h, h + min(-1 - h, max_steps)):
         alpha = -lam * alpha * Fraction(N * (s + 1) + k + 1, N * (s + 1))
         steps.append(ObstructionStep(j=steps[-1].j + 1, s=s + 1, k=k, alpha=alpha))
     verdict = "obstructed" if steps[-1].s == -1 else "inconclusive"
-    return ObstructionTrace(tuple(steps), verdict, N, lam)
+    return ObstructionTrace(tuple(steps), verdict, A, V, shape)
 
 
 def airy_wave_solve(L: DiffOp, J: int) -> ObstructionTrace:
     """The Airy-adic wave operator K = 1 + sum m_j A^-j of L K = K A, in
-    closed form: the walk of ``perturbation_obstruction``.  A clean trace
-    means V = 0 and K = 1; an obstructed one proves that no K has rational
-    coefficients.  ``J``, a truncation, must be at least 1 and is not read
-    otherwise."""
+    closed form: the trace of ``perturbation_obstruction``, which also
+    refuses a d^(N-1) term.  A clean trace means V = 0 and K = 1; an
+    obstructed one proves that no K has rational coefficients.  ``J``, a
+    truncation, must be at least 1 and is not read otherwise."""
     if J < 1:
         raise ValueError("truncation must be >= 1")
-    A, V = principal_part(L)
-    if V.order > airy_shape(A).N - 2:
-        raise NotAiryShape("perturbation touches the subleading slot; "
-                           "normalize the operator first")
-    return perturbation_obstruction((A, V))
+    return perturbation_obstruction(L)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +240,7 @@ def airy_bispectral_check(A: DiffOp, M: int) -> bool:
     A applied to the Taylor polynomial of Phi through degree M + N agrees
     with A Phi through degree M; comparing it with 0 through degree M - 2
     verifies the identities through total degree M - 2."""
-    N = airy_shape(A).N
+    N = A.order  # airy_kernel_series validates A
     phi = airy_kernel_series(A, [1] + [0] * (N - 1), M + N)
     APhi = Poly.zero()
     for j in range(N + 1):  # A Phi = sum_j c_j Phi^(j); phi is Phi^(j)

@@ -12,11 +12,12 @@ decides is Inconclusive.  In order:
   Bessel shape again on an operator it changed (neither Bessel reading
   runs when a Darboux factor P is given);
 - ``_increasing``: on an operator whose coefficients grow at infinity,
-  the principal part, whose one scan of the coefficient orders decides
-  the Airy leading form (y^N - lam x)^1, then the perturbation
-  obstruction; the only bispectral survivors are the generalized Airy
-  operators.  It decides every increasing operator, so the stages after
-  it see bounded ones only;
+  one call of the perturbation obstruction, which splits off the
+  principal part, whose one scan of the coefficient orders decides the
+  Airy leading form (y^N - lam x)^1, reads the Airy shape once and walks
+  the perturbation; its trace carries all three.  The only bispectral
+  survivors are the generalized Airy operators.  It decides every
+  increasing operator, so the stages after it see bounded ones only;
 - ``_constant``: the constant-coefficient shape;
 - ``_darboux_certificate``: a caller's P, completed to L = P Q;
 - ``_fuchs`` and ``_wave_probe``: two exact obstructions, Fuchs'
@@ -69,8 +70,7 @@ from .families import (
     is_euler_homogeneous,
     p_form_check,
 )
-from .weights import principal_part
-from .airy import OBSTRUCTION_STEPS, airy_shape, perturbation_obstruction
+from .airy import OBSTRUCTION_STEPS, perturbation_obstruction
 from .bounded import (
     bounded_test,
     build_lambda,
@@ -278,31 +278,34 @@ def _gauge(run):
 
 
 def _increasing(run):
-    """The increasing branch, decided by the principal part alone.  L is
-    monic, normalized and increasing here, so principal_part raises only
-    NotAiryShape: the leading form is not (y^N - lam x)^1, which excludes
-    L (its docstring proves that the orders decide the form)."""
+    """The increasing branch, decided by one ``perturbation_obstruction``
+    call, whose trace carries the split A + V and the shape of A.  L is
+    monic and increasing here, so the walk raises only NotAiryShape.
+    That comes from ``principal_part`` alone: the leading form is not
+    (y^N - lam x)^1, which excludes L (its docstring proves that the
+    orders decide the form).  The walk's own refusal of a d^(N-1) term
+    cannot fire, since ``_gauge`` removed that term before, so neither A
+    nor V has one."""
     L, certs = run.L, run.certs
     if not any(c.infinity_order() > 0 for c in L.coeffs.values()):
         return None
     run.branch = "increasing"
     try:
-        A, V = principal_part(L)
+        trace = perturbation_obstruction(L, run.budgets.obstruction_steps)
     except err.NotAiryShape as e:
         certs["obstruction"] = str(e)
         return VERDICT_OBSTRUCTED
-    shape = airy_shape(A)
-    certs["principal_part"] = A
-    certs["perturbation"] = V
+    shape = trace.shape
+    certs["principal_part"] = trace.A
+    certs["perturbation"] = trace.V
     if not shape.strict:
         certs["airy_shape_note"] = {
             "lam": shape.lam, "a0": shape.a0,
             "note": "equivalent to the -x normalization by dilation/translation",
         }
-    if V.is_zero():
+    if trace.verdict == "clean":
         certs["airy_parameters"] = dict(shape.a)
         return VERDICT_AIRY
-    trace = perturbation_obstruction((A, V), run.budgets.obstruction_steps)
     certs["obstruction_trace"] = trace.certificate()
     return VERDICT_OBSTRUCTED if trace.obstructed else VERDICT_INCONCLUSIVE
 

@@ -562,26 +562,26 @@ def perturbation_obstruction_loop(L: DiffOp, max_steps: int) -> ObstructionTrace
     shape = airy_shape(A)
     N, lam = shape.N, shape.lam
     if V.is_zero():
-        return ObstructionTrace((), "clean", N, lam)
+        return ObstructionTrace((), "clean", A, V, shape)
     h, k, lead = height(V)
     steps = [ObstructionStep(j=1, s=h, k=k, alpha=-lead)]
     s, alpha = h, -lead
     for _ in range(max_steps):
         if s == -1:
-            return ObstructionTrace(tuple(steps), "obstructed", N, lam)
+            return ObstructionTrace(tuple(steps), "obstructed", A, V, shape)
         alpha = -lam * alpha * Fraction(N * (s + 1) + k + 1, N * (s + 1))
         s += 1
         steps.append(ObstructionStep(j=steps[-1].j + 1, s=s, k=k, alpha=alpha))
     if s == -1:
-        return ObstructionTrace(tuple(steps), "obstructed", N, lam)
-    return ObstructionTrace(tuple(steps), "inconclusive", N, lam)
+        return ObstructionTrace(tuple(steps), "obstructed", A, V, shape)
+    return ObstructionTrace(tuple(steps), "inconclusive", A, V, shape)
 
 
 def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
     """Whether consecutive steps of a trace follow the height recursion
     j' = j + 1, s' = s + 1, k' = k and
     alpha' = -lam * alpha * (N(s+1)+k+1) / (N(s+1))."""
-    N, lam = trace.N, trace.lam
+    N, lam = trace.shape.N, trace.shape.lam
     return all(
         (b.j, b.s, b.k) == (a.j + 1, a.s + 1, a.k) and a.s != -1
         and b.alpha == -lam * a.alpha * Fraction(N * (a.s + 1) + a.k + 1, N * (a.s + 1))

@@ -290,7 +290,7 @@ class TestWalkAgainstTheFullRecursion:
                     # d^(k+1), whose coefficient b_j takes N (s+1) times
                     lead = (step.s + 1, step.k + 1)
                     assert max(m[step.j]) == lead
-                    assert step.alpha == trace.N * (step.s + 1) * m[step.j][lead]
+                    assert step.alpha == trace.shape.N * (step.s + 1) * m[step.j][lead]
         assert walks >= 45
 
 

@@ -16,6 +16,7 @@ import bispec.airy
 import oracles
 from bispec import (
     DiffOp,
+    NotAiryShape,
     Poly,
     RatFunc,
     airy_bispectral_check,
@@ -86,10 +87,18 @@ class TestObstructionWalk:
     @given(airy_operators(), nonzero_st, st.integers(-30, -1), st.integers(0, 3),
            st.integers(0, 30))
     def test_matches_step_loop(self, A, c, h, k, max_steps):
-        k = min(k, A.order - 2)
+        # k reaches N - 1, the slot where the walk's factor vanishes and
+        # the last step would carry the witness alpha = 0: refused
+        k = min(k, A.order - 1)
         L = A + DiffOp.monomial(RatFunc.x_power(h, c), k)
+        if k == A.order - 1:
+            with pytest.raises(NotAiryShape):
+                perturbation_obstruction(L, max_steps)
+            return
         trace = perturbation_obstruction(L, max_steps)
         assert trace == perturbation_obstruction_loop(L, max_steps)
         assert len(trace.steps) == 1 + min(-1 - h, max_steps)
         assert trace.obstructed == (-1 - h <= max_steps)
+        if trace.obstructed:
+            assert trace.steps[-1].s == -1 and trace.steps[-1].alpha != 0
 

@@ -366,7 +366,7 @@ class TestOneDecider:
                     if V.is_zero():
                         expect = "Airy(1)" if N != 4 else "Inconclusive"
                     else:
-                        trace = perturbation_obstruction((A, V), Budgets.obstruction_steps)
+                        trace = perturbation_obstruction(L, Budgets.obstruction_steps)
                         expect = "Obstructed" if trace.obstructed else "Inconclusive"
                 assert r["verdict"] == expect, print_operator(L)
                 seen[expect] = seen.get(expect, 0) + 1

@@ -22,6 +22,10 @@ of a few constructions; the other counts are exact.  Python 3.12 and
 later build most arithmetic results without ``Fraction.__new__``, so
 there the ``Fraction`` counts fall well below the ceilings, which were
 taken under Python 3.11.
+
+The increasing branch has an exact pin of its own: one ``principal_part``
+split and one ``airy_shape`` read per ``classify`` and per ``bispec
+airy-wave``, both inside the one ``perturbation_obstruction`` call.
 """
 
 import importlib
@@ -33,6 +37,7 @@ import pytest
 
 import bispec
 from bispec import Poly, classify, parse_operator
+from bispec.cli import main
 from bispec.diffop import commutator
 
 FRACTION_MARGIN = 4
@@ -51,25 +56,30 @@ CEILINGS = {
 }
 
 
+def _counting(seen, key, fn):
+    def wrapper(*args, **kwargs):
+        seen[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _patch_everywhere(monkeypatch, fn, wrapper):
+    """Replace ``fn`` by ``wrapper`` in every bispec module that binds it."""
+    for info in pkgutil.iter_modules(bispec.__path__):
+        module = importlib.import_module(f"bispec.{info.name}")
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, wrapper)
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """A fresh counter of the four operations while the test runs."""
     seen = Counter()
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            seen[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting("Fraction", Fraction.__new__)))
-    monkeypatch.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
-    monkeypatch.setattr(Poly, "gcd", counting("gcd", Poly.gcd))
-    wrapped = counting("commutator", commutator)
-    for info in pkgutil.iter_modules(bispec.__path__):
-        module = importlib.import_module(f"bispec.{info.name}")
-        if getattr(module, "commutator", None) is commutator:
-            monkeypatch.setattr(module, "commutator", wrapped)
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(_counting(seen, "Fraction", Fraction.__new__)))
+    monkeypatch.setattr(Poly, "__mul__", _counting(seen, "mul", Poly.__mul__))
+    monkeypatch.setattr(Poly, "gcd", _counting(seen, "gcd", Poly.gcd))
+    _patch_everywhere(monkeypatch, commutator, _counting(seen, "commutator", commutator))
     return seen
 
 
@@ -83,3 +93,24 @@ def test_classify_stays_under_its_ceilings(text, counts):
     over = {key: (counts[key], ceiling) for key, ceiling in ceilings.items()
             if counts[key] > ceiling}
     assert over == {}
+
+
+@pytest.fixture
+def shape_reads(monkeypatch):
+    """Calls of ``airy_shape`` and ``principal_part``, wrapped in every
+    module that binds them."""
+    seen = Counter()
+    for fn in (bispec.airy_shape, bispec.principal_part):
+        _patch_everywhere(monkeypatch, fn, _counting(seen, fn.__name__, fn))
+    return seen
+
+
+@pytest.mark.parametrize("argv", [["classify", "d^2 - x + x^-2"], ["classify", "d^3 - x"],
+                                  ["airy-wave", "d^2 - x + x^-2"]],
+                         ids=" ".join)
+def test_one_shape_read_per_increasing_call(argv, shape_reads, capsys):
+    if argv[0] == "classify":
+        classify(argv[1])
+    else:
+        assert main(argv) == 0
+    assert shape_reads == {"airy_shape": 1, "principal_part": 1}

@@ -49,7 +49,8 @@ def _instances():
         TOp({(1, 0): F(1)}),
         AiryShape(N=3, a=((1, F(2)),), a0=F(0), lam=F(1)),
         ObstructionStep(j=1, s=-2, k=0, alpha=F(1, 2)),
-        ObstructionTrace((), "clean", 3, F(1)),
+        ObstructionTrace((), "clean", DiffOp.d() ** 3 - DiffOp.x(), DiffOp.zero(),
+                         AiryShape(N=3, a=(), a0=F(0), lam=F(1))),
         Budgets(),
         BesselSpec((0, 1)),
         WeightPair(1, 2, (3, 4)),
