@@ -64,9 +64,6 @@ from .families import (
     p_form_check,
 )
 from .weights import (
-    BiHomPoly,
-    NormalFormReport,
-    WeightPair,
     associated_polynomial,
     choose_weights,
     normal_form_test,

@@ -24,7 +24,7 @@ from .rational import RatFunc
 from .diffop import DiffOp, ad_condition_min_m, commutator, dop_mul, right_divide
 from .parser import parse_operator
 from .families import darboux
-from .weights import associated_polynomial, choose_weights, normal_form_test
+from .weights import associated_polynomial, associated_text, choose_weights, normal_form_test
 from .airy import airy_wave_solve
 from .bounded import (
     bounded_test,
@@ -189,9 +189,7 @@ def _answer(args) -> dict[str, Any]:
         L = parse_operator(args.expr)
         w = choose_weights(L)
         f = associated_polynomial(L, w)
-        nf = normal_form_test(f, w)
-        return {"rho": w.rho, "sigma": w.sigma, "f": str(f), "case": nf.case,
-                "yrx": nf.yrx, "nilpotency_excluded": nf.nilpotency_excluded}
+        return {"rho": w[0], "sigma": w[1], "f": associated_text(f), **normal_form_test(f, w)}
     if cmd == "classify":
         # arguments are evaluated in order, so a bad operator is reported
         # before a bad theta, and a bad theta before a bad P

@@ -14,6 +14,11 @@ normal-form shapes become statements about the root structure of p.
 decomposition of p: cases (b) and (c) hold when it is one linear factor
 w + 1/mu of multiplicity deg p, and case (d) reads its rational roots.
 
+The toolkit returns what ``bispec weights`` writes: ``choose_weights``
+the pair (rho, sigma), ``associated_polynomial`` the dict
+{(x exponent, y exponent): scalar} that ``associated_text`` writes as f,
+and ``normal_form_test`` the dict of the match.
+
 The generalized Airy form (y^N - lam x)^1 of a monic L of order N >= 2
 needs none of this: it is the leading form exactly when the d^0
 coefficient has order 1 at infinity and every d^j coefficient with
@@ -29,25 +34,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Optional
 
 from .errors import NotAiryShape, NotHomogeneous, NotIncreasing, NotMonic, ZeroOperand
 from .poly import Poly, decomposition_roots, monomial_text, signed_sum
 from .diffop import DiffOp
 from .bounded import split_constant_part
-from .record import Record
-
-
-class WeightPair(Record):
-    """Coprime positive weights (rho, sigma) with the supporting point."""
-
-    __slots__ = ("rho", "sigma", "support")
-    rho: int
-    sigma: int
-    support: tuple[int, int]  # the point (k, j) on the line besides (0, N)
-
-    def weight(self, x_exp: int, d_exp: int) -> int:
-        return self.rho * x_exp + self.sigma * d_exp
 
 
 def _growing_points(L: DiffOp) -> list[tuple[int, int]]:
@@ -63,8 +54,9 @@ def _growing_points(L: DiffOp) -> list[tuple[int, int]]:
     return grow
 
 
-def choose_weights(L: DiffOp) -> WeightPair:
-    """The supporting line of the Newton polygon through (0, N).
+def choose_weights(L: DiffOp) -> tuple[int, int]:
+    """The weights (rho, sigma) of the supporting line of the Newton
+    polygon through (0, N).
 
     Picks the point (k, j), k > 0, maximizing the slope (j - N)/k; all of
     E(L) then lies on or below the line, and N sigma = k rho + j sigma has
@@ -74,97 +66,67 @@ def choose_weights(L: DiffOp) -> WeightPair:
     N = L.order
     k, j = max(_growing_points(L), key=lambda kj: (Fraction(kj[1] - N, kj[0]), kj[0]))
     g = gcd(N - j, k)
-    return WeightPair(rho=(N - j) // g, sigma=k // g, support=(k, j))
+    return (N - j) // g, k // g
 
 
-def weighted_order(L: DiffOp, w: WeightPair) -> int:
+def weighted_order(L: DiffOp, w: tuple[int, int]) -> int:
     """Max term weight rho*(ord V_j) + sigma*j."""
     if L.is_zero():
         raise ZeroOperand("weighted order of the zero operator")
-    return max(w.weight(c.infinity_order(), j) for j, c in L.coeffs.items())
+    rho, sigma = w
+    return max(rho * c.infinity_order() + sigma * j for j, c in L.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
 # associated polynomials
 # ---------------------------------------------------------------------------
 
-class BiHomPoly(Record):
-    """Sparse element of Q[x, x^-1, y]: (x exponent, y exponent) -> scalar."""
-
-    __slots__ = ("terms",)
-    _defaults = {"terms": {}}  # never mutated: __post_init__ builds a new dict
-    terms: Mapping[tuple[int, int], Fraction]
-
-    def __post_init__(self):
-        clean = {
-            (int(a), int(b)): Fraction(c)
-            for (a, b), c in self.terms.items()
-            if Fraction(c) != 0
-        }
-        if any(b < 0 for (_, b) in clean):
-            raise ValueError("negative y exponent")
-        object.__setattr__(self, "terms", clean)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def weight(self, w: WeightPair) -> int:
-        if self.is_zero():
-            raise ZeroOperand("weight of the zero polynomial")
-        weights = {w.weight(a, b) for (a, b) in self.terms}
-        if len(weights) > 1:
-            raise NotHomogeneous(f"mixed weights {sorted(weights)}")
-        return weights.pop()
-
-    def __str__(self):
-        return signed_sum([(c, monomial_text(c, a, b, "x", "y")) for (a, b), c in
-                           sorted(self.terms.items(), key=lambda t: (-t[0][1], -t[0][0]))])
-
-
-def associated_polynomial(L: DiffOp, w: WeightPair) -> BiHomPoly:
-    """Sum of the leading monomials of the maximal-weight terms of L."""
+def associated_polynomial(L: DiffOp, w: tuple[int, int]) -> dict[tuple[int, int], Fraction]:
+    """The sum of the leading monomials of the maximal-weight terms of L,
+    as the sparse element {(x exponent, y exponent): scalar} of
+    Q[x, x^-1, y], every scalar nonzero."""
     v = weighted_order(L, w)
-    terms: dict[tuple[int, int], Fraction] = {}
+    rho, sigma = w
+    f = {}
     for j, c in L.coeffs.items():
         m = c.infinity_order()
-        if w.weight(m, j) == v:
-            terms[(m, j)] = c.infinity_leading()
-    return BiHomPoly(terms)
+        if rho * m + sigma * j == v:
+            f[(m, j)] = c.infinity_leading()
+    return f
+
+
+def associated_text(f: dict[tuple[int, int], Fraction]) -> str:
+    """f written by degree in y, then in x, as in "y^3 - x"."""
+    return signed_sum([(c, monomial_text(c, a, b, "x", "y")) for (a, b), c in
+                       sorted(f.items(), key=lambda t: (-t[0][1], -t[0][0]))])
 
 
 # ---------------------------------------------------------------------------
 # normal-form classification
 # ---------------------------------------------------------------------------
 
-class NormalFormReport(Record):
-    """Outcome of matching f against the admissible leading-term shapes.
-
-    ``case`` is one of "b", "c", "d" or None; (n, k, m, mu) describe a match
-    f = y^n (y^m + mu x)^k (case c; case b is the same with x and y swapped,
-    case d has two linear factors with roots lam, mu).  ``yrx`` carries the
-    (y^r - lam x)^k data when f = y^n (y^r - lam x)^k with lam != 0; the
-    bispectral normal form is the sub-case n = 0 (lam rescalable to 1).
-    ``nilpotency_excluded`` flags
-    y^n (y^r - lam x)^k with n >= 1, k >= 1: such leading terms cannot come
-    from an operator acting nilpotently."""
-
-    __slots__ = ("case", "n", "k", "m", "mu", "lam", "yrx",
-                 "nilpotency_excluded", "unresolved_over_Q")
-    _defaults = {"n": 0, "k": 0, "m": 0, "mu": None, "lam": None, "yrx": None,
-                 "nilpotency_excluded": False, "unresolved_over_Q": False}
-    case: Optional[str]
-    n: int
-    k: int
-    m: int
-    mu: Optional[Fraction]
-    lam: Optional[Fraction]
-    yrx: Optional[tuple[int, int, Fraction]]  # (r, k, lam)
-    nilpotency_excluded: bool
-    unresolved_over_Q: bool
+# the answer when f matches no shape; a match sets some of these keys,
+# which keep this order
+_NO_MATCH = {"case": None, "n": 0, "k": 0, "m": 0, "mu": None, "lam": None, "yrx": None,
+             "nilpotency_excluded": False, "unresolved_over_Q": False}
 
 
-def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
-    """Classify a homogeneous f against the admissible shapes.
+def normal_form_test(f: dict[tuple[int, int], Fraction], w: tuple[int, int]) -> dict:
+    """Match a homogeneous f, as ``associated_polynomial`` returns it,
+    against the admissible leading-term shapes.
+
+    Returns the keys that ``bispec weights`` writes after rho, sigma and
+    f.  ``case`` is one of "b", "c", "d" or None; (n, k, m, mu) describe
+    a match f = y^n (y^m + mu x)^k (case c; case b is the same with x
+    and y swapped, case d has two linear factors with roots lam, mu).
+    ``yrx`` is (r, k, lam) when f = y^n (y^r - lam x)^k with lam != 0;
+    the bispectral normal form is the sub-case n = 0 (lam rescalable to
+    1).  ``nilpotency_excluded`` flags y^n (y^r - lam x)^k with n >= 1,
+    k >= 1: such leading terms cannot come from an operator acting
+    nilpotently.  ``unresolved_over_Q`` flags a case (d) form whose
+    roots are irrational.  Raises ZeroOperand for f = 0, NotHomogeneous
+    when the terms of f have more than one weight, and ValueError for a
+    negative y exponent.
 
     Shapes tried, keyed by the weight comparison exactly as in the case
     split (scalars extracted over Q, the x-scalar recorded):
@@ -182,18 +144,21 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
     of c (1 + mu w)^k is c mu^k (1 + w'/mu)^k, so (b) holds with
     mu -> 1/mu and n = a0.  (d) reads the rational roots of the same
     decomposition, plus a (y + 0 x)-factor of multiplicity b0 - deg p,
-    and counts its distinct factors when a root is irrational.
-    Also reports the (y^r - lam x)^k data and the nilpotency exclusion for
-    the y^n (y^r - lam x)^k, n >= 1, k >= 1 pattern."""
-    if f.is_zero():
+    and counts its distinct factors when a root is irrational."""
+    if not f:
         raise ZeroOperand("normal form of the zero polynomial")
-    f.weight(w)  # raises NotHomogeneous
+    if any(b < 0 for _, b in f):
+        raise ValueError("negative y exponent")
+    rho, sigma = w
+    weights = {rho * a + sigma * b for a, b in f}
+    if len(weights) > 1:
+        raise NotHomogeneous(f"mixed weights {sorted(weights)}")
     # the exponent pairs lie on a line with direction (sigma, -rho), one
     # term per x exponent
-    a0, b0 = min(f.terms)
+    a0, b0 = min(f)
     coeffs: dict[int, Fraction] = {}
-    for (a, _), c in f.terms.items():
-        t, rem = divmod(a - a0, w.sigma)
+    for (a, _), c in f.items():
+        t, rem = divmod(a - a0, sigma)
         if rem:  # only for weights that are not coprime
             raise NotHomogeneous("terms do not lie on a single weight line")
         coeffs[t] = c
@@ -203,15 +168,15 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
 
     if [(g.degree, i) for g, i in sqf] == [(1, T)]:
         g0 = sqf[0][0].coeff(0)  # p = c (1 + w/g0)^T
-        if w.rho == 1 < w.sigma and a0 >= 0 and b0 == T:
-            return NormalFormReport(case="b", n=a0, k=T, m=w.sigma, mu=g0)
+        if rho == 1 < sigma and a0 >= 0 and b0 == T:
+            return dict(_NO_MATCH, case="b", n=a0, k=T, m=sigma, mu=g0)
         # case (c), and the (y^r - lam x)^k form for any rho > sigma = 1
-        n = b0 - w.rho * T
-        if w.sigma == 1 < w.rho and a0 == 0 and n >= 0:
-            return NormalFormReport(case="c", n=n, k=T, m=w.rho, mu=1 / g0,
-                                    yrx=(w.rho, T, -1 / g0), nilpotency_excluded=n >= 1)
+        n = b0 - rho * T
+        if sigma == 1 < rho and a0 == 0 and n >= 0:
+            return dict(_NO_MATCH, case="c", n=n, k=T, m=rho, mu=1 / g0,
+                        yrx=(rho, T, -1 / g0), nilpotency_excluded=n >= 1)
 
-    if w.rho == 1 and w.sigma == 1 and a0 == 0:
+    if rho == 1 and sigma == 1 and a0 == 0:
         roots = decomposition_roots(sqf)
         if sum(mult for _, mult in roots) == T:
             factors = [(-1 / r, mult) for r, mult in roots]
@@ -221,12 +186,12 @@ def normal_form_test(f: BiHomPoly, w: WeightPair) -> NormalFormReport:
                 (lam, n), (mu, k) = (factors + [(None, 0)])[:2]
                 # lam = 0 only for the y-factor, and every root's mu != 0
                 yrx = (1, k, -mu) if lam == 0 and k else None
-                return NormalFormReport(case="d", n=n, lam=lam, k=k, mu=mu, yrx=yrx,
-                                        nilpotency_excluded=yrx is not None)
+                return dict(_NO_MATCH, case="d", n=n, lam=lam, k=k, mu=mu, yrx=yrx,
+                            nilpotency_excluded=yrx is not None)
         elif (b0 > T) + sum(g.degree for g, _ in sqf) <= 2:  # an irrational root
-            return NormalFormReport(case="d", unresolved_over_Q=True)
+            return dict(_NO_MATCH, case="d", unresolved_over_Q=True)
 
-    return NormalFormReport(case=None)
+    return dict(_NO_MATCH)
 
 
 # ---------------------------------------------------------------------------

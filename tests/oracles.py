@@ -148,7 +148,8 @@ def mono_mul(u: dict, v: dict) -> dict:
 
 def commutative_mul(u: dict, v: dict) -> dict:
     """The product of u and v as polynomials in commuting x and y, the
-    product of associated polynomials (``weights.BiHomPoly`` terms)."""
+    product of associated polynomials (as ``weights.associated_polynomial``
+    returns them)."""
     out: dict = {}
     for (a1, b1), c1 in u.items():
         for (a2, b2), c2 in v.items():

@@ -355,7 +355,7 @@ class TestOneDecider:
                 L = r["operator"]
                 w = choose_weights(L)
                 nf = normal_form_test(associated_polynomial(L, w), w)
-                airy_form = nf.n == 0 and nf.yrx is not None and nf.yrx[:2] == (N, 1)
+                airy_form = nf["n"] == 0 and nf["yrx"] is not None and nf["yrx"][:2] == (N, 1)
                 try:
                     A, V = principal_part(L)
                 except NotAiryShape:
@@ -661,8 +661,25 @@ class TestCli:
         # text used to drop yrx and nilpotency_excluded
         out = run_cli("weights", "d^3 - x")
         assert out.stdout.splitlines() == [
-            "rho: 3", "sigma: 1", "f: y^3 - x", "case: c", 'yrx: [3, 1, "1"]',
-            "nilpotency_excluded: false"]
+            "rho: 3", "sigma: 1", "f: y^3 - x", "case: c", "n: 0", "k: 1", "m: 3",
+            "mu: -1", "lam: null", 'yrx: [3, 1, "1"]', "nilpotency_excluded: false",
+            "unresolved_over_Q: false"]
+
+    def test_weights_writes_the_whole_normal_form(self):
+        # the answer used to keep 3 of the normal form's 9 keys, so an
+        # irrational pair of roots and the roots 1 and -1 both read "case: d"
+        keys = ["rho", "sigma", "f", "case", "n", "k", "m", "mu", "lam", "yrx",
+                "nilpotency_excluded", "unresolved_over_Q"]
+        docs = {}
+        for expr in ("d^3 - x", "d^2 + x^2", "d^2 - x^2"):
+            out = run_cli("--json", "weights", expr)
+            assert out.returncode == 0
+            docs[expr] = json.loads(out.stdout)
+            assert list(docs[expr]) == keys
+        airy = docs["d^3 - x"]
+        assert (airy["case"], airy["n"], airy["yrx"]) == ("c", 0, [3, 1, "1"])
+        assert docs["d^2 + x^2"]["unresolved_over_Q"] is True
+        assert (docs["d^2 - x^2"]["lam"], docs["d^2 - x^2"]["mu"]) == ("1", "-1")
 
     def test_ad_test(self):
         out = run_cli("--json", "ad-test", "d^2 - 2*x^-2", "--theta", "x^2")

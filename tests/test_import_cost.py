@@ -19,7 +19,7 @@ from pathlib import Path
 import bispec
 
 # the AST-node total of src/bispec/*.py may not exceed this
-MAX_AST_NODES = 21802
+MAX_AST_NODES = 21555
 
 # nor may the AST-node count of any one of them (poly.py is the largest)
 MAX_MODULE_AST_NODES = 3411

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -457,13 +458,20 @@ class TestGrammarProperty:
         assert_canonical_op(Z)
 
 
+def _command_id(argv: list[str]) -> str:
+    """The test id of a CLI case: its command, each token over 60
+    characters cut to its head and its length, so that no expected
+    output names the test."""
+    return shlex.join(t if len(t) <= 60 else f"{t[:8]}...({len(t)} chars)" for t in argv)
+
+
 class TestPrintability:
     """No text makes the parser or the printer fail with anything but a
     BispecError: the interpreter refuses to convert an int of more than
     ``sys.get_int_max_str_digits()`` digits to or from text, and both
     places turn that refusal into a domain error."""
 
-    @pytest.mark.parametrize("argv,code,text", [
+    EXIT_CASES = [
         (["parse", "(2^4096)^4"], 2, "syntax error: power exceeds"),
         (["mul", "(2^4096)^4", "d"], 2, "syntax error: power exceeds"),
         (["parse", "9" * 4401], 2, "syntax error: integer literal too long"),
@@ -497,7 +505,10 @@ class TestPrintability:
         (["classify", "d^5 + x^-3", "--theta", "x"], 0,
          "note: theta = x is not admissible: its ad chain does not end after "
          "deg theta + 1 = 2 brackets"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv,code,text", EXIT_CASES,
+                             ids=[_command_id(argv) for argv, _, _ in EXIT_CASES])
     def test_cli_exit_codes(self, argv, code, text, capsys):
         assert main(argv) == code
         out = capsys.readouterr()
