@@ -35,7 +35,6 @@ from .errors import (
 )
 from .poly import Poly, Scalar
 from .rational import (
-    LaurentTail,
     RatFunc,
     laurent_expand,
     rat_antiderivative,

@@ -34,11 +34,11 @@ from .errors import (
     UnboundedCoefficient,
     ZeroOperand,
 )
-from .poly import Poly, min_trunc, poly_lcm
+from .poly import FAR_INDEX, Poly, poly_lcm
 from .rational import (
-    LaurentTail,
     RatFunc,
-    TruncatedSeries,
+    add_terms,
+    nonzero_terms,
     rat_antiderivative,
     rational_reconstruct,
 )
@@ -50,30 +50,45 @@ from .diffop import (
     leibniz_product,
 )
 from .linalg import nullspace
+from .record import Record
+
+
+def min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    """The smaller of two truncations, where None means exact."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 # ---------------------------------------------------------------------------
 # PDO: truncated pseudo-differential series with exact coefficients
 # ---------------------------------------------------------------------------
 
-class PDO(TruncatedSeries):
+class PDO(Record):
     """sum_k a_k(x) d^k over k <= k0, exact for k >= -trunc (None = finite
-    sum), keyed by the power k as ``DiffOp`` is.
+    sum), keyed by the power k as ``DiffOp`` is: the package's one
+    truncated series.
 
-    ``PDO(terms, trunc)`` coerces every coefficient to a ``RatFunc`` as
-    ``DiffOp`` does (NotInDomain for a value that is not a rational
-    function, such as a ``LaurentTail``) and drops the zero ones.
-    ``PDO._trusted(terms, trunc)`` wraps a dict with int keys at least
-    ``-trunc`` and nonzero ``RatFunc`` coefficients, unchecked.  The
-    constructors, negation, sums and ``restrict`` are those of
-    ``TruncatedSeries``.
+    ``terms`` maps the power k to a nonzero ``RatFunc``.  ``PDO(terms,
+    trunc)`` coerces every coefficient to a ``RatFunc`` as ``DiffOp`` does
+    (NotInDomain for a value that is not a rational function, such as a
+    Laurent tail's exponent map) and drops the zero ones and those below
+    d^-trunc.  ``PDO._trusted(terms, trunc)``, from ``Record``, wraps a
+    dict with int keys at least ``-trunc`` and nonzero ``RatFunc``
+    coefficients, unchecked.  A series has no printed form: ``str`` falls
+    back to ``Record``'s repr.
 
     A series carries no variable tag: K and Theta are series in x, and
     only the dual operator Lambda, a ``DiffOp``, lives in z."""
 
     __slots__ = ("terms", "trunc")
-    _coerce = staticmethod(_coerce)
-    _zero = RatFunc.zero()
+
+    def __init__(self, terms: Optional[dict] = None, trunc: Optional[int] = None):
+        clean = {int(k): _coerce(c) for k, c in (terms or {}).items()}
+        object.__setattr__(self, "terms", nonzero_terms(clean, trunc))
+        object.__setattr__(self, "trunc", trunc)
 
     # -- constructors
 
@@ -81,7 +96,43 @@ class PDO(TruncatedSeries):
     def identity() -> "PDO":
         return PDO._trusted({0: RatFunc.one()}, None)
 
+    # -- queries
+
+    def coeff(self, k: int) -> RatFunc:
+        return self.terms.get(k, RatFunc.zero())
+
     # -- arithmetic
+
+    def _known_top(self) -> int:
+        """Leading power used in precision bookkeeping: for the zero
+        series, the first unknown one (or a far sentinel when exact)."""
+        return max(self.terms, default=-FAR_INDEX if self.trunc is None else -self.trunc - 1)
+
+    def _product_trunc(self, other: "PDO") -> Optional[int]:
+        """The truncation of a product: the unknown range of either
+        factor, shifted by the other factor's leading power."""
+        cands = []
+        if self.trunc is not None:
+            cands.append(self.trunc - other._known_top())
+        if other.trunc is not None:
+            cands.append(other.trunc - self._known_top())
+        return min(cands) if cands else None
+
+    def __neg__(self) -> "PDO":
+        return PDO._trusted({k: -c for k, c in self.terms.items()}, self.trunc)
+
+    def __add__(self, other: "PDO") -> "PDO":
+        trunc = min_trunc(self.trunc, other.trunc)
+        return PDO._trusted(add_terms(self.terms, other.terms, trunc), trunc)
+
+    def __sub__(self, other: "PDO") -> "PDO":
+        return self + (-other)
+
+    def restrict(self, trunc: Optional[int]) -> "PDO":
+        new = min_trunc(self.trunc, trunc)
+        terms = self.terms if new is None else {
+            k: c for k, c in self.terms.items() if k >= -new}
+        return PDO._trusted(terms, new)
 
     def __mul__(self, other: "PDO") -> "PDO":
         """Product, exact through the combined truncation: the shared
@@ -233,12 +284,13 @@ def conjugate_theta(K: PDO, theta: Poly) -> PDO:
 # the anti-isomorphism b
 # ---------------------------------------------------------------------------
 
-def involution_b(P: PDO) -> dict[int, LaurentTail]:
+def involution_b(P: PDO) -> dict[int, dict[int, Fraction]]:
     """b(x) = d_z, b(d) = z extended as an anti-homomorphism
     (b(PQ) = b(Q) b(P)) on a series sum a_k(x) d^k with polynomial
     coefficients.  The image is sum z^k a_k(d_z), regrouped by powers of
-    d_z: a map from the power i of d_z to its coefficient, a truncated
-    expansion in z^-1 (a tail).  On a differential operator P in x, b is
+    d_z: a map from the power i of d_z to its coefficient, a tail in z^-1
+    (an exponent map ``{k: c}``) exact down to z^-P.trunc.  On a
+    differential operator P in x, b is
     ``diffop.anti_homomorphism(P, DiffOp.d("z"), DiffOp.x("z"))``, which
     sends x^a d^j to z^j d_z^a."""
     tails: dict[int, dict[int, Fraction]] = {}
@@ -248,7 +300,7 @@ def involution_b(P: PDO) -> dict[int, LaurentTail]:
         for i, v in enumerate(c.num.coeffs):
             if v != 0:
                 tails.setdefault(i, {})[k] = v
-    return {i: LaurentTail(pairs, P.trunc) for i, pairs in tails.items()}
+    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +333,8 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     lam_coeffs: dict[int, RatFunc] = {}
     full = max(2 * m, 2)
     for i in range(m + 1):
-        tail = tails.get(i, LaurentTail.zero(J))
-        if tail.is_zero():
+        tail = tails.get(i)
+        if not tail:
             # a nonzero coefficient of degree <= full starts at or above
             # z^-full, so only a tail known that far proves it zero
             if J < full:
@@ -290,12 +342,12 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
                     f"Lambda coefficient at d_z^{i} is zero only through trunc "
                     f"{J}; a nonzero one of degree <= {full} can start at z^-{full}")
             continue
-        got = pade_lift(tail, m)
+        got = pade_lift(tail, J, m)
         if got is None:
             # Theta starts at d^0, so the tail's known count c is at most
             # J + 1, and pade_lift's degree is (c - 2) // 2 < full until
             # trunc J + 2 full + 2 - c
-            c = tail.known_count()
+            c = J + max(tail) + 1
             raise ReconstructionFailed(f"Lambda coefficient at d_z^{i}" + (
                 f": the Pade degree is capped at {(c - 2) // 2} by trunc {J}; "
                 f"trunc {J + 2 * full + 2 - c} lifts the full degree {full}"
@@ -309,11 +361,12 @@ def build_lambda(K: PDO, theta: Poly) -> DiffOp:
     return lam
 
 
-def pade_lift(tail: LaurentTail, m: int) -> Optional[RatFunc]:
+def pade_lift(tail: dict[int, Fraction], J: int, m: int) -> Optional[RatFunc]:
     """The rational function of degree <= D whose expansion at infinity
-    matches the tail t (truncated at J = t.trunc), found in one Pade solve at
-    D = min(max(2m, 2), (J - 1) // 2, (c - 2) // 2), where c is the
-    tail's known count; None when there is none (or D < 0).
+    matches the tail t, exact down to x^-J, found in one Pade solve at
+    D = min(max(2m, 2), (J - 1) // 2, (c - 2) // 2), where c = J + max(t) + 1
+    is the tail's known count (the leading exponent taken as 0 for the
+    empty tail); None when there is none (or D < 0).
 
     One solve suffices.  If f0 = p0/q0 of degree d0 <= D matches t
     down to x^-J, and (p, q), q != 0, solves the system at D,
@@ -321,8 +374,8 @@ def pade_lift(tail: LaurentTail, m: int) -> Optional[RatFunc]:
     no term of degree >= d0 + D - J; as J >= 2D + 1 > d0 + D, it is zero
     and p/q = f0.  So every solution at D reduces to the one matching
     function of degree <= D, the lowest-degree answer."""
-    D = min(max(2 * m, 2), (tail.trunc - 1) // 2, (tail.known_count() - 2) // 2)
-    return rational_reconstruct(tail, D, D) if D >= 0 else None
+    D = min(max(2 * m, 2), (J - 1) // 2, (J + max(tail, default=0) - 1) // 2)
+    return rational_reconstruct(tail, J, D, D) if D >= 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,14 @@ def classify(
     the report rather than raised.  Each stage catches only what it can
     meet on the monic, normalized operator its earlier stages hand it.
 
+    The families overlap, and the first stage whose certificate holds
+    names the verdict.  So ``d^2 - 2*x^-2`` reads Bessel(2), though it is
+    also ``darboux(d^2, d - x^-1)``, and the Adler-Moser operator
+    d^2 - (6x^4 - 12x)/(x^3 + 1)^2 reads MonomialDarbouxCandidate(4)
+    under theta = (x^3 + 1)^2, though it is also P d^2 P^-1 for an order-2
+    P.  ``_bessel`` leaves d^N (beta = 0, ..., N - 1) to ``_constant``, so
+    d^2 reads ConstantCoeff(3).
+
     The report is the dict that ``bispec classify --json`` writes:
     ``input``, ``branch``, ``verdict``, ``operator`` (the normalized
     ``DiffOp``, None when an input guard refuses L), ``certificates``,

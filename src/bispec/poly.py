@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .errors import ScalarTooLong
 
@@ -49,15 +49,6 @@ FAR_INDEX = 10 ** 9
 
 def _frac(value: ScalarLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def min_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """The smaller of two truncations, where None means exact."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 # ---------------------------------------------------------------------------

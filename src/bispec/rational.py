@@ -1,4 +1,4 @@
-"""Exact rational-function and truncated-series arithmetic over ``poly.Poly``.
+"""Exact rational-function and Laurent-tail arithmetic over ``poly.Poly``.
 
 Conventions:
 
@@ -12,18 +12,18 @@ Conventions:
   ``parser.print_operator`` joins those pieces.  ``str`` of a ``RatFunc``
   writes (num)/(den), the form the benchmark's gate compares a gauge
   certificate with; ``parser.parse_operator`` reads both forms back.
-* ``LaurentTail`` is a truncated expansion at infinity: the term at key
-  ``e`` is ``c_e * x^e``, keyed by the exponent as every coefficient map
-  of the package is.  Keys may be positive (polynomial part).  The tail
-  is exact down to x^-trunc; ``trunc=None`` means every absent
-  coefficient is exactly zero.  It shares one body, ``TruncatedSeries``,
-  with ``bounded.PDO``; a series has no printed form of its own.
+* A Laurent tail, a truncated expansion at infinity, is a plain exponent
+  map ``{e: c_e}`` of the nonzero ``Fraction`` coefficients of
+  ``c_e * x^e``, keyed by the exponent as every coefficient map of the
+  package is, whose truncation the caller carries: with truncation M it
+  is exact down to x^-M.  Keys may be positive (polynomial part).
   ``laurent_expand`` finds a tail by polynomial long division, one
-  ``Poly.divmod``.  A tail serves the Pade path only: ``laurent_expand``,
+  ``Poly.divmod``.  A tail serves the Pade path only:
   ``rat_antiderivative``, ``rational_reconstruct``,
-  ``bounded.involution_b`` and ``bounded.pade_lift`` read it, and it has
-  no product.  Operators with Laurent-polynomial coefficients are
-  ``diffop.TOp`` values, in the one class for Q[x, x^-1]<d>.
+  ``bounded.involution_b`` and ``bounded.pade_lift`` read it, each with
+  its truncation.  The package's one series class is ``bounded.PDO``.
+  Operators with Laurent-polynomial coefficients are ``diffop.TOp``
+  values, in the one class for Q[x, x^-1]<d>.
 
 All values are immutable after construction, so ``RatFunc.zero()``,
 ``RatFunc.one()`` and ``RatFunc.x()`` return shared instances.
@@ -38,15 +38,13 @@ itself (``Poly._trusted``, the one other, is described in ``poly``):
   is the shared ``Poly.one()``, and zero is 0/1.  Negation, nonzero
   scaling and translation keep a pair reduced; so do products, sums and
   derivatives of polynomials, and sums over coprime denominators.
-* ``LaurentTail._trusted(terms, trunc)`` and ``bounded.PDO._trusted(terms,
-  trunc)`` alike: a dict with int keys, every key at least
-  ``-trunc``, and nonzero values already of the series' coefficient ring
-  (``Fraction`` for a tail, ``RatFunc`` for a ``PDO``).  Negation, sums
+* ``bounded.PDO._trusted(terms, trunc)``: a dict with int keys, every key
+  at least ``-trunc``, and nonzero ``RatFunc`` values.  Negation, sums
   and ``restrict`` keep it.
 
 Every coefficient map is cleaned by ``nonzero_terms``, which reads a
-coefficient's truth: ``Fraction``, ``RatFunc`` and the series are false
-exactly when zero.
+coefficient's truth: ``Fraction`` and ``RatFunc`` are false exactly when
+zero.
 
 A dict handed to a value is never changed afterwards, so values may share
 one.
@@ -55,7 +53,7 @@ one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import (
     InsufficientPrecision,
@@ -72,8 +70,6 @@ from .poly import (
     _ZERO,
     Poly,
     ScalarLike,
-    _frac,
-    min_trunc,
     monomial_text,
     poly_text,
 )
@@ -320,7 +316,7 @@ _RAT_X = RatFunc._trusted(_POLY_X, _POLY_ONE)
 
 
 # ---------------------------------------------------------------------------
-# truncated series
+# coefficient maps and Laurent tails
 # ---------------------------------------------------------------------------
 
 def nonzero_terms(terms: dict, trunc: Optional[int] = None) -> dict:
@@ -342,128 +338,28 @@ def add_terms(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
     return nonzero_terms(out, trunc)
 
 
-class TruncatedSeries(Record):
-    """A truncated series sum_e c_e t^e in one formal variable t.
-
-    ``terms`` maps the exponent e to a nonzero coefficient; exponents at
-    least ``-trunc`` are exact, and ``trunc=None`` means every absent
-    coefficient is exactly zero.  This is the one body of ``LaurentTail``
-    (t = x, ``Fraction`` coefficients) and ``bounded.PDO`` (t = d,
-    ``RatFunc`` coefficients).  A subclass lists ``terms`` and ``trunc``
-    in its own ``__slots__``, names its coefficient coercion ``_coerce``
-    and its zero coefficient ``_zero``.  A series has no printed form:
-    ``str`` falls back to ``Record``'s repr.
-
-    The constructor, ``LaurentTail(terms, trunc)`` or ``PDO(terms,
-    trunc)``, coerces every coefficient with ``_coerce`` and drops the
-    zero ones and those below t^-trunc.  ``_trusted(terms, trunc)``, from
-    ``Record``, wraps a dict with int keys at least ``-trunc`` and nonzero
-    coefficients already of the subclass's ring, unchecked.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, terms: Optional[Mapping] = None, trunc: Optional[int] = None):
-        coerce = self._coerce
-        clean = {int(i): coerce(c) for i, c in (terms or {}).items()}
-        object.__setattr__(self, "terms", nonzero_terms(clean, trunc))
-        object.__setattr__(self, "trunc", trunc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coeff(self, i: int):
-        return self.terms.get(i, self._zero)
-
-    def _known_top(self) -> int:
-        """Leading exponent used in precision bookkeeping: for the zero
-        series, the first unknown one (or a far sentinel when exact)."""
-        return max(self.terms, default=-FAR_INDEX if self.trunc is None else -self.trunc - 1)
-
-    def _product_trunc(self, other: "TruncatedSeries") -> Optional[int]:
-        """The truncation of a product: the unknown range of either
-        factor, shifted by the other factor's leading exponent."""
-        cands = []
-        if self.trunc is not None:
-            cands.append(self.trunc - other._known_top())
-        if other.trunc is not None:
-            cands.append(other.trunc - self._known_top())
-        return min(cands) if cands else None
-
-    def __neg__(self):
-        return self._trusted({i: -c for i, c in self.terms.items()}, self.trunc)
-
-    def __add__(self, other):
-        trunc = min_trunc(self.trunc, other.trunc)
-        return self._trusted(add_terms(self.terms, other.terms, trunc), trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def restrict(self, trunc: Optional[int]):
-        new = min_trunc(self.trunc, trunc)
-        terms = self.terms if new is None else {
-            i: c for i, c in self.terms.items() if i >= -new}
-        return self._trusted(terms, new)
-
-
-class LaurentTail(TruncatedSeries):
-    """Truncated Laurent expansion at infinity: sum_e c_e * x^e.
-
-    ``terms`` maps the exponent e to a nonzero coefficient.  Exponents
-    at least ``-trunc`` are exact; ``trunc=None`` means the tail is an
-    exact Laurent polynomial (all absent coefficients are zero).
-    """
-
-    __slots__ = ("terms", "trunc")
-    _coerce = staticmethod(_frac)
-    _zero = _ZERO
-
-    @classmethod
-    def zero(cls, trunc: Optional[int] = None):
-        return cls._trusted({}, trunc)
-
-    def antiderivative(self) -> "LaurentTail":
-        """Term-by-term antiderivative, zero constant of integration.
-
-        Raises LogObstruction when the x^-1 coefficient is nonzero: the
-        antiderivative would leave the Laurent/rational class.
-        """
-        if self.terms.get(-1):
-            raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
-        out = {e + 1: c / (e + 1) for e, c in self.terms.items()}
-        trunc = None if self.trunc is None else self.trunc - 1
-        return LaurentTail._trusted(out, trunc)
-
-    def known_count(self) -> Optional[int]:
-        """Number of known coefficients from the leading exponent down to
-        x^-trunc (None = infinitely many)."""
-        if self.trunc is None:
-            return None
-        return self.trunc + max(self.terms, default=0) + 1
-
-
-def laurent_expand(f: RatFunc, M: int) -> LaurentTail:
+def laurent_expand(f: RatFunc, M: int) -> dict[int, Fraction]:
     """Laurent expansion of ``f`` at infinity, exact down to the term in
-    x^-M, by polynomial long division.
+    x^-M, by polynomial long division: the tail ``{e: c_e}`` of the
+    nonzero c_e with e >= -M.
 
     x^M * f = sum_e c_e x^(e+M), so c_e for e >= -M is the coefficient of
     x^(e+M) in the quotient of num * x^M by den; for M < 0 the quotient
     of num by den * x^-M.  The remainder holds the terms below x^-M."""
     if f.is_zero():
-        return LaurentTail._trusted({}, M)
+        return {}
     num = Poly._trusted((_ZERO,) * max(M, 0) + f.num.coeffs)
     den = Poly._trusted((_ZERO,) * max(-M, 0) + f.den.coeffs)
     q = num.divmod(den)[0].coeffs
-    return LaurentTail._trusted({k - M: c for k, c in enumerate(q) if c}, M)
+    return {k - M: c for k, c in enumerate(q) if c}
 
 
-def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
+def rational_reconstruct(t: dict[int, Fraction], M: int, degN: int,
+                         degD: int) -> Optional[RatFunc]:
     """Recover the rational function p/q with deg p <= degN, deg q <= degD
-    whose expansion at infinity matches ``t`` on every known coefficient.
+    whose expansion at infinity matches the tail ``t``, exact down to
+    x^-M, on every known coefficient.  ``t`` holds nonzero coefficients
+    at exponents >= -M only, as ``laurent_expand`` returns them.
 
     p is the polynomial part of q*t, so one solve over q's degD + 1
     coefficients finds it: the rows are the coefficients of x^e in q*t
@@ -471,35 +367,33 @@ def rational_reconstruct(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     off q*t afterwards.  The reduced p/q must re-expand to t.
 
     Returns None when no such function exists.  Raises InsufficientPrecision
-    when the tail carries fewer than degN + degD + 2 known coefficients, and
-    ValueError on an exact tail, which is already its own rational function.
+    when the tail carries fewer than degN + degD + 2 known coefficients,
+    counted from its leading exponent (or x^0) down to x^-M.
     """
-    if t.trunc is None:
-        raise ValueError("rational_reconstruct needs a truncated tail")
-    count = t.known_count()
+    count = M + max(t, default=0) + 1
     if count < degN + degD + 2:
         raise InsufficientPrecision(
             f"need {degN + degD + 2} known coefficients, have {count}"
         )
-    if t.is_zero():
+    if not t:
         return RatFunc.zero()
-    M = t.trunc
     # the coefficient of x^e in q*t is sum_i q_i t_(e-i); it is known for
     # e >= degD - M, and zero above degD plus t's leading exponent
     rows = []
-    for e in range(max(degN, degD + max(t.terms)), degD - M - 1, -1):
+    for e in range(max(degN, degD + max(t)), degD - M - 1, -1):
         if not 0 <= e <= degN:
-            row = {i: c for i in range(degD + 1) if (c := t.coeff(e - i))}
+            row = {i: c for i in range(degD + 1) if (c := t.get(e - i))}
             if row:
                 rows.append(row)
     basis = nullspace(rows, degD + 1)
     if not basis:
         return None
     q = basis[0]
-    p = [sum((v * t.coeff(e - i) for i, v in q.items()), _ZERO) for e in range(degN + 1)]
+    p = [sum((v * t.get(e - i, _ZERO) for i, v in q.items()), _ZERO)
+         for e in range(degN + 1)]
     f = RatFunc(Poly(p), Poly([q.get(i, _ZERO) for i in range(degD + 1)]))
     # belt and braces: the reduced representative must re-expand to t
-    return f if laurent_expand(f, M).terms == t.terms else None
+    return f if laurent_expand(f, M) == t else None
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +424,13 @@ def rat_antiderivative(g: RatFunc) -> RatFunc:
     degN = max(degD + order + 1, 0)
     # the integrated tail then holds the degN + degD + 2 known
     # coefficients that the solve needs
-    tail = laurent_expand(g, degN + degD + 1 - order)
-    anti = tail.antiderivative()  # raises LogObstruction on x^-1 term
-    cand = rational_reconstruct(anti, degN, degD)
+    M = degN + degD + 1 - order
+    tail = laurent_expand(g, M)
+    if tail.get(-1):
+        raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
+    # termwise, with zero constant of integration: exact down to x^-(M - 1)
+    anti = {e + 1: c / (e + 1) for e, c in tail.items()}
+    cand = rational_reconstruct(anti, M - 1, degN, degD)
     if cand is not None and cand.derivative() == g:
         return cand
     raise ReconstructionFailed("no rational antiderivative within degree bounds")

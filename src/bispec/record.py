@@ -6,8 +6,8 @@ and compiling code when the class is created: a constructor that binds
 arguments to the fields, field-wise ``==`` and ``hash``, a
 ``Name(field=value, ...)`` repr, and assignment that raises.  It also
 gives the ring value classes (``rational.RatFunc``, ``diffop.DiffOp``,
-``diffop.TOp`` and the series ``rational.LaurentTail`` and
-``bounded.PDO``) their one unchecked constructor, ``_trusted``.
+``diffop.TOp`` and the series ``bounded.PDO``) their one unchecked
+constructor, ``_trusted``.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ from bispec import (
     PDO,
     DiffOp,
     InsufficientPrecision,
-    LaurentTail,
+    LogObstruction,
     NotCommuting,
     NotInDomain,
     ObstructionStep,
@@ -385,7 +385,7 @@ def airy_wave_deep(L: DiffOp, J: int, extra: int = 12) -> Optional[dict]:
 
     def top(P: DiffOp) -> dict:
         return {(e, k): c for k, f in P.coeffs.items()
-                for e, c in laurent_expand(f, depth).terms.items()}
+                for e, c in laurent_expand(f, depth).items()}
 
     At, Vt = top(A), top(V)
     m: dict = {j: {} for j in range(1, J + 1)}
@@ -419,7 +419,7 @@ def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
     power = PDO.identity().restrict(J)
     for _ in range(J):
         power = (power * (-t)).restrict(J)
-        if power.is_zero():
+        if not power.terms:
             break
         acc = acc + power
     return acc
@@ -427,8 +427,9 @@ def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
 
 def involution_b_as_pdo(P: PDO) -> PDO:
     """b(sum a_k(x) d^k) = sum z^k a_k(d_z) as a series in d_z whose
-    coefficient at the power d_z^i is a z^-1 tail.  PDO does not accept
-    tail coefficients, so the image is wrapped unchecked."""
+    coefficient at the power d_z^i is a z^-1 tail, an exponent map exact
+    down to z^-P.trunc.  PDO does not accept map coefficients, so the
+    image is wrapped unchecked."""
     tails: dict[int, dict[int, Fraction]] = {}
     for k, c in P.terms.items():
         if not c.is_polynomial():
@@ -436,8 +437,7 @@ def involution_b_as_pdo(P: PDO) -> PDO:
         for i, v in enumerate(c.num.coeffs):
             if v != 0:
                 tails.setdefault(i, {})[k] = v
-    terms = {idx: LaurentTail(pairs, P.trunc) for idx, pairs in tails.items()}
-    return PDO._trusted(terms, None)
+    return PDO._trusted(tails, None)
 
 
 def expand_in_powers(Q: DiffOp, L: DiffOp) -> Optional[list[Fraction]]:
@@ -589,13 +589,13 @@ def obstruction_recursion_holds(trace: ObstructionTrace) -> bool:
         for a, b in zip(trace.steps, trace.steps[1:]))
 
 
-def laurent_expand_by_series(f: RatFunc, M: int) -> LaurentTail:
+def laurent_expand_by_series(f: RatFunc, M: int) -> dict[int, Fraction]:
     """The expansion of f at infinity down to x^-M, as the power
     series num_rev/den_rev in t = 1/x divided term by term from the
-    leading term on.  The reference for the long division of
-    ``rational.laurent_expand``."""
+    leading term on: the map of its nonzero coefficients.  The reference
+    for the long division of ``rational.laurent_expand``."""
     if f.is_zero():
-        return LaurentTail._trusted({}, M)
+        return {}
     # in t = 1/x, num(x) = x^n * num_rev(t) and den likewise, so the tail
     # is the power series num_rev/den_rev in t from the leading index on
     num, den = f.num.coeffs[::-1], f.den.coeffs[::-1]
@@ -611,26 +611,25 @@ def laurent_expand_by_series(f: RatFunc, M: int) -> LaurentTail:
         series.append(c)
         if c:
             terms[-start - i] = c
-    return LaurentTail._trusted(terms, M)
+    return terms
 
 
-def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFunc]:
+def pade_by_joint_system(t: dict[int, Fraction], M: int, degN: int,
+                         degD: int) -> Optional[RatFunc]:
     """The Pade solve with the numerator's coefficients as unknowns too:
     one nullspace over p_0..p_degN, q_0..q_degD whose rows are the
-    coefficients of x^e in q*t - p, and the first vector with q != 0,
-    checked by re-expansion.  The reference for the solve over the
-    denominator alone in ``rational.rational_reconstruct``."""
-    if t.trunc is None:
-        raise ValueError("rational_reconstruct needs a truncated tail")
-    count = t.known_count()
+    coefficients of x^e in q*t - p for the tail t exact down to x^-M,
+    and the first vector with q != 0, checked by re-expansion.  The
+    reference for the solve over the denominator alone in
+    ``rational.rational_reconstruct``."""
+    count = M + max(t, default=0) + 1
     if count < degN + degD + 2:
         raise InsufficientPrecision(
             f"need {degN + degD + 2} known coefficients, have {count}"
         )
-    if t.is_zero():
+    if not t:
         return RatFunc.zero()
-    M = t.trunc
-    e_max = max(degN, degD + max(t.terms))
+    e_max = max(degN, degD + max(t))
     e_min = degD - M
     # unknowns: p_0..p_degN, q_0..q_degD ; rows: coefficient of x^e in q*t - p
     ncols = (degN + 1) + (degD + 1)
@@ -638,7 +637,7 @@ def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
     for e in range(e_max, e_min - 1, -1):
         row = {e: Fraction(-1)} if 0 <= e <= degN else {}
         for i in range(degD + 1):
-            c = t.coeff(e - i)
+            c = t.get(e - i, 0)
             if c != 0:
                 row[degN + 1 + i] = c
         if row:
@@ -650,7 +649,7 @@ def pade_by_joint_system(t: LaurentTail, degN: int, degD: int) -> Optional[RatFu
             q = Poly([vec.get(degN + 1 + i, Fraction(0)) for i in range(degD + 1)])
             f = RatFunc(p, q)
             # belt and braces: the reduced representative must re-expand to t
-            return f if laurent_expand(f, M).terms == t.terms else None
+            return f if laurent_expand(f, M) == t else None
     return None
 
 
@@ -666,9 +665,12 @@ def rat_antiderivative_by_rounds(g: RatFunc) -> RatFunc:
         degN = dn + round_ * (dn + 2)
         degD = dd + round_ * (dd + 2)
         depth = degN + degD + 4 + max(0, -g.infinity_order())
-        anti = laurent_expand(g, depth).antiderivative()  # LogObstruction
+        tail = laurent_expand(g, depth)
+        if tail.get(-1):
+            raise LogObstruction("antiderivative requires log(x): nonzero x^-1 term")
+        anti = {e + 1: c / (e + 1) for e, c in tail.items()}
         try:
-            cand = rational_reconstruct(anti, degN + 1, degD)
+            cand = rational_reconstruct(anti, depth - 1, degN + 1, degD)
         except InsufficientPrecision:
             cand = None
         if cand is not None and cand.derivative() == g:
@@ -676,8 +678,8 @@ def rat_antiderivative_by_rounds(g: RatFunc) -> RatFunc:
     raise ReconstructionFailed("no rational antiderivative within degree bounds")
 
 
-def lift_by_degree_search(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc]:
-    """The rational function matching ``tail`` (truncated at J) found by
+def lift_by_degree_search(tail: dict[int, Fraction], m: int, J: int) -> Optional[RatFunc]:
+    """The rational function matching ``tail`` (exact down to x^-J) found by
     Pade solves at degree bounds d = 0, 1, ..., max(2m, 2), the first
     that succeeds; the search stops when 2d + 2 exceeds J + 1 or the tail
     holds too few known coefficients.  None when no bound succeeds."""
@@ -685,7 +687,7 @@ def lift_by_degree_search(tail: LaurentTail, m: int, J: int) -> Optional[RatFunc
         if 2 * d + 2 > J + 1:
             break
         try:
-            cand = rational_reconstruct(tail, d, d)
+            cand = rational_reconstruct(tail, J, d, d)
         except InsufficientPrecision:
             break
         if cand is not None:

@@ -20,10 +20,12 @@ from bispec import (
     RatFunc,
     airy_shape,
     associated_polynomial,
+    bessel_recover,
     centralizer_search,
     choose_weights,
     classify,
     commutator,
+    darboux,
     dop_mul,
     make_airy,
     make_bessel,
@@ -311,6 +313,43 @@ class TestCertificateReverification:
         lam = build_lambda(K, Poly([0, 0, 1]))
         assert lam == r["certificates"]["lambda"]
         assert lam.order == r["certificates"]["ad_m"]
+
+
+AM2 = "d^2 - (6*x^4 - 12*x)*(x^3+1)^-2"
+
+
+def _bessel_0_1(L):
+    # d^2 = x^-2 (xd)(xd - 1)
+    return bessel_recover(L).betas == (0, 1)
+
+
+def _darboux_of_d2(L):
+    return darboux(d ** 2, parse_operator("d - x^-1"))["transformed"] == L
+
+
+def _conjugate_of_d2(L):
+    # L P = P d^2, so L = P d^2 P^-1, with ker P = {x, x^3 - 2}
+    P = parse_operator("d^2 - 3*x^2*(x^3+1)^-1*d + 3*x*(x^3+1)^-1")
+    Q, rem = right_divide(dop_mul(P, d ** 2), P)
+    return rem.is_zero() and Q == L
+
+
+class TestOverlaps:
+    """Families overlap; the first stage of ``STAGES`` whose certificate
+    holds names the verdict (the ``classify`` docstring)."""
+
+    @pytest.mark.parametrize("text, theta, verdict, named, also", [
+        ("d^2", None, "ConstantCoeff(3)",
+         lambda c: c == {"constant_part": "z^2"}, _bessel_0_1),
+        ("d^2 - 2*x^-2", None, "Bessel(2)",
+         lambda c: c["bessel_betas"] == [-1, 2], _darboux_of_d2),
+        (AM2, Poly([1, 0, 0, 1]) ** 2, "MonomialDarbouxCandidate(4)",
+         lambda c: c["bounded_chain"]["failures"] == [], _conjugate_of_d2),
+    ], ids=["d^2", "d^2 - 2*x^-2", "AM2"])
+    def test_first_stage_names_the_verdict(self, text, theta, verdict, named, also):
+        r = classify(text, theta=theta)
+        assert r["verdict"] == verdict and named(r["certificates"])
+        assert also(parse_operator(text))
 
 
 def random_increasing(rng, N):

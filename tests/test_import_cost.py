@@ -19,10 +19,10 @@ from pathlib import Path
 import bispec
 
 # the AST-node total of src/bispec/*.py may not exceed this
-MAX_AST_NODES = 21555
+MAX_AST_NODES = 21372
 
 # nor may the AST-node count of any one of them (poly.py is the largest)
-MAX_MODULE_AST_NODES = 3411
+MAX_MODULE_AST_NODES = 3360
 
 # the submodules ``import bispec`` loads (cli is the command-line entry)
 EAGER = {"airy", "bounded", "classify", "diffop", "errors", "families",
@@ -33,6 +33,12 @@ def _ast_nodes() -> dict[str, int]:
     src = Path(bispec.__file__).parent
     return {path.name: sum(1 for _ in ast.walk(ast.parse(path.read_text())))
             for path in src.glob("*.py")}
+
+
+def _by_size(nodes: dict[str, int]) -> str:
+    """The per-module counts, largest first, for a failing size check."""
+    return ", ".join(f"{name} {n}" for name, n in
+                     sorted(nodes.items(), key=lambda item: -item[1]))
 
 
 def _submodules():
@@ -71,7 +77,8 @@ def test_compiled_size_does_not_grow():
     compiled size is held to a ceiling.  A change that adds code raises
     MAX_AST_NODES in the same diff and says so in CHANGES.md.
     """
-    assert sum(_ast_nodes().values()) <= MAX_AST_NODES
+    nodes = _ast_nodes()
+    assert sum(nodes.values()) <= MAX_AST_NODES, _by_size(nodes)
 
 
 def test_no_module_sets_the_peak_alone():
@@ -88,7 +95,8 @@ def test_no_module_sets_the_peak_alone():
     a module that would outgrow it is split by layer instead.
     """
     assert MAX_MODULE_AST_NODES <= 4000
-    assert max(_ast_nodes().values()) <= MAX_MODULE_AST_NODES
+    nodes = _ast_nodes()
+    assert max(nodes.values()) <= MAX_MODULE_AST_NODES, _by_size(nodes)
 
 
 def _package_imports(name: str) -> list[str]:

@@ -152,5 +152,5 @@ def test_centralizer_search_reaches_traced_names(linalg_calls):
 
 def test_rational_reconstruct_reaches_traced_names(linalg_calls):
     f = RatFunc(Poly([1]), Poly([1, 1]))
-    assert rational_reconstruct(laurent_expand(f, 4), 0, 1) == f
+    assert rational_reconstruct(laurent_expand(f, 4), 4, 0, 1) == f
     assert linalg_calls == {"nullspace": 1, "rref": 1}

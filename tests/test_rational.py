@@ -1,4 +1,7 @@
-"""Exact scalar, polynomial, rational-function and Laurent-tail arithmetic."""
+"""Exact scalar, polynomial, rational-function and Laurent-tail arithmetic.
+
+A Laurent tail is a plain exponent map ``{e: c_e}``; its truncation M,
+the power x^-M down to which it is exact, is passed alongside it."""
 
 from datetime import timedelta
 from fractions import Fraction
@@ -12,7 +15,6 @@ import bispec.rational
 
 from bispec import (
     InsufficientPrecision,
-    LaurentTail,
     LogObstruction,
     PDO,
     Poly,
@@ -24,6 +26,7 @@ from bispec import (
     rational_reconstruct,
 )
 from bispec.errors import ReconstructionFailed
+from bispec.rational import add_terms, nonzero_terms
 
 from bispec.poly import _sign_at, _sturm_sequence
 from oracles import (
@@ -62,7 +65,7 @@ integrands_st = st.builds(lambda h, extra: h.derivative() + extra,
 
 def value_at_infinity(h: RatFunc) -> Fraction:
     """The x^0 coefficient of the expansion of h at infinity."""
-    return laurent_expand(h, 0).coeff(0)
+    return laurent_expand(h, 0).get(0, Fraction(0))
 
 
 def outcome(fn, g):
@@ -371,50 +374,49 @@ class TestSum:
         assert gcd_degrees and max(map(max, gcd_degrees)) <= 4
 
 
-def tail_product(s, t):
-    """The product of two truncated tails, exact down to the power above
-    the one where the first unknown term of either factor lands."""
-    trunc = min(s.trunc - max(t.terms, default=-t.trunc - 1),
-                t.trunc - max(s.terms, default=-s.trunc - 1))
+def tail_product(s, t, M):
+    """The product of two tails exact down to x^-M, and its truncation:
+    it is exact down to the power above the one where the first unknown
+    term of either factor lands."""
+    trunc = min(M - max(t, default=-M - 1), M - max(s, default=-M - 1))
     terms = {}
-    for i, a in s.terms.items():
-        for j, b in t.terms.items():
+    for i, a in s.items():
+        for j, b in t.items():
             if i + j >= -trunc:
                 terms[i + j] = terms.get(i + j, 0) + a * b
-    return LaurentTail(terms, trunc)
+    return nonzero_terms(terms, trunc), trunc
 
 
 class TestLaurentExpand:
     def test_geometric(self):
         t = laurent_expand(RatFunc(Poly([1]), Poly([-1, 1])), 3)
-        assert t.terms == {-1: 1, -2: 1, -3: 1}
-        assert t.trunc == 3
+        assert t == {-1: 1, -2: 1, -3: 1}
 
     def test_polynomial_passthrough(self):
         t = laurent_expand(RatFunc(Poly([0, 0, 1])), 3)
-        assert t.terms == {2: 1}
+        assert t == {2: 1}
 
     def test_alternating(self):
         t = laurent_expand(RatFunc(Poly([1]), Poly([1, 0, 1])), 4)
-        assert t.terms == {-2: 1, -4: -1}
+        assert t == {-2: 1, -4: -1}
 
     @settings(max_examples=40)
     @given(ratfuncs_st, ratfuncs_st)
     def test_additive(self, f, g):
         M = 6
-        assert laurent_expand(f + g, M).terms == (
-            laurent_expand(f, M) + laurent_expand(g, M)
-        ).terms
+        assert laurent_expand(f + g, M) == add_terms(laurent_expand(f, M),
+                                                     laurent_expand(g, M))
 
     @settings(max_examples=40)
     @given(ratfuncs_st, ratfuncs_st)
     def test_multiplicative(self, f, g):
         M = 6
         prod = laurent_expand(f * g, M)
-        approx = tail_product(laurent_expand(f, M + 8), laurent_expand(g, M + 8))
-        for e in range(-M, max(prod.terms, default=0) + 1):
-            if e >= -approx.trunc:
-                assert prod.coeff(e) == approx.coeff(e)
+        approx, trunc = tail_product(laurent_expand(f, M + 8),
+                                     laurent_expand(g, M + 8), M + 8)
+        for e in range(-M, max(prod, default=0) + 1):
+            if e >= -trunc:
+                assert prod.get(e, 0) == approx.get(e, 0)
 
     @settings(max_examples=200)
     @given(ratfuncs_st, st.integers(-8, 30))
@@ -427,8 +429,7 @@ class TestLaurentExpand:
     @example(RatFunc(Poly([3, 0, 1]), Poly([-2, 1])), -1)
     @example(RatFunc(Poly([1]), Poly([0, 0, 1])), -5)
     def test_equals_the_series_division(self, f, M):
-        t, ref = laurent_expand(f, M), laurent_expand_by_series(f, M)
-        assert (t.terms, t.trunc) == (ref.terms, ref.trunc)
+        assert laurent_expand(f, M) == laurent_expand_by_series(f, M)
 
     def test_multiply_back(self):
         # independent verification: t * den - num vanishes on known range
@@ -436,40 +437,37 @@ class TestLaurentExpand:
         t = laurent_expand(f, 9)
         den_tail = laurent_expand(RatFunc(f.den), 9)
         num_tail = laurent_expand(RatFunc(f.num), 9)
-        resid = tail_product(t, den_tail) - num_tail
-        assert all(c == 0 for e, c in resid.terms.items() if e >= -resid.trunc)
+        prod, trunc = tail_product(t, den_tail, 9)
+        resid = add_terms(prod, {e: -c for e, c in num_tail.items()}, trunc)
+        assert resid == {}
 
 
 class TestSeriesText:
-    """LaurentTail and PDO share one series body and have no printed form
-    of their own: these pin the expansion, the negation and the
+    """A tail is a plain exponent map and a ``PDO`` has no printed form of
+    its own: these pin the expansion by its map, the series' negation and
     constructors by their terms, and the text of a ``Poly``."""
-
-    def test_laurent_tail(self):
-        t = LaurentTail({1: -1, 0: 2, -2: Fraction(-3, 4)}, 3)
-        assert t.terms == {1: -1, 0: 2, -2: Fraction(-3, 4)} and t.trunc == 3
-        assert (-t).terms == {1: 1, 0: -2, -2: Fraction(3, 4)} and (-t).trunc == 3
-        assert LaurentTail.zero(2).terms == {} and LaurentTail.zero(2).trunc == 2
 
     def test_expansions_at_both_ends(self):
         f = RatFunc(Poly([1, 2]), Poly([0, 0, 1, 1]))
         t = laurent_expand(f, 5)
-        assert t.terms == {-2: 2, -3: -1, -4: 1, -5: -1} and t.trunc == 5
+        assert t == {-2: 2, -3: -1, -4: 1, -5: -1}
+        assert all(type(e) is int and type(c) is Fraction for e, c in t.items())
 
     def test_poly_and_pdo(self):
         assert str(Poly([Fraction(-1, 2), 0, -1, 3])) == "3*x^3 - x^2 - 1/2"
         P = PDO({1: RatFunc.one(), -2: RatFunc.x_power(-1).scale(-1)}, 3)
         assert P.terms == {1: RatFunc.one(), -2: -RatFunc.x_power(-1)} and P.trunc == 3
+        assert (-P).terms == {1: -RatFunc.one(), -2: RatFunc.x_power(-1)} and (-P).trunc == 3
         assert PDO({}).terms == {} and PDO({}).trunc is None
 
 
 @st.composite
 def pade_cases(draw):
-    """(t, degN, degD): the expansion of a random p/q with leading term
-    in x^-lead, lead in -6..4, truncated anywhere from above its leading
-    term (so also above x^-degD) to well past what the solve needs, at times with one known
-    coefficient changed or left exact; the degree pair is p/q's own,
-    swapped, or with one more numerator degree."""
+    """(t, M, degN, degD): the expansion of a random p/q with leading term
+    in x^-lead, lead in -6..4, truncated at M anywhere from above its
+    leading term (so also above x^-degD) to well past what the solve
+    needs, at times with one known coefficient changed; the degree pair
+    is p/q's own, swapped, or with one more numerator degree."""
     num = draw(st.lists(fractions_st, min_size=1, max_size=4).map(Poly)
                .filter(lambda p: not p.is_zero()))
     den = draw(nonzero_polys_st.filter(lambda p: p.degree <= 3))
@@ -481,40 +479,40 @@ def pade_cases(draw):
     degN, degD = draw(st.sampled_from([(dN, dD), (dD, dN), (dN + 1, dD)]))
     # the solve at p/q's own degrees needs M >= lead + dN + dD + 1
     M = lead + dN + dD + 1 + draw(st.integers(-dN - dD - 2, 5))
-    terms = dict(laurent_expand(f, M).terms)
+    terms = laurent_expand(f, M)
     if draw(st.booleans()):
         e = -draw(st.integers(lead, max(lead, M)))
         terms[e] = terms.get(e, Fraction(0)) + draw(fractions_st.filter(bool))
-    return LaurentTail(terms, draw(st.sampled_from([M] * 9 + [None]))), degN, degD
+    return nonzero_terms(terms, M), M, degN, degD
 
 
-def pade_outcome(solve, t, degN, degD):
+def pade_outcome(solve, t, M, degN, degD):
     try:
-        return solve(t, degN, degD)
-    except (InsufficientPrecision, ValueError) as e:
+        return solve(t, M, degN, degD)
+    except InsufficientPrecision as e:
         return type(e)
 
 
 class TestRationalReconstruct:
     def test_geometric_series(self):
-        t = LaurentTail({-s: Fraction(1) for s in range(1, 9)}, 8)
-        f = rational_reconstruct(t, 0, 1)
+        t = {-s: Fraction(1) for s in range(1, 9)}
+        f = rational_reconstruct(t, 8, 0, 1)
         assert f == RatFunc(Poly([1]), Poly([-1, 1]))
 
     def test_zero(self):
-        assert rational_reconstruct(LaurentTail({}, 8), 2, 2) == RatFunc.zero()
+        assert rational_reconstruct({}, 8, 2, 2) == RatFunc.zero()
 
     def test_exponential_tail_rejected(self):
         from math import factorial
 
-        t = LaurentTail({-s: Fraction(1, factorial(s)) for s in range(8)}, 7)
-        assert rational_reconstruct(t, 2, 2) is None
+        t = {-s: Fraction(1, factorial(s)) for s in range(8)}
+        assert rational_reconstruct(t, 7, 2, 2) is None
 
     def test_unmatched_numerator_coefficient_is_no_solution(self):
         # the window x^11..x^1 holds no x^0 row, and its x^11..x^9 rows
         # force q = 0
         t = laurent_expand(RatFunc(Poly([0] * 9 + [1])) + RatFunc(Poly([1]), Poly([1, 1])), 1)
-        assert rational_reconstruct(t, 0, 2) is None
+        assert rational_reconstruct(t, 1, 0, 2) is None
 
     def test_numerator_degree_too_low_needs_no_reexpansion(self, monkeypatch):
         # x^3 + 1/(x + 1) at (degN, degD) = (1, 1): the rows above x^1
@@ -524,18 +522,12 @@ class TestRationalReconstruct:
         real = bispec.rational.laurent_expand
         monkeypatch.setattr(bispec.rational, "laurent_expand",
                             lambda *args: calls.append(args) or real(*args))
-        assert rational_reconstruct(t, 1, 1) is None
+        assert rational_reconstruct(t, 6, 1, 1) is None
         assert calls == []
 
     def test_insufficient_precision(self):
-        t = LaurentTail({-1: Fraction(1)}, 2)
-        with pytest.raises(InsufficientPrecision):
-            rational_reconstruct(t, 2, 2)
-
-    def test_exact_tail_refused(self):
-        # an exact tail is its own rational function: nothing to recover
-        with pytest.raises(ValueError, match="truncated"):
-            rational_reconstruct(LaurentTail({0: Fraction(1), -1: Fraction(2)}), 2, 2)
+        with pytest.raises(InsufficientPrecision, match="need 6 known coefficients, have 2"):
+            rational_reconstruct({-1: Fraction(1)}, 2, 2, 2)
 
     @settings(max_examples=40)
     @given(st.builds(RatFunc,
@@ -546,39 +538,60 @@ class TestRationalReconstruct:
         dn = max(f.num.degree, 0)
         dd = max(f.den.degree, 0)
         t = laurent_expand(f, dn + dd + 8)
-        assert rational_reconstruct(t, dn, dd) == f
+        assert rational_reconstruct(t, dn + dd + 8, dn, dd) == f
 
     @settings(max_examples=300, deadline=None)
     @given(pade_cases())
     def test_equals_the_joint_system(self, case):
-        t, degN, degD = case
-        assert pade_outcome(rational_reconstruct, t, degN, degD) == \
-            pade_outcome(pade_by_joint_system, t, degN, degD)
+        assert pade_outcome(rational_reconstruct, *case) == \
+            pade_outcome(pade_by_joint_system, *case)
 
 
 class TestAntiderivative:
-    def test_polynomial_part(self):
-        t = LaurentTail({1: 2})  # 2x
-        assert t.antiderivative().terms == {2: 1}  # x^2
+    """The termwise antiderivative that ``rat_antiderivative`` takes of the
+    tail of its integrand, with zero constant of integration, before its
+    one Pade solve: read off the map and truncation the solve receives."""
 
-    def test_inverse_square(self):
-        t = LaurentTail({-2: -1})  # -x^-2
-        assert t.antiderivative().terms == {-1: 1}  # x^-1
+    @staticmethod
+    def integrated_tail(monkeypatch, g):
+        seen = []
+        real = bispec.rational.rational_reconstruct
+        monkeypatch.setattr(bispec.rational, "rational_reconstruct",
+                            lambda t, M, *degs: seen.append((t, M)) or real(t, M, *degs))
+        rat_antiderivative(g)
+        return seen[0]
 
-    def test_log_obstruction(self):
-        with pytest.raises(LogObstruction):
-            LaurentTail({-1: 1}).antiderivative()
+    def test_polynomial_part(self, monkeypatch):
+        anti, _ = self.integrated_tail(monkeypatch, RatFunc(Poly([0, 2])))  # 2x
+        assert anti == {2: 1}  # x^2
 
-    def test_derivative_inverts(self):
-        t = LaurentTail({3: Fraction(2), 0: Fraction(5), -2: Fraction(-7),
-                         -4: Fraction(1, 3)}, 9)
+    def test_inverse_square(self, monkeypatch):
+        anti, _ = self.integrated_tail(monkeypatch, RatFunc.x_power(-2, -1))  # -x^-2
+        assert anti == {-1: 1}  # x^-1
+
+    def test_log_obstruction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bispec.rational, "rational_reconstruct",
+                            lambda *args: calls.append(args))
+        with pytest.raises(LogObstruction, match=r"^antiderivative requires log\(x\): "
+                                                 r"nonzero x\^-1 term$"):
+            rat_antiderivative(RatFunc.x_power(-1) + RatFunc.x_power(-3))
+        assert calls == []
+
+    def test_derivative_inverts(self, monkeypatch):
+        g = RatFunc(Poly([5, 0, 0, 2])) + RatFunc(Poly([Fraction(1, 3), 0, -7]),
+                                                  Poly.monomial(4))
+        anti, M = self.integrated_tail(monkeypatch, g)
         # d/dx x^e = e x^(e-1)
-        back = {e - 1: e * c for e, c in t.antiderivative().terms.items() if e}
-        assert back == t.terms
+        back = {e - 1: e * c for e, c in anti.items() if e}
+        assert back == laurent_expand(g, M + 1)
 
-    def test_truncation_shifts(self):
-        t = LaurentTail({-2: Fraction(1)}, 6)
-        assert t.antiderivative().trunc == 5
+    def test_truncation_shifts(self, monkeypatch):
+        # x^-2 expands to x^-4 (h = -1/x: deg P = 0, deg Q = 1); the
+        # integral is known one power less deep, to x^-3, which leaves the
+        # degN + degD + 2 = 3 known coefficients the solve needs
+        anti, M = self.integrated_tail(monkeypatch, RatFunc.x_power(-2))
+        assert anti == {-1: -1} and M == 3
 
 
 class TestRatAntiderivative:
@@ -650,7 +663,7 @@ class TestRatAntiderivative:
         real = bispec.rational.rational_reconstruct
 
         def counting(*args):
-            calls.append(args[1:])
+            calls.append(args[2:])
             return real(*args)
 
         monkeypatch.setattr(bispec.rational, "rational_reconstruct", counting)

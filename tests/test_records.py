@@ -16,7 +16,6 @@ from bispec import (
     BesselSpec,
     Budgets,
     DiffOp,
-    LaurentTail,
     NormalizationFailed,
     ObstructionStep,
     ObstructionTrace,
@@ -33,16 +32,14 @@ from bispec.diffop import TOp
 from bispec.record import Record
 
 F = Fraction
-TAIL = LaurentTail({0: 1, 2: F(1, 2)}, 3)
 
 
 def _instances():
-    """One instance of every record class but those in INSTANCE_EXEMPT
+    """One instance of every record class
     (test_every_record_class_has_an_instance holds the list complete)."""
     return [
         RatFunc(Poly.one(), Poly([1, 1])),
         DiffOp.d(),
-        TAIL,
         PDO({0: RatFunc.one(), 1: RatFunc.x_power(-1)}, 4),
         TOp({(1, 0): F(1)}),
         AiryShape(N=3, a=((1, F(2)),), a0=F(0), lam=F(1)),
@@ -79,7 +76,6 @@ def test_repr_matches_the_dataclass_format():
         "ObstructionStep(j=1, s=-2, k=0, alpha=Fraction(1, 2))")
     assert repr(Budgets(ad_budget=3)) == (
         "Budgets(ad_budget=3, trunc=8)")
-    assert repr(TAIL) == "LaurentTail(terms={0: Fraction(1, 1), 2: Fraction(1, 2)}, trunc=3)"
     assert repr(PDO({1: RatFunc.x_power(-1)}, 4)) == (
         "PDO(terms={1: RatFunc((1)/(x))}, trunc=4)")
     assert repr(DiffOp.d()) == "DiffOp('x', d)"
@@ -97,12 +93,12 @@ def test_equality_and_hash():
     # a record equals only a record of its own class
     assert a.__eq__((1, -2, 0, F(1, 2))) is NotImplemented
     assert a != _SameStep(1, -2, 0, F(1, 2))
-    assert LaurentTail({1: 2, 5: 0}, 4) == LaurentTail({1: F(2)}, 4)
+    assert PDO({1: 2, 5: 0, -5: 1}, 4) == PDO({1: RatFunc.const(2)}, 4)
     assert PDO({0: RatFunc.one()}) == PDO.identity()
     assert TOp({(2, 0): F(1)}) != TOp({(1, 0): F(1)})
 
 
-@pytest.mark.parametrize("obj", [TAIL, TOp({}), PDO.identity(), DiffOp.d()],
+@pytest.mark.parametrize("obj", [TOp({}), PDO.identity(), DiffOp.d()],
                          ids=lambda o: type(o).__name__)
 def test_unhashable_as_before(obj):
     with pytest.raises(TypeError):
@@ -113,7 +109,7 @@ def test_ring_values_take_the_one_trusted_constructor():
     # Record gives the unchecked constructor and, for DiffOp, the equality
     # (test_no_record_overrides_assignment covers the guards); Poly, the
     # bottom layer, keeps its own
-    for cls in (RatFunc, DiffOp, TOp, LaurentTail, PDO):
+    for cls in (RatFunc, DiffOp, TOp, PDO):
         assert cls._trusted.__func__ is Record._trusted.__func__, cls.__name__
     assert not hasattr(RatFunc, "_reduced") and "__eq__" not in vars(DiffOp)
     assert DiffOp._trusted("x", {1: RatFunc.one()}) == DiffOp.d()
@@ -137,15 +133,10 @@ def _record_classes():
     return {cls for cls in subclasses(Record) if cls.__module__.startswith("bispec.")}
 
 
-# the record classes _instances() leaves out: TruncatedSeries is the base
-# of LaurentTail and PDO, which are in the list
-INSTANCE_EXEMPT = {"TruncatedSeries"}
-
-
 def test_every_record_class_has_an_instance():
     # so no record class skips test_immutable and test_no_instance_dict
     covered = {type(obj) for obj in _instances()}
-    assert {cls.__qualname__ for cls in _record_classes() - covered} == INSTANCE_EXEMPT
+    assert {cls.__qualname__ for cls in _record_classes() - covered} == set()
 
 
 def test_no_record_overrides_assignment():
