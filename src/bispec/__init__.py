@@ -33,7 +33,7 @@ from .errors import (
     ZeroDenominator,
     ZeroOperand,
 )
-from .poly import Poly, Scalar
+from .poly import Poly
 from .rational import (
     RatFunc,
     laurent_expand,
@@ -45,7 +45,6 @@ from .diffop import (
     ad_condition_min_m,
     commutator,
     dop_mul,
-    euler_operator,
     gauge_normalize,
     left_divide,
     right_divide,

@@ -90,12 +90,6 @@ class PDO(Record):
         object.__setattr__(self, "terms", nonzero_terms(clean, trunc))
         object.__setattr__(self, "trunc", trunc)
 
-    # -- constructors
-
-    @staticmethod
-    def identity() -> "PDO":
-        return PDO._trusted({0: RatFunc.one()}, None)
-
     # -- queries
 
     def coeff(self, k: int) -> RatFunc:
@@ -250,7 +244,7 @@ def wave_operator(L: DiffOp, f: Poly, J: int) -> PDO:
     if f.degree != N or f.leading() != 1:
         raise ValueError("f must be monic of the operator's order")
     terms = {0: RatFunc.one()}
-    E = wave_defect(L, f, PDO.identity())
+    E = wave_defect(L, f, PDO._trusted({0: RatFunc.one()}, None))
     if subleading := E.coeff(N - 1):
         raise NotInDomain(f"the d^{N - 1} coefficient of L - f(d) is "
                           f"{subleading}; gauge-normalize L first")
@@ -524,7 +518,7 @@ def centralizer_search(L: DiffOp, max_ord: int) -> dict:
     # F / den, divided once per distinct denominator
     cofactor = cache(F.exact_div)
     for col, (j, i) in enumerate(basis_ops):
-        B = commutator(L, DiffOp.monomial(RatFunc.x_power(i - d), j, L.var))
+        B = commutator(L, DiffOp(L.var, {j: RatFunc.x_power(i - d)}))
         for k, c in B.coeffs.items():
             for e, v in enumerate((c.num * cofactor(c.den)).coeffs):
                 if v:

@@ -25,10 +25,13 @@ A ``TOp`` is an element of the Laurent Weyl algebra, a sparse map
 reordering of d^i past x^b.  It is the package's one class for that
 algebra, and the parser evaluates expressions in it.
 
-``DiffOp(var, coeffs)`` coerces every coefficient to a ``RatFunc`` and
-drops the zero ones.  Ring operations build their result with the trusted
-constructor ``DiffOp._trusted(var, coeffs)`` instead, ``Record``'s, which
-checks nothing; its caller must pass a dict with int keys >= 0 and nonzero
+``DiffOp(var, coeffs)`` is the one coercing constructor, the normal form
+itself: it coerces every coefficient (an int, ``Fraction``, ``Poly`` or
+``RatFunc``) to a ``RatFunc`` and drops the zero ones, so a constant c is
+``DiffOp(var, {0: c})`` and a monomial c * d^j is ``DiffOp(var, {j: c})``.
+Ring operations build their result with the trusted constructor
+``DiffOp._trusted(var, coeffs)`` instead, ``Record``'s, which checks
+nothing; its caller must pass a dict with int keys >= 0 and nonzero
 ``RatFunc`` values (negation, nonzero scaling, translation and
 multiplication by a nonzero function keep nonzero values nonzero; sums
 and products drop their cancelled terms first).  A ``DiffOp`` is
@@ -112,24 +115,12 @@ class DiffOp(Record):
         return DiffOp._trusted(var, {0: RatFunc.one()})
 
     @staticmethod
-    def const(c: ScalarLike, var: str = "x") -> "DiffOp":
-        return DiffOp(var, {0: RatFunc.const(c)})
-
-    @staticmethod
     def d(var: str = "x") -> "DiffOp":
         return DiffOp._trusted(var, {1: RatFunc.one()})
 
     @staticmethod
     def x(var: str = "x") -> "DiffOp":
         return DiffOp._trusted(var, {0: RatFunc.x()})
-
-    @staticmethod
-    def from_function(f: CoeffLike, var: str = "x") -> "DiffOp":
-        return DiffOp(var, {0: _coerce(f)})
-
-    @staticmethod
-    def monomial(coeff: CoeffLike, j: int, var: str = "x") -> "DiffOp":
-        return DiffOp(var, {j: _coerce(coeff)})
 
     # -- queries
 
@@ -227,11 +218,6 @@ class TOp(Record):
 
     def __init__(self, terms: dict):
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def order(self) -> int:
-        """The highest power of d; -1 for zero."""
-        return max((k for k, _ in self.terms), default=-1)
 
     def is_function(self) -> bool:
         return not any(k for k, _ in self.terms)
@@ -389,7 +375,7 @@ def ad_condition_min_m(L: DiffOp, theta: Poly,
     with L has leading term -a x^(-a-1) f'(d) C(d) != 0, so a chain that
     goes past deg theta never ends.  On an Airy operator the chain may
     end elsewhere, so the budget stays the caller's."""
-    current = DiffOp.from_function(theta, L.var)
+    current = DiffOp(L.var, {0: theta})
     for m in range(m_max + 1):
         nxt = commutator(L, current)
         if nxt.is_zero():
@@ -456,11 +442,6 @@ def gauge_normalize(L: DiffOp) -> tuple[DiffOp, RatFunc]:
 # ---------------------------------------------------------------------------
 # small helpers shared by higher modules
 # ---------------------------------------------------------------------------
-
-def euler_operator(var: str = "x") -> DiffOp:
-    """The Euler operator x d."""
-    return DiffOp(var, {1: RatFunc.x()})
-
 
 def _powers(P: DiffOp, n: int) -> list[DiffOp]:
     """[1, P, P^2, ..., P^n], each power one product from the last."""

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 from .errors import BadIndex, NotAFactor
 from .poly import Poly, ScalarLike
 from .rational import RatFunc
-from .diffop import DiffOp, dop_mul, euler_operator, right_divide
+from .diffop import DiffOp, dop_mul, right_divide
 from .record import Record
 
 
@@ -65,10 +65,9 @@ def make_constcoeff(p: int, a: Mapping[int, ScalarLike] | None = None) -> DiffOp
 def make_bessel(spec: BesselSpec) -> DiffOp:
     """x^-p (xd - beta_1) ... (xd - beta_p), fully expanded and normal
     ordered.  The factors commute, so the order of the betas is irrelevant."""
-    D = euler_operator()
     prod = DiffOp.one()
     for b in spec.betas:
-        prod = dop_mul(prod, D - DiffOp.const(b))
+        prod = dop_mul(prod, DiffOp("x", {1: RatFunc.x(), 0: -b}))
     return prod.mul_function(RatFunc.x_power(-spec.p))
 
 

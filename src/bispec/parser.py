@@ -297,7 +297,7 @@ class _Parser:
         # power, num^e/den^e by Poly.__pow__
         base = self.as_diffop(base)
         if base.is_function():
-            return DiffOp.from_function(base.coeff(0) ** e, base.var)
+            return DiffOp(base.var, {0: base.coeff(0) ** e})
         return base ** e
 
     def atom(self) -> _Value:

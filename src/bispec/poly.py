@@ -37,8 +37,6 @@ from typing import Iterable, Union
 
 from .errors import ScalarTooLong
 
-Scalar = Fraction
-
 ScalarLike = Union[Fraction, int]
 
 
@@ -279,14 +277,6 @@ class Poly:
             a, b = b, _primitive(r)
         lead = b[-1]
         return Poly._trusted(shift + tuple([Fraction(c, lead) for c in b]))
-
-    def __call__(self, point: ScalarLike) -> Fraction:
-        """Evaluate at a scalar point by Horner."""
-        point = _frac(point)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def translate(self, a: ScalarLike) -> "Poly":
         """The Taylor shift p(x + a), by repeated Horner steps; the

@@ -7,6 +7,8 @@ Conventions:
   what every coefficient in Q[x, x^-1] has, is reduced without Euclid by
   shifting out x^min(val(num), k); only other denominators go through
   ``Poly.gcd``.  A unit denominator is always the shared ``Poly.one()``.
+  A ``RatFunc`` equals only a ``RatFunc``, as every value class of the
+  package equals only its own kind: ``RatFunc.const(2) != 2``.
 * ``RatFunc.signed_terms`` owns the text of a coefficient: Laurent
   monomials when the denominator is a power of x, else (num)*(den)^-1.
   ``parser.print_operator`` joins those pieces.  ``str`` of a ``RatFunc``
@@ -89,6 +91,8 @@ class RatFunc(Record):
     divisors are x^j, so the gcd is x^min(val(num), k), and removing it is
     a shift of the coefficient tuples.  Any other denominator is reduced
     by ``Poly.gcd``.  A unit denominator is the shared ``Poly.one()``.
+    It equals only a ``RatFunc``, never the int or Fraction it may hold,
+    and hashes by (num, den).
 
     Each value takes its derivative at most once: the first call of
     ``derivative`` keeps it in the third slot, so the Leibniz chains over
@@ -200,8 +204,6 @@ class RatFunc(Record):
     # -- arithmetic
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
         return (
             isinstance(other, RatFunc)
             and self.num == other.num
@@ -209,9 +211,6 @@ class RatFunc(Record):
         )
 
     def __hash__(self):
-        # a constant equals its int or Fraction value, so it hashes as one
-        if self.is_constant():
-            return hash(self.num.constant_value())
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":

@@ -50,7 +50,8 @@ These deliberately avoid the library's code paths:
   bounds, the reference for the one solve of ``bounded.pade_lift``;
 * Euclid's algorithm and the Sturm sequence on Fraction remainders, the
   references for the primitive integer pseudo-remainders that
-  ``Poly.gcd`` and ``poly._sturm_sequence`` share;
+  ``Poly.gcd`` and ``poly._sturm_sequence`` share, and the value of a
+  polynomial at a point by Horner, the reference for ``poly._sign_at``;
 * the rational root theorem over the divisors of the constant term and
   the lead, the reference for the Sturm bisection on the grid Z/a of
   ``Poly.rational_roots``;
@@ -91,7 +92,6 @@ from bispec import (
     bounded_test,
     commutator,
     dop_mul,
-    euler_operator,
     height,
     laurent_expand,
     principal_part,
@@ -248,7 +248,8 @@ def random_diffop(
 
 def euler_homogeneous_by_bracket(L: DiffOp) -> bool:
     """[xd, L] == -N L with N = order(L); False for the zero operator."""
-    return not L.is_zero() and commutator(euler_operator(L.var), L) == L.scale(-L.order)
+    euler = DiffOp(L.var, {1: RatFunc.x()})
+    return not L.is_zero() and commutator(euler, L) == L.scale(-L.order)
 
 
 def bessel_symbol_by_product(L: DiffOp) -> Optional[Poly]:
@@ -256,7 +257,7 @@ def bessel_symbol_by_product(L: DiffOp) -> Optional[Poly]:
     of d^j must be w_j x^j, which contributes w_j u(u-1)...(u-j+1)."""
     if not L.is_monic() or not euler_homogeneous_by_bracket(L):
         return None
-    T = DiffOp.from_function(Poly.monomial(L.order), L.var) * L
+    T = DiffOp(L.var, {0: Poly.monomial(L.order)}) * L
     sym = Poly.zero()
     for j, c in T.coeffs.items():
         if not c.is_polynomial():
@@ -324,7 +325,7 @@ def divide_by_leading_terms(L: DiffOp, P: DiffOp, side: str) -> tuple[DiffOp, Di
     n = P.order
     lead = P.leading()
     while r.order >= n:
-        term = DiffOp.monomial(r.leading() / lead, r.order - n, L.var)
+        term = DiffOp(L.var, {r.order - n: r.leading() / lead})
         q = q + term
         r = r - (dop_mul(P, term) if side == "left" else dop_mul(term, P))
     return q, r
@@ -415,8 +416,8 @@ def pdo_inverse_neumann(K: PDO, J: int) -> PDO:
     """(1 + T)^-1 = sum_n (-T)^n down to d^-J, for K = 1 + T with T
     strictly decaying."""
     t = PDO({k: c for k, c in K.terms.items() if k < 0}, K.trunc).restrict(J)
-    acc = PDO.identity().restrict(J)
-    power = PDO.identity().restrict(J)
+    acc = PDO({0: 1}).restrict(J)
+    power = PDO({0: 1}).restrict(J)
     for _ in range(J):
         power = (power * (-t)).restrict(J)
         if not power.terms:
@@ -551,7 +552,7 @@ def airy_involution_by_transpose(P: DiffOp, A: DiffOp) -> DiffOp:
         for a, coeff in enumerate(c.num.coeffs):
             if coeff != 0:
                 xj = xj + (x_image ** a).scale(coeff)
-        image = image + dop_mul(xj, DiffOp.from_function(Poly.monomial(j), var))
+        image = image + dop_mul(xj, DiffOp(var, {0: Poly.monomial(j)}))
     return transpose_weyl(image, "z")
 
 
@@ -712,6 +713,14 @@ def sturm_by_fraction_remainders(g: Poly) -> list[Poly]:
     return seq
 
 
+def value(p: Poly, t) -> Fraction:
+    """p(t) by Horner."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
+
+
 def sign_changes(values) -> int:
     """The sign changes of a sequence of numbers, zeros dropped."""
     signs = [v > 0 for v in values if v]
@@ -773,7 +782,7 @@ def wave_by_rebuilt_defect(L: DiffOp, f: Poly, J: int) -> PDO:
     the antiderivative of -1/N times the coefficient of d^(N-1-j) in
     L K - K f(d), recomputed from the whole of K."""
     N = L.order
-    K = PDO.identity()
+    K = PDO({0: 1})
     for j in range(1, J + 1):
         target = wave_defect(L, f, K).coeff(N - 1 - j)
         if not target.is_zero():
@@ -802,7 +811,7 @@ def centralizer_by_degree_lcm(L: DiffOp, max_ord: int) -> dict:
     d = max_ord
     num_degree = 2 * max(max_ord, L.order) + d
     basis_ops = [(j, i) for j in range(max_ord + 1) for i in range(num_degree + 1)]
-    brackets = [commutator(L, DiffOp.monomial(RatFunc.x_power(i - d), j, L.var))
+    brackets = [commutator(L, DiffOp(L.var, {j: RatFunc.x_power(i - d)}))
                 for (j, i) in basis_ops]
     rows = []
     for k in sorted({k for B in brackets for k in B.coeffs}):

@@ -44,7 +44,7 @@ x = DiffOp.x()
 
 
 def xpow(k, c=1):
-    return DiffOp.from_function(RatFunc.x_power(k, c))
+    return DiffOp("x", {0: RatFunc.x_power(k, c)})
 
 
 def ok(criterion: str):
@@ -92,17 +92,17 @@ def test_criterion_04_ad_condition():
     L3, t3 = d * d - xpow(-2, 2), Poly([0, 0, 1])
 
     assert ad_condition_min_m(L1, t1, 5)[0] == 1
-    assert ad_condition_min_m(L2, t2, 5) == (2, DiffOp.const(2))
+    assert ad_condition_min_m(L2, t2, 5) == (2, DiffOp("x", {0: 2}))
     assert ad_condition_min_m(L3, t3, 6) == (2, L3.scale(8))
 
     # oracle: chains computed in the independent monomial algebra
     for L, theta, m in ((L1, t1, 1), (L2, t2, 2), (L3, t3, 2)):
-        g = mono_of_diffop(DiffOp.from_function(theta))
+        g = mono_of_diffop(DiffOp("x", {0: theta}))
         chain = mono_ad_chain(mono_of_diffop(L), g, m + 1)
         assert chain[m] != {}
         assert chain[m + 1] == {}
     assert mono_ad_chain(mono_of_diffop(L3),
-                         mono_of_diffop(DiffOp.from_function(t3)), 2)[2] \
+                         mono_of_diffop(DiffOp("x", {0: t3})), 2)[2] \
         == mono_of_diffop(L3.scale(8))
     ok("04 ad-condition")
 

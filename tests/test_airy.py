@@ -37,7 +37,7 @@ A2 = make_airy(2)
 
 
 def xpow(k, c=1):
-    return DiffOp.from_function(RatFunc.x_power(k, c))
+    return DiffOp("x", {0: RatFunc.x_power(k, c)})
 
 
 def mono(e, k=0, c=1):
@@ -63,7 +63,7 @@ class TestAiryShape:
         assert s.strict
 
     def test_relaxed(self):
-        s = airy_shape(d * d - x.scale(2) + DiffOp.const(7))
+        s = airy_shape(d * d - x.scale(2) + DiffOp("x", {0: 7}))
         assert s.lam == 2 and s.a0 == 7 and not s.strict
 
     def test_rejects_subleading(self):
@@ -404,7 +404,7 @@ class TestHeight:
         assert height(L) == (1, 2, Fraction(1))
 
     def test_constant(self):
-        assert height(DiffOp.const(5))[0] == 0
+        assert height(DiffOp("x", {0: 5}))[0] == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroOperand):

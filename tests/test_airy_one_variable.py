@@ -90,7 +90,7 @@ class TestObstructionWalk:
         # k reaches N - 1, the slot where the walk's factor vanishes and
         # the last step would carry the witness alpha = 0: refused
         k = min(k, A.order - 1)
-        L = A + DiffOp.monomial(RatFunc.x_power(h, c), k)
+        L = A + DiffOp("x", {k: RatFunc.x_power(h, c)})
         if k == A.order - 1:
             with pytest.raises(NotAiryShape):
                 perturbation_obstruction(L, max_steps)

@@ -61,7 +61,7 @@ x = DiffOp.x()
 
 
 def xpow(k, c=1):
-    return DiffOp.from_function(RatFunc.x_power(k, c))
+    return DiffOp("x", {0: RatFunc.x_power(k, c)})
 
 
 def b_of(P):
@@ -100,7 +100,7 @@ class TestSplitConstantPart:
             split_constant_part(d * d - x)
 
     def test_rational_constants(self):
-        L = d * d + DiffOp.from_function(RatFunc(Poly([1, 3]), Poly([2, 1])))
+        L = d * d + DiffOp("x", {0: RatFunc(Poly([1, 3]), Poly([2, 1]))})
         f, V = split_constant_part(L)
         assert f.coeff(0) == 3
         assert all(c.infinity_order() <= -1 for c in V.coeffs.values())
@@ -183,7 +183,7 @@ class TestWaveOperator:
         # d^N + c0 plus, for each (c, pole, e, k), c * B^-e * d^(k mod
         # (N - 1)) with B one of POLES: 0, -1, 2 and the roots of x^2 + 1;
         # no d^(N-1) term, as in the operators classify solves for
-        L = d ** N + DiffOp.from_function(RatFunc.const(c0))
+        L = d ** N + DiffOp("x", {0: RatFunc.const(c0)})
         for c, pole, e, k in parts:
             B = RatFunc(Poly([c]), self.POLES[pole] ** e)
             L = L + DiffOp("x", {k % (N - 1): B})
@@ -312,7 +312,7 @@ class TestDeeperPotential:
     """The next rational potential -6 x^-2: two nonzero wave coefficients
     and an x <-> z symmetric dual operator."""
 
-    L6 = d * d - DiffOp.from_function(RatFunc.x_power(-2, 6))
+    L6 = d * d - DiffOp("x", {0: RatFunc.x_power(-2, 6)})
 
     def test_wave_coefficients(self):
         f, _ = split_constant_part(self.L6)
@@ -497,7 +497,7 @@ class TestBoundedChain:
         # used to pass the chain and decide a family
         f, _ = split_constant_part(L_KDV)
         with pytest.raises(NotCommuting, match="is constant"):
-            bounded_test(L_KDV, f, theta, DiffOp.from_function(theta))
+            bounded_test(L_KDV, f, theta, DiffOp("x", {0: theta}))
 
     def test_constant_coefficient_leading(self):
         # q_r = m! N^m where the chain completes (theta of degree N)

@@ -44,7 +44,7 @@ x = DiffOp.x()
 
 
 def xpow(k, c=1):
-    return DiffOp.from_function(RatFunc.x_power(k, c))
+    return DiffOp("x", {0: RatFunc.x_power(k, c)})
 
 
 def classify_text(text, **kw):

@@ -43,20 +43,20 @@ class TestParse:
         ("d*x", DiffOp("x", {1: RatFunc.x(), 0: RatFunc.one()})),
         ("x*d + 1", DiffOp("x", {1: RatFunc.x(), 0: RatFunc.one()})),
         ("0", DiffOp.zero()),
-        ("1/2", DiffOp.const(Fraction(1, 2))),
+        ("1/2", DiffOp("x", {0: Fraction(1, 2)})),
         ("-x", -x),
         ("d^0", DiffOp.one()),
         ("(d - x^-1)*(d + x^-1)",
-         d * d - DiffOp.from_function(RatFunc.x_power(-2, 2))),
+         d * d - DiffOp("x", {0: RatFunc.x_power(-2, 2)})),
         # a quotient a/b is a*b^-1
-        ("(-3/2)/(x^2)", DiffOp.from_function(RatFunc.x_power(-2, Fraction(-3, 2)))),
-        ("2/ 3/4", DiffOp.const(Fraction(1, 6))),
-        ("d/x", d * DiffOp.from_function(RatFunc.x_power(-1))),
-        ("(x + 1)/(x^2 - 1)", DiffOp.from_function(RatFunc(Poly([1]), Poly([-1, 1])))),
+        ("(-3/2)/(x^2)", DiffOp("x", {0: RatFunc.x_power(-2, Fraction(-3, 2))})),
+        ("2/ 3/4", DiffOp("x", {0: Fraction(1, 6)})),
+        ("d/x", d * DiffOp("x", {0: RatFunc.x_power(-1)})),
+        ("(x + 1)/(x^2 - 1)", DiffOp("x", {0: RatFunc(Poly([1]), Poly([-1, 1]))})),
         # a literal p/q binds tighter than ^, and any other / is a quotient
-        ("2/3^2", DiffOp.const(Fraction(4, 9))),
-        ("2/x^2", DiffOp.from_function(RatFunc.x_power(-2, 2))),
-        ("(x^-1)/2", DiffOp.from_function(RatFunc.x_power(-1, Fraction(1, 2)))),
+        ("2/3^2", DiffOp("x", {0: Fraction(4, 9)})),
+        ("2/x^2", DiffOp("x", {0: RatFunc.x_power(-2, 2)})),
+        ("(x^-1)/2", DiffOp("x", {0: RatFunc.x_power(-1, Fraction(1, 2))})),
     ])
     def test_examples(self, text, expect):
         assert parse_operator(text) == expect
@@ -69,17 +69,17 @@ class TestParse:
 
     def test_bessel_expression(self):
         L = parse_operator("x^-2*(x*d-1/2)*(x*d-1/2)")
-        assert L == d * d + DiffOp.from_function(RatFunc.x_power(-2, Fraction(1, 4)))
+        assert L == d * d + DiffOp("x", {0: RatFunc.x_power(-2, Fraction(1, 4))})
 
     def test_precedence_caret_over_star(self):
-        assert parse_operator("2*x^2") == DiffOp.from_function(Poly([0, 0, 2]))
+        assert parse_operator("2*x^2") == DiffOp("x", {0: Poly([0, 0, 2])})
 
     def test_left_associative_noncommutative(self):
         assert parse_operator("d*x*d") == parse_operator("(d*x)*d")
 
     def test_negative_exponent_on_function_subexpression(self):
         L = parse_operator("(x^2 + 1)^-1")
-        assert L == DiffOp.from_function(RatFunc(Poly([1]), Poly([1, 0, 1])))
+        assert L == DiffOp("x", {0: RatFunc(Poly([1]), Poly([1, 0, 1]))})
 
     def test_negative_exponent_on_derivative_rejected(self):
         with pytest.raises(NegativeDerivativeExponent):
@@ -91,7 +91,7 @@ class TestParse:
 
 
 def _fn(f):
-    return DiffOp.from_function(f)
+    return DiffOp("x", {0: f})
 
 
 def _xd():
@@ -159,7 +159,7 @@ class TestFastPaths:
         for _ in range(12):
             value = dop_mul(value, value)
         assert parse_operator(f"d^{MAX_EXPONENT}") == value
-        assert value == DiffOp.monomial(1, 4096)
+        assert value == DiffOp("x", {4096: 1})
 
     def test_exponent_bound_holds(self):
         with pytest.raises(OperatorSyntaxError):
@@ -261,11 +261,11 @@ class TestFastPaths:
 
     @pytest.mark.parametrize("text,a,b", [
         # no x to move d past: one term
-        ("d^30*2", d ** 30, DiffOp.const(2)),
+        ("d^30*2", d ** 30, DiffOp("x", {0: 2})),
         # d past x^b lowers the powers at most b times: 2 x 2
         ("d^22*x", d ** 22, x),
         ("d^21*x^21", d ** 21, x ** 21),
-        ("x^-300*d^20*x^300", DiffOp.from_function(RatFunc.x_power(-300)),
+        ("x^-300*d^20*x^300", DiffOp("x", {0: RatFunc.x_power(-300)}),
          dop_mul(d ** 20, x ** 300)),
     ])
     def test_few_term_products_of_large_factors_parse(self, text, a, b):
@@ -316,13 +316,13 @@ class TestFastPaths:
         expect = RatFunc.one()
         for _ in range(n):
             expect = expect * f
-        assert parse_operator(text) == DiffOp.from_function(expect)
+        assert parse_operator(text) == DiffOp("x", {0: expect})
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
     def test_power_of_an_operator_with_a_general_denominator(self, n):
         # a base that left the Laurent algebra and contains d is a DiffOp
         # power by repeated squaring
-        base = dop_mul(DiffOp.from_function(RatFunc(Poly([1]), Poly([1, 1]))), d)
+        base = dop_mul(DiffOp("x", {0: RatFunc(Poly([1]), Poly([1, 1]))}), d)
         expect = DiffOp.one()
         for _ in range(n):
             expect = dop_mul(expect, base)
@@ -347,7 +347,7 @@ class TestFastPaths:
         # a product predicts the sum of its factors' bits: 4,097 + 3,963
         # = 8,060 parses, 4,097 + 4,096 = 8,193 is refused at the *
         assert MAX_SCALAR_BITS == 8192
-        assert parse_operator("2^4096*3^2500") == DiffOp.const(2 ** 4096 * 3 ** 2500)
+        assert parse_operator("2^4096*3^2500") == DiffOp("x", {0: 2 ** 4096 * 3 ** 2500})
         with pytest.raises(OperatorSyntaxError, match="product") as err:
             parse_operator("2^4096*2^4095")
         assert err.value.position == 6
@@ -394,13 +394,13 @@ class TestFastPaths:
 # texts drawn from the grammar, each with its value built by DiffOp arithmetic
 
 def _fn_text(text, f):
-    return text, DiffOp.from_function(f)
+    return text, DiffOp("x", {0: f})
 
 
 _leaves = st.one_of(
-    st.integers(0, 9).map(lambda n: (str(n), DiffOp.const(n))),
+    st.integers(0, 9).map(lambda n: (str(n), DiffOp("x", {0: n}))),
     st.tuples(st.integers(0, 9), st.integers(1, 6)).map(
-        lambda pq: (f"{pq[0]}/{pq[1]}", DiffOp.const(Fraction(*pq)))),
+        lambda pq: (f"{pq[0]}/{pq[1]}", DiffOp("x", {0: Fraction(*pq)}))),
     st.sampled_from([("x", x), ("d", d)]),
     # c * x^e to a power of either sign
     st.tuples(st.integers(1, 5), st.integers(-3, 3), st.integers(-3, 3)).map(
@@ -417,14 +417,14 @@ _leaves = st.one_of(
 def _reciprocal(node):
     text, value = node
     if value.is_function() and not value.is_zero():
-        return f"({text})^-1", DiffOp.from_function(value.coeff(0).inverse())
+        return f"({text})^-1", DiffOp("x", {0: value.coeff(0).inverse()})
     return node
 
 
 def _quotient(pair):
     (a, va), (b, vb) = pair
     if vb.is_function() and not vb.is_zero():
-        return f"({a})/({b})", dop_mul(va, DiffOp.from_function(vb.coeff(0).inverse()))
+        return f"({a})/({b})", dop_mul(va, DiffOp("x", {0: vb.coeff(0).inverse()}))
     return a, va
 
 
@@ -548,7 +548,7 @@ class TestPrintability:
         try:
             L = parse_operator(text)
             texts = [(L, print_operator(L))]
-            texts += [(DiffOp.from_function(c), str(c)) for c in L.coeffs.values()]
+            texts += [(DiffOp("x", {0: c}), str(c)) for c in L.coeffs.values()]
         except BispecError:
             return
         for value, printed in texts:
@@ -612,7 +612,7 @@ class TestPrint:
         (d * d - x, "d^2 - x"),
         (DiffOp.zero(), "0"),
         (DiffOp("x", {1: RatFunc.x(), 0: RatFunc.one()}), "x*d + 1"),
-        (d * d - DiffOp.from_function(RatFunc.x_power(-2, 2)), "d^2 - 2*x^-2"),
+        (d * d - DiffOp("x", {0: RatFunc.x_power(-2, 2)}), "d^2 - 2*x^-2"),
     ])
     def test_examples(self, L, expect):
         assert print_operator(L) == expect

@@ -37,6 +37,7 @@ from oracles import (
     rational_roots_by_candidates,
     sign_changes,
     sturm_by_fraction_remainders,
+    value,
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -266,8 +267,9 @@ class TestRemainderKernel:
         assert len(ints) == len(want)
         for point in points:
             signs = [_sign_at(c, point) for c in ints]
-            assert signs == [(s(point) > 0) - (s(point) < 0) for s in want]
-            assert sign_changes(signs) == sign_changes([s(point) for s in want])
+            values = [value(s, point) for s in want]
+            assert signs == [(v > 0) - (v < 0) for v in values]
+            assert sign_changes(signs) == sign_changes(values)
 
 
 class TestRatFunc:
@@ -308,20 +310,13 @@ class TestRatFunc:
     def test_derivative_product_rule(self, a, b):
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
-    def test_constant_hashes_as_its_value(self):
-        # RatFunc.const(2) == 2, so a set holds one of them
-        assert len({RatFunc.const(2), 2}) == 1
-        assert len({RatFunc.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
-        assert len({RatFunc.zero(), 0}) == 1
-
     @settings(max_examples=60)
-    @given(ratfuncs_st, nonzero_polys_st, fractions_st)
-    def test_equal_values_hash_equal(self, f, p, c):
-        # equal pairs: f and f p / p, a constant and its Fraction or int
-        for a, b in ((f, RatFunc(f.num * p, f.den * p)), (RatFunc.const(c), c),
-                     (RatFunc.const(c.numerator), c.numerator)):
-            assert a == b
-            assert hash(a) == hash(b)
+    @given(ratfuncs_st, nonzero_polys_st)
+    def test_equal_values_hash_equal(self, f, p):
+        # f and f p / p reduce to the same pair
+        a, b = f, RatFunc(f.num * p, f.den * p)
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestSum:

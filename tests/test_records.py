@@ -94,11 +94,18 @@ def test_equality_and_hash():
     assert a.__eq__((1, -2, 0, F(1, 2))) is NotImplemented
     assert a != _SameStep(1, -2, 0, F(1, 2))
     assert PDO({1: 2, 5: 0, -5: 1}, 4) == PDO({1: RatFunc.const(2)}, 4)
-    assert PDO({0: RatFunc.one()}) == PDO.identity()
     assert TOp({(2, 0): F(1)}) != TOp({(1, 0): F(1)})
 
 
-@pytest.mark.parametrize("obj", [TOp({}), PDO.identity(), DiffOp.d()],
+def test_value_classes_are_unequal_to_the_scalars_they_hold():
+    # each value class equals only its own kind, as Record's equality does
+    for value, scalar in [(RatFunc.const(2), 2), (RatFunc.zero(), 0), (Poly([2]), 2),
+                          (DiffOp("x", {0: 2}), 2), (PDO({0: 2}), 2)]:
+        assert value != scalar and scalar != value, repr(value)
+    assert len({RatFunc.const(2), 2}) == 2
+
+
+@pytest.mark.parametrize("obj", [TOp({}), PDO({0: 1}), DiffOp.d()],
                          ids=lambda o: type(o).__name__)
 def test_unhashable_as_before(obj):
     with pytest.raises(TypeError):
